@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .cohomology import B_RING
 from .gkm import RHO_RING, CohTuple, MembershipResult, check_membership
@@ -76,6 +76,8 @@ def _default_seed() -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.degree_cutoff <= 16:
+        raise UsageError("--degree-cutoff must be between 0 and 16")
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(
         args.suite, seed=seed, degree_cutoff=args.degree_cutoff, corrupt=args.corrupt
@@ -87,10 +89,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _reject_duplicate_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    obj: Dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise UsageError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_tuple_file(path: str, ring: str) -> Dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -224,10 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    if getattr(args, "degree_cutoff", 8) is not None and args.command == "verify":
-        if not (0 <= args.degree_cutoff <= 16):
-            print("error: --degree-cutoff must be between 0 and 16", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except UsageError as exc:

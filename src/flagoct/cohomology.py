@@ -47,18 +47,6 @@ def euler_presentation_basis() -> GroebnerBasis:
     return buchberger(coinvariant_generators(E_RING))
 
 
-def beta_from_euler(e1: Fraction, e2: Fraction) -> Tuple[Fraction, Fraction]:
-    """Numeric change of basis: beta1 = (2 e1 + e2)/3, beta2 = (e1 + 2 e2)/3."""
-    e1, e2 = Fraction(e1), Fraction(e2)
-    return (2 * e1 + e2) / 3, (e1 + 2 * e2) / 3
-
-
-def euler_from_beta(b1: Fraction, b2: Fraction) -> Tuple[Fraction, Fraction]:
-    """Inverse map: e1 = 2 beta1 - beta2, e2 = -beta1 + 2 beta2."""
-    b1, b2 = Fraction(b1), Fraction(b2)
-    return 2 * b1 - b2, -b1 + 2 * b2
-
-
 def e_to_beta(f: Polynomial) -> Polynomial:
     """Rewrite a polynomial in the x's as a polynomial in the betas."""
     beta1, beta2 = BETA_RING.gens()
@@ -400,13 +388,8 @@ class RestrictionTable:
     def row(self, sigma: Sigma3Element) -> Tuple[Polynomial, Polynomial, Polynomial]:
         return tuple(self.restriction(sigma, k) for k in (1, 2, 3))
 
-    def tuple_for_class(self, f: Polynomial) -> Dict[str, Polynomial]:
-        """Restrict a polynomial in the x's: substitute the row into (x1,x2)."""
-        out = {}
-        for name in SIGMA3_NAMES:
-            u, v, _ = self.row(sigma3_by_name(name))
-            out[name] = f.substitute({"x1": u, "x2": v})
-        return out
+    def rows(self) -> Dict[str, Tuple[Polynomial, Polynomial, Polynomial]]:
+        return {name: self.row(sigma3_by_name(name)) for name in SIGMA3_NAMES}
 
 
 def restriction(sigma: Sigma3Element, k: int) -> Polynomial:
@@ -429,8 +412,12 @@ class EquivariantRelationsReport:
         )
 
 
-def verify_equivariant_relations() -> EquivariantRelationsReport:
-    table = RestrictionTable()
+def verify_equivariant_relations(
+    rows: Optional[Dict[str, Tuple[Polynomial, Polynomial, Polynomial]]] = None,
+) -> EquivariantRelationsReport:
+    """Check the restriction rows (default: the transcribed table) per vertex."""
+    if rows is None:
+        rows = RestrictionTable().rows()
     b1, b2 = B_RING.gens()
     failures: List[Tuple[str, int]] = []
     expected = {
@@ -438,19 +425,13 @@ def verify_equivariant_relations() -> EquivariantRelationsReport:
         for i in (2, 3)
     }
     for name in SIGMA3_NAMES:
-        u, v, w = table.row(sigma3_by_name(name))
+        u, v, w = rows[name]
         for i in (2, 3):
             got = elementary_symmetric(i, 2 * u + v, -u + v, -(u + 2 * v))
             if got != expected[i]:
                 failures.append((name, i))
     # the third entry always equals the sum of the first two (rank additivity)
-    sums_ok = all(
-        table.restriction(sigma3_by_name(name), 1)
-        + table.restriction(sigma3_by_name(name), 2)
-        - table.restriction(sigma3_by_name(name), 3)
-        == B_RING.zero()
-        for name in SIGMA3_NAMES
-    )
+    sums_ok = all(u + v - w == B_RING.zero() for u, v, w in rows.values())
 
     def a_key(p: Polynomial) -> Polynomial:
         # normalize sign so that -b is counted with b
@@ -459,11 +440,8 @@ def verify_equivariant_relations() -> EquivariantRelationsReport:
 
     multiset_ok = True
     targets = sorted([str(b1), str(b2), str(b1 + b2)] * 2)
-    for k in (1, 2, 3):
-        col = sorted(
-            str(a_key(table.restriction(sigma3_by_name(name), k)))
-            for name in SIGMA3_NAMES
-        )
+    for k in range(3):
+        col = sorted(str(a_key(rows[name][k])) for name in SIGMA3_NAMES)
         if col != targets:
             multiset_ok = False
     return EquivariantRelationsReport(

@@ -87,10 +87,6 @@ class GroebnerBasis:
         """Ideal membership test."""
         return self.normal_form(f).is_zero()
 
-    def is_standard_monomial(self, exponents: Exponents) -> bool:
-        return not any(_divides(le, exponents) for le in self.leading_exponents())
-
-
 def buchberger(generators: Sequence[Polynomial]) -> GroebnerBasis:
     """Compute the reduced monic Groebner basis of the generated ideal."""
     gens = [g for g in generators if not g.is_zero()]

@@ -349,8 +349,12 @@ class FactorizationReport:
         return self.x1_minus_x2_ok and self.x1_minus_x3_ok and self.x3_minus_x2_ok
 
 
-def verify_factorizations() -> FactorizationReport:
-    rhs = factorization_rhs()
+def verify_factorizations(
+    rhs: Optional[Dict[str, Character]] = None,
+) -> FactorizationReport:
+    """Compare X1-X2, X1-X3, X3-X2 with ``rhs`` (default: the displayed table)."""
+    if rhs is None:
+        rhs = factorization_rhs()
     x1, x2, x3 = x_character(1), x_character(2), x_character(3)
     return FactorizationReport(
         x1_minus_x2_ok=(x1 - x2) == rhs["X1-X2"],

@@ -15,6 +15,7 @@ Identifiers and exponent rules depend on the evaluation context:
 * the character context accepts y1..y5 with integer (possibly negative)
   exponents and requires integer coefficients.
 
+Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep.
 Errors carry the 0-based character position for diagnostics.
 """
 
@@ -25,6 +26,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .poly import PolyRing, Polynomial
+
+# Parsing recurses once per parenthesis and evaluation once per unary minus,
+# so their combined nesting is capped well inside the interpreter's
+# recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -122,6 +128,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.length = length
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -132,6 +139,13 @@ class _Parser:
             raise ParseError("unexpected end of input", self.length)
         self.i += 1
         return tok
+
+    def enter(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} deep", tok.pos
+            )
 
     def expect(self, kind: str) -> Token:
         tok = self.next()
@@ -164,8 +178,9 @@ class _Parser:
         first = self.peek()
         while self.peek() is not None and self.peek().kind == "-":
             negations += 1
-            self.next()
+            self.enter(self.next())
         node = self.parse_atom()
+        self.depth -= negations
         tok = self.peek()
         if tok is not None and tok.kind == "^":
             self.next()
@@ -194,8 +209,10 @@ class _Parser:
         if tok.kind == "ident":
             return Var(tok.text, tok.pos)
         if tok.kind == "(":
+            self.enter(tok)
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
@@ -329,23 +346,31 @@ def _invert_character(value):
 
 
 def evaluate(node: Node, context):
+    # A flat sum or product parses to a left-nested BinOp chain as long as the
+    # input, so its left spine is walked in a loop, not by recursion.
+    spine: List[BinOp] = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
     if isinstance(node, Num):
-        return context.constant(node.value, node.pos)
-    if isinstance(node, Var):
-        return context.variable(node.name, node.pos)
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, context)
-    if isinstance(node, Pow):
-        return context.power(evaluate(node.base, context), node.exponent, node.pos)
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, context)
-        right = evaluate(node.right, context)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise TypeError(f"not a syntax node: {node!r}")
+        value = context.constant(node.value, node.pos)
+    elif isinstance(node, Var):
+        value = context.variable(node.name, node.pos)
+    elif isinstance(node, Neg):
+        value = -evaluate(node.operand, context)
+    elif isinstance(node, Pow):
+        value = context.power(evaluate(node.base, context), node.exponent, node.pos)
+    else:
+        raise TypeError(f"not a syntax node: {node!r}")
+    for op in reversed(spine):
+        right = evaluate(op.right, context)
+        if op.op == "+":
+            value = value + right
+        elif op.op == "-":
+            value = value - right
+        else:
+            value = value * right
+    return value
 
 
 def parse_and_evaluate(text: str, context):

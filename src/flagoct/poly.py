@@ -228,10 +228,6 @@ class Polynomial:
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_exponents()]
 
-    def leading_term(self) -> "Polynomial":
-        e = self.leading_exponents()
-        return Polynomial(self.ring, {e: self.terms[e]})
-
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self

@@ -10,17 +10,15 @@ suite cannot pass vacuously).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
 from typing import Callable, Dict
 
 from . import cohomology, gkm, jordan, ktheory, octonion, weyl
-from .poly import PolyRing, elementary_symmetric
+from .poly import PolyRing
 from .report import VerificationReport
-
-SUITE_NAMES = ("octonion", "jordan", "roots", "cohomology", "gkm", "ktheory")
-
 
 # ---------------------------------------------------------------------------
 # octonion suite
@@ -190,10 +188,11 @@ def suite_jordan(
     symbolic = (
         Fraction(1, 3) * p3 - Fraction(1, 2) * p2 * p1 + Fraction(1, 6) * p1**3
     )
-    expected_product = Fraction(30) if not corrupt else Fraction(31)
+    falsified_det = Fraction(31)  # falsified fixture: det Diag(2,3,5) is 30
     numeric = jordan.jordan_determinant(
         jordan.JordanMatrix.diagonal(Fraction(2), Fraction(3), Fraction(5))
     )
+    expected_product = falsified_det if corrupt else Fraction(30)
     det_ok = symbolic == x1 * x2 * x3 and numeric == expected_product
     rep.add_bool(
         "diagonal-determinant",
@@ -241,13 +240,10 @@ def suite_jordan(
         anchor="text round trip",
     )
 
-    control_detected = jordan.jordan_determinant(
-        jordan.JordanMatrix.diagonal(Fraction(2), Fraction(3), Fraction(5))
-    ) != Fraction(31)
     rep.add_bool(
         "negative-control-determinant",
         "falsified determinant value 31 for Diag(2,3,5) is rejected",
-        control_detected,
+        numeric != falsified_det,
         anchor="negative control",
     )
     return rep
@@ -336,16 +332,17 @@ def suite_roots(
         "s2s1": frozenset({2, 3}),
         "s1s2s1": frozenset({1, 2, 3}),
     }
-    if corrupt:
-        expected_inversions["s1"] = frozenset({2})
-    inv_ok = all(
-        weyl.inversion_set(weyl.sigma3_by_name(name)) == expected_inversions[name]
+    # falsified fixture: s1 inverts gamma_1, not gamma_2
+    falsified_inversions = {**expected_inversions, "s1": frozenset({2})}
+    inversions = {
+        name: weyl.inversion_set(weyl.sigma3_by_name(name))
         for name in weyl.SIGMA3_NAMES
-    )
+    }
     rep.add_bool(
         "inversion-table",
         "inversion sets match the fixed six-row table entry-for-entry",
-        inv_ok,
+        inversions
+        == (falsified_inversions if corrupt else expected_inversions),
         anchor="inversion sets of the six elements",
     )
 
@@ -371,16 +368,10 @@ def suite_roots(
         anchor="complement as symmetric group on three letters",
     )
 
-    corrupted = dict(expected_inversions)
-    corrupted["s2"] = frozenset({1, 2})
-    control_detected = any(
-        weyl.inversion_set(weyl.sigma3_by_name(name)) != corrupted[name]
-        for name in weyl.SIGMA3_NAMES
-    )
     rep.add_bool(
         "negative-control-inversions",
         "falsified inversion table is rejected",
-        control_detected,
+        inversions != falsified_inversions,
         anchor="negative control",
     )
     return rep
@@ -486,55 +477,28 @@ def suite_cohomology(
         anchor="nilpotence of divided differences",
     )
 
-    if corrupt:
-        eq_ok = _equivariant_relations_with_table(_corrupted_restriction_rows())
-    else:
-        eq = cohomology.verify_equivariant_relations()
-        eq_ok = eq.passed
+    rows = cohomology.RestrictionTable().rows()
+    u, _, w = rows["s1"]
+    # falsified fixture: the true middle entry of the s1 row is b1 + b2
+    falsified_rows = {**rows, "s1": (u, cohomology.B_RING.gens()[1], w)}
     rep.add_bool(
         "equivariant-relations",
         "all ten fixed-point substitutions reproduce the invariant "
         "symmetric polynomials",
-        eq_ok,
+        cohomology.verify_equivariant_relations(
+            falsified_rows if corrupt else rows
+        ).passed,
         anchor="fixed-point restriction relations",
     )
 
-    control_detected = not _equivariant_relations_with_table(
-        _corrupted_restriction_rows()
-    )
     rep.add_bool(
         "negative-control-table",
         "perturbed restriction-table entry is rejected by the substitution "
         "check",
-        control_detected,
+        not cohomology.verify_equivariant_relations(falsified_rows).passed,
         anchor="negative control",
     )
     return rep
-
-
-def _corrupted_restriction_rows() -> Dict[str, tuple]:
-    rows = {
-        name: tuple(cohomology.RestrictionTable().row(weyl.sigma3_by_name(name)))
-        for name in weyl.SIGMA3_NAMES
-    }
-    b1, b2 = cohomology.B_RING.gens()
-    u, v, w = rows["s1"]
-    rows["s1"] = (u, b2, w)  # falsified: true entry is b1 + b2
-    return rows
-
-
-def _equivariant_relations_with_table(rows: Dict[str, tuple]) -> bool:
-    b1, b2 = cohomology.B_RING.gens()
-    expected = {
-        i: elementary_symmetric(i, 2 * b1 + b2, -b1 + b2, -(b1 + 2 * b2))
-        for i in (2, 3)
-    }
-    for name in weyl.SIGMA3_NAMES:
-        u, v, _ = rows[name]
-        for i in (2, 3):
-            if elementary_symmetric(i, 2 * u + v, -u + v, -(u + 2 * v)) != expected[i]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +551,18 @@ def suite_gkm(
         anchor="graph of the six fixed points",
     )
 
+    def perturbed(t: gkm.CohTuple) -> gkm.CohTuple:
+        # falsified fixture: adds 1 to the entry at the identity vertex
+        entries = dict(t.entries)
+        entries["1"] = entries["1"] + cohomology.B_RING.one()
+        return gkm.CohTuple("Hb", entries)
+
     n_member = 30
     member_ok = True
     for _ in range(n_member):
         t = gkm.random_membership_tuple(rng)
         if corrupt:
-            entries = dict(t.entries)
-            entries["1"] = entries["1"] + cohomology.B_RING.one()
-            t = gkm.CohTuple("Hb", entries)
+            t = perturbed(t)
         if not gkm.check_membership(t).ok:
             member_ok = False
     rep.add_bool(
@@ -640,14 +608,10 @@ def suite_gkm(
         anchor="equivariant formality rank table",
     )
 
-    base = gkm.restriction_class_tuple(1)
-    entries = dict(base.entries)
-    entries["s1"] = entries["s1"] + cohomology.B_RING.one()
-    control_detected = not gkm.check_membership(gkm.CohTuple("Hb", entries)).ok
     rep.add_bool(
         "negative-control-membership",
         "tuple with one perturbed vertex entry is rejected",
-        control_detected,
+        not gkm.check_membership(perturbed(gkm.restriction_class_tuple(1))).ok,
         anchor="negative control",
     )
     return rep
@@ -663,14 +627,14 @@ def suite_ktheory(
     rep = VerificationReport("ktheory", seed, degree_cutoff)
     rng = random.Random(seed)
 
-    facts = ktheory.verify_factorizations()
     rhs = ktheory.factorization_rhs()
-    x1, x2, x3 = (ktheory.x_character(i) for i in (1, 2, 3))
-    r12 = rhs["X1-X2"] * ktheory.y(1) if corrupt else rhs["X1-X2"]
+    # falsified fixture: an extra monomial factor on the X1 - X2 side
+    falsified_rhs = {**rhs, "X1-X2": rhs["X1-X2"] * ktheory.y(1)}
+    facts = ktheory.verify_factorizations(falsified_rhs if corrupt else rhs)
     rep.add_bool(
         "X1-X2-factorization",
         "X1 - X2 equals the displayed shifted product of four binomials",
-        (x1 - x2) == r12,
+        facts.x1_minus_x2_ok,
         anchor="first difference factorization",
     )
     rep.add_bool(
@@ -780,11 +744,10 @@ def suite_ktheory(
         anchor="two implementations of binomial divisibility",
     )
 
-    control_detected = (x1 - x2) != rhs["X1-X2"] * ktheory.y(1)
     rep.add_bool(
         "negative-control-factorization",
         "falsified factorization (extra monomial factor) is rejected",
-        control_detected,
+        not ktheory.verify_factorizations(falsified_rhs).x1_minus_x2_ok,
         anchor="negative control",
     )
     return rep
@@ -802,6 +765,7 @@ SUITES: Dict[str, Callable[..., VerificationReport]] = {
     "gkm": suite_gkm,
     "ktheory": suite_ktheory,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(
@@ -817,15 +781,7 @@ def run_suite(
         for sub in SUITE_NAMES:
             sub_rep = SUITES[sub](seed, degree_cutoff, corrupt)
             for check in sub_rep.checks:
-                rep.add(
-                    type(check)(
-                        id=f"{sub}.{check.id}",
-                        description=check.description,
-                        status=check.status,
-                        details=check.details,
-                        anchor=check.anchor,
-                    )
-                )
+                rep.add(dataclasses.replace(check, id=f"{sub}.{check.id}"))
     elif name in SUITES:
         rep = SUITES[name](seed, degree_cutoff, corrupt)
     else:

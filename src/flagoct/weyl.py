@@ -195,10 +195,6 @@ def f4_roots() -> FrozenSet[Weight]:
     return spin8_roots() | f4_short_roots()
 
 
-def spin8_root_system() -> RootSystem:
-    return RootSystem(spin8_roots(), spin8_simple_roots())
-
-
 def f4_root_system() -> RootSystem:
     return RootSystem(f4_roots(), f4_simple_roots())
 
@@ -438,10 +434,6 @@ def semidirect_report(full_conjugation: bool = False) -> SemidirectReport:
         orders_multiply=len(spin) * len(comp) == len(f4),
         braid_relation=braid,
     )
-
-
-def semidirect_check() -> bool:
-    return semidirect_report().ok()
 
 
 # -- the symmetric group on three letters and its A2 bookkeeping -----------------

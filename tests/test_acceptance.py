@@ -406,7 +406,19 @@ def test_09_character_factorizations_invariance_and_x_bridge():
     assert time.monotonic() - start < 60.0
 
 
+# the checks each suite fails under --corrupt at seed 0
+CORRUPT_FAILURES = {
+    "octonion": {"composition-law"},
+    "jordan": {"diagonal-determinant"},
+    "roots": {"braid-identity", "inversion-table"},
+    "cohomology": {"equivariant-relations"},
+    "gkm": {"membership-random"},
+    "ktheory": {"X1-X2-factorization"},
+}
+
+
 def test_10_every_suite_detects_its_corrupted_fixture():
+    assert set(CORRUPT_FAILURES) == set(SUITE_NAMES)
     for name in SUITE_NAMES:
         clean = run_suite(name, seed=0)
         assert clean.passed, name
@@ -417,3 +429,10 @@ def test_10_every_suite_detects_its_corrupted_fixture():
         failing = [c.id for c in corrupted.checks if c.status == "fail"]
         assert failing, f"corrupted {name} run produced no failures"
         assert set(failing) <= {c.id for c in clean.checks}, name
+        assert set(failing) == CORRUPT_FAILURES[name], name
+        # the falsified fixture is still rejected by its control
+        assert all(
+            c.status == "pass"
+            for c in corrupted.checks
+            if "negative-control" in c.id
+        ), name

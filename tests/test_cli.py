@@ -208,6 +208,22 @@ class TestGkmCheck:
         code, _, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "template, key",
+        [
+            ('{{"entries": {{"1": "b1", {rest}, "1": "b2"}}}}', "'1'"),
+            ('{{"ring": "Hb", "ring": "Hb", "entries": {{"1": "b1", {rest}}}}}', "'ring'"),
+        ],
+    )
+    def test_duplicate_json_key_rejected(self, capsys, tmp_path, template, key):
+        rest = ", ".join(f'"{name}": "b1"' for name in SIGMA3_NAMES[1:])
+        path = tmp_path / "dup.json"
+        path.write_text(template.format(rest=rest))
+        code, out, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"duplicate JSON key {key}" in err
+
     def test_unparseable_entry_names_vertex(self, capsys, tmp_path):
         entries = hb_member_entries()
         entries["s1s2"] = "b1 + "
@@ -241,6 +257,19 @@ class TestExpand:
     def test_unknown_variable_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "zz + 1", "--ring", "Hb")
         assert code == 2
+
+    @pytest.mark.parametrize("expr", ["(" * 5000 + "b1" + ")" * 5000, "-" * 5000 + "b1"])
+    def test_deep_nesting_exits_2(self, capsys, expr):
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "(at position 100)" in err
+        assert "Traceback" not in err
+
+    def test_long_flat_sum_expands(self, capsys):
+        code, out, _ = run(capsys, "expand", "--ring", "Hb", "--", "+".join(["b1"] * 5000))
+        assert code == 0
+        assert out.splitlines()[0] == "5000*b1"
 
     def test_invalid_ring_choice(self, capsys):
         code, _, _ = run(capsys, "expand", "b1", "--ring", "XX")

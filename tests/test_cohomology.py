@@ -12,6 +12,7 @@ from flagoct.cohomology import (
     BETA_RING,
     E_RING,
     BggContext,
+    RestrictionTable,
     bgg_basis_independent,
     beta_to_e,
     coinvariant_generators,
@@ -258,6 +259,15 @@ class TestEquivariantRelations:
         assert rep.sum_consistency_ok
         assert rep.absolute_value_multiset_ok
         assert rep.passed
+
+    def test_falsified_rows_are_rejected(self):
+        rows = RestrictionTable().rows()
+        assert verify_equivariant_relations(rows).passed
+        u, _, w = rows["s1"]
+        rep = verify_equivariant_relations({**rows, "s1": (u, B_RING.gens()[1], w)})
+        assert not rep.symmetric_relations_ok
+        assert {name for name, _ in rep.failures} == {"s1"}
+        assert not rep.passed
 
     def test_substitutions_reproduce_base_symmetric_values(self):
         b1, b2 = B_RING.gens()

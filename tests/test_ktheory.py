@@ -170,6 +170,14 @@ class TestFactorizations:
         assert rep.x3_minus_x2_ok
         assert rep.passed
 
+    def test_falsified_rhs_fails_only_its_difference(self):
+        rhs = factorization_rhs()
+        rep = verify_factorizations({**rhs, "X1-X2": rhs["X1-X2"] * y(1)})
+        assert not rep.x1_minus_x2_ok
+        assert rep.x1_minus_x3_ok
+        assert rep.x3_minus_x2_ok
+        assert not rep.passed
+
     def test_first_difference_expands_to_binomial_product(self):
         rhs = Character.monomial(
             omega(5) - L(1) - L(2) - L(3) - L(4)

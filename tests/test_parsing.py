@@ -11,6 +11,7 @@ from flagoct.ktheory import Character, x_character, y, y_inverse
 from flagoct.parsing import (
     BinOp,
     CharacterContext,
+    MAX_NESTING,
     Neg,
     Num,
     ParseError,
@@ -113,6 +114,36 @@ def strip_positions(node):
     return BinOp(
         node.op, strip_positions(node.left), strip_positions(node.right), 0
     )
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "opening, closing", [("(", ")"), ("-", ""), ("-(", ")")]
+    )
+    def test_nesting_beyond_the_limit_is_a_parse_error(self, opening, closing):
+        ctx = PolynomialContext(B_RING)
+        n = MAX_NESTING // len(opening)
+        assert parse_and_evaluate(opening * n + "b1" + closing * n, ctx) in (
+            B_RING.gens()[0],
+            -B_RING.gens()[0],
+        )
+        with pytest.raises(ParseError) as err:
+            parse(opening * 5000 + "b1" + closing * 5000)
+        assert err.value.position == MAX_NESTING
+
+    def test_long_flat_chains_evaluate(self):
+        b1, b2 = B_RING.gens()
+        ctx = PolynomialContext(B_RING)
+        terms = [f"{k}*b1^{k % 5}*b2" for k in range(5000)]
+        text = terms[0] + "".join(
+            ("-" if k % 3 == 0 else "+") + t for k, t in enumerate(terms[1:], 1)
+        )
+        expected = B_RING.zero()
+        for k in range(5000):
+            sign = -1 if k and k % 3 == 0 else 1
+            expected = expected + sign * k * b1 ** (k % 5) * b2
+        assert parse_and_evaluate(text, ctx) == expected
+        assert parse_and_evaluate("*".join(["b2"] * 5000), ctx) == b2**5000
 
 
 class TestPrinterRoundTrip:

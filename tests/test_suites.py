@@ -1,5 +1,7 @@
 """Verification suites: orchestration, determinism, negative controls."""
 
+import functools
+
 import pytest
 
 from flagoct.report import Check, VerificationReport
@@ -51,10 +53,16 @@ class TestReportObject:
         assert "total: 2  pass: 1  fail: 1  skipped: 0" in text
 
 
+@pytest.fixture(scope="module")
+def clean_report():
+    """The clean seed-0, cutoff-8 report of a suite, computed once per module."""
+    return functools.cache(lambda name: run_suite(name, seed=0))
+
+
 class TestRunSuite:
-    def test_every_suite_passes_clean(self):
+    def test_every_suite_passes_clean(self, clean_report):
         for name in SUITE_NAMES:
-            rep = run_suite(name, seed=0)
+            rep = clean_report(name)
             assert rep.passed, f"{name}: {[c.id for c in rep.checks if c.status == 'fail']}"
             assert rep.summary["fail"] == 0
             assert len(rep.checks) >= 5
@@ -66,19 +74,19 @@ class TestRunSuite:
         second.pop("runtime_ms")
         assert first == second
 
-    def test_negative_controls_present_and_passing(self):
+    def test_negative_controls_present_and_passing(self, clean_report):
         for name in ("octonion", "gkm", "ktheory"):
-            rep = run_suite(name, seed=0)
+            rep = clean_report(name)
             control_ids = [c.id for c in rep.checks if "negative-control" in c.id]
             assert control_ids, f"suite {name} has no negative-control checks"
             for c in rep.checks:
                 if "negative-control" in c.id:
                     assert c.status == "pass"
 
-    def test_corrupt_mode_is_detected(self):
+    def test_corrupt_mode_is_detected(self, clean_report):
         # spot-check two suites here; the acceptance tests sweep all six
         for name in ("roots", "cohomology"):
-            clean = run_suite(name, seed=0)
+            clean = clean_report(name)
             bad = run_suite(name, seed=0, corrupt=True)
             failing = [c.id for c in bad.checks if c.status == "fail"]
             assert failing, f"corrupt {name} run produced no failures"
@@ -98,6 +106,6 @@ class TestRunSuite:
         with pytest.raises(KeyError):
             run_suite("nope", seed=0)
 
-    def test_runtime_recorded(self):
-        rep = run_suite("octonion", seed=0)
+    def test_runtime_recorded(self, clean_report):
+        rep = clean_report("octonion")
         assert rep.runtime_ms is not None and rep.runtime_ms >= 0
