@@ -19,101 +19,167 @@ the r-slot octonion units e1..e8, then the p-slot, then the q-slot.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .octonion import Octonion, Scalar
+from .octonion import Octonion, Scalar, mul_into
 
 SLOTS = ("r", "p", "q")  # slot k carries the k-th root space, k = 1, 2, 3
 
 
-class OctMatrix3:
-    """A 3x3 matrix with octonion entries (not necessarily Hermitian)."""
+def _over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators over the least common denominator of ``values``.
 
-    __slots__ = ("rows",)
+    The result is in lowest terms: for each prime of the denominator, the
+    value with the highest power of it keeps a numerator prime to it.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _fractions(nums: Iterable[int], den: int) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(n, den) if n else _ZERO for n in nums)
+
+
+def _lowest_terms(nums: Tuple[Tuple[int, ...], ...], den: int):
+    """Divide the integer rows and the positive denominator by their gcd."""
+    g = gcd(den, *itertools.chain.from_iterable(nums))
+    if g == 1:
+        return nums, den
+    return tuple(tuple(x // g for x in row) for row in nums), den // g
+
+
+def _conj(v: Sequence[int]) -> Tuple[int, ...]:
+    return (v[0],) + tuple(-x for x in v[1:])
+
+
+_ZERO = Fraction(0)
+_ZERO8 = (0,) * 8
+
+
+class OctMatrix3:
+    """A 3x3 matrix with octonion entries (not necessarily Hermitian).
+
+    Held exactly as nine integer 8-tuples ``nums`` (row-major: entry (i, j)
+    is ``nums[3*i + j]``) over one positive denominator ``den``, in lowest
+    terms, so ``==`` and ``hash`` compare tuples.  The product is the
+    bilinear expansion over the octonion unit table (:func:`mul_into`, the
+    kernel of ``Octonion.__mul__``) on the integer numerators; nothing
+    assumes associativity.  The constructor and :attr:`rows` convert from and
+    to :class:`Octonion` entries.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, rows: Sequence[Sequence[Octonion]]):
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 entry grid")
-        self.rows: Tuple[Tuple[Octonion, ...], ...] = tuple(tuple(r) for r in rows)
+        coords = [c for r in rows for o in r for c in o.coords]
+        nums, den = _over_common_denominator(coords)
+        self.nums = tuple(tuple(nums[8 * e : 8 * e + 8]) for e in range(9))
+        self.den = den
+
+    @staticmethod
+    def _of(nums: Tuple[Tuple[int, ...], ...], den: int) -> "OctMatrix3":
+        """Wrap numerators over ``den``, reducing to lowest terms."""
+        out = object.__new__(OctMatrix3)
+        out.nums, out.den = _lowest_terms(nums, den)
+        return out
 
     @staticmethod
     def zero() -> "OctMatrix3":
-        z = Octonion.zero()
-        return OctMatrix3(((z, z, z), (z, z, z), (z, z, z)))
+        return OctMatrix3._of((_ZERO8,) * 9, 1)
+
+    @property
+    def rows(self) -> Tuple[Tuple[Octonion, ...], ...]:
+        return tuple(
+            tuple(Octonion(_fractions(self.nums[3 * i + j], self.den)) for j in range(3))
+            for i in range(3)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OctMatrix3):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.nums, self.den))
+
+    def _combine(self, other: "OctMatrix3", sign: int) -> "OctMatrix3":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return OctMatrix3._of(
+            tuple(
+                tuple(fa * x + fb * y for x, y in zip(ea, eb))
+                for ea, eb in zip(self.nums, other.nums)
+            ),
+            den,
+        )
 
     def __add__(self, other: "OctMatrix3") -> "OctMatrix3":
-        return OctMatrix3(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "OctMatrix3") -> "OctMatrix3":
-        return OctMatrix3(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "OctMatrix3":
-        return OctMatrix3(tuple(tuple(-a for a in r) for r in self.rows))
+        return OctMatrix3._of(tuple(tuple(-x for x in e) for e in self.nums), self.den)
 
     def scale(self, c: Scalar) -> "OctMatrix3":
-        return OctMatrix3(tuple(tuple(a.scale(c) for a in r) for r in self.rows))
+        c = Fraction(c)
+        return OctMatrix3._of(
+            tuple(tuple(c.numerator * x for x in e) for e in self.nums),
+            self.den * c.denominator,
+        )
 
     def __mul__(self, other: "OctMatrix3") -> "OctMatrix3":
+        a, b = self.nums, other.nums
         out = []
-        for i in range(3):
-            row = []
+        for i in range(0, 9, 3):
             for j in range(3):
-                acc = Octonion.zero()
+                acc = [0] * 8
                 for k in range(3):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return OctMatrix3(tuple(out))
+                    mul_into(acc, a[i + k], b[3 * k + j])
+                out.append(tuple(acc))
+        return OctMatrix3._of(tuple(out), self.den * other.den)
 
     def conjugate_transpose(self) -> "OctMatrix3":
-        return OctMatrix3(
-            tuple(
-                tuple(self.rows[j][i].conjugate() for j in range(3)) for i in range(3)
-            )
+        return OctMatrix3._of(
+            tuple(_conj(self.nums[3 * j + i]) for i in range(3) for j in range(3)),
+            self.den,
         )
 
     def trace(self) -> Octonion:
-        t = Octonion.zero()
-        for i in range(3):
-            t = t + self.rows[i][i]
-        return t
+        t = [sum(c) for c in zip(*(self.nums[4 * i] for i in range(3)))]
+        return Octonion(_fractions(t, self.den))
 
     def commutator(self, other: "OctMatrix3") -> "OctMatrix3":
         return self * other - other * self
 
     def is_hermitian(self) -> bool:
-        return self == self.conjugate_transpose() and all(
-            self.rows[i][i].is_real() for i in range(3)
+        e = self.nums
+        return all(not any(e[4 * i][1:]) for i in range(3)) and all(
+            e[3 * j + i] == _conj(e[3 * i + j]) for i, j in ((0, 1), (0, 2), (1, 2))
         )
 
+    def hermitian_coordinates(self) -> Tuple[List[int], int]:
+        """Numerators of the 27 canonical coordinates, over ``den``.
+
+        Raises ``ValueError`` unless the matrix is Hermitian with real diagonal.
+        """
+        if not self.is_hermitian():
+            raise ValueError("matrix is not Hermitian with real diagonal")
+        e = self.nums
+        return [e[0][0], e[4][0], e[8][0], *e[5], *e[1], *e[2]], self.den
+
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not any(any(e) for e in self.nums)
 
 
 @dataclass(frozen=True)
@@ -180,15 +246,15 @@ class JordanMatrix:
 
     @staticmethod
     def from_matrix(m: OctMatrix3) -> "JordanMatrix":
-        if not m.is_hermitian():
-            raise ValueError("matrix is not Hermitian with real diagonal")
+        nums, den = m.hermitian_coordinates()
+        c = _fractions(nums, den)
         return JordanMatrix(
-            m.rows[0][0].real_part(),
-            m.rows[1][1].real_part(),
-            m.rows[2][2].real_part(),
-            m.rows[0][1],
-            m.rows[0][2],
-            m.rows[1][2],
+            c[0],
+            c[1],
+            c[2],
+            p=Octonion(c[11:19]),
+            q=Octonion(c[19:27]),
+            r=Octonion(c[3:11]),
         )
 
     @staticmethod
@@ -207,15 +273,11 @@ class JordanMatrix:
     # -- views -----------------------------------------------------------------
 
     def to_matrix(self) -> OctMatrix3:
-        d1 = Octonion.scalar(self.x1)
-        d2 = Octonion.scalar(self.x2)
-        d3 = Octonion.scalar(self.x3)
-        return OctMatrix3(
-            (
-                (d1, self.p, self.q),
-                (self.p.conjugate(), d2, self.r),
-                (self.q.conjugate(), self.r.conjugate(), d3),
-            )
+        c, den = _over_common_denominator(self.coordinates())
+        x1, x2, x3 = ((v,) + _ZERO8[1:] for v in c[:3])
+        r, p, q = tuple(c[3:11]), tuple(c[11:19]), tuple(c[19:27])
+        return OctMatrix3._of(
+            (x1, p, q, _conj(p), x2, r, _conj(q), _conj(r), x3), den
         )
 
     def trace(self) -> Fraction:
@@ -390,111 +452,124 @@ _CANONICAL_BASIS = canonical_basis()
 
 
 class LinearOperator27:
-    """A linear endomorphism of the 27-dimensional space, as exact rows."""
+    """A linear endomorphism of the 27-dimensional space.
 
-    __slots__ = ("rows",)
+    Held exactly as one 27x27 integer matrix ``nums`` (rows of integer
+    tuples) over one positive denominator ``den``, in lowest terms, so ``==``
+    and ``hash`` compare tuples.  Sums, products, scaling and commutators run
+    on the integers and reduce once.  The constructor and :attr:`rows`
+    convert from and to rational entries.
+    """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]]):
+    __slots__ = ("nums", "den")
+
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
         if len(rows) != 27 or any(len(r) != 27 for r in rows):
             raise ValueError("need a 27x27 matrix")
-        self.rows: Tuple[Tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(c) for c in r) for r in rows
-        )
+        nums, den = _over_common_denominator([Fraction(c) for r in rows for c in r])
+        self.nums = tuple(tuple(nums[27 * i : 27 * i + 27]) for i in range(27))
+        self.den = den
+
+    @staticmethod
+    def _of(nums: Sequence[Sequence[int]], den: int) -> "LinearOperator27":
+        """Wrap integer rows over ``den``, reducing to lowest terms."""
+        out = object.__new__(LinearOperator27)
+        out.nums, out.den = _lowest_terms(tuple(map(tuple, nums)), den)
+        return out
+
+    @staticmethod
+    def _of_columns(cols: Sequence[Tuple[Sequence[int], int]]) -> "LinearOperator27":
+        """The operator whose j-th column is cols[j] = (numerators, denominator)."""
+        den = lcm(*(d for _, d in cols))
+        scaled = [[x * (den // d) for x in c] for c, d in cols]
+        return LinearOperator27._of(zip(*scaled), den)
 
     @staticmethod
     def zero() -> "LinearOperator27":
-        return LinearOperator27(((Fraction(0),) * 27,) * 27)
+        return LinearOperator27._of(((0,) * 27,) * 27, 1)
 
     @staticmethod
     def from_function(fn) -> "LinearOperator27":
         """Matrix of a linear map JordanMatrix -> JordanMatrix (columns = images)."""
-        cols = [fn(b).coordinates() for b in _CANONICAL_BASIS]
-        rows = [[cols[j][i] for j in range(27)] for i in range(27)]
-        return LinearOperator27(rows)
+        return LinearOperator27._of_columns(
+            [_over_common_denominator(fn(b).coordinates()) for b in _CANONICAL_BASIS]
+        )
+
+    @property
+    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(_fractions(r, self.den) for r in self.nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearOperator27):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.nums, self.den))
+
+    def _combine(self, other: "LinearOperator27", sign: int) -> "LinearOperator27":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return LinearOperator27._of(
+            [
+                [fa * x + fb * y for x, y in zip(ra, rb)]
+                for ra, rb in zip(self.nums, other.nums)
+            ],
+            den,
+        )
 
     def __add__(self, other: "LinearOperator27") -> "LinearOperator27":
-        return LinearOperator27(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LinearOperator27") -> "LinearOperator27":
-        return LinearOperator27(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._combine(other, -1)
 
     def scale(self, c: Scalar) -> "LinearOperator27":
         c = Fraction(c)
-        return LinearOperator27(tuple(tuple(c * a for a in r) for r in self.rows))
-
-    def _scaled_ints(self) -> Tuple[List[List[int]], int]:
-        """Integer matrix plus common denominator (exact)."""
-        denom = 1
-        for r in self.rows:
-            for v in r:
-                d = v.denominator
-                denom = denom * d // gcd(denom, d)
-        ints = [
-            [v.numerator * (denom // v.denominator) for v in r] for r in self.rows
-        ]
-        return ints, denom
+        return LinearOperator27._of(
+            [[c.numerator * x for x in r] for r in self.nums], self.den * c.denominator
+        )
 
     def __mul__(self, other: "LinearOperator27") -> "LinearOperator27":
-        # integer matrix product with zero skipping, then one exact rescale
-        a, da = self._scaled_ints()
-        b, db = other._scaled_ints()
-        out = [[0] * 27 for _ in range(27)]
-        for i in range(27):
-            arow = a[i]
-            orow = out[i]
-            for k in range(27):
-                av = arow[k]
+        # integer matrix product with zero skipping, then one reduction
+        b = other.nums
+        out = []
+        for arow in self.nums:
+            orow = [0] * 27
+            for k, av in enumerate(arow):
                 if av:
-                    brow = b[k]
-                    for j in range(27):
-                        bv = brow[j]
+                    for j, bv in enumerate(b[k]):
                         if bv:
                             orow[j] += av * bv
-        d = da * db
-        return LinearOperator27(
-            [[Fraction(v, d) for v in row] for row in out]
-        )
+            out.append(orow)
+        return LinearOperator27._of(out, self.den * other.den)
 
     def commutator(self, other: "LinearOperator27") -> "LinearOperator27":
         return self * other - other * self
 
     def apply(self, a: JordanMatrix) -> JordanMatrix:
-        v = a.coordinates()
+        v, den = _over_common_denominator(a.coordinates())
         return JordanMatrix.from_coordinates(
-            tuple(sum(c * x for c, x in zip(row, v)) for row in self.rows)
+            _fractions(
+                (sum(c * x for c, x in zip(row, v)) for row in self.nums),
+                self.den * den,
+            )
         )
 
     def is_zero(self) -> bool:
-        return all(c == 0 for r in self.rows for c in r)
+        return not any(any(r) for r in self.nums)
 
 
-_STRUCTURE: List[List[List[Tuple[int, Fraction]]]] = []
+_STRUCTURE: List[List[List[Tuple[int, int]]]] = []
 
 
-def _structure_constants() -> List[List[List[Tuple[int, Fraction]]]]:
-    """Sparse Jordan structure tensor over the canonical basis.
+def _structure_constants() -> List[List[List[Tuple[int, int]]]]:
+    """Sparse Jordan structure tensor over the canonical basis, doubled.
 
-    ``S[i][j]`` lists (k, c) with basis_i o basis_j = sum c * basis_k.
-    Computed once from genuine matrix products, then reused to assemble
-    multiplication operators without repeated octonion arithmetic.
+    ``S[i][j]`` lists (k, 2c) with basis_i o basis_j = sum c * basis_k; every
+    c lies in (1/2)Z, which is checked.  Computed once from genuine matrix
+    products, then reused to assemble multiplication operators without
+    repeated octonion arithmetic.
     """
     if not _STRUCTURE:
         basis = canonical_basis()
@@ -502,30 +577,42 @@ def _structure_constants() -> List[List[List[Tuple[int, Fraction]]]]:
             row = []
             for j in range(27):
                 coords = basis[i].jordan(basis[j]).coordinates()
-                row.append([(k, c) for k, c in enumerate(coords) if c])
+                row.append([(k, _doubled(c)) for k, c in enumerate(coords) if c])
             _STRUCTURE.append(row)
     return _STRUCTURE
+
+
+def _doubled(c: Fraction) -> int:
+    two = 2 * c
+    if two.denominator != 1:
+        raise ValueError(f"structure constant {c} is not in 1/2 Z")
+    return two.numerator
 
 
 def hat_operator(a: JordanMatrix) -> LinearOperator27:
     """Jordan multiplication operator y -> a o y."""
     struct = _structure_constants()
-    coords = a.coordinates()
-    rows = [[Fraction(0)] * 27 for _ in range(27)]
+    coords, den = _over_common_denominator(a.coordinates())
+    rows = [[0] * 27 for _ in range(27)]
     for i, ai in enumerate(coords):
         if ai:
             srow = struct[i]
             for j in range(27):
-                for k, c in srow[j]:
-                    rows[k][j] += ai * c
-    return LinearOperator27(rows)
+                for k, c2 in srow[j]:
+                    rows[k][j] += ai * c2
+    return LinearOperator27._of(rows, 2 * den)
+
+
+@lru_cache(maxsize=None)
+def _basis_matrices() -> Tuple[OctMatrix3, ...]:
+    return tuple(b.to_matrix() for b in _CANONICAL_BASIS)
 
 
 def tilde_operator(s: OctMatrix3) -> LinearOperator27:
     """Matrix-commutator operator y -> [s, y] for skew s (maps Hermitian to
-    Hermitian; from_matrix validates that on every basis image)."""
-    return LinearOperator27.from_function(
-        lambda y: JordanMatrix.from_matrix(s.commutator(y.to_matrix()))
+    Hermitian; hermitian_coordinates validates that on every basis image)."""
+    return LinearOperator27._of_columns(
+        [s.commutator(y).hermitian_coordinates() for y in _basis_matrices()]
     )
 
 

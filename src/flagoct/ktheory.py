@@ -24,13 +24,15 @@ Key objects:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .gkm import GkmEdge, MembershipResult, ROOT_TRANSPOSITIONS, gkm_edges
-from .poly import PolyRing, Polynomial, exact_divide
+from .poly import PolyRing, Polynomial, divide_terms, exact_divide, grevlex_key
 from .weyl import (
     SIGMA3_NAMES,
     Sigma3Element,
@@ -44,7 +46,6 @@ from .weyl import (
 DKey = Tuple[int, int, int, int]
 
 X_RING = PolyRing.make(("X1", "X2", "X3", "X4"), (1, 1, 1, 1))
-_DIV_RING = PolyRing.make(("t1", "t2", "t3", "t4"), (1, 1, 1, 1))
 
 
 def _validate_dkey(key: Sequence[int]) -> DKey:
@@ -82,6 +83,17 @@ class Character:
             if coeff:
                 clean[_validate_dkey(key)] = coeff
         self.terms = clean
+
+    @classmethod
+    def _of(cls, terms: Dict[DKey, int]) -> "Character":
+        """Wrap ``terms`` as they are: lattice keys, nonzero int coefficients.
+
+        For results built from the keys of valid characters (sums, negatives,
+        Weyl images), which lie in the lattice already.
+        """
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -155,25 +167,26 @@ class Character:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return Character(out)
+        return Character._of(out)
 
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
     def __neg__(self) -> "Character":
-        return Character({k: -c for k, c in self.terms.items()})
+        return Character._of({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Character") -> "Character":
         out: Dict[DKey, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+        rhs = list(other.terms.items())
+        for (a0, a1, a2, a3), c1 in self.terms.items():
+            for (b0, b1, b2, b3), c2 in rhs:
+                k = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
                 s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return Character(out)
+        return Character._of(out)
 
     def scale(self, n: int) -> "Character":
         return Character({k: n * c for k, c in self.terms.items()})
@@ -231,43 +244,36 @@ def y_inverse(j: int) -> Character:
 # -- the four basic invariant characters ------------------------------------------
 
 
-def _half_sum_weights(parity: int) -> List[Weight]:
-    half = Fraction(1, 2)
-    out = []
-    for signs in _sign_patterns():
-        if sum(1 for s in signs if s < 0) % 2 == parity:
-            out.append(Weight(tuple(half * s for s in signs)))
-    return out
-
-
-def _sign_patterns() -> List[Tuple[int, int, int, int]]:
-    pats = []
-    for mask in range(16):
-        pats.append(tuple(-1 if mask & (1 << i) else 1 for i in range(4)))
-    return pats
-
-
 def x_character(i: int) -> Character:
     """The i-th basic character, as displayed (X4 without its zero weights)."""
-    from .weyl import L
-
-    if i == 1:
-        return Character.from_weights(_half_sum_weights(0))
-    if i == 2:
-        return Character.from_weights(_half_sum_weights(1))
-    if i == 3:
-        return Character.from_weights(
-            [L(k) for k in range(1, 5)] + [-L(k) for k in range(1, 5)]
+    if i in (1, 2):
+        # half-spin: the 8 keys (+-1, +-1, +-1, +-1) with an even (X1) or an
+        # odd (X2) number of minus signs
+        signs = (
+            tuple(-1 if mask & (1 << k) else 1 for k in range(4))
+            for mask in range(16)
         )
-    if i == 4:
-        weights = []
-        for a in range(1, 5):
-            for b in range(a + 1, 5):
-                for sa in (1, -1):
-                    for sb in (1, -1):
-                        weights.append(L(a).scale(sa) + L(b).scale(sb))
-        return Character.from_weights(weights)
-    raise ValueError("character index must be 1..4")
+        keys = [k for k in signs if k.count(-1) % 2 == i - 1]
+    elif i == 3:
+        # vector: +-L_k
+        keys = [_unit_key(k, s) for s in (2, -2) for k in range(4)]
+    elif i == 4:
+        # adjoint display: +-L_a +- L_b for a < b
+        keys = [
+            tuple(x + y for x, y in zip(_unit_key(a, sa), _unit_key(b, sb)))
+            for a, b in itertools.combinations(range(4), 2)
+            for sa in (2, -2)
+            for sb in (2, -2)
+        ]
+    else:
+        raise ValueError("character index must be 1..4")
+    return Character(dict.fromkeys(keys, 1))
+
+
+def _unit_key(k: int, value: int) -> DKey:
+    key = [0, 0, 0, 0]
+    key[k] = value
+    return tuple(key)
 
 
 def adjoint_character() -> Character:
@@ -289,17 +295,10 @@ def weyl_act(w: WeylElement, f: Character) -> Character:
         raise ValueError("transformation does not preserve the weight lattice")
     out: Dict[DKey, int] = {}
     for key, coeff in f.terms.items():
-        image = []
-        for row in w.matrix:
-            val = sum(r * k for r, k in zip(row, key))
-            if isinstance(val, Fraction):
-                if val.denominator != 1:
-                    raise AssertionError("lattice point mapped off the lattice")
-                val = val.numerator
-            image.append(int(val))
-        k = tuple(image)
+        k = w.act_doubled(key)
         out[k] = out.get(k, 0) + coeff
-    return Character(out)
+    # a lattice-preserving action maps distinct keys to distinct lattice keys
+    return Character._of(out)
 
 
 def is_w_invariant_character(f: Character) -> bool:
@@ -366,39 +365,39 @@ def verify_factorizations(
 # -- exact division in the character ring ---------------------------------------------
 
 
-def _char_to_poly(f: Character) -> Tuple[Polynomial, DKey]:
-    """Shift the support into the nonnegative orthant; return (poly, shift)."""
+def _shifted_terms(f: Character) -> Tuple[Dict[DKey, int], DKey]:
+    """Shift the support into the nonnegative orthant; return (terms, shift)."""
     shift = tuple(min(k[i] for k in f.terms) for i in range(4))
-    terms = {
-        tuple(k[i] - shift[i] for i in range(4)): Fraction(c)
-        for k, c in f.terms.items()
-    }
-    return Polynomial(_DIV_RING, terms), shift
+    terms = {tuple(map(sub, k, shift)): c for k, c in f.terms.items()}
+    return terms, shift
 
 
 def char_quotient(d: Character, f: Character) -> Optional["Character"]:
-    """The exact quotient f/d as a Character, or None."""
+    """The exact quotient f/d as a Character, or None.
+
+    Both sides are shifted into polynomials in four variables and divided
+    over the integers; shifting the quotient back gives f/d, since neither
+    shifted side is divisible by a variable.
+    """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero character")
     if f.is_zero():
         return Character.zero()
-    pf, sf = _char_to_poly(f)
-    pd, sd = _char_to_poly(d)
-    q = exact_divide(pf, pd)
+    pf, sf = _shifted_terms(f)
+    pd, sd = _shifted_terms(d)
+    q = divide_terms(pf, pd, max(pd, key=grevlex_key), integral=True)
     if q is None:
         return None
     offset = tuple(a - b for a, b in zip(sf, sd))
     out: Dict[DKey, int] = {}
-    for e, c in q.terms.items():
-        if c.denominator != 1:
-            return None
+    for e, c in q.items():
         # polynomial exponents are already in doubled-lattice units
         key = tuple(x + o for x, o in zip(e, offset))
         parities = {k % 2 for k in key}
         if len(parities) != 1:
             return None
-        out[key] = c.numerator
-    return Character(out)
+        out[key] = c
+    return Character._of(out)
 
 
 def divides_char(d: Character, f: Character) -> bool:

@@ -130,17 +130,8 @@ class Octonion:
     def __mul__(self, other: Union["Octonion", Scalar]) -> "Octonion":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        # bilinear expansion over the (doubling-construction) unit table,
-        # skipping zero coordinates; identical to the doubling formula
-        table = _unit_table()
         out = [Fraction(0)] * 8
-        for i, ci in enumerate(self.coords):
-            if ci:
-                row = table[i]
-                for j, cj in enumerate(other.coords):
-                    if cj:
-                        sign, k = row[j]
-                        out[k - 1] += ci * cj if sign > 0 else -(ci * cj)
+        mul_into(out, self.coords, other.coords)
         return Octonion(tuple(out))
 
     def _doubling_mul(self, other: "Octonion") -> "Octonion":
@@ -184,6 +175,29 @@ def _unit_table() -> List[List[Tuple[int, int]]]:
                 row.append((1 if c > 0 else -1, idx + 1))
             _TABLE.append(row)
     return _TABLE
+
+
+def mul_into(out: List, a: Sequence, b: Sequence) -> None:
+    """Add the product a * b of two coordinate 8-sequences into ``out``.
+
+    The bilinear expansion over the (doubling-construction) unit table,
+    skipping zero coordinates; identical to the doubling formula.  It takes
+    any exact coordinates: ``Fraction`` in :class:`Octonion`, integer
+    numerators in :class:`flagoct.jordan.OctMatrix3`.
+    """
+    nonzero_b = [(j, cj) for j, cj in enumerate(b) if cj]
+    if not nonzero_b:
+        return
+    table = _unit_table()
+    for i, ci in enumerate(a):
+        if ci:
+            row = table[i]
+            for j, cj in nonzero_b:
+                sign, k = row[j]
+                if sign > 0:
+                    out[k - 1] += ci * cj
+                else:
+                    out[k - 1] -= ci * cj
 
 
 def multiplication_table() -> List[List[Tuple[int, int]]]:

@@ -15,7 +15,9 @@ Identifiers and exponent rules depend on the evaluation context:
 * the character context accepts y1..y5 with integer (possibly negative)
   exponents and requires integer coefficients.
 
-Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep.
+Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep.  An
+exponent is at most ``MAX_EXPONENT``, and a power whose result could have
+more than ``MAX_POWER_TERMS`` terms is refused before it is computed.
 Errors carry the 0-based character position for diagnostics.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
 from .poly import PolyRing, Polynomial
@@ -31,6 +34,13 @@ from .poly import PolyRing, Polynomial
 # so their combined nesting is capped well inside the interpreter's
 # recursion limit.
 MAX_NESTING = 100
+
+# `^` is bounded twice: by the size of its exponent, and by the number of
+# terms its result can have.  A t-term base raised to the k-th power has at
+# most C(t+k-1, k) terms (the monomials of degree k in t letters); that
+# projection is checked before the power is computed.
+MAX_EXPONENT = 1000
+MAX_POWER_TERMS = 2_000
 
 
 class ParseError(ValueError):
@@ -189,7 +199,10 @@ class _Parser:
                 sign = -1
                 self.next()
             num = self.expect("number")
-            node = Pow(node, sign * int(num.text), tok.pos)
+            digits = num.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", num.pos)
+            node = Pow(node, sign * int(digits), tok.pos)
         for _ in range(negations):
             node = Neg(node, first.pos)
         return node
@@ -359,7 +372,15 @@ def evaluate(node: Node, context):
     elif isinstance(node, Neg):
         value = -evaluate(node.operand, context)
     elif isinstance(node, Pow):
-        value = context.power(evaluate(node.base, context), node.exponent, node.pos)
+        base = evaluate(node.base, context)
+        terms, k = len(base.terms), abs(node.exponent)
+        if terms > 1 and comb(terms + k - 1, min(k, terms - 1)) > MAX_POWER_TERMS:
+            raise ParseError(
+                f"a {terms}-term base to the power {k} may have more than "
+                f"{MAX_POWER_TERMS} terms",
+                node.pos,
+            )
+        value = context.power(base, node.exponent, node.pos)
     else:
         raise TypeError(f"not a syntax node: {node!r}")
     for op in reversed(spine):

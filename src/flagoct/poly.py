@@ -10,9 +10,11 @@ counts) which is metadata only and does not affect the term order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
@@ -484,17 +486,59 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
         raise RingMismatchError("dividend and divisor in different rings")
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    ring = f.ring
     g_lead = g.leading_exponents()
-    g_lc = g.terms[g_lead]
-    quotient: Dict[Exponents, Fraction] = {}
-    rem = f
-    while rem.terms:
-        e = rem.leading_exponents()
-        diff = tuple(a - b for a, b in zip(e, g_lead))
+    quotient = divide_terms(f.terms, g.terms, g_lead)
+    return None if quotient is None else Polynomial(f.ring, quotient)
+
+
+def divide_terms(
+    f: Mapping[Exponents, Scalar],
+    g: Mapping[Exponents, Scalar],
+    g_lead: Exponents,
+    integral: bool = False,
+) -> Optional[Dict[Exponents, Scalar]]:
+    """The terms of f / g, or None if g does not divide f.
+
+    ``f`` and ``g`` map exponent tuples to nonzero coefficients and
+    ``g_lead`` is the grevlex-leading exponent of ``g``.  With ``integral``
+    the coefficients are ints and a quotient with a non-integer coefficient
+    is None as well: each quotient coefficient is final once computed, so
+    the first inexact one decides.
+    """
+    g_lc = g[g_lead]
+    g_tail = [(e, c) for e, c in g.items() if e != g_lead]
+    quotient: Dict[Exponents, Scalar] = {}
+    # the remainder is updated in place, and a heap of negated grevlex keys
+    # yields its leading term; a key whose term has cancelled is skipped
+    # when popped.  Each step then costs O(len(g) log len(rem)), not a scan
+    # and a copy of the whole remainder.  The negated key of e is
+    # (-|e|,) + e reversed, so e is the key's tail read backwards.
+    rem = dict(f)
+    heap = [(-sum(e),) + e[::-1] for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[:0:-1]
+        lead = rem.pop(e, None)
+        if lead is None:
+            continue
+        diff = tuple(map(sub, e, g_lead))
         if any(d < 0 for d in diff):
             return None
-        c = rem.terms[e] / g_lc
+        if integral:
+            c, r = divmod(lead, g_lc)
+            if r:
+                return None
+        else:
+            c = lead / g_lc
         quotient[diff] = c
-        rem = rem - Polynomial(ring, {diff: c}) * g
-    return Polynomial(ring, quotient)
+        # every new term lies below e, as grevlex is a monomial order
+        for eg, cg in g_tail:
+            m = tuple(map(add, diff, eg))
+            s = rem.get(m, 0) - c * cg
+            if s:
+                if m not in rem:
+                    heapq.heappush(heap, (-sum(m),) + m[::-1])
+                rem[m] = s
+            else:
+                rem.pop(m, None)
+    return quotient

@@ -5,8 +5,9 @@ rank-4 weight space).  The lattice of interest is the span of the four
 weights rho_1 = L1, rho_2 = L1+L2, rho_3 = w5-L4, rho_4 = w5 where
 w5 = (L1+L2+L3+L4)/2: concretely, all-integer or all-half-integer vectors.
 
-Reflection groups are generated exactly as sets of 4x4 rational orthogonal
-matrices (breadth-first closure with a hard element bound).  The quotient
+Reflection groups are generated exactly as sets of orthogonal 4x4 matrices
+with entries in (1/2)Z, each stored doubled as an integer matrix
+(breadth-first closure with a hard element bound).  The quotient
 W_F4 / W_Spin(8) is modelled by the order-6 group generated by the
 reflections in w4, w5-w4 and w5, identified with the symmetric group on
 {1,2,3}; the small A2 system of the rank-2 symmetric space (functionals
@@ -20,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .poly import ResourceLimitError
@@ -201,84 +203,152 @@ def f4_root_system() -> RootSystem:
 
 # -- Weyl group elements --------------------------------------------------------
 
-Matrix4 = Tuple[
-    Tuple[Fraction, Fraction, Fraction, Fraction],
-    Tuple[Fraction, Fraction, Fraction, Fraction],
-    Tuple[Fraction, Fraction, Fraction, Fraction],
-    Tuple[Fraction, Fraction, Fraction, Fraction],
+DoubledMatrix = Tuple[
+    Tuple[int, int, int, int],
+    Tuple[int, int, int, int],
+    Tuple[int, int, int, int],
+    Tuple[int, int, int, int],
 ]
 
+# 2 * rho_j for j = 1..4: the doubled lattice basis L1, L1+L2, w5-L4, w5
+_DOUBLED_RHO = ((2, 0, 0, 0), (2, 2, 0, 0), (1, 1, 1, -1), (1, 1, 1, 1))
 
-@dataclass(frozen=True)
+
+def _double(c: Scalar) -> int:
+    """2c, which must be an integer."""
+    two = 2 * Fraction(c)
+    if two.denominator != 1:
+        raise ValueError(f"entry {c} is not in 1/2 Z")
+    return two.numerator
+
+
+def _halve(n: int) -> int:
+    """n / 2, which must be an integer."""
+    if n % 2:
+        raise ValueError(f"{n}/2 leaves the integers: entry not in 1/2 Z")
+    return n // 2
+
+
 class WeylElement:
-    """An exact orthogonal 4x4 matrix acting on weight space."""
+    """A 4x4 matrix M with entries in (1/2)Z acting on weight space.
 
-    matrix: Matrix4
+    The one representation is ``doubled`` = 2M, a 4x4 integer matrix; the
+    constructor takes M itself and raises ``ValueError`` unless every entry
+    lies in (1/2)Z.  Products halve the integer product (2A)(2B) and check
+    that the halving is exact.  Elements are assumed orthogonal, as every
+    reflection and every product of reflections is.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.matrix)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+    __slots__ = ("doubled", "_hash")
+
+    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
+        if len(matrix) != 4 or any(len(r) != 4 for r in matrix):
             raise ValueError("need a 4x4 matrix")
-        object.__setattr__(self, "matrix", rows)
+        self._set(tuple(tuple(_double(c) for c in row) for row in matrix))
+
+    def _set(self, doubled: DoubledMatrix) -> None:
+        self.doubled = doubled
+        self._hash = hash(doubled)
+
+    @staticmethod
+    def _of_doubled(doubled: DoubledMatrix) -> "WeylElement":
+        out = object.__new__(WeylElement)
+        out._set(doubled)
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self.doubled == other.doubled
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"WeylElement(doubled={self.doubled})"
 
     @staticmethod
     def identity() -> "WeylElement":
-        return WeylElement(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(4)) for i in range(4)
-            )
+        return WeylElement._of_doubled(
+            tuple(tuple(2 if i == j else 0 for j in range(4)) for i in range(4))
         )
 
     @staticmethod
     def reflection(root: Weight) -> "WeylElement":
+        """2M = 2I - 4 n n^T / (n.n) for n an integer multiple of the root."""
         if root.is_zero():
             raise ValueError("cannot reflect in the zero vector")
-        norm = root.dot(root)
+        den = lcm(*(c.denominator for c in root.coords))
+        n = [c.numerator * (den // c.denominator) for c in root.coords]
+        norm = sum(x * x for x in n)
         rows = []
         for i in range(4):
             row = []
             for j in range(4):
-                val = Fraction(1 if i == j else 0)
-                val -= 2 * root.coords[i] * root.coords[j] / norm
-                row.append(val)
+                q, r = divmod(4 * n[i] * n[j], norm)
+                if r:
+                    raise ValueError(f"reflection in {root} has an entry outside 1/2 Z")
+                row.append((2 if i == j else 0) - q)
             rows.append(tuple(row))
-        return WeylElement(tuple(rows))
+        return WeylElement._of_doubled(tuple(rows))
 
     def apply(self, w: Weight) -> Weight:
+        den = lcm(*(c.denominator for c in w.coords))
+        n = [c.numerator * (den // c.denominator) for c in w.coords]
         return Weight(
-            tuple(sum(r * c for r, c in zip(row, w.coords)) for row in self.matrix)
+            tuple(
+                Fraction(sum(r * x for r, x in zip(row, n)), 2 * den)
+                for row in self.doubled
+            )
         )
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        cols = list(zip(*other.matrix))
-        return WeylElement(
+        cols = tuple(zip(*other.doubled))
+        return WeylElement._of_doubled(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.matrix
+                tuple(
+                    _halve(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3)
+                    for b0, b1, b2, b3 in cols
+                )
+                for a0, a1, a2, a3 in self.doubled
             )
         )
 
     def inverse(self) -> "WeylElement":
         # all group elements here are orthogonal, so the transpose inverts
-        return WeylElement(tuple(zip(*self.matrix)))
+        return WeylElement._of_doubled(tuple(zip(*self.doubled)))
 
     def is_identity(self) -> bool:
         return self == WeylElement.identity()
 
+    def act_doubled(self, key: Sequence[int]) -> Tuple[int, int, int, int]:
+        """2(Mv) for the doubled weight key = 2v; raises unless it is integral."""
+        k0, k1, k2, k3 = key
+        return tuple(
+            _halve(a * k0 + b * k1 + c * k2 + d * k3) for a, b, c, d in self.doubled
+        )
+
     def preserves_lattice(self) -> bool:
-        return all(self.apply(rho(j)).is_lattice() for j in range(1, 5))
+        """Every doubled image of 2*rho_j is all even or all odd."""
+        for key in _DOUBLED_RHO:
+            image = [sum(r * k for r, k in zip(row, key)) for row in self.doubled]
+            if any(v % 2 for v in image):
+                return False
+            if len({(v // 2) % 2 for v in image}) != 1:
+                return False
+        return True
 
     def is_signed_permutation(self) -> Tuple[bool, int]:
         """(is a signed permutation matrix, number of -1 entries)."""
         minus = 0
-        for row in self.matrix:
+        for row in self.doubled:
             nonzero = [c for c in row if c != 0]
-            if len(nonzero) != 1 or abs(nonzero[0]) != 1:
+            if len(nonzero) != 1 or abs(nonzero[0]) != 2:
                 return False, 0
-            if nonzero[0] == -1:
+            if nonzero[0] == -2:
                 minus += 1
         cols_ok = all(
-            sum(1 for r in range(4) if self.matrix[r][c] != 0) == 1 for c in range(4)
+            sum(1 for r in range(4) if self.doubled[r][c] != 0) == 1 for c in range(4)
         )
         return cols_ok, minus
 

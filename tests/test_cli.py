@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -265,6 +266,18 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error: ") and "(at position 100)" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "ring, expr",
+        [("Hb", "(b1+b2+1)^5000"), ("RT", "y5^2000000"), ("Hb", "b1^100000000000000000000000")],
+    )
+    def test_oversized_power_exits_2(self, capsys, ring, expr):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--ring", ring, "--", expr)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_long_flat_sum_expands(self, capsys):
         code, out, _ = run(capsys, "expand", "--ring", "Hb", "--", "+".join(["b1"] * 5000))

@@ -1,0 +1,443 @@
+"""Differential tests: the integer-scaled kernels against Fraction references.
+
+``WeylElement``, ``weyl_act``, ``x_character``, ``char_quotient``,
+``OctMatrix3`` and ``LinearOperator27`` hold integers over a fixed or common
+denominator.  The
+reference code below does the same computations entry by entry in
+``Fraction`` (and, for octonion matrices, with ``Octonion.__mul__``), the way
+the package did before it switched to integers.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from flagoct.jordan import (
+    JordanMatrix,
+    LinearOperator27,
+    OctMatrix3,
+    hat_operator,
+)
+from flagoct.ktheory import Character, char_quotient, weyl_act, x_character
+from flagoct.poly import PolyRing, Polynomial, exact_divide
+from flagoct.octonion import Octonion
+from flagoct.weyl import (
+    L,
+    Weight,
+    WeylElement,
+    f4_simple_roots,
+    f4_weyl,
+    omega,
+    sigma_tilde_generators,
+    sigma_tilde_group,
+    spin8_simple_roots,
+    spin8_weyl,
+)
+
+# -- Fraction references: 4x4 Weyl matrices -----------------------------------
+
+
+def ref_reflection(root):
+    r = root.coords
+    norm = sum(c * c for c in r)
+    return tuple(
+        tuple(Fraction(int(i == j)) - 2 * r[i] * r[j] / norm for j in range(4))
+        for i in range(4)
+    )
+
+
+def ref_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+        for i in range(4)
+    )
+
+
+def ref_transpose(a):
+    return tuple(zip(*a))
+
+
+def ref_apply(a, coords):
+    return tuple(sum(x * c for x, c in zip(row, coords)) for row in a)
+
+
+IDENTITY = tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))
+
+
+def ref_closure(generators):
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in generators:
+                x = ref_mul(g, w)
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return seen
+
+
+def as_fractions(w):
+    return tuple(tuple(Fraction(c, 2) for c in row) for row in w.doubled)
+
+
+def random_word(rng, gens, length):
+    return [rng.choice(gens) for _ in range(length)]
+
+
+F4_ROOTS = list(f4_simple_roots())
+SPIN8_ROOTS = list(spin8_simple_roots())
+COMPLEMENT_ROOTS = [omega(4), omega(5) - omega(4), omega(5)]
+
+
+class TestWeylElement:
+    @pytest.mark.parametrize("roots", [F4_ROOTS, SPIN8_ROOTS, COMPLEMENT_ROOTS])
+    def test_generators_match_reference(self, roots):
+        for root in roots:
+            w = WeylElement.reflection(root)
+            assert as_fractions(w) == ref_reflection(root)
+            assert WeylElement(ref_reflection(root)) == w
+
+    def test_products_inverses_and_action_on_seeded_words(self):
+        rng = random.Random(41)
+        roots = F4_ROOTS + SPIN8_ROOTS + COMPLEMENT_ROOTS
+        probes = [L(1), L(2) + L(3), omega(5), Weight.of(Fraction(1, 3), 2, -1, Fraction(5, 7))]
+        for _ in range(40):
+            word = random_word(rng, roots, rng.randint(1, 12))
+            w, ref = WeylElement.identity(), IDENTITY
+            for root in word:
+                w = w * WeylElement.reflection(root)
+                ref = ref_mul(ref, ref_reflection(root))
+            assert as_fractions(w) == ref
+            assert as_fractions(w.inverse()) == ref_transpose(ref)
+            assert (w * w.inverse()).is_identity()
+            for v in probes:
+                assert w.apply(v).coords == ref_apply(ref, v.coords)
+
+    def test_product_of_two_elements_matches_reference(self):
+        rng = random.Random(42)
+        elements = sorted(f4_weyl(), key=lambda w: w.doubled)
+        for _ in range(100):
+            a, b = rng.choice(elements), rng.choice(elements)
+            assert as_fractions(a * b) == ref_mul(as_fractions(a), as_fractions(b))
+
+    def test_closures_equal_reference_closures(self):
+        cases = [
+            (f4_weyl(), F4_ROOTS, 1152),
+            (spin8_weyl(), SPIN8_ROOTS, 192),
+            (sigma_tilde_group(), COMPLEMENT_ROOTS, 6),
+        ]
+        for group, roots, order in cases:
+            ref = ref_closure([ref_reflection(r) for r in roots])
+            assert len(ref) == order
+            assert {as_fractions(w) for w in group} == ref
+
+    def test_equal_elements_hash_equal(self):
+        gens = sigma_tilde_generators()
+        braid = gens["omega4"] * gens["omega5_minus_omega4"] * gens["omega4"]
+        assert braid == gens["omega5"]
+        assert hash(braid) == hash(gens["omega5"])
+        assert len({braid, gens["omega5"]}) == 1
+
+    def test_entry_outside_half_integers_raises(self):
+        third = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+        third[0][1] = Fraction(1, 3)
+        with pytest.raises(ValueError):
+            WeylElement(third)
+
+    def test_product_with_inexact_halving_raises(self):
+        # entries in (1/2)Z, but not orthogonal: the square has a 1/4 entry
+        half = [[Fraction(1, 2) if (i, j) == (0, 0) else int(i == j) for j in range(4)] for i in range(4)]
+        with pytest.raises(ValueError):
+            WeylElement(half) * WeylElement(half)
+
+    def test_lattice_and_signed_permutation_predicates(self):
+        for w in spin8_weyl():
+            ref = as_fractions(w)
+            images = [ref_apply(ref, (L(1) + L(2)).coords), ref_apply(ref, omega(5).coords)]
+            assert all(
+                all(c.denominator == 1 for c in v) or all(c.denominator == 2 for c in v)
+                for v in images
+            )
+            assert w.preserves_lattice()
+            ok, minus = w.is_signed_permutation()
+            assert ok and minus == sum(1 for row in ref for c in row if c == -1)
+        scaled = WeylElement([[Fraction(1, 2) if i == j else 0 for j in range(4)] for i in range(4)])
+        assert not scaled.preserves_lattice()
+
+
+# -- Fraction references: characters ------------------------------------------
+
+
+def ref_weyl_act(w, f):
+    """Apply the Fraction matrix of w to every doubled key of f."""
+    m = as_fractions(w)
+    out = {}
+    for key, coeff in f.terms.items():
+        image = ref_apply(m, [Fraction(k) for k in key])
+        assert all(c.denominator == 1 for c in image)
+        k = tuple(int(c) for c in image)
+        out[k] = out.get(k, 0) + coeff
+    return Character(out)
+
+
+def ref_x_character(i):
+    """The Weight-based construction of the four basic characters."""
+    half = Fraction(1, 2)
+    if i in (1, 2):
+        weights = [
+            Weight(tuple(half * s for s in signs))
+            for signs in itertools.product((1, -1), repeat=4)
+            if signs.count(-1) % 2 == i - 1
+        ]
+    elif i == 3:
+        weights = [L(k) for k in range(1, 5)] + [-L(k) for k in range(1, 5)]
+    else:
+        weights = [
+            L(a).scale(sa) + L(b).scale(sb)
+            for a, b in itertools.combinations(range(1, 5), 2)
+            for sa in (1, -1)
+            for sb in (1, -1)
+        ]
+    return Character.from_weights(weights)
+
+
+def random_character(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        parity = rng.randint(0, 1)
+        key = tuple(2 * rng.randint(-3, 3) + parity for _ in range(4))
+        terms[key] = rng.randint(-4, 4)
+    return Character(terms)
+
+
+class TestCharacters:
+    def test_x_characters_match_weight_construction(self):
+        for i in range(1, 5):
+            assert x_character(i) == ref_x_character(i)
+            assert x_character(i).dimension() == (8, 8, 8, 24)[i - 1]
+
+    def test_weyl_act_on_every_key_of_the_basic_characters(self):
+        rng = random.Random(40)
+        elements = sorted(f4_weyl(), key=lambda w: w.doubled)
+        reflections = [WeylElement.reflection(r) for r in F4_ROOTS + COMPLEMENT_ROOTS]
+        for w in reflections + rng.sample(elements, 60):
+            for i in range(1, 5):
+                assert weyl_act(w, x_character(i)) == ref_weyl_act(w, x_character(i))
+
+    def test_weyl_act_on_seeded_characters(self):
+        rng = random.Random(43)
+        elements = sorted(f4_weyl(), key=lambda w: w.doubled)
+        for _ in range(60):
+            w, f = rng.choice(elements), random_character(rng)
+            assert weyl_act(w, f) == ref_weyl_act(w, f)
+
+
+DIV_RING = PolyRing.make(("t1", "t2", "t3", "t4"))
+
+
+def ref_char_quotient(d, f):
+    """f/d through Fraction polynomials: shift both supports into the
+    nonnegative orthant, divide with exact_divide, and keep an integral
+    quotient on the lattice."""
+
+    def shifted(c):
+        shift = tuple(min(k[i] for k in c.terms) for i in range(4))
+        terms = {
+            tuple(k[i] - shift[i] for i in range(4)): Fraction(v)
+            for k, v in c.terms.items()
+        }
+        return Polynomial(DIV_RING, terms), shift
+
+    if f.is_zero():
+        return Character.zero()
+    (pf, sf), (pd, sd) = shifted(f), shifted(d)
+    q = exact_divide(pf, pd)
+    if q is None or any(c.denominator != 1 for c in q.terms.values()):
+        return None
+    out = {}
+    for e, c in q.terms.items():
+        key = tuple(x + a - b for x, a, b in zip(e, sf, sd))
+        if len({k % 2 for k in key}) != 1:
+            return None
+        out[key] = int(c)
+    return Character(out)
+
+
+class TestCharQuotient:
+    def test_matches_fraction_reference_on_seeded_characters(self):
+        rng = random.Random(47)
+        outcomes = set()
+        for _ in range(300):
+            d = random_character(rng)
+            if d.is_zero():
+                continue
+            f = random_character(rng) * d
+            if rng.random() < 0.3:
+                f = f + random_character(rng)
+            if rng.random() < 0.2:
+                d = d.scale(rng.choice((2, 3, -2)))
+            q = char_quotient(d, f)
+            assert q == ref_char_quotient(d, f)
+            if q is not None:
+                assert q * d == f
+            outcomes.add(q is None)
+        assert outcomes == {True, False}
+
+    def test_non_integral_quotient_is_none(self):
+        d = Character({(0, 0, 0, 0): 2, (2, 0, 0, 0): -2})
+        f = Character({(2, 2, 0, 0): 1, (4, 2, 0, 0): -1})
+        assert char_quotient(d, f) is None
+        assert char_quotient(d.scale(1), f.scale(2)) == Character({(2, 2, 0, 0): 1})
+
+
+# -- Fraction references: octonion matrices ----------------------------------
+
+
+def random_octonion(rng, span=3):
+    return Octonion(
+        tuple(Fraction(rng.randint(-span, span), rng.randint(1, 6)) for _ in range(8))
+    )
+
+
+def random_grid(rng):
+    return [[random_octonion(rng) for _ in range(3)] for _ in range(3)]
+
+
+def ref_grid_mul(a, b):
+    out = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            acc = Octonion.zero()
+            for k in range(3):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def ref_grid_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_is_hermitian(a):
+    return all(a[i][i].is_real() for i in range(3)) and all(
+        a[j][i] == a[i][j].conjugate() for i in range(3) for j in range(3)
+    )
+
+
+def grid(m):
+    return [list(r) for r in m.rows]
+
+
+class TestOctMatrix3:
+    def test_product_and_commutator_match_entrywise_octonions(self):
+        rng = random.Random(44)
+        for _ in range(8):
+            ga, gb = random_grid(rng), random_grid(rng)
+            a, b = OctMatrix3(ga), OctMatrix3(gb)
+            assert a.den > 1 and b.den > 1
+            assert grid(a * b) == ref_grid_mul(ga, gb)
+            assert grid(a.commutator(b)) == ref_grid_sub(
+                ref_grid_mul(ga, gb), ref_grid_mul(gb, ga)
+            )
+            assert grid(a + b) == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)]
+            assert grid(a.scale(Fraction(-2, 3))) == [[x.scale(Fraction(-2, 3)) for x in r] for r in ga]
+
+    def test_hermitian_predicate_matches_reference(self):
+        rng = random.Random(45)
+        for _ in range(8):
+            x = JordanMatrix.random_traceless(rng).scale(Fraction(1, rng.randint(2, 5)))
+            h = x.to_matrix()
+            assert h.is_hermitian() and ref_is_hermitian(grid(h))
+            g = random_grid(rng)
+            assert OctMatrix3(g).is_hermitian() == ref_is_hermitian(g)
+            s = h.commutator(JordanMatrix.random_traceless(rng).to_matrix())
+            assert s.is_hermitian() == ref_is_hermitian(grid(s))
+
+    def test_from_matrix_rejects_non_hermitian(self):
+        rng = random.Random(46)
+        with pytest.raises(ValueError):
+            JordanMatrix.from_matrix(OctMatrix3(random_grid(rng)))
+        skew = JordanMatrix.random_traceless(rng).to_matrix().commutator(
+            JordanMatrix.random_traceless(rng).to_matrix()
+        )
+        assert not skew.is_zero()
+        with pytest.raises(ValueError):
+            JordanMatrix.from_matrix(skew)
+
+    def test_jordan_matrix_roundtrip_with_denominators(self):
+        rng = random.Random(47)
+        for _ in range(8):
+            a = JordanMatrix.random_traceless(rng).scale(Fraction(rng.randint(1, 5), rng.randint(2, 7)))
+            m = a.to_matrix()
+            ref = [
+                [Octonion.scalar(a.x1), a.p, a.q],
+                [a.p.conjugate(), Octonion.scalar(a.x2), a.r],
+                [a.q.conjugate(), a.r.conjugate(), Octonion.scalar(a.x3)],
+            ]
+            assert grid(m) == ref
+            assert m == OctMatrix3(ref)
+            assert JordanMatrix.from_matrix(m) == a
+
+
+# -- Fraction references: 27x27 operators --------------------------------------
+
+
+def random_rows(rng, density=0.3):
+    return [
+        [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else Fraction(0)
+            for _ in range(27)
+        ]
+        for _ in range(27)
+    ]
+
+
+def ref_matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(27)) for j in range(27)] for i in range(27)]
+
+
+def as_rows(op):
+    return [list(r) for r in op.rows]
+
+
+class TestLinearOperator27:
+    def test_arithmetic_matches_fraction_reference(self):
+        rng = random.Random(48)
+        for _ in range(3):
+            ra, rb = random_rows(rng), random_rows(rng)
+            a, b = LinearOperator27(ra), LinearOperator27(rb)
+            assert as_rows(a) == ra
+            assert as_rows(a * b) == ref_matmul(ra, rb)
+            assert as_rows(a + b) == [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+            assert as_rows(a - b) == [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+            c = Fraction(-3, 7)
+            assert as_rows(a.scale(c)) == [[c * x for x in r] for r in ra]
+            assert (a == b) == (ra == rb)
+            assert a == LinearOperator27(ra) and a != b
+            assert (a - a).is_zero() and (a - a) == LinearOperator27.zero()
+
+    def test_two_denominators_compare_and_hash_equal(self):
+        rng = random.Random(49)
+        rows = random_rows(rng)
+        a = LinearOperator27(rows)
+        via_thirds = a.scale(Fraction(1, 3)).scale(3)
+        via_sum = a.scale(Fraction(1, 6)) + a.scale(Fraction(5, 6))
+        for other in (via_thirds, via_sum):
+            assert other == a
+            assert hash(other) == hash(a)
+            assert (other.nums, other.den) == (a.nums, a.den)
+        assert len({a, via_thirds, via_sum}) == 1
+
+    def test_hat_operator_equals_operator_of_jordan_product(self):
+        rng = random.Random(50)
+        for _ in range(4):
+            a = JordanMatrix.random_traceless(rng).scale(Fraction(rng.randint(1, 4), rng.randint(1, 5)))
+            a = a + JordanMatrix.identity().scale(Fraction(rng.randint(-3, 3), 2))
+            assert hat_operator(a) == LinearOperator27.from_function(a.jordan)

@@ -11,7 +11,9 @@ from flagoct.ktheory import Character, x_character, y, y_inverse
 from flagoct.parsing import (
     BinOp,
     CharacterContext,
+    MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_TERMS,
     Neg,
     Num,
     ParseError,
@@ -144,6 +146,32 @@ class TestNestingLimit:
             expected = expected + sign * k * b1 ** (k % 5) * b2
         assert parse_and_evaluate(text, ctx) == expected
         assert parse_and_evaluate("*".join(["b2"] * 5000), ctx) == b2**5000
+
+
+class TestPowerLimits:
+    def test_exponent_beyond_the_limit_is_a_parse_error(self):
+        ctx = PolynomialContext(B_RING)
+        b1 = B_RING.gens()[0]
+        assert parse_and_evaluate(f"b1^{MAX_EXPONENT}", ctx) == b1**MAX_EXPONENT
+        assert parse_and_evaluate("b1^" + "0" * 5000 + "2", ctx) == b1**2
+        for text in (f"b1^{MAX_EXPONENT + 1}", "b1^100000000000000000000000", "y1^-" + "9" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.position == text.index("^") + 1 + text.startswith("y1^-")
+
+    def test_projected_term_count_is_checked_before_the_power(self):
+        ctx = PolynomialContext(B_RING)
+        # a t-term base squared has at most C(t+1, 2) terms
+        t = 1
+        while (t + 2) * (t + 1) // 2 <= MAX_POWER_TERMS:
+            t += 1
+        base = lambda n: "(" + " + ".join(f"b1^{i}" for i in range(n)) + ")"
+        assert len(parse_and_evaluate(base(t) + "^2", ctx).terms) == 2 * t - 1
+        with pytest.raises(ParseError) as err:
+            parse_and_evaluate(base(t + 1) + "^2", ctx)
+        assert err.value.position == len(base(t + 1))
+        # a monomial base projects to one term whatever the exponent
+        assert parse_and_evaluate(f"y5^{MAX_EXPONENT}", CharacterContext()) == y(5) ** MAX_EXPONENT
 
 
 class TestPrinterRoundTrip:

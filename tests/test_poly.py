@@ -12,6 +12,7 @@ from flagoct.poly import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    divide_terms,
     elementary_symmetric,
     exact_divide,
     grevlex_key,
@@ -184,6 +185,38 @@ class TestExactDivide:
         if g.is_zero():
             return
         assert exact_divide(f * g, g) == f
+
+    @given(random_poly(R3, max_terms=6), random_poly(R3), random_poly(R3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_division(self, q, g, r):
+        if g.is_zero():
+            return
+        f = q * g + r
+        assert exact_divide(f, g) == reference_divide(f, g)
+
+    def test_integral_division_of_terms(self):
+        # (x^2 - xy) / (2x - 2y) = x/2: exact over Q, not over Z
+        f = {(2, 0): 1, (1, 1): -1}
+        g = {(1, 0): 2, (0, 1): -2}
+        assert divide_terms(f, g, (1, 0)) == {(1, 0): Fraction(1, 2)}
+        assert divide_terms(f, g, (1, 0), integral=True) is None
+        assert divide_terms({(2, 0): 2, (1, 1): -2}, g, (1, 0), integral=True) == {(1, 0): 1}
+
+
+def reference_divide(f, g):
+    """Division by leading terms that rescans and rebuilds the remainder."""
+    g_lead = g.leading_exponents()
+    quotient = {}
+    rem = f
+    while rem.terms:
+        e = rem.leading_exponents()
+        diff = tuple(a - b for a, b in zip(e, g_lead))
+        if any(d < 0 for d in diff):
+            return None
+        c = rem.terms[e] / g.terms[g_lead]
+        quotient[diff] = c
+        rem = rem - Polynomial(f.ring, {diff: c}) * g
+    return Polynomial(f.ring, quotient)
 
 
 class TestLinearForms:

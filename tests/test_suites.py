@@ -92,13 +92,13 @@ class TestRunSuite:
             assert failing, f"corrupt {name} run produced no failures"
             assert set(failing) <= {c.id for c in clean.checks}
 
-    def test_all_merges_with_prefixes(self):
-        rep = run_suite("all", seed=0, degree_cutoff=4)
+    def test_all_merges_with_prefixes(self, clean_report):
+        rep = clean_report("all")
         prefixes = {c.id.split(".", 1)[0] for c in rep.checks}
         assert prefixes == set(SUITE_NAMES)
         total = 0
         for name in SUITE_NAMES:
-            total += len(run_suite(name, seed=0, degree_cutoff=4).checks)
+            total += len(clean_report(name).checks)
         assert len(rep.checks) == total
         assert rep.passed
 
