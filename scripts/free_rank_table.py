@@ -24,6 +24,8 @@ def main() -> int:
     args = parser.parse_args()
     if not 0 <= args.degree_cutoff <= 16:
         parser.error("--degree-cutoff must be between 0 and 16")
+    if args.degree_cutoff % 2:
+        parser.error("--degree-cutoff must be even")
 
     start = time.monotonic()
     table = free_rank_check(args.degree_cutoff)

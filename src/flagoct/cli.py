@@ -78,6 +78,9 @@ def _default_seed() -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not 0 <= args.degree_cutoff <= 16:
         raise UsageError("--degree-cutoff must be between 0 and 16")
+    # only the free-rank table reads the cutoff, and it takes even degrees
+    if args.suite in ("gkm", "all") and args.degree_cutoff % 2:
+        raise UsageError("--degree-cutoff must be even")
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(
         args.suite, seed=seed, degree_cutoff=args.degree_cutoff, corrupt=args.corrupt

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, buchberger, graded_quotient_dimensions
-from .poly import PolyRing, Polynomial, elementary_symmetric
+from .poly import PolyRing, Polynomial, Scalar, elementary_symmetric
 from .weyl import SIGMA3_NAMES, Sigma3Element, sigma3_by_name
 
 E_RING = PolyRing.make(("x1", "x2"), (8, 8))
@@ -315,31 +316,57 @@ def bgg_basis_independent() -> bool:
     gb = ctx.symmetric_ideal_basis()
     nfs = [gb.normal_form(p) for p in ctx.bgg_basis().values()]
     monomials = sorted({e for p in nfs for e in p.terms})
-    matrix = [[p.terms.get(e, Fraction(0)) for e in monomials] for p in nfs]
+    matrix = [integral_row([p.terms.get(e, 0) for e in monomials]) for p in nfs]
     return matrix_rank(matrix) == len(nfs)
 
 
-def matrix_rank(rows: List[List[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def integral_row(row: Sequence[Scalar]) -> List[int]:
+    """The row scaled by the lcm of its denominators, as integers."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free elimination over Z.
+
+    Keeps an echelon basis of primitive integer rows, one per pivot column.
+    Each incoming row has its leading entry cancelled against the basis row
+    with that pivot (a cross-multiplication) and is divided by its content,
+    until its leading column is new or the row is zero; a zero row is
+    dependent and dropped.  The only division is by a content, and it is
+    checked to be exact.  Entries must be ints; scale rational rows with
+    ``integral_row`` first.
+    """
+    basis: Dict[int, List[int]] = {}
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        r = _primitive(list(row))
+        lead = next((i for i, x in enumerate(r) if x), None)
+        while lead is not None and lead in basis:
+            b = basis[lead]
+            g = gcd(b[lead], r[lead])
+            p, a = b[lead] // g, r[lead] // g
+            r = _primitive([p * x - a * y for x, y in zip(r, b)])
+            lead = next((i for i in range(lead + 1, ncols) if r[i]), None)
+        if lead is not None:
+            basis[lead] = r
+            if len(basis) == ncols:
+                break
+    return len(basis)
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """The row divided by the gcd of its entries (a zero row unchanged)."""
+    g = gcd(*row)
+    if g <= 1:
+        return row
+    out = []
+    for x in row:
+        q, rem = divmod(x, g)
+        if rem:
+            raise ArithmeticError("content division is not exact")
+        out.append(q)
+    return out
 
 
 # -- fixed-point restriction table ----------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .cohomology import B_RING, RestrictionTable, matrix_rank
+from .cohomology import B_RING, RestrictionTable, integral_row, matrix_rank
 from .poly import (
     FormProduct,
     LinearForm,
@@ -354,25 +354,27 @@ def _label_for(mode: str, k: int) -> Polynomial:
     return abstract_label(k) if mode == "Hb" else realized_label(k)
 
 
+def _restriction_images(ring: PolyRing, form: LinearForm) -> Dict[str, Polynomial]:
+    """Images of the variables under restriction to the kernel of ``form``.
+
+    The form's first variable with a nonzero coefficient (its pivot) is
+    solved for in the others; every other variable maps to itself.
+    """
+    pivot = next(i for i, c in enumerate(form.coeffs) if c != 0)
+    images = {name: ring.var(name) for name in ring.names}
+    expr = ring.zero()
+    for j, c in enumerate(form.coeffs):
+        if j != pivot:
+            expr = expr - (c / form.coeffs[pivot]) * ring.var(ring.names[j])
+    images[ring.names[pivot]] = expr
+    return images
+
+
 def vanishes_on_hyperplanes(p: Polynomial, forms: Sequence[LinearForm]) -> bool:
     """True iff p restricts to zero on the kernel of every given form."""
-    for form in forms:
-        pivot = next(i for i, c in enumerate(form.coeffs) if c != 0)
-        images = {}
-        for i, name in enumerate(p.ring.names):
-            if i == pivot:
-                expr = p.ring.zero()
-                for j, c in enumerate(form.coeffs):
-                    if j != pivot:
-                        expr = expr - (c / form.coeffs[pivot]) * p.ring.var(
-                            p.ring.names[j]
-                        )
-                images[name] = expr
-            else:
-                images[name] = p.ring.var(name)
-        if not p.substitute(images).is_zero():
-            return False
-    return True
+    return all(
+        p.substitute(_restriction_images(p.ring, form)).is_zero() for form in forms
+    )
 
 
 def check_membership(t: CohTuple, method: str = "division") -> MembershipResult:
@@ -505,12 +507,16 @@ def predicted_rank(degree: int) -> int:
     return sum(bm_dimension(degree - c) for c in cell_degrees)
 
 
-def _invariant_basis(poly_degree: int) -> List[Polynomial]:
-    """Monomials in the basic invariants with total polynomial degree given.
+# polynomial degrees of the basic invariants s1, s2, l1*l2*l3*l4, s3
+_INVARIANT_DEGREES = (2, 4, 4, 6)
 
-    The basic invariants are the elementary symmetric functions of the
-    squared coordinate weights in degrees 1, 2, 3 plus their product
-    (poly degrees 2, 4, 6, 4); the invariant ring is free on them.
+
+def _basic_invariants() -> Tuple[Polynomial, ...]:
+    """The basic invariants, in the order of ``_INVARIANT_DEGREES``.
+
+    They are the elementary symmetric functions s1, s2, s3 of the squared
+    coordinate weights and the product of the weights; the invariant ring
+    is free on them.
     """
     ls = l_polynomials()
     sq = [l * l for l in ls]
@@ -529,7 +535,19 @@ def _invariant_basis(poly_degree: int) -> List[Polynomial]:
         RHO_RING.zero(),
     )
     prod = ls[0] * ls[1] * ls[2] * ls[3]
-    gens = [(s1, 2), (s2, 4), (prod, 4), (s3, 6)]
+    return (s1, s2, prod, s3)
+
+
+def _invariant_monomials(
+    gens: Sequence[Polynomial], poly_degree: int
+) -> List[Polynomial]:
+    """Monomials in ``gens`` of total polynomial degree ``poly_degree``.
+
+    ``gens`` stand for the basic invariants (or their images under a ring
+    map) and are weighted by ``_INVARIANT_DEGREES``.  The enumeration order
+    depends only on the degrees, so the m-th monomial in the images of the
+    invariants is the image of the m-th monomial in the invariants.
+    """
     out: List[Polynomial] = []
 
     def rec(idx: int, deg_left: int, acc: Polynomial) -> None:
@@ -537,7 +555,7 @@ def _invariant_basis(poly_degree: int) -> List[Polynomial]:
             if deg_left == 0:
                 out.append(acc)
             return
-        g, d = gens[idx]
+        g, d = gens[idx], _INVARIANT_DEGREES[idx]
         power = acc
         e = 0
         while deg_left - e * d >= 0:
@@ -545,8 +563,20 @@ def _invariant_basis(poly_degree: int) -> List[Polynomial]:
             e += 1
             if deg_left - e * d >= 0:
                 power = power * g
-    rec(0, poly_degree, RHO_RING.one())
+
+    rec(0, poly_degree, gens[0].ring.one())
     return out
+
+
+def _integral_rows(restricted: Sequence[Polynomial]) -> List[List[int]]:
+    """One integer row per monomial of the restricted basis, in sorted order.
+
+    Entry m of a row is the monomial's coefficient in ``restricted[m]``.
+    A row with a non-integral coefficient is scaled by the lcm of its
+    denominators, which leaves its solution space unchanged.
+    """
+    monomials = sorted({e for p in restricted for e in p.terms})
+    return [integral_row([p.terms.get(e, 0) for p in restricted]) for e in monomials]
 
 
 def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
@@ -555,51 +585,46 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
     For each even cohomological degree d <= cutoff, unknowns are one
     invariant-basis coefficient vector per vertex; constraints force every
     edge difference to vanish on the four hyperplanes of the edge label.
+    Restriction to a hyperplane is a ring map, so the basic invariants are
+    restricted once per distinct hyperplane and each basis monomial
+    restricts to the same monomial in their images.  The constraint rows
+    are integers and their rank is taken over Z.
     Returns (degree, computed, predicted) rows.
     """
     if degree_cutoff % 2 != 0 or degree_cutoff < 0:
         raise ValueError("degree cutoff must be a nonnegative even integer")
     if degree_cutoff > 16:
         raise ResourceLimitError("free-rank check is bounded at degree 16")
+    invariants = _basic_invariants()
+    # the basic invariants restricted to each label hyperplane, with the
+    # edge class of the label
+    restricted = [
+        (k, tuple(g.substitute(_restriction_images(RHO_RING, form)) for g in invariants))
+        for k in ROOT_TRANSPOSITIONS
+        for form in label_hyperplanes(k)
+    ]
     rows: List[Tuple[int, int, int]] = []
     edges = gkm_edges()
     vertex_index = {name: i for i, name in enumerate(SIGMA3_NAMES)}
     for d in range(0, degree_cutoff + 1, 2):
-        basis = _invariant_basis(d // 2)
-        nb = len(basis)
+        # the rows each edge class imposes on the coefficient vector of its
+        # edge difference; nb is the same for every hyperplane
+        blocks: Dict[int, List[List[int]]] = {k: [] for k in ROOT_TRANSPOSITIONS}
+        for k, gens in restricted:
+            basis = _invariant_monomials(gens, d // 2)
+            nb = len(basis)
+            blocks[k] += _integral_rows(basis)
         if nb == 0:
             rows.append((d, 0, predicted_rank(d)))
             continue
-        # restrictions of each basis polynomial to each label hyperplane
-        constraints: List[List[Fraction]] = []
+        constraints: List[List[int]] = []
         for edge in edges:
-            for form in label_hyperplanes(edge.k):
-                pivot = next(i for i, c in enumerate(form.coeffs) if c != 0)
-                images = {}
-                for i, name in enumerate(RHO_RING.names):
-                    if i == pivot:
-                        expr = RHO_RING.zero()
-                        for j, c in enumerate(form.coeffs):
-                            if j != pivot:
-                                expr = expr - (c / form.coeffs[pivot]) * RHO_RING.var(
-                                    RHO_RING.names[j]
-                                )
-                        images[name] = expr
-                    else:
-                        images[name] = RHO_RING.var(name)
-                restricted = [b.substitute(images) for b in basis]
-                monomials = sorted({e for p in restricted for e in p.terms})
-                for mono in monomials:
-                    row = [Fraction(0)] * (6 * nb)
-                    iu, iv = vertex_index[edge.u], vertex_index[edge.v]
-                    for m, rp in enumerate(restricted):
-                        c = rp.terms.get(mono, Fraction(0))
-                        if c:
-                            row[iu * nb + m] += c
-                            row[iv * nb + m] -= c
-                    if any(x != 0 for x in row):
-                        constraints.append(row)
-        rank = matrix_rank(constraints) if constraints else 0
-        computed = 6 * nb - rank
-        rows.append((d, computed, predicted_rank(d)))
+            iu, iv = vertex_index[edge.u], vertex_index[edge.v]
+            for block in blocks[edge.k]:
+                row = [0] * (6 * nb)
+                row[iu * nb : (iu + 1) * nb] = block
+                row[iv * nb : (iv + 1) * nb] = [-c for c in block]
+                constraints.append(row)
+        rank = matrix_rank(constraints)
+        rows.append((d, 6 * nb - rank, predicted_rank(d)))
     return rows

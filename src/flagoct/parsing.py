@@ -15,9 +15,10 @@ Identifiers and exponent rules depend on the evaluation context:
 * the character context accepts y1..y5 with integer (possibly negative)
   exponents and requires integer coefficients.
 
-Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep.  An
-exponent is at most ``MAX_EXPONENT``, and a power whose result could have
-more than ``MAX_POWER_TERMS`` terms is refused before it is computed.
+Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep.  A
+numeric literal has at most ``MAX_LITERAL_DIGITS`` digits.  An exponent is
+at most ``MAX_EXPONENT``, and a power whose result could have more than
+``MAX_POWER_TERMS`` terms is refused before it is computed.
 Errors carry the 0-based character position for diagnostics.
 """
 
@@ -41,6 +42,11 @@ MAX_NESTING = 100
 # projection is checked before the power is computed.
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 2_000
+
+# A numeric literal has at most this many digits, leading zeros aside.  The
+# bound sits well inside Python's own limit on int() of a decimal string
+# (4300 digits), which would otherwise end the parse in a ValueError.
+MAX_LITERAL_DIGITS = 1000
 
 
 class ParseError(ValueError):
@@ -133,6 +139,15 @@ class BinOp:
 Node = Union[Num, Var, Neg, Pow, BinOp]
 
 
+def _literal(tok: Token) -> int:
+    digits = tok.text.lstrip("0") or "0"
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", tok.pos
+        )
+    return int(digits)
+
+
 class _Parser:
     def __init__(self, tokens: List[Token], length: int):
         self.tokens = tokens
@@ -210,15 +225,15 @@ class _Parser:
     def parse_atom(self) -> Node:
         tok = self.next()
         if tok.kind == "number":
-            value = Fraction(int(tok.text))
+            num, den = _literal(tok), 1
             nxt = self.peek()
             if nxt is not None and nxt.kind == "/":
                 self.next()
-                den = self.expect("number")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                value = Fraction(int(tok.text), int(den.text))
-            return Num(value, tok.pos)
+                den_tok = self.expect("number")
+                den = _literal(den_tok)
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok.pos)
+            return Num(Fraction(num, den), tok.pos)
         if tok.kind == "ident":
             return Var(tok.text, tok.pos)
         if tok.kind == "(":

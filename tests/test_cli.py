@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, file validation."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,36 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "gkm", "--degree-cutoff", "17")
         assert code == 2
         assert "degree-cutoff" in err
+
+    @pytest.mark.parametrize("suite, cutoff", [("gkm", "7"), ("all", "3"), ("gkm", "15")])
+    def test_odd_degree_cutoff_exits_2_before_any_suite(self, capsys, monkeypatch, suite, cutoff):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr("flagoct.cli.run_suite", no_suite)
+        code, out, err = run(capsys, "verify", suite, "--degree-cutoff", cutoff)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --degree-cutoff must be even\n"
+
+    def test_odd_degree_cutoff_ignored_by_suites_that_do_not_read_it(self, capsys):
+        code, out, _ = run(capsys, "verify", "octonion", "--degree-cutoff", "7")
+        assert code == 0
+        assert "degree cutoff: 7" in out
+
+    def test_free_rank_script_rejects_odd_cutoff(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "free_rank_table.py"), "--degree-cutoff", "7"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error: --degree-cutoff must be even" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("FLAGOCT_SEED", "11")
@@ -278,6 +312,15 @@ class TestExpand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("expr", ["7" * 5000, "1/" + "7" * 5000, "b1 - " + "7" * 5000 + "*b2"])
+    def test_overlong_literal_exits_2(self, capsys, expr):
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: numeric literal longer than")
+        assert f"(at position {expr.index('7')})" in err
+        assert "Traceback" not in err
 
     def test_long_flat_sum_expands(self, capsys):
         code, out, _ = run(capsys, "expand", "--ring", "Hb", "--", "+".join(["b1"] * 5000))

@@ -14,6 +14,8 @@ from flagoct.cohomology import (
     BggContext,
     RestrictionTable,
     bgg_basis_independent,
+    integral_row,
+    matrix_rank,
     beta_to_e,
     coinvariant_generators,
     e_to_beta,
@@ -281,3 +283,87 @@ class TestEquivariantRelations:
                 assert elementary_symmetric(i, *args) == elementary_symmetric(
                     i, *base_args
                 )
+
+
+def reference_rank(rows):
+    """Fraction Gauss-Jordan elimination, the rank kernel before integer rows."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def seeded_matrix(rng, nrows, ncols, rank, denominators):
+    """An nrows x ncols matrix of rank at most ``rank``, with zero rows mixed in.
+
+    Rows are combinations of ``rank`` random rows, so most are dependent;
+    with ``denominators`` the entries are fractions that need lcm scaling.
+    """
+    def entry():
+        num = rng.randint(-9, 9)
+        return Fraction(num, rng.randint(1, 12)) if denominators else num
+
+    gens = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.1:
+            rows.append([0] * ncols)
+            continue
+        row = [0] * ncols
+        for g in gens:
+            c = rng.randint(-3, 3)
+            row = [x + c * y for x, y in zip(row, g)]
+        rows.append(row)
+    return rows
+
+
+class TestMatrixRank:
+    @pytest.mark.parametrize(
+        "shape", [(12, 5), (5, 12), (8, 8), (24, 14), (1, 7), (7, 1)]
+    )
+    @pytest.mark.parametrize("denominators", [False, True])
+    def test_matches_fraction_reference_on_seeded_matrices(self, shape, denominators):
+        rng = random.Random(f"{shape}-{denominators}")
+        nrows, ncols = shape
+        for trial in range(25):
+            rank = rng.randint(0, min(nrows, ncols))
+            rows = seeded_matrix(rng, nrows, ncols, rank, denominators)
+            expected = reference_rank(rows)
+            assert matrix_rank([integral_row(r) for r in rows]) == expected
+
+    def test_empty_and_zero_matrices(self):
+        assert matrix_rank([]) == 0
+        assert matrix_rank([[]]) == 0
+        assert matrix_rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert matrix_rank([[0, 0], [0, 3]]) == 1
+
+    def test_large_entries_stay_exact(self):
+        big = 10**40
+        assert matrix_rank([[big, big + 1], [big + 1, big + 2]]) == 2
+        assert matrix_rank([[big, 2 * big], [3 * big + 3, 6 * big + 6]]) == 1
+
+    def test_integral_row_scales_by_the_lcm_of_denominators(self):
+        row = [Fraction(1, 4), Fraction(-2, 3), 0, 5]
+        assert integral_row(row) == [3, -8, 0, 60]
+        assert integral_row([2, -7, 0]) == [2, -7, 0]
+        assert integral_row([]) == []
+
+    def test_fraction_entries_are_refused(self):
+        with pytest.raises(TypeError):
+            matrix_rank([[Fraction(1, 2), Fraction(1)]])

@@ -24,6 +24,9 @@ from flagoct.gkm import (
     random_membership_tuple,
     realized_label,
     restriction_class_tuple,
+    _basic_invariants,
+    _invariant_monomials,
+    _restriction_images,
 )
 from flagoct.poly import exact_divide, pairwise_coprime
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name, transposition
@@ -185,6 +188,28 @@ class TestFreeness:
             (d, self.EXPECTED[d]) for d in range(0, 9, 2)
         ]
         assert all(c == p for (_, c, p) in rows)
+
+    def test_rank_table_to_degree_sixteen(self):
+        rows = free_rank_check(16)
+        assert rows == [(d, c, c) for d, c in sorted(self.EXPECTED.items())]
+
+    def test_twelve_distinct_label_hyperplanes(self):
+        forms = [f for k in ROOT_TRANSPOSITIONS for f in label_hyperplanes(k)]
+        assert len({f.normalized() for f in forms}) == 12
+
+    def test_restricted_generators_give_the_restricted_basis(self):
+        # restriction is a ring map: the monomials in the restricted
+        # invariants are the restrictions of the basis, in the same order
+        invariants = _basic_invariants()
+        for k in ROOT_TRANSPOSITIONS:
+            for form in label_hyperplanes(k):
+                images = _restriction_images(RHO_RING, form)
+                gens = [g.substitute(images) for g in invariants]
+                for d in range(0, 9, 2):
+                    basis = _invariant_monomials(invariants, d // 2)
+                    assert _invariant_monomials(gens, d // 2) == [
+                        b.substitute(images) for b in basis
+                    ]
 
     def test_predicted_ranks_match_frozen_values(self):
         for d, expected in self.EXPECTED.items():

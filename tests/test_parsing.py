@@ -12,6 +12,7 @@ from flagoct.parsing import (
     BinOp,
     CharacterContext,
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_POWER_TERMS,
     Neg,
@@ -172,6 +173,21 @@ class TestPowerLimits:
         assert err.value.position == len(base(t + 1))
         # a monomial base projects to one term whatever the exponent
         assert parse_and_evaluate(f"y5^{MAX_EXPONENT}", CharacterContext()) == y(5) ** MAX_EXPONENT
+
+
+class TestLiteralLimit:
+    def test_literal_beyond_the_limit_is_a_parse_error(self):
+        ctx = PolynomialContext(B_RING)
+        longest = "9" * MAX_LITERAL_DIGITS
+        assert parse_and_evaluate(longest, ctx) == B_RING.const(int(longest))
+        assert parse_and_evaluate(f"1/{longest}", ctx) == B_RING.const(Fraction(1, int(longest)))
+        assert parse_and_evaluate("0" * 5000 + "12", ctx) == B_RING.const(12)
+        too_long = "7" * (MAX_LITERAL_DIGITS + 1)
+        for text in (too_long, f"{too_long}/3", f"3/{too_long}", f"b1 + 2*{'7' * 5000}"):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.position == text.index("7" * (MAX_LITERAL_DIGITS + 1))
+            assert f"{MAX_LITERAL_DIGITS} digits" in str(err.value)
 
 
 class TestPrinterRoundTrip:
