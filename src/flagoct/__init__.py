@@ -4,6 +4,10 @@ flag geometry.
 The package computes, entirely over the rationals (and the integers where
 the theory demands it):
 
+* one exact store for vectors of rationals: integer numerators over one
+  positive denominator, in lowest terms (``scaled``), which octonions,
+  weights, Jordan matrices, 3x3 octonion matrices and 27x27 operators all
+  use;
 * octonion arithmetic and the 27-dimensional Jordan algebra of Hermitian
   3x3 octonion matrices (``octonion``, ``jordan``);
 * the rank-4 root system, its Weyl group of order 192 inside the order-1152

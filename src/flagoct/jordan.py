@@ -22,205 +22,125 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import List, Optional, Sequence, Tuple
 
-from .octonion import Octonion, Scalar, mul_into
+from .octonion import Octonion, mul_into
+from .scaled import Scaled, Scalar, numerators
 
 SLOTS = ("r", "p", "q")  # slot k carries the k-th root space, k = 1, 2, 3
 
-
-def _over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Integer numerators over the least common denominator of ``values``.
-
-    The result is in lowest terms: for each prime of the denominator, the
-    value with the highest power of it keeps a numerator prime to it.
-    """
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _fractions(nums: Iterable[int], den: int) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(n, den) if n else _ZERO for n in nums)
-
-
-def _lowest_terms(nums: Tuple[Tuple[int, ...], ...], den: int):
-    """Divide the integer rows and the positive denominator by their gcd."""
-    g = gcd(den, *itertools.chain.from_iterable(nums))
-    if g == 1:
-        return nums, den
-    return tuple(tuple(x // g for x in row) for row in nums), den // g
+_HALF = Fraction(1, 2)
+_ZERO7 = (0,) * 7
 
 
 def _conj(v: Sequence[int]) -> Tuple[int, ...]:
     return (v[0],) + tuple(-x for x in v[1:])
 
 
-_ZERO = Fraction(0)
-_ZERO8 = (0,) * 8
-
-
-class OctMatrix3:
+class OctMatrix3(Scaled):
     """A 3x3 matrix with octonion entries (not necessarily Hermitian).
 
-    Held exactly as nine integer 8-tuples ``nums`` (row-major: entry (i, j)
-    is ``nums[3*i + j]``) over one positive denominator ``den``, in lowest
-    terms, so ``==`` and ``hash`` compare tuples.  The product is the
-    bilinear expansion over the octonion unit table (:func:`mul_into`, the
-    kernel of ``Octonion.__mul__``) on the integer numerators; nothing
-    assumes associativity.  The constructor and :attr:`rows` convert from and
-    to :class:`Octonion` entries.
+    Held in the shared store as 72 integer numerators over one denominator:
+    entry (i, j) is ``nums[8*e : 8*e + 8]`` with ``e = 3*i + j`` (row-major).
+    The product is the bilinear expansion over the octonion unit table
+    (:func:`mul_into`, the kernel of ``Octonion.__mul__``) on the integer
+    numerators; nothing assumes associativity.  The constructor and
+    :attr:`rows` convert from and to :class:`Octonion` entries.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
+    SIZE = 72
 
     def __init__(self, rows: Sequence[Sequence[Octonion]]):
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 entry grid")
-        coords = [c for r in rows for o in r for c in o.coords]
-        nums, den = _over_common_denominator(coords)
-        self.nums = tuple(tuple(nums[8 * e : 8 * e + 8]) for e in range(9))
-        self.den = den
-
-    @staticmethod
-    def _of(nums: Tuple[Tuple[int, ...], ...], den: int) -> "OctMatrix3":
-        """Wrap numerators over ``den``, reducing to lowest terms."""
-        out = object.__new__(OctMatrix3)
-        out.nums, out.den = _lowest_terms(nums, den)
-        return out
+        super().__init__([c for r in rows for o in r for c in o.coords])
 
     @staticmethod
     def zero() -> "OctMatrix3":
-        return OctMatrix3._of((_ZERO8,) * 9, 1)
+        return OctMatrix3._of((0,) * 72, 1)
 
     @property
     def rows(self) -> Tuple[Tuple[Octonion, ...], ...]:
-        return tuple(
-            tuple(Octonion(_fractions(self.nums[3 * i + j], self.den)) for j in range(3))
-            for i in range(3)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OctMatrix3):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def _combine(self, other: "OctMatrix3", sign: int) -> "OctMatrix3":
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return OctMatrix3._of(
-            tuple(
-                tuple(fa * x + fb * y for x, y in zip(ea, eb))
-                for ea, eb in zip(self.nums, other.nums)
-            ),
-            den,
-        )
-
-    def __add__(self, other: "OctMatrix3") -> "OctMatrix3":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "OctMatrix3") -> "OctMatrix3":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "OctMatrix3":
-        return OctMatrix3._of(tuple(tuple(-x for x in e) for e in self.nums), self.den)
-
-    def scale(self, c: Scalar) -> "OctMatrix3":
-        c = Fraction(c)
-        return OctMatrix3._of(
-            tuple(tuple(c.numerator * x for x in e) for e in self.nums),
-            self.den * c.denominator,
-        )
+        e = [Octonion._of(x, self.den) for x in self._chunks(8)]
+        return tuple(tuple(e[i : i + 3]) for i in range(0, 9, 3))
 
     def __mul__(self, other: "OctMatrix3") -> "OctMatrix3":
-        a, b = self.nums, other.nums
-        out = []
+        a, b = self._chunks(8), other._chunks(8)
+        out: List[int] = []
         for i in range(0, 9, 3):
             for j in range(3):
                 acc = [0] * 8
                 for k in range(3):
                     mul_into(acc, a[i + k], b[3 * k + j])
-                out.append(tuple(acc))
-        return OctMatrix3._of(tuple(out), self.den * other.den)
-
-    def conjugate_transpose(self) -> "OctMatrix3":
-        return OctMatrix3._of(
-            tuple(_conj(self.nums[3 * j + i]) for i in range(3) for j in range(3)),
-            self.den,
-        )
+                out.extend(acc)
+        return OctMatrix3._of(out, self.den * other.den)
 
     def trace(self) -> Octonion:
-        t = [sum(c) for c in zip(*(self.nums[4 * i] for i in range(3)))]
-        return Octonion(_fractions(t, self.den))
+        e = self._chunks(8)
+        return Octonion._of([sum(c) for c in zip(e[0], e[4], e[8])], self.den)
 
     def commutator(self, other: "OctMatrix3") -> "OctMatrix3":
         return self * other - other * self
 
     def is_hermitian(self) -> bool:
-        e = self.nums
+        e = self._chunks(8)
         return all(not any(e[4 * i][1:]) for i in range(3)) and all(
             e[3 * j + i] == _conj(e[3 * i + j]) for i, j in ((0, 1), (0, 2), (1, 2))
         )
 
-    def hermitian_coordinates(self) -> Tuple[List[int], int]:
+    def hermitian_coordinates(self) -> Tuple[Tuple[int, ...], int]:
         """Numerators of the 27 canonical coordinates, over ``den``.
 
         Raises ``ValueError`` unless the matrix is Hermitian with real diagonal.
         """
         if not self.is_hermitian():
             raise ValueError("matrix is not Hermitian with real diagonal")
-        e = self.nums
-        return [e[0][0], e[4][0], e[8][0], *e[5], *e[1], *e[2]], self.den
-
-    def is_zero(self) -> bool:
-        return not any(any(e) for e in self.nums)
+        e = self._chunks(8)
+        return (e[0][0], e[4][0], e[8][0]) + e[5] + e[1] + e[2], self.den
 
 
-@dataclass(frozen=True)
-class JordanMatrix:
-    """A Hermitian 3x3 octonion matrix in slot coordinates."""
+class JordanMatrix(Scaled):
+    """A Hermitian 3x3 octonion matrix in slot coordinates.
 
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
-    p: Octonion
-    q: Octonion
-    r: Octonion
+    Held in the shared store as its 27 canonical coordinates (see the module
+    docstring); ``x1``..``x3`` and the slots ``p``, ``q``, ``r`` are read-only
+    views.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("x1", "x2", "x3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    __slots__ = ()
+    SIZE = 27
+
+    def __init__(
+        self, x1: Scalar, x2: Scalar, x3: Scalar, p: Octonion, q: Octonion, r: Octonion
+    ):
+        super().__init__((x1, x2, x3) + r.coords + p.coords + q.coords)
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zero() -> "JordanMatrix":
-        z = Octonion.zero()
-        return JordanMatrix(Fraction(0), Fraction(0), Fraction(0), z, z, z)
+        return JordanMatrix._of((0,) * 27, 1)
 
     @staticmethod
     def identity() -> "JordanMatrix":
-        z = Octonion.zero()
-        return JordanMatrix(Fraction(1), Fraction(1), Fraction(1), z, z, z)
+        return JordanMatrix.diagonal(1, 1, 1)
 
     @staticmethod
     def diagonal(x1: Scalar, x2: Scalar, x3: Scalar) -> "JordanMatrix":
         z = Octonion.zero()
-        return JordanMatrix(Fraction(x1), Fraction(x2), Fraction(x3), z, z, z)
+        return JordanMatrix(x1, x2, x3, z, z, z)
 
     @staticmethod
     def diag_unit(k: int) -> "JordanMatrix":
         """The diagonal idempotent with a single 1 in position k (1-based)."""
         if k not in (1, 2, 3):
             raise ValueError("diagonal index must be 1..3")
-        vals = [Fraction(0)] * 3
-        vals[k - 1] = Fraction(1)
+        vals = [0] * 3
+        vals[k - 1] = 1
         return JordanMatrix.diagonal(*vals)
 
     @staticmethod
@@ -233,9 +153,7 @@ class JordanMatrix:
         r: Optional[Octonion] = None,
     ) -> "JordanMatrix":
         z = Octonion.zero()
-        return JordanMatrix(
-            Fraction(x1), Fraction(x2), Fraction(x3), p or z, q or z, r or z
-        )
+        return JordanMatrix(x1, x2, x3, p or z, q or z, r or z)
 
     @staticmethod
     def slot_unit(slot: str, i: int) -> "JordanMatrix":
@@ -246,21 +164,12 @@ class JordanMatrix:
 
     @staticmethod
     def from_matrix(m: OctMatrix3) -> "JordanMatrix":
-        nums, den = m.hermitian_coordinates()
-        c = _fractions(nums, den)
-        return JordanMatrix(
-            c[0],
-            c[1],
-            c[2],
-            p=Octonion(c[11:19]),
-            q=Octonion(c[19:27]),
-            r=Octonion(c[3:11]),
-        )
+        return JordanMatrix._of(*m.hermitian_coordinates())
 
     @staticmethod
     def random_traceless(rng: random.Random, span: int = 3) -> "JordanMatrix":
-        x1 = Fraction(rng.randint(-span, span))
-        x2 = Fraction(rng.randint(-span, span))
+        x1 = rng.randint(-span, span)
+        x2 = rng.randint(-span, span)
         return JordanMatrix.from_slots(
             x1,
             x2,
@@ -272,19 +181,43 @@ class JordanMatrix:
 
     # -- views -----------------------------------------------------------------
 
+    @property
+    def x1(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def x2(self) -> Fraction:
+        return Fraction(self.nums[1], self.den)
+
+    @property
+    def x3(self) -> Fraction:
+        return Fraction(self.nums[2], self.den)
+
+    @property
+    def r(self) -> Octonion:
+        return Octonion._of(self.nums[3:11], self.den)
+
+    @property
+    def p(self) -> Octonion:
+        return Octonion._of(self.nums[11:19], self.den)
+
+    @property
+    def q(self) -> Octonion:
+        return Octonion._of(self.nums[19:27], self.den)
+
     def to_matrix(self) -> OctMatrix3:
-        c, den = _over_common_denominator(self.coordinates())
-        x1, x2, x3 = ((v,) + _ZERO8[1:] for v in c[:3])
-        r, p, q = tuple(c[3:11]), tuple(c[11:19]), tuple(c[19:27])
+        c = self.nums
+        x1, x2, x3 = ((v,) + _ZERO7 for v in c[:3])
+        r, p, q = c[3:11], c[11:19], c[19:27]
         return OctMatrix3._of(
-            (x1, p, q, _conj(p), x2, r, _conj(q), _conj(r), x3), den
+            x1 + p + q + _conj(p) + x2 + r + _conj(q) + _conj(r) + x3, self.den
         )
 
     def trace(self) -> Fraction:
-        return self.x1 + self.x2 + self.x3
+        return Fraction(sum(self.nums[:3]), self.den)
 
     def is_diagonal(self) -> bool:
-        return self.p.is_zero() and self.q.is_zero() and self.r.is_zero()
+        return not any(self.nums[3:])
 
     def slot(self, name: str) -> Octonion:
         if name not in SLOTS:
@@ -293,65 +226,20 @@ class JordanMatrix:
 
     def coordinates(self) -> Tuple[Fraction, ...]:
         """Coordinates on the canonical 27-element basis."""
-        return (
-            (self.x1, self.x2, self.x3)
-            + self.r.coords
-            + self.p.coords
-            + self.q.coords
-        )
+        return self.coords
 
     @staticmethod
     def from_coordinates(coords: Sequence[Scalar]) -> "JordanMatrix":
         if len(coords) != 27:
             raise ValueError("need 27 coordinates")
-        c = [Fraction(v) for v in coords]
-        return JordanMatrix(
-            c[0],
-            c[1],
-            c[2],
-            p=Octonion.from_coords(c[11:19]),
-            q=Octonion.from_coords(c[19:27]),
-            r=Octonion.from_coords(c[3:11]),
-        )
-
-    # -- linear structure --------------------------------------------------------
-
-    def __add__(self, other: "JordanMatrix") -> "JordanMatrix":
-        return JordanMatrix(
-            self.x1 + other.x1,
-            self.x2 + other.x2,
-            self.x3 + other.x3,
-            self.p + other.p,
-            self.q + other.q,
-            self.r + other.r,
-        )
-
-    def __sub__(self, other: "JordanMatrix") -> "JordanMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "JordanMatrix":
-        return JordanMatrix(-self.x1, -self.x2, -self.x3, -self.p, -self.q, -self.r)
-
-    def scale(self, c: Scalar) -> "JordanMatrix":
-        c = Fraction(c)
-        return JordanMatrix(
-            c * self.x1,
-            c * self.x2,
-            c * self.x3,
-            self.p.scale(c),
-            self.q.scale(c),
-            self.r.scale(c),
-        )
-
-    def is_zero(self) -> bool:
-        return self == JordanMatrix.zero()
+        return JordanMatrix._of(*numerators(coords))
 
     # -- multiplicative structure ---------------------------------------------
 
     def jordan(self, other: "JordanMatrix") -> "JordanMatrix":
         """The Jordan product (ab + ba) / 2."""
         a, b = self.to_matrix(), other.to_matrix()
-        return JordanMatrix.from_matrix((a * b + b * a).scale(Fraction(1, 2)))
+        return JordanMatrix.from_matrix(a * b + b * a).scale(_HALF)
 
     def square(self) -> "JordanMatrix":
         a = self.to_matrix()
@@ -451,113 +339,68 @@ def canonical_basis() -> Tuple[JordanMatrix, ...]:
 _CANONICAL_BASIS = canonical_basis()
 
 
-class LinearOperator27:
+class LinearOperator27(Scaled):
     """A linear endomorphism of the 27-dimensional space.
 
-    Held exactly as one 27x27 integer matrix ``nums`` (rows of integer
-    tuples) over one positive denominator ``den``, in lowest terms, so ``==``
-    and ``hash`` compare tuples.  Sums, products, scaling and commutators run
-    on the integers and reduce once.  The constructor and :attr:`rows`
-    convert from and to rational entries.
+    Held in the shared store as one 27x27 integer matrix, flat and
+    row-major (entry (i, j) is ``nums[27*i + j]``), over one denominator.
+    Sums, products, scaling and commutators run on the integers and reduce
+    once.  The constructor and :attr:`rows` convert from and to rational
+    entries.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
+    SIZE = 729
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         if len(rows) != 27 or any(len(r) != 27 for r in rows):
             raise ValueError("need a 27x27 matrix")
-        nums, den = _over_common_denominator([Fraction(c) for r in rows for c in r])
-        self.nums = tuple(tuple(nums[27 * i : 27 * i + 27]) for i in range(27))
-        self.den = den
-
-    @staticmethod
-    def _of(nums: Sequence[Sequence[int]], den: int) -> "LinearOperator27":
-        """Wrap integer rows over ``den``, reducing to lowest terms."""
-        out = object.__new__(LinearOperator27)
-        out.nums, out.den = _lowest_terms(tuple(map(tuple, nums)), den)
-        return out
+        super().__init__([c for r in rows for c in r])
 
     @staticmethod
     def _of_columns(cols: Sequence[Tuple[Sequence[int], int]]) -> "LinearOperator27":
         """The operator whose j-th column is cols[j] = (numerators, denominator)."""
         den = lcm(*(d for _, d in cols))
         scaled = [[x * (den // d) for x in c] for c, d in cols]
-        return LinearOperator27._of(zip(*scaled), den)
+        return LinearOperator27._of(tuple(itertools.chain.from_iterable(zip(*scaled))), den)
 
     @staticmethod
     def zero() -> "LinearOperator27":
-        return LinearOperator27._of(((0,) * 27,) * 27, 1)
+        return LinearOperator27._of((0,) * 729, 1)
 
     @staticmethod
     def from_function(fn) -> "LinearOperator27":
         """Matrix of a linear map JordanMatrix -> JordanMatrix (columns = images)."""
-        return LinearOperator27._of_columns(
-            [_over_common_denominator(fn(b).coordinates()) for b in _CANONICAL_BASIS]
-        )
+        images = [fn(b) for b in _CANONICAL_BASIS]
+        return LinearOperator27._of_columns([(y.nums, y.den) for y in images])
 
     @property
     def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return tuple(_fractions(r, self.den) for r in self.nums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearOperator27):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def _combine(self, other: "LinearOperator27", sign: int) -> "LinearOperator27":
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return LinearOperator27._of(
-            [
-                [fa * x + fb * y for x, y in zip(ra, rb)]
-                for ra, rb in zip(self.nums, other.nums)
-            ],
-            den,
-        )
-
-    def __add__(self, other: "LinearOperator27") -> "LinearOperator27":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "LinearOperator27") -> "LinearOperator27":
-        return self._combine(other, -1)
-
-    def scale(self, c: Scalar) -> "LinearOperator27":
-        c = Fraction(c)
-        return LinearOperator27._of(
-            [[c.numerator * x for x in r] for r in self.nums], self.den * c.denominator
-        )
+        c = self.coords
+        return tuple(c[k : k + 27] for k in range(0, 729, 27))
 
     def __mul__(self, other: "LinearOperator27") -> "LinearOperator27":
         # integer matrix product with zero skipping, then one reduction
-        b = other.nums
-        out = []
-        for arow in self.nums:
+        b = other._chunks(27)
+        out: List[int] = []
+        for arow in self._chunks(27):
             orow = [0] * 27
             for k, av in enumerate(arow):
                 if av:
                     for j, bv in enumerate(b[k]):
                         if bv:
                             orow[j] += av * bv
-            out.append(orow)
+            out.extend(orow)
         return LinearOperator27._of(out, self.den * other.den)
 
     def commutator(self, other: "LinearOperator27") -> "LinearOperator27":
         return self * other - other * self
 
     def apply(self, a: JordanMatrix) -> JordanMatrix:
-        v, den = _over_common_denominator(a.coordinates())
-        return JordanMatrix.from_coordinates(
-            _fractions(
-                (sum(c * x for c, x in zip(row, v)) for row in self.nums),
-                self.den * den,
-            )
+        v = a.nums
+        return JordanMatrix._of(
+            [sum(c * x for c, x in zip(row, v)) for row in self._chunks(27)], self.den * a.den
         )
-
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.nums)
 
 
 _STRUCTURE: List[List[List[Tuple[int, int]]]] = []
@@ -576,31 +419,26 @@ def _structure_constants() -> List[List[List[Tuple[int, int]]]]:
         for i in range(27):
             row = []
             for j in range(27):
-                coords = basis[i].jordan(basis[j]).coordinates()
-                row.append([(k, _doubled(c)) for k, c in enumerate(coords) if c])
+                prod = basis[i].jordan(basis[j])
+                # in lowest terms, every coordinate lies in (1/2)Z iff den divides 2
+                if 2 % prod.den:
+                    raise ValueError(f"structure constants of {prod} are not in 1/2 Z")
+                row.append([(k, n * (2 // prod.den)) for k, n in enumerate(prod.nums) if n])
             _STRUCTURE.append(row)
     return _STRUCTURE
-
-
-def _doubled(c: Fraction) -> int:
-    two = 2 * c
-    if two.denominator != 1:
-        raise ValueError(f"structure constant {c} is not in 1/2 Z")
-    return two.numerator
 
 
 def hat_operator(a: JordanMatrix) -> LinearOperator27:
     """Jordan multiplication operator y -> a o y."""
     struct = _structure_constants()
-    coords, den = _over_common_denominator(a.coordinates())
     rows = [[0] * 27 for _ in range(27)]
-    for i, ai in enumerate(coords):
+    for i, ai in enumerate(a.nums):
         if ai:
             srow = struct[i]
             for j in range(27):
                 for k, c2 in srow[j]:
                     rows[k][j] += ai * c2
-    return LinearOperator27._of(rows, 2 * den)
+    return LinearOperator27._of(tuple(itertools.chain.from_iterable(rows)), 2 * a.den)
 
 
 @lru_cache(maxsize=None)

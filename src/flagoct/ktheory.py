@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,16 +58,6 @@ def _validate_dkey(key: Sequence[int]) -> DKey:
             "(coordinates must be all even or all odd)"
         )
     return key
-
-
-def _dkey_of_weight(w: Weight) -> DKey:
-    doubled = []
-    for c in w.coords:
-        two = 2 * c
-        if two.denominator != 1:
-            raise ValueError(f"weight {w} is not in the lattice")
-        doubled.append(int(two))
-    return _validate_dkey(doubled)
 
 
 class Character:
@@ -107,13 +96,13 @@ class Character:
 
     @staticmethod
     def monomial(w: Weight, coeff: int = 1) -> "Character":
-        return Character({_dkey_of_weight(w): coeff})
+        return Character({w.doubled_key(): coeff})
 
     @staticmethod
     def from_weights(weights: Iterable[Weight]) -> "Character":
         out: Dict[DKey, int] = {}
         for w in weights:
-            k = _dkey_of_weight(w)
+            k = w.doubled_key()
             out[k] = out.get(k, 0) + 1
         return Character(out)
 
@@ -147,9 +136,7 @@ class Character:
     def weights(self) -> List[Tuple[Weight, int]]:
         out = []
         for key in sorted(self.terms):
-            out.append(
-                (Weight(tuple(Fraction(k, 2) for k in key)), self.terms[key])
-            )
+            out.append((Weight.from_doubled_key(key), self.terms[key]))
         return out
 
     def lex_max_key(self) -> DKey:
@@ -412,7 +399,7 @@ def binomial_divides(w: Weight, f: Character) -> bool:
     lattice/(Z w) vanishes, i.e. the coefficient sums over every coset are
     zero.  Used as an independent cross-check of :func:`divides_char`.
     """
-    lam = _dkey_of_weight(w)
+    lam = w.doubled_key()
     if all(k == 0 for k in lam):
         raise ValueError("the zero weight does not give a binomial divisor")
     pivot = next(i for i in range(4) if lam[i] != 0)

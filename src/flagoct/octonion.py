@@ -1,6 +1,7 @@
 """Octonions over the rationals, built by Cayley-Dickson doubling.
 
-An octonion is stored as eight rational coordinates on the basis
+An octonion is stored as eight rational coordinates (integer numerators
+over one denominator, see :mod:`flagoct.scaled`) on the basis
 
     e1 = 1, e2 = i, e3 = j, e4 = k, e5 = l, e6 = i*l, e7 = j*l, e8 = k*l,
 
@@ -16,14 +17,12 @@ naming above; ``unit(1)`` is the multiplicative identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-Scalar = Union[int, Fraction]
-Quat = Tuple[Fraction, Fraction, Fraction, Fraction]
+from .scaled import Scaled, Scalar
 
-_ZERO4 = (Fraction(0),) * 4
+Quat = Tuple[int, int, int, int]
 
 
 def _q_conj(a: Quat) -> Quat:
@@ -49,25 +48,22 @@ def _q_mul(a: Quat, b: Quat) -> Quat:
     )
 
 
-@dataclass(frozen=True)
-class Octonion:
-    """An immutable rational octonion."""
+class Octonion(Scaled):
+    """An immutable rational octonion: eight integer numerators over ``den``.
 
-    coords: Tuple[Fraction, ...]
+    ``Octonion(coords)`` takes eight ``int``/``Fraction`` coordinates; the
+    linear structure (``+``, ``-``, ``scale``, ``==``, ``hash``) and the
+    ``coords`` view come from :class:`flagoct.scaled.Scaled`.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != 8:
-            raise ValueError("octonion needs exactly 8 coordinates")
-        if any(type(c) is not Fraction for c in self.coords):
-            object.__setattr__(
-                self, "coords", tuple(Fraction(c) for c in self.coords)
-            )
+    __slots__ = ()
+    SIZE = 8
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> "Octonion":
-        return Octonion((0,) * 8)
+        return Octonion._of((0,) * 8, 1)
 
     @staticmethod
     def one() -> "Octonion":
@@ -75,81 +71,62 @@ class Octonion:
 
     @staticmethod
     def scalar(c: Scalar) -> "Octonion":
-        return Octonion((Fraction(c), 0, 0, 0, 0, 0, 0, 0))
+        return Octonion((c, 0, 0, 0, 0, 0, 0, 0))
 
     @staticmethod
     def unit(i: int) -> "Octonion":
         """The basis octonion e_i, 1-based (e1 is the identity)."""
         if not 1 <= i <= 8:
             raise ValueError(f"basis index must be 1..8, got {i}")
-        coords = [Fraction(0)] * 8
-        coords[i - 1] = Fraction(1)
-        return Octonion(tuple(coords))
+        nums = [0] * 8
+        nums[i - 1] = 1
+        return Octonion._of(nums, 1)
 
     @staticmethod
     def from_coords(coords: Sequence[Scalar]) -> "Octonion":
-        return Octonion(tuple(Fraction(c) for c in coords))
+        return Octonion(tuple(coords))
 
     @staticmethod
     def random(rng: random.Random, span: int = 5) -> "Octonion":
         """Small random integral octonion, for randomized identity checks."""
-        return Octonion(tuple(Fraction(rng.randint(-span, span)) for _ in range(8)))
+        return Octonion._of([rng.randint(-span, span) for _ in range(8)], 1)
 
     # -- pieces ---------------------------------------------------------------
 
-    def _halves(self) -> Tuple[Quat, Quat]:
-        return self.coords[:4], self.coords[4:]
-
     def real_part(self) -> Fraction:
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def imaginary_part(self) -> "Octonion":
-        return Octonion((Fraction(0),) + self.coords[1:])
+        return Octonion._of((0,) + self.nums[1:], self.den)
 
     def is_real(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums[1:])
 
     # -- algebra ----------------------------------------------------------------
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-x for x in self.coords))
-
-    def scale(self, c: Scalar) -> "Octonion":
-        c = Fraction(c)
-        return Octonion(tuple(c * x for x in self.coords))
 
     def __mul__(self, other: Union["Octonion", Scalar]) -> "Octonion":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = [Fraction(0)] * 8
-        mul_into(out, self.coords, other.coords)
-        return Octonion(tuple(out))
+        out = [0] * 8
+        mul_into(out, self.nums, other.nums)
+        return Octonion._of(out, self.den * other.den)
 
     def _doubling_mul(self, other: "Octonion") -> "Octonion":
         """Reference product straight from the doubling construction."""
-        a, b = self._halves()
-        c, d = other._halves()
+        a, b = self.nums[:4], self.nums[4:]
+        c, d = other.nums[:4], other.nums[4:]
         first = _q_sub(_q_mul(a, c), _q_mul(_q_conj(d), b))
         second = _q_add(_q_mul(d, a), _q_mul(b, _q_conj(c)))
-        return Octonion(first + second)
+        return Octonion._of(first + second, self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Octonion":
         return self.scale(other)
 
     def conjugate(self) -> "Octonion":
-        return Octonion((self.coords[0],) + tuple(-c for c in self.coords[1:]))
+        return Octonion._of((self.nums[0],) + tuple(-c for c in self.nums[1:]), self.den)
 
     def norm_squared(self) -> Fraction:
-        return sum(c * c for c in self.coords)
+        return Fraction(sum(c * c for c in self.nums), self.den * self.den)
 
     def commutator(self, other: "Octonion") -> "Octonion":
         return self * other - other * self
@@ -168,7 +145,7 @@ def _unit_table() -> List[List[Tuple[int, int]]]:
             row: List[Tuple[int, int]] = []
             for j in range(1, 9):
                 prod = Octonion.unit(i)._doubling_mul(Octonion.unit(j))
-                nonzero = [(idx, c) for idx, c in enumerate(prod.coords) if c != 0]
+                nonzero = [(idx, c) for idx, c in enumerate(prod.nums) if c != 0]
                 if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
                     raise AssertionError("basis product is not a signed unit")
                 idx, c = nonzero[0]
@@ -181,9 +158,9 @@ def mul_into(out: List, a: Sequence, b: Sequence) -> None:
     """Add the product a * b of two coordinate 8-sequences into ``out``.
 
     The bilinear expansion over the (doubling-construction) unit table,
-    skipping zero coordinates; identical to the doubling formula.  It takes
-    any exact coordinates: ``Fraction`` in :class:`Octonion`, integer
-    numerators in :class:`flagoct.jordan.OctMatrix3`.
+    skipping zero coordinates; identical to the doubling formula.  It runs
+    on integer numerators: those of :class:`Octonion` and of the entries of
+    :class:`flagoct.jordan.OctMatrix3`.
     """
     nonzero_b = [(j, cj) for j, cj in enumerate(b) if cj]
     if not nonzero_b:

@@ -21,59 +21,51 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .poly import ResourceLimitError
-
-Scalar = Union[int, Fraction]
+from .scaled import Scaled, Scalar
 
 GROUP_ENUMERATION_BOUND = 2000
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight-space vector in exact L-coordinates."""
+class Weight(Scaled):
+    """A weight-space vector in exact L-coordinates: four integer numerators
+    over one denominator (see :mod:`flagoct.scaled`)."""
 
-    coords: Tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != 4:
-            raise ValueError("weights have 4 coordinates")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+    __slots__ = ()
+    SIZE = 4
 
     @staticmethod
     def of(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> "Weight":
-        return Weight((Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
+        return Weight((a, b, c, d))
 
     @staticmethod
     def zero() -> "Weight":
-        return Weight.of(0, 0, 0, 0)
+        return Weight._of((0, 0, 0, 0), 1)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def scale(self, c: Scalar) -> "Weight":
-        c = Fraction(c)
-        return Weight(tuple(c * a for a in self.coords))
+    @staticmethod
+    def from_doubled_key(key: Sequence[int]) -> "Weight":
+        """The weight key / 2 (inverse of :meth:`doubled_key`)."""
+        return Weight._of(key, 2)
 
     def dot(self, other: "Weight") -> Fraction:
-        return sum(a * b for a, b in zip(self.coords, other.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return Fraction(
+            sum(a * b for a, b in zip(self.nums, other.nums)), self.den * other.den
+        )
 
     def is_lattice(self) -> bool:
-        """Membership in the lattice spanned by rho_1..rho_4."""
-        ints = all(c.denominator == 1 for c in self.coords)
-        halves = all(c.denominator == 2 for c in self.coords)
-        return ints or halves
+        """Membership in the lattice spanned by rho_1..rho_4: all coordinates
+        integers (``den`` 1) or all in 1/2 + Z (``den`` 2, every numerator odd)."""
+        return self.den == 1 or (self.den == 2 and all(n % 2 for n in self.nums))
+
+    def doubled_key(self) -> Tuple[int, int, int, int]:
+        """2 * self as integers; raises ``ValueError`` off the lattice."""
+        if not self.is_lattice():
+            raise ValueError(f"weight {self} is not in the lattice")
+        if self.den == 1:
+            return tuple(2 * n for n in self.nums)
+        return self.nums
 
     def rho_coordinates(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         """Coordinates with respect to the basis rho_1..rho_4 (exact)."""
@@ -85,9 +77,9 @@ def L(i: int) -> Weight:
     """The i-th standard coordinate weight, 1-based."""
     if not 1 <= i <= 4:
         raise ValueError("index must be 1..4")
-    coords = [Fraction(0)] * 4
-    coords[i - 1] = Fraction(1)
-    return Weight(tuple(coords))
+    nums = [0] * 4
+    nums[i - 1] = 1
+    return Weight._of(nums, 1)
 
 
 def omega(j: int) -> Weight:
@@ -278,8 +270,7 @@ class WeylElement:
         """2M = 2I - 4 n n^T / (n.n) for n an integer multiple of the root."""
         if root.is_zero():
             raise ValueError("cannot reflect in the zero vector")
-        den = lcm(*(c.denominator for c in root.coords))
-        n = [c.numerator * (den // c.denominator) for c in root.coords]
+        n = root.nums
         norm = sum(x * x for x in n)
         rows = []
         for i in range(4):
@@ -293,13 +284,9 @@ class WeylElement:
         return WeylElement._of_doubled(tuple(rows))
 
     def apply(self, w: Weight) -> Weight:
-        den = lcm(*(c.denominator for c in w.coords))
-        n = [c.numerator * (den // c.denominator) for c in w.coords]
-        return Weight(
-            tuple(
-                Fraction(sum(r * x for r, x in zip(row, n)), 2 * den)
-                for row in self.doubled
-            )
+        n = w.nums
+        return Weight._of(
+            [sum(r * x for r, x in zip(row, n)) for row in self.doubled], 2 * w.den
         )
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
@@ -467,12 +454,14 @@ class SemidirectReport:
         )
 
 
-def semidirect_report(full_conjugation: bool = False) -> SemidirectReport:
+def semidirect_report() -> SemidirectReport:
     """Verify the inner semidirect decomposition of W_F4.
 
     Normality is checked by conjugating the Spin(8) reflection generators by
-    the F4 generators (sufficient, since conjugation by a fixed element is an
-    automorphism); with ``full_conjugation`` every pair is conjugated.
+    the F4 generators.  That suffices: conjugation by g is an automorphism,
+    so when it maps the Spin(8) generators into the finite group W_Spin(8) it
+    maps W_Spin(8) onto itself; and the g that do so form a subgroup, which
+    then holds all of W_F4.
     """
     spin = spin8_weyl()
     f4 = f4_weyl()
@@ -480,14 +469,7 @@ def semidirect_report(full_conjugation: bool = False) -> SemidirectReport:
 
     spin_gens = [WeylElement.reflection(r) for r in spin8_simple_roots()]
     f4_gens = [WeylElement.reflection(r) for r in f4_simple_roots()]
-    if full_conjugation:
-        normal = all(
-            g * h * g.inverse() in spin for g in f4 for h in spin_gens
-        )
-    else:
-        normal = all(
-            g * h * g.inverse() in spin for g in f4_gens for h in spin_gens
-        )
+    normal = all(g * h * g.inverse() in spin for g in f4_gens for h in spin_gens)
 
     gens = sigma_tilde_generators()
     braid = (

@@ -46,10 +46,10 @@ class TestVerify:
         assert "[FAIL]" not in out
 
     def test_json_report_shape(self, capsys):
-        code, out, _ = run(capsys, "verify", "jordan", "--format", "json")
+        code, out, _ = run(capsys, "verify", "cohomology", "--format", "json")
         assert code == 0
         data = json.loads(out)
-        assert data["suite"] == "jordan"
+        assert data["suite"] == "cohomology"
         assert data["seed"] == 0
         assert data["summary"]["fail"] == 0
         assert data["summary"]["pass"] == len(data["checks"])
@@ -279,6 +279,15 @@ class TestExpand:
         assert code == 0
         assert out.count("weight") == 2
         assert "multiplicity" in out
+
+    def test_character_weight_lines_are_exact(self, capsys):
+        code, out, _ = run(capsys, "expand", "--ring", "RT", "--", "y5 - 2*y1^-1")
+        assert code == 0
+        assert out == (
+            "y5 - 2*y1^-1\n"
+            "  weight ('-1', '0', '0', '0')  multiplicity -2\n"
+            "  weight ('1/2', '1/2', '1/2', '1/2')  multiplicity 1\n"
+        )
 
     def test_x_ring_expression(self, capsys):
         code, out, _ = run(capsys, "expand", "X1*X2 - X3", "--ring", "RX")

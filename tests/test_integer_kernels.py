@@ -1,16 +1,19 @@
 """Differential tests: the integer-scaled kernels against Fraction references.
 
-``WeylElement``, ``weyl_act``, ``x_character``, ``char_quotient``,
-``OctMatrix3`` and ``LinearOperator27`` hold integers over a fixed or common
-denominator.  The
-reference code below does the same computations entry by entry in
-``Fraction`` (and, for octonion matrices, with ``Octonion.__mul__``), the way
-the package did before it switched to integers.
+``WeylElement``, ``weyl_act``, ``x_character`` and ``char_quotient`` hold
+integers over a fixed denominator; ``Octonion``, ``Weight``, ``JordanMatrix``,
+``OctMatrix3`` and ``LinearOperator27`` hold integer numerators over one
+common denominator (``flagoct.scaled``).  The reference code below does the
+same computations entry by entry in ``Fraction`` (for octonions, with the
+Cayley-Dickson doubling formula; for octonion matrices, also with
+``Octonion.__mul__``), the way the package did before it switched to
+integers.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,7 +21,9 @@ from flagoct.jordan import (
     JordanMatrix,
     LinearOperator27,
     OctMatrix3,
+    format_jordan,
     hat_operator,
+    jordan_determinant,
 )
 from flagoct.ktheory import Character, char_quotient, weyl_act, x_character
 from flagoct.poly import PolyRing, Polynomial, exact_divide
@@ -441,3 +446,260 @@ class TestLinearOperator27:
             a = JordanMatrix.random_traceless(rng).scale(Fraction(rng.randint(1, 4), rng.randint(1, 5)))
             a = a + JordanMatrix.identity().scale(Fraction(rng.randint(-3, 3), 2))
             assert hat_operator(a) == LinearOperator27.from_function(a.jordan)
+
+
+# -- Fraction references: octonions, Jordan matrices and weights ---------------
+# Each value is a tuple of Fractions: 8 octonion coordinates, 4 weight
+# coordinates, or the 27 canonical Jordan coordinates (x1, x2, x3, r, p, q).
+
+
+def ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def ref_neg(x):
+    return tuple(-a for a in x)
+
+
+def ref_scale(c, x):
+    return tuple(c * a for a in x)
+
+
+def ref_q_mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def ref_conj(x):
+    return (x[0],) + tuple(-a for a in x[1:])
+
+
+def ref_oct_mul(x, y):
+    """(a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c)) on Fraction quaternions."""
+    a, b, c, d = x[:4], x[4:], y[:4], y[4:]
+    return ref_sub(ref_q_mul(a, c), ref_q_mul(ref_conj(d), b)) + ref_add(
+        ref_q_mul(d, a), ref_q_mul(b, ref_conj(c))
+    )
+
+
+def ref_norm_squared(x):
+    return sum(a * a for a in x)
+
+
+ZERO7 = (Fraction(0),) * 7
+
+
+def ref_jordan_grid(c):
+    x1, x2, x3 = ((v,) + ZERO7 for v in c[:3])
+    r, p, q = c[3:11], c[11:19], c[19:27]
+    return [[x1, p, q], [ref_conj(p), x2, r], [ref_conj(q), ref_conj(r), x3]]
+
+
+def ref_octonion_grid_mul(a, b):
+    out = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            acc = (Fraction(0),) * 8
+            for k in range(3):
+                acc = ref_add(acc, ref_oct_mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def ref_jordan(x, y):
+    a, b = ref_jordan_grid(x), ref_jordan_grid(y)
+    ab, ba = ref_octonion_grid_mul(a, b), ref_octonion_grid_mul(b, a)
+    s = [[ref_scale(Fraction(1, 2), ref_add(u, v)) for u, v in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+    return (s[0][0][0], s[1][1][0], s[2][2][0]) + s[1][2] + s[0][1] + s[0][2]
+
+
+def ref_trace(x):
+    return x[0] + x[1] + x[2]
+
+
+def ref_trace_form(x, y):
+    prod = ref_octonion_grid_mul(ref_jordan_grid(x), ref_jordan_grid(y))
+    return sum(prod[i][i][0] for i in range(3))
+
+
+def ref_determinant(x):
+    sq = ref_jordan(x, x)
+    cube = ref_jordan(x, sq)
+    t = ref_trace(x)
+    return Fraction(1, 3) * ref_trace(cube) - Fraction(1, 2) * ref_trace(sq) * t + Fraction(1, 6) * t**3
+
+
+def ref_format(x):
+    def text(v):
+        return "(" + ",".join(str(c) for c in v) + ")"
+
+    return f"{x[0]},{x[1]},{x[2]}; p={text(x[11:19])}; q={text(x[19:27])}; r={text(x[3:11])}"
+
+
+def ref_doubled_key(x):
+    doubled = [2 * c for c in x]
+    if any(c.denominator != 1 for c in doubled) or len({c.numerator % 2 for c in doubled}) != 1:
+        raise ValueError("not in the lattice")
+    return tuple(c.numerator for c in doubled)
+
+
+def random_fractions(rng, n, span=5):
+    return tuple(
+        Fraction(rng.randint(-span, span), rng.randint(1, 6)) if rng.random() < 0.8 else Fraction(0)
+        for _ in range(n)
+    )
+
+
+def random_jordan_coords(rng):
+    # octonion slots with independent denominators, so products mix them
+    return random_fractions(rng, 3) + random_fractions(rng, 24, span=3)
+
+
+SCALES = (Fraction(-3), Fraction(0), Fraction(5, 7), Fraction(-2, 9), 4)
+
+STORE_TYPES = {
+    "octonion": (lambda coords: Octonion(coords), 8),
+    "weight": (lambda coords: Weight(coords), 4),
+    "jordan": (JordanMatrix.from_coordinates, 27),
+}
+
+
+def assert_lowest_terms(v):
+    assert v.den > 0 and gcd(v.den, *v.nums) == 1
+
+
+class TestExactStore:
+    @pytest.mark.parametrize("kind", sorted(STORE_TYPES))
+    def test_linear_structure_matches_fraction_reference(self, kind):
+        make, n = STORE_TYPES[kind]
+        rng = random.Random(60)
+        for _ in range(30):
+            rx, ry = random_fractions(rng, n), random_fractions(rng, n)
+            x, y = make(rx), make(ry)
+            cases = [(x, rx), (x + y, ref_add(rx, ry)), (x - y, ref_sub(rx, ry)), (-x, ref_neg(rx))]
+            cases += [(x.scale(c), ref_scale(c, rx)) for c in SCALES]
+            for value, ref in cases:
+                assert value.coords == ref
+                assert_lowest_terms(value)
+            assert (x - x).is_zero()
+            assert (x + y).is_zero() == all(c == 0 for c in ref_add(rx, ry))
+
+    @pytest.mark.parametrize("kind", sorted(STORE_TYPES))
+    def test_equal_values_over_different_denominators_compare_and_hash_equal(self, kind):
+        make, n = STORE_TYPES[kind]
+        rng = random.Random(61)
+        for _ in range(10):
+            a = make(random_fractions(rng, n))
+            via_thirds = a.scale(Fraction(1, 3)).scale(3)
+            via_sum = a.scale(Fraction(1, 6)) + a.scale(Fraction(5, 6))
+            via_difference = a.scale(Fraction(7, 4)) - a.scale(Fraction(3, 4))
+            for other in (via_thirds, via_sum, via_difference):
+                assert other == a and hash(other) == hash(a)
+                assert (other.nums, other.den) == (a.nums, a.den)
+            assert len({a, via_thirds, via_sum, via_difference}) == 1
+
+    def test_kinds_never_compare_equal(self):
+        assert Octonion.zero() != Weight.zero()
+        assert Octonion.zero() != JordanMatrix.zero()
+        with pytest.raises(TypeError):
+            Octonion.zero() + Weight.zero()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Octonion((0.1,) + (0,) * 7),
+            lambda: JordanMatrix.diagonal(0.1, 0, 0),
+            lambda: Weight.of(0.5, 0, 0, 0),
+            lambda: Octonion.unit(1).scale(0.5),
+        ],
+        ids=["octonion", "jordan-diagonal", "weight", "scale"],
+    )
+    def test_floats_are_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+
+class TestOctonionAgainstFractions:
+    def test_product_conjugate_and_norm(self):
+        rng = random.Random(62)
+        for _ in range(60):
+            rx, ry = random_fractions(rng, 8), random_fractions(rng, 8)
+            x, y = Octonion(rx), Octonion(ry)
+            assert (x * y).coords == ref_oct_mul(rx, ry)
+            assert x._doubling_mul(y) == x * y
+            assert x.conjugate().coords == ref_conj(rx)
+            assert x.norm_squared() == ref_norm_squared(rx)
+            assert_lowest_terms(x * y)
+
+
+class TestJordanAgainstFractions:
+    def test_product_trace_form_and_determinant(self):
+        rng = random.Random(63)
+        for _ in range(6):
+            rx, ry = random_jordan_coords(rng), random_jordan_coords(rng)
+            x, y = JordanMatrix.from_coordinates(rx), JordanMatrix.from_coordinates(ry)
+            assert x.jordan(y).coordinates() == ref_jordan(rx, ry)
+            assert x.trace() == ref_trace(rx)
+            assert x.trace_form(y) == ref_trace_form(rx, ry)
+            assert jordan_determinant(x) == ref_determinant(rx)
+
+    def test_slot_views_and_text_form(self):
+        rng = random.Random(64)
+        for _ in range(30):
+            rx = random_jordan_coords(rng)
+            x = JordanMatrix.from_coordinates(rx)
+            assert (x.x1, x.x2, x.x3) == rx[:3]
+            assert (x.r.coords, x.p.coords, x.q.coords) == (rx[3:11], rx[11:19], rx[19:27])
+            assert JordanMatrix(*rx[:3], p=x.p, q=x.q, r=x.r) == x
+            assert format_jordan(x) == ref_format(rx)
+
+
+class TestWeightAgainstFractions:
+    def test_dot_and_rho_coordinates(self):
+        rng = random.Random(65)
+        for _ in range(40):
+            rx, ry = random_fractions(rng, 4), random_fractions(rng, 4)
+            x, y = Weight(rx), Weight(ry)
+            assert x.dot(y) == sum(a * b for a, b in zip(rx, ry))
+            w1, w2, w3, w4 = rx
+            assert x.rho_coordinates() == (w1 - w2, w2 - w3, w3 - w4, w3 + w4)
+
+    def test_doubled_key_round_trip(self):
+        rng = random.Random(66)
+        for _ in range(60):
+            parity = rng.randint(0, 1)
+            key = tuple(2 * rng.randint(-4, 4) + parity for _ in range(4))
+            w = Weight.from_doubled_key(key)
+            assert w.coords == tuple(Fraction(k, 2) for k in key)
+            assert w.is_lattice()
+            assert w.doubled_key() == key == ref_doubled_key(w.coords)
+            assert Weight(w.coords) == w
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (Fraction(1, 3), 2, -1, Fraction(5, 7)),
+            (Fraction(1, 2), 1, 0, 0),
+            (Fraction(1, 4), 0, 0, 0),
+            (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), 1),
+        ],
+    )
+    def test_off_lattice_weights_have_no_doubled_key(self, coords):
+        w = Weight(coords)
+        assert not w.is_lattice()
+        with pytest.raises(ValueError):
+            ref_doubled_key(w.coords)
+        with pytest.raises(ValueError):
+            w.doubled_key()
