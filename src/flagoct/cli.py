@@ -179,6 +179,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         value = parse_and_evaluate(args.expr, ctx)
     except ParseError as exc:
         raise UsageError(str(exc))
+    # RX elements are integer polynomials, as gkm-check requires of entries
+    if args.ring == "RX" and not value.is_integral():
+        raise UsageError(f"{value} must have integer coefficients in ring RX")
     print(value)
     if isinstance(value, Character):
         for w, coeff in value.weights():

@@ -608,12 +608,14 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
     vertex_index = {name: i for i, name in enumerate(SIGMA3_NAMES)}
     for d in range(0, degree_cutoff + 1, 2):
         # the rows each edge class imposes on the coefficient vector of its
-        # edge difference; nb is the same for every hyperplane
-        blocks: Dict[int, List[List[int]]] = {k: [] for k in ROOT_TRANSPOSITIONS}
+        # edge difference, each distinct row once (the hyperplanes of a class
+        # often give the same rows, and a repeated row cannot change the
+        # rank); nb is the same for every hyperplane
+        blocks: Dict[int, Dict[Tuple[int, ...], None]] = {k: {} for k in ROOT_TRANSPOSITIONS}
         for k, gens in restricted:
             basis = _invariant_monomials(gens, d // 2)
             nb = len(basis)
-            blocks[k] += _integral_rows(basis)
+            blocks[k].update(dict.fromkeys(map(tuple, _integral_rows(basis))))
         if nb == 0:
             rows.append((d, 0, predicted_rank(d)))
             continue

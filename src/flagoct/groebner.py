@@ -20,7 +20,9 @@ from .poly import (
     Polynomial,
     ResourceLimitError,
     RingMismatchError,
+    divisor,
     grevlex_key,
+    reduce_terms,
 )
 
 MAX_VARIABLES = 6
@@ -36,27 +38,15 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Fully reduce f modulo the given (nonzero) polynomials."""
+    """Fully reduce f modulo the given (nonzero) polynomials, each step by
+    the first of them whose leading monomial divides the leading term."""
     basis = [g for g in basis if not g.is_zero()]
     for g in basis:
         if g.ring != f.ring:
             raise RingMismatchError("basis element in a different ring")
-    ring = f.ring
-    leads = [(g.leading_exponents(), g.leading_coefficient(), g) for g in basis]
     remainder: Dict[Exponents, Fraction] = {}
-    work = f
-    while work.terms:
-        e = work.leading_exponents()
-        c = work.terms[e]
-        for ge, gc, g in leads:
-            if _divides(ge, e):
-                shift = tuple(x - y for x, y in zip(e, ge))
-                work = work - Polynomial(ring, {shift: c / gc}) * g
-                break
-        else:
-            remainder[e] = c
-            work = work - Polynomial(ring, {e: c})
-    return Polynomial(ring, remainder)
+    reduce_terms(f.terms, [divisor(g.terms, g.leading_exponents()) for g in basis], remainder)
+    return Polynomial._of(f.ring, remainder)
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

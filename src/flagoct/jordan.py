@@ -412,19 +412,21 @@ def _structure_constants() -> List[List[List[Tuple[int, int]]]]:
     ``S[i][j]`` lists (k, 2c) with basis_i o basis_j = sum c * basis_k; every
     c lies in (1/2)Z, which is checked.  Computed once from genuine matrix
     products, then reused to assemble multiplication operators without
-    repeated octonion arithmetic.
+    repeated octonion arithmetic.  The Jordan product is commutative, so
+    only the products with i <= j are taken and ``S[j][i]`` is ``S[i][j]``.
     """
     if not _STRUCTURE:
         basis = canonical_basis()
+        table: List[List[List[Tuple[int, int]]]] = [[[]] * 27 for _ in range(27)]
         for i in range(27):
-            row = []
-            for j in range(27):
+            for j in range(i, 27):
                 prod = basis[i].jordan(basis[j])
                 # in lowest terms, every coordinate lies in (1/2)Z iff den divides 2
                 if 2 % prod.den:
                     raise ValueError(f"structure constants of {prod} are not in 1/2 Z")
-                row.append([(k, n * (2 // prod.den)) for k, n in enumerate(prod.nums) if n])
-            _STRUCTURE.append(row)
+                entry = [(k, n * (2 // prod.den)) for k, n in enumerate(prod.nums) if n]
+                table[i][j] = table[j][i] = entry
+        _STRUCTURE.extend(table)
     return _STRUCTURE
 
 

@@ -31,7 +31,8 @@ from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .gkm import GkmEdge, MembershipResult, ROOT_TRANSPOSITIONS, gkm_edges
-from .poly import PolyRing, Polynomial, divide_terms, exact_divide, grevlex_key
+from .poly import PolyRing, Polynomial, divisor, exact_divide, grevlex_key, reduce_terms
+from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
 from .weyl import (
     SIGMA3_NAMES,
     Sigma3Element,
@@ -147,33 +148,16 @@ class Character:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Character") -> "Character":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Character._of(out)
+        return Character._of(add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
     def __neg__(self) -> "Character":
-        return Character._of({k: -c for k, c in self.terms.items()})
+        return Character._of(neg_terms(self.terms))
 
     def __mul__(self, other: "Character") -> "Character":
-        out: Dict[DKey, int] = {}
-        rhs = list(other.terms.items())
-        for (a0, a1, a2, a3), c1 in self.terms.items():
-            for (b0, b1, b2, b3), c2 in rhs:
-                k = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Character._of(out)
+        return Character._of(mul_terms(self.terms, other.terms))
 
     def scale(self, n: int) -> "Character":
         return Character({k: n * c for k, c in self.terms.items()})
@@ -181,31 +165,18 @@ class Character:
     def __pow__(self, n: int) -> "Character":
         if n < 0:
             raise ValueError("negative character powers are not defined")
-        out = Character.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return Character._of(pow_terms(self.terms, n, Character.one().terms))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
-            body = _monomial_text(key)
-            if body == "1":
-                body = str(abs(coeff))
-            elif abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-            parts.append(("-" if coeff < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return terms_text(
+            (self.terms[key], _monomial_text(key))
+            for key in sorted(self.terms, reverse=True)
+        )
 
 
 def _monomial_text(key: DKey) -> str:
-    """Render a weight as a word in y1..y5 (y5-power 0 or 1, rest integral)."""
+    """Render a weight as a word in y1..y5 (y5-power 0 or 1, rest integral);
+    the empty word for the zero weight."""
     if all(k % 2 == 0 for k in key):
         exps = [k // 2 for k in key] + [0]
     else:
@@ -216,7 +187,7 @@ def _monomial_text(key: DKey) -> str:
             factors.append(f"y{i}")
         elif e != 0:
             factors.append(f"y{i}^{e}")
-    return "*".join(factors) if factors else "1"
+    return "*".join(factors)
 
 
 def y(j: int) -> Character:
@@ -301,27 +272,17 @@ def binomial(w: Weight) -> Character:
     return Character.monomial(w) - Character.one()
 
 
-_binom = binomial
-
-
 def factorization_rhs() -> Dict[str, Character]:
-    """Right-hand sides of the three displayed difference factorizations."""
+    """Right-hand sides of the three displayed difference factorizations:
+    each is a unit monomial times the edge divisor of one class."""
     from .weyl import L
 
     w5 = omega(5)
-    shift12 = Character.monomial(w5 - L(1) - L(2) - L(3) - L(4))
-    rhs12 = shift12
-    for i in range(1, 5):
-        rhs12 = rhs12 * _binom(L(i))
-
-    rhs13 = Character.monomial(-w5)
-    for i in (4, 3, 2, 1):
-        rhs13 = rhs13 * _binom(w5 - L(i))
-
-    rhs32 = Character.monomial(-L(3)) * _binom(w5)
-    for a, b in ((1, 4), (2, 4), (1, 2)):
-        rhs32 = rhs32 * _binom(w5 - L(a) - L(b))
-    return {"X1-X2": rhs12, "X1-X3": rhs13, "X3-X2": rhs32}
+    return {
+        "X1-X2": Character.monomial(w5 - L(1) - L(2) - L(3) - L(4)) * edge_divisor_char(2),
+        "X1-X3": Character.monomial(-w5) * edge_divisor_char(3),
+        "X3-X2": Character.monomial(-L(3)) * edge_divisor_char(1),
+    }
 
 
 @dataclass(frozen=True)
@@ -372,12 +333,13 @@ def char_quotient(d: Character, f: Character) -> Optional["Character"]:
         return Character.zero()
     pf, sf = _shifted_terms(f)
     pd, sd = _shifted_terms(d)
-    q = divide_terms(pf, pd, max(pd, key=grevlex_key), integral=True)
-    if q is None:
+    # int coefficients: the reduction divides over Z
+    quotients = reduce_terms(pf, [divisor(pd, max(pd, key=grevlex_key))])
+    if quotients is None:
         return None
     offset = tuple(a - b for a, b in zip(sf, sd))
     out: Dict[DKey, int] = {}
-    for e, c in q.items():
+    for e, c in quotients[0].items():
         # polynomial exponents are already in doubled-lattice units
         key = tuple(x + o for x, o in zip(e, offset))
         parities = {k % 2 for k in key}
@@ -429,28 +391,9 @@ def expand_x_polynomial(p: Polynomial) -> Character:
         raise ValueError("polynomial must live in the X ring")
     if not p.is_integral():
         raise ValueError("X-polynomials must have integer coefficients")
-    xs = [x_character(i) for i in range(1, 5)]
-    powers: List[Dict[int, Character]] = [{0: Character.one()} for _ in xs]
-
-    def power(i: int, n: int) -> Character:
-        cache = powers[i]
-        if n not in cache:
-            m = max(cache)
-            acc = cache[m]
-            while m < n:
-                acc = acc * xs[i]
-                m += 1
-                cache[m] = acc
-        return cache[n]
-
-    out = Character.zero()
-    for e, c in p.terms.items():
-        term = Character.constant(c.numerator)
-        for i, k in enumerate(e):
-            if k:
-                term = term * power(i, k)
-        out = out + term
-    return out
+    xs = [x_character(i).terms for i in range(1, 5)]
+    integers = {e: c.numerator for e, c in p.terms.items()}
+    return Character._of(map_terms(integers, xs, Character.one().terms))
 
 
 def _dominant_exponents(key: DKey) -> Optional[Tuple[int, int, int, int]]:
@@ -508,22 +451,17 @@ def edge_divisor_char(k: int) -> Character:
     from .weyl import L
 
     w5 = omega(5)
-    if k == 2:  # (1,2)-edges
-        out = Character.one()
-        for i in range(1, 5):
-            out = out * _binom(L(i))
-        return out
-    if k == 3:  # (1,3)-edges
-        out = Character.one()
-        for i in (4, 3, 2, 1):
-            out = out * _binom(w5 - L(i))
-        return out
-    if k == 1:  # (2,3)-edges
-        out = _binom(w5)
-        for a, b in ((1, 4), (2, 4), (1, 2)):
-            out = out * _binom(w5 - L(a) - L(b))
-        return out
-    raise ValueError("edge class must be 1..3")
+    weights = {
+        2: [L(i) for i in range(1, 5)],  # (1,2)-edges
+        3: [w5 - L(i) for i in (4, 3, 2, 1)],  # (1,3)-edges
+        1: [w5] + [w5 - L(a) - L(b) for a, b in ((1, 4), (2, 4), (1, 2))],  # (2,3)-edges
+    }
+    if k not in weights:
+        raise ValueError("edge class must be 1..3")
+    out = Character.one()
+    for w in weights[k]:
+        out = out * binomial(w)
+    return out
 
 
 def edge_divisor_poly(k: int) -> Polynomial:

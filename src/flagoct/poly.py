@@ -6,6 +6,11 @@ terms by construction).  The term order used everywhere is graded reverse
 lexicographic (grevlex) on raw exponents.  Each variable additionally carries
 a grading degree (used for weighted-degree queries and graded dimension
 counts) which is metadata only and does not affect the term order.
+
+The arithmetic itself lives in the sparse-term kernels at the end of the
+module (sum, negation, product, power, ring map, text, and reduction by
+leading terms).  They work on plain term dicts and are shared with the
+integer characters of :mod:`flagoct.ktheory`.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
+Terms = Dict[Exponents, Scalar]
+Divisor = Tuple[Exponents, Scalar, List[Tuple[Exponents, Scalar]]]
 
 
 class RingMismatchError(ValueError):
@@ -105,12 +112,19 @@ class Polynomial:
 
     __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Fraction]):
+    def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Scalar]):
         self.ring = ring
         self.terms: Dict[Exponents, Fraction] = {
-            e: c for e, c in terms.items() if c != 0
+            e: Fraction(c) for e, c in terms.items() if c != 0
         }
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _of(cls, ring: PolyRing, terms: Dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap ``terms`` as they are (nonzero Fractions, as the kernels give)."""
+        out = cls.__new__(cls)
+        out.ring, out.terms, out._hash = ring, terms, None
+        return out
 
     # -- basic protocol ----------------------------------------------------
 
@@ -139,20 +153,13 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.ring, neg_terms(self.terms))
 
     def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._of(self.ring, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -169,18 +176,9 @@ class Polynomial:
             c = Fraction(other)
             if c == 0:
                 return self.ring.zero()
-            return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._of(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check(other)
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._of(self.ring, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -193,15 +191,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self.ring.one()
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return Polynomial._of(self.ring, pow_terms(self.terms, n, self.ring.one().terms))
 
     # -- queries -----------------------------------------------------------
 
@@ -294,53 +284,17 @@ class Polynomial:
         tring = rings.pop()
         if target is not None and target != tring:
             raise RingMismatchError("substitute: images not in requested target ring")
-        img = [images[n] for n in self.ring.names]
-        # memoized powers per variable
-        powers: list[Dict[int, Polynomial]] = [{0: tring.one()} for _ in img]
-        out = tring.zero()
-        for e, c in self.terms.items():
-            term = tring.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    cache = powers[i]
-                    if k not in cache:
-                        p = max(cache)
-                        acc = cache[p]
-                        while p < k:
-                            acc = acc * img[i]
-                            p += 1
-                            cache[p] = acc
-                    term = term * cache[k]
-            out = out + term
-        return out
+        img = [images[n].terms for n in self.ring.names]
+        return Polynomial._of(tring, map_terms(self.terms, img, tring.one().terms))
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(self.ring.names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        names = self.ring.names
+        return terms_text(
+            (c, "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k))
+            for e, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Polynomial({self})"
@@ -486,59 +440,163 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
         raise RingMismatchError("dividend and divisor in different rings")
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    g_lead = g.leading_exponents()
-    quotient = divide_terms(f.terms, g.terms, g_lead)
-    return None if quotient is None else Polynomial(f.ring, quotient)
+    quotients = reduce_terms(f.terms, [divisor(g.terms, g.leading_exponents())])
+    return None if quotients is None else Polynomial._of(f.ring, quotients[0])
 
 
-def divide_terms(
-    f: Mapping[Exponents, Scalar],
-    g: Mapping[Exponents, Scalar],
-    g_lead: Exponents,
-    integral: bool = False,
-) -> Optional[Dict[Exponents, Scalar]]:
-    """The terms of f / g, or None if g does not divide f.
+# -- sparse-term kernels -------------------------------------------------------
+#
+# A term dict maps exponent tuples of one length to nonzero coefficients, all
+# Fractions or all ints; keys may have negative entries (ktheory's lattice
+# keys).  Polynomial and ktheory.Character are thin wrappers over these.
 
-    ``f`` and ``g`` map exponent tuples to nonzero coefficients and
-    ``g_lead`` is the grevlex-leading exponent of ``g``.  With ``integral``
-    the coefficients are ints and a quotient with a non-integer coefficient
-    is None as well: each quotient coefficient is final once computed, so
-    the first inexact one decides.
+
+def add_terms(f: Mapping[Exponents, Scalar], g: Mapping[Exponents, Scalar]) -> Terms:
+    """f + g, dropping cancelled terms."""
+    out = dict(f)
+    for e, c in g.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def neg_terms(f: Mapping[Exponents, Scalar]) -> Terms:
+    return {e: -c for e, c in f.items()}
+
+
+def mul_terms(f: Mapping[Exponents, Scalar], g: Mapping[Exponents, Scalar]) -> Terms:
+    """f * g by convolution of the two term lists."""
+    out: Terms = {}
+    rhs = list(g.items())
+    for e1, c1 in f.items():
+        for e2, c2 in rhs:
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def pow_terms(f: Mapping[Exponents, Scalar], n: int, one: Terms) -> Terms:
+    """f**n (n >= 0) by square-and-multiply; ``one`` is the unit."""
+    out, base = one, f
+    while n:
+        if n & 1:
+            out = mul_terms(out, base)
+        n >>= 1
+        if n:
+            base = mul_terms(base, base)
+    return out
+
+
+def map_terms(f: Mapping[Exponents, Scalar], images: Sequence[Terms], one: Terms) -> Terms:
+    """The image of f under the ring map sending variable i to ``images[i]``.
+
+    ``one`` is the unit of the target.  The powers of each image are built
+    once, by repeated multiplication, and shared by all terms of f.
     """
-    g_lc = g[g_lead]
-    g_tail = [(e, c) for e, c in g.items() if e != g_lead]
-    quotient: Dict[Exponents, Scalar] = {}
-    # the remainder is updated in place, and a heap of negated grevlex keys
-    # yields its leading term; a key whose term has cancelled is skipped
-    # when popped.  Each step then costs O(len(g) log len(rem)), not a scan
-    # and a copy of the whole remainder.  The negated key of e is
+    powers = [[one, g] for g in images]
+    out: Terms = {}
+    for e, c in f.items():
+        term = one
+        for k, cache, g in zip(e, powers, images):
+            if k:
+                while len(cache) <= k:
+                    cache.append(mul_terms(cache[-1], g))
+                term = cache[k] if term is one else mul_terms(term, cache[k])
+        for m, v in term.items():
+            s = out.get(m, 0) + c * v
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def terms_text(terms: Iterable[Tuple[Scalar, str]]) -> str:
+    """Signed sum of (coefficient, monomial text) pairs in the given order.
+
+    An empty monomial text stands for the unit monomial; unit coefficients
+    are not printed.
+    """
+    text = ""
+    for c, mono in terms:
+        a = abs(c)
+        body = mono if mono and a == 1 else f"{a}*{mono}" if mono else str(a)
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
+
+
+def divisor(g: Mapping[Exponents, Scalar], lead: Exponents) -> Divisor:
+    """g as (lead, lc, tail) for :func:`reduce_terms`, with leading exponent
+    ``lead``: the leading coefficient and the other terms."""
+    return lead, g[lead], [(e, c) for e, c in g.items() if e != lead]
+
+
+def reduce_terms(
+    f: Mapping[Exponents, Scalar],
+    divisors: Sequence[Divisor],
+    remainder: Optional[Terms] = None,
+) -> Optional[List[Terms]]:
+    """Reduce f by the leading terms of ``divisors``; return their quotients.
+
+    Keys must be nonnegative (monomials); leading terms are grevlex-leading.
+    Each step takes the grevlex-leading term of what is left of f and cancels
+    it with the first divisor whose leading term reduces it: its leading
+    monomial divides the term's, and, when its leading coefficient is an
+    int, that coefficient divides the term's (division over Z; a Fraction
+    leading coefficient divides over Q).  A term that no divisor reduces is
+    moved to ``remainder`` when one is given, making the result a normal
+    form; without one the loop stops and returns None, so that exact
+    division fails at the first such term.
+    """
+    quotients: List[Terms] = [{} for _ in divisors]
+    steps = list(zip(divisors, quotients))
+    # what is left of f is updated in place, and a heap of negated grevlex
+    # keys yields its leading term; a key whose term has cancelled is skipped
+    # when popped.  Each step then costs O(len(divisor) log len(rest)), not
+    # a scan and a copy of the whole rest.  The negated key of e is
     # (-|e|,) + e reversed, so e is the key's tail read backwards.
-    rem = dict(f)
-    heap = [(-sum(e),) + e[::-1] for e in rem]
+    rest = dict(f)
+    heap = [(-sum(e),) + e[::-1] for e in rest]
     heapq.heapify(heap)
     while heap:
         e = heapq.heappop(heap)[:0:-1]
-        lead = rem.pop(e, None)
+        lead = rest.pop(e, None)
         if lead is None:
             continue
-        diff = tuple(map(sub, e, g_lead))
-        if any(d < 0 for d in diff):
-            return None
-        if integral:
-            c, r = divmod(lead, g_lc)
-            if r:
-                return None
-        else:
-            c = lead / g_lc
-        quotient[diff] = c
-        # every new term lies below e, as grevlex is a monomial order
-        for eg, cg in g_tail:
-            m = tuple(map(add, diff, eg))
-            s = rem.get(m, 0) - c * cg
-            if s:
-                if m not in rem:
-                    heapq.heappush(heap, (-sum(m),) + m[::-1])
-                rem[m] = s
+        for (g_lead, g_lc, g_tail), quotient in steps:
+            shift = tuple(map(sub, e, g_lead))
+            if any(d < 0 for d in shift):
+                continue
+            if type(g_lc) is int:
+                c, r = divmod(lead, g_lc)
+                if r:
+                    continue
             else:
-                rem.pop(m, None)
-    return quotient
+                c = lead / g_lc
+            quotient[shift] = c
+            # every new term lies below e, as grevlex is a monomial order
+            for eg, cg in g_tail:
+                m = tuple(map(add, shift, eg))
+                s = rest.get(m, 0) - c * cg
+                if s:
+                    if m not in rest:
+                        heapq.heappush(heap, (-sum(m),) + m[::-1])
+                    rest[m] = s
+                else:
+                    del rest[m]
+            break
+        else:
+            if remainder is None:
+                return None
+            remainder[e] = lead
+    return quotients

@@ -293,6 +293,15 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "X1*X2 - X3", "--ring", "RX")
         assert code == 0
 
+    def test_x_ring_refuses_non_integral_element(self, capsys):
+        # the same refusal as gkm-check --ring RX gives for such an entry
+        code, out, err = run(capsys, "expand", "--ring", "RX", "--", "1/2*X1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 1/2*X1 must have integer coefficients in ring RX\n"
+        code, out, _ = run(capsys, "expand", "--ring", "RX", "--", "2/2*X1")
+        assert (code, out) == (0, "X1\n  graded degree: 1\n")
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "y1 + ", "--ring", "RT")
         assert code == 2

@@ -1,5 +1,6 @@
 """The 27-dimensional Jordan algebra of Hermitian 3x3 octonion matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from flagoct.jordan import (
     root_space_check,
     slot_of_root,
     tilde_operator,
+    _structure_constants,
 )
 from flagoct.octonion import Octonion
 
@@ -193,6 +195,16 @@ class TestRootSpaces:
 
 
 class TestOperators:
+    def test_structure_table_matches_every_basis_product(self):
+        # the table is built from the products with i <= j; all 729 agree
+        basis = canonical_basis()
+        table = _structure_constants()
+        for i, j in itertools.product(range(27), repeat=2):
+            prod = basis[i].jordan(basis[j])
+            doubled = [c * 2 for c in prod.coords]
+            assert all(c.denominator == 1 for c in doubled)
+            assert table[i][j] == [(k, int(c)) for k, c in enumerate(doubled) if c]
+
     def test_hat_operator_realizes_jordan_multiplication(self):
         rng = random.Random(15)
         for _ in range(5):

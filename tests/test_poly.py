@@ -12,11 +12,12 @@ from flagoct.poly import (
     PolyRing,
     Polynomial,
     RingMismatchError,
-    divide_terms,
+    divisor,
     elementary_symmetric,
     exact_divide,
     grevlex_key,
     pairwise_coprime,
+    reduce_terms,
 )
 
 R2 = PolyRing.make(("x", "y"))
@@ -195,12 +196,14 @@ class TestExactDivide:
         assert exact_divide(f, g) == reference_divide(f, g)
 
     def test_integral_division_of_terms(self):
-        # (x^2 - xy) / (2x - 2y) = x/2: exact over Q, not over Z
+        # (x^2 - xy) / (2x - 2y) = x/2: exact over Q, not over Z.  An int
+        # leading coefficient makes the reduction divide over Z.
         f = {(2, 0): 1, (1, 1): -1}
         g = {(1, 0): 2, (0, 1): -2}
-        assert divide_terms(f, g, (1, 0)) == {(1, 0): Fraction(1, 2)}
-        assert divide_terms(f, g, (1, 0), integral=True) is None
-        assert divide_terms({(2, 0): 2, (1, 1): -2}, g, (1, 0), integral=True) == {(1, 0): 1}
+        over_q = {e: Fraction(c) for e, c in g.items()}
+        assert reduce_terms(f, [divisor(over_q, (1, 0))]) == [{(1, 0): Fraction(1, 2)}]
+        assert reduce_terms(f, [divisor(g, (1, 0))]) is None
+        assert reduce_terms({(2, 0): 2, (1, 1): -2}, [divisor(g, (1, 0))]) == [{(1, 0): 1}]
 
 
 def reference_divide(f, g):
