@@ -18,6 +18,7 @@ fallback seed for ``verify``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,6 @@ from .parsing import (
     parse_and_evaluate,
 )
 from .poly import Polynomial, RingMismatchError
-from .report import VerificationReport
 from .suites import SUITE_NAMES, run_suite
 from .weyl import SIGMA3_NAMES
 
@@ -50,7 +50,9 @@ class UsageError(Exception):
     pass
 
 
-def _polynomial_context(ring_name: str) -> PolynomialContext:
+@functools.lru_cache(maxsize=None)
+def _context_for(ring_name: str):
+    """The evaluation context of a ring, built once per process."""
     if ring_name == "Hb":
         b1, b2 = B_RING.gens()
         return PolynomialContext(B_RING, aliases={"b3": b1 + b2})
@@ -58,13 +60,9 @@ def _polynomial_context(ring_name: str) -> PolynomialContext:
         return PolynomialContext(RHO_RING)
     if ring_name == "RX":
         return PolynomialContext(X_RING)
-    raise UsageError(f"no polynomial context for ring {ring_name!r}")
-
-
-def _context_for(ring_name: str):
     if ring_name == "RT":
         return CharacterContext()
-    return _polynomial_context(ring_name)
+    raise UsageError(f"no evaluation context for ring {ring_name!r}")
 
 
 def _default_seed() -> int:
@@ -234,8 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, and a warm process serves many requests."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

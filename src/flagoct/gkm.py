@@ -26,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import B_RING, RestrictionTable, integral_row, matrix_rank
 from .poly import (
@@ -41,7 +41,6 @@ from .poly import (
 )
 from .weyl import (
     SIGMA3_NAMES,
-    Sigma3Element,
     Weight,
     WeylElement,
     inversion_set,

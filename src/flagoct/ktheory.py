@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .gkm import GkmEdge, MembershipResult, ROOT_TRANSPOSITIONS, gkm_edges
+from .gkm import MembershipResult, ROOT_TRANSPOSITIONS, gkm_edges
 from .poly import PolyRing, Polynomial, divisor, exact_divide, grevlex_key, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
 from .weyl import (
@@ -560,8 +560,6 @@ def x_action_permutations() -> Dict[str, Sigma3Element]:
     """Computed permutations of {X1, X2, X3} induced by the three complement
     reflections, found by applying each reflection to the character
     expansions (X4 is fixed by all three)."""
-    from .weyl import transposition
-
     chars = {i: x_character(i) for i in (1, 2, 3)}
     out: Dict[str, Sigma3Element] = {}
     reflections = {

@@ -8,31 +8,42 @@ Grammar (whitespace insignificant)::
     atom    := rational | identifier | '(' expr ')'
     rational:= integer ('/' positive-integer)?
 
-Identifiers and exponent rules depend on the evaluation context:
+An integer is a run of decimal digits.  Identifiers and exponent rules
+depend on the evaluation context:
 
 * polynomial contexts (coefficient rings Q[b1,b2], Q[rho1..rho4],
   Z[X1..X4], ...) reject negative exponents;
 * the character context accepts y1..y5 with integer (possibly negative)
   exponents and requires integer coefficients.
 
+One recursive-descent parser serves two builders: :func:`parse` builds a
+syntax tree (printed back by :func:`to_text`), and :func:`parse_and_evaluate`
+evaluates while it parses, on plain term dicts, and wraps the result once.
+
 Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep.  A
 numeric literal has at most ``MAX_LITERAL_DIGITS`` digits.  An exponent is
-at most ``MAX_EXPONENT``, and a power whose result could have more than
-``MAX_POWER_TERMS`` terms is refused before it is computed.
-Errors carry the 0-based character position for diagnostics.
+at most ``MAX_EXPONENT``; a power whose result could have more than
+``MAX_POWER_TERMS`` terms, and a product of more than ``MAX_PRODUCT_PAIRS``
+term pairs, are refused before they are computed.
+Errors carry the 0-based character position for diagnostics; evaluation
+errors are raised as the parser reaches them, so with several faults in one
+text the first in reading order is reported.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
-from .poly import PolyRing, Polynomial
+from .ktheory import Character, y
+from .poly import PolyRing, Polynomial, RingMismatchError, Terms
+from .poly import add_terms, mul_terms, neg_terms, pow_terms
 
-# Parsing recurses once per parenthesis and evaluation once per unary minus,
-# so their combined nesting is capped well inside the interpreter's
+# Parsing recurses once per parenthesis, and printing a tree once per unary
+# minus, so their combined nesting is capped well inside the interpreter's
 # recursion limit.
 MAX_NESTING = 100
 
@@ -42,6 +53,11 @@ MAX_NESTING = 100
 # projection is checked before the power is computed.
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 2_000
+
+# `*` is bounded by its work: factors of t1 and t2 terms make t1*t2 term
+# pairs, each one coefficient product, and a product of more pairs than this
+# is refused before it is computed.
+MAX_PRODUCT_PAIRS = 50_000
 
 # A numeric literal has at most this many digits, leading zeros aside.  The
 # bound sits well inside Python's own limit on int() of a decimal string
@@ -59,44 +75,36 @@ class ParseError(ValueError):
 
 # -- tokens ------------------------------------------------------------------
 
-_OPS = {"+", "-", "*", "^", "/", "(", ")"}
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'number', 'ident', or the operator character itself
+class Token(NamedTuple):
+    kind: str  # 'number', 'ident', 'end', or the operator character itself
     text: str
     pos: int
 
 
+# Whitespace, then one of: a number (decimal digits, the characters int()
+# reads; str.isdigit also takes '²', which int() refuses), an identifier, an
+# operator, or any other character, which is an error.  \w is exactly
+# str.isalnum() or '_'; an identifier must also start with a letter or '_',
+# which tokenize() checks.
+_TOKEN = re.compile(r"(\s*)(?:(\d+)|([^\W\d]\w*)|([-+*^/()])|(\S))")
+
+
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    pos = 0
+    for space, number, ident, op, other in _TOKEN.findall(text):
+        pos += len(space)
+        if op:
+            kind, tok = op, op
+        elif number:
+            kind, tok = "number", number
+        elif ident and (ident[0].isalpha() or ident[0] == "_"):
+            kind, tok = "ident", ident
+        else:
+            raise ParseError(f"unexpected character {(ident or other)[0]!r}", pos)
+        tokens.append(Token(kind, tok, pos))
+        pos += len(tok)
     return tokens
 
 
@@ -139,6 +147,31 @@ class BinOp:
 Node = Union[Num, Var, Neg, Pow, BinOp]
 
 
+class _TreeBuilder:
+    """Builds the syntax tree of a text."""
+
+    def constant(self, num: int, den: int, pos: int) -> Node:
+        return Num(Fraction(num, den), pos)
+
+    def variable(self, name: str, pos: int) -> Node:
+        return Var(name, pos)
+
+    def neg(self, value: Node, pos: int) -> Node:
+        return Neg(value, pos)
+
+    def power(self, value: Node, n: int, pos: int) -> Node:
+        return Pow(value, n, pos)
+
+    def add(self, left: Node, right: Node, pos: int) -> Node:
+        return BinOp("+", left, right, pos)
+
+    def sub(self, left: Node, right: Node, pos: int) -> Node:
+        return BinOp("-", left, right, pos)
+
+    def mul(self, left: Node, right: Node, pos: int) -> Node:
+        return BinOp("*", left, right, pos)
+
+
 def _literal(tok: Token) -> int:
     digits = tok.text.lstrip("0") or "0"
     if len(digits) > MAX_LITERAL_DIGITS:
@@ -149,19 +182,23 @@ def _literal(tok: Token) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.length = length
-        self.depth = 0
+    """Recursive descent over the tokens of one text.  Each production hands
+    its parts to ``builder`` as soon as they are read, so the builder's value
+    of the whole text (a tree or an evaluated element) is made in one pass."""
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def __init__(self, text: str, builder):
+        self.tokens = tokenize(text)
+        if not self.tokens:
+            raise ParseError("empty expression", 0)
+        self.tokens.append(Token("end", "", len(text)))
+        self.i = 0
+        self.depth = 0
+        self.builder = builder
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
+        tok = self.tokens[self.i]
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.pos)
         self.i += 1
         return tok
 
@@ -178,83 +215,88 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return tok
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("+", "-"):
-                return node
-            self.next()
-            rhs = self.parse_term()
-            node = BinOp(tok.kind, node, rhs, tok.pos)
+    def parse(self):
+        value = self.parse_expr()
+        trailing = self.tokens[self.i]
+        if trailing.kind != "end":
+            raise ParseError(
+                f"unexpected trailing token {trailing.text!r}", trailing.pos
+            )
+        return value
 
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
+    def parse_expr(self):
+        value = self.parse_term()
+        tokens, add, sub = self.tokens, self.builder.add, self.builder.sub
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "*":
-                return node
-            self.next()
-            rhs = self.parse_factor()
-            node = BinOp("*", node, rhs, tok.pos)
+            tok = tokens[self.i]
+            if tok.kind == "+":
+                self.i += 1
+                value = add(value, self.parse_term(), tok.pos)
+            elif tok.kind == "-":
+                self.i += 1
+                value = sub(value, self.parse_term(), tok.pos)
+            else:
+                return value
 
-    def parse_factor(self) -> Node:
+    def parse_term(self):
+        value = self.parse_factor()
+        tokens, mul = self.tokens, self.builder.mul
+        while True:
+            tok = tokens[self.i]
+            if tok.kind != "*":
+                return value
+            self.i += 1
+            value = mul(value, self.parse_factor(), tok.pos)
+
+    def parse_factor(self):
+        tokens = self.tokens
+        first = tokens[self.i]
         negations = 0
-        first = self.peek()
-        while self.peek() is not None and self.peek().kind == "-":
+        while tokens[self.i].kind == "-":
             negations += 1
             self.enter(self.next())
-        node = self.parse_atom()
+        value = self.parse_atom()
         self.depth -= negations
-        tok = self.peek()
-        if tok is not None and tok.kind == "^":
-            self.next()
+        tok = tokens[self.i]
+        if tok.kind == "^":
+            self.i += 1
             sign = 1
-            if self.peek() is not None and self.peek().kind == "-":
+            if tokens[self.i].kind == "-":
                 sign = -1
-                self.next()
+                self.i += 1
             num = self.expect("number")
             digits = num.text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", num.pos)
-            node = Pow(node, sign * int(digits), tok.pos)
+            value = self.builder.power(value, sign * int(digits), tok.pos)
         for _ in range(negations):
-            node = Neg(node, first.pos)
-        return node
+            value = self.builder.neg(value, first.pos)
+        return value
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self):
         tok = self.next()
         if tok.kind == "number":
             num, den = _literal(tok), 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "/":
-                self.next()
+            if self.tokens[self.i].kind == "/":
+                self.i += 1
                 den_tok = self.expect("number")
                 den = _literal(den_tok)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.pos)
-            return Num(Fraction(num, den), tok.pos)
+            return self.builder.constant(num, den, tok.pos)
         if tok.kind == "ident":
-            return Var(tok.text, tok.pos)
+            return self.builder.variable(tok.text, tok.pos)
         if tok.kind == "(":
             self.enter(tok)
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect(")")
             self.depth -= 1
-            return node
+            return value
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
 def parse(text: str) -> Node:
-    tokens = tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression", 0)
-    parser = _Parser(tokens, len(text))
-    node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"unexpected trailing token {trailing.text!r}", trailing.pos)
-    return node
+    return _Parser(text, _TreeBuilder()).parse()
 
 
 # -- printing (round-trip) ----------------------------------------------------------
@@ -308,106 +350,120 @@ def to_text(node: Node) -> str:
 # -- evaluation contexts ----------------------------------------------------------------
 
 
-class PolynomialContext:
-    """Evaluate into a polynomial ring; optional alias identifiers expand to
-    fixed polynomials (e.g. b3 = b1 + b2)."""
+class _TermContext:
+    """Evaluation on plain term dicts, the builder of :func:`parse_and_evaluate`.
 
-    def __init__(self, ring: PolyRing, aliases: Optional[Dict[str, Polynomial]] = None):
-        self.ring = ring
-        self.aliases = aliases or {}
+    Subclasses give the unit ``one``, the leaves (``constant``, ``variable``),
+    the inverse of a base raised to a negative power, and ``wrap`` for the
+    result.  Leaf dicts are cached and shared, so no step may change a dict
+    it is given.
+    """
 
-    def constant(self, value: Fraction, pos: int) -> Polynomial:
-        return self.ring.const(value)
+    one: Terms
 
-    def variable(self, name: str, pos: int) -> Polynomial:
-        if name in self.ring.names:
-            return self.ring.var(name)
-        if name in self.aliases:
-            return self.aliases[name]
-        known = ", ".join(list(self.ring.names) + sorted(self.aliases))
-        raise ParseError(f"unknown variable {name!r} (known: {known})", pos)
+    def neg(self, value: Terms, pos: int) -> Terms:
+        return neg_terms(value)
 
-    def power(self, value: Polynomial, n: int, pos: int) -> Polynomial:
-        if n < 0:
-            raise ParseError("negative exponents are not allowed in this ring", pos)
-        return value**n
+    def add(self, left: Terms, right: Terms, pos: int) -> Terms:
+        return add_terms(left, right)
 
+    def sub(self, left: Terms, right: Terms, pos: int) -> Terms:
+        return add_terms(left, neg_terms(right))
 
-class CharacterContext:
-    """Evaluate into the character ring on y1..y5; negative exponents invert
-    unit monomials."""
-
-    def constant(self, value: Fraction, pos: int):
-        from .ktheory import Character
-
-        if value.denominator != 1:
-            raise ParseError("character coefficients must be integers", pos)
-        return Character.constant(value.numerator)
-
-    def variable(self, name: str, pos: int):
-        from .ktheory import y
-
-        if len(name) == 2 and name[0] == "y" and name[1] in "12345":
-            return y(int(name[1]))
-        raise ParseError(f"unknown variable {name!r} (known: y1..y5)", pos)
-
-    def power(self, value, n: int, pos: int):
-        if n >= 0:
-            return value**n
-        inv = _invert_character(value)
-        if inv is None:
+    def mul(self, left: Terms, right: Terms, pos: int) -> Terms:
+        if len(left) * len(right) > MAX_PRODUCT_PAIRS:
             raise ParseError(
-                "only unit monomials can be raised to negative powers", pos
+                f"factors of {len(left)} and {len(right)} terms make more than "
+                f"{MAX_PRODUCT_PAIRS} term pairs",
+                pos,
             )
-        return inv ** (-n)
+        return mul_terms(left, right)
 
-
-def _invert_character(value):
-    from .ktheory import Character
-
-    if value.support_size() != 1:
-        return None
-    ((key, coeff),) = value.terms.items()
-    if coeff not in (1, -1):
-        return None
-    return Character({tuple(-k for k in key): coeff})
-
-
-def evaluate(node: Node, context):
-    # A flat sum or product parses to a left-nested BinOp chain as long as the
-    # input, so its left spine is walked in a loop, not by recursion.
-    spine: List[BinOp] = []
-    while isinstance(node, BinOp):
-        spine.append(node)
-        node = node.left
-    if isinstance(node, Num):
-        value = context.constant(node.value, node.pos)
-    elif isinstance(node, Var):
-        value = context.variable(node.name, node.pos)
-    elif isinstance(node, Neg):
-        value = -evaluate(node.operand, context)
-    elif isinstance(node, Pow):
-        base = evaluate(node.base, context)
-        terms, k = len(base.terms), abs(node.exponent)
+    def power(self, value: Terms, n: int, pos: int) -> Terms:
+        terms, k = len(value), abs(n)
         if terms > 1 and comb(terms + k - 1, min(k, terms - 1)) > MAX_POWER_TERMS:
             raise ParseError(
                 f"a {terms}-term base to the power {k} may have more than "
                 f"{MAX_POWER_TERMS} terms",
-                node.pos,
+                pos,
             )
-        value = context.power(base, node.exponent, node.pos)
-    else:
-        raise TypeError(f"not a syntax node: {node!r}")
-    for op in reversed(spine):
-        right = evaluate(op.right, context)
-        if op.op == "+":
-            value = value + right
-        elif op.op == "-":
-            value = value - right
-        else:
-            value = value * right
-    return value
+        if n < 0:
+            value = self.inverse(value, pos)
+        return value if k == 1 else pow_terms(value, k, self.one)
+
+    def inverse(self, value: Terms, pos: int) -> Terms:
+        raise ParseError("negative exponents are not allowed in this ring", pos)
+
+
+class PolynomialContext(_TermContext):
+    """Evaluate into a polynomial ring; optional alias identifiers expand to
+    fixed polynomials (e.g. b3 = b1 + b2).
+
+    Coefficients stay ints while they are integers and become Fractions where
+    a rational literal brings one in; ``wrap`` makes them all Fractions.
+    """
+
+    def __init__(self, ring: PolyRing, aliases: Optional[Dict[str, Polynomial]] = None):
+        self.ring = ring
+        self.aliases = aliases or {}
+        for name, value in self.aliases.items():
+            if value.ring != ring:
+                raise RingMismatchError(f"alias {name!r} is not in ring {ring.names}")
+        self.one = {(0,) * ring.nvars: 1}
+        self._variables = {name: value.terms for name, value in self.aliases.items()}
+        for i, name in enumerate(ring.names):
+            self._variables[name] = {tuple(int(j == i) for j in range(ring.nvars)): 1}
+
+    def constant(self, num: int, den: int, pos: int) -> Terms:
+        if not num:
+            return {}
+        return {(0,) * self.ring.nvars: num if den == 1 else Fraction(num, den)}
+
+    def variable(self, name: str, pos: int) -> Terms:
+        try:
+            return self._variables[name]
+        except KeyError:
+            known = ", ".join(list(self.ring.names) + sorted(self.aliases))
+            raise ParseError(f"unknown variable {name!r} (known: {known})", pos) from None
+
+    def wrap(self, terms: Terms) -> Polynomial:
+        return Polynomial._of(
+            self.ring,
+            {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()},
+        )
+
+
+class CharacterContext(_TermContext):
+    """Evaluate into the character ring on y1..y5; negative exponents invert
+    unit monomials."""
+
+    def __init__(self):
+        self.one = Character.one().terms
+        self._variables = {f"y{j}": y(j).terms for j in range(1, 6)}
+
+    def constant(self, num: int, den: int, pos: int) -> Terms:
+        n, r = divmod(num, den)
+        if r:
+            raise ParseError("character coefficients must be integers", pos)
+        return {(0, 0, 0, 0): n} if n else {}
+
+    def variable(self, name: str, pos: int) -> Terms:
+        try:
+            return self._variables[name]
+        except KeyError:
+            raise ParseError(f"unknown variable {name!r} (known: y1..y5)", pos) from None
+
+    def inverse(self, value: Terms, pos: int) -> Terms:
+        if len(value) == 1:
+            ((key, coeff),) = value.items()
+            if coeff in (1, -1):
+                return {tuple(-k for k in key): coeff}
+        raise ParseError("only unit monomials can be raised to negative powers", pos)
+
+    def wrap(self, terms: Terms) -> Character:
+        return Character._of(dict(terms))
 
 
 def parse_and_evaluate(text: str, context):
-    return evaluate(parse(text), context)
+    """The value of ``text`` in ``context``, evaluated while it is parsed."""
+    return context.wrap(_Parser(text, context).parse())

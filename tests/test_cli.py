@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from flagoct import cli
 from flagoct.cli import main
 from flagoct.gkm import random_membership_tuple
 from flagoct.ktheory import x_character
@@ -331,6 +332,26 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("expr, position", [("b1^\u00b2", 3), ("\u00b2", 0)])
+    def test_non_decimal_digit_exits_2(self, capsys, expr, position):
+        # '²' is a digit to str.isdigit, but int() refuses it
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unexpected character '\u00b2' (at position {position})\n"
+
+    def test_oversized_product_exits_2(self, capsys):
+        expr = "(b1+b2+1)^40*(b1+b2+1)^40"  # 861 * 861 term pairs
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: factors of 861 and 861 terms make more than 50000 term pairs "
+            "(at position 12)\n"
+        )
+
     @pytest.mark.parametrize("expr", ["7" * 5000, "1/" + "7" * 5000, "b1 - " + "7" * 5000 + "*b2"])
     def test_overlong_literal_exits_2(self, capsys, expr):
         code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
@@ -352,3 +373,39 @@ class TestExpand:
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+class TestWarmProcess:
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, tmp_path):
+        member = write_tuple(tmp_path, hb_member_entries(), ring="Hb")
+        entries = hb_member_entries()
+        entries["s1"] += " + 1"
+        non_member = write_tuple(tmp_path, entries, filename="near-miss.json")
+        requests = [
+            ("verify", "bogus"),
+            ("--help",),
+            ("expand", "--help"),
+            ("expand", "--ring", "RT", "--", "y5 - 2*y1^-1"),
+            ("expand", "--ring", "Hb", "--", "b3^2 + 1/2"),
+            ("gkm-check", "--ring", "Hb", "--file", member),
+            ("gkm-check", "--ring", "Hb", "--file", non_member),
+            ("gkm-check", "--ring", "RX"),
+        ]
+        fresh = []
+        for argv in requests:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0, 0, 1, 2]
+
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        warm = [run(capsys, *argv) for argv in requests + requests]
+        assert warm == fresh + fresh
+        assert len(built) == 1

@@ -1,13 +1,22 @@
-"""Expression grammar: tokenizing, parsing, printing, evaluation."""
+"""Expression grammar: tokenizing, parsing, printing, evaluation.
 
+The syntax-tree evaluator and the character-loop tokenizer that the parser
+replaced live on here as references (``reference_evaluate``,
+``reference_tokenize``).
+"""
+
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagoct.cohomology import B_RING, E_RING
+from flagoct.gkm import RHO_RING
 from flagoct.ktheory import Character, x_character, y, y_inverse
+from flagoct.poly import RingMismatchError
 from flagoct.parsing import (
     BinOp,
     CharacterContext,
@@ -15,17 +24,151 @@ from flagoct.parsing import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_POWER_TERMS,
+    MAX_PRODUCT_PAIRS,
     Neg,
     Num,
     ParseError,
     PolynomialContext,
     Pow,
+    Token,
     Var,
     parse,
     parse_and_evaluate,
     to_text,
     tokenize,
 )
+
+
+# -- references ----------------------------------------------------------------------
+
+
+def reference_tokenize(text):
+    """The character-loop tokenizer, with numbers read as decimal digits."""
+    ops = {"+", "-", "*", "^", "/", "(", ")"}
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(Token("number", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], i))
+            i = j
+            continue
+        if ch in ops:
+            tokens.append(Token(ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+class ReferencePolynomialContext:
+    def __init__(self, ring, aliases=None):
+        self.ring = ring
+        self.aliases = aliases or {}
+
+    def constant(self, value, pos):
+        return self.ring.const(value)
+
+    def variable(self, name, pos):
+        if name in self.ring.names:
+            return self.ring.var(name)
+        if name in self.aliases:
+            return self.aliases[name]
+        known = ", ".join(list(self.ring.names) + sorted(self.aliases))
+        raise ParseError(f"unknown variable {name!r} (known: {known})", pos)
+
+    def power(self, value, n, pos):
+        if n < 0:
+            raise ParseError("negative exponents are not allowed in this ring", pos)
+        return value**n
+
+
+class ReferenceCharacterContext:
+    def constant(self, value, pos):
+        if value.denominator != 1:
+            raise ParseError("character coefficients must be integers", pos)
+        return Character.constant(value.numerator)
+
+    def variable(self, name, pos):
+        if len(name) == 2 and name[0] == "y" and name[1] in "12345":
+            return y(int(name[1]))
+        raise ParseError(f"unknown variable {name!r} (known: y1..y5)", pos)
+
+    def power(self, value, n, pos):
+        if n >= 0:
+            return value**n
+        inv = reference_invert_character(value)
+        if inv is None:
+            raise ParseError(
+                "only unit monomials can be raised to negative powers", pos
+            )
+        return inv ** (-n)
+
+
+def reference_invert_character(value):
+    if value.support_size() != 1:
+        return None
+    ((key, coeff),) = value.terms.items()
+    if coeff not in (1, -1):
+        return None
+    return Character({tuple(-k for k in key): coeff})
+
+
+def reference_evaluate(node, context):
+    """Evaluate a syntax tree by walking it, with Polynomial/Character
+    arithmetic and the power projection checked before each power."""
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
+    if isinstance(node, Num):
+        value = context.constant(node.value, node.pos)
+    elif isinstance(node, Var):
+        value = context.variable(node.name, node.pos)
+    elif isinstance(node, Neg):
+        value = -reference_evaluate(node.operand, context)
+    elif isinstance(node, Pow):
+        base = reference_evaluate(node.base, context)
+        terms, k = len(base.terms), abs(node.exponent)
+        if terms > 1 and comb(terms + k - 1, min(k, terms - 1)) > MAX_POWER_TERMS:
+            raise ParseError(
+                f"a {terms}-term base to the power {k} may have more than "
+                f"{MAX_POWER_TERMS} terms",
+                node.pos,
+            )
+        value = context.power(base, node.exponent, node.pos)
+    else:
+        raise TypeError(f"not a syntax node: {node!r}")
+    for op in reversed(spine):
+        right = reference_evaluate(op.right, context)
+        if op.op == "+":
+            value = value + right
+        elif op.op == "-":
+            value = value - right
+        else:
+            value = value * right
+    return value
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the message and position of its ParseError."""
+    try:
+        return fn(*args)
+    except ParseError as err:
+        return ("ParseError", str(err), err.position)
 
 
 class TestTokenizer:
@@ -38,6 +181,23 @@ class TestTokenizer:
         with pytest.raises(ParseError) as err:
             tokenize("b1 $ b2")
         assert err.value.position == 3
+
+    @pytest.mark.parametrize("text, position", [("b1^\u00b2", 3), ("\u00b2", 0), ("2\u00b2", 1), ("\u00bd", 0)])
+    def test_digits_that_int_refuses_are_not_numbers(self, text, position):
+        # '²' and '½' pass str.isdigit or str.isnumeric, but int() refuses them
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert err.value.position == position
+        assert "unexpected character" in str(err.value)
+
+    def test_every_decimal_digit_reads_as_int_does(self):
+        ctx = PolynomialContext(B_RING)
+        assert parse_and_evaluate("\u0663*b1 + \uff12", ctx) == 3 * B_RING.gens()[0] + 2
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from("b1y5 _+-*^/()\t\u00b2\u00bd\u0663\u00e9$"), st.characters()), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_tokenizer(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
 
 
 class TestParser:
@@ -75,8 +235,8 @@ class TestParser:
         assert tree.exponent == -1
 
 
-def leaf_nodes():
-    names = st.sampled_from(["b1", "b2", "y1", "y5"])
+def leaf_nodes(names=("b1", "b2", "y1", "y5")):
+    names = st.sampled_from(names)
     numbers = st.one_of(
         st.integers(min_value=0, max_value=9).map(
             lambda n: Num(Fraction(n), 0)
@@ -88,9 +248,9 @@ def leaf_nodes():
     return st.one_of(names.map(lambda n: Var(n, 0)), numbers)
 
 
-def ast_nodes():
+def ast_nodes(names=("b1", "b2", "y1", "y5")):
     return st.recursive(
-        leaf_nodes(),
+        leaf_nodes(names),
         lambda children: st.one_of(
             children.map(lambda c: Neg(c, 0)),
             st.tuples(
@@ -228,6 +388,10 @@ class TestPolynomialEvaluation:
         ctx = PolynomialContext(B_RING, aliases={"b3": b1 + b2})
         assert parse_and_evaluate("b3^2", ctx) == (b1 + b2) ** 2
 
+    def test_aliases_must_live_in_the_ring(self):
+        with pytest.raises(RingMismatchError):
+            PolynomialContext(B_RING, aliases={"x": E_RING.gens()[0]})
+
     def test_slash_only_inside_rational_literals(self):
         ctx = PolynomialContext(B_RING)
         assert parse_and_evaluate("1/2*b1", ctx) == B_RING.gens()[0] / 2
@@ -272,3 +436,118 @@ class TestCharacterEvaluation:
             y(5) * y_inverse(1) * y_inverse(4) - Character.one()
         )
         assert lhs == rhs
+
+
+# -- the evaluating parser against the tree-walking reference ------------------------
+
+
+def b_ring_contexts():
+    b1, b2 = B_RING.gens()
+    aliases = {"b3": b1 + b2}
+    return PolynomialContext(B_RING, aliases), ReferencePolynomialContext(B_RING, aliases)
+
+
+CONTEXTS = {
+    # each context meets its own variables, an alias, and one unknown name
+    "Hb": (b_ring_contexts, ("b1", "b2", "b3", "y1")),
+    "HT": (
+        lambda: (PolynomialContext(RHO_RING), ReferencePolynomialContext(RHO_RING)),
+        ("rho1", "rho2", "rho3", "rho4", "b1"),
+    ),
+    "RT": (
+        lambda: (CharacterContext(), ReferenceCharacterContext()),
+        ("y1", "y2", "y3", "y4", "y5", "b1"),
+    ),
+}
+
+
+def assert_same_outcome(text, context, reference):
+    got = outcome(parse_and_evaluate, text, context)
+    want = outcome(lambda t: reference_evaluate(parse(t), reference), text)
+    assert got == want, text
+    if not isinstance(got, tuple):
+        # Polynomial coefficients are Fractions and Character ones ints
+        kind = Character if isinstance(got, Character) else type(got)
+        coefficient = int if kind is Character else Fraction
+        assert all(type(c) is coefficient for c in got.terms.values())
+
+
+class TestEvaluationMatchesReference:
+    @pytest.mark.parametrize("ring", sorted(CONTEXTS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_trees(self, ring, data):
+        make, names = CONTEXTS[ring]
+        context, reference = make()
+        tree = data.draw(ast_nodes(names))
+        assert_same_outcome(to_text(tree), context, reference)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_x_character_products(self, seed):
+        # texts built like the membership stream's RT entries: two terms of
+        # degrees d and d - 1, each an integer times X4^(d // 2) and powers of
+        # X1..X3 (as displayed characters), and a perturbation added
+        rng = random.Random(seed)
+        chars = {i: str(x_character(i)) for i in (1, 2, 3, 4)}
+        context, reference = CharacterContext(), ReferenceCharacterContext()
+        for _ in range(6):
+            degree = rng.randint(2, 3)
+            terms = []
+            for d in (degree, degree - 1):
+                exps = [0, 0, 0, d // 2]
+                for _ in range(d - d // 2):
+                    exps[rng.randrange(3)] += 1
+                factors = [str(rng.choice([-3, -2, -1, 1, 2, 3]))] + [
+                    f"({chars[i + 1]})" + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(exps)
+                    if e
+                ]
+                terms.append("*".join(factors))
+            text = " + ".join(f"({t})" for t in terms)
+            text += f" + ({rng.randint(1, 3)}*({chars[rng.randint(1, 3)]}))"
+            assert len(text) > 200
+            assert_same_outcome(text, context, reference)
+
+    @pytest.mark.parametrize(
+        "ring, text",
+        [
+            ("Hb", "b3^2 - 2*b1*b3 + 1/3*b2^0 - (b1 - b3)^2 + b3^0"),
+            ("Hb", "(b1 + b2 + 1)^3 * 0 + 0^0 - 0^2 + 4/2"),
+            ("Hb", "b1 + b2^-1"),
+            ("Hb", "(b1 + b2)^-0"),
+            ("HT", "(rho1 + rho2 + rho3 + rho4)^2*(rho1 - rho4)"),
+            ("HT", "(rho1 + rho2 + rho3 + rho4 + 1)^9"),
+            ("RT", "-(y5*y1^-1)^-3 + (-y2)^-2 - 3*y5^0"),
+            ("RT", "(2*y1)^-1"),
+            ("RT", "(y1 - y1)^-1 + 4/2 - 6/3*y5"),
+            ("RT", "y1 + 1/2"),
+        ],
+    )
+    def test_edge_cases(self, ring, text):
+        context, reference = CONTEXTS[ring][0]()
+        assert_same_outcome(text, context, reference)
+
+    def test_results_do_not_share_the_contexts_leaves(self):
+        b1 = B_RING.gens()[0]
+        context = b_ring_contexts()[0]
+        parse_and_evaluate("b1", context).terms.clear()
+        assert parse_and_evaluate("b1", context) == b1
+        characters = CharacterContext()
+        parse_and_evaluate("y1", characters).terms.clear()
+        assert parse_and_evaluate("y1", characters) == y(1)
+
+
+class TestProductLimit:
+    def test_product_beyond_the_limit_is_a_parse_error(self):
+        ctx = PolynomialContext(B_RING)
+        # factors of t1 and t2 terms make t1*t2 term pairs
+        small = "(" + " + ".join(f"b1^{i}" for i in range(MAX_PRODUCT_PAIRS // 100)) + ")"
+        large = "(" + " + ".join(f"b2^{i}" for i in range(100)) + ")"
+        assert len(parse_and_evaluate(f"{small}*{large}", ctx).terms) == MAX_PRODUCT_PAIRS
+        text = f"b1 + {small}*(b1 + {large[1:]}"
+        with pytest.raises(ParseError) as err:
+            parse_and_evaluate(text, ctx)
+        assert err.value.position == text.index("*(")
+        assert f"{MAX_PRODUCT_PAIRS} term pairs" in str(err.value)
+        # the syntax tree has no terms to count
+        assert isinstance(parse(text), BinOp)
