@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -44,6 +45,10 @@ from .suites import SUITE_NAMES, run_suite
 from .weyl import SIGMA3_NAMES
 
 RING_CHOICES = ("Hb", "HT", "RT", "RX")
+
+# A gkm-check tuple file is read up to this size; a larger one is refused.
+# Each entry is also bounded by the parser's MAX_TEXT_LENGTH.
+MAX_TUPLE_FILE_BYTES = 1_000_000
 
 
 class UsageError(Exception):
@@ -101,10 +106,18 @@ def _reject_duplicate_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]
 
 def _load_tuple_file(path: str, ring: str) -> Dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_TUPLE_FILE_BYTES + 1)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    if len(raw) > MAX_TUPLE_FILE_BYTES:
+        raise UsageError(f"{path} is larger than {MAX_TUPLE_FILE_BYTES} bytes")
+    try:
+        # decoded as a file opened in text mode would be, newlines included
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not valid UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
     if not isinstance(data, dict):

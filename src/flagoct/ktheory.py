@@ -24,10 +24,11 @@ Key objects:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
-from operator import sub
+from operator import mul, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .gkm import MembershipResult, ROOT_TRANSPOSITIONS, gkm_edges
@@ -442,8 +443,10 @@ def to_x_polynomial(f: Character) -> Optional[Polynomial]:
 # -- moment-graph membership ------------------------------------------------------------
 
 
-def edge_divisor_char(k: int) -> Character:
-    """The product of binomials dividing differences across class-k edges.
+@functools.cache
+def edge_binomials(k: int) -> Tuple[Character, ...]:
+    """The four binomials whose product divides differences across class-k
+    edges.
 
     Class indices follow the root dictionary: k=1 is the transposition
     (2,3), k=2 is (1,2), k=3 is (1,3).
@@ -458,12 +461,15 @@ def edge_divisor_char(k: int) -> Character:
     }
     if k not in weights:
         raise ValueError("edge class must be 1..3")
-    out = Character.one()
-    for w in weights[k]:
-        out = out * binomial(w)
-    return out
+    return tuple(map(binomial, weights[k]))
 
 
+def edge_divisor_char(k: int) -> Character:
+    """The product of the class-k edge binomials."""
+    return functools.reduce(mul, edge_binomials(k))
+
+
+@functools.cache
 def edge_divisor_poly(k: int) -> Polynomial:
     """The X-ring divisor X_i - X_j of class-k edges."""
     i, j = ROOT_TRANSPOSITIONS[k]

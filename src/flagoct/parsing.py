@@ -20,11 +20,13 @@ One recursive-descent parser serves two builders: :func:`parse` builds a
 syntax tree (printed back by :func:`to_text`), and :func:`parse_and_evaluate`
 evaluates while it parses, on plain term dicts, and wraps the result once.
 
-Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep.  A
-numeric literal has at most ``MAX_LITERAL_DIGITS`` digits.  An exponent is
-at most ``MAX_EXPONENT``; a power whose result could have more than
-``MAX_POWER_TERMS`` terms, and a product of more than ``MAX_PRODUCT_PAIRS``
-term pairs, are refused before they are computed.
+A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
+minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
+most ``MAX_LITERAL_DIGITS`` digits.  An exponent is at most
+``MAX_EXPONENT``; a power whose result could have more than
+``MAX_POWER_TERMS`` terms or coefficients of more than ``MAX_POWER_DIGITS``
+digits, and a product of more than ``MAX_PRODUCT_PAIRS`` term pairs, are
+refused before they are computed.
 Errors carry the 0-based character position for diagnostics; evaluation
 errors are raised as the parser reaches them, so with several faults in one
 text the first in reading order is reported.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log10
 from typing import Dict, List, NamedTuple, Optional, Union
 
 from .ktheory import Character, y
@@ -54,10 +56,21 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 2_000
 
+# `^` is also bounded by the size of its coefficients.  Write the base as F/L,
+# F integral and L the lcm of its denominators, and let S be the sum of the
+# absolute values of F's coefficients: every coefficient of the k-th power
+# has a numerator of at most S^k and a denominator of at most L^k.  The
+# digits of S^k * L^k are projected before the power is computed.
+MAX_POWER_DIGITS = 1_500
+
 # `*` is bounded by its work: factors of t1 and t2 terms make t1*t2 term
 # pairs, each one coefficient product, and a product of more pairs than this
 # is refused before it is computed.
 MAX_PRODUCT_PAIRS = 50_000
+
+# A text has at most this many characters; a longer one is refused before it
+# is tokenized.
+MAX_TEXT_LENGTH = 100_000
 
 # A numeric literal has at most this many digits, leading zeros aside.  The
 # bound sits well inside Python's own limit on int() of a decimal string
@@ -86,14 +99,16 @@ class Token(NamedTuple):
 # reads; str.isdigit also takes '²', which int() refuses), an identifier, an
 # operator, or any other character, which is an error.  \w is exactly
 # str.isalnum() or '_'; an identifier must also start with a letter or '_',
-# which tokenize() checks.
+# which tokenize() checks.  Trailing whitespace is stripped first: the
+# pattern fails there after trying every shorter run of it, at every start,
+# which is quadratic in the run's length.
 _TOKEN = re.compile(r"(\s*)(?:(\d+)|([^\W\d]\w*)|([-+*^/()])|(\S))")
 
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
     pos = 0
-    for space, number, ident, op, other in _TOKEN.findall(text):
+    for space, number, ident, op, other in _TOKEN.findall(text.rstrip()):
         pos += len(space)
         if op:
             kind, tok = op, op
@@ -187,6 +202,10 @@ class _Parser:
     of the whole text (a tree or an evaluated element) is made in one pass."""
 
     def __init__(self, text: str, builder):
+        if len(text) > MAX_TEXT_LENGTH:
+            raise ParseError(
+                f"expression longer than {MAX_TEXT_LENGTH} characters", MAX_TEXT_LENGTH
+            )
         self.tokens = tokenize(text)
         if not self.tokens:
             raise ParseError("empty expression", 0)
@@ -387,6 +406,15 @@ class _TermContext:
                 f"{MAX_POWER_TERMS} terms",
                 pos,
             )
+        if value and k > 1:
+            den = lcm(*(c.denominator for c in value.values()))
+            norm = sum(abs(c.numerator) * (den // c.denominator) for c in value.values())
+            if k * log10(norm * den) > MAX_POWER_DIGITS:
+                raise ParseError(
+                    f"this base to the power {k} may have coefficients of more "
+                    f"than {MAX_POWER_DIGITS} digits",
+                    pos,
+                )
         if n < 0:
             value = self.inverse(value, pos)
         return value if k == 1 else pow_terms(value, k, self.one)

@@ -19,6 +19,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -274,6 +275,11 @@ class Polynomial:
 
         Every variable of the source ring must have an image; all images must
         live in one ring (``target`` if given).
+
+        The map runs over Z: with f = F/D and every image G_i/d over one
+        common d, f(G/d) = sum_e F_e d^(N-|e|) G^e / (D d^N), N the top total
+        degree of f.  The sum is one integer ring map, and each coefficient
+        of the result becomes a Fraction once, at the end.
         """
         missing = [n for n in self.ring.names if n not in images]
         if missing:
@@ -285,7 +291,17 @@ class Polynomial:
         if target is not None and target != tring:
             raise RingMismatchError("substitute: images not in requested target ring")
         img = [images[n].terms for n in self.ring.names]
-        return Polynomial._of(tring, map_terms(self.terms, img, tring.one().terms))
+        big_d = lcm(*(c.denominator for c in self.terms.values()))
+        d = lcm(*(c.denominator for g in img for c in g.values()))
+        top = max(map(sum, self.terms), default=0)
+        scaled = {
+            e: c.numerator * (big_d // c.denominator) * d ** (top - sum(e))
+            for e, c in self.terms.items()
+        }
+        integral = [{m: c.numerator * (d // c.denominator) for m, c in g.items()} for g in img]
+        den = big_d * d**top
+        out = map_terms(scaled, integral, {(0,) * tring.nvars: 1})
+        return Polynomial._of(tring, {m: Fraction(v, den) for m, v in out.items()})
 
     # -- printing ------------------------------------------------------------
 

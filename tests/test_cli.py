@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from flagoct import cli
-from flagoct.cli import main
+from flagoct.cli import MAX_TUPLE_FILE_BYTES, main
 from flagoct.gkm import random_membership_tuple
 from flagoct.ktheory import x_character
+from flagoct.parsing import MAX_TEXT_LENGTH
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 
@@ -260,6 +261,49 @@ class TestGkmCheck:
         assert out == ""
         assert f"duplicate JSON key {key}" in err
 
+    def test_overlong_entry_exits_2(self, capsys, tmp_path):
+        entries = hb_member_entries()
+        entries["s2"] = "b1" + " " * MAX_TEXT_LENGTH
+        path = write_tuple(tmp_path, entries)
+        code, out, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: entry 's2': expression longer than {MAX_TEXT_LENGTH} characters "
+            f"(at position {MAX_TEXT_LENGTH})\n"
+        )
+
+    def test_file_size_cap(self, capsys, tmp_path, monkeypatch):
+        member = json.dumps({"ring": "Hb", "entries": hb_member_entries()})
+        path = tmp_path / "padded.json"
+        # whitespace padding up to the cap is still read and decided
+        path.write_text(member + " " * (MAX_TUPLE_FILE_BYTES - len(member)))
+        assert run(capsys, "gkm-check", "--ring", "Hb", "--file", str(path))[0] == 0
+        path.write_text(member + " " * (MAX_TUPLE_FILE_BYTES + 1 - len(member)))
+        reads = []
+        real_open = open
+
+        def recording_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            real_read = fh.read
+            fh.read = lambda *n: reads.append(n) or real_read(*n)
+            return fh
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        code, out, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path} is larger than {MAX_TUPLE_FILE_BYTES} bytes\n"
+        assert reads == [(MAX_TUPLE_FILE_BYTES + 1,)]
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"ring": "Hb", "entries": {"1": "b1 \u00e9"}}'.encode("latin-1"))
+        code, out, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not valid UTF-8") and "Traceback" not in err
+
     def test_unparseable_entry_names_vertex(self, capsys, tmp_path):
         entries = hb_member_entries()
         entries["s1s2"] = "b1 + "
@@ -360,6 +404,28 @@ class TestExpand:
         assert err.startswith("error: numeric literal longer than")
         assert f"(at position {expr.index('7')})" in err
         assert "Traceback" not in err
+
+    def test_coefficient_growth_exits_2(self, capsys):
+        # 1001 terms, within MAX_POWER_TERMS, but coefficients of about 2300 digits
+        expr = "(1/3*b1+1/7*b2)^1000"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: this base to the power 1000 may have coefficients of more than "
+            "1500 digits (at position 15)\n"
+        )
+
+    def test_overlong_expression_exits_2(self, capsys):
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", "b1+" * 40_000 + "b1")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: expression longer than {MAX_TEXT_LENGTH} characters "
+            f"(at position {MAX_TEXT_LENGTH})\n"
+        )
 
     def test_long_flat_sum_expands(self, capsys):
         code, out, _ = run(capsys, "expand", "--ring", "Hb", "--", "+".join(["b1"] * 5000))

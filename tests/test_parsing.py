@@ -23,8 +23,10 @@ from flagoct.parsing import (
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
+    MAX_POWER_DIGITS,
     MAX_POWER_TERMS,
     MAX_PRODUCT_PAIRS,
+    MAX_TEXT_LENGTH,
     Neg,
     Num,
     ParseError,
@@ -333,6 +335,42 @@ class TestPowerLimits:
         assert err.value.position == len(base(t + 1))
         # a monomial base projects to one term whatever the exponent
         assert parse_and_evaluate(f"y5^{MAX_EXPONENT}", CharacterContext()) == y(5) ** MAX_EXPONENT
+
+
+    def test_projected_coefficient_digits_are_checked_before_the_power(self):
+        ctx = PolynomialContext(B_RING)
+        b1, b2 = B_RING.gens()
+        # a base 1/1000*b1 projects 3 digits per unit of exponent
+        k = MAX_POWER_DIGITS // 3 - 1
+        assert parse_and_evaluate(f"(1/1000*b1)^{k}", ctx) == (b1 / 1000) ** k
+        assert parse_and_evaluate("(2*b1 - b2)^300", ctx) == (2 * b1 - b2) ** 300
+        refused = [
+            (ctx, f"(1/1000*b1)^{k + 2}"),
+            (ctx, "(1/3*b1+1/7*b2)^1000"),
+            (ctx, "b2 + (7/3*b1 + 3*b2)^1000"),
+            (CharacterContext(), "1 - (50*y1 + 51)^1000"),
+        ]
+        for context, text in refused:
+            with pytest.raises(ParseError) as err:
+                parse_and_evaluate(text, context)
+            assert err.value.position == text.index("^")
+            assert f"more than {MAX_POWER_DIGITS} digits" in str(err.value)
+        # unit coefficients project no digits, so only the exponent bounds them
+        assert parse_and_evaluate(f"y1^-{MAX_EXPONENT}", CharacterContext()) == y_inverse(1) ** MAX_EXPONENT
+
+
+class TestTextLimit:
+    def test_text_beyond_the_limit_is_a_parse_error(self):
+        ctx = PolynomialContext(B_RING)
+        # trailing whitespace up to the cap tokenizes in linear time
+        longest = "b1" + " " * (MAX_TEXT_LENGTH - 2)
+        assert parse_and_evaluate(longest, ctx) == B_RING.gens()[0]
+        for text in (longest + " ", "b1+" * MAX_TEXT_LENGTH + "b1"):
+            for run in (parse, lambda t: parse_and_evaluate(t, ctx)):
+                with pytest.raises(ParseError) as err:
+                    run(text)
+                assert err.value.position == MAX_TEXT_LENGTH
+                assert f"longer than {MAX_TEXT_LENGTH} characters" in str(err.value)
 
 
 class TestLiteralLimit:

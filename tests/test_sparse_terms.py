@@ -3,10 +3,12 @@ replaced.
 
 ``Polynomial`` and ``Character`` wrap the term kernels of ``flagoct.poly``,
 and exact division, character division and Groebner normal forms share one
-heap-based reduction loop.  The references below are the per-class
-arithmetic, the single-divisor ``divide_terms`` (with its integral mode) and
-the rescan-and-copy ``normal_form`` that the package used before; each test
-compares the two on seeded inputs.
+heap-based reduction loop.  ``Polynomial.substitute`` runs its ring map over
+the integers.  The references below are the per-class ``Fraction``
+arithmetic and ring map, the single-divisor ``divide_terms`` (with its
+integral mode), the rescan-and-copy ``normal_form`` and the Weyl-invariance
+tests built on the ``Fraction`` ring map that the package used before; each
+test compares the two on seeded inputs.
 """
 
 import random
@@ -16,6 +18,14 @@ from operator import add, sub
 import pytest
 
 from flagoct import groebner
+from flagoct.gkm import (
+    RHO_RING,
+    generator_substitutions,
+    invariance_sign,
+    is_w_invariant,
+    l_polynomials,
+    realized_label,
+)
 from flagoct.groebner import buchberger, normal_form
 from flagoct.ktheory import X_RING, Character, expand_x_polynomial, x_character
 from flagoct.poly import (
@@ -104,6 +114,27 @@ def ref_substitute(p, images, target):
             term = ref_poly_mul(term, ref_poly_pow(images[name], k))
         out = ref_poly_add(out, term)
     return out
+
+
+def ref_is_w_invariant(p):
+    return all(ref_substitute(p, sub, RHO_RING) == p for sub in generator_substitutions())
+
+
+def ref_invariance_sign(p):
+    signs = set()
+    for sub in generator_substitutions():
+        image = ref_substitute(p, sub, RHO_RING)
+        if image == p:
+            signs.add(1)
+        elif image == ref_poly_neg(p):
+            signs.add(-1)
+        else:
+            return None
+    if signs == {1}:
+        return 1
+    if signs == {-1}:
+        return -1
+    return None
 
 
 # -- references: Character arithmetic ---------------------------------------------
@@ -407,3 +438,75 @@ class TestNormalForm:
         before = len(calls)
         assert run_suite("cohomology", seed=0).passed
         assert len(calls) > before
+
+
+class TestIntegralRingMap:
+    """``Polynomial.substitute`` over Z against the term-by-term ``Fraction``
+    ring map."""
+
+    @staticmethod
+    def image(rng, target):
+        """A zero, constant or general image, its denominators drawn apart."""
+        kind = rng.random()
+        if kind < 0.15:
+            return target.zero()
+        if kind < 0.3:
+            return target.const(Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.randint(1, 9)))
+        return random_poly(rng, target, max_terms=3, max_exp=2)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+    def test_matches_the_fraction_ring_map(self, nvars):
+        rng = random.Random(90 + nvars)
+        target = PolyRing.make(tuple(f"u{i}" for i in range(nvars)))
+        for _ in range(80):
+            p = random_poly(rng, max_terms=6)
+            images = {name: self.image(rng, target) for name in R3.names}
+            got = p.substitute(images)
+            assert got.ring == target
+            assert got == ref_substitute(p, images, target)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    def test_mixed_denominators_non_homogeneous_and_zero_images(self):
+        a, b, c = R3.gens()
+        u, v = PolyRing.make(("u", "v")).gens()
+        p = Fraction(1, 6) * a**3 - Fraction(4, 9) * a * b + Fraction(5, 2) * c + Fraction(-3, 4)
+        assert not p.is_homogeneous() and p.total_degree() == 3
+        for images in (
+            {"a": u / 3 + v / 5, "b": Fraction(7, 2) * u * v, "c": v / 4 - 1},
+            {"a": u.ring.zero(), "b": u.ring.const(Fraction(2, 3)), "c": u / 7},
+            {"a": u.ring.zero(), "b": u.ring.zero(), "c": u.ring.zero()},
+            {"a": u.ring.const(3), "b": u.ring.const(Fraction(-1, 2)), "c": u.ring.one()},
+        ):
+            got = p.substitute(images)
+            assert got == ref_substitute(p, images, u.ring)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    def test_zero_polynomial_maps_to_the_targets_zero(self):
+        target = PolyRing.make(("u",))
+        images = {name: target.var("u") / 2 for name in R3.names}
+        assert R3.zero().substitute(images) == target.zero()
+
+    def test_invariance_matches_the_fraction_references(self):
+        ls = l_polynomials()
+        roots = [
+            ls[i] + s * ls[j] for i in range(4) for j in range(i + 1, 4) for s in (1, -1)
+        ]
+        alternating = RHO_RING.one()
+        for r in roots:
+            alternating = alternating * r
+        s1 = sum((l * l for l in ls), RHO_RING.zero())
+        cases = {
+            "invariant": [s1, s1 * s1 / 3 - 1, ls[0] * ls[1] * ls[2] * ls[3]]
+            + [realized_label(k) for k in (1, 2, 3)],
+            "alternating": [alternating, alternating * s1 / 5],
+            "neither": [ls[0], ls[0] * ls[1] + Fraction(1, 2), alternating + s1],
+        }
+        rng = random.Random(95)
+        cases["neither"] += [random_poly(rng, RHO_RING, max_terms=4, max_exp=2) for _ in range(8)]
+        expected_sign = {"invariant": 1, "alternating": -1, "neither": None}
+        for kind, polys in cases.items():
+            for p in polys:
+                if p.is_zero():
+                    continue
+                assert invariance_sign(p) == ref_invariance_sign(p) == expected_sign[kind]
+                assert is_w_invariant(p) == ref_is_w_invariant(p) == (kind == "invariant")

@@ -43,3 +43,14 @@ def test_target_code_keys_are_distinct(tracer):
     keys = tracer.target_code_keys()
     assert set(keys) == {name for name, *_ in tracer.TARGETS}
     assert len(set(keys.values())) == len(keys)
+
+
+def test_every_target_is_a_plain_function(tracer):
+    # the tracer and its cProfile cross-check read each target's own code
+    # object; a decorator (functools.cache, lru_cache, ...) hides it
+    for name, module_name, path, _ in tracer.TARGETS:
+        fn = tracer._original(module_name, path)
+        assert isinstance(fn, types.FunctionType) and not hasattr(fn, "__wrapped__"), (
+            f"{name} ({module_name}.{path}) is no longer a plain function with a "
+            "__code__: memoize inside the body, never wrap a target"
+        )
