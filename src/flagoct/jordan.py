@@ -69,13 +69,16 @@ class OctMatrix3(Scaled):
         return tuple(tuple(e[i : i + 3]) for i in range(0, 9, 3))
 
     def __mul__(self, other: "OctMatrix3") -> "OctMatrix3":
-        a, b = self._chunks(8), other._chunks(8)
+        # only pairs of nonzero 8-blocks reach the unit table
+        a = [x if any(x) else None for x in self._chunks(8)]
+        b = [x if any(x) else None for x in other._chunks(8)]
         out: List[int] = []
         for i in range(0, 9, 3):
             for j in range(3):
                 acc = [0] * 8
                 for k in range(3):
-                    mul_into(acc, a[i + k], b[3 * k + j])
+                    if a[i + k] and b[3 * k + j]:
+                        mul_into(acc, a[i + k], b[3 * k + j])
                 out.extend(acc)
         return OctMatrix3._of(out, self.den * other.den)
 
@@ -380,16 +383,16 @@ class LinearOperator27(Scaled):
         return tuple(c[k : k + 27] for k in range(0, 729, 27))
 
     def __mul__(self, other: "LinearOperator27") -> "LinearOperator27":
-        # integer matrix product with zero skipping, then one reduction
-        b = other._chunks(27)
+        # integer matrix product through the nonzero (j, v) entries of each
+        # row of other, listed once, then one reduction
+        b = [[(j, v) for j, v in enumerate(row) if v] for row in other._chunks(27)]
         out: List[int] = []
         for arow in self._chunks(27):
             orow = [0] * 27
             for k, av in enumerate(arow):
                 if av:
-                    for j, bv in enumerate(b[k]):
-                        if bv:
-                            orow[j] += av * bv
+                    for j, bv in b[k]:
+                        orow[j] += av * bv
             out.extend(orow)
         return LinearOperator27._of(out, self.den * other.den)
 

@@ -203,8 +203,16 @@ def y_inverse(j: int) -> Character:
 # -- the four basic invariant characters ------------------------------------------
 
 
+# x_character's results, filled by its own body on first use (it is a traced
+# target, so it carries no decorator); nothing may change their term dicts
+_X_CHARACTERS: Dict[int, Character] = {}
+
+
 def x_character(i: int) -> Character:
     """The i-th basic character, as displayed (X4 without its zero weights)."""
+    cached = _X_CHARACTERS.get(i)
+    if cached is not None:
+        return cached
     if i in (1, 2):
         # half-spin: the 8 keys (+-1, +-1, +-1, +-1) with an even (X1) or an
         # odd (X2) number of minus signs
@@ -226,7 +234,8 @@ def x_character(i: int) -> Character:
         ]
     else:
         raise ValueError("character index must be 1..4")
-    return Character(dict.fromkeys(keys, 1))
+    out = _X_CHARACTERS[i] = Character(dict.fromkeys(keys, 1))
+    return out
 
 
 def _unit_key(k: int, value: int) -> DKey:

@@ -417,7 +417,17 @@ class _TermContext:
                 )
         if n < 0:
             value = self.inverse(value, pos)
-        return value if k == 1 else pow_terms(value, k, self.one)
+        if k == 1:
+            return value
+        # (F/L)^k = F^k / L^k, with F and L as in MAX_POWER_DIGITS: the
+        # power runs on ints, and each coefficient is divided by L^k once
+        den = lcm(*(c.denominator for c in value.values()))
+        integral = {e: c.numerator * (den // c.denominator) for e, c in value.items()}
+        power = pow_terms(integral, k, self.one)
+        if den == 1:
+            return power
+        scale = den**k
+        return {e: Fraction(c, scale) for e, c in power.items()}
 
     def inverse(self, value: Terms, pos: int) -> Terms:
         raise ParseError("negative exponents are not allowed in this ring", pos)

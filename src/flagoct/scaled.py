@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple, Union
+from operator import add, sub
+from typing import Callable, List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -86,25 +87,28 @@ class Scaled:
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
 
-    def _combine(self, other: "Scaled", sign: int):
+    def _combine(self, other: "Scaled", op: Callable[[int, int], int]):
         if type(other) is not type(self):
             return NotImplemented
+        if self.den == other.den:
+            return self._of(tuple(map(op, self.nums, other.nums)), self.den)
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return self._of(tuple(fa * x + fb * y for x, y in zip(self.nums, other.nums)), den)
+        fa, fb = den // self.den, den // other.den
+        return self._of(tuple(op(fa * x, fb * y) for x, y in zip(self.nums, other.nums)), den)
 
     def __add__(self, other: "Scaled"):
-        return self._combine(other, 1)
+        return self._combine(other, add)
 
     def __sub__(self, other: "Scaled"):
-        return self._combine(other, -1)
+        return self._combine(other, sub)
 
     def __neg__(self):
         return self._of(tuple(-x for x in self.nums), self.den)
 
     def scale(self, c: Scalar):
         c = exact(c)
-        return self._of(tuple(c.numerator * x for x in self.nums), self.den * c.denominator)
+        n = c.numerator
+        return self._of(tuple(n * x for x in self.nums), self.den * c.denominator)
 
     def is_zero(self) -> bool:
         return not any(self.nums)

@@ -231,7 +231,7 @@ class WeylElement:
     reflection and every product of reflections is.
     """
 
-    __slots__ = ("doubled", "_hash")
+    __slots__ = ("doubled", "_hash", "_lattice")
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]]):
         if len(matrix) != 4 or any(len(r) != 4 for r in matrix):
@@ -241,6 +241,7 @@ class WeylElement:
     def _set(self, doubled: DoubledMatrix) -> None:
         self.doubled = doubled
         self._hash = hash(doubled)
+        self._lattice = None  # preserves_lattice(), filled on its first call
 
     @staticmethod
     def _of_doubled(doubled: DoubledMatrix) -> "WeylElement":
@@ -316,14 +317,18 @@ class WeylElement:
         )
 
     def preserves_lattice(self) -> bool:
-        """Every doubled image of 2*rho_j is all even or all odd."""
-        for key in _DOUBLED_RHO:
-            image = [sum(r * k for r, k in zip(row, key)) for row in self.doubled]
-            if any(v % 2 for v in image):
-                return False
-            if len({(v // 2) % 2 for v in image}) != 1:
-                return False
-        return True
+        """Every doubled image of 2*rho_j is all even or all odd.
+
+        Computed on the first call and kept in the ``_lattice`` slot.
+        """
+        if self._lattice is None:
+            self._lattice = True
+            for key in _DOUBLED_RHO:
+                image = [sum(r * k for r, k in zip(row, key)) for row in self.doubled]
+                if any(v % 2 for v in image) or len({(v // 2) % 2 for v in image}) != 1:
+                    self._lattice = False
+                    break
+        return self._lattice
 
     def is_signed_permutation(self) -> Tuple[bool, int]:
         """(is a signed permutation matrix, number of -1 entries)."""

@@ -34,9 +34,11 @@ checks that both record it as a discrepancy.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from flagoct.cohomology import (
     B_RING,
@@ -416,6 +418,12 @@ CORRUPT_FAILURES = {
     "ktheory": {"X1-X2-factorization"},
 }
 
+# every check's status under `verify all --seed 0 --corrupt`, keyed "suite.check"
+CORRUPT_STATUSES = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "verify_all_seed0_corrupt_statuses.json")
+    .read_text(encoding="utf-8")
+)
+
 
 def test_10_every_suite_detects_its_corrupted_fixture():
     assert set(CORRUPT_FAILURES) == set(SUITE_NAMES)
@@ -430,6 +438,9 @@ def test_10_every_suite_detects_its_corrupted_fixture():
         assert failing, f"corrupted {name} run produced no failures"
         assert set(failing) <= {c.id for c in clean.checks}, name
         assert set(failing) == CORRUPT_FAILURES[name], name
+        assert {f"{name}.{c.id}": c.status for c in corrupted.checks} == {
+            k: v for k, v in CORRUPT_STATUSES.items() if k.startswith(f"{name}.")
+        }, name
         # the falsified fixture is still rejected by its control
         assert all(
             c.status == "pass"

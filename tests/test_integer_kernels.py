@@ -21,6 +21,7 @@ from flagoct.jordan import (
     JordanMatrix,
     LinearOperator27,
     OctMatrix3,
+    canonical_basis,
     format_jordan,
     hat_operator,
     jordan_determinant,
@@ -28,6 +29,7 @@ from flagoct.jordan import (
 from flagoct.ktheory import Character, char_quotient, weyl_act, x_character
 from flagoct.poly import PolyRing, Polynomial, exact_divide
 from flagoct.octonion import Octonion
+from flagoct.suites import run_suite
 from flagoct.weyl import (
     L,
     Weight,
@@ -174,6 +176,19 @@ class TestWeylElement:
         scaled = WeylElement([[Fraction(1, 2) if i == j else 0 for j in range(4)] for i in range(4)])
         assert not scaled.preserves_lattice()
 
+    def test_lattice_answer_is_kept_and_still_refuses(self):
+        # the first call fills the element's _lattice slot; later calls read it
+        scaled = WeylElement([[Fraction(1, 2) if i == j else 0 for j in range(4)] for i in range(4)])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                weyl_act(scaled, x_character(3))
+            assert scaled._lattice is False
+        w = WeylElement.reflection(L(1))
+        assert w._lattice is None
+        assert weyl_act(w, x_character(3)) == x_character(3)
+        assert w._lattice is True
+        assert weyl_act(w, x_character(3)) == x_character(3)
+
 
 # -- Fraction references: characters ------------------------------------------
 
@@ -225,6 +240,16 @@ class TestCharacters:
         for i in range(1, 5):
             assert x_character(i) == ref_x_character(i)
             assert x_character(i).dimension() == (8, 8, 8, 24)[i - 1]
+            assert x_character(i) is x_character(i)
+        with pytest.raises(ValueError):
+            x_character(5)
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_ktheory_suite_leaves_the_kept_characters_unchanged(self, corrupt):
+        # x_character hands every caller the same four objects
+        run_suite("ktheory", seed=0, corrupt=corrupt)
+        for i in range(1, 5):
+            assert x_character(i) == ref_x_character(i)
 
     def test_weyl_act_on_every_key_of_the_basic_characters(self):
         rng = random.Random(40)
@@ -448,6 +473,124 @@ class TestLinearOperator27:
             assert hat_operator(a) == LinearOperator27.from_function(a.jordan)
 
 
+# -- the sparse products against the dense references -------------------------
+# LinearOperator27.__mul__ runs through the nonzero entries of each row of its
+# right factor and OctMatrix3.__mul__ skips pairs of zero 8-blocks; the
+# references above multiply every entry.  The inputs are the shapes the jordan
+# suite feeds them (diagonal hat(x), sparse hat(e_i), the 27 basis matrices)
+# and the shapes that stress the skipping (zero rows and blocks, one entry).
+
+
+def diagonal_rows(rng):
+    return [
+        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if i == j else Fraction(0) for j in range(27)]
+        for i in range(27)
+    ]
+
+
+def unit_rows(rng):
+    rows = [[Fraction(0)] * 27 for _ in range(27)]
+    rows[rng.randrange(27)][rng.randrange(27)] = Fraction(rng.choice((1, -1)), rng.randint(1, 3))
+    return rows
+
+
+def zero_row_rows(rng):
+    rows = random_rows(rng, density=0.5)
+    for i in rng.sample(range(27), 14):
+        rows[i] = [Fraction(0)] * 27
+    return rows
+
+
+def mixed_denominator_rows(rng):
+    return [
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 9))) for _ in range(27)]
+        for _ in range(27)
+    ]
+
+
+OPERATOR_SHAPES = {
+    "diagonal": diagonal_rows,
+    "unit": unit_rows,
+    "zero-rows": zero_row_rows,
+    "mixed-denominators": mixed_denominator_rows,
+}
+
+
+def random_grid_with_zero_blocks(rng):
+    g = random_grid(rng)
+    for i, j in rng.sample([(i, j) for i in range(3) for j in range(3)], rng.randint(3, 8)):
+        g[i][j] = Octonion.zero()
+    return g
+
+
+class TestSparseProducts:
+    @pytest.mark.parametrize(
+        "left, right", list(itertools.combinations_with_replacement(sorted(OPERATOR_SHAPES), 2))
+    )
+    def test_operator_product_and_commutator_match_dense_reference(self, left, right):
+        rng = random.Random(f"{left} {right}")
+        ra, rb = OPERATOR_SHAPES[left](rng), OPERATOR_SHAPES[right](rng)
+        a, b = LinearOperator27(ra), LinearOperator27(rb)
+        ab, ba = ref_matmul(ra, rb), ref_matmul(rb, ra)
+        assert as_rows(a * b) == ab
+        assert as_rows(b * a) == ba
+        assert as_rows(a.commutator(b)) == [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
+
+    def test_hat_operators_of_the_suite_match_dense_reference(self):
+        # hat(x) for diagonal x is diagonal; hat(e_i) has a few entries per row
+        rng = random.Random(75)
+        x = JordanMatrix.diagonal(Fraction(rng.randint(1, 5), 3), -2, Fraction(rng.randint(1, 5), 7))
+        hx = hat_operator(x)
+        rx = as_rows(hx)
+        for b in rng.sample(canonical_basis(), 3):
+            hb = hat_operator(b)
+            rb = as_rows(hb)
+            xb, bx = ref_matmul(rx, rb), ref_matmul(rb, rx)
+            assert as_rows(hx.commutator(hb)) == [[p - q for p, q in zip(u, v)] for u, v in zip(xb, bx)]
+
+    def test_commutator_goes_through_the_product(self, monkeypatch):
+        # the benchmark times LinearOperator27.__mul__ under verify all, so the
+        # commutator must stay two products
+        original = LinearOperator27.__mul__
+        calls = []
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(LinearOperator27, "__mul__", counting)
+        a = hat_operator(JordanMatrix.diagonal(1, -1, 0))
+        b = hat_operator(JordanMatrix.slot_unit("p", 3))
+        assert a.commutator(b) == original(a, b) - original(b, a)
+        assert len(calls) == 2
+
+    def test_matrix_products_with_the_basis_matrices(self):
+        rng = random.Random(76)
+        basis = [grid(b.to_matrix()) for b in canonical_basis()]
+        for gs in (random_grid(rng), random_grid_with_zero_blocks(rng)):
+            s = OctMatrix3(gs)
+            for gy in basis:
+                y = OctMatrix3(gy)
+                sy, ys = ref_grid_mul(gs, gy), ref_grid_mul(gy, gs)
+                assert grid(s * y) == sy
+                assert grid(y * s) == ys
+                assert grid(s.commutator(y)) == ref_grid_sub(sy, ys)
+        for ga in basis:
+            for gb in basis:
+                assert grid(OctMatrix3(ga) * OctMatrix3(gb)) == ref_grid_mul(ga, gb)
+
+    def test_matrix_products_with_zero_blocks(self):
+        rng = random.Random(77)
+        zero = [[Octonion.zero()] * 3 for _ in range(3)]
+        for _ in range(12):
+            ga, gb = random_grid_with_zero_blocks(rng), random_grid_with_zero_blocks(rng)
+            a, b = OctMatrix3(ga), OctMatrix3(gb)
+            ab, ba = ref_grid_mul(ga, gb), ref_grid_mul(gb, ga)
+            assert grid(a * b) == ab
+            assert grid(a.commutator(b)) == ref_grid_sub(ab, ba)
+            assert grid(a * OctMatrix3(zero)) == zero == grid(OctMatrix3(zero) * a)
+
+
 # -- Fraction references: octonions, Jordan matrices and weights ---------------
 # Each value is a tuple of Fractions: 8 octonion coordinates, 4 weight
 # coordinates, or the 27 canonical Jordan coordinates (x1, x2, x3, r, p, q).
@@ -573,7 +716,19 @@ STORE_TYPES = {
     "octonion": (lambda coords: Octonion(coords), 8),
     "weight": (lambda coords: Weight(coords), 4),
     "jordan": (JordanMatrix.from_coordinates, 27),
+    "octmatrix": (
+        lambda coords: OctMatrix3(
+            [[Octonion(coords[8 * e : 8 * e + 8]) for e in range(i, i + 3)] for i in range(0, 9, 3)]
+        ),
+        72,
+    ),
+    "operator": (lambda coords: LinearOperator27([coords[k : k + 27] for k in range(0, 729, 27)]), 729),
 }
+
+
+def fractions_over(rng, n, den):
+    """n values over exactly ``den``: the first is 1/den, the rest k/den."""
+    return (Fraction(1, den),) + tuple(Fraction(rng.randint(-9, 9), den) for _ in range(n - 1))
 
 
 def assert_lowest_terms(v):
@@ -585,7 +740,7 @@ class TestExactStore:
     def test_linear_structure_matches_fraction_reference(self, kind):
         make, n = STORE_TYPES[kind]
         rng = random.Random(60)
-        for _ in range(30):
+        for _ in range(30 if n < 100 else 4):
             rx, ry = random_fractions(rng, n), random_fractions(rng, n)
             x, y = make(rx), make(ry)
             cases = [(x, rx), (x + y, ref_add(rx, ry)), (x - y, ref_sub(rx, ry)), (-x, ref_neg(rx))]
@@ -595,6 +750,27 @@ class TestExactStore:
                 assert_lowest_terms(value)
             assert (x - x).is_zero()
             assert (x + y).is_zero() == all(c == 0 for c in ref_add(rx, ry))
+
+    @pytest.mark.parametrize("kind", sorted(STORE_TYPES))
+    @pytest.mark.parametrize("same_den", [True, False], ids=["equal-den", "lcm"])
+    def test_both_denominator_paths_match_fraction_reference(self, kind, same_den):
+        make, n = STORE_TYPES[kind]
+        rng = random.Random(67)
+        for _ in range(10):
+            dx = rng.choice((1, 2, 6, 15))
+            dy = dx if same_den else rng.choice([d for d in (1, 3, 4, 10) if d != dx])
+            rx, ry = fractions_over(rng, n, dx), fractions_over(rng, n, dy)
+            x, y = make(rx), make(ry)
+            assert (x.den, y.den) == (dx, dy)
+            cases = [(x + y, ref_add(rx, ry)), (x - y, ref_sub(rx, ry)), (y - x, ref_sub(ry, rx))]
+            cases += [(x.scale(c), ref_scale(c, rx)) for c in SCALES]
+            for value, ref in cases:
+                assert value.coords == ref
+                assert_lowest_terms(value)
+        # equal denominators whose sum reduces
+        half = x.scale(Fraction(1, 2))
+        assert half + half == x and (half + half).den == x.den
+        assert (x - x).is_zero() and (x - x).den == 1
 
     @pytest.mark.parametrize("kind", sorted(STORE_TYPES))
     def test_equal_values_over_different_denominators_compare_and_hash_equal(self, kind):

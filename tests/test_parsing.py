@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from flagoct.cohomology import B_RING, E_RING
 from flagoct.gkm import RHO_RING
 from flagoct.ktheory import Character, x_character, y, y_inverse
-from flagoct.poly import RingMismatchError
+from flagoct.poly import RingMismatchError, pow_terms
 from flagoct.parsing import (
     BinOp,
     CharacterContext,
@@ -357,6 +357,45 @@ class TestPowerLimits:
             assert f"more than {MAX_POWER_DIGITS} digits" in str(err.value)
         # unit coefficients project no digits, so only the exponent bounds them
         assert parse_and_evaluate(f"y1^-{MAX_EXPONENT}", CharacterContext()) == y_inverse(1) ** MAX_EXPONENT
+
+
+def random_rational_terms(rng, nvars):
+    """A base with int and Fraction coefficients, as the parser builds them."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        den = rng.choice((1, 1, 2, 3, 7, 12))
+        num = rng.choice([n for n in range(-9, 10) if n])
+        terms[e] = num if den == 1 else Fraction(num, den)
+    return terms
+
+
+class TestRationalPower:
+    """`^` on a rational base runs on integers: F^k / L^k for the base F/L."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_power_on_fraction_terms(self, seed):
+        rng = random.Random(seed)
+        ctx = PolynomialContext(E_RING)
+        one = {(0,) * E_RING.nvars: Fraction(1)}
+        for _ in range(8):
+            base = random_rational_terms(rng, E_RING.nvars)
+            k = rng.choice((0, 1, 2, 3, 5, 8, 13))
+            fractions = {e: Fraction(c) for e, c in base.items()}
+            assert ctx.power(base, k, 0) == pow_terms(fractions, k, one), (base, k)
+
+    def test_texts_match_their_polynomial_powers(self):
+        ctx = PolynomialContext(B_RING)
+        b1, b2 = B_RING.gens()
+        cases = [
+            ("(1/3*b1 + 1/7*b2)^45", (b1 / 3 + b2 / 7) ** 45),
+            ("(1/3*b1 + 1/7*b2 + 1/11)^9", (b1 / 3 + b2 / 7 + Fraction(1, 11)) ** 9),
+            ("(1/2*b1 - 2/4*b2)^6", (b1 / 2 - b2 / 2) ** 6),
+            ("(4/2*b1 + 1)^5", (2 * b1 + 1) ** 5),
+            ("(1/2)^0", B_RING.one()),
+        ]
+        for text, expected in cases:
+            assert parse_and_evaluate(text, ctx) == expected, text
 
 
 class TestTextLimit:

@@ -1,6 +1,15 @@
-"""Verification suites: orchestration, determinism, negative controls."""
+"""Verification suites: orchestration, determinism, negative controls.
+
+``fixtures/verify_all_seed0.json`` pins the report of
+``flagoct verify all --seed 0 --format json`` without its ``runtime_ms``;
+``fixtures/verify_all_seed0_corrupt_statuses.json`` pins every check's status
+under ``--corrupt``.  Both were written by the code before the sparse operator
+products, so a kernel change that moves any id, status or detail shows here.
+"""
 
 import functools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +62,13 @@ class TestReportObject:
         assert "total: 2  pass: 1  fail: 1  skipped: 0" in text
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def pinned(name):
+    return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+
+
 @pytest.fixture(scope="module")
 def clean_report():
     """The clean seed-0, cutoff-8 report of a suite, computed once per module."""
@@ -85,12 +101,16 @@ class TestRunSuite:
 
     def test_corrupt_mode_is_detected(self, clean_report):
         # spot-check two suites here; the acceptance tests sweep all six
+        statuses = pinned("verify_all_seed0_corrupt_statuses.json")
         for name in ("roots", "cohomology"):
             clean = clean_report(name)
             bad = run_suite(name, seed=0, corrupt=True)
             failing = [c.id for c in bad.checks if c.status == "fail"]
             assert failing, f"corrupt {name} run produced no failures"
             assert set(failing) <= {c.id for c in clean.checks}
+            assert {f"{name}.{c.id}": c.status for c in bad.checks} == {
+                k: v for k, v in statuses.items() if k.startswith(f"{name}.")
+            }
 
     def test_all_merges_with_prefixes(self, clean_report):
         rep = clean_report("all")
@@ -101,6 +121,11 @@ class TestRunSuite:
             total += len(clean_report(name).checks)
         assert len(rep.checks) == total
         assert rep.passed
+
+    def test_all_report_matches_pinned_fixture(self, clean_report):
+        report = json.loads(clean_report("all").to_json())
+        report.pop("runtime_ms")
+        assert report == pinned("verify_all_seed0.json")
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError):
