@@ -40,7 +40,7 @@ from .parsing import (
     PolynomialContext,
     parse_and_evaluate,
 )
-from .poly import Polynomial, RingMismatchError
+from .poly import Polynomial, ResourceLimitError, RingMismatchError
 from .suites import SUITE_NAMES, run_suite
 from .weyl import SIGMA3_NAMES
 
@@ -174,7 +174,11 @@ def _run_gkm_check(ring: str, values: Dict[str, object]) -> MembershipResult:
 def _cmd_gkm_check(args: argparse.Namespace) -> int:
     entries = _load_tuple_file(args.file, args.ring)
     values = _evaluate_entries(entries, args.ring)
-    result = _run_gkm_check(args.ring, values)
+    try:
+        result = _run_gkm_check(args.ring, values)
+    except ResourceLimitError as exc:
+        # a character difference too wide for the packed division keys
+        raise UsageError(str(exc))
     if result.ok:
         print(f"ok: tuple satisfies all edge conditions in ring {args.ring}")
         return 0

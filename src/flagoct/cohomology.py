@@ -372,9 +372,10 @@ def _primitive(row: List[int]) -> List[int]:
 # -- fixed-point restriction table ----------------------------------------------
 
 
-def _b_poly(spec_text: str) -> Polynomial:
+def _b_polys() -> Dict[str, Polynomial]:
+    """The six signed labels of the restriction table, by their text."""
     b1, b2 = B_RING.gens()
-    table = {
+    return {
         "b1": b1,
         "b2": b2,
         "b3": b1 + b2,
@@ -382,7 +383,6 @@ def _b_poly(spec_text: str) -> Polynomial:
         "-b2": -b2,
         "-b3": -(b1 + b2),
     }
-    return table[spec_text]
 
 
 # entries (sigma, bundle index k) -> restriction of the k-th Euler class,
@@ -402,10 +402,11 @@ class RestrictionTable:
 
     def __init__(self) -> None:
         self.ring = B_RING
+        polys = _b_polys()
         self.entries: Dict[Tuple[str, int], Polynomial] = {}
         for name, row in _RESTRICTION_ENTRIES.items():
             for k, text in enumerate(row, start=1):
-                self.entries[(name, k)] = _b_poly(text)
+                self.entries[(name, k)] = polys[text]
 
     def restriction(self, sigma: Sigma3Element, k: int) -> Polynomial:
         if k not in (1, 2, 3):

@@ -425,31 +425,44 @@ def p1_p2_equivalence(t: CohTuple) -> Tuple[bool, bool, bool]:
 def random_membership_tuple(rng: random.Random, degree: int = 2) -> CohTuple:
     """A guaranteed member: polynomial in the two restriction classes."""
     table = RestrictionTable()
-    b1, b2 = B_RING.gens()
+    rows = [
+        (table.restriction(sigma, 1), table.restriction(sigma, 2))
+        for sigma in map(sigma3_by_name, SIGMA3_NAMES)
+    ]
+    # the powers of the restrictions, built once per call; they are +-b1,
+    # +-b2 and +-b3, so the vertices share them
+    powers: Dict[Tuple[Polynomial, int], Polynomial] = {}
+
+    def power(p: Polynomial, d: int) -> Polynomial:
+        if (p, d) not in powers:
+            powers[p, d] = p**d
+        return powers[p, d]
+
     entries = {name: B_RING.zero() for name in SIGMA3_NAMES}
     # random polynomial P(c1, c2) with coefficients in Q[b1,b2]
     for _ in range(rng.randint(1, 4)):
         d1, d2 = rng.randint(0, degree), rng.randint(0, degree)
-        scalar = Fraction(rng.randint(-3, 3))
+        scalar = rng.randint(-3, 3)
         cdeg = rng.randint(0, 1)
-        coeff = (b1 ** rng.randint(0, cdeg)) * (b2 ** rng.randint(0, cdeg))
-        for name in SIGMA3_NAMES:
-            sigma = sigma3_by_name(name)
-            u = table.restriction(sigma, 1)
-            v = table.restriction(sigma, 2)
-            entries[name] = entries[name] + scalar * coeff * u**d1 * v**d2
+        coeff = B_RING.monomial((rng.randint(0, cdeg), rng.randint(0, cdeg)), scalar)
+        for name, (u, v) in zip(SIGMA3_NAMES, rows):
+            entries[name] = entries[name] + coeff * power(u, d1) * power(v, d2)
     return CohTuple("Hb", entries)
 
 
 def random_arbitrary_tuple(rng: random.Random, degree: int = 2) -> CohTuple:
-    b1, b2 = B_RING.gens()
+    """Each entry is sum(c * b1^e1 * b2^e2) over e1 + e2 <= degree, with
+    seeded c in [-2, 2]."""
     entries = {}
     for name in SIGMA3_NAMES:
-        p = B_RING.zero()
-        for e1 in range(degree + 1):
-            for e2 in range(degree + 1 - e1):
-                p = p + Fraction(rng.randint(-2, 2)) * b1**e1 * b2**e2
-        entries[name] = p
+        entries[name] = Polynomial(
+            B_RING,
+            {
+                (e1, e2): rng.randint(-2, 2)
+                for e1 in range(degree + 1)
+                for e2 in range(degree + 1 - e1)
+            },
+        )
     return CohTuple("Hb", entries)
 
 
@@ -525,33 +538,53 @@ def _basic_invariants() -> Tuple[Polynomial, ...]:
     return (s1, s2, prod, s3)
 
 
+def _invariant_exponents(poly_degree: int) -> List[Tuple[int, ...]]:
+    """Exponent vectors e with sum(e_i * _INVARIANT_DEGREES[i]) equal to
+    ``poly_degree``, in lexicographic order.  The order depends only on the
+    degrees, so the m-th monomial in the images of the invariants is the
+    image of the m-th monomial in the invariants."""
+    out: List[Tuple[int, ...]] = []
+
+    def rec(prefix: Tuple[int, ...], deg_left: int) -> None:
+        if len(prefix) == len(_INVARIANT_DEGREES):
+            if deg_left == 0:
+                out.append(prefix)
+            return
+        d = _INVARIANT_DEGREES[len(prefix)]
+        for e in range(deg_left // d + 1):
+            rec(prefix + (e,), deg_left - e * d)
+
+    rec((), poly_degree)
+    return out
+
+
 def _invariant_monomials(
-    gens: Sequence[Polynomial], poly_degree: int
+    gens: Sequence[Polynomial],
+    poly_degree: int,
+    built: Optional[Dict[Tuple[int, ...], Polynomial]] = None,
 ) -> List[Polynomial]:
-    """Monomials in ``gens`` of total polynomial degree ``poly_degree``.
+    """Monomials in ``gens`` of total polynomial degree ``poly_degree``, in
+    the order of :func:`_invariant_exponents`.
 
     ``gens`` stand for the basic invariants (or their images under a ring
-    map) and are weighted by ``_INVARIANT_DEGREES``.  The enumeration order
-    depends only on the degrees, so the m-th monomial in the images of the
-    invariants is the image of the m-th monomial in the invariants.
+    map) and are weighted by ``_INVARIANT_DEGREES``.  ``built`` keeps the
+    monomials of ``gens`` by exponent vector across calls: each new one is a
+    kept one of lower degree times one generator, that of its first nonzero
+    exponent.
     """
-    out: List[Polynomial] = []
-
-    def rec(idx: int, deg_left: int, acc: Polynomial) -> None:
-        if idx == len(gens):
-            if deg_left == 0:
-                out.append(acc)
-            return
-        g, d = gens[idx], _INVARIANT_DEGREES[idx]
-        power = acc
-        e = 0
-        while deg_left - e * d >= 0:
-            rec(idx + 1, deg_left - e * d, power)
-            e += 1
-            if deg_left - e * d >= 0:
-                power = power * g
-
-    rec(0, poly_degree, gens[0].ring.one())
+    if built is None:
+        built = {}
+    if not built:
+        built[(0,) * len(gens)] = gens[0].ring.one()
+    out = []
+    for e in _invariant_exponents(poly_degree):
+        if e not in built:
+            i = next(i for i, k in enumerate(e) if k)
+            lower = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            if lower not in built:
+                _invariant_monomials(gens, poly_degree - _INVARIANT_DEGREES[i], built)
+            built[e] = built[lower] * gens[i]
+        out.append(built[e])
     return out
 
 
@@ -562,8 +595,13 @@ def _integral_rows(restricted: Sequence[Polynomial]) -> List[List[int]]:
     A row with a non-integral coefficient is scaled by the lcm of its
     denominators, which leaves its solution space unchanged.
     """
-    monomials = sorted({e for p in restricted for e in p.terms})
-    return [integral_row([p.terms.get(e, 0) for p in restricted]) for e in monomials]
+    monomials = sorted({k for p in restricted for k in p.packed})
+    if all(p.den == 1 for p in restricted):
+        return [[p.packed.get(k, 0) for p in restricted] for k in monomials]
+    return [
+        integral_row([Fraction(p.packed.get(k, 0), p.den) for p in restricted])
+        for k in monomials
+    ]
 
 
 def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
@@ -586,7 +624,7 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
     # the basic invariants restricted to each label hyperplane, with the
     # edge class of the label
     restricted = [
-        (k, tuple(g.substitute(_restriction_images(RHO_RING, form)) for g in invariants))
+        (k, tuple(g.substitute(_restriction_images(RHO_RING, form)) for g in invariants), {})
         for k in ROOT_TRANSPOSITIONS
         for form in label_hyperplanes(k)
     ]
@@ -599,8 +637,8 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
         # often give the same rows, and a repeated row cannot change the
         # rank); nb is the same for every hyperplane
         blocks: Dict[int, Dict[Tuple[int, ...], None]] = {k: {} for k in ROOT_TRANSPOSITIONS}
-        for k, gens in restricted:
-            basis = _invariant_monomials(gens, d // 2)
+        for k, gens, built in restricted:
+            basis = _invariant_monomials(gens, d // 2, built)
             nb = len(basis)
             blocks[k].update(dict.fromkeys(map(tuple, _integral_rows(basis))))
         if nb == 0:

@@ -23,6 +23,7 @@ from .poly import (
     divisor,
     grevlex_key,
     reduce_terms,
+    scaled_terms,
 )
 
 MAX_VARIABLES = 6
@@ -44,9 +45,12 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     for g in basis:
         if g.ring != f.ring:
             raise RingMismatchError("basis element in a different ring")
-    remainder: Dict[Exponents, Fraction] = {}
-    reduce_terms(f.terms, [divisor(g.terms, g.leading_exponents()) for g in basis], remainder)
-    return Polynomial._of(f.ring, remainder)
+    packing = f.ring.packing
+    # over Q: the leading coefficients are Fractions
+    remainder: Dict[int, Fraction] = {}
+    divisors = [divisor(g.fraction_terms(), max(g.packed)) for g in basis]
+    reduce_terms(f.fraction_terms(), divisors, packing, remainder)
+    return Polynomial._of(f.ring, *scaled_terms(remainder))
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -493,12 +493,16 @@ def operator_eigenvalue_check(x: JordanMatrix, k: int) -> bool:
         raise ValueError("x must be diagonal and traceless")
     hx = hat_operator(x)
     lam = gamma_value(k, x) ** 2 / 4
-    for i in range(1, 9):
-        a = JordanMatrix.slot_unit(slot_of_root(k), i)
-        ha = hat_operator(a)
+    for ha in _slot_unit_hats(slot_of_root(k)):
         if hx.commutator(hx.commutator(ha)) != ha.scale(lam):
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _slot_unit_hats(slot: str) -> Tuple[LinearOperator27, ...]:
+    """hat(a) of the 8 units a of one slot, built once per process."""
+    return tuple(hat_operator(JordanMatrix.slot_unit(slot, i)) for i in range(1, 9))
 
 
 # -- textual form ---------------------------------------------------------------

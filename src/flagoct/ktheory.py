@@ -3,8 +3,9 @@
 The character ring is realized as the group algebra of the weight lattice
 (all-integer or all-half-integer 4-vectors) with integer coefficients, so
 the usual Laurent presentation's relation y5^2 = y1 y2 y3 y4 is an identity
-of weights rather than a rewrite rule.  Internally every weight is stored
-doubled (multiplied by 2) as a 4-tuple of like-parity integers.
+of weights rather than a rewrite rule.  Every weight is doubled (multiplied
+by 2) to a 4-tuple of like-parity integers, its key, and stored packed into
+one int by ``CHAR_PACKING``.
 
 Key objects:
 
@@ -28,11 +29,11 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .gkm import MembershipResult, ROOT_TRANSPOSITIONS, gkm_edges
-from .poly import PolyRing, Polynomial, divisor, exact_divide, grevlex_key, reduce_terms
+from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, divisor, exact_divide, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
 from .weyl import (
     SIGMA3_NAMES,
@@ -47,6 +48,15 @@ from .weyl import (
 DKey = Tuple[int, int, int, int]
 
 X_RING = PolyRing.make(("X1", "X2", "X3", "X4"), (1, 1, 1, 1))
+
+# Doubled weight keys packed with a bias: every coordinate k with
+# -2**(FIELD_BITS-2) <= k < 2**(FIELD_BITS-2) fits, and lexicographic order
+# on the keys is taken from their unpacked tuples.
+CHAR_PACKING = Packing(4, bias=1 << (FIELD_BITS - 2))
+
+# the same fields without the bias, for the shifted (nonnegative) keys of
+# character division
+_SHIFTED_PACKING = Packing(4)
 
 
 def _validate_dkey(key: Sequence[int]) -> DKey:
@@ -63,28 +73,39 @@ def _validate_dkey(key: Sequence[int]) -> DKey:
 
 
 class Character:
-    """An integer combination of lattice weights (a virtual character)."""
+    """An integer combination of lattice weights (a virtual character).
 
-    __slots__ = ("terms",)
+    ``packed`` maps the doubled weight keys, packed by ``CHAR_PACKING``, to
+    nonzero int coefficients; ``terms`` is a read-only view by key tuples,
+    built on each access.
+    """
+
+    __slots__ = ("packed",)
 
     def __init__(self, terms: Mapping[DKey, int]):
-        clean: Dict[DKey, int] = {}
+        pack = CHAR_PACKING.pack
+        clean: Dict[int, int] = {}
         for key, coeff in terms.items():
             coeff = int(coeff)
             if coeff:
-                clean[_validate_dkey(key)] = coeff
-        self.terms = clean
+                clean[pack(_validate_dkey(key))] = coeff
+        self.packed = clean
 
     @classmethod
-    def _of(cls, terms: Dict[DKey, int]) -> "Character":
-        """Wrap ``terms`` as they are: lattice keys, nonzero int coefficients.
+    def _of(cls, packed: Dict[int, int]) -> "Character":
+        """Wrap ``packed`` as it is: lattice keys, nonzero int coefficients.
 
         For results built from the keys of valid characters (sums, negatives,
         Weyl images), which lie in the lattice already.
         """
         out = cls.__new__(cls)
-        out.terms = terms
+        out.packed = packed
         return out
+
+    @property
+    def terms(self) -> Dict[DKey, int]:
+        unpack = CHAR_PACKING.unpack
+        return {unpack(k): c for k, c in self.packed.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -117,61 +138,59 @@ class Character:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Character):
             return NotImplemented
-        return self.terms == other.terms
+        return self.packed == other.packed
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.packed.items()))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def dimension(self) -> int:
         """Value at the identity: the sum of all coefficients."""
-        return sum(self.terms.values())
+        return sum(self.packed.values())
 
     def support_size(self) -> int:
-        return len(self.terms)
+        return len(self.packed)
 
     def weights(self) -> List[Tuple[Weight, int]]:
-        out = []
-        for key in sorted(self.terms):
-            out.append((Weight.from_doubled_key(key), self.terms[key]))
-        return out
+        """(weight, multiplicity) in lexicographic order of the keys."""
+        return [(Weight.from_doubled_key(key), c) for key, c in sorted(self.terms.items())]
 
     def lex_max_key(self) -> DKey:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero character has no maximal weight")
-        return max(self.terms)
+        return max(map(CHAR_PACKING.unpack, self.packed))
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Character") -> "Character":
-        return Character._of(add_terms(self.terms, other.terms))
+        return Character._of(add_terms(self.packed, other.packed))
 
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
     def __neg__(self) -> "Character":
-        return Character._of(neg_terms(self.terms))
+        return Character._of(neg_terms(self.packed))
 
     def __mul__(self, other: "Character") -> "Character":
-        return Character._of(mul_terms(self.terms, other.terms))
+        return Character._of(mul_terms(self.packed, other.packed, CHAR_PACKING))
 
     def scale(self, n: int) -> "Character":
-        return Character({k: n * c for k, c in self.terms.items()})
+        n = int(n)
+        return Character._of({k: n * c for k, c in self.packed.items()} if n else {})
 
     def __pow__(self, n: int) -> "Character":
         if n < 0:
             raise ValueError("negative character powers are not defined")
-        return Character._of(pow_terms(self.terms, n, Character.one().terms))
+        return Character._of(pow_terms(self.packed, n, CHAR_PACKING))
 
     def __str__(self) -> str:
         return terms_text(
-            (self.terms[key], _monomial_text(key))
-            for key in sorted(self.terms, reverse=True)
+            (c, _monomial_text(key)) for key, c in sorted(self.terms.items(), reverse=True)
         )
 
 
@@ -261,12 +280,11 @@ def x4_display_discrepancy() -> int:
 def weyl_act(w: WeylElement, f: Character) -> Character:
     if not w.preserves_lattice():
         raise ValueError("transformation does not preserve the weight lattice")
-    out: Dict[DKey, int] = {}
-    for key, coeff in f.terms.items():
-        k = w.act_doubled(key)
-        out[k] = out.get(k, 0) + coeff
+    pack, unpack = CHAR_PACKING.pack, CHAR_PACKING.unpack
     # a lattice-preserving action maps distinct keys to distinct lattice keys
-    return Character._of(out)
+    return Character._of(
+        {pack(w.act_doubled(unpack(key))): coeff for key, coeff in f.packed.items()}
+    )
 
 
 def is_w_invariant_character(f: Character) -> bool:
@@ -323,11 +341,14 @@ def verify_factorizations(
 # -- exact division in the character ring ---------------------------------------------
 
 
-def _shifted_terms(f: Character) -> Tuple[Dict[DKey, int], DKey]:
-    """Shift the support into the nonnegative orthant; return (terms, shift)."""
-    shift = tuple(min(k[i] for k in f.terms) for i in range(4))
-    terms = {tuple(map(sub, k, shift)): c for k, c in f.terms.items()}
-    return terms, shift
+def _shifted_terms(f: Character) -> Tuple[Dict[int, int], int]:
+    """Shift the support into the nonnegative orthant; return the shifted
+    terms, as keys of ``_SHIFTED_PACKING``, and the packed shift."""
+    unpack = CHAR_PACKING.unpack
+    keys = [unpack(k) for k in f.packed]
+    shift = CHAR_PACKING.pack([min(k[i] for k in keys) for i in range(4)])
+    # packing is linear: key(k) - key(s) is the unbiased key of k - s
+    return {k - shift: c for k, c in f.packed.items()}, shift
 
 
 def char_quotient(d: Character, f: Character) -> Optional["Character"]:
@@ -344,18 +365,20 @@ def char_quotient(d: Character, f: Character) -> Optional["Character"]:
     pf, sf = _shifted_terms(f)
     pd, sd = _shifted_terms(d)
     # int coefficients: the reduction divides over Z
-    quotients = reduce_terms(pf, [divisor(pd, max(pd, key=grevlex_key))])
+    quotients = reduce_terms(pf, [divisor(pd, max(pd))], _SHIFTED_PACKING)
     if quotients is None:
         return None
-    offset = tuple(a - b for a, b in zip(sf, sd))
-    out: Dict[DKey, int] = {}
-    for e, c in quotients[0].items():
-        # polynomial exponents are already in doubled-lattice units
-        key = tuple(x + o for x, o in zip(e, offset))
-        parities = {k % 2 for k in key}
-        if len(parities) != 1:
+    # polynomial exponents are already in doubled-lattice units; the packed
+    # key of e + sf - sd is key(e) + key(sf) - key(sd) + key(0)
+    offset = sf - sd + CHAR_PACKING.zero
+    out = {e + offset: c for e, c in quotients[0].items()}
+    CHAR_PACKING.check_fields(out)
+    # a lattice key has its four fields all even or all odd (the bias is even)
+    low, ones = CHAR_PACKING.low, CHAR_PACKING.ones
+    for key in out:
+        parities = -key & low & ones
+        if parities and parities != ones:
             return None
-        out[key] = c
     return Character._of(out)
 
 
@@ -401,9 +424,8 @@ def expand_x_polynomial(p: Polynomial) -> Character:
         raise ValueError("polynomial must live in the X ring")
     if not p.is_integral():
         raise ValueError("X-polynomials must have integer coefficients")
-    xs = [x_character(i).terms for i in range(1, 5)]
-    integers = {e: c.numerator for e, c in p.terms.items()}
-    return Character._of(map_terms(integers, xs, Character.one().terms))
+    xs = [x_character(i).packed for i in range(1, 5)]
+    return Character._of(map_terms(p.packed, X_RING.packing, xs, CHAR_PACKING))
 
 
 def _dominant_exponents(key: DKey) -> Optional[Tuple[int, int, int, int]]:
@@ -442,7 +464,7 @@ def to_x_polynomial(f: Character) -> Optional[Polynomial]:
                 "invariant character produced a non-dominant maximal weight; "
                 "this indicates an arithmetic defect"
             )
-        coeff = work.terms[key]
+        coeff = work.packed[CHAR_PACKING.pack(key)]
         mono = X_RING.monomial(exps, coeff)
         result = result + mono
         work = work - expand_x_polynomial(mono)

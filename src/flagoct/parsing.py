@@ -16,17 +16,21 @@ depend on the evaluation context:
 * the character context accepts y1..y5 with integer (possibly negative)
   exponents and requires integer coefficients.
 
-One recursive-descent parser serves two builders: :func:`parse` builds a
-syntax tree (printed back by :func:`to_text`), and :func:`parse_and_evaluate`
-evaluates while it parses, on plain term dicts, and wraps the result once.
+The recursive-descent parser hands each production to a builder as it is
+read; :func:`parse_and_evaluate` uses an evaluation context as the builder,
+so it evaluates while it parses, on plain term dicts, and wraps the result
+once.
 
 A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
 most ``MAX_LITERAL_DIGITS`` digits.  An exponent is at most
 ``MAX_EXPONENT``; a power whose result could have more than
 ``MAX_POWER_TERMS`` terms or coefficients of more than ``MAX_POWER_DIGITS``
-digits, and a product of more than ``MAX_PRODUCT_PAIRS`` term pairs, are
-refused before they are computed.
+digits, and a product of more than ``MAX_PRODUCT_PAIRS`` term pairs or with
+coefficients that could pass ``MAX_RESULT_DIGITS`` digits, are refused
+before they are computed.  A sum or difference is refused when its
+coefficients pass ``MAX_RESULT_DIGITS`` digits, and a product or power when
+its exponents do not fit their packed fields (:class:`flagoct.poly.Packing`).
 Errors carry the 0-based character position for diagnostics; evaluation
 errors are raised as the parser reaches them, so with several faults in one
 text the first in reading order is reported.
@@ -35,18 +39,17 @@ text the first in reading order is reported.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, log10
-from typing import Dict, List, NamedTuple, Optional, Union
+from math import comb, log10
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .ktheory import Character, y
-from .poly import PolyRing, Polynomial, RingMismatchError, Terms
-from .poly import add_terms, mul_terms, neg_terms, pow_terms
+from .ktheory import CHAR_PACKING, Character, y
+from .poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError, Terms
+from .poly import add_scaled, lowest_terms, mul_terms, neg_terms, pow_scaled
 
-# Parsing recurses once per parenthesis, and printing a tree once per unary
-# minus, so their combined nesting is capped well inside the interpreter's
-# recursion limit.
+# Parentheses and unary minus signs together nest at most this deep, well
+# inside the interpreter's recursion limit (parsing recurses once per
+# parenthesis).
 MAX_NESTING = 100
 
 # `^` is bounded twice: by the size of its exponent, and by the number of
@@ -67,6 +70,14 @@ MAX_POWER_DIGITS = 1_500
 # pairs, each one coefficient product, and a product of more pairs than this
 # is refused before it is computed.
 MAX_PRODUCT_PAIRS = 50_000
+
+# Every value a text builds has numerators and a denominator of at most this
+# many digits, below Python's 4300-digit limit on str() of an int, so that
+# every accepted value prints.  A product's coefficients have at most the
+# digits of the two factors' largest numerators (or denominators) plus those
+# of the pair count, and that projection is checked before the product is
+# computed; a sum is checked once it is computed.
+MAX_RESULT_DIGITS = 4_000
 
 # A text has at most this many characters; a longer one is refused before it
 # is tokenized.
@@ -123,70 +134,6 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-# -- syntax tree ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    pos: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: "Node"
-    right: "Node"
-    pos: int
-
-
-Node = Union[Num, Var, Neg, Pow, BinOp]
-
-
-class _TreeBuilder:
-    """Builds the syntax tree of a text."""
-
-    def constant(self, num: int, den: int, pos: int) -> Node:
-        return Num(Fraction(num, den), pos)
-
-    def variable(self, name: str, pos: int) -> Node:
-        return Var(name, pos)
-
-    def neg(self, value: Node, pos: int) -> Node:
-        return Neg(value, pos)
-
-    def power(self, value: Node, n: int, pos: int) -> Node:
-        return Pow(value, n, pos)
-
-    def add(self, left: Node, right: Node, pos: int) -> Node:
-        return BinOp("+", left, right, pos)
-
-    def sub(self, left: Node, right: Node, pos: int) -> Node:
-        return BinOp("-", left, right, pos)
-
-    def mul(self, left: Node, right: Node, pos: int) -> Node:
-        return BinOp("*", left, right, pos)
-
-
 def _literal(tok: Token) -> int:
     digits = tok.text.lstrip("0") or "0"
     if len(digits) > MAX_LITERAL_DIGITS:
@@ -199,7 +146,7 @@ def _literal(tok: Token) -> int:
 class _Parser:
     """Recursive descent over the tokens of one text.  Each production hands
     its parts to ``builder`` as soon as they are read, so the builder's value
-    of the whole text (a tree or an evaluated element) is made in one pass."""
+    of the whole text is made in one pass."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
@@ -314,192 +261,203 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
-def parse(text: str) -> Node:
-    return _Parser(text, _TreeBuilder()).parse()
-
-
-# -- printing (round-trip) ----------------------------------------------------------
-
-
-def _precedence(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return 1 if node.op in ("+", "-") else 2
-    if isinstance(node, Neg):
-        return 1
-    if isinstance(node, Pow):
-        return 3
-    if isinstance(node, Num) and node.value < 0:
-        return 1
-    return 4
-
-
-def to_text(node: Node) -> str:
-    """Render a tree back to grammar-conforming text."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        # products must be parenthesized: "-a*b" would re-parse with the
-        # minus attached to the first factor only
-        if _precedence(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = to_text(node.base)
-        if _precedence(node.base) < 4 or isinstance(node.base, Pow):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, BinOp):
-        left = to_text(node.left)
-        right = to_text(node.right)
-        if node.op == "*":
-            if _precedence(node.left) < 2:
-                left = f"({left})"
-            if _precedence(node.right) < 3:
-                right = f"({right})"
-            return f"{left}*{right}"
-        if _precedence(node.right) <= 1:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not a syntax node: {node!r}")
-
-
 # -- evaluation contexts ----------------------------------------------------------------
 
 
-class _TermContext:
-    """Evaluation on plain term dicts, the builder of :func:`parse_and_evaluate`.
+# A value while a text is evaluated: the packed term dict and positive
+# denominator, in lowest terms, as a Polynomial stores them (characters keep
+# the denominator 1), and an upper bound on the bit length of every
+# numerator and of the denominator.
+Value = Tuple[Terms, int, int]
 
-    Subclasses give the unit ``one``, the leaves (``constant``, ``variable``),
-    the inverse of a base raised to a negative power, and ``wrap`` for the
+
+def _digits(bits: int) -> int:
+    """At least the number of decimal digits of an int of ``bits`` bits
+    (1234/4096 > log10 2)."""
+    return (bits * 1234 >> 12) + 1
+
+
+def _bits(terms: Terms, den: int) -> int:
+    """The bit length of the largest numerator or of the denominator."""
+    if not terms:
+        return 0
+    return max(max(terms.values()), -min(terms.values()), den).bit_length()
+
+
+class _TermContext:
+    """Evaluation on packed term dicts over a denominator, the builder of
+    :func:`parse_and_evaluate`.
+
+    Subclasses give ``packing``, the leaves (``constant``, ``variable``), the
+    inverse of a base raised to a negative power, and ``wrap`` for the
     result.  Leaf dicts are cached and shared, so no step may change a dict
     it is given.
+
+    Each step projects a bound on the bits of its result from the bounds of
+    its operands.  Only when that projection passes ``MAX_RESULT_DIGITS``
+    are the operands' (or a sum's) own bits read, and only when these pass
+    it too is the step refused.
     """
 
-    one: Terms
+    packing = None
 
-    def neg(self, value: Terms, pos: int) -> Terms:
-        return neg_terms(value)
+    def neg(self, value: Value, pos: int) -> Value:
+        terms, den, bits = value
+        return neg_terms(terms), den, bits
 
-    def add(self, left: Terms, right: Terms, pos: int) -> Terms:
-        return add_terms(left, right)
+    def add(self, left: Value, right: Value, pos: int) -> Value:
+        return self._sum(left, right[0], right, pos)
 
-    def sub(self, left: Terms, right: Terms, pos: int) -> Terms:
-        return add_terms(left, neg_terms(right))
+    def sub(self, left: Value, right: Value, pos: int) -> Value:
+        return self._sum(left, neg_terms(right[0]), right, pos)
 
-    def mul(self, left: Terms, right: Terms, pos: int) -> Terms:
-        if len(left) * len(right) > MAX_PRODUCT_PAIRS:
+    @staticmethod
+    def _sum(left: Value, g: Terms, right: Value, pos: int) -> Value:
+        """left + g, where ``right`` gives g's denominator and bound."""
+        (f, df, bf), (_, dg, bg) = left, right
+        terms, den = add_scaled(f, df, g, dg)
+        # over one denominator a sum gains at most one bit; over two, each
+        # numerator is first multiplied by the other denominator
+        bits = max(bf, bg) + 1 if df == dg else bf + bg + 1
+        if _digits(bits) > MAX_RESULT_DIGITS:
+            bits = _bits(terms, den)
+            if _digits(bits) > MAX_RESULT_DIGITS:
+                raise ParseError(
+                    f"this sum has coefficients of more than {MAX_RESULT_DIGITS} digits", pos
+                )
+        return terms, den, bits
+
+    def mul(self, left: Value, right: Value, pos: int) -> Value:
+        (f, df, bf), (g, dg, bg) = left, right
+        pairs = len(f) * len(g)
+        if pairs > MAX_PRODUCT_PAIRS:
             raise ParseError(
-                f"factors of {len(left)} and {len(right)} terms make more than "
+                f"factors of {len(f)} and {len(g)} terms make more than "
                 f"{MAX_PRODUCT_PAIRS} term pairs",
                 pos,
             )
-        return mul_terms(left, right)
+        if not pairs:
+            return {}, 1, 0
+        # each numerator of the product is a sum of at most `pairs` products
+        # of two numerators, and its denominator is the product of two
+        bits = bf + bg + pairs.bit_length()
+        if _digits(bits) > MAX_RESULT_DIGITS:
+            bits = _bits(f, df) + _bits(g, dg) + pairs.bit_length()
+            if _digits(bits) > MAX_RESULT_DIGITS:
+                raise ParseError(
+                    f"this product may have coefficients of more than {MAX_RESULT_DIGITS} digits",
+                    pos,
+                )
+        try:
+            terms, den = lowest_terms(mul_terms(f, g, self.packing), df * dg)
+        except ResourceLimitError as exc:
+            raise ParseError(str(exc), pos) from None
+        return terms, den, bits
 
-    def power(self, value: Terms, n: int, pos: int) -> Terms:
-        terms, k = len(value), abs(n)
-        if terms > 1 and comb(terms + k - 1, min(k, terms - 1)) > MAX_POWER_TERMS:
+    def power(self, value: Value, n: int, pos: int) -> Value:
+        (terms, den, _), k = value, abs(n)
+        size = len(terms)
+        if size > 1 and comb(size + k - 1, min(k, size - 1)) > MAX_POWER_TERMS:
             raise ParseError(
-                f"a {terms}-term base to the power {k} may have more than "
+                f"a {size}-term base to the power {k} may have more than "
                 f"{MAX_POWER_TERMS} terms",
                 pos,
             )
-        if value and k > 1:
-            den = lcm(*(c.denominator for c in value.values()))
-            norm = sum(abs(c.numerator) * (den // c.denominator) for c in value.values())
-            if k * log10(norm * den) > MAX_POWER_DIGITS:
-                raise ParseError(
-                    f"this base to the power {k} may have coefficients of more "
-                    f"than {MAX_POWER_DIGITS} digits",
-                    pos,
-                )
+        # (F/den)^k = F^k / den^k: every numerator of the power is at most
+        # S^k for the sum S of |F|, and the denominator is den^k
+        if terms and k > 1 and k * log10(sum(map(abs, terms.values())) * den) > MAX_POWER_DIGITS:
+            raise ParseError(
+                f"this base to the power {k} may have coefficients of more "
+                f"than {MAX_POWER_DIGITS} digits",
+                pos,
+            )
         if n < 0:
             value = self.inverse(value, pos)
         if k == 1:
             return value
-        # (F/L)^k = F^k / L^k, with F and L as in MAX_POWER_DIGITS: the
-        # power runs on ints, and each coefficient is divided by L^k once
-        den = lcm(*(c.denominator for c in value.values()))
-        integral = {e: c.numerator * (den // c.denominator) for e, c in value.items()}
-        power = pow_terms(integral, k, self.one)
-        if den == 1:
-            return power
-        scale = den**k
-        return {e: Fraction(c, scale) for e, c in power.items()}
+        try:
+            terms, den = pow_scaled(*value[:2], k, self.packing)
+        except ResourceLimitError as exc:
+            raise ParseError(str(exc), pos) from None
+        return terms, den, _bits(terms, den)
 
-    def inverse(self, value: Terms, pos: int) -> Terms:
+    def inverse(self, value: Value, pos: int) -> Value:
         raise ParseError("negative exponents are not allowed in this ring", pos)
 
 
 class PolynomialContext(_TermContext):
     """Evaluate into a polynomial ring; optional alias identifiers expand to
-    fixed polynomials (e.g. b3 = b1 + b2).
-
-    Coefficients stay ints while they are integers and become Fractions where
-    a rational literal brings one in; ``wrap`` makes them all Fractions.
-    """
+    fixed polynomials (e.g. b3 = b1 + b2)."""
 
     def __init__(self, ring: PolyRing, aliases: Optional[Dict[str, Polynomial]] = None):
         self.ring = ring
+        self.packing = ring.packing
         self.aliases = aliases or {}
         for name, value in self.aliases.items():
             if value.ring != ring:
                 raise RingMismatchError(f"alias {name!r} is not in ring {ring.names}")
-        self.one = {(0,) * ring.nvars: 1}
-        self._variables = {name: value.terms for name, value in self.aliases.items()}
-        for i, name in enumerate(ring.names):
-            self._variables[name] = {tuple(int(j == i) for j in range(ring.nvars)): 1}
+        self._variables = {
+            name: (value.packed, value.den, _bits(value.packed, value.den))
+            for name, value in {**self.aliases, **dict(zip(ring.names, ring.gens()))}.items()
+        }
 
-    def constant(self, num: int, den: int, pos: int) -> Terms:
+    def constant(self, num: int, den: int, pos: int) -> Value:
         if not num:
-            return {}
-        return {(0,) * self.ring.nvars: num if den == 1 else Fraction(num, den)}
+            return {}, 1, 0
+        if den != 1:
+            c = Fraction(num, den)
+            num, den = c.numerator, c.denominator
+        return {self.packing.zero: num}, den, max(num, den).bit_length()
 
-    def variable(self, name: str, pos: int) -> Terms:
+    def variable(self, name: str, pos: int) -> Value:
         try:
             return self._variables[name]
         except KeyError:
             known = ", ".join(list(self.ring.names) + sorted(self.aliases))
             raise ParseError(f"unknown variable {name!r} (known: {known})", pos) from None
 
-    def wrap(self, terms: Terms) -> Polynomial:
-        return Polynomial._of(
-            self.ring,
-            {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()},
-        )
+    def wrap(self, value: Value) -> Polynomial:
+        return Polynomial._of(self.ring, dict(value[0]), value[1])
 
 
 class CharacterContext(_TermContext):
     """Evaluate into the character ring on y1..y5; negative exponents invert
     unit monomials."""
 
-    def __init__(self):
-        self.one = Character.one().terms
-        self._variables = {f"y{j}": y(j).terms for j in range(1, 6)}
+    packing = CHAR_PACKING
 
-    def constant(self, num: int, den: int, pos: int) -> Terms:
+    def __init__(self):
+        self._variables = {f"y{j}": (y(j).packed, 1, 1) for j in range(1, 6)}
+
+    def constant(self, num: int, den: int, pos: int) -> Value:
         n, r = divmod(num, den)
         if r:
             raise ParseError("character coefficients must be integers", pos)
-        return {(0, 0, 0, 0): n} if n else {}
+        return ({CHAR_PACKING.zero: n} if n else {}), 1, n.bit_length()
 
-    def variable(self, name: str, pos: int) -> Terms:
+    def variable(self, name: str, pos: int) -> Value:
         try:
             return self._variables[name]
         except KeyError:
             raise ParseError(f"unknown variable {name!r} (known: y1..y5)", pos) from None
 
-    def inverse(self, value: Terms, pos: int) -> Terms:
-        if len(value) == 1:
-            ((key, coeff),) = value.items()
+    def inverse(self, value: Value, pos: int) -> Value:
+        terms = value[0]
+        if len(terms) == 1:
+            ((key, coeff),) = terms.items()
             if coeff in (1, -1):
-                return {tuple(-k for k in key): coeff}
+                # packing is linear: key(-k) = 2 key(0) - key(k), and its
+                # fields are all in range unless one of k's was -bias
+                inverse = 2 * CHAR_PACKING.zero - key
+                try:
+                    CHAR_PACKING.check_fields((inverse,))
+                except ResourceLimitError as exc:
+                    raise ParseError(str(exc), pos) from None
+                return {inverse: coeff}, 1, 1
         raise ParseError("only unit monomials can be raised to negative powers", pos)
 
-    def wrap(self, terms: Terms) -> Character:
-        return Character._of(dict(terms))
+    def wrap(self, value: Value) -> Character:
+        return Character._of(dict(value[0]))
 
 
 def parse_and_evaluate(text: str, context):

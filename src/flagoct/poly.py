@@ -1,32 +1,40 @@
 """Sparse multivariate polynomials over the rationals.
 
-Monomials are dense exponent tuples keyed to the ordered variable list of a
-:class:`PolyRing`; coefficients are :class:`fractions.Fraction` (exact, lowest
-terms by construction).  The term order used everywhere is graded reverse
-lexicographic (grevlex) on raw exponents.  Each variable additionally carries
-a grading degree (used for weighted-degree queries and graded dimension
+A :class:`Polynomial` holds integer numerators over one positive
+denominator, in lowest terms, as :mod:`flagoct.scaled` does for vectors.
+Each monomial is one int key: its exponent vector packed by the
+:class:`Packing` of its :class:`PolyRing` (see there).  A product key is the
+sum of two keys, integer order on keys is graded reverse lexicographic
+(grevlex) order on exponents, and a divisibility test is one subtraction
+checked against a guard-bit mask.  Each variable additionally carries a
+grading degree (used for weighted-degree queries and graded dimension
 counts) which is metadata only and does not affect the term order.
 
 The arithmetic itself lives in the sparse-term kernels at the end of the
 module (sum, negation, product, power, ring map, text, and reduction by
-leading terms).  They work on plain term dicts and are shared with the
-integer characters of :mod:`flagoct.ktheory`.
+leading terms).  They work on plain dicts from packed keys to coefficients
+and are shared with the integer characters of :mod:`flagoct.ktheory`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, sub
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
-Terms = Dict[Exponents, Scalar]
-Divisor = Tuple[Exponents, Scalar, List[Tuple[Exponents, Scalar]]]
+Terms = Dict[int, Scalar]
+Divisor = Tuple[int, Scalar, List[Tuple[int, Scalar]]]
+
+# bits per packed exponent field (read back as 16-bit words); the top bit
+# of each field is a guard bit
+FIELD_BITS = 16
 
 
 class RingMismatchError(ValueError):
@@ -40,6 +48,97 @@ class ResourceLimitError(RuntimeError):
 def grevlex_key(exponents: Exponents) -> Tuple:
     """Sort key; ``max`` over keys picks the grevlex-leading monomial."""
     return (sum(exponents),) + tuple(-e for e in reversed(exponents))
+
+
+class Packing:
+    """Exponent vectors of ``nvars`` entries, each packed into one int.
+
+    Entry i, plus ``bias``, is the field v_i of ``FIELD_BITS`` bits at bit
+    ``i * FIELD_BITS`` of R = sum(v_i << i*FIELD_BITS), and |v| = sum(v_i)
+    sits above all fields.  The key is ``(|v| << nvars*FIELD_BITS) - R``.
+    Then:
+
+    * the key is linear in the vector, so the key of a product is the sum
+      of the two keys less the key of the zero vector (``zero``, which is 0
+      without a bias);
+    * integer order on keys is grevlex order on vectors: the larger total
+      degree first, then the smaller last entry, and so on;
+    * a vector a divides b (a <= b entrywise) iff
+      ``(key(a) - key(b)) & guard == 0``: the low bits of that difference
+      are R(b - a), and the lowest negative field of b - a borrows into its
+      own guard bit, the top bit of the field.
+
+    A valid key has every field in [0, ``limit``] (guard bit clear); without
+    a bias its total degree is at most ``limit`` as well, so that no field
+    of a product or of a reduction step can pass it unseen.  A result that
+    would leave that range raises :class:`ResourceLimitError`; it never
+    wraps.
+    """
+
+    __slots__ = ("nvars", "bias", "shift", "low", "limit", "guard", "ones", "zero", "_multipliers", "unpack")
+
+    def __init__(self, nvars: int, bias: int = 0):
+        self.nvars, self.bias = nvars, bias
+        self.shift = nvars * FIELD_BITS
+        self.low = (1 << self.shift) - 1
+        self.limit = (1 << (FIELD_BITS - 1)) - 1
+        offsets = range(0, self.shift, FIELD_BITS)
+        self.guard = sum(1 << (o + FIELD_BITS - 1) for o in offsets)
+        self.ones = sum(1 << o for o in offsets)
+        # key(e) = sum(e_i * ((1 << shift) - (1 << offset_i))) + key(0)
+        self._multipliers = tuple((1 << self.shift) - (1 << o) for o in offsets)
+        self.zero = bias * sum(self._multipliers)
+        self.unpack = self._unpacker()
+
+    def pack(self, exponents: Sequence[int]) -> int:
+        """The key of one exponent vector; ``ValueError`` for a vector of the
+        wrong length or with a negative entry where there is no bias,
+        :class:`ResourceLimitError` for one that does not fit the fields."""
+        if len(exponents) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {len(exponents)}")
+        if exponents:
+            bias, limit = self.bias, self.limit
+            if not bias and min(exponents) < 0:
+                raise ValueError(f"negative exponent in {tuple(exponents)!r}")
+            if (sum(exponents) if not bias else max(exponents) + bias) > limit or min(exponents) + bias < 0:
+                raise ResourceLimitError(
+                    f"exponents {tuple(exponents)!r} do not fit {FIELD_BITS}-bit fields"
+                )
+        return sum(map(mul, exponents, self._multipliers)) + self.zero
+
+    def _unpacker(self) -> Callable[[int], Exponents]:
+        """``unpack(key)``, the exponent vector of a valid key: the fields
+        are R = -key mod 2**shift, read as little-endian unsigned 16-bit
+        words."""
+        fields = struct.Struct(f"<{self.nvars}H").unpack
+        low, size, bias = self.low, 2 * self.nvars, self.bias
+        if not bias:
+            return lambda key: fields((-key & low).to_bytes(size, "little"))
+        return lambda key: tuple([v - bias for v in fields((-key & low).to_bytes(size, "little"))])
+
+    def degree(self, key: int) -> int:
+        """The sum of the fields of ``key`` (its total degree without a bias)."""
+        return (key + self.low) >> self.shift
+
+    def check_degree(self, key: int) -> None:
+        """Refuse a key (of a product of leading terms) whose total degree is
+        past ``limit``; without a bias that bounds every field."""
+        if (key + self.low) >> self.shift > self.limit:
+            raise ResourceLimitError(
+                f"a total degree past {self.limit} does not fit {FIELD_BITS}-bit fields"
+            )
+
+    def check_fields(self, keys: Iterable[int]) -> None:
+        """Refuse keys with a field out of range.  Exact for sums of two valid
+        keys less ``zero``: their fields span fewer than 2**FIELD_BITS
+        values, so the lowest bad field shows in its guard bit and no two
+        vectors share a key."""
+        low, guard = self.low, self.guard
+        for k in keys:
+            if -k & low & guard:
+                raise ResourceLimitError(
+                    f"a result exponent does not fit {FIELD_BITS}-bit fields"
+                )
 
 
 @dataclass(frozen=True)
@@ -56,6 +155,9 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         if any(d < 1 for d in self.degrees):
             raise ValueError("grading degrees must be positive")
+        # derived from the variable count, so not a field: equality and
+        # hashing stay those of (names, degrees)
+        object.__setattr__(self, "packing", Packing(len(self.names)))
 
     @staticmethod
     def make(names: Sequence[str], degrees: Optional[Sequence[int]] = None) -> "PolyRing":
@@ -76,29 +178,25 @@ class PolyRing:
     def var(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial._of(self, {self.packing.pack(exps): 1})
 
     def gens(self) -> Tuple["Polynomial", ...]:
         return tuple(self.var(n) for n in self.names)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._of(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def const(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def monomial(self, exponents: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
         exps = tuple(int(e) for e in exponents)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exponents!r} for ring {self.names}")
-        c = Fraction(coeff)
-        return Polynomial(self, {exps: c} if c else {})
+        return Polynomial(self, {exps: coeff})
 
     def weighted_degree(self, exponents: Exponents) -> int:
         return sum(e * d for e, d in zip(exponents, self.degrees))
@@ -108,24 +206,52 @@ class PolyRing:
         return f"PolyRing({vs})"
 
 
-class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+def _scalar(c: object) -> Scalar:
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
-    __slots__ = ("ring", "terms", "_hash")
+
+class Polynomial:
+    """Immutable sparse polynomial: integer numerators over one denominator.
+
+    ``packed`` maps packed monomial keys to nonzero int numerators and
+    ``den`` is a positive int with ``gcd(den, *numerators) == 1`` (1 for
+    zero).  ``terms`` is a read-only view by exponent tuples with
+    ``Fraction`` coefficients, built on each access.
+    """
+
+    __slots__ = ("ring", "packed", "den", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Scalar]):
+        pack = ring.packing.pack
+        scalars = {}
+        for e, c in terms.items():
+            c = _scalar(c)
+            if c:
+                scalars[pack(e)] = c
         self.ring = ring
-        self.terms: Dict[Exponents, Fraction] = {
-            e: Fraction(c) for e, c in terms.items() if c != 0
-        }
+        self.packed, self.den = scaled_terms(scalars)
         self._hash: Optional[int] = None
 
     @classmethod
-    def _of(cls, ring: PolyRing, terms: Dict[Exponents, Fraction]) -> "Polynomial":
-        """Wrap ``terms`` as they are (nonzero Fractions, as the kernels give)."""
+    def _of(cls, ring: PolyRing, packed: Dict[int, int], den: int = 1) -> "Polynomial":
+        """Wrap ``packed`` over ``den`` as they are (lowest terms, as the
+        kernels give them through :func:`lowest_terms`)."""
         out = cls.__new__(cls)
-        out.ring, out.terms, out._hash = ring, terms, None
+        out.ring, out.packed, out.den, out._hash = ring, packed, den, None
         return out
+
+    @property
+    def terms(self) -> Dict[Exponents, Fraction]:
+        unpack, den = self.ring.packing.unpack, self.den
+        if den == 1:
+            return {unpack(k): Fraction(c) for k, c in self.packed.items()}
+        return {unpack(k): Fraction(c, den) for k, c in self.packed.items()}
+
+    def fraction_terms(self) -> Dict[int, Fraction]:
+        """The packed terms with ``Fraction`` coefficients (for reductions
+        over Q)."""
+        den = self.den
+        return {k: Fraction(c, den) for k, c in self.packed.items()}
 
     # -- basic protocol ----------------------------------------------------
 
@@ -136,31 +262,31 @@ class Polynomial:
             )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.packed == other.packed
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            self._hash = hash((self.ring, self.den, frozenset(self.packed.items())))
         return self._hash
 
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of(self.ring, neg_terms(self.terms))
+        return Polynomial._of(self.ring, neg_terms(self.packed), self.den)
 
     def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
-        return Polynomial._of(self.ring, add_terms(self.terms, other.terms))
+        return Polynomial._of(self.ring, *add_scaled(self.packed, self.den, other.packed, other.den))
 
     __radd__ = __add__
 
@@ -174,12 +300,14 @@ class Polynomial:
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if not other:
                 return self.ring.zero()
-            return Polynomial._of(self.ring, {e: k * c for e, k in self.terms.items()})
+            n = other.numerator
+            terms = {e: k * n for e, k in self.packed.items()}
+            return Polynomial._of(self.ring, *lowest_terms(terms, self.den * other.denominator))
         self._check(other)
-        return Polynomial._of(self.ring, mul_terms(self.terms, other.terms))
+        terms = mul_terms(self.packed, other.packed, self.ring.packing)
+        return Polynomial._of(self.ring, *lowest_terms(terms, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -192,64 +320,67 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return Polynomial._of(self.ring, pow_terms(self.terms, n, self.ring.one().terms))
+        return Polynomial._of(self.ring, *pow_scaled(self.packed, self.den, n, self.ring.packing))
 
     # -- queries -----------------------------------------------------------
 
     def total_degree(self) -> int:
         """Maximum exponent sum; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(sum(e) for e in self.terms)
+        # grevlex is graded: the largest key has the largest degree
+        return self.ring.packing.degree(max(self.packed))
 
     def degree(self) -> int:
         """Maximum weighted (graded) degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(self.ring.weighted_degree(e) for e in self.terms)
+        return max(self._weighted_degrees())
+
+    def _weighted_degrees(self) -> Iterator[int]:
+        unpack, weighted = self.ring.packing.unpack, self.ring.weighted_degree
+        return (weighted(unpack(k)) for k in self.packed)
 
     def is_homogeneous(self) -> bool:
         """True when all terms share one weighted degree (zero counts)."""
-        degs = {self.ring.weighted_degree(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(self._weighted_degrees())) <= 1
 
     def leading_exponents(self) -> Exponents:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=grevlex_key)
+        return self.ring.packing.unpack(max(self.packed))
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_exponents()]
+        if not self.packed:
+            raise ValueError("zero polynomial has no leading term")
+        return Fraction(self.packed[max(self.packed)], self.den)
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.packed:
             return self
         return self / self.leading_coefficient()
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self.packed.get(self.ring.packing.pack(tuple(exponents)), 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
+        return Fraction(self.packed.get(0, 0), self.den)
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.den == 1
 
     def homogeneous_component(self, weighted_degree: int) -> "Polynomial":
         return Polynomial(
             self.ring,
-            {
-                e: c
-                for e, c in self.terms.items()
-                if self.ring.weighted_degree(e) == weighted_degree
-            },
+            {e: c for e, c in self.terms.items() if self.ring.weighted_degree(e) == weighted_degree},
         )
 
     def sorted_terms(self) -> Iterator[Tuple[Exponents, Fraction]]:
         """Terms in descending grevlex order."""
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
-            yield e, self.terms[e]
+        unpack, den = self.ring.packing.unpack, self.den
+        for k in sorted(self.packed, reverse=True):
+            yield unpack(k), Fraction(self.packed[k], den)
 
     # -- substitution / evaluation ------------------------------------------
 
@@ -278,8 +409,8 @@ class Polynomial:
 
         The map runs over Z: with f = F/D and every image G_i/d over one
         common d, f(G/d) = sum_e F_e d^(N-|e|) G^e / (D d^N), N the top total
-        degree of f.  The sum is one integer ring map, and each coefficient
-        of the result becomes a Fraction once, at the end.
+        degree of f.  The sum is one integer ring map over D d^N, brought to
+        lowest terms once, at the end.
         """
         missing = [n for n in self.ring.names if n not in images]
         if missing:
@@ -290,18 +421,19 @@ class Polynomial:
         tring = rings.pop()
         if target is not None and target != tring:
             raise RingMismatchError("substitute: images not in requested target ring")
-        img = [images[n].terms for n in self.ring.names]
-        big_d = lcm(*(c.denominator for c in self.terms.values()))
-        d = lcm(*(c.denominator for g in img for c in g.values()))
-        top = max(map(sum, self.terms), default=0)
+        img = [images[n] for n in self.ring.names]
+        d = lcm(*(g.den for g in img))
+        packing = self.ring.packing
+        top = self.total_degree()
         scaled = {
-            e: c.numerator * (big_d // c.denominator) * d ** (top - sum(e))
-            for e, c in self.terms.items()
-        }
-        integral = [{m: c.numerator * (d // c.denominator) for m, c in g.items()} for g in img]
-        den = big_d * d**top
-        out = map_terms(scaled, integral, {(0,) * tring.nvars: 1})
-        return Polynomial._of(tring, {m: Fraction(v, den) for m, v in out.items()})
+            k: c * d ** (top - packing.degree(k)) for k, c in self.packed.items()
+        } if d != 1 else self.packed
+        integral = [
+            g.packed if g.den == d else {m: c * (d // g.den) for m, c in g.packed.items()}
+            for g in img
+        ]
+        out = map_terms(scaled, packing, integral, tring.packing)
+        return Polynomial._of(tring, *lowest_terms(out, self.den * d ** max(top, 0)))
 
     # -- printing ------------------------------------------------------------
 
@@ -451,23 +583,35 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
 
     Single-divisor division by leading terms decides exact divisibility over
     a field regardless of monomial order, so no Groebner machinery is needed.
+    It runs over Z: with f = F/D and g = c*G/d for the content c of g's
+    numerators, G is primitive, so by Gauss's lemma F/G is in Q[x] only if
+    it is in Z[x], and the reduction divides every coefficient exactly or
+    stops.  Then f/g = (F/G) * d / (D*c).
     """
     if f.ring != g.ring:
         raise RingMismatchError("dividend and divisor in different rings")
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    quotients = reduce_terms(f.terms, [divisor(g.terms, g.leading_exponents())])
-    return None if quotients is None else Polynomial._of(f.ring, quotients[0])
+    packing = f.ring.packing
+    lead = packing.pack(g.leading_exponents())
+    content = gcd(*g.packed.values())
+    primitive = g.packed if content == 1 else {k: c // content for k, c in g.packed.items()}
+    quotients = reduce_terms(f.packed, [divisor(primitive, lead)], packing)
+    if quotients is None:
+        return None
+    q = quotients[0] if g.den == 1 else {k: c * g.den for k, c in quotients[0].items()}
+    return Polynomial._of(f.ring, *lowest_terms(q, f.den * content))
 
 
 # -- sparse-term kernels -------------------------------------------------------
 #
-# A term dict maps exponent tuples of one length to nonzero coefficients, all
-# Fractions or all ints; keys may have negative entries (ktheory's lattice
-# keys).  Polynomial and ktheory.Character are thin wrappers over these.
+# A term dict maps the keys of one Packing to nonzero coefficients, all
+# Fractions or all ints.  Polynomial and ktheory.Character are thin wrappers
+# over these; a Polynomial's coefficients are the numerators over its
+# denominator, kept in lowest terms by the *_scaled helpers.
 
 
-def add_terms(f: Mapping[Exponents, Scalar], g: Mapping[Exponents, Scalar]) -> Terms:
+def add_terms(f: Mapping[int, Scalar], g: Mapping[int, Scalar]) -> Terms:
     """f + g, dropping cancelled terms."""
     out = dict(f)
     for e, c in g.items():
@@ -479,52 +623,69 @@ def add_terms(f: Mapping[Exponents, Scalar], g: Mapping[Exponents, Scalar]) -> T
     return out
 
 
-def neg_terms(f: Mapping[Exponents, Scalar]) -> Terms:
+def neg_terms(f: Mapping[int, Scalar]) -> Terms:
     return {e: -c for e, c in f.items()}
 
 
-def mul_terms(f: Mapping[Exponents, Scalar], g: Mapping[Exponents, Scalar]) -> Terms:
-    """f * g by convolution of the two term lists."""
+def mul_terms(f: Mapping[int, Scalar], g: Mapping[int, Scalar], packing: Packing) -> Terms:
+    """f * g by convolution of the two term lists.
+
+    Without a bias the total degree of the two leading keys is checked
+    before the products are formed; with one, every result key is checked
+    after (:meth:`Packing.check_fields`).
+    """
+    if not f or not g:
+        return {}
+    zero = packing.zero
+    if not zero:
+        packing.check_degree(max(f) + max(g))
     out: Terms = {}
     rhs = list(g.items())
     for e1, c1 in f.items():
+        e1 -= zero
         for e2, c2 in rhs:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
                 del out[e]
+    if zero:
+        packing.check_fields(out)
     return out
 
 
-def pow_terms(f: Mapping[Exponents, Scalar], n: int, one: Terms) -> Terms:
-    """f**n (n >= 0) by square-and-multiply; ``one`` is the unit."""
-    out, base = one, f
+def pow_terms(f: Mapping[int, Scalar], n: int, packing: Packing) -> Terms:
+    """f**n (n >= 0) by square-and-multiply."""
+    out, base = {packing.zero: 1}, f
     while n:
         if n & 1:
-            out = mul_terms(out, base)
+            out = mul_terms(out, base, packing)
         n >>= 1
         if n:
-            base = mul_terms(base, base)
+            base = mul_terms(base, base, packing)
     return out
 
 
-def map_terms(f: Mapping[Exponents, Scalar], images: Sequence[Terms], one: Terms) -> Terms:
+def map_terms(
+    f: Mapping[int, Scalar], source: Packing, images: Sequence[Terms], target: Packing
+) -> Terms:
     """The image of f under the ring map sending variable i to ``images[i]``.
 
-    ``one`` is the unit of the target.  The powers of each image are built
-    once, by repeated multiplication, and shared by all terms of f.
+    ``source`` packs the keys of f and ``target`` those of the images.  The
+    powers of each image are built once, by repeated multiplication, and
+    shared by all terms of f.
     """
+    one = {target.zero: 1}
     powers = [[one, g] for g in images]
     out: Terms = {}
     for e, c in f.items():
         term = one
-        for k, cache, g in zip(e, powers, images):
+        for k, cache, g in zip(source.unpack(e), powers, images):
             if k:
                 while len(cache) <= k:
-                    cache.append(mul_terms(cache[-1], g))
-                term = cache[k] if term is one else mul_terms(term, cache[k])
+                    cache.append(mul_terms(cache[-1], g, target))
+                term = cache[k] if term is one else mul_terms(term, cache[k], target)
         for m, v in term.items():
             s = out.get(m, 0) + c * v
             if s:
@@ -532,6 +693,46 @@ def map_terms(f: Mapping[Exponents, Scalar], images: Sequence[Terms], one: Terms
             else:
                 del out[m]
     return out
+
+
+def lowest_terms(terms: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
+    """Integer numerators over a positive ``den``, divided by their common
+    factor with it (the zero dict comes back over 1)."""
+    if den == 1:
+        return terms, 1
+    if not terms:
+        return terms, 1
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: c // g for k, c in terms.items()}, den // g
+
+
+def scaled_terms(terms: Mapping[int, Scalar]) -> Tuple[Dict[int, int], int]:
+    """Int or Fraction coefficients as integer numerators over their least
+    common denominator, which is in lowest terms already."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {k: int(c) for k, c in terms.items()}, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def add_scaled(f: Terms, df: int, g: Terms, dg: int) -> Tuple[Dict[int, int], int]:
+    """F/df + G/dg in lowest terms."""
+    if df == dg:
+        return lowest_terms(add_terms(f, g), df)
+    den = lcm(df, dg)
+    a, b = den // df, den // dg
+    return lowest_terms(
+        add_terms({k: c * a for k, c in f.items()}, {k: c * b for k, c in g.items()}), den
+    )
+
+
+def pow_scaled(f: Terms, den: int, n: int, packing: Packing) -> Tuple[Dict[int, int], int]:
+    """(F/den)**n = F**n / den**n, already in lowest terms: the content of
+    F**n is the n-th power of F's (Gauss's lemma), which is prime to den."""
+    terms = pow_terms(f, n, packing)
+    return terms, den**n if terms else 1
 
 
 def terms_text(terms: Iterable[Tuple[Scalar, str]]) -> str:
@@ -551,47 +752,53 @@ def terms_text(terms: Iterable[Tuple[Scalar, str]]) -> str:
     return text or "0"
 
 
-def divisor(g: Mapping[Exponents, Scalar], lead: Exponents) -> Divisor:
-    """g as (lead, lc, tail) for :func:`reduce_terms`, with leading exponent
+def divisor(g: Mapping[int, Scalar], lead: int) -> Divisor:
+    """g as (lead, lc, tail) for :func:`reduce_terms`, with leading key
     ``lead``: the leading coefficient and the other terms."""
     return lead, g[lead], [(e, c) for e, c in g.items() if e != lead]
 
 
 def reduce_terms(
-    f: Mapping[Exponents, Scalar],
+    f: Mapping[int, Scalar],
     divisors: Sequence[Divisor],
+    packing: Packing,
     remainder: Optional[Terms] = None,
 ) -> Optional[List[Terms]]:
     """Reduce f by the leading terms of ``divisors``; return their quotients.
 
-    Keys must be nonnegative (monomials); leading terms are grevlex-leading.
-    Each step takes the grevlex-leading term of what is left of f and cancels
-    it with the first divisor whose leading term reduces it: its leading
-    monomial divides the term's, and, when its leading coefficient is an
-    int, that coefficient divides the term's (division over Z; a Fraction
-    leading coefficient divides over Q).  A term that no divisor reduces is
-    moved to ``remainder`` when one is given, making the result a normal
-    form; without one the loop stops and returns None, so that exact
-    division fails at the first such term.
+    Keys are unbiased keys of ``packing`` (monomials) and leading terms are
+    grevlex-leading, i.e. the largest keys.  Each step takes the leading
+    term of what is left of f and cancels it with the first divisor whose
+    leading term reduces it: its leading monomial divides the term's, and,
+    when its leading coefficient is an int, that coefficient divides the
+    term's (division over Z; a Fraction leading coefficient divides over Q).
+    A term that no divisor reduces is moved to ``remainder`` when one is
+    given, making the result a normal form; without one the loop stops and
+    returns None, so that exact division fails at the first such term.
+
+    No key of a step has a larger total degree than the leading key of f,
+    so checking that one against the field width covers them all.
     """
     quotients: List[Terms] = [{} for _ in divisors]
+    if not f:
+        return quotients
+    packing.check_degree(max(f))
+    guard = packing.guard
     steps = list(zip(divisors, quotients))
-    # what is left of f is updated in place, and a heap of negated grevlex
-    # keys yields its leading term; a key whose term has cancelled is skipped
+    # what is left of f is updated in place, and a heap of negated keys
+    # yields its leading term; a key whose term has cancelled is skipped
     # when popped.  Each step then costs O(len(divisor) log len(rest)), not
-    # a scan and a copy of the whole rest.  The negated key of e is
-    # (-|e|,) + e reversed, so e is the key's tail read backwards.
+    # a scan and a copy of the whole rest.
     rest = dict(f)
-    heap = [(-sum(e),) + e[::-1] for e in rest]
+    heap = [-e for e in rest]
     heapq.heapify(heap)
     while heap:
-        e = heapq.heappop(heap)[:0:-1]
+        e = -heapq.heappop(heap)
         lead = rest.pop(e, None)
         if lead is None:
             continue
         for (g_lead, g_lc, g_tail), quotient in steps:
-            shift = tuple(map(sub, e, g_lead))
-            if any(d < 0 for d in shift):
+            if (g_lead - e) & guard:
                 continue
             if type(g_lc) is int:
                 c, r = divmod(lead, g_lc)
@@ -599,14 +806,15 @@ def reduce_terms(
                     continue
             else:
                 c = lead / g_lc
+            shift = e - g_lead
             quotient[shift] = c
             # every new term lies below e, as grevlex is a monomial order
             for eg, cg in g_tail:
-                m = tuple(map(add, shift, eg))
+                m = shift + eg
                 s = rest.get(m, 0) - c * cg
                 if s:
                     if m not in rest:
-                        heapq.heappush(heap, (-sum(m),) + m[::-1])
+                        heapq.heappush(heap, -m)
                     rest[m] = s
                 else:
                     del rest[m]

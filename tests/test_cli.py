@@ -15,7 +15,7 @@ from flagoct import cli
 from flagoct.cli import MAX_TUPLE_FILE_BYTES, main
 from flagoct.gkm import random_membership_tuple
 from flagoct.ktheory import x_character
-from flagoct.parsing import MAX_TEXT_LENGTH
+from flagoct.parsing import MAX_RESULT_DIGITS, MAX_TEXT_LENGTH
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 
@@ -304,6 +304,17 @@ class TestGkmCheck:
         assert out == ""
         assert err.startswith(f"error: {path} is not valid UTF-8") and "Traceback" not in err
 
+    def test_character_difference_too_wide_for_division_exits_2(self, capsys, tmp_path):
+        # doubled coordinates of +-16000 in two directions: the shifted
+        # difference has a total degree of 64000, past the 15-bit field limit
+        up = "*".join(["y1^1000"] * 8 + ["y2^1000"] * 8)
+        entries = {name: "1" for name in SIGMA3_NAMES}
+        entries["1"], entries["s1"] = up, up.replace("^", "^-")
+        code, out, err = run(capsys, "gkm-check", "--ring", "RT", "--file", write_tuple(tmp_path, entries))
+        assert code == 2
+        assert out == ""
+        assert err == "error: a total degree past 32767 does not fit 16-bit fields\n"
+
     def test_unparseable_entry_names_vertex(self, capsys, tmp_path):
         entries = hb_member_entries()
         entries["s1s2"] = "b1 + "
@@ -418,6 +429,54 @@ class TestExpand:
             "1500 digits (at position 15)\n"
         )
 
+    @pytest.mark.parametrize("ring, tail", [("Hb", ""), ("RX", "*X1")])
+    def test_long_product_of_bounded_powers_exits_2(self, capsys, ring, tail):
+        # each 3^999 has 477 digits; ten of them would print 4771 digits,
+        # past Python's 4300-digit limit on str() of an int
+        expr = "*".join(["3^999"] * 10) + tail
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--ring", ring, "--", expr)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        stars = [i for i, c in enumerate(expr) if c == "*"]
+        assert err == (
+            f"error: this product may have coefficients of more than {MAX_RESULT_DIGITS} "
+            f"digits (at position {stars[7]})\n"
+        )
+        # eight factors (3816 digits) still print
+        code, out, _ = run(capsys, "expand", "--ring", ring, "--", "*".join(["3^999"] * 8) + tail)
+        assert code == 0
+        assert out.splitlines()[0] == str(3 ** (999 * 8)) + tail
+
+    def test_sum_past_the_result_digits_exits_2(self, capsys):
+        # pairwise coprime denominators of about 995 digits each: the
+        # denominator of the sum is their product
+        dens = [2**3300, 3**2090, 5**1420, 7**1180, 11**955]
+        assert all(len(str(d)) < 1000 for d in dens)
+        expr = " + ".join(f"1/{d}" for d in dens)
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr[: expr.rindex(" + ")])
+        assert code == 0
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: this sum has coefficients of more than {MAX_RESULT_DIGITS} digits "
+            f"(at position {expr.rindex('+')})\n"
+        )
+
+    def test_exponent_past_the_packed_field_exits_2(self, capsys):
+        expr = "(b1^1000)^32*b1^767*b1"
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", expr)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: a total degree past 32767 does not fit 16-bit fields "
+            f"(at position {expr.rindex('*')})\n"
+        )
+        code, out, _ = run(capsys, "expand", "--ring", "Hb", "--", expr[: expr.rindex("*")])
+        assert code == 0 and out.startswith("b1^32767\n")
+
     def test_overlong_expression_exits_2(self, capsys):
         code, out, err = run(capsys, "expand", "--ring", "Hb", "--", "b1+" * 40_000 + "b1")
         assert code == 2
@@ -439,6 +498,22 @@ class TestExpand:
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+EXPAND_PINS = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "expand_pins.json").read_text(encoding="utf-8")
+)
+
+
+class TestPinnedExpansions:
+    """``fixtures/expand_pins.json`` holds the stdout of ``expand`` requests in
+    every ring, written by the code before the packed sparse core: the
+    printed term order and every coefficient stay byte-identical."""
+
+    @pytest.mark.parametrize("pin", EXPAND_PINS, ids=lambda p: f"{p['ring']}:{p['expr']}")
+    def test_output_matches_the_pin(self, capsys, pin):
+        code, out, _ = run(capsys, "expand", "--ring", pin["ring"], "--", pin["expr"])
+        assert (code, out) == (pin["exit"], pin["stdout"])
 
 
 class TestWarmProcess:

@@ -32,6 +32,7 @@ MEMOIZED = {
     ("weyl", "f4_weyl"): [()],
     ("weyl", "sigma_tilde_group"): [()],
     ("jordan", "_basis_matrices"): [()],
+    ("jordan", "_slot_unit_hats"): [("p",), ("q",), ("r",)],
 }
 
 # cached, but not a value to compare: the argument parser is checked by its

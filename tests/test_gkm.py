@@ -1,10 +1,11 @@
 """Moment-graph membership tests for the six-fixed-point torus action."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from flagoct.cohomology import B_RING
+from flagoct.cohomology import B_RING, RestrictionTable
 from flagoct.gkm import (
     RHO_RING,
     ROOT_TRANSPOSITIONS,
@@ -174,6 +175,50 @@ class TestPredicateEquivalence:
         for k in (1, 2, 3):
             restricted, full, agree = p1_p2_equivalence(restriction_class_tuple(k))
             assert restricted and full and agree
+
+
+def ref_random_membership_tuple(rng, degree=2):
+    """The builder as it was: every power and product formed per entry."""
+    table = RestrictionTable()
+    b1, b2 = B_RING.gens()
+    entries = {name: B_RING.zero() for name in SIGMA3_NAMES}
+    for _ in range(rng.randint(1, 4)):
+        d1, d2 = rng.randint(0, degree), rng.randint(0, degree)
+        scalar = Fraction(rng.randint(-3, 3))
+        cdeg = rng.randint(0, 1)
+        coeff = (b1 ** rng.randint(0, cdeg)) * (b2 ** rng.randint(0, cdeg))
+        for name in SIGMA3_NAMES:
+            sigma = sigma3_by_name(name)
+            u = table.restriction(sigma, 1)
+            v = table.restriction(sigma, 2)
+            entries[name] = entries[name] + scalar * coeff * u**d1 * v**d2
+    return entries
+
+
+def ref_random_arbitrary_tuple(rng, degree=2):
+    b1, b2 = B_RING.gens()
+    entries = {}
+    for name in SIGMA3_NAMES:
+        p = B_RING.zero()
+        for e1 in range(degree + 1):
+            for e2 in range(degree + 1 - e1):
+                p = p + Fraction(rng.randint(-2, 2)) * b1**e1 * b2**e2
+        entries[name] = p
+    return entries
+
+
+class TestSeededTuples:
+    """The builders draw from ``rng`` in the order they always did, so the
+    seeded tuples of the suites stay the same tuples."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_builders_match_the_per_entry_references(self, degree):
+        for seed in range(12):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_membership_tuple(ours, degree).entries == ref_random_membership_tuple(ref, degree)
+                assert random_arbitrary_tuple(ours, degree).entries == ref_random_arbitrary_tuple(ref, degree)
+            assert ours.random() == ref.random()
 
 
 class TestFreeness:

@@ -26,6 +26,7 @@ from flagoct.jordan import (
     root_space_check,
     slot_of_root,
     tilde_operator,
+    _slot_unit_hats,
     _structure_constants,
 )
 from flagoct.octonion import Octonion
@@ -182,6 +183,12 @@ class TestRootSpaces:
         for x in self.xs:
             for k in (1, 2, 3):
                 assert operator_eigenvalue_check(x, k)
+
+    def test_kept_slot_operators_are_the_eight_unit_operators(self):
+        for slot in ("p", "q", "r"):
+            assert _slot_unit_hats(slot) == tuple(
+                hat_operator(JordanMatrix.slot_unit(slot, i)) for i in range(1, 9)
+            )
 
     def test_requires_diagonal_traceless(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,16 @@
 
 The syntax-tree evaluator and the character-loop tokenizer that the parser
 replaced live on here as references (``reference_evaluate``,
-``reference_tokenize``).
+``reference_tokenize``), with the syntax tree itself: ``parse`` runs the
+package's parser with a builder that makes tree nodes, and ``to_text``
+prints a tree back as grammar-conforming text.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Union
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +20,8 @@ from hypothesis import strategies as st
 from flagoct.cohomology import B_RING, E_RING
 from flagoct.gkm import RHO_RING
 from flagoct.ktheory import Character, x_character, y, y_inverse
-from flagoct.poly import RingMismatchError, pow_terms
+from flagoct.poly import Polynomial, RingMismatchError
 from flagoct.parsing import (
-    BinOp,
     CharacterContext,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
@@ -26,19 +29,132 @@ from flagoct.parsing import (
     MAX_POWER_DIGITS,
     MAX_POWER_TERMS,
     MAX_PRODUCT_PAIRS,
+    MAX_RESULT_DIGITS,
     MAX_TEXT_LENGTH,
-    Neg,
-    Num,
     ParseError,
     PolynomialContext,
-    Pow,
     Token,
-    Var,
-    parse,
     parse_and_evaluate,
-    to_text,
     tokenize,
+    _Parser,
 )
+
+
+# -- the syntax tree -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Num:
+    value: Fraction
+    pos: int
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+    pos: int
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: "Node"
+    pos: int
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: "Node"
+    exponent: int
+    pos: int
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # '+', '-', '*'
+    left: "Node"
+    right: "Node"
+    pos: int
+
+
+Node = Union[Num, Var, Neg, Pow, BinOp]
+
+
+class _TreeBuilder:
+    """Builds the syntax tree of a text."""
+
+    def constant(self, num: int, den: int, pos: int) -> Node:
+        return Num(Fraction(num, den), pos)
+
+    def variable(self, name: str, pos: int) -> Node:
+        return Var(name, pos)
+
+    def neg(self, value: Node, pos: int) -> Node:
+        return Neg(value, pos)
+
+    def power(self, value: Node, n: int, pos: int) -> Node:
+        return Pow(value, n, pos)
+
+    def add(self, left: Node, right: Node, pos: int) -> Node:
+        return BinOp("+", left, right, pos)
+
+    def sub(self, left: Node, right: Node, pos: int) -> Node:
+        return BinOp("-", left, right, pos)
+
+    def mul(self, left: Node, right: Node, pos: int) -> Node:
+        return BinOp("*", left, right, pos)
+
+
+
+def parse(text: str) -> Node:
+    return _Parser(text, _TreeBuilder()).parse()
+
+
+# -- printing (round-trip) ----------------------------------------------------------
+
+
+def _precedence(node: Node) -> int:
+    if isinstance(node, BinOp):
+        return 1 if node.op in ("+", "-") else 2
+    if isinstance(node, Neg):
+        return 1
+    if isinstance(node, Pow):
+        return 3
+    if isinstance(node, Num) and node.value < 0:
+        return 1
+    return 4
+
+
+def to_text(node: Node) -> str:
+    """Render a tree back to grammar-conforming text."""
+    if isinstance(node, Num):
+        return str(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        inner = to_text(node.operand)
+        # products must be parenthesized: "-a*b" would re-parse with the
+        # minus attached to the first factor only
+        if _precedence(node.operand) < 3:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Pow):
+        base = to_text(node.base)
+        if _precedence(node.base) < 4 or isinstance(node.base, Pow):
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
+    if isinstance(node, BinOp):
+        left = to_text(node.left)
+        right = to_text(node.right)
+        if node.op == "*":
+            if _precedence(node.left) < 2:
+                left = f"({left})"
+            if _precedence(node.right) < 3:
+                right = f"({right})"
+            return f"{left}*{right}"
+        if _precedence(node.right) <= 1:
+            right = f"({right})"
+        return f"{left} {node.op} {right}"
+    raise TypeError(f"not a syntax node: {node!r}")
 
 
 # -- references ----------------------------------------------------------------------
@@ -370,6 +486,19 @@ def random_rational_terms(rng, nvars):
     return terms
 
 
+def ref_fraction_power(terms, k):
+    """terms**k by repeated multiplication of Fraction terms on tuple keys."""
+    out = {(0,) * len(next(iter(terms))): Fraction(1)}
+    for _ in range(k):
+        product = {}
+        for e1, c1 in out.items():
+            for e2, c2 in terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                product[e] = product.get(e, 0) + Fraction(c1) * c2
+        out = {e: c for e, c in product.items() if c}
+    return out
+
+
 class TestRationalPower:
     """`^` on a rational base runs on integers: F^k / L^k for the base F/L."""
 
@@ -377,12 +506,13 @@ class TestRationalPower:
     def test_matches_power_on_fraction_terms(self, seed):
         rng = random.Random(seed)
         ctx = PolynomialContext(E_RING)
-        one = {(0,) * E_RING.nvars: Fraction(1)}
         for _ in range(8):
             base = random_rational_terms(rng, E_RING.nvars)
             k = rng.choice((0, 1, 2, 3, 5, 8, 13))
-            fractions = {e: Fraction(c) for e, c in base.items()}
-            assert ctx.power(base, k, 0) == pow_terms(fractions, k, one), (base, k)
+            p = Polynomial(E_RING, base)
+            bits = max(*map(abs, p.packed.values()), p.den).bit_length()
+            got = Polynomial._of(E_RING, *ctx.power((p.packed, p.den, bits), k, 0)[:2])
+            assert got == Polynomial(E_RING, ref_fraction_power(base, k)), (base, k)
 
     def test_texts_match_their_polynomial_powers(self):
         ctx = PolynomialContext(B_RING)
@@ -612,6 +742,60 @@ class TestEvaluationMatchesReference:
         characters = CharacterContext()
         parse_and_evaluate("y1", characters).terms.clear()
         assert parse_and_evaluate("y1", characters) == y(1)
+
+
+class TestResultDigits:
+    """Every value keeps its numerators and denominator under
+    MAX_RESULT_DIGITS digits, so that it prints."""
+
+    def test_a_product_counts_its_term_pairs(self):
+        ctx = PolynomialContext(B_RING)
+        # 2^6637 has 6638 bits; two of them make 13276 bits, and a numerator
+        # of 13278 bits may pass 4000 digits
+        big = "*".join(["2^1000"] * 6 + ["2^637"])
+        assert parse_and_evaluate(f"({big}*b1)*({big}*b2)", ctx) == 2**13274 * B_RING.monomial((1, 1))
+        text = f"({big}*b1 + {big}*b2)*({big}*b1 - {big}*b2)"
+        with pytest.raises(ParseError) as err:
+            parse_and_evaluate(text, ctx)
+        assert err.value.position == text.index(")*(") + 1
+        assert f"more than {MAX_RESULT_DIGITS} digits" in str(err.value)
+
+    @pytest.mark.parametrize("ring", ["Hb", "RT"])
+    def test_recorded_bounds_cover_the_values(self, ring):
+        # each step's recorded bound is at least the bit length of every
+        # numerator and of the denominator of its result
+        rng = random.Random(100)
+        ctx = PolynomialContext(B_RING) if ring == "Hb" else CharacterContext()
+        leaves = [ctx.variable(n, 0) for n in (("b1", "b2") if ring == "Hb" else ("y1", "y5"))]
+
+        def value():
+            # near-equal coefficients of 2^m - 1 and a tight bound, so that
+            # coefficients of a product that sum several pairs need its bits
+            m = rng.randint(1, 40)
+            v = ctx.constant(2**m - 1, 1 if ring == "RT" else rng.randint(1, 9), 0)
+            for _ in range(rng.randint(1, 4)):
+                c = ctx.constant(2**m - rng.randint(1, 3), 1, 0)
+                v = ctx.add(v, ctx.mul(c, rng.choice(leaves), 0), 0)
+            terms, den, _ = v
+            return terms, den, max([den, *map(abs, terms.values())]).bit_length()
+
+        for _ in range(150):
+            left, right = value(), value()
+            for op in (ctx.add, ctx.sub, ctx.mul):
+                terms, den, bits = op(left, right, 0)
+                assert bits >= max([den, *map(abs, terms.values())]).bit_length()
+            terms, den, bits = ctx.power(left, rng.randint(2, 5), 0)
+            assert bits >= max([den, *map(abs, terms.values())]).bit_length()
+
+    def test_long_sums_are_bounded_by_their_own_digits(self):
+        # each sum's projected bound gains a bit; past the limit the sum's
+        # own digits are read, and these stay small
+        ctx = PolynomialContext(B_RING)
+        b1, b2 = B_RING.gens()
+        assert parse_and_evaluate("+".join(["b1"] * 20_000), ctx) == 20_000 * b1
+        text = " + ".join(["1/2*b1", "1/3*b2"] * 3_000)
+        assert parse_and_evaluate(text, ctx) == 1500 * b1 + 1000 * b2
+        assert parse_and_evaluate("-".join(["y1"] * 20_001), CharacterContext()) == y(1).scale(-19_999)
 
 
 class TestProductLimit:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from flagoct.poly import (
     FormProduct,
     LinearForm,
+    Packing,
     PolyRing,
     Polynomial,
     RingMismatchError,
@@ -198,12 +199,14 @@ class TestExactDivide:
     def test_integral_division_of_terms(self):
         # (x^2 - xy) / (2x - 2y) = x/2: exact over Q, not over Z.  An int
         # leading coefficient makes the reduction divide over Z.
-        f = {(2, 0): 1, (1, 1): -1}
-        g = {(1, 0): 2, (0, 1): -2}
+        P = Packing(2)
+        x2, xy, x, y = (P.pack(e) for e in ((2, 0), (1, 1), (1, 0), (0, 1)))
+        f = {x2: 1, xy: -1}
+        g = {x: 2, y: -2}
         over_q = {e: Fraction(c) for e, c in g.items()}
-        assert reduce_terms(f, [divisor(over_q, (1, 0))]) == [{(1, 0): Fraction(1, 2)}]
-        assert reduce_terms(f, [divisor(g, (1, 0))]) is None
-        assert reduce_terms({(2, 0): 2, (1, 1): -2}, [divisor(g, (1, 0))]) == [{(1, 0): 1}]
+        assert reduce_terms(f, [divisor(over_q, x)], P) == [{x: Fraction(1, 2)}]
+        assert reduce_terms(f, [divisor(g, x)], P) is None
+        assert reduce_terms({x2: 2, xy: -2}, [divisor(g, x)], P) == [{x: 1}]
 
 
 def reference_divide(f, g):

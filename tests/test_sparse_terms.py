@@ -9,6 +9,12 @@ arithmetic and ring map, the single-divisor ``divide_terms`` (with its
 integral mode), the rescan-and-copy ``normal_form`` and the Weyl-invariance
 tests built on the ``Fraction`` ring map that the package used before; each
 test compares the two on seeded inputs.
+
+The kernels run on packed int keys (``Packing``).  The last classes check
+the packing itself: key order against ``grevlex_key``, the lexicographic
+tuple order that characters print and sign by, exponents at the edge of the
+fields (refused, never wrapped), and the bias of character keys.  ``terms``
+is a view built on each access, so the references read it once per loop.
 """
 
 import random
@@ -16,10 +22,14 @@ from fractions import Fraction
 from operator import add, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagoct import groebner
+from flagoct.cohomology import B_RING
 from flagoct.gkm import (
     RHO_RING,
+    cached_realization,
     generator_substitutions,
     invariance_sign,
     is_w_invariant,
@@ -27,18 +37,32 @@ from flagoct.gkm import (
     realized_label,
 )
 from flagoct.groebner import buchberger, normal_form
-from flagoct.ktheory import X_RING, Character, expand_x_polynomial, x_character
+from flagoct.ktheory import CHAR_PACKING, X_RING, Character, char_quotient, expand_x_polynomial, x_character
+from flagoct.parsing import CharacterContext, ParseError, PolynomialContext, parse_and_evaluate
 from flagoct.poly import (
+    Packing,
     PolyRing,
     Polynomial,
+    ResourceLimitError,
     divisor,
     exact_divide,
     grevlex_key,
+    mul_terms,
+    pow_terms,
     reduce_terms,
 )
 from flagoct.suites import run_suite
 
 R3 = PolyRing.make(("a", "b", "c"), (1, 2, 1))
+P3 = R3.packing
+
+
+def packed(terms, packing=P3):
+    return {packing.pack(e): c for e, c in terms.items()}
+
+
+def unpacked(terms, packing=P3):
+    return {packing.unpack(k): c for k, c in terms.items()}
 
 
 # -- references: Polynomial arithmetic --------------------------------------------
@@ -61,8 +85,9 @@ def ref_poly_neg(p):
 
 def ref_poly_mul(p, q):
     out = {}
+    rhs = q.terms  # a view built on each access
     for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+        for e2, c2 in rhs.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             s = out.get(e, Fraction(0)) + c1 * c2
             if s:
@@ -80,11 +105,12 @@ def ref_poly_pow(p, n):
 
 
 def ref_poly_str(p):
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     parts = []
-    for e in sorted(p.terms, key=grevlex_key, reverse=True):
-        c = p.terms[e]
+    for e in sorted(terms, key=grevlex_key, reverse=True):
+        c = terms[e]
         factors = []
         for name, k in zip(p.ring.names, e):
             if k == 1:
@@ -157,8 +183,9 @@ def ref_char_neg(f):
 
 def ref_char_mul(f, g):
     out = {}
+    rhs = g.terms  # a view built on each access
     for (a0, a1, a2, a3), c1 in f.terms.items():
-        for (b0, b1, b2, b3), c2 in g.terms.items():
+        for (b0, b1, b2, b3), c2 in rhs.items():
             k = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
             s = out.get(k, 0) + c1 * c2
             if s:
@@ -190,11 +217,12 @@ def ref_monomial_text(key):
 
 
 def ref_char_str(f):
-    if not f.terms:
+    terms = f.terms
+    if not terms:
         return "0"
     parts = []
-    for key in sorted(f.terms, reverse=True):
-        coeff = f.terms[key]
+    for key in sorted(terms, reverse=True):
+        coeff = terms[key]
         body = ref_monomial_text(key)
         if body == "1":
             body = str(abs(coeff))
@@ -388,8 +416,8 @@ class TestSingleDivisor:
                 f = {e: c for e, c in f.items() if c}
             lead = max(g, key=grevlex_key)
             expected = ref_divide_terms(f, g, lead, integral)
-            got = reduce_terms(f, [divisor(g, lead)])
-            assert (got if got is None else got[0]) == expected
+            got = reduce_terms(packed(f), [divisor(packed(g), P3.pack(lead))], P3)
+            assert (got if got is None else unpacked(got[0])) == expected
             outcomes.add(expected is None)
         assert outcomes == {True, False}
 
@@ -510,3 +538,244 @@ class TestIntegralRingMap:
                     continue
                 assert invariance_sign(p) == ref_invariance_sign(p) == expected_sign[kind]
                 assert is_w_invariant(p) == ref_is_w_invariant(p) == (kind == "invariant")
+
+
+# -- the packed keys ------------------------------------------------------------------
+
+
+def exponent_vectors(nvars, limit):
+    """Exponent vectors of ``nvars`` entries with total degree <= ``limit``."""
+    return st.lists(
+        st.integers(min_value=0, max_value=limit), min_size=nvars, max_size=nvars
+    ).filter(lambda e: sum(e) <= limit).map(tuple)
+
+
+LIMIT = Packing(1).limit
+CHAR_BIAS = CHAR_PACKING.bias
+
+
+def char_keys():
+    """Doubled lattice keys over the whole biased field range."""
+    return st.tuples(
+        st.integers(min_value=-CHAR_BIAS, max_value=CHAR_BIAS - 1).map(lambda k: k - k % 2),
+        st.lists(st.integers(min_value=-CHAR_BIAS // 2, max_value=CHAR_BIAS // 2 - 1), min_size=3, max_size=3),
+        st.booleans(),
+    ).map(lambda t: tuple(2 * k + t[2] if i else t[0] + t[2] for i, k in enumerate([0] + t[1])))
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 6])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_key_order_is_grevlex_and_keys_add(self, nvars, data):
+        P = Packing(nvars)
+        bound = st.sampled_from((3, 40, LIMIT))
+        a = data.draw(exponent_vectors(nvars, data.draw(bound)))
+        b = data.draw(exponent_vectors(nvars, data.draw(bound)))
+        ka, kb = P.pack(a), P.pack(b)
+        assert P.unpack(ka) == a and P.unpack(kb) == b
+        assert (ka < kb) == (grevlex_key(a) < grevlex_key(b))
+        assert (ka == kb) == (a == b)
+        assert P.degree(ka) == sum(a)
+        # divisibility is one subtraction against the guard bits
+        assert ((ka - kb) & P.guard == 0) == all(x <= y for x, y in zip(a, b))
+        if sum(a) + sum(b) <= LIMIT:
+            assert ka + kb == P.pack(tuple(x + y for x, y in zip(a, b)))
+
+    @given(st.lists(exponent_vectors(3, 60), min_size=1, max_size=12, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_leading_term_and_printed_order_are_grevlex(self, exponents):
+        p = Polynomial(R3, {e: i + 1 for i, e in enumerate(exponents)})
+        assert p.leading_exponents() == max(exponents, key=grevlex_key)
+        assert [e for e, _ in p.sorted_terms()] == sorted(exponents, key=grevlex_key, reverse=True)
+        assert str(p) == ref_poly_str(p)
+
+    @given(st.lists(st.tuples(char_keys(), st.integers(-5, 5)), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_character_keys_go_through_the_bias_in_lex_order(self, items):
+        terms = {}
+        for key, coeff in items:
+            terms[key] = terms.get(key, 0) + coeff
+        f = Character(terms)
+        expected = {k: c for k, c in terms.items() if c}
+        assert f.terms == expected
+        assert all(CHAR_PACKING.unpack(k) in expected for k in f.packed)
+        # the lexicographic sites read tuple order, not key order
+        assert [(w.doubled_key(), c) for w, c in f.weights()] == sorted(expected.items())
+        assert str(f) == ref_char_str(f)
+        if expected:
+            assert f.lex_max_key() == max(expected)
+
+    def test_negative_keys_multiply_through_one_bias(self):
+        rng = random.Random(96)
+        for _ in range(100):
+            f, g = random_character(rng), random_character(rng)
+            assert f * g == ref_char_mul(f, g)
+        f = Character({(-3, -1, 1, -5): 2, (2, 0, -2, 4): -1})
+        g = Character({(-1, -1, -1, -1): 3})
+        assert (f * g).terms == {(-4, -2, 0, -6): 6, (1, -1, -3, 3): -3}
+        assert CHAR_PACKING.pack((0, 0, 0, 0)) == CHAR_PACKING.zero != 0
+
+    def test_realized_label_signs_read_lexicographic_tuple_order(self):
+        real = cached_realization()
+        for p, sign in zip(real.expanded, real.canonical_signs):
+            terms = p.terms
+            assert sign == (1 if terms[max(terms)] > 0 else -1)
+        # the view's keys are tuples, so max() over them is lexicographic,
+        # whatever the order of the packed keys
+        a, _, c = R3.gens()
+        p = 2 * a**2 - 3 * a * c**5
+        assert max(p.terms) == (2, 0, 0) != p.leading_exponents() == (1, 0, 5)
+        assert p.terms[max(p.terms)] == 2
+
+
+class TestFieldBoundary:
+    def test_polynomial_exponents_up_to_the_limit(self):
+        x, y = PolyRing.make(("x", "y")).gens()
+        top = x**LIMIT
+        assert top.leading_exponents() == (LIMIT, 0)
+        assert str(top) == f"x^{LIMIT}"
+        assert (x ** (LIMIT - 1) * y).terms == {(LIMIT - 1, 1): 1}
+        assert exact_divide(top - y**LIMIT, x - y) is not None
+        for overflow in (lambda: top * x, lambda: top * y, lambda: x ** (LIMIT + 1),
+                         lambda: x ** (LIMIT - 1) * (y**2 + 1), lambda: (x * y) ** (LIMIT // 2 + 1)):
+            with pytest.raises(ResourceLimitError):
+                overflow()
+        with pytest.raises(ResourceLimitError):
+            Polynomial(x.ring, {(LIMIT, 1): 1})
+        with pytest.raises(ValueError):
+            Polynomial(x.ring, {(-1, 0): 1})
+
+    def test_a_product_never_wraps(self):
+        # a product whose leading degrees overflow is refused before any
+        # key is formed, even where lower terms would fit
+        x, y = PolyRing.make(("x", "y")).gens()
+        f = x ** (LIMIT - 3) + 1
+        g = y**4 + 1
+        with pytest.raises(ResourceLimitError):
+            f * g
+        assert (f * (y**3 + 1)).terms[(LIMIT - 3, 3)] == 1
+
+    def test_character_keys_at_both_ends_of_the_bias(self):
+        lo, hi = -CHAR_BIAS, CHAR_BIAS - 2
+        f = Character({(lo, lo, lo, lo): 1, (hi, hi, hi, hi): -1})
+        assert f.terms == {(lo, lo, lo, lo): 1, (hi, hi, hi, hi): -1}
+        for bad in ((lo - 2, 0, 0, 0), (0, 0, 0, hi + 2)):
+            with pytest.raises(ResourceLimitError):
+                Character({bad: 1})
+        step = Character({(2, 0, 0, 0): 1})
+        down = Character({(-2, 0, 0, 0): 1})
+        assert (Character({(hi, 0, 0, 0): 1}) * down).terms == {(hi - 2, 0, 0, 0): 1}
+        with pytest.raises(ResourceLimitError):
+            Character({(hi, 0, 0, 0): 1}) * step
+        with pytest.raises(ResourceLimitError):
+            Character({(lo, 0, 0, 0): 1}) * down
+        # post-hoc field checks: the cancelled overflowing terms are refused too
+        with pytest.raises(ResourceLimitError):
+            Character({(hi, 0, 0, 0): 1, (0, 0, 0, 0): 1}) * Character({(2, 0, 0, 0): 1, (-2, 0, 0, 0): -1})
+
+    def test_parser_refuses_an_overflowing_product_or_power_with_a_position(self):
+        ctx = PolynomialContext(B_RING)
+        for text, op in (("b1 + (b1^1000)^33", "^33"), ("(b2^1000)^32*b2^768", "*b2^768")):
+            with pytest.raises(ParseError) as err:
+                parse_and_evaluate(text, ctx)
+            assert err.value.position == text.index(op)
+        with pytest.raises(ParseError) as err:
+            parse_and_evaluate("(y1^1000)^9", CharacterContext())
+        assert err.value.position == 9
+        assert "16-bit fields" in str(err.value)
+
+
+class TestPackedKernelsAgainstReferences:
+    @pytest.mark.parametrize("bias", [0, CHAR_BIAS])
+    def test_mul_and_pow_terms(self, bias):
+        P = Packing(4, bias=bias)
+        rng = random.Random(97 + bias)
+        low = -3 if bias else 0
+
+        def draw():
+            return {
+                tuple(rng.randint(low, 3) for _ in range(4)): rng.choice((-2, -1, 1, 3))
+                for _ in range(rng.randint(0, 6))
+            }
+
+        for _ in range(150):
+            f, g = draw(), draw()
+            want = {}
+            for e1, c1 in f.items():
+                for e2, c2 in g.items():
+                    e = tuple(map(add, e1, e2))
+                    want[e] = want.get(e, 0) + c1 * c2
+            want = {e: c for e, c in want.items() if c}
+            assert unpacked(mul_terms(packed(f, P), packed(g, P), P), P) == want
+            n = rng.randint(0, 3)
+            power = {(0,) * 4: 1}
+            for _ in range(n):
+                step = {}
+                for e1, c1 in power.items():
+                    for e2, c2 in f.items():
+                        e = tuple(map(add, e1, e2))
+                        step[e] = step.get(e, 0) + c1 * c2
+                power = {e: c for e, c in step.items() if c}
+            assert unpacked(pow_terms(packed(f, P), n, P), P) == power
+
+    def test_exact_divide_over_z_matches_division_over_q(self):
+        # contents and denominators on both sides: the primitive divisor
+        # makes the integer reduction decide what the Fraction one decides
+        rng = random.Random(98)
+        hits = 0
+        for _ in range(200):
+            g = random_poly(rng) * Fraction(rng.choice((2, 6, -4)), rng.randint(1, 5))
+            if g.is_zero():
+                continue
+            f = random_poly(rng) * g
+            if rng.random() < 0.4:
+                f = f + random_poly(rng, max_terms=1)
+            expected = ref_divide_terms(f.terms, g.terms, g.leading_exponents())
+            q = exact_divide(f, g)
+            assert (q if q is None else q.terms) == expected
+            hits += q is not None
+        assert 0 < hits < 200
+
+    def test_char_quotient_matches_the_polynomial_reference(self):
+        rng = random.Random(99)
+        found = set()
+        for _ in range(120):
+            d = random_character(rng, max_terms=3)
+            if d.is_zero():
+                continue
+            q = random_character(rng, max_terms=4)
+            f = d * q
+            if rng.random() < 0.3:
+                f = f + random_character(rng, max_terms=1)
+            got = char_quotient(d, f)
+            want = ref_char_quotient(d, f)
+            assert got == want
+            found.add(got is None)
+        assert found == {True, False}
+
+
+def ref_char_quotient(d, f):
+    """f/d by shifting both into Q[t1..t4] and dividing with Fraction
+    polynomials on tuple keys."""
+    if f.is_zero():
+        return Character.zero()
+    ring = PolyRing.make(("t1", "t2", "t3", "t4"))
+
+    def shifted(c):
+        shift = tuple(min(k[i] for k in c.terms) for i in range(4))
+        return {tuple(map(sub, k, shift)): v for k, v in c.terms.items()}, shift
+
+    pf, sf = shifted(f)
+    pd, sd = shifted(d)
+    lead = max(pd, key=grevlex_key)
+    q = ref_divide_terms({e: Fraction(c) for e, c in pf.items()}, {e: Fraction(c) for e, c in pd.items()}, lead)
+    if q is None or any(c.denominator != 1 for c in q.values()):
+        return None
+    out = {}
+    for e, c in q.items():
+        key = tuple(x + a - b for x, a, b in zip(e, sf, sd))
+        if len({k % 2 for k in key}) != 1:
+            return None
+        out[key] = int(c)
+    return Character(out)

@@ -5,6 +5,9 @@
 ``fixtures/verify_all_seed0_corrupt_statuses.json`` pins every check's status
 under ``--corrupt``.  Both were written by the code before the sparse operator
 products, so a kernel change that moves any id, status or detail shows here.
+``fixtures/verify_gkm_cutoff16_seed0.json`` pins the report of
+``flagoct verify gkm --degree-cutoff 16 --seed 0 --format json`` in the same
+way; it was written before the packed sparse core.
 """
 
 import functools
@@ -126,6 +129,12 @@ class TestRunSuite:
         report = json.loads(clean_report("all").to_json())
         report.pop("runtime_ms")
         assert report == pinned("verify_all_seed0.json")
+
+    def test_gkm_cutoff_16_report_matches_pinned_fixture(self):
+        # written before the packed sparse core, like the report above
+        report = json.loads(run_suite("gkm", seed=0, degree_cutoff=16).to_json())
+        report.pop("runtime_ms")
+        assert report == pinned("verify_gkm_cutoff16_seed0.json")
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError):
