@@ -191,21 +191,6 @@ class BggContext:
         images[f"lam{k}"] = self.lam[k - 1] - self.gamma[k]
         return f.substitute(images)
 
-    def sigma_action(self, sigma: Sigma3Element, f: Polynomial) -> Polynomial:
-        """Action of an arbitrary permutation, written in the s1/s2 generators."""
-        word = {
-            "1": (),
-            "s1": (1,),
-            "s2": (2,),
-            "s1s2": (1, 2),
-            "s2s1": (2, 1),
-            "s1s2s1": (1, 2, 1),
-        }[sigma.name]
-        out = f
-        for k in reversed(word):
-            out = self.weyl_action(k, out)
-        return out
-
     def divided_difference(self, k: int, f: Polynomial) -> Polynomial:
         """D_k f = (f - s_k f)/gamma_k; the division is always exact."""
         from .poly import exact_divide

@@ -253,10 +253,6 @@ class JordanMatrix(Scaled):
         return (self.to_matrix() * other.to_matrix()).trace().real_part()
 
 
-def jordan_product(a: JordanMatrix, b: JordanMatrix) -> JordanMatrix:
-    return a.jordan(b)
-
-
 def is_projective_point(a: JordanMatrix) -> bool:
     """True iff the matrix squares to itself and has trace one."""
     return a.trace() == 1 and a.square() == a
@@ -370,12 +366,6 @@ class LinearOperator27(Scaled):
     @staticmethod
     def zero() -> "LinearOperator27":
         return LinearOperator27._of((0,) * 729, 1)
-
-    @staticmethod
-    def from_function(fn) -> "LinearOperator27":
-        """Matrix of a linear map JordanMatrix -> JordanMatrix (columns = images)."""
-        images = [fn(b) for b in _CANONICAL_BASIS]
-        return LinearOperator27._of_columns([(y.nums, y.den) for y in images])
 
     @property
     def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:

@@ -96,9 +96,6 @@ class Octonion(Scaled):
     def real_part(self) -> Fraction:
         return Fraction(self.nums[0], self.den)
 
-    def imaginary_part(self) -> "Octonion":
-        return Octonion._of((0,) + self.nums[1:], self.den)
-
     def is_real(self) -> bool:
         return not any(self.nums[1:])
 

@@ -31,6 +31,8 @@ coefficients that could pass ``MAX_RESULT_DIGITS`` digits, are refused
 before they are computed.  A sum or difference is refused when its
 coefficients pass ``MAX_RESULT_DIGITS`` digits, and a product or power when
 its exponents do not fit their packed fields (:class:`flagoct.poly.Packing`).
+A whole text is refused at the operator where its work passes
+``MAX_WORK``.
 Errors carry the 0-based character position for diagnostics; evaluation
 errors are raised as the parser reaches them, so with several faults in one
 text the first in reading order is reported.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import comb, log10
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -82,6 +85,15 @@ MAX_RESULT_DIGITS = 4_000
 # A text has at most this many characters; a longer one is refused before it
 # is tokenized.
 MAX_TEXT_LENGTH = 100_000
+
+# Each step above is bounded, but a text can chain many of them.  So a text
+# is also bounded by its work in term-digits, summed over its operators: each
+# `*` and `^` adds the term pairs it multiplies times the digits of its
+# coefficients, and each `+` and `-` the terms of its operands times the
+# digits of its result.  Each value carries the work that built it, and an
+# operator whose value's work would pass this is refused, before it is
+# computed (a sum, once it is).
+MAX_WORK = 20_000_000
 
 # A numeric literal has at most this many digits, leading zeros aside.  The
 # bound sits well inside Python's own limit on int() of a decimal string
@@ -266,15 +278,38 @@ class _Parser:
 
 # A value while a text is evaluated: the packed term dict and positive
 # denominator, in lowest terms, as a Polynomial stores them (characters keep
-# the denominator 1), and an upper bound on the bit length of every
-# numerator and of the denominator.
-Value = Tuple[Terms, int, int]
+# the denominator 1), an upper bound on the bit length of every numerator
+# and of the denominator, and the work that built it.
+Value = Tuple[Terms, int, int, int]
 
 
 def _digits(bits: int) -> int:
     """At least the number of decimal digits of an int of ``bits`` bits
     (1234/4096 > log10 2)."""
     return (bits * 1234 >> 12) + 1
+
+
+def _power_pairs(size: int, k: int) -> int:
+    """The term pairs that square-and-multiply (``pow_terms``) makes for a
+    ``size``-term base to the power k, from the projected term counts
+    C(size+j-1, j) of the powers f^j it multiplies."""
+    if size == 1:  # one pair per squaring and per multiplication
+        return k.bit_length() - 1 + k.bit_count()
+    pairs, done, step = 0, 0, 1  # f^done is the product so far
+    while k:
+        t = comb(size + step - 1, min(step, size - 1))
+        if k & 1:
+            pairs += comb(size + done - 1, min(done, size - 1)) * t
+            done += step
+        k >>= 1
+        if k:
+            pairs += t * t
+            step *= 2
+    return pairs
+
+
+def _over_budget(pos: int) -> ParseError:
+    return ParseError(f"this expression takes more than {MAX_WORK} term-digits of work", pos)
 
 
 def _bits(terms: Terms, den: int) -> int:
@@ -293,17 +328,18 @@ class _TermContext:
     result.  Leaf dicts are cached and shared, so no step may change a dict
     it is given.
 
-    Each step projects a bound on the bits of its result from the bounds of
-    its operands.  Only when that projection passes ``MAX_RESULT_DIGITS``
-    are the operands' (or a sum's) own bits read, and only when these pass
-    it too is the step refused.
+    Each step bounds the bits of its result from the bounds of its operands
+    (a sum also reads the coefficients it changed).  Only when that bound
+    passes ``MAX_RESULT_DIGITS`` are the operands' (or a sum's) own bits
+    read, and only when these pass it too is the step refused.  Each step
+    also adds its own work to that of its operands (``MAX_WORK``).
     """
 
     packing = None
 
     def neg(self, value: Value, pos: int) -> Value:
-        terms, den, bits = value
-        return neg_terms(terms), den, bits
+        terms, den, bits, work = value
+        return neg_terms(terms), den, bits, work
 
     def add(self, left: Value, right: Value, pos: int) -> Value:
         return self._sum(left, right[0], right, pos)
@@ -313,22 +349,30 @@ class _TermContext:
 
     @staticmethod
     def _sum(left: Value, g: Terms, right: Value, pos: int) -> Value:
-        """left + g, where ``right`` gives g's denominator and bound."""
-        (f, df, bf), (_, dg, bg) = left, right
+        """left + g, where ``right`` gives g's denominator and work."""
+        (f, df, bf, wf), (_, dg, _, wg) = left, right
         terms, den = add_scaled(f, df, g, dg)
-        # over one denominator a sum gains at most one bit; over two, each
-        # numerator is first multiplied by the other denominator
-        bits = max(bf, bg) + 1 if df == dg else bf + bg + 1
+        if df == dg:
+            # only the coefficients at g's keys changed (a common factor
+            # taken out of all of them only shrinks them), so the bound of a
+            # long chain of sums does not gain a bit at each step, and
+            # neither does the work charged for it
+            bits = max(bf, max(map(abs, map(terms.get, g, repeat(0))), default=0).bit_length())
+        else:
+            bits = _bits(terms, den)
         if _digits(bits) > MAX_RESULT_DIGITS:
             bits = _bits(terms, den)
             if _digits(bits) > MAX_RESULT_DIGITS:
                 raise ParseError(
                     f"this sum has coefficients of more than {MAX_RESULT_DIGITS} digits", pos
                 )
-        return terms, den, bits
+        work = wf + wg + (len(f) + len(g)) * _digits(bits)
+        if work > MAX_WORK:
+            raise _over_budget(pos)
+        return terms, den, bits, work
 
     def mul(self, left: Value, right: Value, pos: int) -> Value:
-        (f, df, bf), (g, dg, bg) = left, right
+        (f, df, bf, wf), (g, dg, bg, wg) = left, right
         pairs = len(f) * len(g)
         if pairs > MAX_PRODUCT_PAIRS:
             raise ParseError(
@@ -337,25 +381,30 @@ class _TermContext:
                 pos,
             )
         if not pairs:
-            return {}, 1, 0
+            return {}, 1, 0, wf + wg
         # each numerator of the product is a sum of at most `pairs` products
         # of two numerators, and its denominator is the product of two
         bits = bf + bg + pairs.bit_length()
-        if _digits(bits) > MAX_RESULT_DIGITS:
+        digits = _digits(bits)
+        if digits > MAX_RESULT_DIGITS:
             bits = _bits(f, df) + _bits(g, dg) + pairs.bit_length()
-            if _digits(bits) > MAX_RESULT_DIGITS:
+            digits = _digits(bits)
+            if digits > MAX_RESULT_DIGITS:
                 raise ParseError(
                     f"this product may have coefficients of more than {MAX_RESULT_DIGITS} digits",
                     pos,
                 )
+        work = wf + wg + pairs * digits
+        if work > MAX_WORK:
+            raise _over_budget(pos)
         try:
             terms, den = lowest_terms(mul_terms(f, g, self.packing), df * dg)
         except ResourceLimitError as exc:
             raise ParseError(str(exc), pos) from None
-        return terms, den, bits
+        return terms, den, bits, work
 
     def power(self, value: Value, n: int, pos: int) -> Value:
-        (terms, den, _), k = value, abs(n)
+        (terms, den, _, work), k = value, abs(n)
         size = len(terms)
         if size > 1 and comb(size + k - 1, min(k, size - 1)) > MAX_POWER_TERMS:
             raise ParseError(
@@ -365,7 +414,8 @@ class _TermContext:
             )
         # (F/den)^k = F^k / den^k: every numerator of the power is at most
         # S^k for the sum S of |F|, and the denominator is den^k
-        if terms and k > 1 and k * log10(sum(map(abs, terms.values())) * den) > MAX_POWER_DIGITS:
+        digits = k * log10(sum(map(abs, terms.values())) * den) if terms and k > 1 else 0
+        if k > 1 and digits > MAX_POWER_DIGITS:
             raise ParseError(
                 f"this base to the power {k} may have coefficients of more "
                 f"than {MAX_POWER_DIGITS} digits",
@@ -375,11 +425,15 @@ class _TermContext:
             value = self.inverse(value, pos)
         if k == 1:
             return value
+        if size:
+            work += _power_pairs(size, k) * (int(digits) + 1)
+            if work > MAX_WORK:
+                raise _over_budget(pos)
         try:
             terms, den = pow_scaled(*value[:2], k, self.packing)
         except ResourceLimitError as exc:
             raise ParseError(str(exc), pos) from None
-        return terms, den, _bits(terms, den)
+        return terms, den, _bits(terms, den), work
 
     def inverse(self, value: Value, pos: int) -> Value:
         raise ParseError("negative exponents are not allowed in this ring", pos)
@@ -397,17 +451,17 @@ class PolynomialContext(_TermContext):
             if value.ring != ring:
                 raise RingMismatchError(f"alias {name!r} is not in ring {ring.names}")
         self._variables = {
-            name: (value.packed, value.den, _bits(value.packed, value.den))
+            name: (value.packed, value.den, _bits(value.packed, value.den), 0)
             for name, value in {**self.aliases, **dict(zip(ring.names, ring.gens()))}.items()
         }
 
     def constant(self, num: int, den: int, pos: int) -> Value:
         if not num:
-            return {}, 1, 0
+            return {}, 1, 0, 0
         if den != 1:
             c = Fraction(num, den)
             num, den = c.numerator, c.denominator
-        return {self.packing.zero: num}, den, max(num, den).bit_length()
+        return {self.packing.zero: num}, den, max(num, den).bit_length(), 0
 
     def variable(self, name: str, pos: int) -> Value:
         try:
@@ -427,13 +481,13 @@ class CharacterContext(_TermContext):
     packing = CHAR_PACKING
 
     def __init__(self):
-        self._variables = {f"y{j}": (y(j).packed, 1, 1) for j in range(1, 6)}
+        self._variables = {f"y{j}": (y(j).packed, 1, 1, 0) for j in range(1, 6)}
 
     def constant(self, num: int, den: int, pos: int) -> Value:
         n, r = divmod(num, den)
         if r:
             raise ParseError("character coefficients must be integers", pos)
-        return ({CHAR_PACKING.zero: n} if n else {}), 1, n.bit_length()
+        return ({CHAR_PACKING.zero: n} if n else {}), 1, n.bit_length(), 0
 
     def variable(self, name: str, pos: int) -> Value:
         try:
@@ -453,7 +507,7 @@ class CharacterContext(_TermContext):
                     CHAR_PACKING.check_fields((inverse,))
                 except ResourceLimitError as exc:
                     raise ParseError(str(exc), pos) from None
-                return {inverse: coeff}, 1, 1
+                return {inverse: coeff}, 1, 1, value[3]
         raise ParseError("only unit monomials can be raised to negative powers", pos)
 
     def wrap(self, value: Value) -> Character:

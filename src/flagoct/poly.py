@@ -363,18 +363,9 @@ class Polynomial:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return Fraction(self.packed.get(self.ring.packing.pack(tuple(exponents)), 0), self.den)
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self.packed.get(0, 0), self.den)
-
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return self.den == 1
-
-    def homogeneous_component(self, weighted_degree: int) -> "Polynomial":
-        return Polynomial(
-            self.ring,
-            {e: c for e, c in self.terms.items() if self.ring.weighted_degree(e) == weighted_degree},
-        )
 
     def sorted_terms(self) -> Iterator[Tuple[Exponents, Fraction]]:
         """Terms in descending grevlex order."""
@@ -383,19 +374,6 @@ class Polynomial:
             yield unpack(k), Fraction(self.packed[k], den)
 
     # -- substitution / evaluation ------------------------------------------
-
-    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
-        if len(values) != self.ring.nvars:
-            raise ValueError("wrong number of values")
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
-            for v, k in zip(vals, e):
-                if k:
-                    prod *= v**k
-            total += prod
-        return total
 
     def substitute(
         self,
@@ -520,10 +498,6 @@ class FormProduct:
         if not self.forms:
             raise ValueError("empty product has no ring")
         return self.forms[0].ring
-
-    @property
-    def nfactors(self) -> int:
-        return len(self.forms)
 
     def expand(self) -> Polynomial:
         out = self.ring.const(self.scalar)

@@ -27,12 +27,6 @@ class Check:
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}")
 
-    @staticmethod
-    def from_bool(
-        id: str, description: str, ok: bool, details: str = "", anchor: str = ""
-    ) -> "Check":
-        return Check(id, description, "pass" if ok else "fail", details, anchor)
-
 
 @dataclass
 class VerificationReport:
@@ -47,11 +41,6 @@ class VerificationReport:
             raise ValueError(f"duplicate check id {check.id!r}")
         self.checks.append(check)
 
-    def add_bool(
-        self, id: str, description: str, ok: bool, details: str = "", anchor: str = ""
-    ) -> None:
-        self.add(Check.from_bool(id, description, ok, details, anchor))
-
     def sorted_checks(self) -> List[Check]:
         return sorted(self.checks, key=lambda c: c.id)
 
@@ -65,10 +54,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.summary["fail"] == 0
-
-    def merge(self, other: "VerificationReport") -> None:
-        for c in other.checks:
-            self.add(c)
 
     def to_dict(self) -> Dict:
         return {

@@ -544,10 +544,6 @@ _S3_NAMES: Dict[Tuple[int, int, int], str] = {
 SIGMA3_NAMES: Tuple[str, ...] = ("1", "s1", "s2", "s1s2", "s2s1", "s1s2s1")
 
 
-def sigma3_all() -> Dict[str, Sigma3Element]:
-    return {name: Sigma3Element(perm) for perm, name in _S3_NAMES.items()}
-
-
 def sigma3_by_name(name: str) -> Sigma3Element:
     table = {v: k for k, v in _S3_NAMES.items()}
     if name not in table:

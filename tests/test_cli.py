@@ -1,11 +1,8 @@
 """Command-line interface: subcommands, exit codes, file validation."""
 
 import json
-import os
 import random
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -15,7 +12,7 @@ from flagoct import cli
 from flagoct.cli import MAX_TUPLE_FILE_BYTES, main
 from flagoct.gkm import random_membership_tuple
 from flagoct.ktheory import x_character
-from flagoct.parsing import MAX_RESULT_DIGITS, MAX_TEXT_LENGTH
+from flagoct.parsing import MAX_RESULT_DIGITS, MAX_TEXT_LENGTH, MAX_WORK
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 
@@ -98,20 +95,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "octonion", "--degree-cutoff", "7")
         assert code == 0
         assert "degree cutoff: 7" in out
-
-    def test_free_rank_script_rejects_odd_cutoff(self):
-        root = Path(__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "free_rank_table.py"), "--degree-cutoff", "7"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "error: --degree-cutoff must be even" in proc.stderr
-        assert "Traceback" not in proc.stderr
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("FLAGOCT_SEED", "11")
@@ -448,6 +431,22 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "--ring", ring, "--", "*".join(["3^999"] * 8) + tail)
         assert code == 0
         assert out.splitlines()[0] == str(3 ** (999 * 8)) + tail
+
+    def test_long_chain_of_bounded_products_exits_2(self, capsys):
+        # P - P for P the product of 400 factors (b1+b2)^9: every step stays
+        # within its own bounds, but the text as a whole passes MAX_WORK
+        p = "*".join(["(b1+b2)^9"] * 400)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--ring", "Hb", "--", f"{p}-{p}")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        match = re.fullmatch(
+            rf"error: this expression takes more than {MAX_WORK} term-digits of work "
+            r"\(at position (\d+)\)\n",
+            err,
+        )
+        assert match and p[int(match.group(1))] == "*"
 
     def test_sum_past_the_result_digits_exits_2(self, capsys):
         # pairwise coprime denominators of about 995 digits each: the

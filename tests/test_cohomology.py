@@ -26,7 +26,7 @@ from flagoct.cohomology import (
 )
 from flagoct.groebner import buchberger
 from flagoct.poly import elementary_symmetric
-from flagoct.weyl import SIGMA3_NAMES, act_on_gamma, sigma3_by_name
+from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 X1, X2 = E_RING.gens()
 BETA1, BETA2 = BETA_RING.gens()
@@ -170,14 +170,6 @@ class TestBggCalculus:
             for k in (1, 2):
                 once = self.ctx.divided_difference(k, p)
                 assert self.ctx.divided_difference(k, once).is_zero()
-
-    def test_sigma_action_matches_signed_root_permutation(self):
-        for name in SIGMA3_NAMES:
-            sigma = sigma3_by_name(name)
-            for k in (1, 2, 3):
-                sign, j = act_on_gamma(sigma, k)
-                image = self.ctx.sigma_action(sigma, self.ctx.gamma[k])
-                assert image == sign * self.ctx.gamma[j]
 
 
 class TestTopClassMembership:

@@ -71,7 +71,7 @@ class TestEulerRealization:
 
     def test_each_product_has_four_linear_factors(self):
         for fp in displayed_euler_products().values():
-            assert fp.nfactors == 4
+            assert len(fp.forms) == 4
             assert fp.expand().total_degree() == 4
 
     def test_canonical_signs_and_additivity(self):

@@ -19,7 +19,6 @@ from flagoct.jordan import (
     is_incident,
     is_projective_point,
     jordan_determinant,
-    jordan_product,
     matrix_commutator,
     operator_eigenvalue_check,
     parse_jordan,
@@ -88,14 +87,14 @@ class TestJordanProduct:
         rng = random.Random(9)
         for _ in range(10):
             a, b = random_hermitian(rng), random_hermitian(rng)
-            assert jordan_product(a, b) == jordan_product(b, a)
+            assert a.jordan(b) == b.jordan(a)
 
     def test_identity_is_unit(self):
         rng = random.Random(10)
         one = JordanMatrix.identity()
         for _ in range(10):
             a = random_hermitian(rng)
-            assert jordan_product(one, a) == a
+            assert one.jordan(a) == a
 
     def test_jordan_identity(self):
         # (a.a).(a.b) = a.((a.a).b) -- the defining weak-associativity law
@@ -103,8 +102,8 @@ class TestJordanProduct:
         for _ in range(8):
             a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
             sq = a.square()
-            lhs = jordan_product(sq, jordan_product(a, b))
-            rhs = jordan_product(a, jordan_product(sq, b))
+            lhs = sq.jordan(a.jordan(b))
+            rhs = a.jordan(sq.jordan(b))
             assert lhs == rhs
 
     def test_trace_form_is_associative_symmetric(self):
@@ -112,8 +111,8 @@ class TestJordanProduct:
         for _ in range(8):
             a, b, c = (random_hermitian(rng, 2) for _ in range(3))
             assert a.trace_form(b) == b.trace_form(a)
-            assert jordan_product(a, b).trace_form(c) == a.trace_form(
-                jordan_product(b, c)
+            assert a.jordan(b).trace_form(c) == a.trace_form(
+                b.jordan(c)
             )
 
 
@@ -217,7 +216,7 @@ class TestOperators:
         for _ in range(5):
             a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
             hat = hat_operator(a)
-            assert hat.apply(b) == jordan_product(a, b)
+            assert hat.apply(b) == a.jordan(b)
 
     def test_tilde_operator_is_commutator_action(self):
         rng = random.Random(16)
@@ -234,7 +233,7 @@ class TestOperators:
         a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
         c = random_hermitian(rng, 2)
         composed = hat_operator(a) * hat_operator(b)
-        assert composed.apply(c) == jordan_product(a, jordan_product(b, c))
+        assert composed.apply(c) == a.jordan(b.jordan(c))
 
     def test_bracket_identities_on_seeded_pairs(self):
         rng = random.Random(18)

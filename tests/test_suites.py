@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from flagoct import cli, gkm
 from flagoct.report import Check, VerificationReport
-from flagoct.suites import SUITE_NAMES, run_suite
+from flagoct.suites import SUITE_NAMES, run_checks, run_suite
 
 
 class TestReportObject:
@@ -27,35 +28,23 @@ class TestReportObject:
 
     def test_duplicate_ids_rejected(self):
         rep = VerificationReport("demo", 0, 8)
-        rep.add_bool("a", "first", True)
+        rep.add(Check("a", "first", "pass"))
         with pytest.raises(ValueError):
-            rep.add_bool("a", "again", True)
+            rep.add(Check("a", "again", "pass"))
 
     def test_summary_counts_and_passed(self):
         rep = VerificationReport("demo", 0, 8)
-        rep.add_bool("a", "good", True)
-        rep.add_bool("b", "bad", False)
+        rep.add(Check("a", "good", "pass"))
+        rep.add(Check("b", "bad", "fail"))
         rep.add(Check("c", "skipped thing", "skipped"))
         assert rep.summary == {"pass": 1, "fail": 1, "skipped": 1}
         assert not rep.passed
         assert [c.id for c in rep.sorted_checks()] == ["a", "b", "c"]
 
-    def test_merge_rejects_collisions(self):
-        rep1 = VerificationReport("demo", 0, 8)
-        rep1.add_bool("a", "x", True)
-        rep2 = VerificationReport("demo", 0, 8)
-        rep2.add_bool("b", "y", True)
-        rep1.merge(rep2)
-        assert rep1.summary["pass"] == 2
-        rep3 = VerificationReport("demo", 0, 8)
-        rep3.add_bool("a", "dup", True)
-        with pytest.raises(ValueError):
-            rep1.merge(rep3)
-
     def test_text_rendering_marks_statuses(self):
         rep = VerificationReport("demo", 3, 8)
-        rep.add_bool("z-last", "good", True)
-        rep.add_bool("a-first", "bad", False, details="saw 5", anchor="ctx")
+        rep.add(Check("z-last", "good", "pass"))
+        rep.add(Check("a-first", "bad", "fail", details="saw 5", anchor="ctx"))
         text = rep.to_text()
         assert "suite: demo" in text
         assert "seed: 3" in text
@@ -143,3 +132,57 @@ class TestRunSuite:
     def test_runtime_recorded(self, clean_report):
         rep = clean_report("octonion")
         assert rep.runtime_ms is not None and rep.runtime_ms >= 0
+
+
+class TestFailureCapture:
+    """A check whose computation raises fails on its own; the rest still run."""
+
+    def test_runner_turns_an_exception_into_that_checks_fail(self):
+        def boom():
+            raise ZeroDivisionError("no inverse")
+
+        results = run_checks([
+            ("first", "plain verdict", "", lambda: True),
+            ("second", "raises", "anchor", boom),
+            ("third", "verdict with details", "", lambda: (False, "saw 2")),
+        ])
+        assert results == [
+            ("first", "plain verdict", "", True, ""),
+            ("second", "raises", "anchor", False, "raised ZeroDivisionError: no inverse"),
+            ("third", "verdict with details", "", False, "saw 2"),
+        ]
+
+    @pytest.fixture
+    def raising_free_rank(self, monkeypatch):
+        def free_rank_check(degree_cutoff):
+            raise RuntimeError(f"rank table broken at {degree_cutoff}")
+
+        monkeypatch.setattr(gkm, "free_rank_check", free_rank_check)
+
+    def test_verify_gkm_reports_the_raise_as_a_fail(self, raising_free_rank, clean_report, capsys):
+        assert cli.main(["verify", "gkm", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        statuses = {c["id"]: c for c in json.loads(captured.out)["checks"]}
+        assert set(statuses) == {c.id for c in clean_report("gkm").checks}
+        failed = statuses.pop("free-rank")
+        assert failed["status"] == "fail"
+        assert failed["details"] == "raised RuntimeError: rank table broken at 8"
+        assert {c["status"] for c in statuses.values()} == {"pass"}
+
+    def test_verify_gkm_text_names_the_exception(self, raising_free_rank, clean_report, capsys):
+        assert cli.main(["verify", "gkm"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        marks = {line.split()[1]: line for line in out.splitlines() if line.startswith("[")}
+        assert set(marks) == {c.id for c in clean_report("gkm").checks}
+        assert marks.pop("free-rank").startswith("[FAIL] free-rank")
+        assert all(line.startswith("[PASS]") for line in marks.values())
+        assert "raised RuntimeError: rank table broken at 8" in out
+
+    def test_verify_all_keeps_every_other_check(self, raising_free_rank, capsys):
+        assert cli.main(["verify", "all", "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["id"] for c in checks} == set(pinned("verify_all_seed0_corrupt_statuses.json"))
+        failing = [c["id"] for c in checks if c["status"] != "pass"]
+        assert failing == ["gkm.free-rank"]
