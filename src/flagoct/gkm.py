@@ -27,22 +27,21 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import B_RING, RestrictionTable, integral_row, matrix_rank
 from .poly import (
     FormProduct,
-    LinearForm,
     PolyRing,
     Polynomial,
     ResourceLimitError,
     RingMismatchError,
+    Scalar,
     exact_divide,
     pairwise_coprime,
 )
 from .weyl import (
     SIGMA3_NAMES,
-    Weight,
     WeylElement,
     inversion_set,
     rho,
@@ -52,6 +51,11 @@ from .weyl import (
 )
 
 RHO_RING = PolyRing.make(("rho1", "rho2", "rho3", "rho4"), (2, 2, 2, 2))
+
+# The largest degree cutoff of the free-rank table.  The table's work grows
+# quickly with the degree (its top rows have the most unknowns), so the
+# check and the CLI refuse a larger one.
+MAX_DEGREE_CUTOFF = 16
 
 # transposition attached to each root index: s_gamma1 = (2,3), s_gamma2 = (1,2),
 # s_gamma3 = (1,3)
@@ -133,28 +137,25 @@ class MembershipResult:
 # -- Weyl action on the realized coefficient ring -------------------------------
 
 
-def _weight_to_poly(w: Weight) -> Polynomial:
-    """Express a weight as a linear polynomial in rho-coordinates."""
-    coords = w.rho_coordinates()
-    gens = RHO_RING.gens()
-    out = RHO_RING.zero()
-    for c, g in zip(coords, gens):
-        out = out + c * g
-    return out
+def _linear(coeffs: Sequence[Scalar]) -> Polynomial:
+    """The linear form sum(coeffs[i] * rho_(i+1)) of Q[rho1..rho4]; a weight
+    is the form of its rho-coordinates."""
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    return Polynomial(RHO_RING, dict(zip(units, coeffs)))
 
 
 def l_polynomials() -> Tuple[Polynomial, ...]:
     """The four orthonormal coordinate weights as elements of Q[rho1..rho4]."""
     from .weyl import L
 
-    return tuple(_weight_to_poly(L(i)) for i in range(1, 5))
+    return tuple(_linear(L(i).rho_coordinates()) for i in range(1, 5))
 
 
 @functools.cache
 def generator_substitutions() -> Tuple[Dict[str, Polynomial], ...]:
     """Substitution maps for the four simple reflections of W_Spin(8)."""
     return tuple(
-        {f"rho{j}": _weight_to_poly(w.apply(rho(j))) for j in range(1, 5)}
+        {f"rho{j}": _linear(w.apply(rho(j)).rho_coordinates()) for j in range(1, 5)}
         for w in map(WeylElement.reflection, spin8_simple_roots())
     )
 
@@ -187,10 +188,6 @@ def invariance_sign(p: Polynomial) -> Optional[int]:
 # -- realized labels -------------------------------------------------------------
 
 
-def _form(coeffs: Sequence[int]) -> LinearForm:
-    return LinearForm(RHO_RING, tuple(Fraction(c) for c in coeffs))
-
-
 def displayed_euler_products() -> Dict[str, FormProduct]:
     """The three four-factor products exactly as displayed.
 
@@ -202,28 +199,28 @@ def displayed_euler_products() -> Dict[str, FormProduct]:
         "b1T": FormProduct(
             Fraction(1),
             (
-                _form((1, 0, 0, 0)),  # rho1
-                _form((-1, 1, 0, 0)),  # rho2 - rho1
-                _form((0, 0, -1, 1)),  # rho4 - rho3
-                _form((0, -1, 1, 1)),  # rho4 - rho2 + rho3
+                _linear((1, 0, 0, 0)),  # rho1
+                _linear((-1, 1, 0, 0)),  # rho2 - rho1
+                _linear((0, 0, -1, 1)),  # rho4 - rho3
+                _linear((0, -1, 1, 1)),  # rho4 - rho2 + rho3
             ),
         ),
         "b2T": FormProduct(
             Fraction(1),
             (
-                _form((0, 0, 0, 1)),  # rho4
-                _form((0, -1, 0, 1)),  # rho4 - rho2
-                _form((-1, 0, 1, 0)),  # rho3 - rho1
-                _form((1, -1, 1, 0)),  # rho3 - rho2 + rho1
+                _linear((0, 0, 0, 1)),  # rho4
+                _linear((0, -1, 0, 1)),  # rho4 - rho2
+                _linear((-1, 0, 1, 0)),  # rho3 - rho1
+                _linear((1, -1, 1, 0)),  # rho3 - rho2 + rho1
             ),
         ),
         "b3T": FormProduct(
             Fraction(1),
             (
-                _form((0, 0, 1, 0)),  # rho3
-                _form((0, -1, 1, 0)),  # rho3 - rho2
-                _form((-1, 0, 0, 1)),  # rho4 - rho1
-                _form((1, -1, 0, 1)),  # rho4 - rho2 + rho1
+                _linear((0, 0, 1, 0)),  # rho3
+                _linear((0, -1, 1, 0)),  # rho3 - rho2
+                _linear((-1, 0, 0, 1)),  # rho4 - rho1
+                _linear((1, -1, 0, 1)),  # rho4 - rho2 + rho1
             ),
         ),
     }
@@ -329,7 +326,7 @@ def realized_label(k: int) -> Polynomial:
     return cached_realization().realized_label(k)
 
 
-def label_hyperplanes(k: int) -> Tuple[LinearForm, ...]:
+def label_hyperplanes(k: int) -> Tuple[Polynomial, ...]:
     prods = cached_realization().products()
     return prods[k - 1].forms
 
@@ -341,61 +338,47 @@ def _label_for(mode: str, k: int) -> Polynomial:
     return abstract_label(k) if mode == "Hb" else realized_label(k)
 
 
-def _restriction_images(ring: PolyRing, form: LinearForm) -> Dict[str, Polynomial]:
-    """Images of the variables under restriction to the kernel of ``form``.
+def _restriction_images(ring: PolyRing, form: Polynomial) -> Dict[str, Polynomial]:
+    """Images of the variables under restriction to the kernel of the
+    linear ``form``.
 
-    The form's first variable with a nonzero coefficient (its pivot) is
-    solved for in the others; every other variable maps to itself.
+    The form's leading variable (grevlex leads a linear form with its first
+    variable of nonzero coefficient) is solved for in the others, as itself
+    less the monic form; every other variable maps to itself.
     """
-    pivot = next(i for i, c in enumerate(form.coeffs) if c != 0)
     images = {name: ring.var(name) for name in ring.names}
-    expr = ring.zero()
-    for j, c in enumerate(form.coeffs):
-        if j != pivot:
-            expr = expr - (c / form.coeffs[pivot]) * ring.var(ring.names[j])
-    images[ring.names[pivot]] = expr
+    pivot = ring.names[form.leading_exponents().index(1)]
+    images[pivot] = images[pivot] - form.monic()
     return images
 
 
-def vanishes_on_hyperplanes(p: Polynomial, forms: Sequence[LinearForm]) -> bool:
-    """True iff p restricts to zero on the kernel of every given form."""
-    return all(
-        p.substitute(_restriction_images(p.ring, form)).is_zero() for form in forms
-    )
+def _check_edges(
+    entries: Mapping[str, Any], divides: Callable[[Any, int], bool], label: Callable[[int], str]
+) -> MembershipResult:
+    """The GKM condition in any of the four rings: on every edge {u, v} of
+    class k, ``divides(entries[u] - entries[v], k)``.  The first edge that
+    fails is reported, with ``label(k)`` naming what its difference is not."""
+    for edge in gkm_edges():
+        if not divides(entries[edge.u] - entries[edge.v], edge.k):
+            return MembershipResult(
+                False, edge, f"difference along {{{edge.u},{edge.v}}} is not {label(edge.k)}"
+            )
+    return MembershipResult(True, None)
 
 
-def check_membership(t: CohTuple, method: str = "division") -> MembershipResult:
-    """Edge-divisibility test; realized entries must also be W-invariant.
-
-    ``method`` selects exact polynomial division ("division") or, in realized
-    mode, vanishing on the label's four hyperplanes ("hyperplanes"); the two
-    are equivalent since each label is a product of four pairwise
-    non-proportional linear forms.
-    """
-    if method not in ("division", "hyperplanes"):
-        raise ValueError("method must be 'division' or 'hyperplanes'")
-    if method == "hyperplanes" and t.mode != "HT":
-        raise ValueError("hyperplane method applies to realized tuples")
+def check_membership(t: CohTuple) -> MembershipResult:
+    """Edge-divisibility test; realized entries must also be W-invariant."""
     if t.mode == "HT":
         for name in SIGMA3_NAMES:
             if not is_w_invariant(t.entry(name)):
                 return MembershipResult(
                     False, None, f"entry at vertex {name!r} is not W-invariant"
                 )
-    for edge in gkm_edges():
-        diff = t.entry(edge.u) - t.entry(edge.v)
-        if method == "division":
-            ok = exact_divide(diff, _label_for(t.mode, edge.k)) is not None
-        else:
-            ok = vanishes_on_hyperplanes(diff, label_hyperplanes(edge.k))
-        if not ok:
-            return MembershipResult(
-                False,
-                edge,
-                f"difference along {{{edge.u},{edge.v}}} is not a multiple "
-                f"of the class-{edge.k} label",
-            )
-    return MembershipResult(True, None)
+    return _check_edges(
+        t.entries,
+        lambda diff, k: exact_divide(diff, _label_for(t.mode, k)) is not None,
+        lambda k: f"a multiple of the class-{k} label",
+    )
 
 
 def p1_p2_equivalence(t: CohTuple) -> Tuple[bool, bool, bool]:
@@ -618,8 +601,8 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
     """
     if degree_cutoff % 2 != 0 or degree_cutoff < 0:
         raise ValueError("degree cutoff must be a nonnegative even integer")
-    if degree_cutoff > 16:
-        raise ResourceLimitError("free-rank check is bounded at degree 16")
+    if degree_cutoff > MAX_DEGREE_CUTOFF:
+        raise ResourceLimitError(f"free-rank check is bounded at degree {MAX_DEGREE_CUTOFF}")
     invariants = _basic_invariants()
     # the basic invariants restricted to each label hyperplane, with the
     # edge class of the label

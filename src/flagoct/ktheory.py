@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .gkm import MembershipResult, ROOT_TRANSPOSITIONS, gkm_edges
+from .gkm import MembershipResult, ROOT_TRANSPOSITIONS, _check_edges
 from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, divisor, exact_divide, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
 from .weyl import (
@@ -42,6 +42,7 @@ from .weyl import (
     WeylElement,
     omega,
     sigma3_by_name,
+    sigma_tilde_generators,
     spin8_simple_roots,
 )
 
@@ -536,32 +537,21 @@ class KTuple:
 
 def check_k_membership_rt(t: Mapping[str, Character]) -> MembershipResult:
     """Divisibility of every edge difference by its class's binomial product."""
-    divisors = {k: edge_divisor_char(k) for k in (1, 2, 3)}
-    for edge in gkm_edges():
-        diff = t[edge.u] - t[edge.v]
-        if not divides_char(divisors[edge.k], diff):
-            return MembershipResult(
-                False,
-                edge,
-                f"difference along {{{edge.u},{edge.v}}} is not divisible by "
-                f"the class-{edge.k} binomial product",
-            )
-    return MembershipResult(True, None)
+    divisors = {k: edge_divisor_char(k) for k in ROOT_TRANSPOSITIONS}
+    return _check_edges(
+        t,
+        lambda diff, k: divides_char(divisors[k], diff),
+        lambda k: f"divisible by the class-{k} binomial product",
+    )
 
 
 def check_k_membership_x(t: Mapping[str, Polynomial]) -> MembershipResult:
     """Divisibility of every edge difference by X_i - X_j."""
-    for edge in gkm_edges():
-        diff = t[edge.u] - t[edge.v]
-        if exact_divide(diff, edge_divisor_poly(edge.k)) is None:
-            i, j = ROOT_TRANSPOSITIONS[edge.k]
-            return MembershipResult(
-                False,
-                edge,
-                f"difference along {{{edge.u},{edge.v}}} is not a multiple "
-                f"of X{i}-X{j}",
-            )
-    return MembershipResult(True, None)
+    return _check_edges(
+        t,
+        lambda diff, k: exact_divide(diff, edge_divisor_poly(k)) is not None,
+        lambda k: "a multiple of X{}-X{}".format(*ROOT_TRANSPOSITIONS[k]),
+    )
 
 
 # -- permutation action on X-polynomials and canonical tuples -----------------------------
@@ -599,13 +589,8 @@ def x_action_permutations() -> Dict[str, Sigma3Element]:
     expansions (X4 is fixed by all three)."""
     chars = {i: x_character(i) for i in (1, 2, 3)}
     out: Dict[str, Sigma3Element] = {}
-    reflections = {
-        "omega4": WeylElement.reflection(omega(4)),
-        "omega5_minus_omega4": WeylElement.reflection(omega(5) - omega(4)),
-        "omega5": WeylElement.reflection(omega(5)),
-    }
-    for name, w in reflections.items():
-        images = {}
+    for name, w in sigma_tilde_generators().items():
+        perm = []
         for i in (1, 2, 3):
             moved = weyl_act(w, chars[i])
             matches = [j for j in (1, 2, 3) if moved == chars[j]]
@@ -613,12 +598,9 @@ def x_action_permutations() -> Dict[str, Sigma3Element]:
                 raise AssertionError(
                     f"reflection {name} does not permute the basic characters"
                 )
-            images[i] = matches[0]
+            perm.append(matches[0])
         if weyl_act(w, x_character(4)) != x_character(4):
             raise AssertionError(f"reflection {name} moves the adjoint display")
-        perm = [0, 0, 0]
-        for i in (1, 2, 3):
-            perm[i - 1] = images[i]
         out[name] = Sigma3Element(tuple(perm))
     return out
 
@@ -654,19 +636,18 @@ def equivalence_spotcheck(count: int, seed: int) -> EquivalenceReport:
     """Divisibility by X_i - X_j in the X-ring matches divisibility of the
     expansion by the corresponding binomial product in the character ring."""
     rng = random.Random(seed)
-    pairs = {2: (1, 2), 3: (1, 3), 1: (3, 2)}
     forward = 0
     negative = 0
     for _ in range(count):
         k = rng.choice((1, 2, 3))
-        i, j = pairs[k]
         h = random_x_polynomial(rng)
-        f = (X_RING.var(f"X{i}") - X_RING.var(f"X{j}")) * h
+        f = edge_divisor_poly(k) * h
         if divides_char(edge_divisor_char(k), expand_x_polynomial(f)):
             forward += 1
-        # a polynomial congruent to X_i modulo the edge divisor is never
-        # divisible: its expansion evaluates non-trivially on the quotient
-        g = f + X_RING.var(f"X{i}")
+        # a polynomial congruent to X_i modulo the edge divisor X_i - X_j is
+        # never divisible: its expansion evaluates non-trivially on the
+        # quotient
+        g = f + X_RING.var(f"X{ROOT_TRANSPOSITIONS[k][0]}")
         if not divides_char(edge_divisor_char(k), expand_x_polynomial(g)):
             negative += 1
     return EquivalenceReport(

@@ -43,12 +43,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import comb, log10
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from math import comb, gcd, log10
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .ktheory import CHAR_PACKING, Character, y
 from .poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError, Terms
-from .poly import add_scaled, lowest_terms, mul_terms, neg_terms, pow_scaled
+from .poly import add_into, add_scaled, lowest_terms, mul_terms, neg_terms, pow_scaled
 
 # Parentheses and unary minus signs together nest at most this deep, well
 # inside the interpreter's recursion limit (parsing recurses once per
@@ -89,10 +90,10 @@ MAX_TEXT_LENGTH = 100_000
 # Each step above is bounded, but a text can chain many of them.  So a text
 # is also bounded by its work in term-digits, summed over its operators: each
 # `*` and `^` adds the term pairs it multiplies times the digits of its
-# coefficients, and each `+` and `-` the terms of its operands times the
-# digits of its result.  Each value carries the work that built it, and an
-# operator whose value's work would pass this is refused, before it is
-# computed (a sum, once it is).
+# coefficients, and each `+` and `-` the terms it reads times the digits of
+# its result (those of its right operand alone when it adds into its left).
+# Each value carries the work that built it, and an operator whose value's
+# work would pass this is refused, before it is computed (a sum, once it is).
 MAX_WORK = 20_000_000
 
 # A numeric literal has at most this many digits, leading zeros aside.  The
@@ -276,11 +277,12 @@ class _Parser:
 # -- evaluation contexts ----------------------------------------------------------------
 
 
-# A value while a text is evaluated: the packed term dict and positive
-# denominator, in lowest terms, as a Polynomial stores them (characters keep
-# the denominator 1), an upper bound on the bit length of every numerator
-# and of the denominator, and the work that built it.
-Value = Tuple[Terms, int, int, int]
+# A value while a text is evaluated: the packed terms (a dict, or a cached
+# leaf's read-only view) and positive denominator, in lowest terms, as a
+# Polynomial stores them (characters keep the denominator 1), an upper bound
+# on the bit length of every numerator and of the denominator, and the work
+# that built it.
+Value = Tuple[Mapping[int, int], int, int, int]
 
 
 def _digits(bits: int) -> int:
@@ -325,8 +327,11 @@ class _TermContext:
 
     Subclasses give ``packing``, the leaves (``constant``, ``variable``), the
     inverse of a base raised to a negative power, and ``wrap`` for the
-    result.  Leaf dicts are cached and shared, so no step may change a dict
-    it is given.
+    result.  Variable leaves are cached and shared, and read-only
+    (``MappingProxyType``); every ``dict`` in a value is the text's own, made
+    by one step and held by that value alone, so a sum adds into its left
+    operand when that is a ``dict`` whose denominator the right one's
+    divides.
 
     Each step bounds the bits of its result from the bounds of its operands
     (a sum also reads the coefficients it changed).  Only when that bound
@@ -351,8 +356,19 @@ class _TermContext:
     def _sum(left: Value, g: Terms, right: Value, pos: int) -> Value:
         """left + g, where ``right`` gives g's denominator and work."""
         (f, df, bf, wf), (_, dg, _, wg) = left, right
-        terms, den = add_scaled(f, df, g, dg)
-        if df == dg:
+        read = len(f) + len(g)
+        if df % dg == 0 and type(f) is dict:
+            # f keeps its denominator, so g adds into it; f is in lowest
+            # terms and only the coefficients at g's keys change, so the sum
+            # is too unless they share a factor with df
+            if df != dg:
+                g = {e: c * (df // dg) for e, c in g.items()}
+            terms, den, read = add_into(f, g), df, len(g)
+            if df != 1 and gcd(df, *map(terms.get, g, repeat(0))) != 1:
+                terms, den = lowest_terms(terms, df)
+        else:
+            terms, den = add_scaled(f, df, g, dg)
+        if df % dg == 0:
             # only the coefficients at g's keys changed (a common factor
             # taken out of all of them only shrinks them), so the bound of a
             # long chain of sums does not gain a bit at each step, and
@@ -366,7 +382,7 @@ class _TermContext:
                 raise ParseError(
                     f"this sum has coefficients of more than {MAX_RESULT_DIGITS} digits", pos
                 )
-        work = wf + wg + (len(f) + len(g)) * _digits(bits)
+        work = wf + wg + read * _digits(bits)
         if work > MAX_WORK:
             raise _over_budget(pos)
         return terms, den, bits, work
@@ -451,7 +467,7 @@ class PolynomialContext(_TermContext):
             if value.ring != ring:
                 raise RingMismatchError(f"alias {name!r} is not in ring {ring.names}")
         self._variables = {
-            name: (value.packed, value.den, _bits(value.packed, value.den), 0)
+            name: (MappingProxyType(value.packed), value.den, _bits(value.packed, value.den), 0)
             for name, value in {**self.aliases, **dict(zip(ring.names, ring.gens()))}.items()
         }
 
@@ -481,7 +497,7 @@ class CharacterContext(_TermContext):
     packing = CHAR_PACKING
 
     def __init__(self):
-        self._variables = {f"y{j}": (y(j).packed, 1, 1, 0) for j in range(1, 6)}
+        self._variables = {f"y{j}": (MappingProxyType(y(j).packed), 1, 1, 0) for j in range(1, 6)}
 
     def constant(self, num: int, den: int, pos: int) -> Value:
         n, r = divmod(num, den)

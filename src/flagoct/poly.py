@@ -426,66 +426,16 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-# -- linear forms and their products ----------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A degree-one form sum(coeffs[i] * ring.names[i])."""
-
-    ring: PolyRing
-    coeffs: Tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.ring.nvars:
-            raise ValueError("coefficient count does not match ring")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "LinearForm":
-        coeffs = [Fraction(0)] * p.ring.nvars
-        for e, c in p.terms.items():
-            if sum(e) != 1:
-                raise ValueError("polynomial is not a linear form")
-            coeffs[e.index(1)] = c
-        return LinearForm(p.ring, tuple(coeffs))
-
-    def to_polynomial(self) -> Polynomial:
-        out: Dict[Exponents, Fraction] = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * self.ring.nvars
-                e[i] = 1
-                out[tuple(e)] = c
-        return Polynomial(self.ring, out)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def normalized(self) -> "LinearForm":
-        """Scale so the first nonzero coefficient is 1 (canonical line rep)."""
-        for c in self.coeffs:
-            if c:
-                return LinearForm(self.ring, tuple(x / c for x in self.coeffs))
-        raise ValueError("zero form has no normalization")
-
-    def is_proportional_to(self, other: "LinearForm") -> bool:
-        if self.ring != other.ring:
-            raise RingMismatchError("forms in different rings")
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return self.normalized().coeffs == other.normalized().coeffs
-
-    def __str__(self) -> str:
-        return str(self.to_polynomial())
+# -- products of linear forms ------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FormProduct:
-    """A scalar times a product of linear forms (kept in factored shape)."""
+    """A scalar times a product of linear forms (kept in factored shape);
+    each form is a degree-one :class:`Polynomial`."""
 
     scalar: Fraction
-    forms: Tuple[LinearForm, ...]
+    forms: Tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scalar", Fraction(self.scalar))
@@ -502,7 +452,7 @@ class FormProduct:
     def expand(self) -> Polynomial:
         out = self.ring.const(self.scalar)
         for f in self.forms:
-            out = out * f.to_polynomial()
+            out = out * f
         return out
 
     def __str__(self) -> str:
@@ -514,17 +464,17 @@ class FormProduct:
 
 def pairwise_coprime(
     products: Sequence[FormProduct],
-) -> Tuple[bool, Optional[Tuple[int, int, LinearForm]]]:
+) -> Tuple[bool, Optional[Tuple[int, int, Polynomial]]]:
     """Check no two products share a linear factor up to scalar.
 
     Returns ``(True, None)`` or ``(False, (i, j, shared_form))`` with the
-    first shared factor found.
+    first shared factor found, made monic.
     """
     for i, j in itertools.combinations(range(len(products)), 2):
         for f in products[i].forms:
             for g in products[j].forms:
-                if f.is_proportional_to(g):
-                    return False, (i, j, f.normalized())
+                if f.monic() == g.monic():
+                    return False, (i, j, f.monic())
     return True, None
 
 
@@ -587,7 +537,11 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
 
 def add_terms(f: Mapping[int, Scalar], g: Mapping[int, Scalar]) -> Terms:
     """f + g, dropping cancelled terms."""
-    out = dict(f)
+    return add_into(dict(f), g)
+
+
+def add_into(out: Terms, g: Mapping[int, Scalar]) -> Terms:
+    """Add g into ``out`` in place (dropping cancelled terms); return it."""
     for e, c in g.items():
         s = out.get(e, 0) + c
         if s:

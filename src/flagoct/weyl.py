@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .poly import ResourceLimitError
 from .scaled import Scaled, Scalar
@@ -107,52 +107,6 @@ def rho(j: int) -> Weight:
 # -- root systems ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    roots: FrozenSet[Weight]
-    simple: Tuple[Weight, ...]
-
-    def positive(self) -> FrozenSet[Weight]:
-        """Roots that are nonnegative integer combinations of the simple ones."""
-        out = []
-        for root in self.roots:
-            coeffs = simple_root_coefficients(root, self.simple)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                out.append(root)
-        return frozenset(out)
-
-
-def simple_root_coefficients(
-    v: Weight, simple: Sequence[Weight]
-) -> Optional[Tuple[Fraction, ...]]:
-    """Solve v = sum c_i simple_i exactly; None if the system is unsolvable."""
-    n = len(simple)
-    # Gaussian elimination on the 4 x n system with right-hand side v.
-    rows = [[simple[j].coords[i] for j in range(n)] + [v.coords[i]] for i in range(4)]
-    pivots: List[Tuple[int, int]] = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, 4) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(4):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, 4):
-        if rows[r][n] != 0:
-            return None
-    coeffs = [Fraction(0)] * n
-    for r, c in pivots:
-        coeffs[c] = rows[r][n]
-    return tuple(coeffs)
-
-
 def spin8_simple_roots() -> Tuple[Weight, ...]:
     return (L(1) - L(2), L(2) - L(3), L(3) - L(4), L(3) + L(4))
 
@@ -189,8 +143,15 @@ def f4_roots() -> FrozenSet[Weight]:
     return spin8_roots() | f4_short_roots()
 
 
-def f4_root_system() -> RootSystem:
-    return RootSystem(f4_roots(), f4_simple_roots())
+# A regular vector that pairs positively with every simple root of
+# ``f4_simple_roots`` (in the order listed: 2, 1, 1, 1), so the positive roots
+# are those that pair positively with it.
+F4_REGULAR = Weight.of(10, 1, 2, 3)
+
+
+def f4_positive_roots() -> FrozenSet[Weight]:
+    """The 24 roots that are nonnegative combinations of the simple ones."""
+    return frozenset(r for r in f4_roots() if r.dot(F4_REGULAR) > 0)
 
 
 # -- Weyl group elements --------------------------------------------------------
@@ -424,7 +385,7 @@ def coset_partition_of_f4_positives() -> Dict[str, FrozenSet[Weight]]:
     classes: Dict[str, List[Weight]] = {k: [] for k in gens}
     classes["trivial"] = []
     for delta in sorted(
-        f4_root_system().positive(), key=lambda w: tuple(w.coords)
+        f4_positive_roots(), key=lambda w: tuple(w.coords)
     ):
         s = WeylElement.reflection(delta)
         if s in spin:
@@ -544,11 +505,15 @@ _S3_NAMES: Dict[Tuple[int, int, int], str] = {
 SIGMA3_NAMES: Tuple[str, ...] = ("1", "s1", "s2", "s1s2", "s2s1", "s1s2s1")
 
 
+_S3_BY_NAME: Dict[str, Sigma3Element] = {
+    name: Sigma3Element(perm) for perm, name in _S3_NAMES.items()
+}
+
+
 def sigma3_by_name(name: str) -> Sigma3Element:
-    table = {v: k for k, v in _S3_NAMES.items()}
-    if name not in table:
+    if name not in _S3_BY_NAME:
         raise KeyError(f"unknown element name {name!r}; use one of {SIGMA3_NAMES}")
-    return Sigma3Element(table[name])
+    return _S3_BY_NAME[name]
 
 
 # gamma functionals on the diagonal coordinates (x1, x2, x3):

@@ -10,9 +10,10 @@ import pytest
 
 from flagoct import cli
 from flagoct.cli import MAX_TUPLE_FILE_BYTES, main
-from flagoct.gkm import random_membership_tuple
+from flagoct.gkm import MAX_DEGREE_CUTOFF, free_rank_check, random_membership_tuple
 from flagoct.ktheory import x_character
 from flagoct.parsing import MAX_RESULT_DIGITS, MAX_TEXT_LENGTH, MAX_WORK
+from flagoct.poly import ResourceLimitError
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 
@@ -79,6 +80,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "gkm", "--degree-cutoff", "17")
         assert code == 2
         assert "degree-cutoff" in err
+
+    def test_one_constant_bounds_the_degree_cutoff(self, capsys):
+        # the free-rank check, the CLI's range check and the option's help
+        # all read MAX_DEGREE_CUTOFF, so the cap is raised in one place
+        top = MAX_DEGREE_CUTOFF
+        with pytest.raises(ResourceLimitError, match=f"bounded at degree {top}$"):
+            free_rank_check(top + 2)
+        code, out, _ = run(capsys, "verify", "octonion", "--degree-cutoff", str(top))
+        assert code == 0 and f"degree cutoff: {top}" in out
+        assert run(capsys, "verify", "octonion", "--degree-cutoff", str(top + 1)) == (
+            2, "", f"error: --degree-cutoff must be between 0 and {top}\n"
+        )
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0 and f"free-rank table (max {top})" in " ".join(out.split())
 
     @pytest.mark.parametrize("suite, cutoff", [("gkm", "7"), ("all", "3"), ("gkm", "15")])
     def test_odd_degree_cutoff_exits_2_before_any_suite(self, capsys, monkeypatch, suite, cutoff):
@@ -489,6 +504,14 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "--ring", "Hb", "--", "+".join(["b1"] * 5000))
         assert code == 0
         assert out.splitlines()[0] == "5000*b1"
+
+    def test_flat_sum_of_8000_distinct_terms_expands(self, capsys):
+        # 95 KB: each sum adds one term into the value so far, so the text's
+        # work grows with its length, not with its square
+        text = "+".join(f"b1^{i % 1000}*b2^{i // 1000}" for i in range(8000))
+        code, out, _ = run(capsys, "expand", "--ring", "Hb", "--", text)
+        assert code == 0
+        assert out.splitlines()[0].count("+") == 7999
 
     def test_invalid_ring_choice(self, capsys):
         code, _, _ = run(capsys, "expand", "b1", "--ring", "XX")

@@ -29,6 +29,12 @@ from flagoct.gkm import (
     _invariant_monomials,
     _restriction_images,
 )
+from flagoct.ktheory import (
+    check_k_membership_rt,
+    check_k_membership_x,
+    edge_divisor_poly,
+    expand_x_polynomial,
+)
 from flagoct.poly import exact_divide, pairwise_coprime
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name, transposition
 
@@ -99,7 +105,7 @@ class TestEulerRealization:
         for k in (1, 2, 3):
             label = realized_label(k)
             for form in label_hyperplanes(k):
-                quotient = exact_divide(label, form.to_polynomial())
+                quotient = exact_divide(label, form)
                 assert quotient is not None
 
 
@@ -145,21 +151,75 @@ class TestMembership:
         assert not result.ok
         assert "invariant" in result.reason
 
-    def test_hyperplane_method_agrees_on_realized_tuples(self):
-        # vertex entries built from the realized labels themselves are
-        # invariant and satisfy membership (all differences vanish)
-        entries = {
-            name: realized_label(1) + 2 * realized_label(2)
-            for name in SIGMA3_NAMES
-        }
-        t = CohTuple("HT", entries)
-        assert check_membership(t, method="division").ok
-        assert check_membership(t, method="hyperplanes").ok
 
-    def test_hyperplane_method_requires_realized_mode(self):
-        t = restriction_class_tuple(1)
-        with pytest.raises(ValueError):
-            check_membership(t, method="hyperplanes")
+def vanishes_on_hyperplanes(p, forms):
+    """True iff p restricts to zero on the kernel of every given form."""
+    return all(p.substitute(_restriction_images(p.ring, form)).is_zero() for form in forms)
+
+
+def hyperplane_membership(t):
+    """The hyperplane formulation of HT membership, kept as a reference:
+    invariant entries whose difference along every edge vanishes on the four
+    hyperplanes of the edge's label.  It equals the division test since each
+    label is a product of four pairwise non-proportional linear forms.
+    Returns the verdict and the first failing edge, in ``gkm_edges`` order."""
+    if not all(is_w_invariant(p) for p in t.entries.values()):
+        return False, None
+    for e in gkm_edges():
+        if not vanishes_on_hyperplanes(t.entry(e.u) - t.entry(e.v), label_hyperplanes(e.k)):
+            return False, e
+    return True, None
+
+
+def realized_tuple(entries):
+    """Hb entries mapped into HT by b1 -> b1T and b2 -> b2T (so b3 -> b3T)."""
+    images = {"b1": realized_label(1), "b2": realized_label(2)}
+    return CohTuple("HT", {name: p.substitute(images) for name, p in entries.items()})
+
+
+class TestHyperplaneFormulation:
+    def test_division_agrees_with_the_hyperplane_reference(self):
+        rng = random.Random(13)
+        b1 = B_RING.gens()[0]
+        verdicts = set()
+        for build in (random_membership_tuple, random_arbitrary_tuple):
+            for i in range(4):
+                entries = build(rng, 1).entries
+                # a member broken at one vertex by b1: its class-1 edges
+                # still divide, so it fails at a later edge
+                broken = {**entries, SIGMA3_NAMES[i]: entries[SIGMA3_NAMES[i]] + b1}
+                for t in map(realized_tuple, (entries, broken)):
+                    result = check_membership(t)
+                    assert (result.ok, result.failing_edge) == hyperplane_membership(t)
+                    verdicts.add(result.ok)
+        assert verdicts == {True, False}
+
+
+class TestOneEdgeLoop:
+    """The four rings' checks run one edge loop and differ only in the label.
+    A tuple that is zero but at vertex 1, where it is the product of the
+    class-1 and class-2 labels, fails at the class-3 edge at vertex 1."""
+
+    @pytest.mark.parametrize("ring", ["Hb", "HT", "RT", "RX"])
+    def test_fails_at_the_one_edge_whose_label_does_not_divide(self, ring):
+        if ring in ("Hb", "HT"):
+            label = abstract_label if ring == "Hb" else realized_label
+            top = label(1) * label(2)
+            t = CohTuple(ring, {name: top if name == "1" else top - top for name in SIGMA3_NAMES})
+            result, named = check_membership(t), "a multiple of the class-3 label"
+        else:
+            top = edge_divisor_poly(1) * edge_divisor_poly(2)
+            if ring == "RT":
+                top = expand_x_polynomial(top)
+            entries = {name: top if name == "1" else top - top for name in SIGMA3_NAMES}
+            if ring == "RT":
+                result = check_k_membership_rt(entries)
+                named = "divisible by the class-3 binomial product"
+            else:
+                result, named = check_k_membership_x(entries), "a multiple of X1-X3"
+        (edge,) = [e for e in gkm_edges() if e.k == 3 and "1" in (e.u, e.v)]
+        assert result.failing_edge == edge
+        assert result.reason == f"difference along {{{edge.u},{edge.v}}} is not {named}"
 
 
 class TestPredicateEquivalence:
@@ -240,7 +300,7 @@ class TestFreeness:
 
     def test_twelve_distinct_label_hyperplanes(self):
         forms = [f for k in ROOT_TRANSPOSITIONS for f in label_hyperplanes(k)]
-        assert len({f.normalized() for f in forms}) == 12
+        assert len({f.monic() for f in forms}) == 12
 
     def test_restricted_generators_give_the_restricted_basis(self):
         # restriction is a ring map: the monomials in the restricted

@@ -24,6 +24,7 @@ from flagoct.cli import main
 from flagoct.cohomology import B_RING, E_RING
 from flagoct.gkm import RHO_RING
 from flagoct.ktheory import Character, x_character, y, y_inverse
+from flagoct.weyl import omega
 from flagoct import poly
 from flagoct.poly import PolyRing, Polynomial, RingMismatchError
 from flagoct.parsing import (
@@ -741,6 +742,39 @@ class TestEvaluationMatchesReference:
         context, reference = CONTEXTS[ring][0]()
         assert_same_outcome(text, context, reference)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flat_sums_over_shared_denominators(self, seed):
+        # flat sums whose terms share denominators, so that most sums add
+        # into their left operand (scaling the right one when its
+        # denominator divides the left one's) and some cancel or take out a
+        # factor
+        rng = random.Random(seed)
+        context, reference = b_ring_contexts()
+        for _ in range(30):
+            text = rng.choice(["b1", "b3", "1/6", "-b2^2"])
+            for _ in range(rng.randint(1, 12)):
+                den = rng.choice([1, 2, 3, 6])
+                term = f"{rng.randint(1, 13)}/{den}*{rng.choice(['b1', 'b2', 'b3', 'b1^2'])}"
+                text += rng.choice("+-") + term
+            assert_same_outcome(text, context, reference)
+
+    def test_sums_never_change_the_cached_leaves(self):
+        b1, b2 = B_RING.gens()
+        context = b_ring_contexts()[0]
+        for text in ("b1+b2", "b1^1+b2", "(b1)-b1", "b3+b3", "b3-b2", "2*b1+b1"):
+            parse_and_evaluate(text, context)
+        assert [parse_and_evaluate(v, context) for v in ("b1", "b2", "b3")] == [b1, b2, b1 + b2]
+        characters = CharacterContext()
+        for text in ("y1+y2", "y1^1-y1", "(y5)+y5", "y1^-1+y1"):
+            parse_and_evaluate(text, characters)
+        assert [parse_and_evaluate(f"y{j}", characters) for j in (1, 5)] == [y(1), y(5)]
+        assert y(1) == Character.monomial(omega(1))
+        # the leaves are read-only views
+        for ctx in (context, characters):
+            for terms, *_ in ctx._variables.values():
+                with pytest.raises(TypeError):
+                    terms[0] = 1
+
     def test_results_do_not_share_the_contexts_leaves(self):
         b1 = B_RING.gens()[0]
         context = b_ring_contexts()[0]
@@ -845,15 +879,17 @@ class TestWorkBudget:
 
     def test_charges_follow_the_operators(self):
         ctx = PolynomialContext(B_RING)
-        # a sum: the terms of its operands times the digits of its result
+        # a sum: the terms it reads times the digits of its result, those of
+        # both operands when its left one is a cached leaf (which it copies)
         assert spent_on("b1+b2", ctx) == 2 * 1
         # a product: its term pairs times the digits its coefficients may
         # have (b1*b2: 1 + 1 bits and 1 for the pair count, 1 digit; the two
         # sums: 1 + 1 bits and 3 for the pair count, 2 digits)
         assert spent_on("b1*b2", ctx) == 1
         assert spent_on("(b1+b2)*(b1-b2)", ctx) == 2 + 2 + 4 * 2
-        # 123456*b1 may have 17 + 1 + 1 bits (6 digits), and so may the sum
-        assert spent_on("123456*b1+b2", ctx) == 1 * 6 + 2 * 6
+        # 123456*b1 may have 17 + 1 + 1 bits (6 digits), and so may the sum,
+        # which adds the one term of b2 into the product's own dict
+        assert spent_on("123456*b1+b2", ctx) == 1 * 6 + 1 * 6
         # along a chain of sums the bound follows the coefficients (2000
         # needs 11 bits, 4 digits): it does not gain a bit at each step
         assert spent_on("+".join(["b1"] * 2000), ctx) <= 2 * 2000 * 4
@@ -863,9 +899,16 @@ class TestWorkBudget:
         # each operator adds its own work to that of both of its operands
         # ((b1+b2)^2 has 3 terms, coefficients of 2 bits)
         assert spent_on("b1 + (b1+b2)^2", ctx) == 9 + (1 + 3) * 1
-        assert spent_on("(b1+b2)^2 + b1", ctx) == 9 + (3 + 1) * 1
+        assert spent_on("(b1+b2)^2 + b1", ctx) == 9 + 1 * 1
         assert spent_on("b1 * (b1+b2)^2", ctx) == 9 + 3 * 2
         assert spent_on("-(b1+b2)^2", ctx) == 9
+
+    def test_a_sum_adding_into_its_left_operand_charges_the_terms_it_adds(self):
+        # a flat sum reads each term once: its work is that of its terms plus
+        # one term-digit per `+`, not the terms of every partial sum
+        ctx = PolynomialContext(B_RING)
+        terms = [f"b1^{i % 1000}*b2^{i // 1000}" for i in range(2000)]
+        assert spent_on("+".join(terms), ctx) == sum(spent_on(t, ctx) for t in terms) + 1999
 
     def test_refused_at_the_operator_that_passes(self):
         ctx = PolynomialContext(B_RING)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flagoct.poly import (
     FormProduct,
-    LinearForm,
     Packing,
     PolyRing,
     Polynomial,
@@ -221,39 +220,33 @@ def reference_divide(f, g):
 
 
 class TestLinearForms:
-    def test_linear_form_roundtrip(self):
-        x, y = R2.gens()
-        form = LinearForm.from_polynomial(2 * x - y)
-        assert form.to_polynomial() == 2 * x - y
+    """A linear form is a degree-one Polynomial; two are proportional when
+    their monic forms are equal."""
 
     def test_proportionality(self):
         x, y = R2.gens()
-        f = LinearForm.from_polynomial(x - y)
-        g = LinearForm.from_polynomial(3 * y - 3 * x)
-        h = LinearForm.from_polynomial(x + y)
-        assert f.is_proportional_to(g)
-        assert not f.is_proportional_to(h)
+        assert (x - y).monic() == (3 * y - 3 * x).monic()
+        assert (x - y).monic() != (x + y).monic()
 
     def test_form_product_expand(self):
         x, y = R2.gens()
-        fp = FormProduct(
-            Fraction(2),
-            (LinearForm.from_polynomial(x - y), LinearForm.from_polynomial(x + y)),
-        )
+        fp = FormProduct(Fraction(2), (x - y, x + y))
         assert fp.expand() == 2 * (x * x - y * y)
+        assert str(fp) == "2 * (x - y) * (x + y)"
+
+    def test_form_product_rejects_mixed_rings(self):
+        with pytest.raises(RingMismatchError):
+            FormProduct(Fraction(1), (R2.gens()[0], R3.gens()[0]))
 
     def test_pairwise_coprime(self):
         x, y = R2.gens()
-        f1 = FormProduct(Fraction(1), (LinearForm.from_polynomial(x),))
-        f2 = FormProduct(Fraction(1), (LinearForm.from_polynomial(y),))
-        f3 = FormProduct(Fraction(1), (LinearForm.from_polynomial(x + y),))
-        shared = FormProduct(
-            Fraction(1),
-            (LinearForm.from_polynomial(x), LinearForm.from_polynomial(x + y)),
-        )
+        f1 = FormProduct(Fraction(1), (x,))
+        f2 = FormProduct(Fraction(1), (y,))
+        f3 = FormProduct(Fraction(1), (x + y,))
+        shared = FormProduct(Fraction(1), (-2 * x, x + y))
         ok, witness = pairwise_coprime([f1, f2, f3])
         assert ok and witness is None
-        ok, witness = pairwise_coprime([f1, shared])
+        ok, witness = pairwise_coprime([shared, f1])
         assert not ok
-        assert witness[:2] == (0, 1)
-        assert witness[2].is_proportional_to(LinearForm.from_polynomial(x))
+        # the witness is the shared factor made monic
+        assert witness == (0, 1, x)

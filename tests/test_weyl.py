@@ -1,10 +1,12 @@
 """Root systems, reflection groups, and the six-element quotient action."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from flagoct.weyl import (
+    F4_REGULAR,
     SIGMA3_NAMES,
     L,
     Sigma3Element,
@@ -13,7 +15,9 @@ from flagoct.weyl import (
     act_on_gamma,
     cell_dimension_polynomial,
     coset_partition_of_f4_positives,
+    f4_positive_roots,
     f4_roots,
+    f4_simple_roots,
     f4_short_roots,
     f4_weyl,
     inversion_set,
@@ -73,6 +77,27 @@ class TestRootSystems:
     def test_root_sets_are_negation_closed(self):
         for roots in (spin8_roots(), f4_roots()):
             assert all(-r in roots for r in roots)
+
+    def test_regular_vector_is_positive_on_the_simple_roots(self):
+        assert [r.dot(F4_REGULAR) for r in f4_simple_roots()] == [2, 1, 1, 1]
+        # and orthogonal to no root, so it splits the roots in two halves
+        assert all(r.dot(F4_REGULAR) != 0 for r in f4_roots())
+
+    def test_positive_roots_are_the_nonnegative_simple_combinations(self):
+        # in the order of f4_simple_roots (Bourbaki's reversed) the highest
+        # root L1 + L4 is 2a1 + 4a2 + 3a3 + 2a4, so coefficients up to 4
+        # reach every positive root
+        simple = f4_simple_roots()
+        combinations = set()
+        for coeffs in itertools.product(range(5), repeat=4):
+            v = Weight.zero()
+            for c, r in zip(coeffs, simple):
+                v = v + r.scale(c)
+            combinations.add(v)
+        positive = f4_positive_roots()
+        assert len(positive) == 24
+        assert positive == f4_roots() & combinations
+        assert positive | {-r for r in positive} == f4_roots()
 
 
 class TestWeylGroups:
