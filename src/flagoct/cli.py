@@ -26,14 +26,8 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .cohomology import B_RING
-from .gkm import MAX_DEGREE_CUTOFF, RHO_RING, CohTuple, MembershipResult, check_membership
-from .ktheory import (
-    Character,
-    KTuple,
-    X_RING,
-    check_k_membership_rt,
-    check_k_membership_x,
-)
+from .gkm import MAX_DEGREE_CUTOFF, RHO_RING, check_membership, membership_ring
+from .ktheory import X_RING, Character
 from .parsing import (
     CharacterContext,
     ParseError,
@@ -155,32 +149,17 @@ def _evaluate_entries(entries: Dict[str, str], ring: str) -> Dict[str, object]:
     return out
 
 
-# Per ring: the tuple a membership check takes, built from the evaluated
-# entries (a TypeError or ValueError there is an input error), and the check.
-# The checks are named when called, so that a wrapper bound to their names in
-# this module (a profiler's or the benchmark's tracer) sees each call.
-_GKM_CHECKS = {
-    "Hb": (functools.partial(CohTuple, "Hb"), lambda t: check_membership(t)),
-    "HT": (functools.partial(CohTuple, "HT"), lambda t: check_membership(t)),
-    "RT": (lambda values: KTuple("RT", values).entries, lambda t: check_k_membership_rt(t)),
-    "RX": (lambda values: KTuple("RX", values).entries, lambda t: check_k_membership_x(t)),
-}
-
-
-def _run_gkm_check(ring: str, values: Dict[str, object]) -> MembershipResult:
-    build, check = _GKM_CHECKS[ring]
-    try:
-        t = build(values)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc))
-    return check(t)
-
-
 def _cmd_gkm_check(args: argparse.Namespace) -> int:
     entries = _load_tuple_file(args.file, args.ring)
     values = _evaluate_entries(entries, args.ring)
+    # the tuple is checked on its own first, so that a bad tuple exits 2
+    # and an error inside the edge conditions does not
     try:
-        result = _run_gkm_check(args.ring, values)
+        membership_ring(values)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc))
+    try:
+        result = check_membership(values)
     except ResourceLimitError as exc:
         # a character difference too wide for the packed division keys
         raise UsageError(str(exc))

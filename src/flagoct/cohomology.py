@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, buchberger, graded_quotient_dimensions
-from .poly import PolyRing, Polynomial, Scalar, elementary_symmetric
+from .poly import PolyRing, Polynomial, Scalar, elementary_symmetric, exact_divide
 from .weyl import SIGMA3_NAMES, Sigma3Element, sigma3_by_name
 
 E_RING = PolyRing.make(("x1", "x2"), (8, 8))
@@ -193,8 +193,6 @@ class BggContext:
 
     def divided_difference(self, k: int, f: Polynomial) -> Polynomial:
         """D_k f = (f - s_k f)/gamma_k; the division is always exact."""
-        from .poly import exact_divide
-
         diff = f - self.weyl_action(k, f)
         q = exact_divide(diff, self.gamma[k])
         if q is None:

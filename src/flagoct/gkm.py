@@ -1,23 +1,25 @@
-"""Moment-graph (GKM) model for the equivariant cohomology of the flag.
+"""Moment-graph (GKM) model for the equivariant cohomology and K-theory of
+the flag.
 
 The graph has the six permutations of {1,2,3} as vertices and an edge
 {sigma, t.sigma} for every transposition t (left multiplication), nine edges
-in all.  Each edge class carries a degree-8 label:
+in all.  Each edge class carries a divisor in each of four coefficient rings:
 
-* abstract mode, coefficients in Q[b1,b2]: the edges of the transposition
-  fixing 1 (i.e. (2,3)) carry b1, the edges of (1,2) carry b2, and the edges
-  of (1,3) carry b3 = b1 + b2.  This pairing of transpositions to labels is
+* Hb, coefficients in Q[b1,b2]: the edges of the transposition fixing 1
+  (i.e. (2,3)) carry b1, the edges of (1,2) carry b2, and the edges of
+  (1,3) carry b3 = b1 + b2.  This pairing of transpositions to labels is
   forced by the fixed-point restriction classes: it is the unique one under
   which their difference along every edge is divisible by the edge label.
-* realized mode, coefficients in Q[rho1..rho4]: each label becomes the
+* HT, coefficients in Q[rho1..rho4]: each label becomes the
   torus-equivariant Euler class of the corresponding eight-dimensional
   representation, a product of four linear forms, W-invariant and pairwise
   coprime across classes.
+* RT and RX, the representation ring as characters or as integer
+  polynomials in X1..X4: the divisors of ``flagoct.ktheory``.
 
-A piecewise class (CohTuple) assigns one polynomial per vertex; membership
-in the equivariant cohomology ring is the divisibility of every edge
-difference by the edge label, with realized-mode entries additionally
-required to be W-invariant.
+A tuple assigns one entry per vertex; it is a member when every edge
+difference is divisible by the divisor of the edge's class in the entries'
+ring, with HT entries additionally required to be W-invariant.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import B_RING, RestrictionTable, integral_row, matrix_rank
+from .ktheory import X_RING, Character, divides_char, edge_divisor_char, edge_divisor_poly
 from .poly import (
     FormProduct,
     PolyRing,
@@ -41,7 +44,9 @@ from .poly import (
     pairwise_coprime,
 )
 from .weyl import (
+    ROOT_TRANSPOSITIONS,
     SIGMA3_NAMES,
+    L,
     WeylElement,
     inversion_set,
     rho,
@@ -56,11 +61,6 @@ RHO_RING = PolyRing.make(("rho1", "rho2", "rho3", "rho4"), (2, 2, 2, 2))
 # quickly with the degree (its top rows have the most unknowns), so the
 # check and the CLI refuse a larger one.
 MAX_DEGREE_CUTOFF = 16
-
-# transposition attached to each root index: s_gamma1 = (2,3), s_gamma2 = (1,2),
-# s_gamma3 = (1,3)
-ROOT_TRANSPOSITIONS: Dict[int, Tuple[int, int]] = {1: (2, 3), 2: (1, 2), 3: (1, 3)}
-
 
 @functools.cache
 def abstract_label(k: int) -> Polynomial:
@@ -100,31 +100,6 @@ def gkm_edges() -> Tuple[GkmEdge, ...]:
 
 
 @dataclass(frozen=True)
-class CohTuple:
-    """One polynomial per vertex; mode 'Hb' (abstract) or 'HT' (realized)."""
-
-    mode: str
-    entries: Mapping[str, Polynomial]
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("Hb", "HT"):
-            raise ValueError("mode must be 'Hb' or 'HT'")
-        missing = [n for n in SIGMA3_NAMES if n not in self.entries]
-        if missing:
-            raise ValueError(f"missing vertex entries: {missing}")
-        expected = B_RING if self.mode == "Hb" else RHO_RING
-        for name, p in self.entries.items():
-            if p.ring != expected:
-                raise RingMismatchError(
-                    f"entry {name!r} lives in {p.ring.names}, expected {expected.names}"
-                )
-        object.__setattr__(self, "entries", dict(self.entries))
-
-    def entry(self, name: str) -> Polynomial:
-        return self.entries[name]
-
-
-@dataclass(frozen=True)
 class MembershipResult:
     ok: bool
     failing_edge: Optional[GkmEdge]
@@ -146,8 +121,6 @@ def _linear(coeffs: Sequence[Scalar]) -> Polynomial:
 
 def l_polynomials() -> Tuple[Polynomial, ...]:
     """The four orthonormal coordinate weights as elements of Q[rho1..rho4]."""
-    from .weyl import L
-
     return tuple(_linear(L(i).rho_coordinates()) for i in range(1, 5))
 
 
@@ -334,10 +307,6 @@ def label_hyperplanes(k: int) -> Tuple[Polynomial, ...]:
 # -- membership -------------------------------------------------------------------
 
 
-def _label_for(mode: str, k: int) -> Polynomial:
-    return abstract_label(k) if mode == "Hb" else realized_label(k)
-
-
 def _restriction_images(ring: PolyRing, form: Polynomial) -> Dict[str, Polynomial]:
     """Images of the variables under restriction to the kernel of the
     linear ``form``.
@@ -352,52 +321,106 @@ def _restriction_images(ring: PolyRing, form: Polynomial) -> Dict[str, Polynomia
     return images
 
 
-def _check_edges(
-    entries: Mapping[str, Any], divides: Callable[[Any, int], bool], label: Callable[[int], str]
-) -> MembershipResult:
-    """The GKM condition in any of the four rings: on every edge {u, v} of
-    class k, ``divides(entries[u] - entries[v], k)``.  The first edge that
-    fails is reported, with ``label(k)`` naming what its difference is not."""
+# The GKM rings whose entries are polynomials, by their names on the command
+# line; characters are the entries of RT.
+_POLYNOMIAL_RINGS = {B_RING: "Hb", RHO_RING: "HT", X_RING: "RX"}
+
+# Per GKM ring: the divisor of class-k edges, and what a difference that
+# fails on such an edge is not ((i, j) is the transposition of the class).
+# The realized labels and the binomial products are multiplied out on each
+# call: they are the products the membership-stream benchmark counts.
+_EDGE_RULES = {
+    "Hb": (abstract_label, "a multiple of the class-{k} label"),
+    "HT": (realized_label, "a multiple of the class-{k} label"),
+    "RT": (edge_divisor_char, "divisible by the class-{k} binomial product"),
+    "RX": (edge_divisor_poly, "a multiple of X{i}-X{j}"),
+}
+
+
+def membership_ring(entries: Mapping[str, Any]) -> str:
+    """The ring of a six-vertex tuple, read from its entries: "Hb", "HT" or
+    "RX" for polynomials in ``B_RING``, ``RHO_RING`` or ``X_RING``, "RT" for
+    characters.
+
+    Raises ValueError for a missing vertex, polynomials in no GKM ring or an
+    RX entry with a non-integer coefficient, RingMismatchError for
+    polynomials in two rings and TypeError for a character among them.
+    """
+    missing = [n for n in SIGMA3_NAMES if n not in entries]
+    if missing:
+        raise ValueError(f"missing vertex entries: {missing}")
+    if all(isinstance(v, Character) for v in entries.values()):
+        return "RT"
+    odd = [name for name, v in entries.items() if not isinstance(v, Polynomial)]
+    if odd:
+        raise TypeError(f"entries must be all polynomials or all characters; offending: {odd}")
+    expected = next(iter(entries.values())).ring
+    for name, p in entries.items():
+        if p.ring != expected:
+            raise RingMismatchError(
+                f"entry {name!r} lives in {p.ring.names}, expected {expected.names}"
+            )
+    ring = _POLYNOMIAL_RINGS.get(expected)
+    if ring is None:
+        raise ValueError(f"entries live in {expected.names}, which is not a GKM ring")
+    if ring == "RX":
+        for name, p in entries.items():
+            if not p.is_integral():
+                raise ValueError(f"entry {name!r} must have integer coefficients")
+    return ring
+
+
+def _edge_divisors(ring: str) -> Dict[int, Any]:
+    """The divisor of each edge class in ``ring``."""
+    return {k: _EDGE_RULES[ring][0](k) for k in ROOT_TRANSPOSITIONS}
+
+
+def _divides(d: Any, f: Any) -> bool:
+    """True iff ``d`` divides ``f``, as characters or as polynomials."""
+    if isinstance(f, Character):
+        return divides_char(d, f)
+    return exact_divide(f, d) is not None
+
+
+def check_membership(entries: Mapping[str, Any]) -> MembershipResult:
+    """The GKM condition in the ring of the entries (:func:`membership_ring`):
+    on every edge {u, v} of class k, entries[u] - entries[v] is divisible by
+    the ring's class-k divisor.  HT entries must also be W-invariant.  The
+    first edge that fails is reported."""
+    ring = membership_ring(entries)
+    if ring == "HT":
+        for name in SIGMA3_NAMES:
+            if not is_w_invariant(entries[name]):
+                return MembershipResult(
+                    False, None, f"entry at vertex {name!r} is not W-invariant"
+                )
+    divisors = _edge_divisors(ring)
     for edge in gkm_edges():
-        if not divides(entries[edge.u] - entries[edge.v], edge.k):
+        if not _divides(divisors[edge.k], entries[edge.u] - entries[edge.v]):
+            i, j = ROOT_TRANSPOSITIONS[edge.k]
+            wording = _EDGE_RULES[ring][1].format(k=edge.k, i=i, j=j)
             return MembershipResult(
-                False, edge, f"difference along {{{edge.u},{edge.v}}} is not {label(edge.k)}"
+                False, edge, f"difference along {{{edge.u},{edge.v}}} is not {wording}"
             )
     return MembershipResult(True, None)
 
 
-def check_membership(t: CohTuple) -> MembershipResult:
-    """Edge-divisibility test; realized entries must also be W-invariant."""
-    if t.mode == "HT":
-        for name in SIGMA3_NAMES:
-            if not is_w_invariant(t.entry(name)):
-                return MembershipResult(
-                    False, None, f"entry at vertex {name!r} is not W-invariant"
-                )
-    return _check_edges(
-        t.entries,
-        lambda diff, k: exact_divide(diff, _label_for(t.mode, k)) is not None,
-        lambda k: f"a multiple of the class-{k} label",
-    )
-
-
-def p1_p2_equivalence(t: CohTuple) -> Tuple[bool, bool, bool]:
+def p1_p2_equivalence(entries: Mapping[str, Any]) -> Tuple[bool, bool, bool]:
     """Evaluate the inversion-set-restricted predicate and the full one.
 
     Returns (restricted, full, agree).  The restricted form checks each
     sigma only against the roots gamma with sigma^{-1} gamma negative; since
     every unordered edge has exactly one endpoint inverting its root, the two
-    predicates test identical difference/label pairs.
+    predicates test identical difference/divisor pairs.
     """
-    full = check_membership(t).ok
+    full = check_membership(entries).ok
+    divisors = _edge_divisors(membership_ring(entries))
     restricted = True
     for name in SIGMA3_NAMES:
         sigma = sigma3_by_name(name)
         for k in inversion_set(sigma):
-            i, j = ROOT_TRANSPOSITIONS[k]
-            other = transposition(i, j).compose(sigma)
-            diff = t.entry(sigma.name) - t.entry(other.name)
-            if exact_divide(diff, _label_for(t.mode, k)) is None:
+            other = transposition(*ROOT_TRANSPOSITIONS[k]).compose(sigma)
+            if not _divides(divisors[k], entries[name] - entries[other.name]):
                 restricted = False
     return restricted, full, restricted == full
 
@@ -405,7 +428,7 @@ def p1_p2_equivalence(t: CohTuple) -> Tuple[bool, bool, bool]:
 # -- random tuples for property checks -------------------------------------------
 
 
-def random_membership_tuple(rng: random.Random, degree: int = 2) -> CohTuple:
+def random_membership_tuple(rng: random.Random, degree: int = 2) -> Dict[str, Polynomial]:
     """A guaranteed member: polynomial in the two restriction classes."""
     table = RestrictionTable()
     rows = [
@@ -430,10 +453,10 @@ def random_membership_tuple(rng: random.Random, degree: int = 2) -> CohTuple:
         coeff = B_RING.monomial((rng.randint(0, cdeg), rng.randint(0, cdeg)), scalar)
         for name, (u, v) in zip(SIGMA3_NAMES, rows):
             entries[name] = entries[name] + coeff * power(u, d1) * power(v, d2)
-    return CohTuple("Hb", entries)
+    return entries
 
 
-def random_arbitrary_tuple(rng: random.Random, degree: int = 2) -> CohTuple:
+def random_arbitrary_tuple(rng: random.Random, degree: int = 2) -> Dict[str, Polynomial]:
     """Each entry is sum(c * b1^e1 * b2^e2) over e1 + e2 <= degree, with
     seeded c in [-2, 2]."""
     entries = {}
@@ -446,19 +469,13 @@ def random_arbitrary_tuple(rng: random.Random, degree: int = 2) -> CohTuple:
                 for e2 in range(degree + 1 - e1)
             },
         )
-    return CohTuple("Hb", entries)
+    return entries
 
 
-def restriction_class_tuple(k: int) -> CohTuple:
+def restriction_class_tuple(k: int) -> Dict[str, Polynomial]:
     """The tuple of fixed-point restrictions of the k-th Euler class."""
     table = RestrictionTable()
-    return CohTuple(
-        "Hb",
-        {
-            name: table.restriction(sigma3_by_name(name), k)
-            for name in SIGMA3_NAMES
-        },
-    )
+    return {name: table.restriction(sigma3_by_name(name), k) for name in SIGMA3_NAMES}
 
 
 # -- free-rank verification --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reduced Groebner bases over the rationals (grevlex order).
 
-Buchberger's algorithm with the standard product/chain pruning criteria is
-ample for the small graded rings this package works in (at most 6 variables,
-at most 30 generators; enforced via :class:`ResourceLimitError`).  On top of
+Buchberger's algorithm, skipping only the pairs that the product criterion
+(coprime leading monomials) rules out, is ample for the small graded rings
+this package works in (at most 6 variables, at most 30 generators; enforced
+via :class:`ResourceLimitError`).  On top of
 normal forms the module counts graded quotient dimensions by enumerating
 standard monomials, using each ring variable's grading degree.
 """

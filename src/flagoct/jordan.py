@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .octonion import Octonion, mul_into
 from .scaled import Scaled, Scalar, numerators
+from .weyl import GAMMA_COEFFS
 
 SLOTS = ("r", "p", "q")  # slot k carries the k-th root space, k = 1, 2, 3
 
@@ -281,14 +282,11 @@ def jordan_determinant(a: JordanMatrix) -> Fraction:
 
 
 def gamma_value(k: int, x: JordanMatrix) -> Fraction:
-    """The k-th diagonal root functional: x2-x3, x1-x2, x1-x3 for k=1,2,3."""
-    if k == 1:
-        return x.x2 - x.x3
-    if k == 2:
-        return x.x1 - x.x2
-    if k == 3:
-        return x.x1 - x.x3
-    raise ValueError("root index must be 1..3")
+    """The k-th diagonal root functional ``GAMMA_COEFFS[k]`` at x: x2-x3,
+    x1-x2, x1-x3 for k=1,2,3."""
+    if k not in GAMMA_COEFFS:
+        raise ValueError("root index must be 1..3")
+    return sum(c * v for c, v in zip(GAMMA_COEFFS[k], (x.x1, x.x2, x.x3)))
 
 
 def slot_of_root(k: int) -> str:

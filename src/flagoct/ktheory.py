@@ -19,8 +19,9 @@ Key objects:
   binomial divisors e^lambda - 1;
 * conversion between invariant characters and integer polynomials in
   X1..X4 by repeated subtraction at the lexicographically maximal weight;
-* the divisibility conditions along the six-vertex moment graph, in both
-  character form (y-product divisors) and polynomial form (X_i - X_j).
+* the edge divisors of the six-vertex moment graph, in both character form
+  (y-product divisors) and polynomial form (X_i - X_j), which
+  ``flagoct.gkm.check_membership`` tests tuples against.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .gkm import MembershipResult, ROOT_TRANSPOSITIONS, _check_edges
-from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, divisor, exact_divide, reduce_terms
+from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, divisor, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
 from .weyl import (
+    ROOT_TRANSPOSITIONS,
     SIGMA3_NAMES,
+    L,
     Sigma3Element,
     Weight,
     WeylElement,
@@ -304,8 +306,6 @@ def binomial(w: Weight) -> Character:
 def factorization_rhs() -> Dict[str, Character]:
     """Right-hand sides of the three displayed difference factorizations:
     each is a unit monomial times the edge divisor of one class."""
-    from .weyl import L
-
     w5 = omega(5)
     return {
         "X1-X2": Character.monomial(w5 - L(1) - L(2) - L(3) - L(4)) * edge_divisor_char(2),
@@ -472,7 +472,7 @@ def to_x_polynomial(f: Character) -> Optional[Polynomial]:
     return result
 
 
-# -- moment-graph membership ------------------------------------------------------------
+# -- moment-graph edge divisors ---------------------------------------------------------
 
 
 @functools.cache
@@ -483,8 +483,6 @@ def edge_binomials(k: int) -> Tuple[Character, ...]:
     Class indices follow the root dictionary: k=1 is the transposition
     (2,3), k=2 is (1,2), k=3 is (1,3).
     """
-    from .weyl import L
-
     w5 = omega(5)
     weights = {
         2: [L(i) for i in range(1, 5)],  # (1,2)-edges
@@ -508,52 +506,6 @@ def edge_divisor_poly(k: int) -> Polynomial:
     return X_RING.var(f"X{i}") - X_RING.var(f"X{j}")
 
 
-@dataclass(frozen=True)
-class KTuple:
-    """Six components indexed by vertex name; mode 'RT' (characters) or
-    'RX' (X-polynomials)."""
-
-    mode: str
-    entries: Mapping[str, object]
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("RT", "RX"):
-            raise ValueError("mode must be 'RT' or 'RX'")
-        missing = [n for n in SIGMA3_NAMES if n not in self.entries]
-        if missing:
-            raise ValueError(f"missing vertex entries: {missing}")
-        for name, v in self.entries.items():
-            if self.mode == "RT" and not isinstance(v, Character):
-                raise TypeError(f"entry {name!r} must be a Character")
-            if self.mode == "RX":
-                if not isinstance(v, Polynomial) or v.ring != X_RING:
-                    raise TypeError(f"entry {name!r} must be an X-polynomial")
-                if not v.is_integral():
-                    raise ValueError(
-                        f"entry {name!r} must have integer coefficients"
-                    )
-        object.__setattr__(self, "entries", dict(self.entries))
-
-
-def check_k_membership_rt(t: Mapping[str, Character]) -> MembershipResult:
-    """Divisibility of every edge difference by its class's binomial product."""
-    divisors = {k: edge_divisor_char(k) for k in ROOT_TRANSPOSITIONS}
-    return _check_edges(
-        t,
-        lambda diff, k: divides_char(divisors[k], diff),
-        lambda k: f"divisible by the class-{k} binomial product",
-    )
-
-
-def check_k_membership_x(t: Mapping[str, Polynomial]) -> MembershipResult:
-    """Divisibility of every edge difference by X_i - X_j."""
-    return _check_edges(
-        t,
-        lambda diff, k: exact_divide(diff, edge_divisor_poly(k)) is not None,
-        lambda k: "a multiple of X{}-X{}".format(*ROOT_TRANSPOSITIONS[k]),
-    )
-
-
 # -- permutation action on X-polynomials and canonical tuples -----------------------------
 
 
@@ -566,21 +518,15 @@ def sigma_act_on_x(sigma: Sigma3Element, p: Polynomial) -> Polynomial:
     return p.substitute(images)
 
 
-def tautological_tuple() -> KTuple:
+def tautological_tuple() -> Dict[str, Polynomial]:
     """The tuple sigma -> X_{sigma(1)}; every edge difference is a signed
     divisor or zero."""
-    entries = {
-        name: X_RING.var(f"X{sigma3_by_name(name)(1)}") for name in SIGMA3_NAMES
-    }
-    return KTuple("RX", entries)
+    return {name: X_RING.var(f"X{sigma3_by_name(name)(1)}") for name in SIGMA3_NAMES}
 
 
-def equivariant_tuple(p: Polynomial) -> KTuple:
+def equivariant_tuple(p: Polynomial) -> Dict[str, Polynomial]:
     """The tuple sigma -> sigma . p, always a member."""
-    entries = {
-        name: sigma_act_on_x(sigma3_by_name(name), p) for name in SIGMA3_NAMES
-    }
-    return KTuple("RX", entries)
+    return {name: sigma_act_on_x(sigma3_by_name(name), p) for name in SIGMA3_NAMES}
 
 
 def x_action_permutations() -> Dict[str, Sigma3Element]:

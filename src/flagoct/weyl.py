@@ -488,11 +488,6 @@ class Sigma3Element:
         return _S3_NAMES[self.perm]
 
 
-S3_IDENTITY = Sigma3Element((1, 2, 3))
-S3_S1 = Sigma3Element((1, 3, 2))  # the transposition (2,3)
-S3_S2 = Sigma3Element((2, 1, 3))  # the transposition (1,2)
-S3_S3 = Sigma3Element((3, 2, 1))  # the transposition (1,3)
-
 _S3_NAMES: Dict[Tuple[int, int, int], str] = {
     (1, 2, 3): "1",
     (1, 3, 2): "s1",
@@ -522,6 +517,12 @@ GAMMA_COEFFS: Dict[int, Tuple[int, int, int]] = {
     1: (0, 1, -1),
     2: (1, -1, 0),
     3: (1, 0, -1),
+}
+
+# the transposition (i, j) of each root index, read off gamma_k = x_i - x_j:
+# s_gamma1 = (2,3), s_gamma2 = (1,2), s_gamma3 = (1,3)
+ROOT_TRANSPOSITIONS: Dict[int, Tuple[int, int]] = {
+    k: (c.index(1) + 1, c.index(-1) + 1) for k, c in GAMMA_COEFFS.items()
 }
 
 
@@ -567,9 +568,9 @@ def sigma3_identification() -> Dict[str, Sigma3Element]:
     braid relation maps to (1,2)(2,3)(1,2) = (1,3).
     """
     return {
-        "omega4": S3_S2,
-        "omega5_minus_omega4": S3_S1,
-        "omega5": S3_S3,
+        "omega4": transposition(1, 2),
+        "omega5_minus_omega4": transposition(2, 3),
+        "omega5": transposition(1, 3),
     }
 
 

@@ -34,7 +34,7 @@ def write_tuple(tmp_path, entries, ring=None, filename="tuple.json"):
 
 def hb_member_entries(seed=3):
     t = random_membership_tuple(random.Random(seed), degree=2)
-    return {name: str(p) for name, p in t.entries.items()}
+    return {name: str(p) for name, p in t.items()}
 
 
 class TestVerify:
@@ -536,6 +536,24 @@ class TestPinnedExpansions:
     def test_output_matches_the_pin(self, capsys, pin):
         code, out, _ = run(capsys, "expand", "--ring", pin["ring"], "--", pin["expr"])
         assert (code, out) == (pin["exit"], pin["stdout"])
+
+
+GKM_CHECK_PINS = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "gkm_check_pins.json").read_text(encoding="utf-8")
+)
+
+
+class TestPinnedGkmChecks:
+    """``fixtures/gkm_check_pins.json`` holds the stdout, stderr and exit code
+    of ``gkm-check`` on a member and a near miss in every ring, an HT entry
+    that is not W-invariant and a fractional RX entry, written by the code
+    that kept one tuple class and one check function per ring family."""
+
+    @pytest.mark.parametrize("pin", GKM_CHECK_PINS, ids=lambda p: p["name"])
+    def test_output_matches_the_pin(self, capsys, tmp_path, pin):
+        path = write_tuple(tmp_path, pin["entries"], ring=pin["ring"])
+        result = run(capsys, "gkm-check", "--ring", pin["ring"], "--file", path)
+        assert result == (pin["exit"], pin["stdout"], pin["stderr"])
 
 
 class TestWarmProcess:

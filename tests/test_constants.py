@@ -58,10 +58,10 @@ def tuple_requests(tmp_path):
     """Members and near-miss non-members over Hb, HT, RT and RX."""
     s1 = sum((l * l for l in gkm.l_polynomials()), RHO_RING.zero())
     members = {
-        "Hb": {n: str(p) for n, p in restriction_class_tuple(1).entries.items()},
+        "Hb": {n: str(p) for n, p in restriction_class_tuple(1).items()},
         "HT": {n: str(s1 * gkm.realized_label(2)) for n in SIGMA3_NAMES},
         "RT": {n: "y5*y1^-1 + 2*y2 - 3" for n in SIGMA3_NAMES},
-        "RX": {n: str(p) for n, p in tautological_tuple().entries.items()},
+        "RX": {n: str(p) for n, p in tautological_tuple().items()},
     }
     requests = []
     for ring, entries in members.items():

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from flagoct.cohomology import B_RING, RestrictionTable
+from flagoct.cohomology import B_RING, LAMBDA_RING, RestrictionTable
 from flagoct.gkm import (
     RHO_RING,
-    ROOT_TRANSPOSITIONS,
-    CohTuple,
     abstract_label,
     bm_degrees,
     cached_realization,
@@ -19,6 +17,7 @@ from flagoct.gkm import (
     gkm_edges,
     is_w_invariant,
     label_hyperplanes,
+    membership_ring,
     p1_p2_equivalence,
     predicted_rank,
     random_arbitrary_tuple,
@@ -29,14 +28,9 @@ from flagoct.gkm import (
     _invariant_monomials,
     _restriction_images,
 )
-from flagoct.ktheory import (
-    check_k_membership_rt,
-    check_k_membership_x,
-    edge_divisor_poly,
-    expand_x_polynomial,
-)
-from flagoct.poly import exact_divide, pairwise_coprime
-from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name, transposition
+from flagoct.ktheory import X_RING, Character, edge_divisor_poly, expand_x_polynomial
+from flagoct.poly import RingMismatchError, exact_divide, pairwise_coprime
+from flagoct.weyl import ROOT_TRANSPOSITIONS, SIGMA3_NAMES, sigma3_by_name, transposition
 
 
 class TestGraphShape:
@@ -124,32 +118,64 @@ class TestMembership:
 
     def test_perturbed_tuple_fails_with_named_edge(self):
         t = restriction_class_tuple(1)
-        entries = dict(t.entries)
-        entries["s1"] = entries["s1"] + B_RING.one()
-        bad = CohTuple("Hb", entries)
-        result = check_membership(bad)
+        result = check_membership({**t, "s1": t["s1"] + B_RING.one()})
         assert not result.ok
         assert result.failing_edge is not None
         assert "s1" in (result.failing_edge.u, result.failing_edge.v)
 
     def test_constant_tuples_are_members(self):
         entries = {name: 5 * B_RING.one() for name in SIGMA3_NAMES}
-        assert check_membership(CohTuple("Hb", entries)).ok
-
-    def test_mode_validation(self):
-        entries = {name: B_RING.one() for name in SIGMA3_NAMES}
-        with pytest.raises(ValueError):
-            CohTuple("XX", entries)
-        missing = {name: B_RING.one() for name in SIGMA3_NAMES[:-1]}
-        with pytest.raises(ValueError):
-            CohTuple("Hb", missing)
+        assert check_membership(entries).ok
 
     def test_realized_mode_rejects_non_invariant_entries(self):
         rho1 = RHO_RING.gens()[0]
         entries = {name: rho1 for name in SIGMA3_NAMES}
-        result = check_membership(CohTuple("HT", entries))
+        result = check_membership(entries)
         assert not result.ok
         assert "invariant" in result.reason
+
+
+def constant_tuple(value):
+    return {name: value for name in SIGMA3_NAMES}
+
+
+class TestEntryValidation:
+    """``check_membership`` reads the ring from the entries and refuses a
+    tuple that has none."""
+
+    @pytest.mark.parametrize(
+        "value, ring",
+        [(B_RING.one(), "Hb"), (RHO_RING.one(), "HT"), (Character.one(), "RT"), (X_RING.one(), "RX")],
+    )
+    def test_the_ring_is_read_from_the_entries(self, value, ring):
+        assert membership_ring(constant_tuple(value)) == ring
+        assert check_membership(constant_tuple(value)).ok
+
+    def test_entries_in_two_rings_are_refused(self):
+        entries = {**constant_tuple(B_RING.one()), "s2": RHO_RING.one()}
+        with pytest.raises(RingMismatchError, match="entry 's2' lives in"):
+            check_membership(entries)
+
+    def test_a_missing_vertex_is_refused(self):
+        entries = constant_tuple(B_RING.one())
+        del entries["s2s1"]
+        with pytest.raises(ValueError, match=r"missing vertex entries: \['s2s1'\]"):
+            check_membership(entries)
+
+    def test_a_non_integral_rx_entry_is_refused(self):
+        x1 = X_RING.var("X1")
+        entries = {**constant_tuple(x1), "s1": x1 / 2}
+        with pytest.raises(ValueError, match="entry 's1' must have integer coefficients"):
+            check_membership(entries)
+
+    def test_a_ring_that_is_not_a_gkm_ring_is_refused(self):
+        with pytest.raises(ValueError, match="not a GKM ring"):
+            check_membership(constant_tuple(LAMBDA_RING.one()))
+
+    def test_characters_among_polynomials_are_refused(self):
+        entries = {**constant_tuple(X_RING.one()), "1": Character.one()}
+        with pytest.raises(TypeError, match=r"offending: \['1'\]"):
+            check_membership(entries)
 
 
 def vanishes_on_hyperplanes(p, forms):
@@ -163,10 +189,10 @@ def hyperplane_membership(t):
     hyperplanes of the edge's label.  It equals the division test since each
     label is a product of four pairwise non-proportional linear forms.
     Returns the verdict and the first failing edge, in ``gkm_edges`` order."""
-    if not all(is_w_invariant(p) for p in t.entries.values()):
+    if not all(is_w_invariant(p) for p in t.values()):
         return False, None
     for e in gkm_edges():
-        if not vanishes_on_hyperplanes(t.entry(e.u) - t.entry(e.v), label_hyperplanes(e.k)):
+        if not vanishes_on_hyperplanes(t[e.u] - t[e.v], label_hyperplanes(e.k)):
             return False, e
     return True, None
 
@@ -174,7 +200,7 @@ def hyperplane_membership(t):
 def realized_tuple(entries):
     """Hb entries mapped into HT by b1 -> b1T and b2 -> b2T (so b3 -> b3T)."""
     images = {"b1": realized_label(1), "b2": realized_label(2)}
-    return CohTuple("HT", {name: p.substitute(images) for name, p in entries.items()})
+    return {name: p.substitute(images) for name, p in entries.items()}
 
 
 class TestHyperplaneFormulation:
@@ -184,7 +210,7 @@ class TestHyperplaneFormulation:
         verdicts = set()
         for build in (random_membership_tuple, random_arbitrary_tuple):
             for i in range(4):
-                entries = build(rng, 1).entries
+                entries = build(rng, 1)
                 # a member broken at one vertex by b1: its class-1 edges
                 # still divide, so it fails at a later edge
                 broken = {**entries, SIGMA3_NAMES[i]: entries[SIGMA3_NAMES[i]] + b1}
@@ -196,30 +222,33 @@ class TestHyperplaneFormulation:
 
 
 class TestOneEdgeLoop:
-    """The four rings' checks run one edge loop and differ only in the label.
-    A tuple that is zero but at vertex 1, where it is the product of the
-    class-1 and class-2 labels, fails at the class-3 edge at vertex 1."""
+    """``check_membership`` runs one edge loop for the four rings, which
+    differ only in the divisor.  A tuple that is zero but at vertex 1, where
+    it is the product of the class-1 and class-2 divisors, fails at the
+    class-3 edge at vertex 1."""
+
+    NAMED = {
+        "Hb": "a multiple of the class-3 label",
+        "HT": "a multiple of the class-3 label",
+        "RT": "divisible by the class-3 binomial product",
+        "RX": "a multiple of X1-X3",
+    }
 
     @pytest.mark.parametrize("ring", ["Hb", "HT", "RT", "RX"])
     def test_fails_at_the_one_edge_whose_label_does_not_divide(self, ring):
         if ring in ("Hb", "HT"):
             label = abstract_label if ring == "Hb" else realized_label
             top = label(1) * label(2)
-            t = CohTuple(ring, {name: top if name == "1" else top - top for name in SIGMA3_NAMES})
-            result, named = check_membership(t), "a multiple of the class-3 label"
         else:
             top = edge_divisor_poly(1) * edge_divisor_poly(2)
             if ring == "RT":
                 top = expand_x_polynomial(top)
-            entries = {name: top if name == "1" else top - top for name in SIGMA3_NAMES}
-            if ring == "RT":
-                result = check_k_membership_rt(entries)
-                named = "divisible by the class-3 binomial product"
-            else:
-                result, named = check_k_membership_x(entries), "a multiple of X1-X3"
+        entries = {name: top if name == "1" else top - top for name in SIGMA3_NAMES}
+        assert membership_ring(entries) == ring
+        result = check_membership(entries)
         (edge,) = [e for e in gkm_edges() if e.k == 3 and "1" in (e.u, e.v)]
         assert result.failing_edge == edge
-        assert result.reason == f"difference along {{{edge.u},{edge.v}}} is not {named}"
+        assert result.reason == f"difference along {{{edge.u},{edge.v}}} is not {self.NAMED[ring]}"
 
 
 class TestPredicateEquivalence:
@@ -276,8 +305,8 @@ class TestSeededTuples:
         for seed in range(12):
             ours, ref = random.Random(seed), random.Random(seed)
             for _ in range(3):
-                assert random_membership_tuple(ours, degree).entries == ref_random_membership_tuple(ref, degree)
-                assert random_arbitrary_tuple(ours, degree).entries == ref_random_arbitrary_tuple(ref, degree)
+                assert random_membership_tuple(ours, degree) == ref_random_membership_tuple(ref, degree)
+                assert random_arbitrary_tuple(ours, degree) == ref_random_arbitrary_tuple(ref, degree)
             assert ours.random() == ref.random()
 
 

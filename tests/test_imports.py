@@ -111,3 +111,67 @@ def test_the_check_sees_a_dead_private_helper():
         "c.py": "def _called(): pass\ndef __getattr__(name): pass\n",
     }
     assert dead_private_helpers(sources) == ["_dead (a.py:2)", "_Gone (a.py:3)"]
+
+
+def package_imports(sources):
+    """The intra-package import graph of ``sources`` (file name -> text): each
+    module to the sibling modules it imports, at any depth."""
+    modules = {name[: -len(".py")] for name in sources}
+    graph = {}
+    for file, text in sources.items():
+        edges = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # "from .poly import x" names the module; "from . import poly"
+                # names it in its aliases
+                names = [node.module] if node.module else [a.name for a in node.names]
+                edges.update(n for n in names if n in modules)
+        graph[file[: -len(".py")]] = edges
+    return graph
+
+
+def import_cycle(graph):
+    """One cycle of ``graph`` as a list of modules, first repeated last, or
+    None when it has none."""
+    state = {}  # module -> "open" while on the search path, "done" after
+
+    def visit(path):
+        state[path[-1]] = "open"
+        for dep in sorted(graph[path[-1]]):
+            if state.get(dep) == "open":
+                return path[path.index(dep):] + [dep]
+            if dep not in state:
+                found = visit(path + [dep])
+                if found:
+                    return found
+        state[path[-1]] = "done"
+        return None
+
+    for module in sorted(graph):
+        if module not in state:
+            found = visit([module])
+            if found:
+                return found
+    return None
+
+
+def test_no_import_cycle():
+    # a cycle forces a function-level import or an import-order dependence
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    cycle = import_cycle(package_imports(sources))
+    assert cycle is None, f"flagoct modules import each other in a cycle: {' -> '.join(cycle)}"
+
+
+def test_the_check_sees_an_import_cycle():
+    sources = {
+        "a.py": "from .b import f\n",
+        "b.py": "def f():\n    from . import c\n",
+        "c.py": "from .a import g\nfrom .d import h\n",
+        "d.py": "import os\n",
+    }
+    assert package_imports(sources) == {"a": {"b"}, "b": {"c"}, "c": {"a", "d"}, "d": set()}
+    assert import_cycle(package_imports(sources)) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"a"}}) == ["a", "a"]
+    del sources["b.py"]
+    sources["a.py"] = "from .d import h\n"
+    assert import_cycle(package_imports(sources)) is None

@@ -5,16 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from flagoct.gkm import check_membership, membership_ring
 from flagoct.ktheory import (
     X_RING,
     Character,
-    KTuple,
     adjoint_character,
     binomial,
     binomial_divides,
     char_quotient,
-    check_k_membership_rt,
-    check_k_membership_x,
     divides_char,
     edge_divisor_char,
     edge_divisor_poly,
@@ -288,43 +286,30 @@ class TestXPolynomialBridge:
 class TestTuples:
     def test_tautological_tuple_is_a_member(self):
         t = tautological_tuple()
-        assert t.mode == "RX"
-        assert check_k_membership_x(t.entries).ok
-        chars = {
-            name: expand_x_polynomial(p) for name, p in t.entries.items()
-        }
-        assert check_k_membership_rt(chars).ok
+        assert membership_ring(t) == "RX"
+        assert check_membership(t).ok
+        chars = {name: expand_x_polynomial(p) for name, p in t.items()}
+        assert check_membership(chars).ok
 
     def test_tautological_entries_follow_first_index(self):
         t = tautological_tuple()
         for name in SIGMA3_NAMES:
             sigma = sigma3_by_name(name)
-            assert t.entries[name] == X_RING.gens()[sigma(1) - 1]
+            assert t[name] == X_RING.gens()[sigma(1) - 1]
 
     def test_equivariant_tuples_are_members(self):
         rng = random.Random(4)
         for _ in range(5):
             p = random_x_polynomial(rng)
             t = equivariant_tuple(p)
-            assert check_k_membership_x(t.entries).ok
+            assert check_membership(t).ok
 
     def test_lone_x4_entry_fails(self):
         entries = {name: X_RING.zero() for name in SIGMA3_NAMES}
         entries["1"] = X4
-        result = check_k_membership_x(entries)
+        result = check_membership(entries)
         assert not result.ok
         assert result.failing_edge is not None
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            KTuple("ZZ", {name: X1 for name in SIGMA3_NAMES})
-        with pytest.raises(TypeError):
-            KTuple("RT", {name: X1 for name in SIGMA3_NAMES})
-        with pytest.raises(TypeError):
-            KTuple("RX", {name: Character.one() for name in SIGMA3_NAMES})
-        fractional = {name: Fraction(1, 2) * X1 for name in SIGMA3_NAMES}
-        with pytest.raises(ValueError):
-            KTuple("RX", fractional)
 
     def test_rt_and_x_checks_agree_on_seeded_tuples(self):
         rep = equivalence_spotcheck(10, seed=5)
