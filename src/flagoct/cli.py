@@ -114,6 +114,8 @@ def _load_tuple_file(path: str, ring: str) -> Dict[str, str]:
         raise UsageError(f"{path} is not valid UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise UsageError(f"{path} is nested too deeply")
     if not isinstance(data, dict):
         raise UsageError("tuple file must be a JSON object")
     file_ring = data.get("ring")

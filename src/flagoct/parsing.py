@@ -45,9 +45,9 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, log10
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .ktheory import CHAR_PACKING, Character, y
+from .ktheory import CHAR_PACKING, Character, y, y_inverse
 from .poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError, Terms
 from .poly import add_into, add_scaled, lowest_terms, mul_terms, neg_terms, pow_scaled
 
@@ -113,12 +113,6 @@ class ParseError(ValueError):
 # -- tokens ------------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # 'number', 'ident', 'end', or the operator character itself
-    text: str
-    pos: int
-
-
 # Whitespace, then one of: a number (decimal digits, the characters int()
 # reads; str.isdigit also takes '²', which int() refuses), an identifier, an
 # operator, or any other character, which is an error.  \w is exactly
@@ -129,37 +123,39 @@ class Token(NamedTuple):
 _TOKEN = re.compile(r"(\s*)(?:(\d+)|([^\W\d]\w*)|([-+*^/()])|(\S))")
 
 
-def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    pos = 0
+def tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """The tokens of ``text`` as plain ``(kind, text, pos)`` tuples; the kind
+    is 'number', 'ident' or the operator character itself."""
+    tokens: List[Tuple[str, str, int]] = []
+    append, pos = tokens.append, 0
     for space, number, ident, op, other in _TOKEN.findall(text.rstrip()):
         pos += len(space)
         if op:
-            kind, tok = op, op
+            append((op, op, pos))
+            pos += 1
         elif number:
-            kind, tok = "number", number
+            append(("number", number, pos))
+            pos += len(number)
         elif ident and (ident[0].isalpha() or ident[0] == "_"):
-            kind, tok = "ident", ident
+            append(("ident", ident, pos))
+            pos += len(ident)
         else:
             raise ParseError(f"unexpected character {(ident or other)[0]!r}", pos)
-        tokens.append(Token(kind, tok, pos))
-        pos += len(tok)
     return tokens
 
 
-def _literal(tok: Token) -> int:
-    digits = tok.text.lstrip("0") or "0"
+def _literal(digits: str, pos: int) -> int:
+    digits = digits.lstrip("0") or "0"
     if len(digits) > MAX_LITERAL_DIGITS:
-        raise ParseError(
-            f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", tok.pos
-        )
+        raise ParseError(f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", pos)
     return int(digits)
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text.  Each production hands
-    its parts to ``builder`` as soon as they are read, so the builder's value
-    of the whole text is made in one pass."""
+    """Recursive descent over the tokens of one text, which end in an
+    ``('end', '', len(text))`` token.  Each production hands its parts to
+    ``builder`` as soon as they are read, so the builder's value of the
+    whole text is made in one pass."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
@@ -169,51 +165,47 @@ class _Parser:
         self.tokens = tokenize(text)
         if not self.tokens:
             raise ParseError("empty expression", 0)
-        self.tokens.append(Token("end", "", len(text)))
+        self.tokens.append(("end", "", len(text)))
         self.i = 0
         self.depth = 0
         self.builder = builder
 
-    def next(self) -> Token:
+    def next(self) -> Tuple[str, str, int]:
         tok = self.tokens[self.i]
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.pos)
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.i += 1
         return tok
 
-    def enter(self, tok: Token) -> None:
+    def enter(self, pos: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(
-                f"expression nested more than {MAX_NESTING} deep", tok.pos
-            )
+            raise ParseError(f"expression nested more than {MAX_NESTING} deep", pos)
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> Tuple[str, str, int]:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def parse(self):
         value = self.parse_expr()
-        trailing = self.tokens[self.i]
-        if trailing.kind != "end":
-            raise ParseError(
-                f"unexpected trailing token {trailing.text!r}", trailing.pos
-            )
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing token {text!r}", pos)
         return value
 
     def parse_expr(self):
         value = self.parse_term()
         tokens, add, sub = self.tokens, self.builder.add, self.builder.sub
         while True:
-            tok = tokens[self.i]
-            if tok.kind == "+":
+            kind, _, pos = tokens[self.i]
+            if kind == "+":
                 self.i += 1
-                value = add(value, self.parse_term(), tok.pos)
-            elif tok.kind == "-":
+                value = add(value, self.parse_term(), pos)
+            elif kind == "-":
                 self.i += 1
-                value = sub(value, self.parse_term(), tok.pos)
+                value = sub(value, self.parse_term(), pos)
             else:
                 return value
 
@@ -221,57 +213,55 @@ class _Parser:
         value = self.parse_factor()
         tokens, mul = self.tokens, self.builder.mul
         while True:
-            tok = tokens[self.i]
-            if tok.kind != "*":
+            kind, _, pos = tokens[self.i]
+            if kind != "*":
                 return value
             self.i += 1
-            value = mul(value, self.parse_factor(), tok.pos)
+            value = mul(value, self.parse_factor(), pos)
 
     def parse_factor(self):
-        tokens = self.tokens
-        first = tokens[self.i]
-        negations = 0
-        while tokens[self.i].kind == "-":
-            negations += 1
-            self.enter(self.next())
+        tokens, start = self.tokens, self.i
+        while tokens[self.i][0] == "-":
+            self.enter(self.next()[2])
+        negations = self.i - start
         value = self.parse_atom()
         self.depth -= negations
-        tok = tokens[self.i]
-        if tok.kind == "^":
+        kind, _, pos = tokens[self.i]
+        if kind == "^":
             self.i += 1
             sign = 1
-            if tokens[self.i].kind == "-":
+            if tokens[self.i][0] == "-":
                 sign = -1
                 self.i += 1
-            num = self.expect("number")
-            digits = num.text.lstrip("0") or "0"
+            _, digits, at = self.expect("number")
+            digits = digits.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", num.pos)
-            value = self.builder.power(value, sign * int(digits), tok.pos)
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", at)
+            value = self.builder.power(value, sign * int(digits), pos)
         for _ in range(negations):
-            value = self.builder.neg(value, first.pos)
+            value = self.builder.neg(value, tokens[start][2])
         return value
 
     def parse_atom(self):
-        tok = self.next()
-        if tok.kind == "number":
-            num, den = _literal(tok), 1
-            if self.tokens[self.i].kind == "/":
+        kind, text, pos = self.next()
+        if kind == "ident":
+            return self.builder.variable(text, pos)
+        if kind == "number":
+            num, den = _literal(text, pos), 1
+            if self.tokens[self.i][0] == "/":
                 self.i += 1
-                den_tok = self.expect("number")
-                den = _literal(den_tok)
+                _, digits, at = self.expect("number")
+                den = _literal(digits, at)
                 if den == 0:
-                    raise ParseError("zero denominator", den_tok.pos)
-            return self.builder.constant(num, den, tok.pos)
-        if tok.kind == "ident":
-            return self.builder.variable(tok.text, tok.pos)
-        if tok.kind == "(":
-            self.enter(tok)
+                    raise ParseError("zero denominator", at)
+            return self.builder.constant(num, den, pos)
+        if kind == "(":
+            self.enter(pos)
             value = self.parse_expr()
             self.expect(")")
             self.depth -= 1
             return value
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        raise ParseError(f"unexpected token {text!r}", pos)
 
 
 # -- evaluation contexts ----------------------------------------------------------------
@@ -498,6 +488,9 @@ class CharacterContext(_TermContext):
 
     def __init__(self):
         self._variables = {f"y{j}": (MappingProxyType(y(j).packed), 1, 1, 0) for j in range(1, 6)}
+        # the key of y_j^-1 by that of y_j, as most entries are words in them;
+        # each use gets its own dict, which a sum may add into
+        self._inverses = {k: v for j in range(1, 6) for k, v in zip(y(j).packed, y_inverse(j).packed)}
 
     def constant(self, num: int, den: int, pos: int) -> Value:
         n, r = divmod(num, den)
@@ -515,6 +508,8 @@ class CharacterContext(_TermContext):
         terms = value[0]
         if len(terms) == 1:
             ((key, coeff),) = terms.items()
+            if coeff == 1 and key in self._inverses:
+                return {self._inverses[key]: 1}, 1, 1, value[3]
             if coeff in (1, -1):
                 # packing is linear: key(-k) = 2 key(0) - key(k), and its
                 # fields are all in range unless one of k's was -bias

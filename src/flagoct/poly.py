@@ -140,6 +140,16 @@ class Packing:
                     f"a result exponent does not fit {FIELD_BITS}-bit fields"
                 )
 
+    def check_power(self, key: int, n: int) -> None:
+        """Refuse the n-th power of a valid key where square-and-multiply
+        would: its factors' exponents lie between 0 and the power's, so only
+        the power's own total degree (no bias) or exponents can be past."""
+        if not self.bias:  # a key of the power's total degree, all it reads
+            return self.check_degree(n * self.degree(key) << self.shift)
+        v = self.unpack(key)
+        if n * max(v) + self.bias > self.limit or n * min(v) + self.bias < 0:
+            raise ResourceLimitError(f"a result exponent does not fit {FIELD_BITS}-bit fields")
+
 
 @dataclass(frozen=True)
 class PolyRing:
@@ -556,15 +566,21 @@ def neg_terms(f: Mapping[int, Scalar]) -> Terms:
 
 
 def mul_terms(f: Mapping[int, Scalar], g: Mapping[int, Scalar], packing: Packing) -> Terms:
-    """f * g by convolution of the two term lists.
+    """f * g by convolution of the two term lists; one key and one
+    coefficient product when both have one term.
 
     Without a bias the total degree of the two leading keys is checked
     before the products are formed; with one, every result key is checked
     after (:meth:`Packing.check_fields`).
     """
+    zero = packing.zero
+    if len(f) == 1 == len(g):
+        ((e1, c1),), ((e2, c2),) = f.items(), g.items()
+        e = e1 + e2 - zero
+        packing.check_fields((e,)) if zero else packing.check_degree(e)
+        return {e: c1 * c2}
     if not f or not g:
         return {}
-    zero = packing.zero
     if not zero:
         packing.check_degree(max(f) + max(g))
     out: Terms = {}
@@ -584,7 +600,12 @@ def mul_terms(f: Mapping[int, Scalar], g: Mapping[int, Scalar], packing: Packing
 
 
 def pow_terms(f: Mapping[int, Scalar], n: int, packing: Packing) -> Terms:
-    """f**n (n >= 0) by square-and-multiply."""
+    """f**n (n >= 0) by square-and-multiply; one key and one coefficient
+    power when f has one term (:meth:`Packing.check_power`)."""
+    if len(f) == 1:
+        ((e, c),) = f.items()
+        packing.check_power(e, n)
+        return {n * (e - packing.zero) + packing.zero: c**n}
     out, base = {packing.zero: 1}, f
     while n:
         if n & 1:

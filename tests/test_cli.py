@@ -294,6 +294,25 @@ class TestGkmCheck:
         assert err == f"error: {path} is larger than {MAX_TUPLE_FILE_BYTES} bytes\n"
         assert reads == [(MAX_TUPLE_FILE_BYTES + 1,)]
 
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["arrays", "objects"])
+    @pytest.mark.parametrize("depth", [1200, None], ids=["1200", "cap"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, opening, closing, depth):
+        # the JSON decoder recurses once per level, so a file nested past the
+        # interpreter's recursion limit is refused, up to the size cap
+        head, tail = '{"entries": ', "}"
+        if depth is None:
+            depth = (MAX_TUPLE_FILE_BYTES - len(head + tail) - 1) // len(opening + closing)
+        text = head + opening * depth + "1" + closing * depth + tail
+        assert len(text) <= MAX_TUPLE_FILE_BYTES
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", str(path))
+        assert (code, out, err) == (2, "", f"error: {path} is nested too deeply\n")
+        # and the same process answers the next request
+        member = write_tuple(tmp_path, hb_member_entries(), ring="Hb", filename="member.json")
+        ok = "ok: tuple satisfies all edge conditions in ring Hb\n"
+        assert run(capsys, "gkm-check", "--ring", "Hb", "--file", member) == (0, ok, "")
+
     def test_non_utf8_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"ring": "Hb", "entries": {"1": "b1 \u00e9"}}'.encode("latin-1"))

@@ -7,12 +7,16 @@ package's parser with a builder that makes tree nodes, and ``to_text``
 prints a tree back as grammar-conforming text.
 """
 
+import contextlib
+import functools
+import io
+import json
 import random
 import sys
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 from pathlib import Path
 from typing import Union
 
@@ -20,13 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagoct.cli import main
+from flagoct.cli import _context_for, main
 from flagoct.cohomology import B_RING, E_RING
 from flagoct.gkm import RHO_RING
-from flagoct.ktheory import Character, x_character, y, y_inverse
-from flagoct.weyl import omega
+from flagoct.ktheory import CHAR_PACKING, Character, x_character, y, y_inverse
+from flagoct.weyl import SIGMA3_NAMES, omega
 from flagoct import poly
-from flagoct.poly import PolyRing, Polynomial, RingMismatchError
+from flagoct.poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError
 from flagoct.parsing import (
     CharacterContext,
     MAX_EXPONENT,
@@ -40,10 +44,12 @@ from flagoct.parsing import (
     MAX_WORK,
     ParseError,
     PolynomialContext,
-    Token,
     parse_and_evaluate,
     tokenize,
     _Parser,
+    _bits,
+    _digits,
+    _over_budget,
     _power_pairs,
 )
 
@@ -182,18 +188,18 @@ def reference_tokenize(text):
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(Token("number", text[i:j], i))
+            tokens.append(("number", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], i))
+            tokens.append(("ident", text[i:j], i))
             i = j
             continue
         if ch in ops:
-            tokens.append(Token(ch, ch, i))
+            tokens.append((ch, ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
@@ -297,11 +303,162 @@ def outcome(fn, *args):
         return ("ParseError", str(err), err.position)
 
 
+# The evaluation steps before one-term products and powers became one key
+# and one coefficient operation, and before the character context kept its
+# inverted leaves: every product convolves its term lists, every power runs
+# square-and-multiply on them, and every inverse is worked out from its key.
+# The bounds, bits and work of each step are those of the context.
+
+
+def ref_mul_terms(f, g, packing):
+    """f * g by convolution, over every pair of terms."""
+    if not f or not g:
+        return {}
+    zero = packing.zero
+    if not zero:
+        packing.check_degree(max(f) + max(g))
+    out = {}
+    rhs = list(g.items())
+    for e1, c1 in f.items():
+        e1 -= zero
+        for e2, c2 in rhs:
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    if zero:
+        packing.check_fields(out)
+    return out
+
+
+def ref_pow_terms(f, n, packing):
+    """f**n (n >= 0) by square-and-multiply, on ``ref_mul_terms``."""
+    out, base = {packing.zero: 1}, f
+    while n:
+        if n & 1:
+            out = ref_mul_terms(out, base, packing)
+        n >>= 1
+        if n:
+            base = ref_mul_terms(base, base, packing)
+    return out
+
+
+class ConvolvingSteps:
+    """`*` and `^` of an evaluation context, on the reference kernels."""
+
+    def mul(self, left, right, pos):
+        (f, df, bf, wf), (g, dg, bg, wg) = left, right
+        pairs = len(f) * len(g)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ParseError(
+                f"factors of {len(f)} and {len(g)} terms make more than "
+                f"{MAX_PRODUCT_PAIRS} term pairs",
+                pos,
+            )
+        if not pairs:
+            return {}, 1, 0, wf + wg
+        bits = bf + bg + pairs.bit_length()
+        digits = _digits(bits)
+        if digits > MAX_RESULT_DIGITS:
+            bits = _bits(f, df) + _bits(g, dg) + pairs.bit_length()
+            digits = _digits(bits)
+            if digits > MAX_RESULT_DIGITS:
+                raise ParseError(
+                    f"this product may have coefficients of more than {MAX_RESULT_DIGITS} digits",
+                    pos,
+                )
+        work = wf + wg + pairs * digits
+        if work > MAX_WORK:
+            raise _over_budget(pos)
+        try:
+            terms, den = poly.lowest_terms(ref_mul_terms(f, g, self.packing), df * dg)
+        except ResourceLimitError as exc:
+            raise ParseError(str(exc), pos) from None
+        return terms, den, bits, work
+
+    def power(self, value, n, pos):
+        (terms, den, _, work), k = value, abs(n)
+        size = len(terms)
+        if size > 1 and comb(size + k - 1, min(k, size - 1)) > MAX_POWER_TERMS:
+            raise ParseError(
+                f"a {size}-term base to the power {k} may have more than "
+                f"{MAX_POWER_TERMS} terms",
+                pos,
+            )
+        digits = k * log10(sum(map(abs, terms.values())) * den) if terms and k > 1 else 0
+        if k > 1 and digits > MAX_POWER_DIGITS:
+            raise ParseError(
+                f"this base to the power {k} may have coefficients of more "
+                f"than {MAX_POWER_DIGITS} digits",
+                pos,
+            )
+        if n < 0:
+            value = self.inverse(value, pos)
+        if k == 1:
+            return value
+        if size:
+            work += _power_pairs(size, k) * (int(digits) + 1)
+            if work > MAX_WORK:
+                raise _over_budget(pos)
+        try:
+            terms = ref_pow_terms(value[0], k, self.packing)
+        except ResourceLimitError as exc:
+            raise ParseError(str(exc), pos) from None
+        den = value[1] ** k if terms else 1
+        return terms, den, _bits(terms, den), work
+
+
+class ConvolvingPolynomialContext(ConvolvingSteps, PolynomialContext):
+    pass
+
+
+class ConvolvingCharacterContext(ConvolvingSteps, CharacterContext):
+    def inverse(self, value, pos):
+        terms = value[0]
+        if len(terms) == 1:
+            ((key, coeff),) = terms.items()
+            if coeff in (1, -1):
+                inverse = 2 * CHAR_PACKING.zero - key
+                try:
+                    CHAR_PACKING.check_fields((inverse,))
+                except ResourceLimitError as exc:
+                    raise ParseError(str(exc), pos) from None
+                return {inverse: coeff}, 1, 1, value[3]
+        raise ParseError("only unit monomials can be raised to negative powers", pos)
+
+
+@functools.cache
+def step_contexts(ring):
+    """A fresh evaluation context of ``ring``, as ``gkm-check`` and
+    ``expand`` build it, and its convolving reference."""
+    context = _context_for.__wrapped__(ring)
+    if ring == "RT":
+        return context, ConvolvingCharacterContext()
+    return context, ConvolvingPolynomialContext(context.ring, context.aliases)
+
+
+def steps_outcome(text, builder):
+    """The terms, denominator, bits and work that evaluating ``text`` builds,
+    or the message and position of its ParseError."""
+    try:
+        terms, *rest = _Parser(text, builder).parse()
+    except ParseError as err:
+        return ("ParseError", str(err), err.position)
+    return (dict(terms), *rest)
+
+
+def assert_same_steps(text, ring):
+    context, reference = step_contexts(ring)
+    assert steps_outcome(text, context) == steps_outcome(text, reference), text
+
+
 class TestTokenizer:
     def test_positions_recorded(self):
         toks = tokenize("b1 + 2")
-        assert [t.text for t in toks] == ["b1", "+", "2"]
-        assert [t.pos for t in toks] == [0, 3, 5]
+        assert [t[1] for t in toks] == ["b1", "+", "2"]
+        assert [t[2] for t in toks] == [0, 3, 5]
 
     def test_bad_character_position(self):
         with pytest.raises(ParseError) as err:
@@ -374,9 +531,9 @@ def leaf_nodes(names=("b1", "b2", "y1", "y5")):
     return st.one_of(names.map(lambda n: Var(n, 0)), numbers)
 
 
-def ast_nodes(names=("b1", "b2", "y1", "y5")):
+def ast_nodes(names=("b1", "b2", "y1", "y5"), leaves=None):
     return st.recursive(
-        leaf_nodes(names),
+        leaf_nodes(names) if leaves is None else leaves,
         lambda children: st.one_of(
             children.map(lambda c: Neg(c, 0)),
             st.tuples(
@@ -857,6 +1014,15 @@ class TestProductLimit:
 STREAM_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "stream.py"
 
 
+def load_stream(monkeypatch):
+    """The benchmark's request generator, loaded from its text so that no
+    bytecode cache is written next to it (its dataclass needs a module)."""
+    stream = types.ModuleType("perfbench_stream")
+    monkeypatch.setitem(sys.modules, stream.__name__, stream)
+    exec(compile(STREAM_PATH.read_text(encoding="utf-8"), str(STREAM_PATH), "exec"), stream.__dict__)
+    return stream
+
+
 def spent_on(text, context):
     """The work that evaluating ``text`` adds up: that of its value."""
     return _Parser(text, context).parse()[3]
@@ -922,27 +1088,169 @@ class TestWorkBudget:
     @pytest.mark.parametrize("size, k", [(1, 1000), (2, 300), (3, 40), (4, 12), (5, 7)])
     def test_power_pairs_count_what_pow_terms_multiplies(self, monkeypatch, size, k):
         # x0 + ... + x(size-1) to the j-th power has every one of its
-        # C(size+j-1, j) possible terms, so the projection is exact
+        # C(size+j-1, j) possible terms, so the projection is exact.  The
+        # work of a power is charged as square-and-multiply's term pairs,
+        # which pow_terms still makes for a base of several terms; a
+        # one-term base it raises directly
         ring = PolyRing.make(tuple(f"x{i}" for i in range(size)), (1,) * size)
         base = sum(ring.gens(), ring.zero()).packed
-        pairs = []
-        mul_terms = poly.mul_terms
+        reference_pairs, pairs = [], []
 
-        def counting(f, g, packing):
-            pairs.append(len(f) * len(g))
-            return mul_terms(f, g, packing)
+        def counting(into, mul_terms):
+            def counted(f, g, packing):
+                into.append(len(f) * len(g))
+                return mul_terms(f, g, packing)
 
-        monkeypatch.setattr(poly, "mul_terms", counting)
-        poly.pow_terms(base, k, ring.packing)
-        assert sum(pairs) == _power_pairs(size, k)
+            return counted
+
+        monkeypatch.setitem(globals(), "ref_mul_terms", counting(reference_pairs, ref_mul_terms))
+        monkeypatch.setattr(poly, "mul_terms", counting(pairs, poly.mul_terms))
+        assert poly.pow_terms(base, k, ring.packing) == ref_pow_terms(base, k, ring.packing)
+        assert sum(reference_pairs) == _power_pairs(size, k)
+        assert sum(pairs) == (0 if size == 1 else _power_pairs(size, k))
 
     def test_every_stream_request_stays_within_the_budget(self, tmp_path, capsys, monkeypatch):
-        # the benchmark's request generator, loaded from its text so that no
-        # bytecode cache is written next to it (its dataclass needs a module)
-        stream = types.ModuleType("perfbench_stream")
-        monkeypatch.setitem(sys.modules, stream.__name__, stream)
-        exec(compile(STREAM_PATH.read_text(encoding="utf-8"), str(STREAM_PATH), "exec"), stream.__dict__)
+        stream = load_stream(monkeypatch)
         for request in stream.generate(5, 2, str(tmp_path), "req"):
             code = main(list(request.argv))
             out, err = capsys.readouterr()
             assert stream.judge(request, code, out, err), (request.argv, err)
+
+
+# the names each ring's random trees draw: its variables, an alias where it
+# has one, and one unknown name
+STEP_NAMES = {
+    "Hb": ("b1", "b2", "b3", "y1"),
+    "HT": ("rho1", "rho2", "rho3", "rho4", "b1"),
+    "RT": ("y1", "y2", "y3", "y4", "y5", "b1"),
+    "RX": ("X1", "X2", "X3", "X4", "b1"),
+}
+
+P_MINUS_P = "*".join(["(b1+b2)^9"] * 400) + "-" + "*".join(["(b1+b2)^9"] * 400)
+
+
+class TestStepsMatchTheConvolvingReference:
+    """Every text builds the same terms, denominator, bit bound and work as
+    with convolved products, square-and-multiply powers and inverses worked
+    out from their keys, or fails with the same message at the same place."""
+
+    @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_trees(self, ring, data):
+        assert_same_steps(to_text(data.draw(ast_nodes(STEP_NAMES[ring]))), ring)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_stream_text(self, seed, tmp_path, monkeypatch):
+        stream = load_stream(monkeypatch)
+        for request in stream.generate(seed, 10, str(tmp_path), "req"):
+            if request.kind == "expand":
+                assert_same_steps(request.argv[1], "RT")
+            else:
+                entries = json.loads(Path(request.argv[-1]).read_text(encoding="utf-8"))["entries"]
+                for text in entries.values():
+                    assert_same_steps(text, request.kind)
+
+    @pytest.mark.parametrize(
+        "ring, text",
+        [
+            # total degrees of 32 767 (the field limit) and 32 768
+            ("Hb", "*".join(["b1^1000"] * 32) + "*b1^767"),
+            ("Hb", "*".join(["b1^1000"] * 32) + "*b1^768"),
+            ("Hb", "(b1^1000)^32*b1^767"),
+            ("Hb", "(b1^1000)^32*b2^768"),
+            ("Hb", "(b1*b2^31)^1000*b1^767"),
+            ("Hb", "(b1*b2^31)^1000*b1^768"),
+            ("Hb", "(b1*b2^32)^992"),
+            ("Hb", "(b1*b2^32)^993"),
+            ("Hb", "(b1^64)^511*b2^63"),
+            ("Hb", "(b1^2*b2^62)^512"),
+            ("Hb", "(b1+b2)^100*(b1^1000)^32*b1^667"),
+            ("Hb", "(b1+b2)^100*(b1^1000)^32*b1^668"),
+            ("Hb", "(1/3*b1^3)^999 + 2/3*b2"),
+            ("Hb", "(-2/7*b3)^5*(b1^0)^0"),
+            # doubled y1 coordinates of 16 382, 16 384, -16 384 and -16 386
+            ("RT", "(y1^1000)^8*y1^191"),
+            ("RT", "(y1^1000)^8*y1^192"),
+            ("RT", "(y1^16)^512"),
+            ("RT", "(y1^16)^511*y1^15"),
+            ("RT", "(y1^-1000)^8*y1^-192"),
+            ("RT", "(y1^-1000)^8*y1^-193"),
+            ("RT", "(y1^-16)^512"),
+            ("RT", "(y1^-16)^513"),
+            ("RT", "(y5^32)^512"),
+            ("RT", "(y5^-32)^512*y5^-1"),
+            ("RT", "(y5*y1^-1)^1000*y2^-1000"),
+            ("RT", "(y1^-1)^1000"),
+            ("RT", "(y1^-1)^0 + y1^-0 - y5^0"),
+            ("RT", "(2*y1)^-1"),
+            ("RT", "(-y1)^-1 + (-y2)^-3"),
+            ("RT", "(y1 - y1)^-1"),
+            ("RT", "y1^-1 + y2"),
+            ("RT", "y1^-1 - y1^-1 + y2^-1*y3^-1 + 1"),
+            ("Hb", P_MINUS_P),
+        ],
+    )
+    def test_edge_cases(self, ring, text):
+        assert_same_steps(text, ring)
+
+
+# -- the grammar through the command line --------------------------------------------
+
+
+def hostile_leaves(names):
+    """Leaves at the parser's bounds, as verbatim text in a Var: a name to a
+    power of up to MAX_EXPONENT, a literal of about MAX_LITERAL_DIGITS
+    digits, and a name in parentheses nested about MAX_NESTING deep."""
+    name = st.sampled_from(names)
+    powers = st.builds("({}^{})".format, name, st.integers(-MAX_EXPONENT, MAX_EXPONENT))
+    literals = st.integers(MAX_LITERAL_DIGITS - 1, MAX_LITERAL_DIGITS + 1).map(lambda n: f"({'7' * n})")
+    depths = st.integers(MAX_NESTING - 2, MAX_NESTING + 1)
+    nested = st.builds(lambda n, d: "(" * d + n + ")" * d, name, depths)
+    return st.one_of(powers, literals, nested).map(lambda text: Var(text, 0))
+
+
+# gkm-check's HT pre-check substitutes each entry into four generator images,
+# two of them of several terms, and builds their powers up to the entry's
+# degree: rho2^80 takes seconds and hundreds of MB there, and a power of
+# rho2 near MAX_EXPONENT more memory than a test may take.  So HT entries of
+# a higher degree are only expanded.
+HT_CHECKED_DEGREE = 40
+
+
+def cli_outcome(argv):
+    """main's exit code and stderr; a traceback fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestGrammarThroughTheCli:
+    """Any text of the grammar, hostile leaves included, ends in exit 0, 1
+    or 2 as an ``expand`` and as a ``gkm-check`` entry, and exit 2 prints
+    one ``error:`` line."""
+
+    @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=5000)
+    def test_every_text_exits_0_1_or_2(self, ring, data, tmp_path_factory):
+        names = STEP_NAMES[ring]
+        text = to_text(data.draw(ast_nodes(names, st.one_of(leaf_nodes(names), hostile_leaves(names)))))
+        runs, checked = [["expand", "--ring", ring, "--", text]], True
+        if ring == "HT":
+            with contextlib.suppress(ParseError):
+                checked = parse_and_evaluate(text, _context_for(ring)).total_degree() <= HT_CHECKED_DEGREE
+        if checked:
+            path = tmp_path_factory.getbasetemp() / f"grammar-{ring}.json"
+            entries = {name: "0" for name in SIGMA3_NAMES}
+            entries["s1"] = text
+            path.write_text(json.dumps({"ring": ring, "entries": entries}), encoding="utf-8")
+            runs.append(["gkm-check", "--ring", ring, "--file", str(path)])
+        for argv in runs:
+            code, err = cli_outcome(argv)
+            assert code in (0, 1, 2), (argv, code)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            else:
+                assert err == "", (argv, err)
