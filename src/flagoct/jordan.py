@@ -24,10 +24,10 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from operator import neg
 from typing import List, Optional, Sequence, Tuple
 
-from .octonion import Octonion, mul_into
+from .octonion import Octonion, _unit_table, mul_into
 from .scaled import Scaled, Scalar, numerators
 from .weyl import GAMMA_COEFFS
 
@@ -38,7 +38,7 @@ _ZERO7 = (0,) * 7
 
 
 def _conj(v: Sequence[int]) -> Tuple[int, ...]:
-    return (v[0],) + tuple(-x for x in v[1:])
+    return (v[0], *map(neg, v[1:]))
 
 
 class OctMatrix3(Scaled):
@@ -91,20 +91,30 @@ class OctMatrix3(Scaled):
         return self * other - other * self
 
     def is_hermitian(self) -> bool:
-        e = self._chunks(8)
-        return all(not any(e[4 * i][1:]) for i in range(3)) and all(
-            e[3 * j + i] == _conj(e[3 * i + j]) for i, j in ((0, 1), (0, 2), (1, 2))
-        )
+        return _is_hermitian(self._chunks(8))
 
     def hermitian_coordinates(self) -> Tuple[Tuple[int, ...], int]:
         """Numerators of the 27 canonical coordinates, over ``den``.
 
         Raises ``ValueError`` unless the matrix is Hermitian with real diagonal.
         """
-        if not self.is_hermitian():
-            raise ValueError("matrix is not Hermitian with real diagonal")
-        e = self._chunks(8)
-        return (e[0][0], e[4][0], e[8][0]) + e[5] + e[1] + e[2], self.den
+        return _hermitian_numerators(self._chunks(8)), self.den
+
+
+def _is_hermitian(e: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether the 3x3 grid of 8-blocks ``e`` (row-major) is Hermitian with
+    real diagonal."""
+    return all(not any(e[4 * i][1:]) for i in range(3)) and all(
+        e[3 * j + i] == _conj(e[3 * i + j]) for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+
+
+def _hermitian_numerators(e: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The 27 canonical coordinates of the grid ``e`` of :func:`_is_hermitian`;
+    ``ValueError`` unless it is Hermitian with real diagonal."""
+    if not _is_hermitian(e):
+        raise ValueError("matrix is not Hermitian with real diagonal")
+    return (e[0][0], e[4][0], e[8][0]) + e[5] + e[1] + e[2]
 
 
 class JordanMatrix(Scaled):
@@ -333,9 +343,6 @@ def canonical_basis() -> Tuple[JordanMatrix, ...]:
     return tuple(basis)
 
 
-_CANONICAL_BASIS = canonical_basis()
-
-
 class LinearOperator27(Scaled):
     """A linear endomorphism of the 27-dimensional space.
 
@@ -353,13 +360,6 @@ class LinearOperator27(Scaled):
         if len(rows) != 27 or any(len(r) != 27 for r in rows):
             raise ValueError("need a 27x27 matrix")
         super().__init__([c for r in rows for c in r])
-
-    @staticmethod
-    def _of_columns(cols: Sequence[Tuple[Sequence[int], int]]) -> "LinearOperator27":
-        """The operator whose j-th column is cols[j] = (numerators, denominator)."""
-        den = lcm(*(d for _, d in cols))
-        scaled = [[x * (den // d) for x in c] for c, d in cols]
-        return LinearOperator27._of(tuple(itertools.chain.from_iterable(zip(*scaled))), den)
 
     @staticmethod
     def zero() -> "LinearOperator27":
@@ -394,31 +394,72 @@ class LinearOperator27(Scaled):
         )
 
 
-_STRUCTURE: List[List[List[Tuple[int, int]]]] = []
+# A basis matrix is a tuple of terms (row, column, sign, unit): sign * e_unit
+# at (row, column), units 0-based.  Off the diagonal, the mirrored entry of
+# e_u is conj(e_u) in a Hermitian matrix and -conj(e_u) in a skew one.
+_Terms = Tuple[Tuple[int, int, int, int], ...]
+_Structure = List[List[List[Tuple[int, int]]]]
+_OFF_DIAGONAL = ((1, 2), (0, 1), (0, 2))  # the r, p and q slots
 
 
-def _structure_constants() -> List[List[List[Tuple[int, int]]]]:
-    """Sparse Jordan structure tensor over the canonical basis, doubled.
+def _basis_terms(skew: bool) -> List[_Terms]:
+    """The 27 canonical Hermitian basis matrices, or the 45 skew-Hermitian
+    ones: e2..e8 on each diagonal entry, then e_u at (i, j) and -conj(e_u) at
+    (j, i) for the r, p and q slots and each unit e_u."""
+    terms: List[_Terms] = [
+        ((k, k, 1, u),) for k in range(3) for u in (range(1, 8) if skew else (0,))
+    ]
+    for i, j in _OFF_DIAGONAL:
+        for u in range(8):
+            terms.append(((i, j, 1, u), (j, i, 1 if (u == 0) != skew else -1, u)))
+    return terms
 
-    ``S[i][j]`` lists (k, 2c) with basis_i o basis_j = sum c * basis_k; every
-    c lies in (1/2)Z, which is checked.  Computed once from genuine matrix
-    products, then reused to assemble multiplication operators without
-    repeated octonion arithmetic.  The Jordan product is commutative, so
-    only the products with i <= j are taken and ``S[j][i]`` is ``S[i][j]``.
+
+def _hermitian_image(x: _Terms, y: _Terms, sign: int) -> Tuple[int, ...]:
+    """The 27 canonical coordinates of x y + sign * y x, checked Hermitian.
+
+    Each product runs on the nonzero entries alone, by
+    (E_ab e_u)(E_pq e_v) = [b = p] E_aq (e_u e_v) over the octonion unit table.
     """
-    if not _STRUCTURE:
-        basis = canonical_basis()
-        table: List[List[List[Tuple[int, int]]]] = [[[]] * 27 for _ in range(27)]
-        for i in range(27):
-            for j in range(i, 27):
-                prod = basis[i].jordan(basis[j])
-                # in lowest terms, every coordinate lies in (1/2)Z iff den divides 2
-                if 2 % prod.den:
-                    raise ValueError(f"structure constants of {prod} are not in 1/2 Z")
-                entry = [(k, n * (2 // prod.den)) for k, n in enumerate(prod.nums) if n]
-                table[i][j] = table[j][i] = entry
-        _STRUCTURE.extend(table)
-    return _STRUCTURE
+    table = _unit_table()
+    acc = [0] * 72
+    for left, right, c in ((x, y, 1), (y, x, sign)):
+        for a, b, s, u in left:
+            for p, q, t, v in right:
+                if b == p:
+                    unit_sign, w = table[u][v]
+                    acc[8 * (3 * a + q) + w - 1] += c * s * t * unit_sign
+    return _hermitian_numerators([tuple(acc[k : k + 8]) for k in range(0, 72, 8)])
+
+
+@lru_cache(maxsize=None)
+def _operator_tables() -> Tuple[_Structure, Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """The Jordan structure tensor and the tilde images of the skew basis.
+
+    ``S[i][j]`` lists (k, 2c) with basis_i o basis_j = sum c * basis_k, that
+    is the coordinates of B_i B_j + B_j B_i; ``S[j][i]`` is ``S[i][j]``.
+    ``T[m]`` lists (27 k + j, c) with [K_m, B_j] = sum_k c * basis_k, for the
+    m-th skew basis matrix K_m of :func:`_basis_terms`.  Built once per
+    process, on first use, from the octonion unit table.
+    """
+    herm, skew = _basis_terms(False), _basis_terms(True)
+    struct: _Structure = [[[]] * 27 for _ in range(27)]
+    for i in range(27):
+        for j in range(i, 27):
+            image = _hermitian_image(herm[i], herm[j], 1)
+            struct[i][j] = struct[j][i] = [(k, c) for k, c in enumerate(image) if c]
+    tilde = []
+    for k_m in skew:
+        cols = [_hermitian_image(k_m, b, -1) for b in herm]
+        tilde.append(tuple(
+            (27 * k + j, col[k]) for j, col in enumerate(cols) for k in range(27) if col[k]
+        ))
+    return struct, tuple(tilde)
+
+
+def _structure_constants() -> _Structure:
+    """The doubled Jordan structure tensor ``S`` of :func:`_operator_tables`."""
+    return _operator_tables()[0]
 
 
 def hat_operator(a: JordanMatrix) -> LinearOperator27:
@@ -434,17 +475,25 @@ def hat_operator(a: JordanMatrix) -> LinearOperator27:
     return LinearOperator27._of(tuple(itertools.chain.from_iterable(rows)), 2 * a.den)
 
 
-@lru_cache(maxsize=None)
-def _basis_matrices() -> Tuple[OctMatrix3, ...]:
-    return tuple(b.to_matrix() for b in _CANONICAL_BASIS)
-
-
 def tilde_operator(s: OctMatrix3) -> LinearOperator27:
-    """Matrix-commutator operator y -> [s, y] for skew s (maps Hermitian to
-    Hermitian; hermitian_coordinates validates that on every basis image)."""
-    return LinearOperator27._of_columns(
-        [s.commutator(y).hermitian_coordinates() for y in _basis_matrices()]
-    )
+    """Matrix-commutator operator y -> [s, y] for skew s (s* = -s), which
+    maps Hermitian to Hermitian; ``ValueError`` for any other s.
+
+    The map is linear in s: the sum of s's coordinates on the skew basis of
+    :func:`_basis_terms` times the tabled images of that basis.
+    """
+    e = s._chunks(8)
+    if any(e[4 * k][0] for k in range(3)) or any(
+        e[3 * j + i] != tuple(-x for x in _conj(e[3 * i + j])) for i, j in _OFF_DIAGONAL
+    ):
+        raise ValueError("matrix is not skew-Hermitian")
+    acc = [0] * 729
+    coeffs = e[0][1:] + e[4][1:] + e[8][1:] + e[5] + e[1] + e[2]
+    for c, image in zip(coeffs, _operator_tables()[1]):
+        if c:
+            for idx, v in image:
+                acc[idx] += c * v
+    return LinearOperator27._of(acc, s.den)
 
 
 def matrix_commutator(a: JordanMatrix, b: JordanMatrix) -> OctMatrix3:

@@ -31,7 +31,7 @@ MEMOIZED = {
     ("weyl", "spin8_weyl"): [()],
     ("weyl", "f4_weyl"): [()],
     ("weyl", "sigma_tilde_group"): [()],
-    ("jordan", "_basis_matrices"): [()],
+    ("jordan", "_operator_tables"): [()],
     ("jordan", "_slot_unit_hats"): [("p",), ("q",), ("r",)],
 }
 

@@ -3,12 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
 
+from flagoct import jordan
 from flagoct.jordan import (
     JordanMatrix,
     LinearOperator27,
+    OctMatrix3,
     bracket_lemma_check,
     bracket_lemma_parts,
     canonical_basis,
@@ -25,15 +29,63 @@ from flagoct.jordan import (
     root_space_check,
     slot_of_root,
     tilde_operator,
+    _operator_tables,
     _slot_unit_hats,
     _structure_constants,
 )
 from flagoct.octonion import Octonion
+from flagoct.suites import run_suite
 
 
 def random_hermitian(rng, span=3):
     x = JordanMatrix.random_traceless(rng, span)
     return x + JordanMatrix.identity().scale(rng.randint(-span, span))
+
+
+def ref_tilde(s):
+    """The operator y -> [s, y] column by column: column j is the commutator
+    of s with the j-th canonical basis matrix, through ``OctMatrix3.__mul__``."""
+    cols = [s.commutator(b.to_matrix()).hermitian_coordinates() for b in canonical_basis()]
+    den = lcm(*(d for _, d in cols))
+    scaled = [[x * (den // d) for x in c] for c, d in cols]
+    return LinearOperator27._of(tuple(itertools.chain.from_iterable(zip(*scaled))), den)
+
+
+def grid_matrix(entries):
+    """The OctMatrix3 with the given {(i, j): Octonion} entries, zero elsewhere."""
+    return OctMatrix3([[entries.get((i, j), Octonion.zero()) for j in range(3)] for i in range(3)])
+
+
+def skew_basis():
+    """The 45 skew-Hermitian basis matrices in the order of the tilde table:
+    e2..e8 on each diagonal entry, then e_u at (i, j) and -conj(e_u) at (j, i)
+    for the r, p and q slots."""
+    units = [Octonion.unit(u) for u in range(1, 9)]
+    out = [grid_matrix({(k, k): e}) for k in range(3) for e in units[1:]]
+    for i, j in ((1, 2), (0, 1), (0, 2)):
+        out.extend(grid_matrix({(i, j): e, (j, i): -e.conjugate()}) for e in units)
+    return out
+
+
+def random_skew(rng, kind):
+    """A seeded skew-Hermitian matrix of one of the shapes tilde is fed."""
+    x = JordanMatrix.diagonal(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4), 0)
+    x = x - JordanMatrix.identity().scale(x.trace() / 3)
+    a = JordanMatrix.random_traceless(rng).scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+    if kind == "rational":
+        return matrix_commutator(x, a)
+    if kind == "mixed-denominators":
+        b = JordanMatrix.from_coordinates(
+            [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(27)]
+        )
+        return matrix_commutator(x, b)
+    if kind == "shifted":
+        return matrix_commutator(x, a + JordanMatrix.identity().scale(rng.randint(1, 3)))
+    if kind == "general":  # x not diagonal: imaginary diagonal entries too
+        return matrix_commutator(random_hermitian(rng, 2), a)
+    rows = [[Octonion.random(rng, 3) for _ in range(3)] for _ in range(3)]
+    adjoint = [[rows[j][i].conjugate() for j in range(3)] for i in range(3)]
+    return (OctMatrix3(rows) - OctMatrix3(adjoint)).scale(Fraction(1, rng.randint(1, 4)))
 
 
 class TestBasicStructure:
@@ -227,6 +279,55 @@ class TestOperators:
         b = random_hermitian(rng, 2)
         sm = s * b.to_matrix() - b.to_matrix() * s
         assert tilde.apply(b).to_matrix() == sm
+        # the tabled sum against the column-by-column reference
+        kinds = ("rational", "mixed-denominators", "shifted", "general", "m - m*")
+        for n in range(50):
+            s = random_skew(rng, kinds[n % len(kinds)])
+            assert tilde_operator(s) == ref_tilde(s), (n, s)
+        for s in skew_basis():
+            assert tilde_operator(s) == ref_tilde(s)
+        assert tilde_operator(OctMatrix3.zero()) == LinearOperator27.zero()
+        # only skew s: a Hermitian matrix, a real diagonal entry, a lone
+        # off-diagonal entry, and a skew matrix with one mirrored sign wrong
+        k = skew_basis()[30]
+        for bad in (
+            b.to_matrix(),
+            s + grid_matrix({(1, 1): Octonion.one()}),
+            grid_matrix({(0, 2): Octonion.unit(4)}),
+            k - grid_matrix({(2, 1): Octonion.unit(2).scale(2)}),
+        ):
+            with pytest.raises(ValueError):
+                tilde_operator(bad)
+
+    def test_tilde_table_matches_every_basis_commutator(self):
+        # image m, column j: [K_m, B_j] through OctMatrix3.__mul__, 45 x 27 pairs
+        tilde_table = _operator_tables()[1]
+        basis = [b.to_matrix() for b in canonical_basis()]
+        assert len(tilde_table) == 45
+        for m, k in enumerate(skew_basis()):
+            image = dict(tilde_table[m])
+            assert len(image) == len(tilde_table[m])
+            for j, b in enumerate(basis):
+                nums, den = (k * b - b * k).hermitian_coordinates()
+                assert den == 1
+                assert [image.get(27 * i + j, 0) for i in range(27)] == list(nums), (m, j)
+
+    def test_tilde_operator_makes_no_matrix_products(self, monkeypatch):
+        # the tables are built, and tilde evaluated, without OctMatrix3.__mul__
+        original = OctMatrix3.__mul__
+        calls = []
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        rng = random.Random(21)
+        samples = [random_skew(rng, "rational") for _ in range(3)]
+        monkeypatch.setattr(OctMatrix3, "__mul__", counting)
+        monkeypatch.setattr(jordan, "_operator_tables", lru_cache(maxsize=None)(_operator_tables.__wrapped__))
+        for s in samples:
+            tilde_operator(s)
+        assert calls == []
 
     def test_operator_composition_matches_matrix_product(self):
         rng = random.Random(17)
@@ -264,3 +365,34 @@ class TestTextFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_jordan("not a jordan matrix")
+
+
+class TestSuiteCatchesAWrongTable:
+    """One sign flipped in a table fails the jordan checks built on it."""
+
+    def statuses(self, monkeypatch, struct, tilde_table):
+        monkeypatch.setattr(jordan, "_operator_tables", lambda: (struct, tilde_table))
+        # hat(e_i) of the slot units are kept per process: build them afresh
+        monkeypatch.setattr(jordan, "_slot_unit_hats", lru_cache(maxsize=None)(_slot_unit_hats.__wrapped__))
+        return {c.id: c.status for c in run_suite("jordan").checks}
+
+    def test_the_genuine_tables_pass(self, monkeypatch):
+        statuses = self.statuses(monkeypatch, *_operator_tables())
+        assert set(statuses.values()) == {"pass"}
+
+    def test_a_flipped_tilde_entry_fails_the_bracket_identities(self, monkeypatch):
+        struct, tilde_table = _operator_tables()
+        m = 21  # the first off-diagonal image: [x, a] has diagonal entries 0
+        (idx, v), *rest = tilde_table[m]
+        flipped = tilde_table[:m] + (((idx, -v), *rest),) + tilde_table[m + 1 :]
+        statuses = self.statuses(monkeypatch, struct, flipped)
+        assert statuses["bracket-identities"] == "fail"
+
+    def test_a_flipped_structure_entry_fails_an_operator_check(self, monkeypatch):
+        struct, tilde_table = _operator_tables()
+        flipped = [list(row) for row in struct]
+        (k, c), *rest = flipped[0][11]  # E_11 o (e1 in slot p) = p / 2
+        flipped[0][11] = [(k, -c), *rest]
+        statuses = self.statuses(monkeypatch, flipped, tilde_table)
+        assert "fail" in (statuses["bracket-identities"], statuses["operator-eigenvalue"])
+        assert struct[0][11] == [(k, c), *rest]

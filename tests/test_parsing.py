@@ -518,6 +518,9 @@ class TestParser:
         assert tree.exponent == -1
 
 
+# each strategy is built once per argument set: building a recursive strategy
+# inside every drawn example costs more than the example
+@functools.lru_cache(maxsize=None)
 def leaf_nodes(names=("b1", "b2", "y1", "y5")):
     names = st.sampled_from(names)
     numbers = st.one_of(
@@ -531,9 +534,13 @@ def leaf_nodes(names=("b1", "b2", "y1", "y5")):
     return st.one_of(names.map(lambda n: Var(n, 0)), numbers)
 
 
-def ast_nodes(names=("b1", "b2", "y1", "y5"), leaves=None):
+@functools.lru_cache(maxsize=None)
+def ast_nodes(names=("b1", "b2", "y1", "y5"), hostile=False):
+    """Expression trees over ``names``; with ``hostile``, some leaves are
+    those of :func:`hostile_leaves`."""
+    leaves = leaf_nodes(names)
     return st.recursive(
-        leaf_nodes(names) if leaves is None else leaves,
+        st.one_of(leaves, hostile_leaves(names)) if hostile else leaves,
         lambda children: st.one_of(
             children.map(lambda c: Neg(c, 0)),
             st.tuples(
@@ -1198,6 +1205,7 @@ class TestStepsMatchTheConvolvingReference:
 # -- the grammar through the command line --------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def hostile_leaves(names):
     """Leaves at the parser's bounds, as verbatim text in a Var: a name to a
     power of up to MAX_EXPONENT, a literal of about MAX_LITERAL_DIGITS
@@ -1236,7 +1244,7 @@ class TestGrammarThroughTheCli:
     @settings(max_examples=30, deadline=5000)
     def test_every_text_exits_0_1_or_2(self, ring, data, tmp_path_factory):
         names = STEP_NAMES[ring]
-        text = to_text(data.draw(ast_nodes(names, st.one_of(leaf_nodes(names), hostile_leaves(names)))))
+        text = to_text(data.draw(ast_nodes(names, hostile=True)))
         runs, checked = [["expand", "--ring", ring, "--", text]], True
         if ring == "HT":
             with contextlib.suppress(ParseError):

@@ -17,6 +17,7 @@ fields (refused, never wrapped), and the bias of character keys.  ``terms``
 is a view built on each access, so the references read it once per loop.
 """
 
+import functools
 import random
 from fractions import Fraction
 from operator import add, sub
@@ -83,10 +84,10 @@ def ref_poly_neg(p):
     return Polynomial(p.ring, {e: -c for e, c in p.terms.items()})
 
 
-def ref_poly_mul(p, q):
+def ref_terms_mul(lhs, rhs):
+    """The product of two {exponent tuple: Fraction} dicts."""
     out = {}
-    rhs = q.terms  # a view built on each access
-    for e1, c1 in p.terms.items():
+    for e1, c1 in lhs.items():
         for e2, c2 in rhs.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             s = out.get(e, Fraction(0)) + c1 * c2
@@ -94,7 +95,11 @@ def ref_poly_mul(p, q):
                 out[e] = s
             else:
                 out.pop(e, None)
-    return Polynomial(p.ring, out)
+    return out
+
+
+def ref_poly_mul(p, q):
+    return Polynomial(p.ring, ref_terms_mul(p.terms, q.terms))
 
 
 def ref_poly_pow(p, n):
@@ -132,14 +137,23 @@ def ref_poly_str(p):
 
 
 def ref_substitute(p, images, target):
-    """Term by term: the coefficient times a product of image powers."""
-    out = target.zero()
+    """Term by term: the coefficient times a product of image powers, each
+    power by repeated multiplication, on {exponent tuple: Fraction} dicts."""
+    image_terms = {name: images[name].terms for name in p.ring.names}
+    one = (0,) * len(target.names)
+    out = {}
     for e, c in p.terms.items():
-        term = target.const(c)
+        term = {one: Fraction(c)}
         for name, k in zip(p.ring.names, e):
-            term = ref_poly_mul(term, ref_poly_pow(images[name], k))
-        out = ref_poly_add(out, term)
-    return out
+            for _ in range(k):
+                term = ref_terms_mul(term, image_terms[name])
+        for e2, c2 in term.items():
+            s = out.get(e2, Fraction(0)) + c2
+            if s:
+                out[e2] = s
+            else:
+                out.pop(e2, None)
+    return Polynomial(target, out)
 
 
 def ref_is_w_invariant(p):
@@ -543,6 +557,7 @@ class TestIntegralRingMap:
 # -- the packed keys ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # built once per argument pair, not per draw
 def exponent_vectors(nvars, limit):
     """Exponent vectors of ``nvars`` entries with total degree <= ``limit``."""
     return st.lists(
