@@ -309,33 +309,50 @@ def integral_row(row: Sequence[Scalar]) -> List[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free elimination over Z.
+def echelon_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """An echelon basis of the row space of an integer matrix, by
+    fraction-free elimination over Z: primitive integer rows, one per pivot
+    column, in pivot order (their leading columns strictly increase).
 
-    Keeps an echelon basis of primitive integer rows, one per pivot column.
-    Each incoming row has its leading entry cancelled against the basis row
-    with that pivot (a cross-multiplication) and is divided by its content,
-    until its leading column is new or the row is zero; a zero row is
-    dependent and dropped.  The only division is by a content, and it is
-    checked to be exact.  Entries must be ints; scale rational rows with
-    ``integral_row`` first.
+    Each incoming row is divided by its content and given a positive
+    leading entry; a row seen before in that form is dropped.  Otherwise its
+    leading entry is cancelled against the basis row with that pivot (a
+    cross-multiplication) and the row is divided by its content, until its
+    leading column is new or the row is zero; a zero row is dependent and
+    dropped.  The only division is by a content, and it is checked to be
+    exact.  Entries must be ints; scale rational rows with ``integral_row``
+    first.
     """
     basis: Dict[int, List[int]] = {}
+    seen = set()
     ncols = len(rows[0]) if rows else 0
     for row in rows:
         r = _primitive(list(row))
-        lead = next((i for i, x in enumerate(r) if x), None)
-        while lead is not None and lead in basis:
+        lead = next(filter(r.__getitem__, range(ncols)), None)
+        if lead is None:
+            continue
+        if r[lead] < 0:
+            r = [-x for x in r]
+        key = tuple(r)
+        if key in seen:
+            continue
+        seen.add(key)
+        while lead in basis:
             b = basis[lead]
             g = gcd(b[lead], r[lead])
             p, a = b[lead] // g, r[lead] // g
             r = _primitive([p * x - a * y for x, y in zip(r, b)])
-            lead = next((i for i in range(lead + 1, ncols) if r[i]), None)
+            lead = next(filter(r.__getitem__, range(lead + 1, ncols)), None)
         if lead is not None:
             basis[lead] = r
             if len(basis) == ncols:
                 break
-    return len(basis)
+    return [basis[c] for c in sorted(basis)]
+
+
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix: the length of its :func:`echelon_basis`."""
+    return len(echelon_basis(rows))
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -343,12 +360,11 @@ def _primitive(row: List[int]) -> List[int]:
     g = gcd(*row)
     if g <= 1:
         return row
-    out = []
-    for x in row:
-        q, rem = divmod(x, g)
-        if rem:
-            raise ArithmeticError("content division is not exact")
-        out.append(q)
+    out = [x // g for x in row]
+    # floor division leaves each remainder in [0, g), so the remainders are
+    # all zero exactly when they sum to zero
+    if sum(row) != g * sum(out):
+        raise ArithmeticError("content division is not exact")
     return out
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cohomology import B_RING, RestrictionTable, integral_row, matrix_rank
+from .cohomology import B_RING, RestrictionTable, echelon_basis, integral_row, matrix_rank
 from .ktheory import X_RING, Character, divides_char, edge_divisor_char, edge_divisor_poly
 from .poly import (
     FormProduct,
@@ -60,7 +60,7 @@ RHO_RING = PolyRing.make(("rho1", "rho2", "rho3", "rho4"), (2, 2, 2, 2))
 # The largest degree cutoff of the free-rank table.  The table's work grows
 # quickly with the degree (its top rows have the most unknowns), so the
 # check and the CLI refuse a larger one.
-MAX_DEGREE_CUTOFF = 16
+MAX_DEGREE_CUTOFF = 24
 
 @functools.cache
 def abstract_label(k: int) -> Polynomial:
@@ -538,7 +538,8 @@ def _basic_invariants() -> Tuple[Polynomial, ...]:
     return (s1, s2, prod, s3)
 
 
-def _invariant_exponents(poly_degree: int) -> List[Tuple[int, ...]]:
+@functools.cache
+def _invariant_exponents(poly_degree: int) -> Tuple[Tuple[int, ...], ...]:
     """Exponent vectors e with sum(e_i * _INVARIANT_DEGREES[i]) equal to
     ``poly_degree``, in lexicographic order.  The order depends only on the
     degrees, so the m-th monomial in the images of the invariants is the
@@ -555,7 +556,7 @@ def _invariant_exponents(poly_degree: int) -> List[Tuple[int, ...]]:
             rec(prefix + (e,), deg_left - e * d)
 
     rec((), poly_degree)
-    return out
+    return tuple(out)
 
 
 def _invariant_monomials(
@@ -591,16 +592,23 @@ def _invariant_monomials(
 def _integral_rows(restricted: Sequence[Polynomial]) -> List[List[int]]:
     """One integer row per monomial of the restricted basis, in sorted order.
 
-    Entry m of a row is the monomial's coefficient in ``restricted[m]``.
-    A row with a non-integral coefficient is scaled by the lcm of its
-    denominators, which leaves its solution space unchanged.
+    Entry m of a row is the monomial's coefficient in ``restricted[m]``,
+    filled from the nonzero terms alone.  A row with a non-integral
+    coefficient is scaled by the lcm of its denominators, which leaves its
+    solution space unchanged.
     """
-    monomials = sorted({k for p in restricted for k in p.packed})
+    rows: Dict[int, List[int]] = {}
+    for m, p in enumerate(restricted):
+        for k, c in p.packed.items():
+            row = rows.get(k)
+            if row is None:
+                row = rows[k] = [0] * len(restricted)
+            row[m] = c
     if all(p.den == 1 for p in restricted):
-        return [[p.packed.get(k, 0) for p in restricted] for k in monomials]
+        return [rows[k] for k in sorted(rows)]
     return [
-        integral_row([Fraction(p.packed.get(k, 0), p.den) for p in restricted])
-        for k in monomials
+        integral_row([Fraction(c, p.den) for c, p in zip(rows[k], restricted)])
+        for k in sorted(rows)
     ]
 
 
@@ -612,8 +620,10 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
     edge difference to vanish on the four hyperplanes of the edge label.
     Restriction to a hyperplane is a ring map, so the basic invariants are
     restricted once per distinct hyperplane and each basis monomial
-    restricts to the same monomial in their images.  The constraint rows
-    are integers and their rank is taken over Z.
+    restricts to the same monomial in their images.  The rows each edge
+    class imposes are integers; they are reduced once per class to an
+    echelon basis over Z, which spans the same rows, and the rank of the
+    constraints built from those bases is taken over Z.
     Returns (degree, computed, predicted) rows.
     """
     if degree_cutoff % 2 != 0 or degree_cutoff < 0:
@@ -622,32 +632,35 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
         raise ResourceLimitError(f"free-rank check is bounded at degree {MAX_DEGREE_CUTOFF}")
     invariants = _basic_invariants()
     # the basic invariants restricted to each label hyperplane, with the
-    # edge class of the label
-    restricted = [
-        (k, tuple(g.substitute(_restriction_images(RHO_RING, form)) for g in invariants), {})
-        for k in ROOT_TRANSPOSITIONS
-        for form in label_hyperplanes(k)
-    ]
+    # edge class of the label; a hyperplane whose restricted invariants
+    # repeat an earlier one of its class gives the same rows and is skipped
+    restricted: Dict[Tuple[int, Tuple[Polynomial, ...]], Dict] = {}
+    for k in ROOT_TRANSPOSITIONS:
+        for form in label_hyperplanes(k):
+            images = _restriction_images(RHO_RING, form)
+            restricted.setdefault((k, tuple(g.substitute(images) for g in invariants)), {})
     rows: List[Tuple[int, int, int]] = []
     edges = gkm_edges()
     vertex_index = {name: i for i, name in enumerate(SIGMA3_NAMES)}
     for d in range(0, degree_cutoff + 1, 2):
         # the rows each edge class imposes on the coefficient vector of its
         # edge difference, each distinct row once (the hyperplanes of a class
-        # often give the same rows, and a repeated row cannot change the
-        # rank); nb is the same for every hyperplane
+        # often give the same rows); nb is the same for every hyperplane
         blocks: Dict[int, Dict[Tuple[int, ...], None]] = {k: {} for k in ROOT_TRANSPOSITIONS}
-        for k, gens, built in restricted:
+        for (k, gens), built in restricted.items():
             basis = _invariant_monomials(gens, d // 2, built)
             nb = len(basis)
             blocks[k].update(dict.fromkeys(map(tuple, _integral_rows(basis))))
         if nb == 0:
             rows.append((d, 0, predicted_rank(d)))
             continue
+        # a row space is unchanged by reduction to an echelon basis, so the
+        # constraint matrix has the rank of the full one with far fewer rows
+        reduced = {k: echelon_basis(list(block)) for k, block in blocks.items()}
         constraints: List[List[int]] = []
         for edge in edges:
             iu, iv = vertex_index[edge.u], vertex_index[edge.v]
-            for block in blocks[edge.k]:
+            for block in reduced[edge.k]:
                 row = [0] * (6 * nb)
                 row[iu * nb : (iu + 1) * nb] = block
                 row[iv * nb : (iv + 1) * nb] = [-c for c in block]

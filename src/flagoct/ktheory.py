@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, divisor, reduce_terms
+from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, ResourceLimitError, divisor, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
 from .weyl import (
     ROOT_TRANSPOSITIONS,
@@ -281,13 +281,36 @@ def x4_display_discrepancy() -> int:
 
 
 def weyl_act(w: WeylElement, f: Character) -> Character:
+    """w applied to every weight of f, in one pass over the packed keys.
+
+    Each key is unpacked once, its doubled image is the doubled matrix times
+    the doubled weight, halved (``ValueError`` unless every coordinate is
+    even), and packed again through the packing's multipliers
+    (:class:`ResourceLimitError` for a coordinate outside the fields).
+    """
     if not w.preserves_lattice():
         raise ValueError("transformation does not preserve the weight lattice")
-    pack, unpack = CHAR_PACKING.pack, CHAR_PACKING.unpack
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = w.doubled
+    unpack, (m0, m1, m2, m3) = CHAR_PACKING.unpack, CHAR_PACKING.multipliers
+    zero, lo = CHAR_PACKING.zero, -CHAR_PACKING.bias
+    hi = CHAR_PACKING.limit + lo
     # a lattice-preserving action maps distinct keys to distinct lattice keys
-    return Character._of(
-        {pack(w.act_doubled(unpack(key))): coeff for key, coeff in f.packed.items()}
-    )
+    out = {}
+    for key, coeff in f.packed.items():
+        k0, k1, k2, k3 = unpack(key)
+        v0 = a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3
+        v1 = b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3
+        v2 = c0 * k0 + c1 * k1 + c2 * k2 + c3 * k3
+        v3 = d0 * k0 + d1 * k1 + d2 * k2 + d3 * k3
+        if (v0 | v1 | v2 | v3) & 1:
+            raise ValueError(f"{(v0, v1, v2, v3)}/2 leaves the integers: entry not in 1/2 Z")
+        v0, v1, v2, v3 = v0 >> 1, v1 >> 1, v2 >> 1, v3 >> 1
+        if not (lo <= v0 <= hi and lo <= v1 <= hi and lo <= v2 <= hi and lo <= v3 <= hi):
+            raise ResourceLimitError(
+                f"exponents {(v0, v1, v2, v3)!r} do not fit {FIELD_BITS}-bit fields"
+            )
+        out[v0 * m0 + v1 * m1 + v2 * m2 + v3 * m3 + zero] = coeff
+    return Character._of(out)
 
 
 def is_w_invariant_character(f: Character) -> bool:

@@ -75,7 +75,7 @@ class Packing:
     wraps.
     """
 
-    __slots__ = ("nvars", "bias", "shift", "low", "limit", "guard", "ones", "zero", "_multipliers", "unpack")
+    __slots__ = ("nvars", "bias", "shift", "low", "limit", "guard", "ones", "zero", "multipliers", "unpack")
 
     def __init__(self, nvars: int, bias: int = 0):
         self.nvars, self.bias = nvars, bias
@@ -86,8 +86,8 @@ class Packing:
         self.guard = sum(1 << (o + FIELD_BITS - 1) for o in offsets)
         self.ones = sum(1 << o for o in offsets)
         # key(e) = sum(e_i * ((1 << shift) - (1 << offset_i))) + key(0)
-        self._multipliers = tuple((1 << self.shift) - (1 << o) for o in offsets)
-        self.zero = bias * sum(self._multipliers)
+        self.multipliers = tuple((1 << self.shift) - (1 << o) for o in offsets)
+        self.zero = bias * sum(self.multipliers)
         self.unpack = self._unpacker()
 
     def pack(self, exponents: Sequence[int]) -> int:
@@ -104,7 +104,7 @@ class Packing:
                 raise ResourceLimitError(
                     f"exponents {tuple(exponents)!r} do not fit {FIELD_BITS}-bit fields"
                 )
-        return sum(map(mul, exponents, self._multipliers)) + self.zero
+        return sum(map(mul, exponents, self.multipliers)) + self.zero
 
     def _unpacker(self) -> Callable[[int], Exponents]:
         """``unpack(key)``, the exponent vector of a valid key: the fields

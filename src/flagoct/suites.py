@@ -145,7 +145,21 @@ def suite_jordan(
             if rng.random() < 0.3:
                 a = a + J.identity().scale(rng.randint(1, 3))
             samples.append((J.diagonal(v1, v2, -(v1 + v2)), a))
-        return all(all(jordan.bracket_lemma_parts(x, a)) for (x, a) in samples)
+        # s = m - m* has an imaginary diagonal, so these pairs read the tilde
+        # images of the diagonal skew basis, which s = [x, a] never does;
+        # they come from their own generator and leave the draws above as
+        # they were
+        own = random.Random(seed)
+        skew_pairs = []
+        for _ in range(6):
+            m = [[octonion.Octonion.random(own, 3) for _ in range(3)] for _ in range(3)]
+            m_star = [[m[j][i].conjugate() for j in range(3)] for i in range(3)]
+            s = jordan.OctMatrix3(m) - jordan.OctMatrix3(m_star)
+            skew_pairs.append((s, J.random_traceless(own)))
+        return all(all(jordan.bracket_lemma_parts(x, a)) for (x, a) in samples) and all(
+            jordan.tilde_operator(s).apply(y) == J.from_matrix(s.commutator(y.to_matrix()))
+            for s, y in skew_pairs
+        )
 
     def diagonal_determinant() -> bool:
         # symbolic via Newton's identity, plus a numeric spot
@@ -197,7 +211,8 @@ def suite_jordan(
          )),
         ("bracket-identities",
          "both commutator-operator identities on 50 seeded pairs "
-         "(27x27 matrix equalities)",
+         "(27x27 matrix equalities), tilde(s) y = sy - ys on 6 seeded "
+         "skew s with imaginary diagonal",
          "commutator bracket identities", brackets),
         ("diagonal-determinant",
          "det Diag(x1,x2,x3) = x1 x2 x3 symbolically and on rational spots",

@@ -270,13 +270,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self == WeylElement.identity()
 
-    def act_doubled(self, key: Sequence[int]) -> Tuple[int, int, int, int]:
-        """2(Mv) for the doubled weight key = 2v; raises unless it is integral."""
-        k0, k1, k2, k3 = key
-        return tuple(
-            _halve(a * k0 + b * k1 + c * k2 + d * k3) for a, b, c, d in self.doubled
-        )
-
     def preserves_lattice(self) -> bool:
         """Every doubled image of 2*rho_j is all even or all odd.
 
@@ -545,8 +538,9 @@ def act_on_gamma(sigma: Sigma3Element, k: int) -> Tuple[int, int]:
     raise AssertionError(f"image {image} is not a signed gamma functional")
 
 
+@lru_cache(maxsize=None)
 def inversion_set(sigma: Sigma3Element) -> FrozenSet[int]:
-    """Indices k with sigma^{-1} gamma_k negative."""
+    """Indices k with sigma^{-1} gamma_k negative (kept per element)."""
     inv = sigma.inverse()
     return frozenset(k for k in (1, 2, 3) if act_on_gamma(inv, k)[0] == -1)
 

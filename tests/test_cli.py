@@ -77,9 +77,19 @@ class TestVerify:
         assert code == 2
 
     def test_degree_cutoff_bounds(self, capsys):
-        code, _, err = run(capsys, "verify", "gkm", "--degree-cutoff", "17")
+        code, _, err = run(capsys, "verify", "gkm", "--degree-cutoff", "26")
         assert code == 2
         assert "degree-cutoff" in err
+
+    def test_cutoff_twenty_four_passes_with_every_row_equal(self, capsys):
+        code, out, _ = run(capsys, "verify", "gkm", "--degree-cutoff", "24", "--format", "json")
+        assert code == 0
+        (check,) = [c for c in json.loads(out)["checks"] if c["id"] == "free-rank"]
+        assert check["status"] == "pass"
+        rows = re.findall(r"deg (\d+): (\d+)/(\d+)", check["details"])
+        assert [int(d) for d, _, _ in rows] == list(range(0, 25, 2))
+        assert all(c == p for _, c, p in rows)
+        assert ("24", "35", "35") in rows
 
     def test_one_constant_bounds_the_degree_cutoff(self, capsys):
         # the free-rank check, the CLI's range check and the option's help

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from flagoct.cohomology import (
     BggContext,
     RestrictionTable,
     bgg_basis_independent,
+    echelon_basis,
     integral_row,
     matrix_rank,
     beta_to_e,
@@ -359,3 +361,46 @@ class TestMatrixRank:
     def test_fraction_entries_are_refused(self):
         with pytest.raises(TypeError):
             matrix_rank([[Fraction(1, 2), Fraction(1)]])
+
+
+def reduces_to_zero(row, basis):
+    """Whether ``row`` is a rational combination of the echelon ``basis``:
+    clear each pivot in turn, in Fractions."""
+    r = [Fraction(x) for x in row]
+    for b in basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        r = [x - r[lead] / b[lead] * y for x, y in zip(r, b)]
+    return not any(r)
+
+
+class TestEchelonBasis:
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (8, 8), (24, 14), (1, 7), (7, 1)])
+    def test_pivots_increase_and_rows_are_primitive(self, shape):
+        rng = random.Random(f"echelon-{shape}")
+        nrows, ncols = shape
+        for _ in range(25):
+            rank = rng.randint(0, min(nrows, ncols))
+            rows = seeded_matrix(rng, nrows, ncols, rank, False)
+            basis = echelon_basis(rows)
+            leads = [next(i for i, x in enumerate(b) if x) for b in basis]
+            assert leads == sorted(set(leads))
+            assert all(gcd(*b) == 1 for b in basis)
+            assert all(isinstance(x, int) for b in basis for x in b)
+
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (24, 14)])
+    def test_basis_spans_every_row_and_has_the_rank(self, shape):
+        rng = random.Random(f"span-{shape}")
+        nrows, ncols = shape
+        for _ in range(25):
+            rank = rng.randint(0, min(nrows, ncols))
+            rows = [integral_row(r) for r in seeded_matrix(rng, nrows, ncols, rank, True)]
+            basis = echelon_basis(rows)
+            assert all(reduces_to_zero(r, basis) for r in rows)
+            assert matrix_rank(rows + basis) == matrix_rank(rows) == len(basis)
+            assert len(basis) == reference_rank(rows)
+
+    def test_empty_and_zero_matrices(self):
+        assert echelon_basis([]) == []
+        assert echelon_basis([[]]) == []
+        assert echelon_basis([[0, 0, 0], [0, 0, 0]]) == []
+        assert echelon_basis([[0, 0], [0, -6], [0, 4]]) == [[0, 1]]

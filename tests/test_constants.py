@@ -1,7 +1,8 @@
 """Memoized constants stay as they were built.
 
 A warm process shares each memoized constant (the GKM edges, the Euler
-realization, the edge divisors, the evaluation contexts, the Weyl groups)
+realization, the edge divisors, the evaluation contexts, the Weyl groups,
+the inversion sets, the invariant exponent vectors)
 between all callers.  A caller that changed one in place would change every
 later answer.  These tests run the verify suites and a batch of
 ``gkm-check`` requests over every ring in one process, and then compare each
@@ -17,7 +18,7 @@ from flagoct import gkm, ktheory
 from flagoct.cli import main
 from flagoct.gkm import RHO_RING, restriction_class_tuple
 from flagoct.ktheory import tautological_tuple
-from flagoct.weyl import SIGMA3_NAMES
+from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 # every memoized function of the package, with the arguments it is called with
 MEMOIZED = {
@@ -25,12 +26,14 @@ MEMOIZED = {
     ("gkm", "abstract_label"): [(1,), (2,), (3,)],
     ("gkm", "generator_substitutions"): [()],
     ("gkm", "cached_realization"): [()],
+    ("gkm", "_invariant_exponents"): [(0,), (8,), (12,)],
     ("ktheory", "edge_binomials"): [(1,), (2,), (3,)],
     ("ktheory", "edge_divisor_poly"): [(1,), (2,), (3,)],
     ("cli", "_context_for"): [("Hb",), ("HT",), ("RT",), ("RX",)],
     ("weyl", "spin8_weyl"): [()],
     ("weyl", "f4_weyl"): [()],
     ("weyl", "sigma_tilde_group"): [()],
+    ("weyl", "inversion_set"): [(sigma3_by_name(name),) for name in SIGMA3_NAMES],
     ("jordan", "_operator_tables"): [()],
     ("jordan", "_slot_unit_hats"): [("p",), ("q",), ("r",)],
 }

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagoct import gkm
 from flagoct.cohomology import B_RING, LAMBDA_RING, RestrictionTable
 from flagoct.gkm import (
     RHO_RING,
@@ -25,6 +26,7 @@ from flagoct.gkm import (
     realized_label,
     restriction_class_tuple,
     _basic_invariants,
+    _integral_rows,
     _invariant_monomials,
     _restriction_images,
 )
@@ -310,8 +312,71 @@ class TestSeededTuples:
             assert ours.random() == ref.random()
 
 
+def bareiss_rank(rows):
+    """Rank over Q by fraction-free Gaussian elimination (Bareiss): every
+    division by the previous pivot is exact, and rows that vanish are
+    dropped.  Independent of the package's elimination."""
+    m = [list(r) for r in rows if any(r)]
+    rank, prev = 0, 1
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank]
+        c = p[col]
+        below = []
+        for r in m[rank + 1 :]:
+            a = r[col]
+            new = []
+            for x, y in zip(r, p):
+                q, rem = divmod(x * c - a * y, prev)
+                assert not rem
+                new.append(q)
+            if any(new):
+                below.append(new)
+        m[rank + 1 :] = below
+        prev = c
+        rank += 1
+    return rank
+
+
+def reference_rank_table(degree_cutoff):
+    """The free-rank table from the full constraint matrix: every distinct
+    row of each class's four hyperplanes, repeated over the class's three
+    edges, ranked by :func:`bareiss_rank`."""
+    invariants = _basic_invariants()
+    restricted = [
+        (k, [g.substitute(_restriction_images(RHO_RING, form)) for g in invariants])
+        for k in ROOT_TRANSPOSITIONS
+        for form in label_hyperplanes(k)
+    ]
+    index = {name: i for i, name in enumerate(SIGMA3_NAMES)}
+    table = []
+    for d in range(0, degree_cutoff + 1, 2):
+        blocks = {k: {} for k in ROOT_TRANSPOSITIONS}
+        for k, gens in restricted:
+            basis = _invariant_monomials(gens, d // 2)
+            nb = len(basis)
+            blocks[k].update(dict.fromkeys(map(tuple, _integral_rows(basis))))
+        constraints = []
+        for edge in gkm_edges():
+            iu, iv = index[edge.u], index[edge.v]
+            for block in blocks[edge.k]:
+                row = [0] * (6 * nb)
+                row[iu * nb : (iu + 1) * nb] = block
+                row[iv * nb : (iv + 1) * nb] = [-c for c in block]
+                constraints.append(row)
+        table.append((d, 6 * nb - bareiss_rank(constraints), predicted_rank(d)))
+    return table
+
+
 class TestFreeness:
-    EXPECTED = {0: 1, 2: 0, 4: 1, 6: 0, 8: 5, 10: 0, 12: 6, 14: 0, 16: 15}
+    EXPECTED = {
+        0: 1, 2: 0, 4: 1, 6: 0, 8: 5, 10: 0, 12: 6,
+        14: 0, 16: 15, 18: 0, 20: 19, 22: 0, 24: 35,
+    }
 
     def test_base_degrees(self):
         assert tuple(sorted(bm_degrees())) == (4, 8, 8, 12)
@@ -325,7 +390,57 @@ class TestFreeness:
 
     def test_rank_table_to_degree_sixteen(self):
         rows = free_rank_check(16)
+        assert rows == [(d, c, c) for d, c in sorted(self.EXPECTED.items()) if d <= 16]
+
+    def test_rank_table_to_degree_twenty_four(self):
+        rows = free_rank_check(24)
         assert rows == [(d, c, c) for d, c in sorted(self.EXPECTED.items())]
+
+    def test_table_matches_the_full_constraint_matrix(self):
+        # the per-class echelon blocks span the rows of the full matrix, so
+        # every degree through 24 has the same rank
+        assert free_rank_check(24) == reference_rank_table(24)
+
+    def test_nine_distinct_restricted_hyperplanes(self):
+        invariants = _basic_invariants()
+        restricted = {
+            (k, tuple(g.substitute(_restriction_images(RHO_RING, form)) for g in invariants))
+            for k in ROOT_TRANSPOSITIONS
+            for form in label_hyperplanes(k)
+        }
+        assert len(restricted) == 9
+
+    def test_one_rank_per_nonempty_degree(self, monkeypatch):
+        # the assembled matrix is ranked once per degree with unknowns, by
+        # the matrix_rank that gkm imports; the class blocks are reduced
+        # by echelon_basis
+        calls = []
+        rank = gkm.matrix_rank
+        monkeypatch.setattr(gkm, "matrix_rank", lambda rows: calls.append(len(rows)) or rank(rows))
+        free_rank_check(16)
+        assert calls == [9, 9, 18, 27, 36]
+
+    @pytest.mark.parametrize("k", ROOT_TRANSPOSITIONS)
+    @pytest.mark.parametrize("nb", [3, 7])
+    def test_one_changed_block_entry_changes_the_table(self, monkeypatch, k, nb):
+        # change the first entry of class k's block at the degree with nb
+        # unknowns per vertex (8 or 16): the class's row space grows and the
+        # table must show it
+        echelon_basis, seen = gkm.echelon_basis, []
+
+        def mutated(rows):
+            if len(rows[0]) == nb:
+                seen.append(1)
+                if len(seen) == list(ROOT_TRANSPOSITIONS).index(k) + 1:
+                    rows = [list(r) for r in rows]
+                    rows[0][0] += 1
+            return echelon_basis(rows)
+
+        clean = free_rank_check(16)
+        monkeypatch.setattr(gkm, "echelon_basis", mutated)
+        changed = free_rank_check(16)
+        assert len(seen) == 3
+        assert changed != clean
 
     def test_twelve_distinct_label_hyperplanes(self):
         forms = [f for k in ROOT_TRANSPOSITIONS for f in label_hyperplanes(k)]

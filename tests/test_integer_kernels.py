@@ -26,8 +26,8 @@ from flagoct.jordan import (
     hat_operator,
     jordan_determinant,
 )
-from flagoct.ktheory import Character, char_quotient, weyl_act, x_character
-from flagoct.poly import PolyRing, Polynomial, exact_divide
+from flagoct.ktheory import CHAR_PACKING, Character, char_quotient, weyl_act, x_character
+from flagoct.poly import Packing, PolyRing, Polynomial, ResourceLimitError, exact_divide
 from flagoct.octonion import Octonion
 from flagoct.suites import run_suite
 from flagoct.weyl import (
@@ -265,6 +265,36 @@ class TestCharacters:
         for _ in range(60):
             w, f = rng.choice(elements), random_character(rng)
             assert weyl_act(w, f) == ref_weyl_act(w, f)
+
+    def test_weyl_act_refuses_an_image_outside_the_fields(self):
+        # the reflection in (1/2)(1,-1,-1,-1) maps the doubled weight
+        # (k, k, k, k) to (2k, 0, 0, 0): in the lattice, but past the fields
+        top = CHAR_PACKING.limit - CHAR_PACKING.bias
+        w = WeylElement.reflection(Weight((Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))))
+        edge = Character({(top, top, top, top): 3})
+        with pytest.raises(ResourceLimitError, match="do not fit"):
+            weyl_act(w, edge)
+        inside = Character({(top // 2, top // 2, top // 2, top // 2): 3})
+        assert weyl_act(w, inside) == ref_weyl_act(w, inside)
+
+    def test_weyl_act_refuses_an_odd_image(self):
+        # a key off the lattice, wrapped without validation, has an image
+        # that halves to no integer vector
+        w = WeylElement.reflection(Weight((Fraction(1, 2),) * 4))
+        off_lattice = Character._of({CHAR_PACKING.pack((1, 0, 0, 0)): 1})
+        with pytest.raises(ValueError, match="1/2 Z"):
+            weyl_act(w, off_lattice)
+
+    def test_weyl_act_packs_no_key_one_by_one(self, monkeypatch):
+        # one pass over the packed keys: the images are packed inline
+        f, w = x_character(4), WeylElement.reflection(L(1) - L(2))
+        expected = ref_weyl_act(w, f)
+
+        def refused(*args):
+            raise AssertionError("per-key pack")
+
+        monkeypatch.setattr(Packing, "pack", refused)
+        assert weyl_act(w, f) == expected
 
 
 DIV_RING = PolyRing.make(("t1", "t2", "t3", "t4"))

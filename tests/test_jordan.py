@@ -329,6 +329,17 @@ class TestOperators:
             tilde_operator(s)
         assert calls == []
 
+    @pytest.mark.parametrize("image", [0, 20])
+    def test_suite_fails_on_a_flipped_diagonal_skew_image(self, monkeypatch, image):
+        # images 0..20 are those of the skew basis matrices on the diagonal,
+        # which only the suite's s = m - m* samples read
+        struct, tilde = _operator_tables.__wrapped__()
+        (idx, v), *rest = tilde[image]
+        flipped = tilde[:image] + (((idx, -v), *rest),) + tilde[image + 1 :]
+        monkeypatch.setattr(jordan, "_operator_tables", lambda: (struct, flipped))
+        report = run_suite("jordan", seed=0)
+        assert {c.id for c in report.checks if c.status == "fail"} == {"bracket-identities"}
+
     def test_operator_composition_matches_matrix_product(self):
         rng = random.Random(17)
         a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
