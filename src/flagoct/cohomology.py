@@ -32,16 +32,23 @@ B_RING = PolyRing.make(("b1", "b2"), (8, 8))
 LAMBDA_RING = PolyRing.make(("lam1", "lam2"), (2, 2))
 
 
-def coinvariant_generators(ring: PolyRing) -> Tuple[Polynomial, Polynomial]:
-    """The relation generators S_2 and S_3 of (2u+v, -u+v, -u-2v).
-
-    The three arguments are the weights of the rank-8 bundles in terms of the
-    first two Euler classes u, v; their elementary symmetric polynomials in
-    degrees 2 and 3 cut out a 6-dimensional graded quotient.
-    """
-    u, v = ring.gens()
+def bundle_relations(u: Polynomial, v: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """S_2 and S_3 of (2u+v, -u+v, -u-2v), the weights of the three rank-8
+    bundles in terms of the first two Euler classes u, v."""
     args = (2 * u + v, -u + v, -(u + 2 * v))
     return elementary_symmetric(2, *args), elementary_symmetric(3, *args)
+
+
+def a2_relations(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """S_2 and S_3 of the A2 triple (a, b - a, -b)."""
+    args = (a, b - a, -b)
+    return elementary_symmetric(2, *args), elementary_symmetric(3, *args)
+
+
+def coinvariant_generators(ring: PolyRing) -> Tuple[Polynomial, Polynomial]:
+    """The relation generators :func:`bundle_relations` of the ring's two
+    generators; they cut out a 6-dimensional graded quotient."""
+    return bundle_relations(*ring.gens())
 
 
 def euler_presentation_basis() -> GroebnerBasis:
@@ -112,8 +119,7 @@ def verify_presentation() -> PresentationReport:
     dual1 = third * x1 * (x1 + x2)
     dual2 = third * x2 * (x1 + x2)
     top = Fraction(1, 6) * x1 * x2 * (x1 + x2)
-    beta1_x = third * (2 * x1 + x2)
-    beta2_x = third * (x1 + 2 * x2)
+    beta1_x, beta2_x = map(beta_to_e, BETA_RING.gens())
 
     beta_rel = gb.contains(
         beta1_x * beta1_x + beta2_x * beta2_x - beta1_x * beta2_x
@@ -136,9 +142,7 @@ def verify_presentation() -> PresentationReport:
     # (whose quadratic member is minus the displayed beta relation)
     g2e, g3e = coinvariant_generators(E_RING)
     beta1, beta2 = BETA_RING.gens()
-    beta_args = (beta1, beta2 - beta1, -beta2)
-    g2b = elementary_symmetric(2, *beta_args)
-    g3b = elementary_symmetric(3, *beta_args)
+    g2b, g3b = a2_relations(beta1, beta2)
     ideals_ok = e_to_beta(g2e) == 9 * g2b and e_to_beta(g3e) == 27 * g3b
     ideals_ok = ideals_ok and g2b == -(
         beta1 * beta1 + beta2 * beta2 - beta1 * beta2
@@ -205,11 +209,7 @@ class BggContext:
     def symmetric_ideal_basis(self) -> GroebnerBasis:
         """Ideal of nonconstant symmetric polynomials in
         (lam1, lam2-lam1, -lam2)."""
-        lam1, lam2 = self.lam
-        args = (lam1, lam2 - lam1, -lam2)
-        return buchberger(
-            (elementary_symmetric(2, *args), elementary_symmetric(3, *args))
-        )
+        return buchberger(a2_relations(*self.lam))
 
     def top_class(self) -> Polynomial:
         return Fraction(1, 6) * self.gamma[1] * self.gamma[2] * self.gamma[3]
@@ -280,9 +280,7 @@ def verify_frac_identity() -> FracIdentityReport:
         lam2 * (third * g2 * g3)
     )
     lam1_alone = gb.contains(lam1)
-    s2_gen = gb.contains(
-        elementary_symmetric(2, lam1, lam2 - lam1, -lam2)
-    )
+    s2_gen = gb.contains(a2_relations(lam1, lam2)[0])
     return FracIdentityReport(
         stated_form_in_ideal=stated,
         cross_form_lam1_in_ideal=cross1,
@@ -447,15 +445,11 @@ def verify_equivariant_relations(
         rows = RestrictionTable().rows()
     b1, b2 = B_RING.gens()
     failures: List[Tuple[str, int]] = []
-    expected = {
-        i: elementary_symmetric(i, 2 * b1 + b2, -b1 + b2, -(b1 + 2 * b2))
-        for i in (2, 3)
-    }
+    expected = bundle_relations(b1, b2)
     for name in SIGMA3_NAMES:
         u, v, w = rows[name]
-        for i in (2, 3):
-            got = elementary_symmetric(i, 2 * u + v, -u + v, -(u + 2 * v))
-            if got != expected[i]:
+        for i, got, want in zip((2, 3), bundle_relations(u, v), expected):
+            if got != want:
                 failures.append((name, i))
     # the third entry always equals the sum of the first two (rank additivity)
     sums_ok = all(u + v - w == B_RING.zero() for u, v, w in rows.values())

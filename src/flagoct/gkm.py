@@ -47,11 +47,10 @@ from .weyl import (
     ROOT_TRANSPOSITIONS,
     SIGMA3_NAMES,
     L,
-    WeylElement,
     inversion_set,
     rho,
     sigma3_by_name,
-    spin8_simple_roots,
+    spin8_reflections,
     transposition,
 )
 
@@ -129,7 +128,7 @@ def generator_substitutions() -> Tuple[Dict[str, Polynomial], ...]:
     """Substitution maps for the four simple reflections of W_Spin(8)."""
     return tuple(
         {f"rho{j}": _linear(w.apply(rho(j)).rho_coordinates()) for j in range(1, 5)}
-        for w in map(WeylElement.reflection, spin8_simple_roots())
+        for w in spin8_reflections()
     )
 
 

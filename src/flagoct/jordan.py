@@ -29,9 +29,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .octonion import Octonion, _unit_table, mul_into
 from .scaled import Scaled, Scalar, numerators
-from .weyl import GAMMA_COEFFS
+from .weyl import GAMMA_COEFFS, ROOT_TRANSPOSITIONS
 
 SLOTS = ("r", "p", "q")  # slot k carries the k-th root space, k = 1, 2, 3
+# the cell (i, j), 0-based, of the r, p and q slots: the root space of
+# gamma_k = x_i - x_j sits at (i, j) = ROOT_TRANSPOSITIONS[k], 1-based
+_OFF_DIAGONAL = tuple((i - 1, j - 1) for i, j in ROOT_TRANSPOSITIONS.values())
 
 _HALF = Fraction(1, 2)
 _ZERO7 = (0,) * 7
@@ -105,7 +108,7 @@ def _is_hermitian(e: Sequence[Tuple[int, ...]]) -> bool:
     """Whether the 3x3 grid of 8-blocks ``e`` (row-major) is Hermitian with
     real diagonal."""
     return all(not any(e[4 * i][1:]) for i in range(3)) and all(
-        e[3 * j + i] == _conj(e[3 * i + j]) for i, j in ((0, 1), (0, 2), (1, 2))
+        e[3 * j + i] == _conj(e[3 * i + j]) for i, j in _OFF_DIAGONAL
     )
 
 
@@ -114,7 +117,12 @@ def _hermitian_numerators(e: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
     ``ValueError`` unless it is Hermitian with real diagonal."""
     if not _is_hermitian(e):
         raise ValueError("matrix is not Hermitian with real diagonal")
-    return (e[0][0], e[4][0], e[8][0]) + e[5] + e[1] + e[2]
+    return (e[0][0], e[4][0], e[8][0]) + _slot_blocks(e)
+
+
+def _slot_blocks(e: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The r, p and q blocks of the grid ``e``, in that order, as one tuple."""
+    return sum((e[3 * i + j] for i, j in _OFF_DIAGONAL), ())
 
 
 class JordanMatrix(Scaled):
@@ -399,7 +407,6 @@ class LinearOperator27(Scaled):
 # e_u is conj(e_u) in a Hermitian matrix and -conj(e_u) in a skew one.
 _Terms = Tuple[Tuple[int, int, int, int], ...]
 _Structure = List[List[List[Tuple[int, int]]]]
-_OFF_DIAGONAL = ((1, 2), (0, 1), (0, 2))  # the r, p and q slots
 
 
 def _basis_terms(skew: bool) -> List[_Terms]:
@@ -488,7 +495,7 @@ def tilde_operator(s: OctMatrix3) -> LinearOperator27:
     ):
         raise ValueError("matrix is not skew-Hermitian")
     acc = [0] * 729
-    coeffs = e[0][1:] + e[4][1:] + e[8][1:] + e[5] + e[1] + e[2]
+    coeffs = e[0][1:] + e[4][1:] + e[8][1:] + _slot_blocks(e)
     for c, image in zip(coeffs, _operator_tables()[1]):
         if c:
             for idx, v in image:

@@ -27,7 +27,6 @@ Key objects:
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -42,10 +41,12 @@ from .weyl import (
     Sigma3Element,
     Weight,
     WeylElement,
+    f4_short_roots,
     omega,
     sigma3_by_name,
     sigma_tilde_generators,
-    spin8_simple_roots,
+    spin8_reflections,
+    spin8_roots,
 )
 
 DKey = Tuple[int, int, int, int]
@@ -236,34 +237,23 @@ def x_character(i: int) -> Character:
     if cached is not None:
         return cached
     if i in (1, 2):
-        # half-spin: the 8 keys (+-1, +-1, +-1, +-1) with an even (X1) or an
-        # odd (X2) number of minus signs
-        signs = (
-            tuple(-1 if mask & (1 << k) else 1 for k in range(4))
-            for mask in range(16)
-        )
-        keys = [k for k in signs if k.count(-1) % 2 == i - 1]
-    elif i == 3:
-        # vector: +-L_k
-        keys = [_unit_key(k, s) for s in (2, -2) for k in range(4)]
-    elif i == 4:
-        # adjoint display: +-L_a +- L_b for a < b
+        # half-spin: the half-integral short roots of F4, doubled keys
+        # (+-1, +-1, +-1, +-1), with an even (X1) or an odd (X2) number of
+        # minus signs
         keys = [
-            tuple(x + y for x, y in zip(_unit_key(a, sa), _unit_key(b, sb)))
-            for a, b in itertools.combinations(range(4), 2)
-            for sa in (2, -2)
-            for sb in (2, -2)
+            k for k in map(Weight.doubled_key, f4_short_roots())
+            if k[0] % 2 and k.count(-1) % 2 == i - 1
         ]
+    elif i == 3:
+        # vector: the integral short roots +-L_k
+        keys = [k for k in map(Weight.doubled_key, f4_short_roots()) if k[0] % 2 == 0]
+    elif i == 4:
+        # adjoint display: the roots +-L_a +- L_b of Spin(8)
+        keys = map(Weight.doubled_key, spin8_roots())
     else:
         raise ValueError("character index must be 1..4")
-    out = _X_CHARACTERS[i] = Character(dict.fromkeys(keys, 1))
+    out = _X_CHARACTERS[i] = Character(dict.fromkeys(sorted(keys), 1))
     return out
-
-
-def _unit_key(k: int, value: int) -> DKey:
-    key = [0, 0, 0, 0]
-    key[k] = value
-    return tuple(key)
 
 
 def adjoint_character() -> Character:
@@ -314,8 +304,7 @@ def weyl_act(w: WeylElement, f: Character) -> Character:
 
 
 def is_w_invariant_character(f: Character) -> bool:
-    gens = [WeylElement.reflection(r) for r in spin8_simple_roots()]
-    return all(weyl_act(g, f) == f for g in gens)
+    return all(weyl_act(g, f) == f for g in spin8_reflections())
 
 
 # -- the three factorization identities ----------------------------------------------
@@ -427,13 +416,10 @@ def binomial_divides(w: Weight, f: Character) -> bool:
         lam = tuple(-k for k in lam)
     sums: Dict[DKey, int] = {}
     for key, coeff in f.terms.items():
+        # lam[pivot] > 0, so floor division puts the representative's pivot
+        # coordinate in [0, lam[pivot]): one representative per coset
         mult = key[pivot] // lam[pivot]
         rep = tuple(k - mult * l for k, l in zip(key, lam))
-        # normalize representative so its pivot coordinate is in [0, |lam_p|)
-        while rep[pivot] < 0:
-            rep = tuple(r + l for r, l in zip(rep, lam))
-        while rep[pivot] >= abs(lam[pivot]):
-            rep = tuple(r - l for r, l in zip(rep, lam))
         sums[rep] = sums.get(rep, 0) + coeff
     return all(v == 0 for v in sums.values())
 
@@ -577,11 +563,11 @@ def x_action_permutations() -> Dict[str, Sigma3Element]:
 # -- randomized equivalence of the two membership styles -----------------------------------
 
 
-def random_x_polynomial(rng: random.Random, degree: int = 2) -> Polynomial:
+def random_x_polynomial(rng: random.Random) -> Polynomial:
     p = X_RING.zero()
     for _ in range(rng.randint(1, 4)):
         exps = [0, 0, 0, 0]
-        for _ in range(rng.randint(0, degree)):
+        for _ in range(rng.randint(0, 2)):
             exps[rng.randint(0, 3)] += 1
         p = p + X_RING.monomial(exps, rng.randint(-3, 3))
     return p

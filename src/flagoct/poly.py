@@ -385,15 +385,11 @@ class Polynomial:
 
     # -- substitution / evaluation ------------------------------------------
 
-    def substitute(
-        self,
-        images: Mapping[str, "Polynomial"],
-        target: Optional[PolyRing] = None,
-    ) -> "Polynomial":
+    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring map sending each variable to ``images[name]``.
 
         Every variable of the source ring must have an image; all images must
-        live in one ring (``target`` if given).
+        live in one ring.
 
         The map runs over Z: with f = F/D and every image G_i/d over one
         common d, f(G/d) = sum_e F_e d^(N-|e|) G^e / (D d^N), N the top total
@@ -407,8 +403,6 @@ class Polynomial:
         if len(rings) != 1:
             raise RingMismatchError("substitute: images live in different rings")
         tring = rings.pop()
-        if target is not None and target != tring:
-            raise RingMismatchError("substitute: images not in requested target ring")
         img = [images[n] for n in self.ring.names]
         d = lcm(*(g.den for g in img))
         packing = self.ring.packing

@@ -164,7 +164,7 @@ DoubledMatrix = Tuple[
 ]
 
 # 2 * rho_j for j = 1..4: the doubled lattice basis L1, L1+L2, w5-L4, w5
-_DOUBLED_RHO = ((2, 0, 0, 0), (2, 2, 0, 0), (1, 1, 1, -1), (1, 1, 1, 1))
+_DOUBLED_RHO = tuple(rho(j).doubled_key() for j in range(1, 5))
 
 
 def _double(c: Scalar) -> int:
@@ -299,17 +299,7 @@ class WeylElement:
         return cols_ok, minus
 
 
-def reflect(v: Weight, root: Weight) -> Weight:
-    """Reflection of v across the hyperplane orthogonal to the root."""
-    if root.is_zero():
-        raise ValueError("cannot reflect in the zero vector")
-    factor = 2 * v.dot(root) / root.dot(root)
-    return v - root.scale(factor)
-
-
-def generate_group(
-    generators: Sequence[WeylElement], bound: int = GROUP_ENUMERATION_BOUND
-) -> FrozenSet[WeylElement]:
+def generate_group(generators: Sequence[WeylElement]) -> FrozenSet[WeylElement]:
     """Breadth-first closure of the generators under multiplication."""
     for g in generators:
         if not g.preserves_lattice():
@@ -323,18 +313,23 @@ def generate_group(
                 x = g * w
                 if x not in seen:
                     seen.add(x)
-                    if len(seen) > bound:
+                    if len(seen) > GROUP_ENUMERATION_BOUND:
                         raise ResourceLimitError(
-                            f"group enumeration exceeded bound {bound}"
+                            f"group enumeration exceeded bound {GROUP_ENUMERATION_BOUND}"
                         )
                     next_frontier.append(x)
         frontier = next_frontier
     return frozenset(seen)
 
 
+def spin8_reflections() -> Tuple[WeylElement, ...]:
+    """The reflections in the four simple roots, which generate W_Spin(8)."""
+    return tuple(WeylElement.reflection(r) for r in spin8_simple_roots())
+
+
 @lru_cache(maxsize=None)
 def spin8_weyl() -> FrozenSet[WeylElement]:
-    return generate_group([WeylElement.reflection(r) for r in spin8_simple_roots()])
+    return generate_group(spin8_reflections())
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +421,7 @@ def semidirect_report() -> SemidirectReport:
     f4 = f4_weyl()
     comp = sigma_tilde_group()
 
-    spin_gens = [WeylElement.reflection(r) for r in spin8_simple_roots()]
+    spin_gens = spin8_reflections()
     f4_gens = [WeylElement.reflection(r) for r in f4_simple_roots()]
     normal = all(g * h * g.inverse() in spin for g in f4_gens for h in spin_gens)
 
@@ -490,7 +485,7 @@ _S3_NAMES: Dict[Tuple[int, int, int], str] = {
     (3, 2, 1): "s1s2s1",
 }
 
-SIGMA3_NAMES: Tuple[str, ...] = ("1", "s1", "s2", "s1s2", "s2s1", "s1s2s1")
+SIGMA3_NAMES: Tuple[str, ...] = tuple(_S3_NAMES.values())
 
 
 _S3_BY_NAME: Dict[str, Sigma3Element] = {
@@ -519,30 +514,16 @@ ROOT_TRANSPOSITIONS: Dict[int, Tuple[int, int]] = {
 }
 
 
-def act_on_functional(
-    sigma: Sigma3Element, coeffs: Tuple[int, int, int]
-) -> Tuple[int, int, int]:
-    """(sigma . gamma)(x) = gamma(sigma^{-1} x) on coefficient vectors."""
-    inv = sigma.inverse()
-    return tuple(coeffs[inv(j) - 1] for j in (1, 2, 3))
-
-
-def act_on_gamma(sigma: Sigma3Element, k: int) -> Tuple[int, int]:
-    """Return (sign, j) with sigma . gamma_k = sign * gamma_j."""
-    image = act_on_functional(sigma, GAMMA_COEFFS[k])
-    for j, base in GAMMA_COEFFS.items():
-        if image == base:
-            return 1, j
-        if image == tuple(-c for c in base):
-            return -1, j
-    raise AssertionError(f"image {image} is not a signed gamma functional")
-
-
 @lru_cache(maxsize=None)
 def inversion_set(sigma: Sigma3Element) -> FrozenSet[int]:
-    """Indices k with sigma^{-1} gamma_k negative (kept per element)."""
+    """Indices k with sigma^{-1} gamma_k negative (kept per element).
+
+    With (i, j) = ROOT_TRANSPOSITIONS[k], i < j, sigma^{-1} sends
+    gamma_k = x_i - x_j to x_{sigma^{-1}(i)} - x_{sigma^{-1}(j)}, which is
+    negative exactly when sigma^{-1}(i) > sigma^{-1}(j).
+    """
     inv = sigma.inverse()
-    return frozenset(k for k in (1, 2, 3) if act_on_gamma(inv, k)[0] == -1)
+    return frozenset(k for k, (i, j) in ROOT_TRANSPOSITIONS.items() if inv(i) > inv(j))
 
 
 def cell_dimension_polynomial() -> Dict[int, int]:

@@ -30,9 +30,24 @@ from flagoct.gkm import (
     _invariant_monomials,
     _restriction_images,
 )
-from flagoct.ktheory import X_RING, Character, edge_divisor_poly, expand_x_polynomial
+from flagoct.ktheory import (
+    X_RING,
+    Character,
+    edge_binomials,
+    edge_divisor_poly,
+    expand_x_polynomial,
+    x_action_permutations,
+    x_character,
+)
 from flagoct.poly import RingMismatchError, exact_divide, pairwise_coprime
-from flagoct.weyl import ROOT_TRANSPOSITIONS, SIGMA3_NAMES, sigma3_by_name, transposition
+from flagoct.weyl import (
+    ROOT_TRANSPOSITIONS,
+    SIGMA3_NAMES,
+    coset_partition_of_f4_positives,
+    sigma3_by_name,
+    sigma3_identification,
+    transposition,
+)
 
 
 class TestGraphShape:
@@ -484,3 +499,75 @@ class TestFreeness:
             for m in (1, 2, 3):
                 diff = restriction(su, m) - restriction(sv, m)
                 assert exact_divide(diff, abstract_label(e.k)) is not None
+
+
+class TestThreeIdentificationsOfTheQuotient:
+    """W(F4)/W(Spin 8) is identified with the symmetric group in three ways
+    that do not agree; these tests pin each as it stands.  Edge class k is
+    the transposition ROOT_TRANSPOSITIONS[k]: s1 for k = 1, s2 for 2 and
+    s1s2s1 for 3.  The fixed dictionary and the computed action on X1..X3
+    agree only on omega4 -> s2, and the HT edge labels follow a third map,
+    so a vertex name does not denote the same fixed point in Hb and HT as in
+    RT and RX.
+    """
+
+    CLASSES = ("omega4", "omega5_minus_omega4", "omega5")
+
+    @staticmethod
+    def up_to_sign(polys):
+        return {frozenset((p, -p)) for p in polys}
+
+    def test_fixed_dictionary(self):
+        names = {k: s.name for k, s in sigma3_identification().items()}
+        assert names == {"omega4": "s2", "omega5_minus_omega4": "s1", "omega5": "s1s2s1"}
+
+    def test_computed_action_on_the_basic_characters(self):
+        names = {k: s.name for k, s in x_action_permutations().items()}
+        assert names == {"omega4": "s2", "omega5_minus_omega4": "s1s2s1", "omega5": "s1"}
+
+    def test_ht_label_forms_follow_a_third_map(self):
+        part = coset_partition_of_f4_positives()
+        forms = {
+            c: self.up_to_sign(gkm._linear(w.rho_coordinates()) for w in part[c])
+            for c in self.CLASSES
+        }
+        matched = {
+            k: [c for c in self.CLASSES if forms[c] == self.up_to_sign(label_hyperplanes(k))]
+            for k in (1, 2, 3)
+        }
+        assert matched == {1: ["omega4"], 2: ["omega5"], 3: ["omega5_minus_omega4"]}
+
+    def test_edge_binomials_follow_the_computed_map(self):
+        part = coset_partition_of_f4_positives()
+
+        def keys(weights):
+            return {frozenset((w.doubled_key(), (-w).doubled_key())) for w in weights}
+
+        matched = {}
+        for k in (1, 2, 3):
+            # each binomial e^w - 1 has the one nonzero weight w
+            weights = [w for b in edge_binomials(k) for w, _ in b.weights() if not w.is_zero()]
+            matched[k] = [c for c in self.CLASSES if keys(part[c]) == keys(weights)]
+        assert matched == {1: ["omega5"], 2: ["omega4"], 3: ["omega5_minus_omega4"]}
+
+    def chern_character_4(self, i):
+        """The sum of lambda^4 over the weights of X_i, as a form of RHO_RING."""
+        return sum(
+            (gkm._linear(w.rho_coordinates()) ** 4 * m for w, m in x_character(i).weights()),
+            RHO_RING.zero(),
+        )
+
+    def test_degree_four_term_of_the_tautological_tuple(self):
+        # sigma -> X_sigma(1) is an RX member; its degree-4 Chern character
+        # term is an HT tuple that fails on a class-1 edge, and passes once
+        # each entry is read at s1s2s1 . sigma
+        taut = {n: self.chern_character_4(sigma3_by_name(n)(1)) for n in SIGMA3_NAMES}
+        result = check_membership(taut)
+        assert not result.ok
+        assert (result.failing_edge.u, result.failing_edge.v) == ("s2", "s1s2")
+        assert result.failing_edge.k == 1
+        w0 = sigma3_by_name("s1s2s1")
+        moved = {
+            n: self.chern_character_4(w0.compose(sigma3_by_name(n))(1)) for n in SIGMA3_NAMES
+        }
+        assert check_membership(moved).ok

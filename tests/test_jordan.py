@@ -133,6 +133,12 @@ class TestBasicStructure:
         with pytest.raises(ValueError):
             decompose(JordanMatrix.identity())
 
+    def test_slot_cells_are_the_former_literals(self):
+        # derived from ROOT_TRANSPOSITIONS; the literals are the former tables
+        assert jordan._OFF_DIAGONAL == ((1, 2), (0, 1), (0, 2))
+        grid = [tuple(range(8 * c, 8 * c + 8)) for c in range(9)]
+        assert jordan._slot_blocks(grid) == grid[5] + grid[1] + grid[2]
+
 
 class TestJordanProduct:
     def test_commutative(self):

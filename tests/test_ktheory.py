@@ -1,5 +1,6 @@
 """Representation-ring characters, factorization identities, divisibility."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,6 +119,30 @@ class TestFundamentalCharacters:
             assert mult == 1
             minus = sum(1 for c in w.coords if c < 0)
             assert minus % 2 == 1
+
+    def test_keys_match_the_former_sign_masks(self):
+        # x_character reads its weights from the root systems of weyl; these
+        # are the hand-built doubled keys it replaced
+        signs = [tuple(-1 if mask & (1 << k) else 1 for k in range(4)) for mask in range(16)]
+
+        def unit(k, value):
+            key = [0, 0, 0, 0]
+            key[k] = value
+            return tuple(key)
+
+        expected = {
+            1: [k for k in signs if k.count(-1) % 2 == 0],
+            2: [k for k in signs if k.count(-1) % 2 == 1],
+            3: [unit(k, s) for s in (2, -2) for k in range(4)],
+            4: [
+                tuple(x + y for x, y in zip(unit(a, sa), unit(b, sb)))
+                for a, b in itertools.combinations(range(4), 2)
+                for sa in (2, -2)
+                for sb in (2, -2)
+            ],
+        }
+        for i, keys in expected.items():
+            assert x_character(i).terms == dict.fromkeys(keys, 1)
 
     def test_x4_display_has_24_terms_and_no_zero_weight(self):
         x4 = x_character(4)

@@ -8,6 +8,10 @@ products, so a kernel change that moves any id, status or detail shows here.
 ``fixtures/verify_gkm_cutoff16_seed0.json`` pins the report of
 ``flagoct verify gkm --degree-cutoff 16 --seed 0 --format json`` in the same
 way; it was written before the packed sparse core.
+``fixtures/verify_gkm_cutoff24_seed0.json`` pins
+``flagoct verify gkm --degree-cutoff 24 --seed 0 --format json`` the same way;
+it was written by the code that raised the cutoff cap to 24, before the
+restated Weyl, character and Jordan tables were derived from one source.
 """
 
 import functools
@@ -124,6 +128,11 @@ class TestRunSuite:
         report = json.loads(run_suite("gkm", seed=0, degree_cutoff=16).to_json())
         report.pop("runtime_ms")
         assert report == pinned("verify_gkm_cutoff16_seed0.json")
+
+    def test_gkm_cutoff_24_report_matches_pinned_fixture(self):
+        report = json.loads(run_suite("gkm", seed=0, degree_cutoff=24).to_json())
+        report.pop("runtime_ms")
+        assert report == pinned("verify_gkm_cutoff24_seed0.json")
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError):

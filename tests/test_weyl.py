@@ -7,12 +7,13 @@ import pytest
 
 from flagoct.weyl import (
     F4_REGULAR,
+    GAMMA_COEFFS,
     SIGMA3_NAMES,
     L,
     Sigma3Element,
     Weight,
     WeylElement,
-    act_on_gamma,
+    _DOUBLED_RHO,
     cell_dimension_polynomial,
     coset_partition_of_f4_positives,
     f4_positive_roots,
@@ -23,16 +24,36 @@ from flagoct.weyl import (
     inversion_set,
     is_spin8_element,
     omega,
-    reflect,
     semidirect_report,
     sigma3_by_name,
     sigma3_identification,
     sigma_tilde_generators,
     sigma_tilde_group,
+    spin8_reflections,
     spin8_roots,
+    spin8_simple_roots,
     spin8_weyl,
     transposition,
 )
+
+
+def ref_act_on_functional(sigma, coeffs):
+    """(sigma . gamma)(x) = gamma(sigma^{-1} x) on coefficient vectors."""
+    inv = sigma.inverse()
+    return tuple(coeffs[inv(j) - 1] for j in (1, 2, 3))
+
+
+def ref_act_on_gamma(sigma, k):
+    """(sign, j) with sigma . gamma_k = sign * gamma_j, found by acting on the
+    coefficient vector of gamma_k and matching it against the signed gammas:
+    the package's former inversion-set computation, kept as the reference."""
+    image = ref_act_on_functional(sigma, GAMMA_COEFFS[k])
+    for j, base in GAMMA_COEFFS.items():
+        if image == base:
+            return 1, j
+        if image == tuple(-c for c in base):
+            return -1, j
+    raise AssertionError(f"image {image} is not a signed gamma functional")
 
 
 class TestWeights:
@@ -57,8 +78,13 @@ class TestWeights:
 
     def test_reflection_formula(self):
         # reflecting L2 in L1 - L2 swaps the first two coordinates
-        assert reflect(L(2), L(1) - L(2)) == L(1)
-        assert reflect(L(1) + L(2), L(1) - L(2)) == L(1) + L(2)
+        s = WeylElement.reflection(L(1) - L(2))
+        assert s.apply(L(2)) == L(1)
+        assert s.apply(L(1) + L(2)) == L(1) + L(2)
+
+    def test_doubled_rho_is_the_doubled_lattice_basis(self):
+        # derived from rho(j).doubled_key(); the literal is the former table
+        assert _DOUBLED_RHO == ((2, 0, 0, 0), (2, 2, 0, 0), (1, 1, 1, -1), (1, 1, 1, 1))
 
 
 class TestRootSystems:
@@ -116,6 +142,11 @@ class TestWeylGroups:
             assert not s.is_identity()
             assert (s * s).is_identity()
 
+    def test_spin8_reflections_negate_their_simple_roots(self):
+        for root, s in zip(spin8_simple_roots(), spin8_reflections(), strict=True):
+            assert s.apply(root) == -root
+            assert is_spin8_element(s)
+
     def test_action_is_orthogonal(self):
         s = WeylElement.reflection(omega(5))
         u, v = L(1) + L(3), L(2) - L(4)
@@ -170,6 +201,7 @@ class TestSemidirectStructure:
 
 class TestSigma3:
     def test_names_and_composition(self):
+        # derived from the permutation-to-name table; the literal is the former tuple
         assert SIGMA3_NAMES == ("1", "s1", "s2", "s1s2", "s2s1", "s1s2s1")
         s1, s2 = sigma3_by_name("s1"), sigma3_by_name("s2")
         assert s1.compose(s1).is_identity()
@@ -234,11 +266,11 @@ class TestInversionCombinatorics:
             inv = inversion_set(sigma.inverse())
             targets = set()
             for k in (1, 2, 3):
-                sign, j = act_on_gamma(sigma, k)
+                sign, j = ref_act_on_gamma(sigma, k)
                 targets.add(j)
                 assert sign in (1, -1)
                 assert (sign == -1) == (k in inv)
-                assert act_on_gamma(sigma.inverse(), j) == (sign, k)
+                assert ref_act_on_gamma(sigma.inverse(), j) == (sign, k)
             assert targets == {1, 2, 3}
 
 
