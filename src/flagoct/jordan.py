@@ -24,7 +24,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import neg
+from operator import mul, neg
 from typing import List, Optional, Sequence, Tuple
 
 from .octonion import Octonion, _unit_table, mul_into
@@ -351,14 +351,20 @@ def canonical_basis() -> Tuple[JordanMatrix, ...]:
     return tuple(basis)
 
 
+def _is_diagonal(nums: Tuple[int, ...]) -> bool:
+    """True when the 702 off-diagonal entries of a flat 27x27 matrix are 0."""
+    return nums.count(0) - nums[::28].count(0) == 702
+
+
 class LinearOperator27(Scaled):
     """A linear endomorphism of the 27-dimensional space.
 
     Held in the shared store as one 27x27 integer matrix, flat and
     row-major (entry (i, j) is ``nums[27*i + j]``), over one denominator.
     Sums, products, scaling and commutators run on the integers and reduce
-    once.  The constructor and :attr:`rows` convert from and to rational
-    entries.
+    once; a product with a diagonal factor only scales the rows or the
+    columns of the other.  The constructor and :attr:`rows` convert from and
+    to rational entries.
     """
 
     __slots__ = ()
@@ -379,8 +385,17 @@ class LinearOperator27(Scaled):
         return tuple(c[k : k + 27] for k in range(0, 729, 27))
 
     def __mul__(self, other: "LinearOperator27") -> "LinearOperator27":
-        # integer matrix product through the nonzero (j, v) entries of each
-        # row of other, listed once, then one reduction
+        # a diagonal factor scales the rows (on the left) or the columns (on
+        # the right) of the other; every hat(x) of a diagonal x is one
+        den = self.den * other.den
+        if _is_diagonal(self.nums):
+            scales = [d for d in self.nums[::28] for _ in range(27)]
+            return LinearOperator27._of(list(map(mul, other.nums, scales)), den)
+        if _is_diagonal(other.nums):
+            scales = other.nums[::28] * 27
+            return LinearOperator27._of(list(map(mul, self.nums, scales)), den)
+        # otherwise an integer matrix product through the nonzero (j, v)
+        # entries of each row of other, listed once, then one reduction
         b = [[(j, v) for j, v in enumerate(row) if v] for row in other._chunks(27)]
         out: List[int] = []
         for arow in self._chunks(27):
@@ -390,7 +405,7 @@ class LinearOperator27(Scaled):
                     for j, bv in b[k]:
                         orow[j] += av * bv
             out.extend(orow)
-        return LinearOperator27._of(out, self.den * other.den)
+        return LinearOperator27._of(out, den)
 
     def commutator(self, other: "LinearOperator27") -> "LinearOperator27":
         return self * other - other * self

@@ -175,13 +175,6 @@ def _double(c: Scalar) -> int:
     return two.numerator
 
 
-def _halve(n: int) -> int:
-    """n / 2, which must be an integer."""
-    if n % 2:
-        raise ValueError(f"{n}/2 leaves the integers: entry not in 1/2 Z")
-    return n // 2
-
-
 class WeylElement:
     """A 4x4 matrix M with entries in (1/2)Z acting on weight space.
 
@@ -252,16 +245,25 @@ class WeylElement:
         )
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        cols = tuple(zip(*other.doubled))
-        return WeylElement._of_doubled(
-            tuple(
-                tuple(
-                    _halve(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3)
-                    for b0, b1, b2, b3 in cols
-                )
-                for a0, a1, a2, a3 in self.doubled
-            )
-        )
+        # the sixteen integer sums of (2A)(2B) = 2(2AB), one parity test on
+        # their OR, then >> 1, which halves even ints exactly, negative too
+        row0, row1, row2, row3 = other.doubled
+        b00, b01, b02, b03 = row0
+        b10, b11, b12, b13 = row1
+        b20, b21, b22, b23 = row2
+        b30, b31, b32, b33 = row3
+        word = 0
+        rows = []
+        for a0, a1, a2, a3 in self.doubled:
+            s0 = a0 * b00 + a1 * b10 + a2 * b20 + a3 * b30
+            s1 = a0 * b01 + a1 * b11 + a2 * b21 + a3 * b31
+            s2 = a0 * b02 + a1 * b12 + a2 * b22 + a3 * b32
+            s3 = a0 * b03 + a1 * b13 + a2 * b23 + a3 * b33
+            word |= s0 | s1 | s2 | s3
+            rows.append((s0 >> 1, s1 >> 1, s2 >> 1, s3 >> 1))
+        if word & 1:
+            raise ValueError("an odd sum halves out of the integers: product entry not in 1/2 Z")
+        return WeylElement._of_doubled(tuple(rows))
 
     def inverse(self) -> "WeylElement":
         # all group elements here are orthogonal, so the transpose inverts

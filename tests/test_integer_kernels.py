@@ -21,6 +21,7 @@ from flagoct.jordan import (
     JordanMatrix,
     LinearOperator27,
     OctMatrix3,
+    _is_diagonal,
     canonical_basis,
     format_jordan,
     hat_operator,
@@ -127,10 +128,27 @@ class TestWeylElement:
 
     def test_product_of_two_elements_matches_reference(self):
         rng = random.Random(42)
-        elements = sorted(f4_weyl(), key=lambda w: w.doubled)
-        for _ in range(100):
-            a, b = rng.choice(elements), rng.choice(elements)
-            assert as_fractions(a * b) == ref_mul(as_fractions(a), as_fractions(b))
+        for group in (f4_weyl(), spin8_weyl(), sigma_tilde_group()):
+            elements = sorted(group, key=lambda w: w.doubled)
+            for _ in range(100):
+                a, b = rng.choice(elements), rng.choice(elements)
+                assert as_fractions(a * b) == ref_mul(as_fractions(a), as_fractions(b))
+
+    def test_product_halves_negative_even_sums_exactly(self):
+        # every doubled entry odd, so each of the sixteen sums of four odd
+        # products is even; many of them are negative
+        rng = random.Random(43)
+
+        def odd_halves():
+            return [[Fraction(rng.choice((-5, -3, -1, 1, 3)), 2) for _ in range(4)] for _ in range(4)]
+
+        negative = 0
+        for _ in range(20):
+            a, b = odd_halves(), odd_halves()
+            ref = ref_mul(a, b)
+            assert as_fractions(WeylElement(a) * WeylElement(b)) == ref
+            negative += sum(c < 0 for row in ref for c in row)
+        assert negative > 100
 
     def test_closures_equal_reference_closures(self):
         cases = [
@@ -159,8 +177,20 @@ class TestWeylElement:
     def test_product_with_inexact_halving_raises(self):
         # entries in (1/2)Z, but not orthogonal: the square has a 1/4 entry
         half = [[Fraction(1, 2) if (i, j) == (0, 0) else int(i == j) for j in range(4)] for i in range(4)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1/2 Z"):
             WeylElement(half) * WeylElement(half)
+
+    def test_product_with_a_negative_odd_sum_raises(self):
+        # the (0, 0) sum of the doubled product is (-1)(1) = -1; the other
+        # fifteen are even
+        def diagonal(corner):
+            return [[corner if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+
+        a, b = WeylElement(diagonal(Fraction(-1, 2))), WeylElement(diagonal(Fraction(1, 2)))
+        with pytest.raises(ValueError, match="1/2 Z"):
+            a * b
+        with pytest.raises(ValueError, match="1/2 Z"):
+            b * a
 
     def test_lattice_and_signed_permutation_predicates(self):
         for w in spin8_weyl():
@@ -545,8 +575,34 @@ def mixed_denominator_rows(rng):
     ]
 
 
+def zero_rows(rng):
+    return [[Fraction(0)] * 27 for _ in range(27)]
+
+
+def identity_rows(rng):
+    return [[Fraction(int(i == j)) for j in range(27)] for i in range(27)]
+
+
+def diagonal_with_zeros_rows(rng):
+    rows = diagonal_rows(rng)
+    for i in rng.sample(range(27), 9):
+        rows[i][i] = Fraction(0)
+    return rows
+
+
+def diagonal_plus_one_rows(rng):
+    rows = diagonal_rows(rng)
+    i, j = rng.sample(range(27), 2)
+    rows[i][j] = Fraction(rng.choice((1, -1)), rng.randint(1, 3))
+    return rows
+
+
 OPERATOR_SHAPES = {
     "diagonal": diagonal_rows,
+    "diagonal-with-zeros": diagonal_with_zeros_rows,
+    "diagonal-plus-one": diagonal_plus_one_rows,
+    "identity": identity_rows,
+    "zero": zero_rows,
     "unit": unit_rows,
     "zero-rows": zero_row_rows,
     "mixed-denominators": mixed_denominator_rows,
@@ -572,6 +628,22 @@ class TestSparseProducts:
         assert as_rows(a * b) == ab
         assert as_rows(b * a) == ba
         assert as_rows(a.commutator(b)) == [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
+
+    @pytest.mark.parametrize(
+        "shape, diagonal",
+        [("zero", True), ("identity", True), ("diagonal", True), ("diagonal-with-zeros", True),
+         ("diagonal-plus-one", False), ("mixed-denominators", False)],
+    )
+    def test_a_diagonal_factor_is_detected(self, shape, diagonal):
+        # the product scales rows or columns exactly when a factor passes
+        # this test; one off-diagonal entry must send it the general way
+        op = LinearOperator27(OPERATOR_SHAPES[shape](random.Random(shape)))
+        assert _is_diagonal(op.nums) is diagonal
+
+    def test_hat_of_a_diagonal_matrix_is_a_diagonal_factor(self):
+        for x in (JordanMatrix.diagonal(1, -1, 0), JordanMatrix.diagonal(Fraction(2, 3), -2, Fraction(4, 3))):
+            assert _is_diagonal(hat_operator(x).nums)
+        assert not _is_diagonal(hat_operator(JordanMatrix.slot_unit("p", 3)).nums)
 
     def test_hat_operators_of_the_suite_match_dense_reference(self):
         # hat(x) for diagonal x is diagonal; hat(e_i) has a few entries per row

@@ -54,3 +54,26 @@ def test_every_target_is_a_plain_function(tracer):
             f"{name} ({module_name}.{path}) is no longer a plain function with a "
             "__code__: memoize inside the body, never wrap a target"
         )
+
+
+@pytest.mark.parametrize(
+    "suite, module_name, cls_name",
+    [("jordan", "flagoct.jordan", "LinearOperator27"), ("roots", "flagoct.weyl", "WeylElement")],
+)
+def test_suites_multiply_through_the_traced_products(monkeypatch, suite, module_name, cls_name):
+    # jordan.op27_mul_calls and weyl.element_mul_calls must stay above 0 on
+    # verify all: a fast path that bypassed __mul__ would leave its timing
+    # untraced
+    from flagoct.suites import run_suite
+
+    cls = getattr(importlib.import_module(module_name), cls_name)
+    original = cls.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    assert run_suite(suite, seed=0).passed
+    assert calls
