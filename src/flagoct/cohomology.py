@@ -17,10 +17,9 @@ Numbered degree conventions: x's and b's sit in degree 8, lam's in degree 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, buchberger, graded_quotient_dimensions
 from .poly import PolyRing, Polynomial, Scalar, elementary_symmetric, exact_divide
@@ -71,8 +70,7 @@ def beta_to_e(f: Polynomial) -> Polynomial:
     )
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(NamedTuple):
     """Outcome of the ordinary-cohomology presentation checks.
 
     ``stated_duality_pairing`` records the same-index pairing
@@ -232,8 +230,7 @@ class BggContext:
         }
 
 
-@dataclass(frozen=True)
-class FracIdentityReport:
+class FracIdentityReport(NamedTuple):
     """Pairing of degree-2 classes against degree-4 classes modulo the ideal.
 
     ``stated_form_in_ideal`` is the same-index pairing
@@ -421,8 +418,7 @@ def restriction(sigma: Sigma3Element, k: int) -> Polynomial:
     return RestrictionTable().restriction(sigma, k)
 
 
-@dataclass(frozen=True)
-class EquivariantRelationsReport:
+class EquivariantRelationsReport(NamedTuple):
     symmetric_relations_ok: bool
     failures: Tuple[Tuple[str, int], ...]
     sum_consistency_ok: bool

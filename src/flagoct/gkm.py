@@ -27,9 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import B_RING, RestrictionTable, echelon_basis, integral_row, matrix_rank
 from .ktheory import X_RING, Character, divides_char, edge_divisor_char, edge_divisor_poly
@@ -73,8 +72,7 @@ def abstract_label(k: int) -> Polynomial:
     raise ValueError("edge class must be 1..3")
 
 
-@dataclass(frozen=True)
-class GkmEdge:
+class GkmEdge(NamedTuple):
     u: str
     v: str
     k: int  # edge class = root index of the transposition
@@ -98,8 +96,7 @@ def gkm_edges() -> Tuple[GkmEdge, ...]:
     return tuple(edges)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     ok: bool
     failing_edge: Optional[GkmEdge]
     reason: str = ""
@@ -198,8 +195,7 @@ def displayed_euler_products() -> Dict[str, FormProduct]:
     }
 
 
-@dataclass(frozen=True)
-class EulerRealization:
+class EulerRealization(NamedTuple):
     """The three displayed Euler-class products plus computed findings.
 
     ``canonical_signs`` normalizes each product so its leading coefficient

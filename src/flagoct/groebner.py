@@ -11,9 +11,8 @@ standard monomials, using each ring variable's grading degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import (
     Exponents,
@@ -63,8 +62,7 @@ def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return mf * f - mg * g
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """A reduced, monic Groebner basis together with its ring."""
 
     ring: PolyRing

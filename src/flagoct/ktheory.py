@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, ResourceLimitError, divisor, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
@@ -326,8 +325,7 @@ def factorization_rhs() -> Dict[str, Character]:
     }
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     x1_minus_x2_ok: bool
     x1_minus_x3_ok: bool
     x3_minus_x2_ok: bool
@@ -573,8 +571,7 @@ def random_x_polynomial(rng: random.Random) -> Polynomial:
     return p
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     trials: int
     forward_agreements: int
     negative_agreements: int

@@ -285,8 +285,8 @@ def _power_pairs(size: int, k: int) -> int:
     """The term pairs that square-and-multiply (``pow_terms``) makes for a
     ``size``-term base to the power k, from the projected term counts
     C(size+j-1, j) of the powers f^j it multiplies."""
-    if size == 1:  # one pair per squaring and per multiplication
-        return k.bit_length() - 1 + k.bit_count()
+    if size == 1:  # one pair per squaring and per multiplication, none at k = 0
+        return k.bit_length() - 1 + k.bit_count() if k else 0
     pairs, done, step = 0, 0, 1  # f^done is the product so far
     while k:
         t = comb(size + step - 1, min(step, size - 1))

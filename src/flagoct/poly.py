@@ -21,11 +21,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -151,23 +150,37 @@ class Packing:
             raise ResourceLimitError(f"a result exponent does not fit {FIELD_BITS}-bit fields")
 
 
-@dataclass(frozen=True)
 class PolyRing:
     """An ordered tuple of named variables, each with a grading degree."""
 
-    names: Tuple[str, ...]
-    degrees: Tuple[int, ...]
+    __slots__ = ("names", "degrees", "packing")
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.degrees):
+    def __init__(self, names: Tuple[str, ...], degrees: Tuple[int, ...]) -> None:
+        if len(names) != len(degrees):
             raise ValueError("names and degrees must have equal length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ValueError("grading degrees must be positive")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "degrees", degrees)
         # derived from the variable count, so not a field: equality and
         # hashing stay those of (names, degrees)
-        object.__setattr__(self, "packing", Packing(len(self.names)))
+        object.__setattr__(self, "packing", Packing(len(names)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.degrees == other.degrees
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.degrees))
 
     @staticmethod
     def make(names: Sequence[str], degrees: Optional[Sequence[int]] = None) -> "PolyRing":
@@ -433,19 +446,22 @@ class Polynomial:
 # -- products of linear forms ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormProduct:
-    """A scalar times a product of linear forms (kept in factored shape);
-    each form is a degree-one :class:`Polynomial`."""
-
+class _FormProductFields(NamedTuple):
     scalar: Fraction
     forms: Tuple[Polynomial, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
-        rings = {f.ring for f in self.forms}
-        if len(rings) > 1:
+
+class FormProduct(_FormProductFields):
+    """A scalar times a product of linear forms (kept in factored shape);
+    each form is a degree-one :class:`Polynomial`."""
+
+    __slots__ = ()
+
+    def __new__(cls, scalar: Scalar, forms: Tuple[Polynomial, ...]) -> "FormProduct":
+        scalar = Fraction(scalar)
+        if len({f.ring for f in forms}) > 1:
             raise RingMismatchError("factors live in different rings")
+        return super().__new__(cls, scalar, forms)
 
     @property
     def ring(self) -> PolyRing:

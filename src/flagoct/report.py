@@ -9,32 +9,49 @@ naming the mathematical fact being verified.  Reports render identically
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 STATUSES = ("pass", "fail", "skipped")
 
 
-@dataclass(frozen=True)
-class Check:
+class _CheckFields(NamedTuple):
     id: str
     description: str
     status: str
     details: str = ""
     anchor: str = ""
 
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
+
+class Check(_CheckFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, description: str, status: str, details: str = "", anchor: str = ""
+    ) -> "Check":
+        if status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}")
+        return super().__new__(cls, id, description, status, details, anchor)
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    seed: int
-    degree_cutoff: int
-    checks: List[Check] = field(default_factory=list)
-    runtime_ms: Optional[int] = None
+    def __init__(
+        self,
+        suite: str,
+        seed: int,
+        degree_cutoff: int,
+        checks: Optional[List[Check]] = None,
+        runtime_ms: Optional[int] = None,
+    ) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.degree_cutoff = degree_cutoff
+        self.checks: List[Check] = [] if checks is None else checks
+        self.runtime_ms = runtime_ms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add(self, check: Check) -> None:
         if any(c.id == check.id for c in self.checks):

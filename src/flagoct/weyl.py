@@ -18,10 +18,9 @@ separate, with its own inversion-set bookkeeping.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .poly import ResourceLimitError
 from .scaled import Scaled, Scalar
@@ -390,8 +389,7 @@ def coset_partition_of_f4_positives() -> Dict[str, FrozenSet[Weight]]:
     return {k: frozenset(v) for k, v in classes.items()}
 
 
-@dataclass(frozen=True)
-class SemidirectReport:
+class SemidirectReport(NamedTuple):
     spin8_order: int
     f4_order: int
     complement_order: int
@@ -447,15 +445,19 @@ def semidirect_report() -> SemidirectReport:
 # -- the symmetric group on three letters and its A2 bookkeeping -----------------
 
 
-@dataclass(frozen=True)
-class Sigma3Element:
-    """A permutation of {1,2,3}; perm[i-1] is the image of i."""
-
+class _Sigma3Fields(NamedTuple):
     perm: Tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != [1, 2, 3]:
-            raise ValueError(f"not a permutation of 1..3: {self.perm}")
+
+class Sigma3Element(_Sigma3Fields):
+    """A permutation of {1,2,3}; perm[i-1] is the image of i."""
+
+    __slots__ = ()
+
+    def __new__(cls, perm: Tuple[int, int, int]) -> "Sigma3Element":
+        if sorted(perm) != [1, 2, 3]:
+            raise ValueError(f"not a permutation of 1..3: {perm}")
+        return super().__new__(cls, perm)
 
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]

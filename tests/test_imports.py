@@ -1,6 +1,9 @@
 """Lint: every name a flagoct module imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,3 +178,13 @@ def test_the_check_sees_an_import_cycle():
     del sources["b.py"]
     sources["a.py"] = "from .d import h\n"
     assert import_cycle(package_imports(sources)) is None
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, dis, ast and tokenize and runs exec for
+    # each generated method: tens of milliseconds of every cold start.  A
+    # fresh interpreter also sees a module that imports them indirectly
+    probe = "import sys, flagoct.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -13,7 +13,8 @@ integers.
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -490,7 +491,12 @@ def random_rows(rng, density=0.3):
 
 
 def ref_matmul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(27)) for j in range(27)] for i in range(27)]
+    """Every one of the 27^3 entry products, taken on integer numerators over
+    each factor's common denominator; one Fraction per entry at the end."""
+    da, db = (lcm(*(x.denominator for row in m for x in row)) for m in (a, b))
+    na = [[int(x * da) for x in row] for row in a]
+    cols = list(zip(*([int(x * db) for x in row] for row in b)))
+    return [[Fraction(sum(map(mul, row, col)), da * db) for col in cols] for row in na]
 
 
 def as_rows(op):

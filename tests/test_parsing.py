@@ -1069,6 +1069,9 @@ class TestWorkBudget:
         # a power: the pairs square-and-multiply makes (2*2 to square, then
         # 1*3 for the unit times the square), times its projected digits
         assert spent_on("(b1+b2)^2", ctx) == 2 + 7 * 1
+        # the zeroth power of one term makes no product
+        assert spent_on("b1^0", ctx) == 0
+        assert spent_on("y1^0", CharacterContext()) == 0
         # each operator adds its own work to that of both of its operands
         # ((b1+b2)^2 has 3 terms, coefficients of 2 bits)
         assert spent_on("b1 + (b1+b2)^2", ctx) == 9 + (1 + 3) * 1
@@ -1092,7 +1095,7 @@ class TestWorkBudget:
         assert p[pos] == "*"
         assert spent_on(p[:pos], ctx) <= MAX_WORK
 
-    @pytest.mark.parametrize("size, k", [(1, 1000), (2, 300), (3, 40), (4, 12), (5, 7)])
+    @pytest.mark.parametrize("size, k", [(1, 1000), (2, 300), (3, 40), (4, 12), (5, 7), (1, 0), (3, 0)])
     def test_power_pairs_count_what_pow_terms_multiplies(self, monkeypatch, size, k):
         # x0 + ... + x(size-1) to the j-th power has every one of its
         # C(size+j-1, j) possible terms, so the projection is exact.  The
