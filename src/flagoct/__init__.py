@@ -27,30 +27,26 @@ the theory demands it):
   ``cli``).
 """
 
-from .octonion import Octonion
-from .jordan import JordanMatrix
-from .poly import PolyRing, Polynomial
-from .groebner import GroebnerBasis, buchberger
-from .weyl import Weight, WeylElement, Sigma3Element
-from .ktheory import Character
-from .report import Check, VerificationReport
-from .suites import run_suite
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Octonion",
-    "JordanMatrix",
-    "PolyRing",
-    "Polynomial",
-    "GroebnerBasis",
-    "buchberger",
-    "Weight",
-    "WeylElement",
-    "Sigma3Element",
-    "Character",
-    "Check",
-    "VerificationReport",
-    "run_suite",
-    "__version__",
-]
+__all__ = ["__version__"]
+
+
+def _register_lazily(name: str) -> None:
+    """Put submodule ``name`` in sys.modules and on the package; it is compiled
+    and run when one of its attributes is first read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = globals()[name] = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+
+# so a command compiles only the modules it runs; cli is left out, since
+# ``python -m flagoct.cli`` warns if it is already imported
+for _name in ("cohomology", "gkm", "groebner", "jordan", "ktheory", "octonion",
+              "parsing", "poly", "report", "scaled", "suites", "weyl"):
+    _register_lazily(_name)
+del _name

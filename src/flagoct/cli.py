@@ -25,15 +25,13 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
+# every command builds the parser, which reads gkm and suites; parsing is
+# read as an attribute inside the commands that use it, so that only they
+# compile it (the package registers its modules lazily)
+from . import parsing
 from .cohomology import B_RING
 from .gkm import MAX_DEGREE_CUTOFF, RHO_RING, check_membership, membership_ring
 from .ktheory import X_RING, Character
-from .parsing import (
-    CharacterContext,
-    ParseError,
-    PolynomialContext,
-    parse_and_evaluate,
-)
 from .poly import Polynomial, ResourceLimitError
 from .suites import SUITE_NAMES, run_suite
 from .weyl import SIGMA3_NAMES
@@ -54,13 +52,13 @@ def _context_for(ring_name: str):
     """The evaluation context of a ring, built once per process."""
     if ring_name == "Hb":
         b1, b2 = B_RING.gens()
-        return PolynomialContext(B_RING, aliases={"b3": b1 + b2})
+        return parsing.PolynomialContext(B_RING, aliases={"b3": b1 + b2})
     if ring_name == "HT":
-        return PolynomialContext(RHO_RING)
+        return parsing.PolynomialContext(RHO_RING)
     if ring_name == "RX":
-        return PolynomialContext(X_RING)
+        return parsing.PolynomialContext(X_RING)
     if ring_name == "RT":
-        return CharacterContext()
+        return parsing.CharacterContext()
     raise UsageError(f"no evaluation context for ring {ring_name!r}")
 
 
@@ -145,8 +143,8 @@ def _evaluate_entries(entries: Dict[str, str], ring: str) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for name, text in entries.items():
         try:
-            out[name] = parse_and_evaluate(text, ctx)
-        except ParseError as exc:
+            out[name] = parsing.parse_and_evaluate(text, ctx)
+        except parsing.ParseError as exc:
             raise UsageError(f"entry {name!r}: {exc}")
     return out
 
@@ -177,8 +175,8 @@ def _cmd_gkm_check(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     ctx = _context_for(args.ring)
     try:
-        value = parse_and_evaluate(args.expr, ctx)
-    except ParseError as exc:
+        value = parsing.parse_and_evaluate(args.expr, ctx)
+    except parsing.ParseError as exc:
         raise UsageError(str(exc))
     # RX elements are integer polynomials, as gkm-check requires of entries
     if args.ring == "RX" and not value.is_integral():

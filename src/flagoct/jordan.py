@@ -36,7 +36,6 @@ SLOTS = ("r", "p", "q")  # slot k carries the k-th root space, k = 1, 2, 3
 # gamma_k = x_i - x_j sits at (i, j) = ROOT_TRANSPOSITIONS[k], 1-based
 _OFF_DIAGONAL = tuple((i - 1, j - 1) for i, j in ROOT_TRANSPOSITIONS.values())
 
-_HALF = Fraction(1, 2)
 _ZERO7 = (0,) * 7
 
 
@@ -261,7 +260,8 @@ class JordanMatrix(Scaled):
     def jordan(self, other: "JordanMatrix") -> "JordanMatrix":
         """The Jordan product (ab + ba) / 2."""
         a, b = self.to_matrix(), other.to_matrix()
-        return JordanMatrix.from_matrix(a * b + b * a).scale(_HALF)
+        doubled = JordanMatrix.from_matrix(a * b + b * a)
+        return doubled._of(doubled.nums, 2 * doubled.den)
 
     def square(self) -> "JordanMatrix":
         a = self.to_matrix()

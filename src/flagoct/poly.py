@@ -463,6 +463,9 @@ class FormProduct(_FormProductFields):
             raise RingMismatchError("factors live in different rings")
         return super().__new__(cls, scalar, forms)
 
+    # validated like the constructor; ``_replace`` builds through ``_make``
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def ring(self) -> PolyRing:
         if not self.forms:

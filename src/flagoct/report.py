@@ -32,6 +32,9 @@ class Check(_CheckFields):
             raise ValueError(f"status must be one of {STATUSES}")
         return super().__new__(cls, id, description, status, details, anchor)
 
+    # validated like the constructor; ``_replace`` builds through ``_make``
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
 
 class VerificationReport:
     def __init__(
@@ -79,16 +82,7 @@ class VerificationReport:
             "degree_cutoff": self.degree_cutoff,
             "runtime_ms": self.runtime_ms,
             "summary": self.summary,
-            "checks": [
-                {
-                    "id": c.id,
-                    "description": c.description,
-                    "status": c.status,
-                    "details": c.details,
-                    "anchor": c.anchor,
-                }
-                for c in self.sorted_checks()
-            ],
+            "checks": [c._asdict() for c in self.sorted_checks()],
         }
 
     def to_json(self) -> str:

@@ -14,13 +14,18 @@ anything else, floats included, raises ``TypeError``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 from typing import Callable, List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+
+@lru_cache(maxsize=None)
+def _zero() -> Fraction:
+    """The shared ``Fraction(0)``, built on first use: importing builds none."""
+    return Fraction(0)
 
 
 def exact(c: object) -> Scalar:
@@ -73,8 +78,8 @@ class Scaled:
     @property
     def coords(self) -> Tuple[Fraction, ...]:
         """The values as ``Fraction``s, in storage order."""
-        den = self.den
-        return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
+        den, zero = self.den, _zero()
+        return tuple(Fraction(n, den) if n else zero for n in self.nums)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(coords={self.coords!r})"

@@ -162,8 +162,11 @@ DoubledMatrix = Tuple[
     Tuple[int, int, int, int],
 ]
 
-# 2 * rho_j for j = 1..4: the doubled lattice basis L1, L1+L2, w5-L4, w5
-_DOUBLED_RHO = tuple(rho(j).doubled_key() for j in range(1, 5))
+
+@lru_cache(maxsize=None)
+def _doubled_rho() -> Tuple[Tuple[int, int, int, int], ...]:
+    """2 * rho_j for j = 1..4: the doubled lattice basis L1, L1+L2, w5-L4, w5."""
+    return tuple(rho(j).doubled_key() for j in range(1, 5))
 
 
 def _double(c: Scalar) -> int:
@@ -278,7 +281,7 @@ class WeylElement:
         """
         if self._lattice is None:
             self._lattice = True
-            for key in _DOUBLED_RHO:
+            for key in _doubled_rho():
                 image = [sum(r * k for r, k in zip(row, key)) for row in self.doubled]
                 if any(v % 2 for v in image) or len({(v // 2) % 2 for v in image}) != 1:
                     self._lattice = False
@@ -459,6 +462,9 @@ class Sigma3Element(_Sigma3Fields):
             raise ValueError(f"not a permutation of 1..3: {perm}")
         return super().__new__(cls, perm)
 
+    # validated like the constructor; ``_replace`` builds through ``_make``
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
 
@@ -467,10 +473,7 @@ class Sigma3Element(_Sigma3Fields):
         return Sigma3Element(tuple(self(other(i)) for i in (1, 2, 3)))
 
     def inverse(self) -> "Sigma3Element":
-        inv = [0, 0, 0]
-        for i in (1, 2, 3):
-            inv[self(i) - 1] = i
-        return Sigma3Element(tuple(inv))
+        return Sigma3Element(tuple(self.perm.index(i) + 1 for i in (1, 2, 3)))
 
     def is_identity(self) -> bool:
         return self.perm == (1, 2, 3)

@@ -34,6 +34,8 @@ MEMOIZED = {
     ("weyl", "f4_weyl"): [()],
     ("weyl", "sigma_tilde_group"): [()],
     ("weyl", "inversion_set"): [(sigma3_by_name(name),) for name in SIGMA3_NAMES],
+    ("weyl", "_doubled_rho"): [()],
+    ("scaled", "_zero"): [()],
     ("jordan", "_operator_tables"): [()],
     ("jordan", "_slot_unit_hats"): [("p",), ("q",), ("r",)],
 }

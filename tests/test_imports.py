@@ -1,6 +1,7 @@
-"""Lint: every name a flagoct module imports is used in that module."""
+"""Lints over the package's imports, and what a fresh interpreter imports and compiles."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import flagoct
+from flagoct.weyl import SIGMA3_NAMES
 
 SRC = Path(flagoct.__file__).resolve().parent
 
@@ -180,11 +182,88 @@ def test_the_check_sees_an_import_cycle():
     assert import_cycle(package_imports(sources)) is None
 
 
+# Run in a fresh interpreter: import flagoct.cli, run main(argv) when argv is
+# given, and report the flagoct modules whose code has run and which of
+# dataclasses and inspect are loaded.  A module the package registers lazily
+# stays a subclass of ModuleType until an attribute of it is first read.
+COMMAND_PROBE = """
+import contextlib, io, json, sys, types
+import flagoct.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        flagoct.cli.main(argv)
+print(json.dumps({
+    "compiled": sorted(n for n, m in sys.modules.items()
+                       if n.partition(".")[0] == "flagoct" and type(m) is types.ModuleType),
+    "stdlib": sorted({"dataclasses", "inspect"} & set(sys.modules)),
+}))
+"""
+
+EVERY_MODULE = {"flagoct"} | {f"flagoct.{path.stem}" for path in SRC.glob("*.py")} - {"flagoct.__init__"}
+
+
+def fresh_python(*args, check=True):
+    """Run a fresh interpreter that imports flagoct from this tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=check)
+
+
+def run_command_probe(argv):
+    result = json.loads(fresh_python("-c", COMMAND_PROBE, json.dumps(argv)).stdout)
+    return set(result["compiled"]), result["stdlib"]
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, dis, ast and tokenize and runs exec for
     # each generated method: tens of milliseconds of every cold start.  A
-    # fresh interpreter also sees a module that imports them indirectly
-    probe = "import sys, flagoct.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    # fresh interpreter also sees a module that imports them indirectly.
+    # Nor does the import compile the Jordan, octonion or parser code
+    compiled, stdlib = run_command_probe([])
+    assert stdlib == []
+    assert compiled == EVERY_MODULE - {"flagoct.octonion", "flagoct.jordan", "flagoct.parsing"}
+
+
+@pytest.mark.parametrize(
+    "argv, not_compiled",
+    [
+        (["verify", "gkm", "--format", "json"], {"octonion", "jordan", "parsing"}),
+        (["verify", "all", "--format", "json"], {"parsing"}),
+        (["gkm-check", "--ring", "Hb", "--file", "TUPLE"], {"octonion", "jordan"}),
+        (["expand", "y1 + y2^-1", "--ring", "RT"], {"octonion", "jordan"}),
+    ],
+    ids=["verify gkm", "verify all", "gkm-check", "expand"],
+)
+def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, not_compiled):
+    tuple_file = tmp_path / "tuple.json"
+    tuple_file.write_text(json.dumps({"entries": {name: "0" for name in SIGMA3_NAMES}}))
+    argv = [str(tuple_file) if arg == "TUPLE" else arg for arg in argv]
+    compiled, stdlib = run_command_probe(argv)
+    assert stdlib == []
+    assert compiled == EVERY_MODULE - {f"flagoct.{name}" for name in not_compiled}
+
+
+def test_loading_every_module_builds_no_fraction():
+    # a module body runs inside the first request that reads the module, so
+    # a Fraction built there would be counted against that request
+    probe = (
+        "import fractions, importlib, sys\n"
+        "built = []\n"
+        "new = fractions.Fraction.__new__\n"
+        "def counting(cls, *args, **kwargs):\n"
+        "    built.append(args)\n"
+        "    return new(cls, *args, **kwargs)\n"
+        "fractions.Fraction.__new__ = staticmethod(counting)\n"
+        "for name in sys.argv[1:]:\n"
+        "    vars(importlib.import_module(name))  # reading an attribute loads it\n"
+        "print(built)\n"
+    )
+    out = fresh_python("-c", probe, *sorted(EVERY_MODULE))
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_python_m_flagoct_cli_writes_nothing_to_stderr():
+    # runpy warns on stderr when the module it runs was imported before it
+    out = fresh_python("-m", "flagoct.cli", "verify", "gkm", "--format", "json", check=False)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["suite"] == "gkm"

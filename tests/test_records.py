@@ -88,6 +88,24 @@ class TestValidation:
         with pytest.raises(RingMismatchError, match="^factors live in different rings$"):
             FormProduct(Fraction(1), (R2.gens()[0], R3.gens()[0]))
 
+    @pytest.mark.parametrize(
+        "record, field, bad, error",
+        [
+            (Check("a", "desc", "pass"), "status", "maybe", ValueError),
+            (Sigma3Element((2, 1, 3)), "perm", (1, 1, 3), ValueError),
+            (FormProduct(1, (X,)), "forms", (X, R3.gens()[0]), RingMismatchError),
+        ],
+        ids=["Check", "Sigma3Element", "FormProduct"],
+    )
+    def test_make_and_replace_validate_like_the_constructor(self, record, field, bad, error):
+        values = [bad if name == field else getattr(record, name) for name in field_names(type(record))]
+        with pytest.raises(error) as from_constructor:
+            type(record)(*values)
+        with pytest.raises(error, match=f"^{re.escape(str(from_constructor.value))}$"):
+            type(record)._make(values)
+        with pytest.raises(error, match=f"^{re.escape(str(from_constructor.value))}$"):
+            record._replace(**{field: bad})
+
 
 class TestConstruction:
     def test_form_product_coerces_its_scalar(self):

@@ -8,13 +8,17 @@ without a benchmark run.  The tracer file is loaded as it is, not changed.
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +81,32 @@ def test_suites_multiply_through_the_traced_products(monkeypatch, suite, module_
     monkeypatch.setattr(cls, "__mul__", counting)
     assert run_suite(suite, seed=0).passed
     assert calls
+
+
+def test_the_tracer_finds_its_targets_after_importing_only_the_cli():
+    # the benchmark's workers install the tracer right after ``import
+    # flagoct.cli``, so every target module must be in sys.modules by then.
+    # The fixture above imports them itself and would not notice
+    probe = (
+        "import contextlib, io, json, sys, types\n"
+        "import flagoct.cli\n"
+        "tracer = types.ModuleType('perfbench_tracer')\n"
+        "path = sys.argv[1]\n"
+        "with open(path, encoding='utf-8') as fh:\n"
+        "    exec(compile(fh.read(), path, 'exec'), tracer.__dict__)\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = flagoct.cli.main(['verify', 'gkm', '--format', 'json'])\n"
+        "t.uninstall()\n"
+        "print(json.dumps({'code': code, 'metrics': tracer.layer_metrics(t.snapshot())}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(TRACER_PATH)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout)
+    assert result["code"] == 0
+    counted = ("poly.mul_calls", "poly.substitute_calls", "cohomology.matrix_rank_calls", "scalar.fraction_new")
+    assert all(result["metrics"][name] > 0 for name in counted), {n: result["metrics"][n] for n in counted}

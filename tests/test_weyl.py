@@ -13,7 +13,7 @@ from flagoct.weyl import (
     Sigma3Element,
     Weight,
     WeylElement,
-    _DOUBLED_RHO,
+    _doubled_rho,
     cell_dimension_polynomial,
     coset_partition_of_f4_positives,
     f4_positive_roots,
@@ -84,7 +84,7 @@ class TestWeights:
 
     def test_doubled_rho_is_the_doubled_lattice_basis(self):
         # derived from rho(j).doubled_key(); the literal is the former table
-        assert _DOUBLED_RHO == ((2, 0, 0, 0), (2, 2, 0, 0), (1, 1, 1, -1), (1, 1, 1, 1))
+        assert _doubled_rho() == ((2, 0, 0, 0), (2, 2, 0, 0), (1, 1, 1, -1), (1, 1, 1, 1))
 
 
 class TestRootSystems:
