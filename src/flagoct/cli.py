@@ -29,14 +29,12 @@ from typing import Dict, List, Optional, Tuple
 # read as an attribute inside the commands that use it, so that only they
 # compile it (the package registers its modules lazily)
 from . import parsing
-from .cohomology import B_RING
-from .gkm import MAX_DEGREE_CUTOFF, RHO_RING, check_membership, membership_ring
-from .ktheory import X_RING, Character
+from .cohomology import abstract_label
+from .gkm import MAX_DEGREE_CUTOFF, RINGS, check_membership, membership_ring
+from .ktheory import Character
 from .poly import Polynomial, ResourceLimitError
 from .suites import SUITE_NAMES, run_suite
 from .weyl import SIGMA3_NAMES
-
-RING_CHOICES = ("Hb", "HT", "RT", "RX")
 
 # A gkm-check tuple file is read up to this size; a larger one is refused.
 # Each entry is also bounded by the parser's MAX_TEXT_LENGTH.
@@ -49,17 +47,13 @@ class UsageError(Exception):
 
 @functools.lru_cache(maxsize=None)
 def _context_for(ring_name: str):
-    """The evaluation context of a ring, built once per process."""
-    if ring_name == "Hb":
-        b1, b2 = B_RING.gens()
-        return parsing.PolynomialContext(B_RING, aliases={"b3": b1 + b2})
-    if ring_name == "HT":
-        return parsing.PolynomialContext(RHO_RING)
-    if ring_name == "RX":
-        return parsing.PolynomialContext(X_RING)
-    if ring_name == "RT":
+    """The evaluation context of a ring of :data:`~flagoct.gkm.RINGS`, built
+    once per process."""
+    ring = RINGS[ring_name][0]
+    if ring is Character:
         return parsing.CharacterContext()
-    raise UsageError(f"no evaluation context for ring {ring_name!r}")
+    aliases = {"b3": abstract_label(3)} if ring_name == "Hb" else None
+    return parsing.PolynomialContext(ring, aliases=aliases)
 
 
 def _default_seed() -> int:
@@ -221,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gkm = sub.add_parser(
         "gkm-check", help="test a six-vertex tuple against the edge conditions"
     )
-    p_gkm.add_argument("--ring", choices=RING_CHOICES, required=True)
+    p_gkm.add_argument("--ring", choices=tuple(RINGS), required=True)
     p_gkm.add_argument("--file", required=True)
     p_gkm.set_defaults(func=_cmd_gkm_check)
 
     p_expand = sub.add_parser("expand", help="parse and canonicalize an expression")
     p_expand.add_argument("expr")
-    p_expand.add_argument("--ring", choices=RING_CHOICES, required=True)
+    p_expand.add_argument("--ring", choices=tuple(RINGS), required=True)
     p_expand.set_defaults(func=_cmd_expand)
 
     return parser

@@ -17,6 +17,7 @@ Numbered degree conventions: x's and b's sit in degree 8, lam's in degree 2.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -48,10 +49,6 @@ def coinvariant_generators(ring: PolyRing) -> Tuple[Polynomial, Polynomial]:
     """The relation generators :func:`bundle_relations` of the ring's two
     generators; they cut out a 6-dimensional graded quotient."""
     return bundle_relations(*ring.gens())
-
-
-def euler_presentation_basis() -> GroebnerBasis:
-    return buchberger(coinvariant_generators(E_RING))
 
 
 def e_to_beta(f: Polynomial) -> Polynomial:
@@ -110,7 +107,7 @@ class PresentationReport(NamedTuple):
 
 
 def verify_presentation() -> PresentationReport:
-    gb = euler_presentation_basis()
+    gb = buchberger(coinvariant_generators(E_RING))
     x1, x2 = E_RING.gens()
     third = Fraction(1, 3)
     # candidate Poincare duals and the top class, all in x-coordinates
@@ -366,17 +363,23 @@ def _primitive(row: List[int]) -> List[int]:
 # -- fixed-point restriction table ----------------------------------------------
 
 
+@functools.cache
+def abstract_label(k: int) -> Polynomial:
+    """The Hb label b_k of edge class k: b1, b2 and b3 = b1 + b2."""
+    b1, b2 = B_RING.gens()
+    if k == 1:
+        return b1
+    if k == 2:
+        return b2
+    if k == 3:
+        return b1 + b2
+    raise ValueError("edge class must be 1..3")
+
+
 def _b_polys() -> Dict[str, Polynomial]:
     """The six signed labels of the restriction table, by their text."""
-    b1, b2 = B_RING.gens()
-    return {
-        "b1": b1,
-        "b2": b2,
-        "b3": b1 + b2,
-        "-b1": -b1,
-        "-b2": -b2,
-        "-b3": -(b1 + b2),
-    }
+    labels = {f"b{k}": abstract_label(k) for k in (1, 2, 3)}
+    return {**labels, **{f"-{text}": -p for text, p in labels.items()}}
 
 
 # entries (sigma, bundle index k) -> restriction of the k-th Euler class,

@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .cohomology import B_RING, RestrictionTable, echelon_basis, integral_row, matrix_rank
+from .cohomology import B_RING, RestrictionTable, abstract_label, echelon_basis, integral_row, matrix_rank
 from .ktheory import X_RING, Character, divides_char, edge_divisor_char, edge_divisor_poly
 from .poly import (
     FormProduct,
@@ -59,17 +59,6 @@ RHO_RING = PolyRing.make(("rho1", "rho2", "rho3", "rho4"), (2, 2, 2, 2))
 # quickly with the degree (its top rows have the most unknowns), so the
 # check and the CLI refuse a larger one.
 MAX_DEGREE_CUTOFF = 24
-
-@functools.cache
-def abstract_label(k: int) -> Polynomial:
-    b1, b2 = B_RING.gens()
-    if k == 1:
-        return b1
-    if k == 2:
-        return b2
-    if k == 3:
-        return b1 + b2
-    raise ValueError("edge class must be 1..3")
 
 
 class GkmEdge(NamedTuple):
@@ -133,7 +122,7 @@ def is_w_invariant(p: Polynomial) -> bool:
     """Invariance under the reflection group generators (hence the group)."""
     if p.ring != RHO_RING:
         raise RingMismatchError("invariance is defined for the realized ring")
-    return all(p.substitute(sub) == p for sub in generator_substitutions())
+    return invariance_sign(p) == 1
 
 
 def invariance_sign(p: Polynomial) -> Optional[int]:
@@ -316,19 +305,16 @@ def _restriction_images(ring: PolyRing, form: Polynomial) -> Dict[str, Polynomia
     return images
 
 
-# The GKM rings whose entries are polynomials, by their names on the command
-# line; characters are the entries of RT.
-_POLYNOMIAL_RINGS = {B_RING: "Hb", RHO_RING: "HT", X_RING: "RX"}
-
-# Per GKM ring: the divisor of class-k edges, and what a difference that
-# fails on such an edge is not ((i, j) is the transposition of the class).
-# The realized labels and the binomial products are multiplied out on each
-# call: they are the products the membership-stream benchmark counts.
-_EDGE_RULES = {
-    "Hb": (abstract_label, "a multiple of the class-{k} label"),
-    "HT": (realized_label, "a multiple of the class-{k} label"),
-    "RT": (edge_divisor_char, "divisible by the class-{k} binomial product"),
-    "RX": (edge_divisor_poly, "a multiple of X{i}-X{j}"),
+# The GKM rings by their names on the command line: the ring of the entries
+# (characters for RT), the divisor of class-k edges, and what a difference
+# that fails on such an edge is not ((i, j) is the transposition of the
+# class).  The realized labels and the binomial products are multiplied out
+# on each call: they are the products the membership-stream benchmark counts.
+RINGS = {
+    "Hb": (B_RING, abstract_label, "a multiple of the class-{k} label"),
+    "HT": (RHO_RING, realized_label, "a multiple of the class-{k} label"),
+    "RT": (Character, edge_divisor_char, "divisible by the class-{k} binomial product"),
+    "RX": (X_RING, edge_divisor_poly, "a multiple of X{i}-X{j}"),
 }
 
 
@@ -355,7 +341,7 @@ def membership_ring(entries: Mapping[str, Any]) -> str:
             raise RingMismatchError(
                 f"entry {name!r} lives in {p.ring.names}, expected {expected.names}"
             )
-    ring = _POLYNOMIAL_RINGS.get(expected)
+    ring = next((name for name, row in RINGS.items() if row[0] == expected), None)
     if ring is None:
         raise ValueError(f"entries live in {expected.names}, which is not a GKM ring")
     if ring == "RX":
@@ -367,7 +353,7 @@ def membership_ring(entries: Mapping[str, Any]) -> str:
 
 def _edge_divisors(ring: str) -> Dict[int, Any]:
     """The divisor of each edge class in ``ring``."""
-    return {k: _EDGE_RULES[ring][0](k) for k in ROOT_TRANSPOSITIONS}
+    return {k: RINGS[ring][1](k) for k in ROOT_TRANSPOSITIONS}
 
 
 def _divides(d: Any, f: Any) -> bool:
@@ -393,7 +379,7 @@ def check_membership(entries: Mapping[str, Any]) -> MembershipResult:
     for edge in gkm_edges():
         if not _divides(divisors[edge.k], entries[edge.u] - entries[edge.v]):
             i, j = ROOT_TRANSPOSITIONS[edge.k]
-            wording = _EDGE_RULES[ring][1].format(k=edge.k, i=i, j=j)
+            wording = RINGS[ring][2].format(k=edge.k, i=i, j=j)
             return MembershipResult(
                 False, edge, f"difference along {{{edge.u},{edge.v}}} is not {wording}"
             )

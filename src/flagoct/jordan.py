@@ -62,10 +62,6 @@ class OctMatrix3(Scaled):
             raise ValueError("need a 3x3 entry grid")
         super().__init__([c for r in rows for o in r for c in o.coords])
 
-    @staticmethod
-    def zero() -> "OctMatrix3":
-        return OctMatrix3._of((0,) * 72, 1)
-
     @property
     def rows(self) -> Tuple[Tuple[Octonion, ...], ...]:
         e = [Octonion._of(x, self.den) for x in self._chunks(8)]
@@ -141,10 +137,6 @@ class JordanMatrix(Scaled):
         super().__init__((x1, x2, x3) + r.coords + p.coords + q.coords)
 
     # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "JordanMatrix":
-        return JordanMatrix._of((0,) * 27, 1)
 
     @staticmethod
     def identity() -> "JordanMatrix":
@@ -375,10 +367,6 @@ class LinearOperator27(Scaled):
             raise ValueError("need a 27x27 matrix")
         super().__init__([c for r in rows for c in r])
 
-    @staticmethod
-    def zero() -> "LinearOperator27":
-        return LinearOperator27._of((0,) * 729, 1)
-
     @property
     def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
         c = self.coords
@@ -479,14 +467,9 @@ def _operator_tables() -> Tuple[_Structure, Tuple[Tuple[Tuple[int, int], ...], .
     return struct, tuple(tilde)
 
 
-def _structure_constants() -> _Structure:
-    """The doubled Jordan structure tensor ``S`` of :func:`_operator_tables`."""
-    return _operator_tables()[0]
-
-
 def hat_operator(a: JordanMatrix) -> LinearOperator27:
     """Jordan multiplication operator y -> a o y."""
-    struct = _structure_constants()
+    struct = _operator_tables()[0]
     rows = [[0] * 27 for _ in range(27)]
     for i, ai in enumerate(a.nums):
         if ai:

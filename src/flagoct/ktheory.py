@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, ResourceLimitError, divisor, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
+from .scaled import exact
 from .weyl import (
     ROOT_TRANSPOSITIONS,
     SIGMA3_NAMES,
@@ -75,6 +76,15 @@ def _validate_dkey(key: Sequence[int]) -> DKey:
     return key
 
 
+def _integer(c: object) -> int:
+    """A character coefficient: an exact scalar (``TypeError`` otherwise)
+    that is an integer (``ValueError`` otherwise)."""
+    c = exact(c)
+    if c.denominator != 1:
+        raise ValueError("character coefficients must be integers")
+    return int(c)
+
+
 class Character:
     """An integer combination of lattice weights (a virtual character).
 
@@ -89,7 +99,7 @@ class Character:
         pack = CHAR_PACKING.pack
         clean: Dict[int, int] = {}
         for key, coeff in terms.items():
-            coeff = int(coeff)
+            coeff = _integer(coeff)
             if coeff:
                 clean[pack(_validate_dkey(key))] = coeff
         self.packed = clean
@@ -134,7 +144,7 @@ class Character:
 
     @staticmethod
     def constant(n: int) -> "Character":
-        return Character({(0, 0, 0, 0): int(n)})
+        return Character({(0, 0, 0, 0): n})
 
     # -- structure ----------------------------------------------------------
 
@@ -183,7 +193,7 @@ class Character:
         return Character._of(mul_terms(self.packed, other.packed, CHAR_PACKING))
 
     def scale(self, n: int) -> "Character":
-        n = int(n)
+        n = _integer(n)
         return Character._of({k: n * c for k, c in self.packed.items()} if n else {})
 
     def __pow__(self, n: int) -> "Character":

@@ -62,10 +62,6 @@ class Octonion(Scaled):
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Octonion":
-        return Octonion._of((0,) * 8, 1)
-
-    @staticmethod
     def one() -> "Octonion":
         return Octonion.scalar(1)
 
@@ -102,7 +98,7 @@ class Octonion(Scaled):
     # -- algebra ----------------------------------------------------------------
 
     def __mul__(self, other: Union["Octonion", Scalar]) -> "Octonion":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Octonion):
             return self.scale(other)
         out = [0] * 8
         mul_into(out, self.nums, other.nums)

@@ -26,8 +26,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .scaled import Scalar, exact
+
 Exponents = Tuple[int, ...]
-Scalar = Union[int, Fraction]
 Terms = Dict[int, Scalar]
 Divisor = Tuple[int, Scalar, List[Tuple[int, Scalar]]]
 
@@ -229,10 +230,6 @@ class PolyRing:
         return f"PolyRing({vs})"
 
 
-def _scalar(c: object) -> Scalar:
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
-
-
 class Polynomial:
     """Immutable sparse polynomial: integer numerators over one denominator.
 
@@ -248,7 +245,7 @@ class Polynomial:
         pack = ring.packing.pack
         scalars = {}
         for e, c in terms.items():
-            c = _scalar(c)
+            c = exact(c)
             if c:
                 scalars[pack(e)] = c
         self.ring = ring
@@ -306,7 +303,7 @@ class Polynomial:
         return Polynomial._of(self.ring, neg_terms(self.packed), self.den)
 
     def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
         return Polynomial._of(self.ring, *add_scaled(self.packed, self.den, other.packed, other.den))
@@ -314,7 +311,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         return self + (-other)
 
@@ -322,20 +319,21 @@ class Polynomial:
         return self.ring.const(other) - self
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self.ring.zero()
-            n = other.numerator
-            terms = {e: k * n for e, k in self.packed.items()}
-            return Polynomial._of(self.ring, *lowest_terms(terms, self.den * other.denominator))
-        self._check(other)
-        terms = mul_terms(self.packed, other.packed, self.ring.packing)
-        return Polynomial._of(self.ring, *lowest_terms(terms, self.den * other.den))
+        if isinstance(other, Polynomial):
+            self._check(other)
+            terms = mul_terms(self.packed, other.packed, self.ring.packing)
+            return Polynomial._of(self.ring, *lowest_terms(terms, self.den * other.den))
+        other = exact(other)
+        if not other:
+            return self.ring.zero()
+        n = other.numerator
+        terms = {e: k * n for e, k in self.packed.items()}
+        return Polynomial._of(self.ring, *lowest_terms(terms, self.den * other.denominator))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "Polynomial":
-        c = Fraction(other)
+        c = Fraction(exact(other))
         if c == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
         return self * (Fraction(1) / c)
@@ -458,7 +456,7 @@ class FormProduct(_FormProductFields):
     __slots__ = ()
 
     def __new__(cls, scalar: Scalar, forms: Tuple[Polynomial, ...]) -> "FormProduct":
-        scalar = Fraction(scalar)
+        scalar = Fraction(exact(scalar))
         if len({f.ring for f in forms}) > 1:
             raise RingMismatchError("factors live in different rings")
         return super().__new__(cls, scalar, forms)

@@ -8,7 +8,9 @@ so ``==`` and ``hash`` compare tuples and linear algebra runs on integers.
 :class:`~flagoct.jordan.OctMatrix3` (9 x 8) and
 :class:`~flagoct.jordan.LinearOperator27` (27 x 27) subclass it and add only
 their own structure.  Only ``int`` and ``Fraction`` scalars are accepted;
-anything else, floats included, raises ``TypeError``.
+anything else, floats included, raises ``TypeError``.  :func:`exact` is that
+rule for the whole package: polynomials, characters and Weyl elements take
+their scalars through it too.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ class Scaled:
                 f"{type(self).__name__} needs exactly {self.SIZE} coordinates, got {len(coords)}"
             )
         self.nums, self.den = numerators(coords)
+
+    @classmethod
+    def zero(cls):
+        """The zero vector of the kind."""
+        return cls._of((0,) * cls.SIZE, 1)
 
     @classmethod
     def _of(cls, nums: Sequence[int], den: int):

@@ -1,7 +1,8 @@
 """Verification suites: every checkable statement of the package, declared.
 
 A suite function ``suite_<name>(seed, degree_cutoff, corrupt)`` sets up its
-seeded fixtures and hands a list of declarations to :func:`run_checks`.  A
+seeded fixtures and hands a list of declarations to :func:`run_checks`,
+which returns one :class:`~flagoct.report.Check` per declaration.  A
 declaration is ``(id, description, anchor, thunk)``.  The thunk takes no
 argument and returns ``ok`` or ``(ok, details)``.
 
@@ -36,8 +37,6 @@ from .report import Check, VerificationReport
 
 Outcome = Union[bool, Tuple[bool, str]]
 Declaration = Tuple[str, str, str, Callable[[], Outcome]]
-# (id, description, anchor, ok, details)
-Result = Tuple[str, str, str, bool, str]
 
 # ---------------------------------------------------------------------------
 # octonion suite
@@ -45,7 +44,7 @@ Result = Tuple[str, str, str, bool, str]
 
 def suite_octonion(
     seed: int = 0, degree_cutoff: int = 8, corrupt: bool = False
-) -> List[Result]:
+) -> List[Check]:
     rng = random.Random(seed)
     Octonion = octonion.Octonion
     pairs = [(Octonion.random(rng), Octonion.random(rng)) for _ in range(100)]
@@ -114,7 +113,7 @@ def suite_octonion(
 
 def suite_jordan(
     seed: int = 0, degree_cutoff: int = 8, corrupt: bool = False
-) -> List[Result]:
+) -> List[Check]:
     rng = random.Random(seed)
     J = jordan.JordanMatrix
     test_diagonals = [
@@ -237,7 +236,7 @@ def suite_jordan(
 
 def suite_roots(
     seed: int = 0, degree_cutoff: int = 8, corrupt: bool = False
-) -> List[Result]:
+) -> List[Check]:
     semidirect = functools.cache(weyl.semidirect_report)
     expected_inversions = {
         "1": frozenset(),
@@ -334,7 +333,7 @@ def suite_roots(
 
 def suite_cohomology(
     seed: int = 0, degree_cutoff: int = 8, corrupt: bool = False
-) -> List[Result]:
+) -> List[Check]:
     rng = random.Random(seed)
     presentation = functools.cache(cohomology.verify_presentation)
     context = functools.cache(cohomology.BggContext)
@@ -455,7 +454,7 @@ def suite_cohomology(
 
 def suite_gkm(
     seed: int = 0, degree_cutoff: int = 8, corrupt: bool = False
-) -> List[Result]:
+) -> List[Check]:
     rng = random.Random(seed)
     real = gkm.cached_realization
 
@@ -541,7 +540,7 @@ def suite_gkm(
 
 def suite_ktheory(
     seed: int = 0, degree_cutoff: int = 8, corrupt: bool = False
-) -> List[Result]:
+) -> List[Check]:
     rng = random.Random(seed)
     rhs = functools.cache(ktheory.factorization_rhs)
 
@@ -654,7 +653,7 @@ def suite_ktheory(
 # orchestration
 
 
-SUITES: Dict[str, Callable[..., List[Result]]] = {
+SUITES: Dict[str, Callable[..., List[Check]]] = {
     "octonion": suite_octonion,
     "jordan": suite_jordan,
     "roots": suite_roots,
@@ -665,17 +664,17 @@ SUITES: Dict[str, Callable[..., List[Result]]] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_checks(declarations: List[Declaration]) -> List[Result]:
+def run_checks(declarations: List[Declaration]) -> List[Check]:
     """Call each declaration's thunk in order; one that raises fails alone."""
-    results = []
+    checks = []
     for id, description, anchor, thunk in declarations:
         try:
             outcome = thunk()
         except Exception as exc:
             outcome = (False, f"raised {type(exc).__name__}: {exc}")
         ok, details = outcome if isinstance(outcome, tuple) else (outcome, "")
-        results.append((id, description, anchor, ok, details))
-    return results
+        checks.append(Check(id, description, "pass" if ok else "fail", details, anchor))
+    return checks
 
 
 def run_suite(
@@ -690,8 +689,7 @@ def run_suite(
     rep = VerificationReport(name, seed, degree_cutoff)
     for sub in SUITE_NAMES if name == "all" else (name,):
         prefix = f"{sub}." if name == "all" else ""
-        for id, description, anchor, ok, details in SUITES[sub](seed, degree_cutoff, corrupt):
-            status = "pass" if ok else "fail"
-            rep.add(Check(prefix + id, description, status, details, anchor))
+        for check in SUITES[sub](seed, degree_cutoff, corrupt):
+            rep.add(check._replace(id=prefix + check.id))
     rep.runtime_ms = int((time.monotonic() - start) * 1000)
     return rep

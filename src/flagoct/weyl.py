@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .poly import ResourceLimitError
-from .scaled import Scaled, Scalar
+from .scaled import Scaled, Scalar, exact
 
 GROUP_ENUMERATION_BOUND = 2000
 
@@ -38,10 +38,6 @@ class Weight(Scaled):
     @staticmethod
     def of(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> "Weight":
         return Weight((a, b, c, d))
-
-    @staticmethod
-    def zero() -> "Weight":
-        return Weight._of((0, 0, 0, 0), 1)
 
     @staticmethod
     def from_doubled_key(key: Sequence[int]) -> "Weight":
@@ -171,7 +167,7 @@ def _doubled_rho() -> Tuple[Tuple[int, int, int, int], ...]:
 
 def _double(c: Scalar) -> int:
     """2c, which must be an integer."""
-    two = 2 * Fraction(c)
+    two = 2 * Fraction(exact(c))
     if two.denominator != 1:
         raise ValueError(f"entry {c} is not in 1/2 Z")
     return two.numerator

@@ -10,9 +10,17 @@ import pytest
 
 from flagoct import cli
 from flagoct.cli import MAX_TUPLE_FILE_BYTES, main
-from flagoct.gkm import MAX_DEGREE_CUTOFF, free_rank_check, random_membership_tuple
-from flagoct.ktheory import x_character
-from flagoct.parsing import MAX_RESULT_DIGITS, MAX_TEXT_LENGTH, MAX_WORK
+from flagoct.cohomology import B_RING
+from flagoct.gkm import (
+    MAX_DEGREE_CUTOFF,
+    RHO_RING,
+    RINGS,
+    free_rank_check,
+    membership_ring,
+    random_membership_tuple,
+)
+from flagoct.ktheory import X_RING, Character, x_character
+from flagoct.parsing import MAX_RESULT_DIGITS, MAX_TEXT_LENGTH, MAX_WORK, parse_and_evaluate
 from flagoct.poly import ResourceLimitError
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
@@ -349,6 +357,30 @@ class TestGkmCheck:
         code, _, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", path)
         assert code == 2
         assert "s1s2" in err
+
+
+class TestRings:
+    """The --ring names are those of gkm.RINGS, and each name evaluates into
+    the ring whose tuples membership_ring gives that name."""
+
+    # the coefficient ring of each name, written out independently of RINGS
+    EXPECTED = {"Hb": B_RING, "HT": RHO_RING, "RT": Character, "RX": X_RING}
+
+    def test_the_names_in_order(self):
+        assert list(RINGS) == list(self.EXPECTED)
+
+    @pytest.mark.parametrize("name", list(RINGS))
+    def test_each_name_round_trips(self, name, capsys):
+        assert run(capsys, "expand", "1", "--ring", name)[0] == 0
+        one = parse_and_evaluate("1", cli._context_for(name))
+        assert (type(one) if isinstance(one, Character) else one.ring) == self.EXPECTED[name]
+        assert membership_ring(dict.fromkeys(SIGMA3_NAMES, one)) == name
+
+    @pytest.mark.parametrize("name", ["XX", "hb", "R", "Hb ", ""])
+    def test_any_other_name_exits_2(self, name, capsys, tmp_path):
+        path = write_tuple(tmp_path, hb_member_entries())
+        assert run(capsys, "expand", "1", "--ring", name)[0] == 2
+        assert run(capsys, "gkm-check", "--ring", name, "--file", path)[0] == 2
 
 
 class TestExpand:

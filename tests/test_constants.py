@@ -23,7 +23,7 @@ from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 # every memoized function of the package, with the arguments it is called with
 MEMOIZED = {
     ("gkm", "gkm_edges"): [()],
-    ("gkm", "abstract_label"): [(1,), (2,), (3,)],
+    ("cohomology", "abstract_label"): [(1,), (2,), (3,)],
     ("gkm", "generator_substitutions"): [()],
     ("gkm", "cached_realization"): [()],
     ("gkm", "_invariant_exponents"): [(0,), (8,), (12,)],

@@ -18,6 +18,7 @@ from operator import mul
 
 import pytest
 
+from flagoct.cohomology import B_RING
 from flagoct.jordan import (
     JordanMatrix,
     LinearOperator27,
@@ -29,7 +30,7 @@ from flagoct.jordan import (
     jordan_determinant,
 )
 from flagoct.ktheory import CHAR_PACKING, Character, char_quotient, weyl_act, x_character
-from flagoct.poly import Packing, PolyRing, Polynomial, ResourceLimitError, exact_divide
+from flagoct.poly import FormProduct, Packing, PolyRing, Polynomial, ResourceLimitError, exact_divide
 from flagoct.octonion import Octonion
 from flagoct.suites import run_suite
 from flagoct.weyl import (
@@ -914,12 +915,50 @@ class TestExactStore:
             lambda: JordanMatrix.diagonal(0.1, 0, 0),
             lambda: Weight.of(0.5, 0, 0, 0),
             lambda: Octonion.unit(1).scale(0.5),
+            lambda: Octonion.unit(2) * 0.5,
+            lambda: Polynomial(B_RING, {(1, 0): 0.1}),
+            lambda: B_RING.const(0.5),
+            lambda: 0.5 - B_RING.var("b1"),
+            lambda: B_RING.var("b1") / 0.5,
+            lambda: B_RING.var("b1") * 0.5,
+            lambda: B_RING.var("b1") + 0.5,
+            lambda: FormProduct(0.5, (B_RING.var("b1"),)),
+            lambda: Character({(0, 0, 0, 0): 0.5}),
+            lambda: Character({(0, 0, 0, 0): 2.7}),
+            lambda: x_character(3).scale(2.5),
+            lambda: Character.constant(1.9),
+            lambda: WeylElement([[0.5] * 4] * 4),
         ],
-        ids=["octonion", "jordan-diagonal", "weight", "scale"],
+        ids=[
+            "octonion", "jordan-diagonal", "weight", "scale", "octonion-times",
+            "polynomial", "polynomial-const", "polynomial-rsub", "polynomial-div",
+            "polynomial-times", "polynomial-plus", "form-product", "character-half",
+            "character-2.7", "character-scale", "character-constant", "weyl-element",
+        ],
     )
     def test_floats_are_rejected(self, build):
         with pytest.raises(TypeError):
             build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Character({(0, 0, 0, 0): Fraction(3, 2)}),
+            lambda: x_character(3).scale(Fraction(5, 2)),
+            lambda: Character.constant(Fraction(1, 3)),
+        ],
+        ids=["character", "character-scale", "character-constant"],
+    )
+    def test_character_coefficients_must_be_integers(self, build):
+        with pytest.raises(ValueError, match="character coefficients must be integers"):
+            build()
+
+    def test_integral_fractions_and_bools_stay_accepted(self):
+        two = Fraction(4, 2)
+        assert Character({(0, 0, 0, 0): two}) == Character.constant(2) == Character.constant(True).scale(two)
+        assert B_RING.const(two) == B_RING.const(2) == B_RING.const(True) * two
+        assert FormProduct(two, ()).scalar == 2
+        assert WeylElement([[two, 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).doubled[0][0] == 4
 
 
 class TestOctonionAgainstFractions:

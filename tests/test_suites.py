@@ -156,10 +156,11 @@ class TestFailureCapture:
             ("third", "verdict with details", "", lambda: (False, "saw 2")),
         ])
         assert results == [
-            ("first", "plain verdict", "", True, ""),
-            ("second", "raises", "anchor", False, "raised ZeroDivisionError: no inverse"),
-            ("third", "verdict with details", "", False, "saw 2"),
+            Check("first", "plain verdict", "pass", "", ""),
+            Check("second", "raises", "fail", "raised ZeroDivisionError: no inverse", "anchor"),
+            Check("third", "verdict with details", "fail", "saw 2", ""),
         ]
+        assert all(type(c) is Check for c in results)
 
     @pytest.fixture
     def raising_free_rank(self, monkeypatch):
