@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import random
-from operator import mul
+from operator import index, mul
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, ResourceLimitError, divisor, reduce_terms
@@ -181,15 +181,21 @@ class Character:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented
         return Character._of(add_terms(self.packed, other.packed))
 
     def __sub__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "Character":
         return Character._of(neg_terms(self.packed))
 
     def __mul__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented  # a scalar multiple is scale(n)
         return Character._of(mul_terms(self.packed, other.packed, CHAR_PACKING))
 
     def scale(self, n: int) -> "Character":
@@ -197,6 +203,7 @@ class Character:
         return Character._of({k: n * c for k, c in self.packed.items()} if n else {})
 
     def __pow__(self, n: int) -> "Character":
+        n = index(n)
         if n < 0:
             raise ValueError("negative character powers are not defined")
         return Character._of(pow_terms(self.packed, n, CHAR_PACKING))

@@ -19,7 +19,10 @@ depend on the evaluation context:
 The recursive-descent parser hands each production to a builder as it is
 read; :func:`parse_and_evaluate` uses an evaluation context as the builder,
 so it evaluates while it parses, on plain term dicts, and wraps the result
-once.
+once.  A word such as ``y1^-1*y2*y5`` starting a term is one token, whose
+packed keys the context adds in one step (reading its factors one by one
+where that could differ), and a sum whose right operand is one term over 1
+adds that term straight into a left operand the text owns.
 
 A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
@@ -113,22 +116,38 @@ class ParseError(ValueError):
 # -- tokens ------------------------------------------------------------------
 
 
-# Whitespace, then one of: a number (decimal digits, the characters int()
-# reads; str.isdigit also takes '²', which int() refuses), an identifier, an
-# operator, or any other character, which is an error.  \w is exactly
-# str.isalnum() or '_'; an identifier must also start with a letter or '_',
-# which tokenize() checks.  Trailing whitespace is stripped first: the
-# pattern fails there after trying every shorter run of it, at every start,
-# which is quadratic in the run's length.
-_TOKEN = re.compile(r"(\s*)(?:(\d+)|([^\W\d]\w*)|([-+*^/()])|(\S))")
+# Whitespace, then one of: a word, a number (decimal digits, the characters
+# int() reads; str.isdigit also takes '²', which int() refuses), an
+# identifier, an operator, or any other character, which is an error.  \w is
+# exactly str.isalnum() or '_'; an identifier must also start with a letter
+# or '_', which tokenize() checks.  Trailing whitespace is stripped first:
+# the pattern fails there after trying every shorter run of it, at every
+# start, which is quadratic in the run's length.
+# A word is two or more ASCII names, each with an optional exponent, joined
+# by '*' without whitespace; each part is matched whole, and no '^' (which
+# would raise the last factor) follows it.
+_FACTOR = r"[A-Za-z_][A-Za-z0-9_]*(?!\w)(?:\^-?[0-9]+(?!\d))?"
+_TOKEN = re.compile(rf"(\s*)(?:({_FACTOR}(?:\*{_FACTOR})+)(?!\s*\^)|(\d+)|([^\W\d]\w*)|([-+*^/()])|(\S))")
+
+
+def _word_tokens(word: str, pos: int) -> List[Tuple[str, str, int]]:
+    """The tokens of the word at ``pos``: names, numbers and operators, each
+    starting where the one before it ends."""
+    tokens = []
+    for t in re.findall(r"\w+|\S", word):
+        tokens.append(("number" if t.isdigit() else t if t in "*^-" else "ident", t, pos))
+        pos += len(t)
+    return tokens
 
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
     """The tokens of ``text`` as plain ``(kind, text, pos)`` tuples; the kind
-    is 'number', 'ident' or the operator character itself."""
+    is 'number', 'ident', 'word' or the operator character itself.  A word is
+    one token where a term starts (first, or after '(', '+' or a binary '-')
+    and split into its own tokens elsewhere, where it binds to what is before."""
     tokens: List[Tuple[str, str, int]] = []
     append, pos = tokens.append, 0
-    for space, number, ident, op, other in _TOKEN.findall(text.rstrip()):
+    for space, word, number, ident, op, other in _TOKEN.findall(text.rstrip()):
         pos += len(space)
         if op:
             append((op, op, pos))
@@ -139,6 +158,14 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
         elif ident and (ident[0].isalpha() or ident[0] == "_"):
             append(("ident", ident, pos))
             pos += len(ident)
+        elif word:
+            last = tokens[-1][0] if tokens else "("
+            binary = last == "-" and len(tokens) > 1 and tokens[-2][0] in ("number", "ident", "word", ")")
+            if last in ("(", "+") or binary:
+                append(("word", word, pos))
+            else:
+                tokens += _word_tokens(word, pos)
+            pos += len(word)
         else:
             raise ParseError(f"unexpected character {(ident or other)[0]!r}", pos)
     return tokens
@@ -155,7 +182,8 @@ class _Parser:
     """Recursive descent over the tokens of one text, which end in an
     ``('end', '', len(text))`` token.  Each production hands its parts to
     ``builder`` as soon as they are read, so the builder's value of the
-    whole text is made in one pass."""
+    whole text is made in one pass.  ``builder.word`` gives the value of a
+    word token in one step, or None to have the word's own tokens read."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
@@ -210,8 +238,19 @@ class _Parser:
                 return value
 
     def parse_term(self):
-        value = self.parse_factor()
         tokens, mul = self.tokens, self.builder.mul
+        kind, text, pos = tokens[self.i]
+        if kind != "word":
+            value = self.parse_factor()
+        else:
+            self.i += 1
+            value = self.builder.word(text, pos)
+            if value is None:
+                # read the word's own tokens, then go on after it
+                after, self.i = self.i, 0
+                self.tokens = [*_word_tokens(text, pos), ("end", "", pos + len(text))]
+                value = self.parse_term()
+                self.tokens, self.i = tokens, after
         while True:
             kind, _, pos = tokens[self.i]
             if kind != "*":
@@ -331,6 +370,39 @@ class _TermContext:
     """
 
     packing = None
+    _inverses: Mapping[int, int] = MappingProxyType({})  # the key of v^-1 by that of v
+
+    def _set_leaves(self, leaves: Dict[str, Value]) -> None:
+        self._variables = leaves
+        # the key of each one-monomial leaf, which a word's factor may be
+        self._keys = {n: k for n, (t, d, *_) in leaves.items() for k, c in t.items() if len(t) == c == d == 1}
+
+    def word(self, text: str, pos: int) -> Optional[Value]:
+        """The value of a word ``v1^e1*v2^e2*...`` from its packed keys, with the
+        bits, work and checks of reading it factor by factor; None where they may differ."""
+        packing, keys, zero, work = self.packing, self._keys, self.packing.zero, 0
+        try:
+            for i, factor in enumerate(text.split("*")):
+                name, _, exp = factor.partition("^")
+                k, n = keys[name], int(exp or 1) if len(exp) <= 5 else 0  # longer: past the bound or 0-padded
+                if n < 0:
+                    k, n = self._inverses[k], -n
+                if not 0 < n <= MAX_EXPONENT:
+                    return None
+                if n > 1:
+                    packing.check_power(k, n)
+                    k = n * (k - zero) + zero
+                    work += _power_pairs(1, n)
+                key = key + k - zero if i else k
+                if i:  # a product of one term pair: the bits grow by 1 + 1 + 1
+                    packing.check_fields((key,)) if zero else packing.check_degree(key)
+                    work += _digits(2 * i + 1)
+        except (KeyError, ResourceLimitError):
+            return None
+        # bits and work only grow: they pass a bound at some step iff at the last
+        if _digits(2 * i + 1) > MAX_RESULT_DIGITS or work > MAX_WORK:
+            return None
+        return {key: 1}, 1, 2 * i + 1, work
 
     def neg(self, value: Value, pos: int) -> Value:
         terms, den, bits, work = value
@@ -346,26 +418,34 @@ class _TermContext:
     def _sum(left: Value, g: Terms, right: Value, pos: int) -> Value:
         """left + g, where ``right`` gives g's denominator and work."""
         (f, df, bf, wf), (_, dg, _, wg) = left, right
-        read = len(f) + len(g)
-        if df % dg == 0 and type(f) is dict:
-            # f keeps its denominator, so g adds into it; f is in lowest
-            # terms and only the coefficients at g's keys change, so the sum
-            # is too unless they share a factor with df
-            if df != dg:
-                g = {e: c * (df // dg) for e, c in g.items()}
-            terms, den, read = add_into(f, g), df, len(g)
-            if df != 1 and gcd(df, *map(terms.get, g, repeat(0))) != 1:
-                terms, den = lowest_terms(terms, df)
+        if len(g) == 1 and df == dg == 1 and type(f) is dict:
+            # one term over 1, as most terms of an expanded text are
+            ((key, c),) = g.items()
+            f[key] = s = f.get(key, 0) + c
+            if not s:
+                del f[key]
+            terms, den, read, bits = f, 1, 1, max(bf, abs(s).bit_length())
         else:
-            terms, den = add_scaled(f, df, g, dg)
-        if df % dg == 0:
-            # only the coefficients at g's keys changed (a common factor
-            # taken out of all of them only shrinks them), so the bound of a
-            # long chain of sums does not gain a bit at each step, and
-            # neither does the work charged for it
-            bits = max(bf, max(map(abs, map(terms.get, g, repeat(0))), default=0).bit_length())
-        else:
-            bits = _bits(terms, den)
+            read = len(f) + len(g)
+            if df % dg == 0 and type(f) is dict:
+                # f keeps its denominator, so g adds into it; f is in lowest
+                # terms and only the coefficients at g's keys change, so the
+                # sum is too unless they share a factor with df
+                if df != dg:
+                    g = {e: c * (df // dg) for e, c in g.items()}
+                terms, den, read = add_into(f, g), df, len(g)
+                if df != 1 and gcd(df, *map(terms.get, g, repeat(0))) != 1:
+                    terms, den = lowest_terms(terms, df)
+            else:
+                terms, den = add_scaled(f, df, g, dg)
+            if df % dg == 0:
+                # only the coefficients at g's keys changed (a common factor
+                # taken out of all of them only shrinks them), so the bound of
+                # a long chain of sums does not gain a bit at each step, and
+                # neither does the work charged for it
+                bits = max(bf, max(map(abs, map(terms.get, g, repeat(0))), default=0).bit_length())
+            else:
+                bits = _bits(terms, den)
         if _digits(bits) > MAX_RESULT_DIGITS:
             bits = _bits(terms, den)
             if _digits(bits) > MAX_RESULT_DIGITS:
@@ -456,10 +536,10 @@ class PolynomialContext(_TermContext):
         for name, value in self.aliases.items():
             if value.ring != ring:
                 raise RingMismatchError(f"alias {name!r} is not in ring {ring.names}")
-        self._variables = {
+        self._set_leaves({
             name: (MappingProxyType(value.packed), value.den, _bits(value.packed, value.den), 0)
             for name, value in {**self.aliases, **dict(zip(ring.names, ring.gens()))}.items()
-        }
+        })
 
     def constant(self, num: int, den: int, pos: int) -> Value:
         if not num:
@@ -487,7 +567,7 @@ class CharacterContext(_TermContext):
     packing = CHAR_PACKING
 
     def __init__(self):
-        self._variables = {f"y{j}": (MappingProxyType(y(j).packed), 1, 1, 0) for j in range(1, 6)}
+        self._set_leaves({f"y{j}": (MappingProxyType(y(j).packed), 1, 1, 0) for j in range(1, 6)})
         # the key of y_j^-1 by that of y_j, as most entries are words in them;
         # each use gets its own dict, which a sum may add into
         self._inverses = {k: v for j in range(1, 6) for k, v in zip(y(j).packed, y_inverse(j).packed)}

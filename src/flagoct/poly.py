@@ -23,7 +23,7 @@ import itertools
 import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .scaled import Scalar, exact
@@ -339,6 +339,7 @@ class Polynomial:
         return self * (Fraction(1) / c)
 
     def __pow__(self, n: int) -> "Polynomial":
+        n = index(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return Polynomial._of(self.ring, *pow_scaled(self.packed, self.den, n, self.ring.packing))

@@ -953,12 +953,43 @@ class TestExactStore:
         with pytest.raises(ValueError, match="character coefficients must be integers"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: x_character(1) * 2,
+            lambda: x_character(1) + 1,
+            lambda: x_character(1) - 1,
+            lambda: 2 * x_character(1),
+        ],
+        ids=["times", "plus", "minus", "rtimes"],
+    )
+    def test_character_arithmetic_needs_a_character(self, build):
+        # a scalar multiple is Character.scale
+        with pytest.raises(TypeError, match="unsupported operand"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: B_RING.var("b1") ** 0.5,
+            lambda: B_RING.var("b1") ** Fraction(1),
+            lambda: x_character(1) ** 0.5,
+            lambda: x_character(1) ** Fraction(2),
+        ],
+        ids=["polynomial-float", "polynomial-fraction", "character-float", "character-fraction"],
+    )
+    def test_exponents_must_be_integers(self, build):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
+
     def test_integral_fractions_and_bools_stay_accepted(self):
         two = Fraction(4, 2)
         assert Character({(0, 0, 0, 0): two}) == Character.constant(2) == Character.constant(True).scale(two)
         assert B_RING.const(two) == B_RING.const(2) == B_RING.const(True) * two
         assert FormProduct(two, ()).scalar == 2
         assert WeylElement([[two, 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).doubled[0][0] == 4
+        assert B_RING.var("b1") ** True == B_RING.var("b1")
+        assert x_character(1) ** True == x_character(1)
 
 
 class TestOctonionAgainstFractions:

@@ -12,11 +12,12 @@ import functools
 import io
 import json
 import random
+import re
 import sys
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log10
+from math import comb, gcd, log10
 from pathlib import Path
 from typing import Union
 
@@ -51,6 +52,7 @@ from flagoct.parsing import (
     _digits,
     _over_budget,
     _power_pairs,
+    _word_tokens,
 )
 
 
@@ -116,6 +118,9 @@ class _TreeBuilder:
 
     def mul(self, left: Node, right: Node, pos: int) -> Node:
         return BinOp("*", left, right, pos)
+
+    def word(self, text: str, pos: int) -> None:
+        return None  # a word's tree is built factor by factor
 
 
 
@@ -204,6 +209,11 @@ def reference_tokenize(text):
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
+
+
+def unfolded(tokens):
+    """The tokens with each word token replaced by the tokens it folds."""
+    return [part for tok in tokens for part in (_word_tokens(*tok[1:]) if tok[0] == "word" else [tok])]
 
 
 class ReferencePolynomialContext:
@@ -304,10 +314,12 @@ def outcome(fn, *args):
 
 
 # The evaluation steps before one-term products and powers became one key
-# and one coefficient operation, and before the character context kept its
-# inverted leaves: every product convolves its term lists, every power runs
-# square-and-multiply on them, and every inverse is worked out from its key.
-# The bounds, bits and work of each step are those of the context.
+# and one coefficient operation, before the character context kept its
+# inverted leaves, and before a word and a one-term sum were read in one
+# step: every word is read factor by factor, every product convolves its
+# term lists, every power runs square-and-multiply on them, every inverse is
+# worked out from its key, and every sum takes the general path.  The
+# bounds, bits and work of each step are those of the context.
 
 
 def ref_mul_terms(f, g, packing):
@@ -346,7 +358,43 @@ def ref_pow_terms(f, n, packing):
 
 
 class ConvolvingSteps:
-    """`*` and `^` of an evaluation context, on the reference kernels."""
+    """`*`, `^`, `+` and `-` of an evaluation context, on the reference
+    kernels, with no word read in one step."""
+
+    def word(self, text, pos):
+        return None
+
+    def add(self, left, right, pos):
+        return self.reference_sum(left, right[0], right, pos)
+
+    def sub(self, left, right, pos):
+        return self.reference_sum(left, poly.neg_terms(right[0]), right, pos)
+
+    @staticmethod
+    def reference_sum(left, g, right, pos):
+        """left + g, where ``right`` gives g's denominator and work."""
+        (f, df, bf, wf), (_, dg, _, wg) = left, right
+        read = len(f) + len(g)
+        if df % dg == 0 and type(f) is dict:
+            if df != dg:
+                g = {e: c * (df // dg) for e, c in g.items()}
+            terms, den, read = poly.add_into(f, g), df, len(g)
+            if df != 1 and gcd(df, *(terms.get(e, 0) for e in g)) != 1:
+                terms, den = poly.lowest_terms(terms, df)
+        else:
+            terms, den = poly.add_scaled(f, df, g, dg)
+        if df % dg == 0:
+            bits = max(bf, max((abs(terms.get(e, 0)) for e in g), default=0).bit_length())
+        else:
+            bits = _bits(terms, den)
+        if _digits(bits) > MAX_RESULT_DIGITS:
+            bits = _bits(terms, den)
+            if _digits(bits) > MAX_RESULT_DIGITS:
+                raise ParseError(f"this sum has coefficients of more than {MAX_RESULT_DIGITS} digits", pos)
+        work = wf + wg + read * _digits(bits)
+        if work > MAX_WORK:
+            raise _over_budget(pos)
+        return terms, den, bits, work
 
     def mul(self, left, right, pos):
         (f, df, bf, wf), (g, dg, bg, wg) = left, right
@@ -480,7 +528,41 @@ class TestTokenizer:
     @given(st.text(alphabet=st.one_of(st.sampled_from("b1y5 _+-*^/()\t\u00b2\u00bd\u0663\u00e9$"), st.characters()), max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_tokenizer(self, text):
-        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+        # a word token stands for the tokens it folds
+        assert outcome(lambda t: unfolded(tokenize(t)), text) == outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("y1*y2", ["y1*y2"]),
+            ("y1^-1*y2^3*y5 + y1*b1", ["y1^-1*y2^3*y5", "y1*b1"]),
+            ("(y1*y2) - y3*y4^2", ["y1*y2", "y3*y4^2"]),
+            ("y1^2*y2*(y3*y4)*3", ["y1^2*y2", "y3*y4"]),
+            # a word is one token only where a term starts
+            ("2*y1*y2", []),
+            ("-y1*y2", []),
+            ("y1 - -y1*y2", []),
+            ("y1^2 -y1*y2", ["y1*y2"]),
+            ("(y1)*y2*y3", []),
+            ("y1^y2*y3", []),
+            ("1/y2*y3", []),
+            # and only a whole, whitespace-free, ASCII run not raised by a '^'
+            ("y1 *y2", []),
+            ("y1*y2 ^3", []),
+            ("y1*y2^3^2", []),
+            ("y1*y2*y3 ^2", ["y1*y2"]),
+            ("y1*y2^34 ^2", []),
+            ("y1*y2\u00e9", []),
+            ("y1*y2^\u0663", []),
+            ("y1*y2^2\u0663", []),
+            ("y1^-*y2", []),
+            ("y1*y2^2x", ["y1*y2^2"]),
+        ],
+    )
+    def test_words_fold_where_a_term_starts(self, text, words):
+        tokens = tokenize(text)
+        assert [tok[1] for tok in tokens if tok[0] == "word"] == words
+        assert unfolded(tokens) == reference_tokenize(text)
 
 
 class TestParser:
@@ -1139,6 +1221,29 @@ STEP_NAMES = {
 P_MINUS_P = "*".join(["(b1+b2)^9"] * 400) + "-" + "*".join(["(b1+b2)^9"] * 400)
 
 
+@functools.lru_cache(maxsize=None)
+def word_texts(names):
+    """Texts shaped as expanded ones: sums of words over ``names``, some with
+    a coefficient, under a power or times a word, with exponents at and past
+    every irregular value of a word."""
+    exponents = st.one_of(
+        st.just(""),
+        st.integers(-3, 3).map("^{}".format),
+        st.sampled_from(["^-0", "^0002", "^999", "^1000", "^-1000", "^1001", "^8191", "^-8192"]),
+    )
+    factor = st.builds("{}{}".format, st.sampled_from(names), exponents)
+    word = st.lists(factor, min_size=1, max_size=6).map("*".join)
+    term = st.builds("{}{}".format, st.sampled_from(["", "-", "2*", "-3*", "1/2*", "4/6*"]), word)
+    signed = st.tuples(st.sampled_from([" + ", " - ", "+", "-"]), term).map("".join)
+    text = st.builds(lambda first, rest: first + "".join(rest), term, st.lists(signed, max_size=5))
+    return st.one_of(
+        text,
+        st.builds("({})^{}".format, text, st.integers(-2, 3)),
+        st.builds("{}*({})".format, word, text),
+        st.builds("({})*{}".format, text, word),
+    )
+
+
 class TestStepsMatchTheConvolvingReference:
     """Every text builds the same terms, denominator, bit bound and work as
     with convolved products, square-and-multiply powers and inverses worked
@@ -1149,6 +1254,12 @@ class TestStepsMatchTheConvolvingReference:
     @settings(max_examples=100, deadline=None)
     def test_random_trees(self, ring, data):
         assert_same_steps(to_text(data.draw(ast_nodes(STEP_NAMES[ring]))), ring)
+
+    @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_word_shaped_texts(self, ring, data):
+        assert_same_steps(data.draw(word_texts(STEP_NAMES[ring])), ring)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_stream_text(self, seed, tmp_path, monkeypatch):
@@ -1199,10 +1310,95 @@ class TestStepsMatchTheConvolvingReference:
             ("RT", "y1^-1 + y2"),
             ("RT", "y1^-1 - y1^-1 + y2^-1*y3^-1 + 1"),
             ("Hb", P_MINUS_P),
+            # each place a word is read factor by factor: a field past its
+            # limit on the way, or at the end (doubled y1 coordinates of
+            # 16 382 and 16 384, and of -16 384 and -16 386); and a word of
+            # both signs whose fields stay inside
+            ("RT", "*".join(["y1^1000"] * 8) + "*y1^191"),
+            ("RT", "*".join(["y1^1000"] * 8) + "*y1^192"),
+            ("RT", "*".join(["y1^-1000"] * 8) + "*y1^-192"),
+            ("RT", "*".join(["y1^-1000"] * 8) + "*y1^-193"),
+            ("RT", "*".join(["y1^1000"] * 9) + "*y1^-1000"),
+            ("RT", "y5^1000*" + "*".join(["y1^-1000"] * 8) + "*y5^-1000"),
+            ("HT", "*".join(["rho1^1000"] * 32) + "*rho2^767"),
+            ("HT", "*".join(["rho1^1000"] * 32) + "*rho2^768"),
+            ("RX", "X4^1000*" * 32 + "X1^768 + 1"),
+            # a zero exponent, an alias, a negative exponent in a polynomial
+            # ring, an unknown name, a word with whitespace
+            ("RT", "y1^0*y2"),
+            ("RT", "y1^-0*y2 + y1^-0"),
+            ("RT", "y1^0002*y2^-001"),
+            ("Hb", "b3*b1"),
+            ("Hb", "b1*b3^2 + b2*b3"),
+            ("Hb", "b1^-1*b2"),
+            ("Hb", "b1*b2^-1"),
+            ("RT", "z*y1"),
+            ("RT", "y1*y2*z"),
+            ("RT", "y1 ^ - 2 * y2"),
+            ("RT", "y1^1001*y2"),
+            # the bit bound of a word past MAX_RESULT_DIGITS, which the
+            # factor-by-factor reading recomputes, and its work past MAX_WORK
+            ("RT", "*".join(["y1", "y1^-1"] * 3500)),
+            ("Hb", "*".join(["b1"] * 7000) + " + b2"),
+            ("RT", "*".join(["y1", "y2^-1"] * 6000)),
+            ("Hb", "*".join(["b2"] * 12000)),
+            # one-term sums into a sum the text owns, over 1 and not
+            ("RT", "y1*y2 + y1*y2 - 2*y1*y2 + y3 - y3"),
+            ("Hb", "1/2*b1*b2 + b1*b2 + 1/2*b1*b2 - 2*b1*b2"),
+            ("Hb", "b1*b2 + 1/3 + b1^2*b2 - 1/3"),
         ],
     )
     def test_edge_cases(self, ring, text):
         assert_same_steps(text, ring)
+
+
+STREAM_WORD = re.compile(r"[A-Za-z_]\w*(?:\^-?\d+)?(?:\*[A-Za-z_]\w*(?:\^-?\d+)?)+")
+
+
+class TestWordsInOneStep:
+    @pytest.mark.parametrize(
+        "ring, text, at, message",
+        [
+            ("Hb", "b1^-1*b2", "^", "negative exponents are not allowed"),
+            ("Hb", "b1 + b1*b2^-3", "^", "negative exponents are not allowed"),
+            ("RT", "y1*y2*z", "z", "unknown variable 'z'"),
+            ("RT", "2 - y1*y2^1001", "1001", "exponent exceeds 1000"),
+            ("RT", "(" + "*".join(["y1^1000"] * 9) + ")", "*y1^1000)", "16-bit"),
+        ],
+    )
+    def test_a_word_read_factor_by_factor_keeps_its_positions(self, ring, text, at, message):
+        # the factor-by-factor reading of a word token reports each error
+        # where the text has it
+        with pytest.raises(ParseError, match=message) as err:
+            parse_and_evaluate(text, _context_for(ring))
+        assert err.value.position == text.index(at)
+
+    def test_every_stream_word_is_read_in_one_step(self, tmp_path, monkeypatch):
+        # each multi-factor word of the RT and expand texts of the stream is
+        # one token that the character context reads in one step
+        stream = load_stream(monkeypatch)
+        context = CharacterContext()
+        read, results = context.word, []
+
+        def recording(text, pos):
+            value = read(text, pos)
+            results.append((text, value is not None))
+            return value
+
+        monkeypatch.setattr(context, "word", recording)
+        texts = []
+        for request in stream.generate(0, 10, str(tmp_path), "req"):
+            if request.kind == "expand":
+                texts.append(request.argv[1])
+            elif request.kind == "RT":
+                texts += json.loads(Path(request.argv[-1]).read_text(encoding="utf-8"))["entries"].values()
+        words = 0
+        for text in texts:
+            parse_and_evaluate(text, context)
+            words += len(STREAM_WORD.findall(text))
+        assert words > 5000
+        assert results == [(text, True) for text, _ in results]
+        assert len(results) == words
 
 
 # -- the grammar through the command line --------------------------------------------
