@@ -104,7 +104,8 @@ def _load_tuple_file(path: str, ring: str) -> Dict[str, str]:
         data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not valid UTF-8: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's int-string limit
         raise UsageError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise UsageError(f"{path} is nested too deeply")

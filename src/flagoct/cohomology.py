@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groebner import GroebnerBasis, buchberger, graded_quotient_dimensions
-from .poly import PolyRing, Polynomial, Scalar, elementary_symmetric, exact_divide
+from .poly import PolyRing, Polynomial, elementary_symmetric, exact_divide
+from .scaled import numerators
 from .weyl import SIGMA3_NAMES, Sigma3Element, sigma3_by_name
 
 E_RING = PolyRing.make(("x1", "x2"), (8, 8))
@@ -291,14 +292,8 @@ def bgg_basis_independent() -> bool:
     gb = ctx.symmetric_ideal_basis()
     nfs = [gb.normal_form(p) for p in ctx.bgg_basis().values()]
     monomials = sorted({e for p in nfs for e in p.terms})
-    matrix = [integral_row([p.terms.get(e, 0) for e in monomials]) for p in nfs]
+    matrix = [numerators([p.terms.get(e, 0) for e in monomials])[0] for p in nfs]
     return matrix_rank(matrix) == len(nfs)
-
-
-def integral_row(row: Sequence[Scalar]) -> List[int]:
-    """The row scaled by the lcm of its denominators, as integers."""
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def echelon_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -312,8 +307,8 @@ def echelon_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     cross-multiplication) and the row is divided by its content, until its
     leading column is new or the row is zero; a zero row is dependent and
     dropped.  The only division is by a content, and it is checked to be
-    exact.  Entries must be ints; scale rational rows with ``integral_row``
-    first.
+    exact.  Entries must be ints; scale rational rows to integers with
+    :func:`flagoct.scaled.numerators` first.
     """
     basis: Dict[int, List[int]] = {}
     seen = set()

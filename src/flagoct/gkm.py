@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .cohomology import B_RING, RestrictionTable, abstract_label, echelon_basis, integral_row, matrix_rank
+from .cohomology import B_RING, RestrictionTable, abstract_label, echelon_basis, matrix_rank
 from .ktheory import X_RING, Character, divides_char, edge_divisor_char, edge_divisor_poly
 from .poly import (
     FormProduct,
@@ -39,9 +39,11 @@ from .poly import (
     ResourceLimitError,
     RingMismatchError,
     Scalar,
+    elementary_symmetric,
     exact_divide,
     pairwise_coprime,
 )
+from .scaled import numerators
 from .weyl import (
     ROOT_TRANSPOSITIONS,
     SIGMA3_NAMES,
@@ -501,22 +503,8 @@ def _basic_invariants() -> Tuple[Polynomial, ...]:
     """
     ls = l_polynomials()
     sq = [l * l for l in ls]
-    s1 = sum(sq, RHO_RING.zero())
-    s2 = sum(
-        (sq[i] * sq[j] for i in range(4) for j in range(i + 1, 4)),
-        RHO_RING.zero(),
-    )
-    s3 = sum(
-        (
-            sq[i] * sq[j] * sq[k]
-            for i in range(4)
-            for j in range(i + 1, 4)
-            for k in range(j + 1, 4)
-        ),
-        RHO_RING.zero(),
-    )
-    prod = ls[0] * ls[1] * ls[2] * ls[3]
-    return (s1, s2, prod, s3)
+    s1, s2, s3 = (elementary_symmetric(i, *sq) for i in (1, 2, 3))
+    return (s1, s2, ls[0] * ls[1] * ls[2] * ls[3], s3)
 
 
 @functools.cache
@@ -570,7 +558,7 @@ def _invariant_monomials(
     return out
 
 
-def _integral_rows(restricted: Sequence[Polynomial]) -> List[List[int]]:
+def _integral_rows(restricted: Sequence[Polynomial]) -> List[Sequence[int]]:
     """One integer row per monomial of the restricted basis, in sorted order.
 
     Entry m of a row is the monomial's coefficient in ``restricted[m]``,
@@ -588,7 +576,7 @@ def _integral_rows(restricted: Sequence[Polynomial]) -> List[List[int]]:
     if all(p.den == 1 for p in restricted):
         return [rows[k] for k in sorted(rows)]
     return [
-        integral_row([Fraction(c, p.den) for c, p in zip(rows[k], restricted)])
+        numerators([Fraction(c, p.den) for c, p in zip(rows[k], restricted)])[0]
         for k in sorted(rows)
     ]
 

@@ -384,12 +384,16 @@ def char_quotient(d: Character, f: Character) -> Optional["Character"]:
 
     Both sides are shifted into polynomials in four variables and divided
     over the integers; shifting the quotient back gives f/d, since neither
-    shifted side is divisible by a variable.
+    shifted side is divisible by a variable.  The dimension is a ring map,
+    so where d has dimension 0 and f does not, f/d is refused before any
+    division.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero character")
     if f.is_zero():
         return Character.zero()
+    if d.dimension() == 0 != f.dimension():
+        return None
     pf, sf = _shifted_terms(f)
     pd, sd = _shifted_terms(d)
     # int coefficients: the reduction divides over Z

@@ -50,7 +50,7 @@ from math import comb, gcd, log10
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .ktheory import CHAR_PACKING, Character, y, y_inverse
+from .ktheory import CHAR_PACKING, Character, y
 from .poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError, Terms
 from .poly import add_into, add_scaled, lowest_terms, mul_terms, neg_terms, pow_scaled
 
@@ -356,7 +356,9 @@ class _TermContext:
 
     Subclasses give ``packing``, the leaves (``constant``, ``variable``), the
     inverse of a base raised to a negative power, and ``wrap`` for the
-    result.  Variable leaves are cached and shared, and read-only
+    result.  The key of v^-1 is ``2 * zero - key(v)``, as the packing is
+    linear; a packing without a bias (``zero == 0``) has no inverses.
+    Variable leaves are cached and shared, and read-only
     (``MappingProxyType``); every ``dict`` in a value is the text's own, made
     by one step and held by that value alone, so a sum adds into its left
     operand when that is a ``dict`` whose denominator the right one's
@@ -370,7 +372,6 @@ class _TermContext:
     """
 
     packing = None
-    _inverses: Mapping[int, int] = MappingProxyType({})  # the key of v^-1 by that of v
 
     def _set_leaves(self, leaves: Dict[str, Value]) -> None:
         self._variables = leaves
@@ -386,11 +387,16 @@ class _TermContext:
                 name, _, exp = factor.partition("^")
                 k, n = keys[name], int(exp or 1) if len(exp) <= 5 else 0  # longer: past the bound or 0-padded
                 if n < 0:
-                    k, n = self._inverses[k], -n
+                    if not zero:
+                        return None
+                    k, n = 2 * zero - k, -n
                 if not 0 < n <= MAX_EXPONENT:
                     return None
                 if n > 1:
-                    packing.check_power(k, n)
+                    # n * k fits every field: a variable's exponents are at
+                    # most 2 in size (the doubled keys of y1..y5), n is at
+                    # most MAX_EXPONENT, and the word's key is checked from
+                    # its second factor on
                     k = n * (k - zero) + zero
                     work += _power_pairs(1, n)
                 key = key + k - zero if i else k
@@ -568,9 +574,6 @@ class CharacterContext(_TermContext):
 
     def __init__(self):
         self._set_leaves({f"y{j}": (MappingProxyType(y(j).packed), 1, 1, 0) for j in range(1, 6)})
-        # the key of y_j^-1 by that of y_j, as most entries are words in them;
-        # each use gets its own dict, which a sum may add into
-        self._inverses = {k: v for j in range(1, 6) for k, v in zip(y(j).packed, y_inverse(j).packed)}
 
     def constant(self, num: int, den: int, pos: int) -> Value:
         n, r = divmod(num, den)
@@ -588,8 +591,6 @@ class CharacterContext(_TermContext):
         terms = value[0]
         if len(terms) == 1:
             ((key, coeff),) = terms.items()
-            if coeff == 1 and key in self._inverses:
-                return {self._inverses[key]: 1}, 1, 1, value[3]
             if coeff in (1, -1):
                 # packing is linear: key(-k) = 2 key(0) - key(k), and its
                 # fields are all in range unless one of k's was -bias

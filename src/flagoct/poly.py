@@ -18,6 +18,7 @@ and are shared with the integer characters of :mod:`flagoct.ktheory`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import struct
@@ -26,7 +27,7 @@ from math import gcd, lcm
 from operator import index, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .scaled import Scalar, exact
+from .scaled import Scalar, exact, numerators
 
 Exponents = Tuple[int, ...]
 Terms = Dict[int, Scalar]
@@ -517,10 +518,7 @@ def elementary_symmetric(i: int, *args: Polynomial) -> Polynomial:
         return ring.one()
     out = ring.zero()
     for combo in itertools.combinations(args, i):
-        term = ring.one()
-        for a in combo:
-            term = term * a
-        out = out + term
+        out = out + functools.reduce(mul, combo)
     return out
 
 
@@ -671,11 +669,10 @@ def lowest_terms(terms: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
 
 def scaled_terms(terms: Mapping[int, Scalar]) -> Tuple[Dict[int, int], int]:
     """Int or Fraction coefficients as integer numerators over their least
-    common denominator, which is in lowest terms already."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    if den == 1:
-        return {k: int(c) for k, c in terms.items()}, 1
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+    common denominator, in lowest terms: :func:`flagoct.scaled.numerators`
+    of the coefficients, keyed as ``terms`` is."""
+    nums, den = numerators(terms.values())
+    return dict(zip(terms, nums)), den
 
 
 def add_scaled(f: Terms, df: int, g: Terms, dg: int) -> Tuple[Dict[int, int], int]:

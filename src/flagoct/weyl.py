@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .poly import ResourceLimitError
@@ -454,6 +455,7 @@ class Sigma3Element(_Sigma3Fields):
     __slots__ = ()
 
     def __new__(cls, perm: Tuple[int, int, int]) -> "Sigma3Element":
+        perm = tuple(map(index, perm))
         if sorted(perm) != [1, 2, 3]:
             raise ValueError(f"not a permutation of 1..3: {perm}")
         return super().__new__(cls, perm)

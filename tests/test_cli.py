@@ -232,6 +232,15 @@ class TestGkmCheck:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_integer_past_the_int_string_limit_is_not_valid_json(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer of more than 4300 digits
+        path = tmp_path / "long_int.json"
+        path.write_text('{"entries": {}, "n": 1' + "0" * 5000 + "}")
+        code, out, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit (4300 digits)")
+
     def test_non_object_payload(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([1, 2, 3]))

@@ -16,7 +16,6 @@ from flagoct.cohomology import (
     RestrictionTable,
     bgg_basis_independent,
     echelon_basis,
-    integral_row,
     matrix_rank,
     beta_to_e,
     coinvariant_generators,
@@ -28,6 +27,7 @@ from flagoct.cohomology import (
 )
 from flagoct.groebner import buchberger
 from flagoct.poly import elementary_symmetric
+from flagoct.scaled import numerators
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 X1, X2 = E_RING.gens()
@@ -339,7 +339,7 @@ class TestMatrixRank:
             rank = rng.randint(0, min(nrows, ncols))
             rows = seeded_matrix(rng, nrows, ncols, rank, denominators)
             expected = reference_rank(rows)
-            assert matrix_rank([integral_row(r) for r in rows]) == expected
+            assert matrix_rank([numerators(r)[0] for r in rows]) == expected
 
     def test_empty_and_zero_matrices(self):
         assert matrix_rank([]) == 0
@@ -352,11 +352,11 @@ class TestMatrixRank:
         assert matrix_rank([[big, big + 1], [big + 1, big + 2]]) == 2
         assert matrix_rank([[big, 2 * big], [3 * big + 3, 6 * big + 6]]) == 1
 
-    def test_integral_row_scales_by_the_lcm_of_denominators(self):
+    def test_numerators_scale_a_row_by_the_lcm_of_denominators(self):
         row = [Fraction(1, 4), Fraction(-2, 3), 0, 5]
-        assert integral_row(row) == [3, -8, 0, 60]
-        assert integral_row([2, -7, 0]) == [2, -7, 0]
-        assert integral_row([]) == []
+        assert numerators(row) == ((3, -8, 0, 60), 12)
+        assert numerators([2, -7, 0]) == ((2, -7, 0), 1)
+        assert numerators([]) == ((), 1)
 
     def test_fraction_entries_are_refused(self):
         with pytest.raises(TypeError):
@@ -393,7 +393,7 @@ class TestEchelonBasis:
         nrows, ncols = shape
         for _ in range(25):
             rank = rng.randint(0, min(nrows, ncols))
-            rows = [integral_row(r) for r in seeded_matrix(rng, nrows, ncols, rank, True)]
+            rows = [numerators(r)[0] for r in seeded_matrix(rng, nrows, ncols, rank, True)]
             basis = echelon_basis(rows)
             assert all(reduces_to_zero(r, basis) for r in rows)
             assert matrix_rank(rows + basis) == matrix_rank(rows) == len(basis)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagoct import ktheory
 from flagoct.gkm import check_membership, membership_ring
 from flagoct.ktheory import (
     X_RING,
@@ -276,6 +277,62 @@ class TestDivisibility:
             [(weight, coeff)] = unit.weights()
             assert coeff in (1, -1)
             assert unit * product == expansion
+
+
+def seeded_character(rng, terms=3):
+    """A sum of ``terms`` monomials in y1..y5 with small exponents and
+    coefficients."""
+    f = Character.zero()
+    for _ in range(terms):
+        m = Character.constant(rng.choice((-2, -1, 1, 3)))
+        for j in range(1, 6):
+            e = rng.randint(-2, 2)
+            m = m * (y(j) ** e if e >= 0 else y_inverse(j) ** -e)
+        f = f + m
+    return f
+
+
+class TestEarlyRefusal:
+    """char_quotient refuses f/d before dividing where d has dimension 0 and
+    f does not: the dimension, the sum of the coefficients, is a ring map."""
+
+    def cases(self):
+        rng = random.Random(24)
+        divisors = [edge_divisor_char(k) for k in (1, 2, 3)]
+        divisors += [binomial(L(1)), binomial(L(2) - L(3)), x_character(1)]
+        for d in divisors:
+            for _ in range(5):
+                f = d * seeded_character(rng)
+                i, j = rng.sample(range(1, 6), 2)
+                yield d, f  # member
+                yield d, f + seeded_character(rng, 1)  # near miss, dimension != 0 mostly
+                yield d, f + y(i) - y(j)  # near miss of dimension 0
+
+    def test_matches_the_full_division(self, monkeypatch):
+        cases = list(self.cases())
+        got = [char_quotient(d, f) for d, f in cases]
+        kinds = {
+            (q is not None, d.dimension() == 0, f.dimension() == 0)
+            for (d, f), q in zip(cases, got)
+        }
+        # members, refusals before the division, and non-members of
+        # dimension 0 that only the division refuses
+        assert {(True, True, True), (False, True, False), (False, True, True)} <= kinds
+        assert (True, False, False) in kinds
+        # with every dimension read as 1 the early refusal never fires
+        monkeypatch.setattr(Character, "dimension", lambda self: 1)
+        assert [char_quotient(d, f) for d, f in cases] == got
+
+    def test_a_difference_of_nonzero_dimension_reaches_no_division(self, monkeypatch):
+        calls = []
+        reduce_terms = ktheory.reduce_terms
+        monkeypatch.setattr(ktheory, "reduce_terms", lambda *args: calls.append(args) or reduce_terms(*args))
+        d = edge_divisor_char(1)
+        assert char_quotient(d, d * x_character(1) + Character.one()) is None
+        assert char_quotient(d, -(y(1) + y(5) ** 231)) is None
+        assert calls == []
+        assert char_quotient(d, d * x_character(1)) == x_character(1)
+        assert len(calls) == 1
 
 
 class TestXPolynomialBridge:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from flagoct.cli import _context_for, main
 from flagoct.cohomology import B_RING, E_RING
-from flagoct.gkm import RHO_RING
+from flagoct.gkm import RHO_RING, RINGS
 from flagoct.ktheory import CHAR_PACKING, Character, x_character, y, y_inverse
 from flagoct.weyl import SIGMA3_NAMES, omega
 from flagoct import poly
@@ -1399,6 +1399,67 @@ class TestWordsInOneStep:
         assert words > 5000
         assert results == [(text, True) for text, _ in results]
         assert len(results) == words
+
+
+def y_word(*exponents):
+    """The product of y_j^e over the (j, e) pairs, from y and y_inverse."""
+    out = Character.one()
+    for j, e in exponents:
+        out = out * (y(j) ** e if e >= 0 else y_inverse(j) ** -e)
+    return out
+
+
+class TestInverseKeys:
+    """The key of v^-1 is 2*zero - key(v), inside words and outside them."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            *[(f"y{j}^-1", y_word((j, -1))) for j in range(1, 6)],
+            *[(f"y{j}^-1*y{6 - j}^-1", y_word((j, -1), (6 - j, -1))) for j in range(1, 6)],
+            ("(y1*y2)^-1", y_word((1, -1), (2, -1))),
+            ("(-y5)^-1", -y_word((5, -1))),
+            ("y5*y1^-1*y2^-1", y_word((5, 1), (1, -1), (2, -1))),
+            ("y1^-2*y2^-1000*y5^-3", y_word((1, -2), (2, -1000), (5, -3))),
+            ("y3*(y4*y1)^-1*y2^-1", y_word((3, 1), (4, -1), (1, -1), (2, -1))),
+        ],
+    )
+    def test_inverses_equal_their_products_of_y_and_y_inverse(self, text, expected):
+        context = CharacterContext()
+        # a word where a term starts is read in one step; after '2*' or with
+        # spaces around its '*' its factors are read one by one
+        assert parse_and_evaluate(text, context) == expected
+        assert parse_and_evaluate(text.replace("*", " * "), context) == expected
+        assert parse_and_evaluate(f"2*{text}", context) == Character.constant(2) * expected
+
+    def test_words_of_inverses_are_read_in_one_step(self):
+        context = CharacterContext()
+        for text in ("y1^-1*y2", "y5*y1^-1*y2^-1", "y1^-2*y2^-1000*y5^-3"):
+            terms, den, _, _ = context.word(text, 0)
+            assert Character._of(dict(terms)) == parse_and_evaluate(text.replace("*", " * "), context)
+            assert den == 1
+
+    def test_a_ring_without_inverses_declines_a_negative_exponent(self):
+        # the factor-by-factor reading then gives the error and its position
+        # (TestWordsInOneStep checks both)
+        assert PolynomialContext(B_RING).word("b1^-1*b2", 0) is None
+        assert PolynomialContext(B_RING).word("b1*b2^-3", 0) is None
+
+    def test_a_word_power_needs_no_field_check(self):
+        # word() raises a factor's key to a power n <= MAX_EXPONENT unchecked:
+        # every variable's exponents are at most 2 in size, so n times them
+        # stays inside the character fields and every polynomial ring's degree
+        assert 2 * MAX_EXPONENT < CHAR_PACKING.bias
+        for ring, *_ in RINGS.values():
+            packing = CHAR_PACKING if ring is Character else ring.packing
+            assert MAX_EXPONENT <= packing.limit
+        for name in RINGS:
+            context = _context_for(name)
+            for key in context._keys.values():
+                if context.packing.bias:
+                    assert max(map(abs, context.packing.unpack(key))) <= 2
+                else:
+                    assert context.packing.degree(key) == 1
 
 
 # -- the grammar through the command line --------------------------------------------

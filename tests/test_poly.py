@@ -1,6 +1,8 @@
 """Exact sparse polynomial arithmetic and helpers."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from flagoct.poly import (
     grevlex_key,
     pairwise_coprime,
     reduce_terms,
+    scaled_terms,
 )
 
 R2 = PolyRing.make(("x", "y"))
@@ -159,6 +162,35 @@ class TestElementarySymmetric:
         a, b, _ = R3.gens()
         args = (a, b - a, -b)
         assert elementary_symmetric(1, *args).is_zero()
+
+
+def former_scaled_terms(terms):
+    """scaled_terms as it was written before it read scaled.numerators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {k: int(c) for k, c in terms.items()}, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+class TestScaledTerms:
+    def test_equals_the_former_formula_on_seeded_dicts(self):
+        rng = random.Random(24)
+        kinds = {
+            "int": lambda: rng.randint(-9, 9),
+            "bool": lambda: rng.random() < 0.5,
+            "Fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        }
+        dicts = [{}]
+        for kind in kinds.values():
+            for size in range(1, 8):
+                dicts.append({rng.randrange(1 << 20): kind() for _ in range(size)})
+        dicts += [{k: rng.choice(list(kinds.values()))() for k in range(6)} for _ in range(20)]
+        for terms in dicts:
+            nums, den = scaled_terms(terms)
+            assert (nums, den) == former_scaled_terms(terms)
+            assert list(nums) == list(terms)
+            assert all(type(c) is int for c in nums.values()) and type(den) is int
+        assert scaled_terms({}) == ({}, 1)
 
 
 class TestExactDivide:

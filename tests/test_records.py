@@ -84,6 +84,10 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(f'not a permutation of 1..3: {perm}')}$"):
             Sigma3Element(perm)
 
+    def test_sigma3_element_refuses_float_entries(self):
+        with pytest.raises(TypeError):
+            Sigma3Element((1.0, 2.0, 3.0))
+
     def test_form_product_mixed_rings(self):
         with pytest.raises(RingMismatchError, match="^factors live in different rings$"):
             FormProduct(Fraction(1), (R2.gens()[0], R3.gens()[0]))
@@ -108,6 +112,12 @@ class TestValidation:
 
 
 class TestConstruction:
+    def test_sigma3_element_keeps_a_tuple_of_ints(self):
+        element = Sigma3Element([1, 3, 2])
+        assert type(element.perm) is tuple and element.perm == (1, 3, 2)
+        assert element.name == "s1"
+        assert element == Sigma3Element((1, 3, 2)) and hash(element) == hash(Sigma3Element((1, 3, 2)))
+
     def test_form_product_coerces_its_scalar(self):
         for scalar in (3, Fraction(6, 2)):
             fp = FormProduct(scalar, (X,))
