@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import random
+import struct
 from operator import index, mul
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -371,10 +372,15 @@ def verify_factorizations(
 
 def _shifted_terms(f: Character) -> Tuple[Dict[int, int], int]:
     """Shift the support into the nonnegative orthant; return the shifted
-    terms, as keys of ``_SHIFTED_PACKING``, and the packed shift."""
-    unpack = CHAR_PACKING.unpack
-    keys = [unpack(k) for k in f.packed]
-    shift = CHAR_PACKING.pack([min(k[i] for k in keys) for i in range(4)])
+    terms, as keys of ``_SHIFTED_PACKING``, and the packed shift.
+
+    The fields of all keys are read in one conversion, as little-endian
+    unsigned 16-bit words (as ``Packing.unpack`` reads one key's): field i
+    of every key is every fourth word from word i."""
+    low, bias = CHAR_PACKING.low, CHAR_PACKING.bias
+    data = b"".join([(-k & low).to_bytes(8, "little") for k in f.packed])
+    fields = struct.unpack(f"<{len(data) >> 1}H", data)
+    shift = CHAR_PACKING.pack([min(fields[i::4]) - bias for i in range(4)])
     # packing is linear: key(k) - key(s) is the unbiased key of k - s
     return {k - shift: c for k, c in f.packed.items()}, shift
 

@@ -21,8 +21,9 @@ read; :func:`parse_and_evaluate` uses an evaluation context as the builder,
 so it evaluates while it parses, on plain term dicts, and wraps the result
 once.  A word such as ``y1^-1*y2*y5`` starting a term is one token, whose
 packed keys the context adds in one step (reading its factors one by one
-where that could differ), and a sum whose right operand is one term over 1
-adds that term straight into a left operand the text owns.
+where that could differ) and keeps by its text (``MAX_WORDS``), and a sum
+whose right operand is one term over 1 adds that term straight into a left
+operand the text owns.
 
 A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
@@ -103,6 +104,15 @@ MAX_WORK = 20_000_000
 # bound sits well inside Python's own limit on int() of a decimal string
 # (4300 digits), which would otherwise end the parse in a ValueError.
 MAX_LITERAL_DIGITS = 1000
+
+# An evaluation context keeps the value of every word it reads, up to this
+# many words of at most this many characters; a word past either is read
+# again at each occurrence.  An entry is the word's text (at most 49 + 100
+# bytes) and a tuple of three ints below 2**90 (at most 64 + 3 * 36 bytes) in
+# a dict slot (under 60 bytes), under 400 bytes in all, so the words of one
+# context hold at most 1024 * 400 bytes, 0.4 MB.
+MAX_WORDS = 1024
+MAX_WORD_LENGTH = 100
 
 
 class ParseError(ValueError):
@@ -377,10 +387,28 @@ class _TermContext:
         self._variables = leaves
         # the key of each one-monomial leaf, which a word's factor may be
         self._keys = {n: k for n, (t, d, *_) in leaves.items() for k, c in t.items() if len(t) == c == d == 1}
+        # word text -> (key, bits, work), or None for a declined word
+        self._words: Dict[str, Optional[Tuple[int, int, int]]] = {}
 
     def word(self, text: str, pos: int) -> Optional[Value]:
         """The value of a word ``v1^e1*v2^e2*...`` from its packed keys, with the
-        bits, work and checks of reading it factor by factor; None where they may differ."""
+        bits, work and checks of reading it factor by factor; None where they may differ.
+
+        Neither depends on where the word is, so both are kept by its text (up
+        to ``MAX_WORDS`` words of at most ``MAX_WORD_LENGTH`` characters): the
+        entries of a tuple share their monomials, and so do the texts one
+        context reads."""
+        words = self._words
+        if text in words:
+            known = words[text]
+            # a fresh dict: a sum adds into the dicts of the text's own values
+            return None if known is None else ({known[0]: 1}, 1, known[1], known[2])
+        value = self._read_word(text)
+        if len(words) < MAX_WORDS and len(text) <= MAX_WORD_LENGTH:
+            words[text] = value and (next(iter(value[0])), value[2], value[3])
+        return value
+
+    def _read_word(self, text: str) -> Optional[Value]:
         packing, keys, zero, work = self.packing, self._keys, self.packing.zero, 0
         try:
             for i, factor in enumerate(text.split("*")):

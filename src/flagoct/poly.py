@@ -634,18 +634,40 @@ def map_terms(
     ``source`` packs the keys of f and ``target`` those of the images.  The
     powers of each image are built once, by repeated multiplication, and
     shared by all terms of f.
+
+    Into a target without a bias, with no image zero, a one-term image c*m
+    to the k-th power is the factor c**k at the key k*m: a term of f adds
+    these keys into one shift and multiplies these factors into its
+    coefficient, then shifts the product of its other powers once.  Every
+    step's total degree is at most the term's, the sum of k times the top
+    degree of each image, so one check of that sum refuses what a step
+    would, with its message.  A zero image would end a term's checks early,
+    and with a bias a field can leave its range at one step and come back
+    at a later one, so there every step runs as before.
     """
     one = {target.zero: 1}
     powers = [[one, g] for g in images]
+    fold = not target.zero and all(images)
+    singles = [next(iter(g.items())) if fold and len(g) == 1 else None for g in images]
+    tops = [target.degree(max(g)) if fold else 0 for g in images]
+    factors = list(zip(singles, tops, powers, images))
     out: Terms = {}
     for e, c in f.items():
-        term = one
-        for k, cache, g in zip(source.unpack(e), powers, images):
+        term, shift, top = one, 0, 0
+        for k, (single, degree, cache, g) in zip(source.unpack(e), factors):
             if k:
+                top += k * degree
+                if single is not None:
+                    shift += k * single[0]
+                    c *= single[1] ** k
+                    continue
                 while len(cache) <= k:
                     cache.append(mul_terms(cache[-1], g, target))
                 term = cache[k] if term is one else mul_terms(term, cache[k], target)
+        if shift:
+            target.check_degree(top << target.shift)
         for m, v in term.items():
+            m += shift
             s = out.get(m, 0) + c * v
             if s:
                 out[m] = s

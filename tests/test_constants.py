@@ -92,8 +92,12 @@ def test_memoized_constants_equal_fresh_builds(tmp_path, capsys):
             cached, fresh = fn(*args), fn.__wrapped__(*args)
             assert fresh is not cached
             if module_name == "cli":
-                # evaluation contexts: compare what they hold
-                assert vars(cached) == vars(fresh), (name, args)
+                # evaluation contexts: compare what they hold, and read each
+                # word the used context keeps in the fresh one too
+                held, built = dict(vars(cached)), dict(vars(fresh))
+                words = held.pop("_words")
+                assert built.pop("_words") == {} and held == built, (name, args)
+                assert all(fresh.word(text, 0) == cached.word(text, 0) for text in words), (name, args)
             else:
                 assert cached == fresh, (name, args)
 

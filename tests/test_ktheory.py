@@ -335,6 +335,44 @@ class TestEarlyRefusal:
         assert len(calls) == 1
 
 
+def per_key_shift(f):
+    """The shift of ``ktheory._shifted_terms`` from each key's own unpacked
+    fields: the per-coordinate minima, packed."""
+    keys = [ktheory.CHAR_PACKING.unpack(k) for k in f.packed]
+    shift = ktheory.CHAR_PACKING.pack([min(k[i] for k in keys) for i in range(4)])
+    return {k - shift: c for k, c in f.packed.items()}, shift
+
+
+class TestShiftedTerms:
+    """The shift of a character division, read from all fields at once,
+    against the minima of each key's unpacked fields."""
+
+    def test_seeded_characters(self):
+        rng = random.Random(25)
+        for size in (1, 2, 3, 8, 40):
+            for _ in range(20):
+                f = seeded_character(rng, size)
+                if f:
+                    assert ktheory._shifted_terms(f) == per_key_shift(f)
+        for f in (x_character(4) ** 2 * x_character(1), edge_divisor_char(1), -y_inverse(5)):
+            assert ktheory._shifted_terms(f) == per_key_shift(f)
+
+    @pytest.mark.parametrize("coordinate", range(4))
+    def test_coordinates_at_both_ends_of_the_fields(self, coordinate):
+        # the fields hold -bias .. limit - bias; _shifted_terms reads fields
+        # only, so vectors off the lattice serve as well
+        pack, bias, limit = ktheory.CHAR_PACKING.pack, ktheory.CHAR_PACKING.bias, ktheory.CHAR_PACKING.limit
+        rng = random.Random(26 + coordinate)
+        for ends in ((-bias,), (limit - bias,), (-bias, limit - bias)):
+            vectors = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+            for v, end in zip(vectors, ends):
+                v[coordinate] = end
+            f = Character._of({pack(v): rng.choice((-2, 1, 5)) for v in vectors})
+            shifted, shift = ktheory._shifted_terms(f)
+            assert (shifted, shift) == per_key_shift(f)
+            assert ktheory.CHAR_PACKING.unpack(shift)[coordinate] == min(v[coordinate] for v in vectors)
+
+
 class TestXPolynomialBridge:
     def test_expand_of_generators(self):
         for i, g in enumerate(X_RING.gens(), start=1):

@@ -42,6 +42,8 @@ from flagoct.parsing import (
     MAX_PRODUCT_PAIRS,
     MAX_RESULT_DIGITS,
     MAX_TEXT_LENGTH,
+    MAX_WORD_LENGTH,
+    MAX_WORDS,
     MAX_WORK,
     ParseError,
     PolynomialContext,
@@ -1460,6 +1462,94 @@ class TestInverseKeys:
                     assert max(map(abs, context.packing.unpack(key))) <= 2
                 else:
                     assert context.packing.degree(key) == 1
+
+
+MEMO_WORDS = {
+    "RT": ["y1*y2", "y1^-1*y2^-1*y5", "y5^1000*y1^-1000", "y1*y2*y1^-1", "y1^0*y2", "y1*z", "y1^1001*y2",
+           "*".join(["y1^1000"] * 9), "*".join(["y1^-1000"] * 8) + "*y1^-193"],
+    "Hb": ["b1*b2", "b1^7*b2^1000", "b3*b1", "b1^-1*b2", "*".join(["b1^1000"] * 33)],
+    "HT": ["rho1*rho2^3*rho4", "rho1^-2*rho3"],
+    "RX": ["X1*X2", "X4^1000*X3^2"],
+}
+
+
+class TestWordMemo:
+    """A context keeps each word's value, or its decline, by the word's text."""
+
+    @staticmethod
+    def fresh_context(ring):
+        """A new context of ``ring``, with no words kept yet."""
+        if ring == "RT":
+            return CharacterContext()
+        shared = _context_for(ring)
+        return PolynomialContext(shared.ring, shared.aliases)
+
+    @pytest.mark.parametrize("ring", sorted(MEMO_WORDS))
+    def test_hits_equal_a_fresh_read(self, ring):
+        context = self.fresh_context(ring)
+        for text in MEMO_WORDS[ring]:
+            fresh = context._read_word(text)
+            for pos in (0, 7, 0):
+                assert context.word(text, pos) == fresh
+            kept = None if fresh is None else (next(iter(fresh[0])), fresh[2], fresh[3])
+            assert context._words.get(text) == kept or len(text) > MAX_WORD_LENGTH
+
+    def test_a_changed_value_does_not_change_a_later_hit(self):
+        context = CharacterContext()
+        first = context.word("y1*y2^-1", 0)
+        first[0].clear()
+        assert context.word("y1*y2^-1", 0) == context._read_word("y1*y2^-1") != first
+        # a sum adds into the dict of its first word
+        assert parse_and_evaluate("y1*y2^-1 + y1*y2^-1 + y3*y4", context) == Character._of(
+            {**{k: 2 for k in context._read_word("y1*y2^-1")[0]}, **context._read_word("y3*y4")[0]}
+        )
+        assert parse_and_evaluate("y1*y2^-1", context) == y(1) * y_inverse(2)
+
+    def test_a_declined_word_is_read_once(self, monkeypatch):
+        context = self.fresh_context("Hb")
+        reads = []
+        read = context._read_word
+        monkeypatch.setattr(context, "_read_word", lambda text: reads.append(text) or read(text))
+        b1, b2 = B_RING.gens()
+        assert parse_and_evaluate(" + ".join(["b3*b1"] * 50 + ["b1*b2"] * 50), context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
+        assert reads == ["b3*b1", "b1*b2"]
+        assert context._words["b3*b1"] is None
+
+    def test_the_memo_stays_within_its_bound(self):
+        context = CharacterContext()
+        words = [f"y1^{i}*y2^-{j}" for i in range(1, 40) for j in range(1, 40)]
+        assert len(words) > MAX_WORDS
+        for text in words:
+            assert context.word(text, 0) == context._read_word(text)
+            assert len(context._words) <= MAX_WORDS
+        assert len(context._words) == MAX_WORDS
+        long = "*".join(["y1", "y1^-1"] * 20) + "*y2"
+        assert len(long) > MAX_WORD_LENGTH
+        fresh = CharacterContext()
+        assert fresh.word(long, 0) == fresh._read_word(long) and long not in fresh._words
+        assert context.word(words[-1], 0) == context._read_word(words[-1]) and words[-1] not in context._words
+
+    @pytest.mark.parametrize(
+        "ring, word, at, message",
+        [
+            ("RT", "y1*y2^1001", "1001", "exponent exceeds 1000"),
+            ("RT", "y1*y2^-01001", "01001", "exponent exceeds 1000"),
+            ("RT", "*".join(["y1^1000"] * 9), "*y1^1000", "16-bit"),
+            ("RT", "*".join(["y1^-1000"] * 8) + "*y1^-193", "*y1^-193", "16-bit"),
+            ("Hb", "*".join(["b1^1000"] * 32) + "*b2^768", "*b2^768", "total degree past"),
+            ("Hb", "b1*b2^-3", "^", "negative exponents are not allowed"),
+            ("RT", "y1*y2*z", "z", "unknown variable 'z'"),
+        ],
+    )
+    def test_declined_words_keep_their_messages_and_positions(self, ring, word, at, message):
+        context = self.fresh_context(ring)
+        for prefix in ("", "2 + (", "1 - ", ""):
+            text = prefix + word + (")" if "(" in prefix else "")
+            with pytest.raises(ParseError, match=message) as err:
+                parse_and_evaluate(text, context)
+            assert err.value.position == len(prefix) + word.rindex(at)
+        # kept as a decline, or not at all past the length bound
+        assert context._words.get(word, "absent") == (None if len(word) <= MAX_WORD_LENGTH else "absent")
 
 
 # -- the grammar through the command line --------------------------------------------

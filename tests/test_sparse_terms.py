@@ -48,6 +48,7 @@ from flagoct.poly import (
     divisor,
     exact_divide,
     grevlex_key,
+    map_terms,
     mul_terms,
     pow_terms,
     reduce_terms,
@@ -557,6 +558,9 @@ class TestIntegralRingMap:
 # -- the packed keys ------------------------------------------------------------------
 
 
+# -- the packed keys ------------------------------------------------------------------
+
+
 @functools.lru_cache(maxsize=None)  # built once per argument pair, not per draw
 def exponent_vectors(nvars, limit):
     """Exponent vectors of ``nvars`` entries with total degree <= ``limit``."""
@@ -794,3 +798,124 @@ def ref_char_quotient(d, f):
             return None
         out[key] = int(c)
     return Character(out)
+
+
+def stepwise_map_terms(f, source, images, target):
+    """The ring map factor by factor, as ``map_terms`` ran before one-term
+    images became key shifts: each power by repeated multiplication, each
+    term a product of powers in variable order, every step checked by
+    ``mul_terms``."""
+    one = {target.zero: 1}
+    powers = [[one, g] for g in images]
+    out = {}
+    for e, c in f.items():
+        term = one
+        for k, cache, g in zip(source.unpack(e), powers, images):
+            if k:
+                while len(cache) <= k:
+                    cache.append(mul_terms(cache[-1], g, target))
+                term = cache[k] if term is one else mul_terms(term, cache[k], target)
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: c for m, c in out.items() if c}
+
+
+def map_outcome(fn, f, source, images, target):
+    """The image, or the type and text of the error."""
+    try:
+        return fn(f, source, images, target)
+    except ResourceLimitError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneTermImages:
+    """``map_terms`` folds one-term images into key shifts; values and
+    refusals equal the factor-by-factor ring map."""
+
+    S3, U2 = Packing(3), Packing(2)
+
+    def same(self, exponents, images, source=S3, target=U2, coeff=1):
+        f = {source.pack(e): coeff for e in exponents}
+        images = [{target.pack(k): c for k, c in g.items()} for g in images]
+        got = map_outcome(map_terms, f, source, images, target)
+        assert got == map_outcome(stepwise_map_terms, f, source, images, target)
+        return got
+
+    @pytest.mark.parametrize(
+        "exponents, fits",
+        [
+            ([(LIMIT, 0, 0)], True),
+            ([(LIMIT - 3, 1, 0)], True),
+            ([(LIMIT - 2, 1, 0)], False),
+            ([(0, 10922, 1)], True),
+            ([(0, 10922, 2)], False),
+            ([(LIMIT - 1, 0, 1)], True),
+            ([(LIMIT - 4, 1, 1), (2, 0, 0)], True),
+            ([(2, 0, 0), (LIMIT - 3, 1, 1)], False),
+        ],
+    )
+    def test_degree_limit_of_an_unbiased_target(self, exponents, fits):
+        # x -> u, y -> -u*v^2 (two one-term images), z -> u + v; total
+        # degrees of LIMIT and LIMIT + 1
+        images = [{(1, 0): 1}, {(1, 2): -1}, {(1, 0): 1, (0, 1): 1}]
+        got = self.same(exponents, images)
+        assert (type(got) is dict) == fits
+        if not fits:
+            assert got == (ResourceLimitError, f"a total degree past {LIMIT} does not fit 16-bit fields")
+
+    def test_multi_term_factors_before_and_after_the_shifts(self):
+        images = [{(1, 0): 2, (0, 1): -1}, {(0, 1): -1}, {(0, 0): 3}]
+        for exponents in ([(1, LIMIT - 1, 0)], [(2, 40, 7), (0, 3, 1), (1, 0, 0)], [(0, 0, 5), (3, 0, 0)]):
+            assert type(self.same(exponents, images, coeff=-2)) is dict
+        # a constant image is a shift by 0 at any power
+        assert self.same([(0, 0, LIMIT)], [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): -1}]) == {0: -1}
+
+    def test_zero_images_keep_every_step(self):
+        for images in ([{}, {(1, 1): 1}, {(1, 0): 1}], [{(1, 1): 1}, {}, {(2, 0): 1, (0, 1): 1}]):
+            for exponents in ([(1, LIMIT - 1, 0)], [(LIMIT - 1, 1, 0)], [(16384, 0, 1)], [(3, 2, 1)]):
+                self.same(exponents, images)
+
+    @pytest.mark.parametrize(
+        "exponents, fits",
+        [
+            # doubled y1 coordinates of 16 382, 16 384, -16 384 and -16 386
+            ([(8191, 0)], True),
+            ([(8192, 0)], False),
+            ([(0, 8192)], True),
+            ([(0, 8193)], False),
+            # past the field at the first step, inside it at the end
+            ([(8192, 8192)], False),
+            ([(1, 8192)], True),
+        ],
+    )
+    def test_field_limit_of_the_character_packing(self, exponents, fits):
+        # a -> y1, b -> y1^-1 (doubled keys (2,0,0,0) and (-2,0,0,0))
+        images = [{(2, 0, 0, 0): 1}, {(-2, 0, 0, 0): 1}]
+        got = self.same(exponents, images, source=self.U2, target=CHAR_PACKING)
+        assert (type(got) is dict) == fits
+        if not fits:
+            assert got == (ResourceLimitError, "a result exponent does not fit 16-bit fields")
+
+    def test_seeded_ring_maps(self):
+        rng = random.Random(100)
+        refused = 0
+        for _ in range(200):
+            source, target = Packing(rng.randint(1, 4)), Packing(rng.randint(1, 3))
+            images = []
+            for _ in range(source.nvars):
+                kind, n = rng.random(), target.nvars
+                if kind < 0.1:
+                    images.append({})
+                elif kind < 0.6:
+                    top = rng.choice((2, 30, 3000))
+                    images.append({tuple(rng.randint(0, top) for _ in range(n)): rng.choice((-1, 1))})
+                else:
+                    images.append({tuple(rng.randint(0, 2) for _ in range(n)): rng.choice((-2, 1, 3)) for _ in range(3)})
+            big = rng.choice((3, 20, 12000))
+            exponents = [
+                tuple(rng.randint(0, big) if len(g) < 2 else rng.randint(0, 3) for g in images)
+                for _ in range(rng.randint(1, 4))
+            ]
+            exponents = [e for e in exponents if sum(e) <= LIMIT]
+            refused += type(self.same(exponents, images, source=source, target=target)) is tuple
+        assert 0 < refused < 200

@@ -7,6 +7,7 @@ binding two targets to one function, breaks both; these tests say so
 without a benchmark run.  The tracer file is loaded as it is, not changed.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -19,6 +20,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+RUN_PATH = ROOT / "perfbench" / "run.py"
+STREAM_PATH = ROOT / "perfbench" / "stream.py"
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +113,57 @@ def test_the_tracer_finds_its_targets_after_importing_only_the_cli():
     assert result["code"] == 0
     counted = ("poly.mul_calls", "poly.substitute_calls", "cohomology.matrix_rank_calls", "scalar.fraction_new")
     assert all(result["metrics"][name] > 0 for name in counted), {n: result["metrics"][n] for n in counted}
+
+
+def must_be_nonzero():
+    """``MUST_BE_NONZERO`` of ``perfbench/run.py``, read from its text
+    without running it."""
+    tree = ast.parse(RUN_PATH.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["MUST_BE_NONZERO"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no MUST_BE_NONZERO")
+
+
+def test_the_stream_reaches_every_gated_layer(tmp_path):
+    # a traced membership-stream run fails where a layer that the benchmark
+    # lists for it reads 0; one warm-up block and one timed block, run as
+    # perfbench/worker.py runs them, show that here first
+    gated = must_be_nonzero()["membership-stream"]
+    probe = (
+        "import contextlib, io, json, sys, types\n"
+        "import flagoct.cli\n"
+        "def load(name, path):\n"
+        "    module = sys.modules[name] = types.ModuleType(name)\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        exec(compile(fh.read(), path, 'exec'), module.__dict__)\n"
+        "    return module\n"
+        "tracer = load('perfbench_tracer', sys.argv[1])\n"
+        "stream = load('perfbench_stream', sys.argv[2])\n"
+        "warmup = stream.generate(1_000_003, 1, sys.argv[3], 'warm')\n"
+        "timed = stream.generate(0, 1, sys.argv[3], 'req')\n"
+        "def run(requests):\n"
+        "    failed = 0\n"
+        "    for request in requests:\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            code = flagoct.cli.main(list(request.argv))\n"
+        "        failed += not stream.judge(request, code, out.getvalue(), err.getvalue())\n"
+        "    return failed\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "failed = run(warmup)\n"
+        "t.reset()\n"
+        "failed += run(timed)\n"
+        "metrics = tracer.layer_metrics(t.snapshot())\n"
+        "t.uninstall()\n"
+        "print(json.dumps({'failed': failed, 'metrics': metrics}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(TRACER_PATH), str(STREAM_PATH), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout)
+    assert result["failed"] == 0
+    assert gated and {name: result["metrics"][name] for name in gated if not result["metrics"][name] > 0} == {}
