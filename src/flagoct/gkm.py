@@ -464,32 +464,6 @@ def restriction_class_tuple(k: int) -> Dict[str, Polynomial]:
 # -- free-rank verification --------------------------------------------------------
 
 
-def bm_degrees() -> Tuple[int, ...]:
-    """Cohomological degrees of the polynomial generators of H*(BM)."""
-    return (4, 8, 8, 12)
-
-
-def bm_dimension(degree: int) -> int:
-    """Dimension of H^degree(BM) = Q[u1..u4], deg u = (4,8,8,12)."""
-    if degree < 0:
-        return 0
-    count = 0
-    d1, d2, d3, d4 = bm_degrees()
-    for a in range(degree // d1 + 1):
-        for b in range((degree - a * d1) // d2 + 1):
-            for c in range((degree - a * d1 - b * d2) // d3 + 1):
-                rem = degree - a * d1 - b * d2 - c * d3
-                if rem >= 0 and rem % d4 == 0:
-                    count += 1
-    return count
-
-
-def predicted_rank(degree: int) -> int:
-    """Coefficient of t^degree in (1+2t^8+2t^16+t^24) * series of H*(BM)."""
-    cell_degrees = (0, 8, 8, 16, 16, 24)
-    return sum(bm_dimension(degree - c) for c in cell_degrees)
-
-
 # polynomial degrees of the basic invariants s1, s2, l1*l2*l3*l4, s3
 _INVARIANT_DEGREES = (2, 4, 4, 6)
 
@@ -526,6 +500,18 @@ def _invariant_exponents(poly_degree: int) -> Tuple[Tuple[int, ...], ...]:
 
     rec((), poly_degree)
     return tuple(out)
+
+
+def predicted_rank(degree: int) -> int:
+    """Coefficient of t^degree in (1+2t^8+2t^16+t^24) times the series of
+    H*(BM), which is free on the basic invariants in twice their polynomial
+    degrees."""
+    cell_degrees = (0, 8, 8, 16, 16, 24)
+    return sum(
+        len(_invariant_exponents((degree - c) // 2))
+        for c in cell_degrees
+        if degree >= c and (degree - c) % 2 == 0
+    )
 
 
 def _invariant_monomials(

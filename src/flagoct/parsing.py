@@ -19,11 +19,11 @@ depend on the evaluation context:
 The recursive-descent parser hands each production to a builder as it is
 read; :func:`parse_and_evaluate` uses an evaluation context as the builder,
 so it evaluates while it parses, on plain term dicts, and wraps the result
-once.  A word such as ``y1^-1*y2*y5`` starting a term is one token, whose
-packed keys the context adds in one step (reading its factors one by one
-where that could differ) and keeps by its text (``MAX_WORDS``), and a sum
-whose right operand is one term over 1 adds that term straight into a left
-operand the text owns.
+once.  A word such as ``y1^-1*y2*y5`` starting a term is one token: the
+context keeps the value that the word's own tokens give, when it is one term
+of coefficient 1 over 1, by the word's text (``MAX_WORDS``).  A sum whose
+right operand is one term over 1 adds that term straight into a left operand
+the text owns.
 
 A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
@@ -105,9 +105,9 @@ MAX_WORK = 20_000_000
 # (4300 digits), which would otherwise end the parse in a ValueError.
 MAX_LITERAL_DIGITS = 1000
 
-# An evaluation context keeps the value of every word it reads, up to this
-# many words of at most this many characters; a word past either is read
-# again at each occurrence.  An entry is the word's text (at most 49 + 100
+# An evaluation context keeps the value of every one-term word it reads, up
+# to this many words of at most this many characters; a word past either is
+# read again at each occurrence.  An entry is the word's text (at most 49 + 100
 # bytes) and a tuple of three ints below 2**90 (at most 64 + 3 * 36 bytes) in
 # a dict slot (under 60 bytes), under 400 bytes in all, so the words of one
 # context hold at most 1024 * 400 bytes, 0.4 MB.
@@ -192,8 +192,9 @@ class _Parser:
     """Recursive descent over the tokens of one text, which end in an
     ``('end', '', len(text))`` token.  Each production hands its parts to
     ``builder`` as soon as they are read, so the builder's value of the
-    whole text is made in one pass.  ``builder.word`` gives the value of a
-    word token in one step, or None to have the word's own tokens read."""
+    whole text is made in one pass.  ``builder.word`` gives the value it
+    keeps for a word token, or None to have the word's own tokens read and
+    their value handed to ``builder.keep``."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
@@ -254,13 +255,14 @@ class _Parser:
             value = self.parse_factor()
         else:
             self.i += 1
-            value = self.builder.word(text, pos)
+            value = self.builder.word(text)
             if value is None:
                 # read the word's own tokens, then go on after it
                 after, self.i = self.i, 0
                 self.tokens = [*_word_tokens(text, pos), ("end", "", pos + len(text))]
                 value = self.parse_term()
                 self.tokens, self.i = tokens, after
+                self.builder.keep(text, value)
         while True:
             kind, _, pos = tokens[self.i]
             if kind != "*":
@@ -385,58 +387,28 @@ class _TermContext:
 
     def _set_leaves(self, leaves: Dict[str, Value]) -> None:
         self._variables = leaves
-        # the key of each one-monomial leaf, which a word's factor may be
-        self._keys = {n: k for n, (t, d, *_) in leaves.items() for k, c in t.items() if len(t) == c == d == 1}
-        # word text -> (key, bits, work), or None for a declined word
-        self._words: Dict[str, Optional[Tuple[int, int, int]]] = {}
+        # word text -> (key, bits, work) of its one-term value
+        self._words: Dict[str, Tuple[int, int, int]] = {}
 
-    def word(self, text: str, pos: int) -> Optional[Value]:
-        """The value of a word ``v1^e1*v2^e2*...`` from its packed keys, with the
-        bits, work and checks of reading it factor by factor; None where they may differ.
+    def word(self, text: str) -> Optional[Value]:
+        """The value kept for the word ``text``, or None.
 
-        Neither depends on where the word is, so both are kept by its text (up
-        to ``MAX_WORDS`` words of at most ``MAX_WORD_LENGTH`` characters): the
-        entries of a tuple share their monomials, and so do the texts one
-        context reads."""
-        words = self._words
-        if text in words:
-            known = words[text]
-            # a fresh dict: a sum adds into the dicts of the text's own values
-            return None if known is None else ({known[0]: 1}, 1, known[1], known[2])
-        value = self._read_word(text)
-        if len(words) < MAX_WORDS and len(text) <= MAX_WORD_LENGTH:
-            words[text] = value and (next(iter(value[0])), value[2], value[3])
-        return value
+        A word's value, bits and work do not depend on where it is, so the
+        context keeps them by its text (:meth:`keep`): the entries of a
+        tuple share their monomials, and so do the texts one context reads."""
+        known = self._words.get(text)
+        # a fresh dict: a sum adds into the dicts of the text's own values
+        return known and ({known[0]: 1}, 1, known[1], known[2])
 
-    def _read_word(self, text: str) -> Optional[Value]:
-        packing, keys, zero, work = self.packing, self._keys, self.packing.zero, 0
-        try:
-            for i, factor in enumerate(text.split("*")):
-                name, _, exp = factor.partition("^")
-                k, n = keys[name], int(exp or 1) if len(exp) <= 5 else 0  # longer: past the bound or 0-padded
-                if n < 0:
-                    if not zero:
-                        return None
-                    k, n = 2 * zero - k, -n
-                if not 0 < n <= MAX_EXPONENT:
-                    return None
-                if n > 1:
-                    # n * k fits every field: a variable's exponents are at
-                    # most 2 in size (the doubled keys of y1..y5), n is at
-                    # most MAX_EXPONENT, and the word's key is checked from
-                    # its second factor on
-                    k = n * (k - zero) + zero
-                    work += _power_pairs(1, n)
-                key = key + k - zero if i else k
-                if i:  # a product of one term pair: the bits grow by 1 + 1 + 1
-                    packing.check_fields((key,)) if zero else packing.check_degree(key)
-                    work += _digits(2 * i + 1)
-        except (KeyError, ResourceLimitError):
-            return None
-        # bits and work only grow: they pass a bound at some step iff at the last
-        if _digits(2 * i + 1) > MAX_RESULT_DIGITS or work > MAX_WORK:
-            return None
-        return {key: 1}, 1, 2 * i + 1, work
+    def keep(self, text: str, value: Value) -> None:
+        """Keep the value its own tokens gave the word ``text`` when it is one
+        term of coefficient 1 over 1, up to ``MAX_WORDS`` words of at most
+        ``MAX_WORD_LENGTH`` characters."""
+        terms, den, bits, work = value
+        if len(terms) == den == 1 and len(self._words) < MAX_WORDS and len(text) <= MAX_WORD_LENGTH:
+            ((key, c),) = terms.items()
+            if c == 1:
+                self._words[text] = key, bits, work
 
     def neg(self, value: Value, pos: int) -> Value:
         terms, den, bits, work = value

@@ -18,6 +18,7 @@ from flagoct import gkm, ktheory
 from flagoct.cli import main
 from flagoct.gkm import RHO_RING, restriction_class_tuple
 from flagoct.ktheory import tautological_tuple
+from flagoct.parsing import parse_and_evaluate
 from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 # every memoized function of the package, with the arguments it is called with
@@ -92,12 +93,15 @@ def test_memoized_constants_equal_fresh_builds(tmp_path, capsys):
             cached, fresh = fn(*args), fn.__wrapped__(*args)
             assert fresh is not cached
             if module_name == "cli":
-                # evaluation contexts: compare what they hold, and read each
-                # word the used context keeps in the fresh one too
+                # evaluation contexts: compare what they hold, then parse each
+                # word the used context keeps in the fresh one too, and
+                # compare what both keep
                 held, built = dict(vars(cached)), dict(vars(fresh))
                 words = held.pop("_words")
                 assert built.pop("_words") == {} and held == built, (name, args)
-                assert all(fresh.word(text, 0) == cached.word(text, 0) for text in words), (name, args)
+                for text in words:
+                    parse_and_evaluate(text, fresh)
+                assert fresh._words == words, (name, args)
             else:
                 assert cached == fresh, (name, args)
 

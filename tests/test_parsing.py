@@ -12,7 +12,6 @@ import functools
 import io
 import json
 import random
-import re
 import sys
 import types
 from dataclasses import dataclass
@@ -121,8 +120,11 @@ class _TreeBuilder:
     def mul(self, left: Node, right: Node, pos: int) -> Node:
         return BinOp("*", left, right, pos)
 
-    def word(self, text: str, pos: int) -> None:
-        return None  # a word's tree is built factor by factor
+    def word(self, text: str) -> None:
+        return None  # a word's tree is built from its own tokens
+
+    def keep(self, text: str, value: Node) -> None:
+        pass
 
 
 
@@ -361,10 +363,13 @@ def ref_pow_terms(f, n, packing):
 
 class ConvolvingSteps:
     """`*`, `^`, `+` and `-` of an evaluation context, on the reference
-    kernels, with no word read in one step."""
+    kernels, keeping no word."""
 
-    def word(self, text, pos):
+    def word(self, text):
         return None
+
+    def keep(self, text, value):
+        pass
 
     def add(self, left, right, pos):
         return self.reference_sum(left, right[0], right, pos)
@@ -1354,10 +1359,7 @@ class TestStepsMatchTheConvolvingReference:
         assert_same_steps(text, ring)
 
 
-STREAM_WORD = re.compile(r"[A-Za-z_]\w*(?:\^-?\d+)?(?:\*[A-Za-z_]\w*(?:\^-?\d+)?)+")
-
-
-class TestWordsInOneStep:
+class TestWordTokens:
     @pytest.mark.parametrize(
         "ring, text, at, message",
         [
@@ -1368,39 +1370,12 @@ class TestWordsInOneStep:
             ("RT", "(" + "*".join(["y1^1000"] * 9) + ")", "*y1^1000)", "16-bit"),
         ],
     )
-    def test_a_word_read_factor_by_factor_keeps_its_positions(self, ring, text, at, message):
-        # the factor-by-factor reading of a word token reports each error
-        # where the text has it
+    def test_a_word_read_from_its_tokens_keeps_its_positions(self, ring, text, at, message):
+        # the reading of a word token's own tokens reports each error where
+        # the text has it
         with pytest.raises(ParseError, match=message) as err:
             parse_and_evaluate(text, _context_for(ring))
         assert err.value.position == text.index(at)
-
-    def test_every_stream_word_is_read_in_one_step(self, tmp_path, monkeypatch):
-        # each multi-factor word of the RT and expand texts of the stream is
-        # one token that the character context reads in one step
-        stream = load_stream(monkeypatch)
-        context = CharacterContext()
-        read, results = context.word, []
-
-        def recording(text, pos):
-            value = read(text, pos)
-            results.append((text, value is not None))
-            return value
-
-        monkeypatch.setattr(context, "word", recording)
-        texts = []
-        for request in stream.generate(0, 10, str(tmp_path), "req"):
-            if request.kind == "expand":
-                texts.append(request.argv[1])
-            elif request.kind == "RT":
-                texts += json.loads(Path(request.argv[-1]).read_text(encoding="utf-8"))["entries"].values()
-        words = 0
-        for text in texts:
-            parse_and_evaluate(text, context)
-            words += len(STREAM_WORD.findall(text))
-        assert words > 5000
-        assert results == [(text, True) for text, _ in results]
-        assert len(results) == words
 
 
 def y_word(*exponents):
@@ -1428,53 +1403,44 @@ class TestInverseKeys:
     )
     def test_inverses_equal_their_products_of_y_and_y_inverse(self, text, expected):
         context = CharacterContext()
-        # a word where a term starts is read in one step; after '2*' or with
-        # spaces around its '*' its factors are read one by one
+        # a word where a term starts is one token, kept once it is read; after
+        # '2*' or with spaces around its '*' its factors are read one by one
+        assert parse_and_evaluate(text, context) == expected
         assert parse_and_evaluate(text, context) == expected
         assert parse_and_evaluate(text.replace("*", " * "), context) == expected
         assert parse_and_evaluate(f"2*{text}", context) == Character.constant(2) * expected
 
-    def test_words_of_inverses_are_read_in_one_step(self):
-        context = CharacterContext()
-        for text in ("y1^-1*y2", "y5*y1^-1*y2^-1", "y1^-2*y2^-1000*y5^-3"):
-            terms, den, _, _ = context.word(text, 0)
-            assert Character._of(dict(terms)) == parse_and_evaluate(text.replace("*", " * "), context)
-            assert den == 1
 
-    def test_a_ring_without_inverses_declines_a_negative_exponent(self):
-        # the factor-by-factor reading then gives the error and its position
-        # (TestWordsInOneStep checks both)
-        assert PolynomialContext(B_RING).word("b1^-1*b2", 0) is None
-        assert PolynomialContext(B_RING).word("b1*b2^-3", 0) is None
-
-    def test_a_word_power_needs_no_field_check(self):
-        # word() raises a factor's key to a power n <= MAX_EXPONENT unchecked:
-        # every variable's exponents are at most 2 in size, so n times them
-        # stays inside the character fields and every polynomial ring's degree
-        assert 2 * MAX_EXPONENT < CHAR_PACKING.bias
-        for ring, *_ in RINGS.values():
-            packing = CHAR_PACKING if ring is Character else ring.packing
-            assert MAX_EXPONENT <= packing.limit
-        for name in RINGS:
-            context = _context_for(name)
-            for key in context._keys.values():
-                if context.packing.bias:
-                    assert max(map(abs, context.packing.unpack(key))) <= 2
-                else:
-                    assert context.packing.degree(key) == 1
-
-
+# words whose tokens read to one term of coefficient 1 over 1, which a
+# context keeps
 MEMO_WORDS = {
-    "RT": ["y1*y2", "y1^-1*y2^-1*y5", "y5^1000*y1^-1000", "y1*y2*y1^-1", "y1^0*y2", "y1*z", "y1^1001*y2",
-           "*".join(["y1^1000"] * 9), "*".join(["y1^-1000"] * 8) + "*y1^-193"],
-    "Hb": ["b1*b2", "b1^7*b2^1000", "b3*b1", "b1^-1*b2", "*".join(["b1^1000"] * 33)],
-    "HT": ["rho1*rho2^3*rho4", "rho1^-2*rho3"],
+    "RT": ["y1*y2", "y1^-1*y2^-1*y5", "y5^1000*y1^-1000", "y1*y2*y1^-1", "y1^0*y2", "y1^-0*y2^0002",
+           "*".join(["y1^1000"] * 8) + "*y1^191", "*".join(["y1^-1000"] * 8) + "*y1^-192"],
+    "Hb": ["b1*b2", "b1^7*b2^1000", "b2^1000*b1^1000*b2^999"],
+    "HT": ["rho1*rho2^3*rho4", "rho4^2*rho3"],
     "RX": ["X1*X2", "X4^1000*X3^2"],
 }
 
 
+def value_of(text, context):
+    """The terms, denominator, bits and work that ``text`` builds in ``context``."""
+    terms, *rest = _Parser(text, context).parse()
+    return (dict(terms), *rest)
+
+
+def stream_texts(stream, seed, blocks, directory, tag):
+    """The (ring, text) pairs that the stream's requests parse."""
+    for request in stream.generate(seed, blocks, str(directory), tag):
+        if request.kind == "expand":
+            yield "RT", request.argv[1]
+        else:
+            entries = json.loads(Path(request.argv[-1]).read_text(encoding="utf-8"))["entries"]
+            yield from ((request.kind, text) for text in entries.values())
+
+
 class TestWordMemo:
-    """A context keeps each word's value, or its decline, by the word's text."""
+    """A context keeps a word's one-term value, as its own tokens read it, by
+    the word's text."""
 
     @staticmethod
     def fresh_context(ring):
@@ -1485,49 +1451,18 @@ class TestWordMemo:
         return PolynomialContext(shared.ring, shared.aliases)
 
     @pytest.mark.parametrize("ring", sorted(MEMO_WORDS))
-    def test_hits_equal_a_fresh_read(self, ring):
+    def test_hits_equal_the_token_reading(self, ring):
         context = self.fresh_context(ring)
         for text in MEMO_WORDS[ring]:
-            fresh = context._read_word(text)
-            for pos in (0, 7, 0):
-                assert context.word(text, pos) == fresh
-            kept = None if fresh is None else (next(iter(fresh[0])), fresh[2], fresh[3])
-            assert context._words.get(text) == kept or len(text) > MAX_WORD_LENGTH
-
-    def test_a_changed_value_does_not_change_a_later_hit(self):
-        context = CharacterContext()
-        first = context.word("y1*y2^-1", 0)
-        first[0].clear()
-        assert context.word("y1*y2^-1", 0) == context._read_word("y1*y2^-1") != first
-        # a sum adds into the dict of its first word
-        assert parse_and_evaluate("y1*y2^-1 + y1*y2^-1 + y3*y4", context) == Character._of(
-            {**{k: 2 for k in context._read_word("y1*y2^-1")[0]}, **context._read_word("y3*y4")[0]}
-        )
-        assert parse_and_evaluate("y1*y2^-1", context) == y(1) * y_inverse(2)
-
-    def test_a_declined_word_is_read_once(self, monkeypatch):
-        context = self.fresh_context("Hb")
-        reads = []
-        read = context._read_word
-        monkeypatch.setattr(context, "_read_word", lambda text: reads.append(text) or read(text))
-        b1, b2 = B_RING.gens()
-        assert parse_and_evaluate(" + ".join(["b3*b1"] * 50 + ["b1*b2"] * 50), context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
-        assert reads == ["b3*b1", "b1*b2"]
-        assert context._words["b3*b1"] is None
-
-    def test_the_memo_stays_within_its_bound(self):
-        context = CharacterContext()
-        words = [f"y1^{i}*y2^-{j}" for i in range(1, 40) for j in range(1, 40)]
-        assert len(words) > MAX_WORDS
-        for text in words:
-            assert context.word(text, 0) == context._read_word(text)
-            assert len(context._words) <= MAX_WORDS
-        assert len(context._words) == MAX_WORDS
-        long = "*".join(["y1", "y1^-1"] * 20) + "*y2"
-        assert len(long) > MAX_WORD_LENGTH
-        fresh = CharacterContext()
-        assert fresh.word(long, 0) == fresh._read_word(long) and long not in fresh._words
-        assert context.word(words[-1], 0) == context._read_word(words[-1]) and words[-1] not in context._words
+            assert len(text) <= MAX_WORD_LENGTH
+            # with spaces around its '*' a word is no token, so this is its
+            # factors read one by one, and nothing is kept
+            reading = value_of(text.replace("*", " * "), context)
+            assert context.word(text) is None
+            # read from its tokens, then kept: hits at any depth
+            for depth in (0, 3, 1, 0):
+                assert value_of("(" * depth + text + ")" * depth, context) == reading
+                assert context.word(text) == reading
 
     @pytest.mark.parametrize(
         "ring, word, at, message",
@@ -1539,17 +1474,78 @@ class TestWordMemo:
             ("Hb", "*".join(["b1^1000"] * 32) + "*b2^768", "*b2^768", "total degree past"),
             ("Hb", "b1*b2^-3", "^", "negative exponents are not allowed"),
             ("RT", "y1*y2*z", "z", "unknown variable 'z'"),
+            ("RT", "y1*z", "z", "unknown variable 'z'"),
         ],
     )
-    def test_declined_words_keep_their_messages_and_positions(self, ring, word, at, message):
+    def test_a_word_whose_reading_raises_is_never_kept(self, ring, word, at, message):
         context = self.fresh_context(ring)
         for prefix in ("", "2 + (", "1 - ", ""):
             text = prefix + word + (")" if "(" in prefix else "")
             with pytest.raises(ParseError, match=message) as err:
                 parse_and_evaluate(text, context)
             assert err.value.position == len(prefix) + word.rindex(at)
-        # kept as a decline, or not at all past the length bound
-        assert context._words.get(word, "absent") == (None if len(word) <= MAX_WORD_LENGTH else "absent")
+            assert context.word(word) is None and not context._words
+
+    def test_an_alias_word_is_read_from_its_tokens_each_time(self, monkeypatch):
+        context = self.fresh_context("Hb")
+        reads = []
+        keep = context.keep
+        monkeypatch.setattr(context, "keep", lambda text, value: reads.append(text) or keep(text, value))
+        b1, b2 = B_RING.gens()
+        assert parse_and_evaluate(" + ".join(["b3*b1"] * 50 + ["b1*b2"] * 50), context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
+        assert reads == ["b3*b1"] * 50 + ["b1*b2"]
+        assert context.word("b3*b1") is None and list(context._words) == ["b1*b2"]
+
+    def test_a_word_of_another_coefficient_is_never_kept(self):
+        plain = PolynomialContext(B_RING)
+        aliases = {"m": parse_and_evaluate("-b1", plain), "h": parse_and_evaluate("1/2*b1", plain)}
+        context = PolynomialContext(B_RING, aliases)
+        for text in ("m*b2", "b2*m^3", "h*b2", "m*h"):
+            for _ in range(2):
+                assert value_of(text, context) == value_of(text.replace("*", " * "), context)
+        assert not context._words
+
+    def test_a_changed_hit_does_not_change_a_later_hit(self):
+        context = CharacterContext()
+        reading = value_of("y1*y2^-1", context)
+        first = context.word("y1*y2^-1")
+        first[0].clear()
+        assert context.word("y1*y2^-1") == reading != first
+        # a sum adds into the dict of its first word
+        assert parse_and_evaluate("y1*y2^-1 + y1*y2^-1 + y3*y4", context) == (
+            Character.constant(2) * y(1) * y_inverse(2) + y(3) * y(4)
+        )
+        assert parse_and_evaluate("y1*y2^-1", context) == y(1) * y_inverse(2)
+
+    def test_the_memo_stays_within_its_bound(self):
+        context = CharacterContext()
+        words = [f"y1^{i}*y2^-{j}" for i in range(1, 40) for j in range(1, 40)]
+        assert len(words) > MAX_WORDS
+        for text in words:
+            assert value_of(text, context) == value_of(text.replace("*", " * "), context)
+            assert len(context._words) <= MAX_WORDS
+        assert len(context._words) == MAX_WORDS and words[-1] not in context._words
+        long = "*".join(["y1", "y1^-1"] * 20) + "*y2"
+        assert len(long) > MAX_WORD_LENGTH
+        fresh = CharacterContext()
+        assert value_of(long, fresh) == value_of(long.replace("*", " * "), fresh) and not fresh._words
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_timed_stream_word_is_a_hit(self, seed, tmp_path, monkeypatch):
+        # the warm-up of the benchmark's stream keeps every word that its
+        # timed texts hold
+        stream = load_stream(monkeypatch)
+        contexts = {ring: self.fresh_context(ring) for ring in RINGS}
+        for ring, text in stream_texts(stream, seed + 1_000_003, 1, tmp_path, "warm"):
+            parse_and_evaluate(text, contexts[ring])
+        words = misses = 0
+        for ring, text in stream_texts(stream, seed, 10, tmp_path, "req"):
+            for kind, word, _ in tokenize(text):
+                if kind == "word":
+                    words += 1
+                    misses += contexts[ring].word(word) is None
+            parse_and_evaluate(text, contexts[ring])
+        assert words > 5000 and misses == 0
 
 
 # -- the grammar through the command line --------------------------------------------
