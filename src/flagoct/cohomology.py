@@ -77,7 +77,7 @@ class PresentationReport(NamedTuple):
     quotient (the cube of a degree-8 generator vanishes), while the
     cross-index pairing beta1 * (x2(x1+x2)/3) does give the top class.  The
     report carries both verdicts; ``passed`` uses the computed-correct
-    pairing and ``discrepancy`` flags that the stated form differs.
+    pairing.
     """
 
     beta_relation_ok: bool
@@ -89,10 +89,6 @@ class PresentationReport(NamedTuple):
     graded_dimensions: Tuple[int, ...]
     dimensions_ok: bool
     ideals_coincide: bool
-
-    @property
-    def discrepancy(self) -> bool:
-        return not self.stated_duality_pairing
 
     @property
     def passed(self) -> bool:
@@ -244,10 +240,6 @@ class FracIdentityReport(NamedTuple):
     same_index_products_vanish: bool
     lambda1_alone_in_ideal: bool
     s2_generator_in_ideal: bool
-
-    @property
-    def discrepancy(self) -> bool:
-        return not self.stated_form_in_ideal
 
     @property
     def passed(self) -> bool:

@@ -124,25 +124,7 @@ def is_w_invariant(p: Polynomial) -> bool:
     """Invariance under the reflection group generators (hence the group)."""
     if p.ring != RHO_RING:
         raise RingMismatchError("invariance is defined for the realized ring")
-    return invariance_sign(p) == 1
-
-
-def invariance_sign(p: Polynomial) -> Optional[int]:
-    """+1 if strictly invariant, -1 if alternating, None if neither."""
-    signs = set()
-    for sub in generator_substitutions():
-        image = p.substitute(sub)
-        if image == p:
-            signs.add(1)
-        elif image == -p:
-            signs.add(-1)
-        else:
-            return None
-    if signs == {1}:
-        return 1
-    if signs == {-1}:
-        return -1
-    return None
+    return all(p.substitute(s) == p for s in generator_substitutions())
 
 
 # -- realized labels -------------------------------------------------------------
@@ -202,7 +184,6 @@ class EulerRealization(NamedTuple):
     b3T: FormProduct
     expanded: Tuple[Polynomial, Polynomial, Polynomial]
     squares_match_display: bool
-    invariance_signs: Tuple[int, int, int]
     coprime: bool
     canonical_signs: Tuple[int, int, int]
     additivity_with_canonical_signs: bool
@@ -219,7 +200,6 @@ class EulerRealization(NamedTuple):
     def passed(self) -> bool:
         return (
             self.squares_match_display
-            and all(s == 1 for s in self.invariance_signs)
             and self.coprime
             and self.additivity_with_canonical_signs
         )
@@ -236,9 +216,8 @@ def realize_in_bt() -> EulerRealization:
         squares_ok = squares_ok and doubled.expand() == fp.expand() * fp.expand()
 
     expanded = tuple(fp.expand() for fp in (b1T, b2T, b3T))
-    inv_signs = tuple(invariance_sign(p) for p in expanded)
-    if any(s is None for s in inv_signs):
-        raise AssertionError("a realized label is not invariant up to sign")
+    if not all(map(is_w_invariant, expanded)):
+        raise AssertionError("a realized label is not W-invariant")
 
     coprime, _ = pairwise_coprime((b1T, b2T, b3T))
 
@@ -265,7 +244,6 @@ def realize_in_bt() -> EulerRealization:
         b3T=b3T,
         expanded=expanded,
         squares_match_display=squares_ok,
-        invariance_signs=inv_signs,
         coprime=coprime,
         canonical_signs=canonical,
         additivity_with_canonical_signs=additive,
@@ -418,15 +396,6 @@ def random_membership_tuple(rng: random.Random, degree: int = 2) -> Dict[str, Po
         (table.restriction(sigma, 1), table.restriction(sigma, 2))
         for sigma in map(sigma3_by_name, SIGMA3_NAMES)
     ]
-    # the powers of the restrictions, built once per call; they are +-b1,
-    # +-b2 and +-b3, so the vertices share them
-    powers: Dict[Tuple[Polynomial, int], Polynomial] = {}
-
-    def power(p: Polynomial, d: int) -> Polynomial:
-        if (p, d) not in powers:
-            powers[p, d] = p**d
-        return powers[p, d]
-
     entries = {name: B_RING.zero() for name in SIGMA3_NAMES}
     # random polynomial P(c1, c2) with coefficients in Q[b1,b2]
     for _ in range(rng.randint(1, 4)):
@@ -435,7 +404,7 @@ def random_membership_tuple(rng: random.Random, degree: int = 2) -> Dict[str, Po
         cdeg = rng.randint(0, 1)
         coeff = B_RING.monomial((rng.randint(0, cdeg), rng.randint(0, cdeg)), scalar)
         for name, (u, v) in zip(SIGMA3_NAMES, rows):
-            entries[name] = entries[name] + coeff * power(u, d1) * power(v, d2)
+            entries[name] = entries[name] + coeff * u**d1 * v**d2
     return entries
 
 

@@ -237,10 +237,6 @@ class JordanMatrix(Scaled):
             raise ValueError(f"slot must be one of {SLOTS}, got {name!r}")
         return getattr(self, name)
 
-    def coordinates(self) -> Tuple[Fraction, ...]:
-        """Coordinates on the canonical 27-element basis."""
-        return self.coords
-
     @staticmethod
     def from_coordinates(coords: Sequence[Scalar]) -> "JordanMatrix":
         if len(coords) != 27:

@@ -411,12 +411,7 @@ def char_quotient(d: Character, f: Character) -> Optional["Character"]:
     offset = sf - sd + CHAR_PACKING.zero
     out = {e + offset: c for e, c in quotients[0].items()}
     CHAR_PACKING.check_fields(out)
-    # a lattice key has its four fields all even or all odd (the bias is even)
-    low, ones = CHAR_PACKING.low, CHAR_PACKING.ones
-    for key in out:
-        parities = -key & low & ones
-        if parities and parities != ones:
-            return None
+    # f/d lies on the lattice as d and f do: Z[Z^4] is a domain graded by Z^4/lattice
     return Character._of(out)
 
 

@@ -121,9 +121,6 @@ class Octonion(Scaled):
     def norm_squared(self) -> Fraction:
         return Fraction(sum(c * c for c in self.nums), self.den * self.den)
 
-    def commutator(self, other: "Octonion") -> "Octonion":
-        return self * other - other * self
-
     def associator(self, other: "Octonion", third: "Octonion") -> "Octonion":
         return (self * other) * third - self * (other * third)
 

@@ -366,10 +366,11 @@ class _TermContext:
     """Evaluation on packed term dicts over a denominator, the builder of
     :func:`parse_and_evaluate`.
 
-    Subclasses give ``packing``, the leaves (``constant``, ``variable``), the
-    inverse of a base raised to a negative power, and ``wrap`` for the
-    result.  The key of v^-1 is ``2 * zero - key(v)``, as the packing is
-    linear; a packing without a bias (``zero == 0``) has no inverses.
+    Subclasses give ``packing``, ``constant``, the ``known`` text of an
+    unknown variable's message, the inverse of a base raised to a negative
+    power, and ``wrap`` for the result.  The key of v^-1 is
+    ``2 * zero - key(v)``, as the packing is linear; a packing without a bias
+    (``zero == 0``) has no inverses.
     Variable leaves are cached and shared, and read-only
     (``MappingProxyType``); every ``dict`` in a value is the text's own, made
     by one step and held by that value alone, so a sum adds into its left
@@ -389,6 +390,12 @@ class _TermContext:
         self._variables = leaves
         # word text -> (key, bits, work) of its one-term value
         self._words: Dict[str, Tuple[int, int, int]] = {}
+
+    def variable(self, name: str, pos: int) -> Value:
+        try:
+            return self._variables[name]
+        except KeyError:
+            raise ParseError(f"unknown variable {name!r} (known: {self.known})", pos) from None
 
     def word(self, text: str) -> Optional[Value]:
         """The value kept for the word ``text``, or None.
@@ -546,6 +553,7 @@ class PolynomialContext(_TermContext):
             name: (MappingProxyType(value.packed), value.den, _bits(value.packed, value.den), 0)
             for name, value in {**self.aliases, **dict(zip(ring.names, ring.gens()))}.items()
         })
+        self.known = ", ".join(list(ring.names) + sorted(self.aliases))
 
     def constant(self, num: int, den: int, pos: int) -> Value:
         if not num:
@@ -554,13 +562,6 @@ class PolynomialContext(_TermContext):
             c = Fraction(num, den)
             num, den = c.numerator, c.denominator
         return {self.packing.zero: num}, den, max(num, den).bit_length(), 0
-
-    def variable(self, name: str, pos: int) -> Value:
-        try:
-            return self._variables[name]
-        except KeyError:
-            known = ", ".join(list(self.ring.names) + sorted(self.aliases))
-            raise ParseError(f"unknown variable {name!r} (known: {known})", pos) from None
 
     def wrap(self, value: Value) -> Polynomial:
         return Polynomial._of(self.ring, dict(value[0]), value[1])
@@ -571,6 +572,7 @@ class CharacterContext(_TermContext):
     unit monomials."""
 
     packing = CHAR_PACKING
+    known = "y1..y5"
 
     def __init__(self):
         self._set_leaves({f"y{j}": (MappingProxyType(y(j).packed), 1, 1, 0) for j in range(1, 6)})
@@ -580,12 +582,6 @@ class CharacterContext(_TermContext):
         if r:
             raise ParseError("character coefficients must be integers", pos)
         return ({CHAR_PACKING.zero: n} if n else {}), 1, n.bit_length(), 0
-
-    def variable(self, name: str, pos: int) -> Value:
-        try:
-            return self._variables[name]
-        except KeyError:
-            raise ParseError(f"unknown variable {name!r} (known: y1..y5)", pos) from None
 
     def inverse(self, value: Value, pos: int) -> Value:
         terms = value[0]

@@ -76,7 +76,7 @@ class Packing:
     wraps.
     """
 
-    __slots__ = ("nvars", "bias", "shift", "low", "limit", "guard", "ones", "zero", "multipliers", "unpack")
+    __slots__ = ("nvars", "bias", "shift", "low", "limit", "guard", "zero", "multipliers", "unpack")
 
     def __init__(self, nvars: int, bias: int = 0):
         self.nvars, self.bias = nvars, bias
@@ -85,7 +85,6 @@ class Packing:
         self.limit = (1 << (FIELD_BITS - 1)) - 1
         offsets = range(0, self.shift, FIELD_BITS)
         self.guard = sum(1 << (o + FIELD_BITS - 1) for o in offsets)
-        self.ones = sum(1 << o for o in offsets)
         # key(e) = sum(e_i * ((1 << shift) - (1 << offset_i))) + key(0)
         self.multipliers = tuple((1 << self.shift) - (1 << o) for o in offsets)
         self.zero = bias * sum(self.multipliers)

@@ -93,7 +93,7 @@ class TestBasicStructure:
         assert len(basis) == 27
         # coordinates give the dual pairing: basis vector i has a 1 in slot i
         for i, b in enumerate(basis):
-            coords = b.coordinates()
+            coords = b.coords
             assert coords[i] == 1
             assert all(c == 0 for j, c in enumerate(coords) if j != i)
 
@@ -101,7 +101,7 @@ class TestBasicStructure:
         rng = random.Random(5)
         for _ in range(10):
             a = random_hermitian(rng)
-            assert JordanMatrix.from_coordinates(a.coordinates()) == a
+            assert JordanMatrix.from_coordinates(a.coords) == a
 
     def test_to_matrix_is_hermitian(self):
         rng = random.Random(6)

@@ -16,6 +16,7 @@ from flagoct.ktheory import (
     binomial_divides,
     char_quotient,
     divides_char,
+    edge_binomials,
     edge_divisor_char,
     edge_divisor_poly,
     equivalence_spotcheck,
@@ -371,6 +372,62 @@ class TestShiftedTerms:
             shifted, shift = ktheory._shifted_terms(f)
             assert (shifted, shift) == per_key_shift(f)
             assert ktheory.CHAR_PACKING.unpack(shift)[coordinate] == min(v[coordinate] for v in vectors)
+
+
+def seeded_binomial(rng):
+    """e^w - 1 for a seeded nonzero lattice weight w."""
+    while True:
+        odd = rng.randint(0, 1)
+        key = [2 * rng.randint(-2, 2) + odd for _ in range(4)]
+        if any(key):
+            return binomial(Weight.from_doubled_key(key))
+
+
+class TestQuotientKeys:
+    """f/d for lattice characters d and f = d * q is q, on lattice keys,
+    also where the shifts of f and d differ by a vector off the lattice."""
+
+    def test_quotients_of_products_are_the_lattice_factors(self):
+        rng = random.Random(27)
+
+        def minima(c):
+            return ktheory.CHAR_PACKING.unpack(ktheory._shifted_terms(c)[1])
+
+        divisors = [edge_divisor_char(k) for k in (1, 2, 3)]
+        divisors += [seeded_binomial(rng) for _ in range(6)]
+        mixed = 0
+        for d in divisors:
+            for size in (1, 2, 3, 5):
+                q = seeded_character(rng, size)
+                if rng.randint(0, 1):
+                    # a y1 and a y5 term: the per-coordinate minima of q's
+                    # keys then mix odd and even coordinates
+                    q = q + y(1) - y(5)
+                if not q:
+                    continue
+                f = d * q
+                # the packed shift of the quotient, sf - sd, off the lattice
+                mixed += len({(a - b) % 2 for a, b in zip(minima(f), minima(d))}) == 2
+                got = char_quotient(d, f)
+                assert got == q
+                for key in got.terms:
+                    assert ktheory._validate_dkey(key) == key
+        assert mixed >= 10
+
+
+class TestEdgeBinomials:
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_weights_are_pairwise_non_proportional(self, k):
+        # e^v - 1 and e^w - 1 are coprime exactly when v and w are not
+        # proportional, so the four binomials of a class are pairwise coprime
+        weights = []
+        for b in edge_binomials(k):
+            assert b.terms[(0, 0, 0, 0)] == -1
+            [w] = [key for key in b.terms if any(key)]
+            weights.append(w)
+        assert len(weights) == 4
+        for v, w in itertools.combinations(weights, 2):
+            assert any(v[i] * w[j] != v[j] * w[i] for i, j in itertools.combinations(range(4), 2)), (v, w)
 
 
 class TestXPolynomialBridge:
