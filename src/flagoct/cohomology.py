@@ -404,10 +404,6 @@ class RestrictionTable:
         return {name: self.row(sigma3_by_name(name)) for name in SIGMA3_NAMES}
 
 
-def restriction(sigma: Sigma3Element, k: int) -> Polynomial:
-    return RestrictionTable().restriction(sigma, k)
-
-
 class EquivariantRelationsReport(NamedTuple):
     symmetric_relations_ok: bool
     failures: Tuple[Tuple[str, int], ...]

@@ -43,11 +43,11 @@ from .poly import (
     exact_divide,
     pairwise_coprime,
 )
-from .scaled import numerators
 from .weyl import (
     ROOT_TRANSPOSITIONS,
     SIGMA3_NAMES,
     L,
+    cell_dimension_polynomial,
     inversion_set,
     rho,
     sigma3_by_name,
@@ -472,13 +472,13 @@ def _invariant_exponents(poly_degree: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def predicted_rank(degree: int) -> int:
-    """Coefficient of t^degree in (1+2t^8+2t^16+t^24) times the series of
+    """Coefficient of t^degree in the cell polynomial 1+2t^8+2t^16+t^24
+    (:func:`flagoct.weyl.cell_dimension_polynomial`) times the series of
     H*(BM), which is free on the basic invariants in twice their polynomial
     degrees."""
-    cell_degrees = (0, 8, 8, 16, 16, 24)
     return sum(
-        len(_invariant_exponents((degree - c) // 2))
-        for c in cell_degrees
+        n * len(_invariant_exponents((degree - c) // 2))
+        for c, n in cell_dimension_polynomial().items()
         if degree >= c and (degree - c) % 2 == 0
     )
 
@@ -517,9 +517,9 @@ def _integral_rows(restricted: Sequence[Polynomial]) -> List[Sequence[int]]:
     """One integer row per monomial of the restricted basis, in sorted order.
 
     Entry m of a row is the monomial's coefficient in ``restricted[m]``,
-    filled from the nonzero terms alone.  A row with a non-integral
-    coefficient is scaled by the lcm of its denominators, which leaves its
-    solution space unchanged.
+    filled from the nonzero terms alone.  The basis is integral: the basic
+    invariants are, and each label form leads with +-1, so its monic form and
+    the restriction images are integral too.
     """
     rows: Dict[int, List[int]] = {}
     for m, p in enumerate(restricted):
@@ -528,12 +528,7 @@ def _integral_rows(restricted: Sequence[Polynomial]) -> List[Sequence[int]]:
             if row is None:
                 row = rows[k] = [0] * len(restricted)
             row[m] = c
-    if all(p.den == 1 for p in restricted):
-        return [rows[k] for k in sorted(rows)]
-    return [
-        numerators([Fraction(c, p.den) for c, p in zip(rows[k], restricted)])[0]
-        for k in sorted(rows)
-    ]
+    return [rows[k] for k in sorted(rows)]
 
 
 def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:

@@ -28,7 +28,7 @@ from operator import mul, neg
 from typing import List, Optional, Sequence, Tuple
 
 from .octonion import Octonion, _unit_table, mul_into
-from .scaled import Scaled, Scalar, numerators
+from .scaled import Scaled, Scalar
 from .weyl import GAMMA_COEFFS, ROOT_TRANSPOSITIONS
 
 SLOTS = ("r", "p", "q")  # slot k carries the k-th root space, k = 1, 2, 3
@@ -87,9 +87,6 @@ class OctMatrix3(Scaled):
 
     def commutator(self, other: "OctMatrix3") -> "OctMatrix3":
         return self * other - other * self
-
-    def is_hermitian(self) -> bool:
-        return _is_hermitian(self._chunks(8))
 
     def hermitian_coordinates(self) -> Tuple[Tuple[int, ...], int]:
         """Numerators of the 27 canonical coordinates, over ``den``.
@@ -237,12 +234,6 @@ class JordanMatrix(Scaled):
             raise ValueError(f"slot must be one of {SLOTS}, got {name!r}")
         return getattr(self, name)
 
-    @staticmethod
-    def from_coordinates(coords: Sequence[Scalar]) -> "JordanMatrix":
-        if len(coords) != 27:
-            raise ValueError("need 27 coordinates")
-        return JordanMatrix._of(*numerators(coords))
-
     # -- multiplicative structure ---------------------------------------------
 
     def jordan(self, other: "JordanMatrix") -> "JordanMatrix":
@@ -302,19 +293,6 @@ def slot_of_root(k: int) -> str:
     return SLOTS[k - 1]
 
 
-def decompose(
-    a: JordanMatrix,
-) -> Tuple[JordanMatrix, JordanMatrix, JordanMatrix, JordanMatrix]:
-    """Split a traceless matrix into diagonal part plus the three slot parts."""
-    if a.trace() != 0:
-        raise ValueError("decomposition is defined for traceless matrices only")
-    diag = JordanMatrix.diagonal(a.x1, a.x2, a.x3)
-    h1 = JordanMatrix.from_slots(r=a.r)
-    h2 = JordanMatrix.from_slots(p=a.p)
-    h3 = JordanMatrix.from_slots(q=a.q)
-    return diag, h1, h2, h3
-
-
 def root_space_check(x: JordanMatrix, a: JordanMatrix, k: int) -> bool:
     """Verify [x,[x,a]] == gamma_k(x)^2 * a by exact matrix commutators."""
     if not x.is_diagonal() or x.trace() != 0:
@@ -330,13 +308,6 @@ def root_space_check(x: JordanMatrix, a: JordanMatrix, k: int) -> bool:
 
 
 # -- 27x27 operator calculus ---------------------------------------------------
-
-
-def canonical_basis() -> Tuple[JordanMatrix, ...]:
-    basis: List[JordanMatrix] = [JordanMatrix.diag_unit(k) for k in (1, 2, 3)]
-    for slot in SLOTS:
-        basis.extend(JordanMatrix.slot_unit(slot, i) for i in range(1, 9))
-    return tuple(basis)
 
 
 def _is_diagonal(nums: Tuple[int, ...]) -> bool:

@@ -30,7 +30,7 @@ import functools
 import random
 import struct
 from operator import index, mul
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, ResourceLimitError, divisor, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
@@ -136,14 +136,6 @@ class Character:
         return Character({w.doubled_key(): coeff})
 
     @staticmethod
-    def from_weights(weights: Iterable[Weight]) -> "Character":
-        out: Dict[DKey, int] = {}
-        for w in weights:
-            k = w.doubled_key()
-            out[k] = out.get(k, 0) + 1
-        return Character(out)
-
-    @staticmethod
     def constant(n: int) -> "Character":
         return Character({(0, 0, 0, 0): n})
 
@@ -166,9 +158,6 @@ class Character:
     def dimension(self) -> int:
         """Value at the identity: the sum of all coefficients."""
         return sum(self.packed.values())
-
-    def support_size(self) -> int:
-        return len(self.packed)
 
     def weights(self) -> List[Tuple[Weight, int]]:
         """(weight, multiplicity) in lexicographic order of the keys."""
@@ -234,10 +223,6 @@ def _monomial_text(key: DKey) -> str:
 def y(j: int) -> Character:
     """The lattice generator e^{omega_j}."""
     return Character.monomial(omega(j))
-
-
-def y_inverse(j: int) -> Character:
-    return Character.monomial(-omega(j))
 
 
 # -- the four basic invariant characters ------------------------------------------

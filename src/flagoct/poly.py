@@ -382,9 +382,6 @@ class Polynomial:
             return self
         return self / self.leading_coefficient()
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return Fraction(self.packed.get(self.ring.packing.pack(tuple(exponents)), 0), self.den)
-
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return self.den == 1

@@ -285,20 +285,6 @@ class WeylElement:
                     break
         return self._lattice
 
-    def is_signed_permutation(self) -> Tuple[bool, int]:
-        """(is a signed permutation matrix, number of -1 entries)."""
-        minus = 0
-        for row in self.doubled:
-            nonzero = [c for c in row if c != 0]
-            if len(nonzero) != 1 or abs(nonzero[0]) != 2:
-                return False, 0
-            if nonzero[0] == -2:
-                minus += 1
-        cols_ok = all(
-            sum(1 for r in range(4) if self.doubled[r][c] != 0) == 1 for c in range(4)
-        )
-        return cols_ok, minus
-
 
 def generate_group(generators: Sequence[WeylElement]) -> FrozenSet[WeylElement]:
     """Breadth-first closure of the generators under multiplication."""
@@ -336,12 +322,6 @@ def spin8_weyl() -> FrozenSet[WeylElement]:
 @lru_cache(maxsize=None)
 def f4_weyl() -> FrozenSet[WeylElement]:
     return generate_group([WeylElement.reflection(r) for r in f4_simple_roots()])
-
-
-def is_spin8_element(w: WeylElement) -> bool:
-    """Signed permutation with an even number of sign flips."""
-    ok, minus = w.is_signed_permutation()
-    return ok and minus % 2 == 0
 
 
 # -- the order-6 complement and the coset partition ------------------------------

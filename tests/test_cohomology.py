@@ -20,7 +20,6 @@ from flagoct.cohomology import (
     beta_to_e,
     coinvariant_generators,
     e_to_beta,
-    restriction,
     verify_equivariant_relations,
     verify_frac_identity,
     verify_presentation,
@@ -32,6 +31,9 @@ from flagoct.weyl import SIGMA3_NAMES, sigma3_by_name
 
 X1, X2 = E_RING.gens()
 BETA1, BETA2 = BETA_RING.gens()
+
+# the fixed-point restriction of the k-th Euler class at sigma
+restriction = RestrictionTable().restriction
 
 
 def random_e_poly(rng, terms=4):

@@ -424,6 +424,16 @@ class TestFreeness:
         }
         assert len(restricted) == 9
 
+    def test_restricted_invariants_are_integral(self):
+        # _integral_rows takes the restricted basis's numerators as its rows:
+        # each label form leads with +-1, so restricting the integral basic
+        # invariants to its hyperplane keeps them integral
+        invariants = _basic_invariants()
+        for k in ROOT_TRANSPOSITIONS:
+            for form in label_hyperplanes(k):
+                images = _restriction_images(RHO_RING, form)
+                assert all(g.substitute(images).den == 1 for g in invariants)
+
     def test_one_rank_per_nonempty_degree(self, monkeypatch):
         # the assembled matrix is ranked once per degree with unknowns, by
         # the matrix_rank that gkm imports; the class blocks are reduced
@@ -491,8 +501,7 @@ class TestFreeness:
             abstract_label(4)
 
     def test_restriction_rows_differ_by_label_multiples(self):
-        from flagoct.cohomology import restriction
-
+        restriction = RestrictionTable().restriction
         for e in gkm_edges():
             su, sv = sigma3_by_name(e.u), sigma3_by_name(e.v)
             for m in (1, 2, 3):

@@ -118,6 +118,79 @@ def test_the_check_sees_a_dead_private_helper():
     assert dead_private_helpers(sources) == ["_dead (a.py:2)", "_Gone (a.py:3)"]
 
 
+def unread_definitions(sources, readers=()):
+    """The public module-level functions and classes of ``sources`` (file name
+    -> text) that no module reads, as a bare name in its own module, as a name
+    imported from it or as ``module.name``, and the non-dunder methods whose
+    name none reads as an attribute.  What the texts ``readers`` read counts
+    as read too."""
+    trees = {file[: -len(".py")]: ast.parse(text) for file, text in sources.items()}
+    read, attributes = set(), set()
+    for module, tree in [*trees.items(), *((None, ast.parse(text)) for text in readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                # "from .poly import x" and "from flagoct.poly import x" both
+                # read poly's x
+                source = (node.module or "").rpartition(".")[2]
+                read.update((source, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    read.add((node.value.id, node.attr))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and (module, node.name) not in read:
+                unread.append(f"{node.name} ({module}.py:{node.lineno})")
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    if item.name not in attributes:
+                        unread.append(f"{node.name}.{item.name} ({module}.py:{item.lineno})")
+    return unread
+
+
+def test_every_definition_is_read_by_the_package_or_the_acceptance_gate():
+    # a definition that only tests call is compiled on every cold start and
+    # run by no command; the private ones are test_no_dead_private_helpers'
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    gate = (Path(__file__).resolve().parent / "test_acceptance.py").read_text(encoding="utf-8")
+    unread = unread_definitions(sources, [gate])
+    assert not unread, f"definitions that neither flagoct nor the acceptance tests read: {unread}"
+
+
+def test_the_check_sees_an_unread_definition():
+    sources = {
+        "a.py": (
+            "def used(): pass\n"
+            "def dead(): pass\n"
+            "def called(): pass\n"
+            "def gated(): pass\n"
+            "def shadowed(): pass\n"
+            "class Box:\n"
+            "    def kept(self): pass\n"
+            "    def idle(self): pass\n"
+            "    def __eq__(self, other): pass\n"
+            "used()\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import Box\n"
+            "class Table:\n"
+            "    def shadowed(self): pass\n"
+            "a.called()\n"
+            "Table().shadowed()\n"
+            "Box().kept()\n"
+        ),
+    }
+    assert unread_definitions(sources, ["from flagoct.a import gated\n"]) == [
+        "dead (a.py:2)", "shadowed (a.py:5)", "Box.idle (a.py:8)",
+    ]
+
+
 def package_imports(sources):
     """The intra-package import graph of ``sources`` (file name -> text): each
     module to the sibling modules it imports, at any depth."""

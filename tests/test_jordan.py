@@ -15,8 +15,6 @@ from flagoct.jordan import (
     OctMatrix3,
     bracket_lemma_check,
     bracket_lemma_parts,
-    canonical_basis,
-    decompose,
     format_jordan,
     gamma_value,
     hat_operator,
@@ -36,6 +34,15 @@ from flagoct.octonion import Octonion
 from flagoct.suites import run_suite
 
 
+def from_coordinates(c):
+    """The matrix of the 27 coordinates ``c``: the diagonal, then slots r, p, q."""
+    return JordanMatrix(*c[:3], Octonion(c[11:19]), Octonion(c[19:27]), Octonion(c[3:11]))
+
+
+# the canonical basis: the 27 unit coordinate vectors
+CANONICAL_BASIS = tuple(from_coordinates([int(i == j) for j in range(27)]) for i in range(27))
+
+
 def random_hermitian(rng, span=3):
     x = JordanMatrix.random_traceless(rng, span)
     return x + JordanMatrix.identity().scale(rng.randint(-span, span))
@@ -44,7 +51,7 @@ def random_hermitian(rng, span=3):
 def ref_tilde(s):
     """The operator y -> [s, y] column by column: column j is the commutator
     of s with the j-th canonical basis matrix, through ``OctMatrix3.__mul__``."""
-    cols = [s.commutator(b.to_matrix()).hermitian_coordinates() for b in canonical_basis()]
+    cols = [s.commutator(b.to_matrix()).hermitian_coordinates() for b in CANONICAL_BASIS]
     den = lcm(*(d for _, d in cols))
     scaled = [[x * (den // d) for x in c] for c, d in cols]
     return LinearOperator27._of(tuple(itertools.chain.from_iterable(zip(*scaled))), den)
@@ -74,7 +81,7 @@ def random_skew(rng, kind):
     if kind == "rational":
         return matrix_commutator(x, a)
     if kind == "mixed-denominators":
-        b = JordanMatrix.from_coordinates(
+        b = from_coordinates(
             [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(27)]
         )
         return matrix_commutator(x, b)
@@ -88,26 +95,11 @@ def random_skew(rng, kind):
 
 
 class TestBasicStructure:
-    def test_canonical_basis_has_27_elements(self):
-        basis = canonical_basis()
-        assert len(basis) == 27
-        # coordinates give the dual pairing: basis vector i has a 1 in slot i
-        for i, b in enumerate(basis):
-            coords = b.coords
-            assert coords[i] == 1
-            assert all(c == 0 for j, c in enumerate(coords) if j != i)
-
-    def test_coordinates_roundtrip(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            a = random_hermitian(rng)
-            assert JordanMatrix.from_coordinates(a.coords) == a
-
     def test_to_matrix_is_hermitian(self):
         rng = random.Random(6)
         for _ in range(10):
             m = random_hermitian(rng).to_matrix()
-            assert m.is_hermitian()
+            m.hermitian_coordinates()  # raises ValueError unless Hermitian
 
     def test_from_matrix_roundtrip(self):
         rng = random.Random(7)
@@ -120,17 +112,6 @@ class TestBasicStructure:
         assert d.trace() == 0
         assert d.is_diagonal()
         assert not JordanMatrix.slot_unit("r", 1).is_diagonal()
-
-    def test_decompose_reassembles(self):
-        rng = random.Random(8)
-        a = JordanMatrix.random_traceless(rng)
-        diag, h1, h2, h3 = decompose(a)
-        assert diag + h1 + h2 + h3 == a
-        assert diag.is_diagonal()
-
-    def test_decompose_requires_traceless(self):
-        with pytest.raises(ValueError):
-            decompose(JordanMatrix.identity())
 
     def test_slot_cells_are_the_former_literals(self):
         # derived from ROOT_TRANSPOSITIONS; the literals are the former tables
@@ -260,7 +241,7 @@ class TestRootSpaces:
 class TestOperators:
     def test_structure_table_matches_every_basis_product(self):
         # the table is built from the products with i <= j; all 729 agree
-        basis = canonical_basis()
+        basis = CANONICAL_BASIS
         table = _operator_tables()[0]
         for i, j in itertools.product(range(27), repeat=2):
             prod = basis[i].jordan(basis[j])
@@ -307,7 +288,7 @@ class TestOperators:
     def test_tilde_table_matches_every_basis_commutator(self):
         # image m, column j: [K_m, B_j] through OctMatrix3.__mul__, 45 x 27 pairs
         tilde_table = _operator_tables()[1]
-        basis = [b.to_matrix() for b in canonical_basis()]
+        basis = [b.to_matrix() for b in CANONICAL_BASIS]
         assert len(tilde_table) == 45
         for m, k in enumerate(skew_basis()):
             image = dict(tilde_table[m])

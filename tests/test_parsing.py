@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from flagoct.cli import _context_for, main
 from flagoct.cohomology import B_RING, E_RING
 from flagoct.gkm import RHO_RING, RINGS
-from flagoct.ktheory import CHAR_PACKING, Character, x_character, y, y_inverse
+from flagoct.ktheory import CHAR_PACKING, Character, x_character, y
 from flagoct.weyl import SIGMA3_NAMES, omega
 from flagoct import poly
 from flagoct.poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError
@@ -55,6 +55,11 @@ from flagoct.parsing import (
     _power_pairs,
     _word_tokens,
 )
+
+
+def y_inverse(j):
+    """The lattice generator e^{-omega_j}."""
+    return Character.monomial(-omega(j))
 
 
 # -- the syntax tree -----------------------------------------------------------------
@@ -265,7 +270,7 @@ class ReferenceCharacterContext:
 
 
 def reference_invert_character(value):
-    if value.support_size() != 1:
+    if len(value.packed) != 1:
         return None
     ((key, coeff),) = value.terms.items()
     if coeff not in (1, -1):

@@ -51,10 +51,15 @@ class TestRingBasics:
     def test_constants_and_vars(self):
         x, y = R2.gens()
         assert R2.zero().is_zero()
-        assert R2.one().coefficient((0, 0)) == 1
-        assert R2.const(Fraction(3, 2)).coefficient((0, 0)) == Fraction(3, 2)
+        assert R2.one().terms.get((0, 0), 0) == 1
+        assert R2.const(Fraction(3, 2)).terms.get((0, 0), 0) == Fraction(3, 2)
         assert x != y
         assert R2.var("x") == x
+
+    def test_truth_value_is_nonzero(self):
+        x, y = R2.gens()
+        assert not bool(R2.zero()) and not bool(x - x)
+        assert bool(x) and bool(R2.one()) and bool(Fraction(1, 3) * y)
 
     def test_zero_coefficients_are_dropped(self):
         x, _ = R2.gens()
@@ -80,7 +85,7 @@ class TestArithmetic:
     def test_scalar_mixing(self):
         x, y = R2.gens()
         p = Fraction(1, 3) * (2 * x + y)
-        assert p.coefficient((1, 0)) == Fraction(2, 3)
+        assert p.terms.get((1, 0), 0) == Fraction(2, 3)
         assert (p * 3).is_integral()
         assert (p / Fraction(1, 3)) == 2 * x + y
 
