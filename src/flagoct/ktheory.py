@@ -185,12 +185,8 @@ class Character:
 
     def __mul__(self, other: "Character") -> "Character":
         if not isinstance(other, Character):
-            return NotImplemented  # a scalar multiple is scale(n)
+            return NotImplemented  # a scalar multiple is a product with constant(n)
         return Character._of(mul_terms(self.packed, other.packed, CHAR_PACKING))
-
-    def scale(self, n: int) -> "Character":
-        n = _integer(n)
-        return Character._of({k: n * c for k, c in self.packed.items()} if n else {})
 
     def __pow__(self, n: int) -> "Character":
         n = index(n)

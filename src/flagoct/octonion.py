@@ -62,14 +62,6 @@ class Octonion(Scaled):
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def one() -> "Octonion":
-        return Octonion.scalar(1)
-
-    @staticmethod
-    def scalar(c: Scalar) -> "Octonion":
-        return Octonion((c, 0, 0, 0, 0, 0, 0, 0))
-
-    @staticmethod
     def unit(i: int) -> "Octonion":
         """The basis octonion e_i, 1-based (e1 is the identity)."""
         if not 1 <= i <= 8:

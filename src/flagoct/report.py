@@ -4,12 +4,16 @@ A report is a list of checks, each with a stable id, a human-readable
 description, a pass/fail/skipped status, a details string, and an anchor
 naming the mathematical fact being verified.  Reports render identically
 (same check set, same ids) as text or JSON.
+
+A suite declares its checks as ``(id, description, anchor, thunk)``; the
+thunk takes no argument and returns ``ok`` or ``(ok, details)``, and
+:func:`run_checks` turns the declarations into checks.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 STATUSES = ("pass", "fail", "skipped")
 
@@ -34,6 +38,23 @@ class Check(_CheckFields):
 
     # validated like the constructor; ``_replace`` builds through ``_make``
     _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+Outcome = Union[bool, Tuple[bool, str]]
+Declaration = Tuple[str, str, str, Callable[[], Outcome]]
+
+
+def run_checks(declarations: List[Declaration]) -> List[Check]:
+    """Call each declaration's thunk in order; one that raises fails alone."""
+    checks = []
+    for id, description, anchor, thunk in declarations:
+        try:
+            outcome = thunk()
+        except Exception as exc:
+            outcome = (False, f"raised {type(exc).__name__}: {exc}")
+        ok, details = outcome if isinstance(outcome, tuple) else (outcome, "")
+        checks.append(Check(id, description, "pass" if ok else "fail", details, anchor))
+    return checks
 
 
 class VerificationReport:

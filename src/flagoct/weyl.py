@@ -453,9 +453,6 @@ class Sigma3Element(_Sigma3Fields):
     def inverse(self) -> "Sigma3Element":
         return Sigma3Element(tuple(self.perm.index(i) + 1 for i in (1, 2, 3)))
 
-    def is_identity(self) -> bool:
-        return self.perm == (1, 2, 3)
-
     @property
     def name(self) -> str:
         return _S3_NAMES[self.perm]

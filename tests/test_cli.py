@@ -118,7 +118,7 @@ class TestVerify:
         def no_suite(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        monkeypatch.setattr("flagoct.cli.run_suite", no_suite)
+        monkeypatch.setattr("flagoct.suites.run_suite", no_suite)
         code, out, err = run(capsys, "verify", suite, "--degree-cutoff", cutoff)
         assert code == 2
         assert out == ""

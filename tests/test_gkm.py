@@ -193,6 +193,13 @@ class TestEntryValidation:
         with pytest.raises(TypeError, match=r"offending: \['1'\]"):
             check_membership(entries)
 
+    def test_a_polynomial_among_characters_is_refused(self):
+        entries = {**constant_tuple(Character.one()), "s1s2s1": X_RING.one()}
+        with pytest.raises(
+            TypeError, match=r"offending: \['1', 's1', 's2', 's1s2', 's2s1'\]"
+        ):
+            check_membership(entries)
+
 
 def vanishes_on_hyperplanes(p, forms):
     """True iff p restricts to zero on the kernel of every given form."""

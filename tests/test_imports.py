@@ -255,13 +255,15 @@ def test_the_check_sees_an_import_cycle():
     assert import_cycle(package_imports(sources)) is None
 
 
-# Run in a fresh interpreter: import flagoct.cli, run main(argv) when argv is
-# given, and report the flagoct modules whose code has run and which of
-# dataclasses and inspect are loaded.  A module the package registers lazily
-# stays a subclass of ModuleType until an attribute of it is first read.
+# Run in a fresh interpreter: import flagoct.cli, note whether fractions is
+# loaded, run main(argv) when argv is given, and report the flagoct modules
+# whose code has run and which of dataclasses and inspect are loaded.  A
+# module the package registers lazily stays a subclass of ModuleType until an
+# attribute of it is first read.
 COMMAND_PROBE = """
 import contextlib, io, json, sys, types
 import flagoct.cli
+fractions = "fractions" in sys.modules
 argv = json.loads(sys.argv[1])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -270,6 +272,7 @@ print(json.dumps({
     "compiled": sorted(n for n, m in sys.modules.items()
                        if n.partition(".")[0] == "flagoct" and type(m) is types.ModuleType),
     "stdlib": sorted({"dataclasses", "inspect"} & set(sys.modules)),
+    "fractions": fractions,
 }))
 """
 
@@ -284,36 +287,51 @@ def fresh_python(*args, check=True):
 
 def run_command_probe(argv):
     result = json.loads(fresh_python("-c", COMMAND_PROBE, json.dumps(argv)).stdout)
-    return set(result["compiled"]), result["stdlib"]
+    return set(result["compiled"]), result["stdlib"], result["fractions"]
+
+
+def modules(*names):
+    return {"flagoct"} | {f"flagoct.{name}" for name in names}
+
+
+# what ``import flagoct.cli`` compiles, and what building its parser adds:
+# the suite names of the registry, and the degree cap and the ring names of gkm
+CLI_IMPORT = modules("cli", "poly", "scaled")
+PARSER = CLI_IMPORT | modules("suites", "report", "gkm", "cohomology", "weyl")
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, dis, ast and tokenize and runs exec for
     # each generated method: tens of milliseconds of every cold start.  A
     # fresh interpreter also sees a module that imports them indirectly.
-    # Nor does the import compile the Jordan, octonion or parser code
-    compiled, stdlib = run_command_probe([])
+    # Nor does the import compile more than the command line and the
+    # polynomials; these load fractions, which the benchmark's tracer reads
+    # right after the import
+    compiled, stdlib, fractions = run_command_probe([])
     assert stdlib == []
-    assert compiled == EVERY_MODULE - {"flagoct.octonion", "flagoct.jordan", "flagoct.parsing"}
+    assert compiled == CLI_IMPORT
+    assert fractions
 
 
 @pytest.mark.parametrize(
-    "argv, not_compiled",
+    "argv, compiled",
     [
-        (["verify", "gkm", "--format", "json"], {"octonion", "jordan", "parsing"}),
-        (["verify", "all", "--format", "json"], {"parsing"}),
-        (["gkm-check", "--ring", "Hb", "--file", "TUPLE"], {"octonion", "jordan"}),
-        (["expand", "y1 + y2^-1", "--ring", "RT"], {"octonion", "jordan"}),
+        # neither ktheory, groebner, octonion, jordan, parsing nor another
+        # suite's declarations
+        (["verify", "gkm", "--format", "json"], PARSER | modules("gkm_checks")),
+        (["verify", "all", "--format", "json"], EVERY_MODULE - {"flagoct.parsing"}),
+        (["gkm-check", "--ring", "Hb", "--file", "TUPLE"], PARSER | modules("parsing", "ktheory")),
+        (["expand", "y1 + y2^-1", "--ring", "RT"], PARSER | modules("parsing", "ktheory")),
+        (["verify", "octonion"], PARSER | modules("octonion_checks", "octonion")),
+        (["verify", "ktheory"], PARSER | modules("ktheory_checks", "ktheory")),
     ],
-    ids=["verify gkm", "verify all", "gkm-check", "expand"],
+    ids=["verify gkm", "verify all", "gkm-check", "expand", "verify octonion", "verify ktheory"],
 )
-def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, not_compiled):
+def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, compiled):
     tuple_file = tmp_path / "tuple.json"
     tuple_file.write_text(json.dumps({"entries": {name: "0" for name in SIGMA3_NAMES}}))
     argv = [str(tuple_file) if arg == "TUPLE" else arg for arg in argv]
-    compiled, stdlib = run_command_probe(argv)
-    assert stdlib == []
-    assert compiled == EVERY_MODULE - {f"flagoct.{name}" for name in not_compiled}
+    assert run_command_probe(argv)[:2] == (compiled, [])
 
 
 def test_loading_every_module_builds_no_fraction():

@@ -278,7 +278,7 @@ class TestOperators:
         k = skew_basis()[30]
         for bad in (
             b.to_matrix(),
-            s + grid_matrix({(1, 1): Octonion.one()}),
+            s + grid_matrix({(1, 1): Octonion.unit(1)}),
             grid_matrix({(0, 2): Octonion.unit(4)}),
             k - grid_matrix({(2, 1): Octonion.unit(2).scale(2)}),
         ):

@@ -92,9 +92,9 @@ class TestCharacterAlgebra:
         def rand_char():
             c = Character.zero()
             for _ in range(3):
-                c = c + from_weights(
-                    [(omega(5) if rng.random() < 0.5 else L(rng.randint(1, 4)))]
-                ).scale(rng.randint(-2, 2))
+                c = c + Character.monomial(
+                    omega(5) if rng.random() < 0.5 else L(rng.randint(1, 4)), rng.randint(-2, 2)
+                )
             return c
 
         for _ in range(10):

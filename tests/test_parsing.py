@@ -1093,7 +1093,7 @@ class TestResultDigits:
         assert parse_and_evaluate("+".join(["b1"] * 20_000), ctx) == 20_000 * b1
         text = " + ".join(["1/2*b1", "1/3*b2"] * 3_000)
         assert parse_and_evaluate(text, ctx) == 1500 * b1 + 1000 * b2
-        assert parse_and_evaluate("-".join(["y1"] * 20_001), CharacterContext()) == y(1).scale(-19_999)
+        assert parse_and_evaluate("-".join(["y1"] * 20_001), CharacterContext()) == Character.constant(-19_999) * y(1)
 
 
 class TestProductLimit:

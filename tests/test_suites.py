@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from flagoct import cli, gkm
-from flagoct.report import Check, VerificationReport
-from flagoct.suites import SUITE_NAMES, run_checks, run_suite
+from flagoct.report import Check, VerificationReport, run_checks
+from flagoct.suites import SUITE_NAMES, run_suite
 
 
 class TestReportObject:

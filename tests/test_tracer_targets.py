@@ -99,10 +99,19 @@ def test_the_tracer_finds_its_targets_after_importing_only_the_cli():
         "    exec(compile(fh.read(), path, 'exec'), tracer.__dict__)\n"
         "t = tracer.Tracer()\n"
         "t.install()\n"
+        "# every call of the two functions' own code, however it was reached\n"
+        "codes = {sys.modules['flagoct.gkm'].check_membership.__wrapped__.__code__: 'gkm.check_membership_calls',\n"
+        "         sys.modules['flagoct.suites'].suite_gkm.__wrapped__.__code__: 'suites.gkm_calls'}\n"
+        "profiled = dict.fromkeys(codes.values(), 0)\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code in codes:\n"
+        "        profiled[codes[frame.f_code]] += 1\n"
+        "sys.setprofile(profile)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = flagoct.cli.main(['verify', 'gkm', '--format', 'json'])\n"
+        "sys.setprofile(None)\n"
         "t.uninstall()\n"
-        "print(json.dumps({'code': code, 'metrics': tracer.layer_metrics(t.snapshot())}))\n"
+        "print(json.dumps({'code': code, 'metrics': tracer.layer_metrics(t.snapshot()), 'profiled': profiled}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
@@ -111,8 +120,15 @@ def test_the_tracer_finds_its_targets_after_importing_only_the_cli():
     )
     result = json.loads(out.stdout)
     assert result["code"] == 0
-    counted = ("poly.mul_calls", "poly.substitute_calls", "cohomology.matrix_rank_calls", "scalar.fraction_new")
+    counted = (
+        "poly.mul_calls", "poly.substitute_calls", "cohomology.matrix_rank_calls", "scalar.fraction_new",
+        "gkm.check_membership_calls", "suites.gkm_calls",
+    )
     assert all(result["metrics"][name] > 0 for name in counted), {n: result["metrics"][n] for n in counted}
+    # the tracer wraps the suite function and check_membership where the
+    # registry and gkm define them; a module loaded after it installs that
+    # bound either by name would call the original past the wrapper
+    assert {name: result["metrics"][name] for name in result["profiled"]} == result["profiled"]
 
 
 def must_be_nonzero():
