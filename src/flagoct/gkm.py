@@ -569,19 +569,19 @@ def free_rank_check(degree_cutoff: int = 8) -> List[Tuple[int, int, int]]:
     vertex_index = {name: i for i, name in enumerate(SIGMA3_NAMES)}
     for d in range(0, degree_cutoff + 1, 2):
         # the rows each edge class imposes on the coefficient vector of its
-        # edge difference, each distinct row once (the hyperplanes of a class
-        # often give the same rows); nb is the same for every hyperplane
-        blocks: Dict[int, Dict[Tuple[int, ...], None]] = {k: {} for k in ROOT_TRANSPOSITIONS}
+        # edge difference (the hyperplanes of a class often give the same
+        # rows, which echelon_basis drops); nb is the same for every hyperplane
+        blocks: Dict[int, List[Sequence[int]]] = {k: [] for k in ROOT_TRANSPOSITIONS}
         for (k, gens), built in restricted.items():
             basis = _invariant_monomials(gens, d // 2, built)
             nb = len(basis)
-            blocks[k].update(dict.fromkeys(map(tuple, _integral_rows(basis))))
+            blocks[k].extend(_integral_rows(basis))
         if nb == 0:
             rows.append((d, 0, predicted_rank(d)))
             continue
         # a row space is unchanged by reduction to an echelon basis, so the
         # constraint matrix has the rank of the full one with far fewer rows
-        reduced = {k: echelon_basis(list(block)) for k, block in blocks.items()}
+        reduced = {k: echelon_basis(block) for k, block in blocks.items()}
         constraints: List[List[int]] = []
         for edge in edges:
             iu, iv = vertex_index[edge.u], vertex_index[edge.v]

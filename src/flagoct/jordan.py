@@ -24,10 +24,10 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, neg
-from typing import List, Optional, Sequence, Tuple
+from operator import mul, neg, sub
+from typing import List, Sequence, Tuple
 
-from .octonion import Octonion, _unit_table, mul_into
+from .octonion import Octonion, _unit_table
 from .scaled import Scaled, Scalar
 from .weyl import GAMMA_COEFFS, ROOT_TRANSPOSITIONS
 
@@ -39,8 +39,9 @@ _OFF_DIAGONAL = tuple((i - 1, j - 1) for i, j in ROOT_TRANSPOSITIONS.values())
 _ZERO7 = (0,) * 7
 
 
-def _conj(v: Sequence[int]) -> Tuple[int, ...]:
-    return (v[0], *map(neg, v[1:]))
+def _conj(v: Sequence[int], sign: int = 1) -> Tuple[int, ...]:
+    """sign * conj(v) for an 8-block v."""
+    return (v[0], *map(neg, v[1:])) if sign > 0 else (-v[0], *v[1:])
 
 
 class OctMatrix3(Scaled):
@@ -48,10 +49,10 @@ class OctMatrix3(Scaled):
 
     Held in the shared store as 72 integer numerators over one denominator:
     entry (i, j) is ``nums[8*e : 8*e + 8]`` with ``e = 3*i + j`` (row-major).
-    The product is the bilinear expansion over the octonion unit table
-    (:func:`mul_into`, the kernel of ``Octonion.__mul__``) on the integer
-    numerators; nothing assumes associativity.  The constructor takes the
-    3x3 grid of :class:`Octonion` entries.
+    The product is the bilinear expansion over the octonion unit table on
+    the nonzero integer numerators of both factors; nothing assumes
+    associativity.  The constructor takes the 3x3 grid of :class:`Octonion`
+    entries.
     """
 
     __slots__ = ()
@@ -63,17 +64,19 @@ class OctMatrix3(Scaled):
         super().__init__([c for r in rows for o in r for c in o.coords])
 
     def __mul__(self, other: "OctMatrix3") -> "OctMatrix3":
-        # only pairs of nonzero 8-blocks reach the unit table
-        a = [x if any(x) else None for x in self._chunks(8)]
-        b = [x if any(x) else None for x in other._chunks(8)]
-        out: List[int] = []
-        for i in range(0, 9, 3):
-            for j in range(3):
-                acc = [0] * 8
-                for k in range(3):
-                    if a[i + k] and b[3 * k + j]:
-                        mul_into(acc, a[i + k], b[3 * k + j])
-                out.extend(acc)
+        # numerator n is unit n % 8 of entry (n // 24, n % 24 // 8); b[k]
+        # lists row k of other as (8 * column, unit, numerator), and unit u
+        # of entry (i, k) times unit v of (k, j) adds sign * e_w to (i, j)
+        table, a, bn = _unit_table(), self.nums, other.nums
+        b: Tuple[List[Tuple[int, int, int]], ...] = ([], [], [])
+        for n in itertools.compress(range(72), bn):
+            b[n // 24].append((n % 24 // 8 * 8, n % 8, bn[n]))
+        out = [0] * 72
+        for n in itertools.compress(range(72), a):
+            x, row, base = a[n], table[n % 8], n // 24 * 24 - 1
+            for col, v, y in b[n % 24 // 8]:
+                sign, w = row[v]
+                out[base + col + w] += sign * x * y
         return OctMatrix3._of(out, self.den * other.den)
 
     def trace(self) -> Octonion:
@@ -91,12 +94,11 @@ class OctMatrix3(Scaled):
         return _hermitian_numerators(self._chunks(8)), self.den
 
 
-def _is_hermitian(e: Sequence[Tuple[int, ...]]) -> bool:
-    """Whether the 3x3 grid of 8-blocks ``e`` (row-major) is Hermitian with
-    real diagonal."""
-    return all(not any(e[4 * i][1:]) for i in range(3)) and all(
-        e[3 * j + i] == _conj(e[3 * i + j]) for i, j in _OFF_DIAGONAL
-    )
+def _is_hermitian(e: Sequence[Tuple[int, ...]], sign: int = 1) -> bool:
+    """Whether the 3x3 grid of 8-blocks ``e`` (row-major) is ``sign`` times
+    its conjugate transpose: Hermitian, so with real diagonal, for sign 1 and
+    skew-Hermitian, so with imaginary diagonal, for sign -1."""
+    return all(e[3 * j + i] == _conj(e[3 * i + j], sign) for i in range(3) for j in range(i, 3))
 
 
 def _hermitian_numerators(e: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
@@ -124,7 +126,13 @@ class JordanMatrix(Scaled):
     SIZE = 27
 
     def __init__(
-        self, x1: Scalar, x2: Scalar, x3: Scalar, p: Octonion, q: Octonion, r: Octonion
+        self,
+        x1: Scalar = 0,
+        x2: Scalar = 0,
+        x3: Scalar = 0,
+        p: Octonion = Octonion.zero(),
+        q: Octonion = Octonion.zero(),
+        r: Octonion = Octonion.zero(),
     ):
         super().__init__((x1, x2, x3) + r.coords + p.coords + q.coords)
 
@@ -136,8 +144,7 @@ class JordanMatrix(Scaled):
 
     @staticmethod
     def diagonal(x1: Scalar, x2: Scalar, x3: Scalar) -> "JordanMatrix":
-        z = Octonion.zero()
-        return JordanMatrix(x1, x2, x3, z, z, z)
+        return JordanMatrix(x1, x2, x3)
 
     @staticmethod
     def diag_unit(k: int) -> "JordanMatrix":
@@ -149,23 +156,11 @@ class JordanMatrix(Scaled):
         return JordanMatrix.diagonal(*vals)
 
     @staticmethod
-    def from_slots(
-        x1: Scalar = 0,
-        x2: Scalar = 0,
-        x3: Scalar = 0,
-        p: Optional[Octonion] = None,
-        q: Optional[Octonion] = None,
-        r: Optional[Octonion] = None,
-    ) -> "JordanMatrix":
-        z = Octonion.zero()
-        return JordanMatrix(x1, x2, x3, p or z, q or z, r or z)
-
-    @staticmethod
     def slot_unit(slot: str, i: int) -> "JordanMatrix":
         """Basis element with octonion unit e_i in the named slot (p, q or r)."""
         if slot not in SLOTS:
             raise ValueError(f"slot must be one of {SLOTS}, got {slot!r}")
-        return JordanMatrix.from_slots(**{slot: Octonion.unit(i)})
+        return JordanMatrix(**{slot: Octonion.unit(i)})
 
     @staticmethod
     def from_matrix(m: OctMatrix3) -> "JordanMatrix":
@@ -175,7 +170,7 @@ class JordanMatrix(Scaled):
     def random_traceless(rng: random.Random, span: int = 3) -> "JordanMatrix":
         x1 = rng.randint(-span, span)
         x2 = rng.randint(-span, span)
-        return JordanMatrix.from_slots(
+        return JordanMatrix(
             x1,
             x2,
             -x1 - x2,
@@ -362,62 +357,57 @@ class LinearOperator27(Scaled):
         )
 
 
-# A basis matrix is a tuple of terms (row, column, sign, unit): sign * e_unit
-# at (row, column), units 0-based.  Off the diagonal, the mirrored entry of
-# e_u is conj(e_u) in a Hermitian matrix and -conj(e_u) in a skew one.
-_Terms = Tuple[Tuple[int, int, int, int], ...]
-_Structure = List[List[List[Tuple[int, int]]]]
-
-
-def _basis_terms(skew: bool) -> List[_Terms]:
+def _basis(skew: bool) -> List[OctMatrix3]:
     """The 27 canonical Hermitian basis matrices, or the 45 skew-Hermitian
-    ones: e2..e8 on each diagonal entry, then e_u at (i, j) and -conj(e_u) at
-    (j, i) for the r, p and q slots and each unit e_u."""
-    terms: List[_Terms] = [
-        ((k, k, 1, u),) for k in range(3) for u in (range(1, 8) if skew else (0,))
-    ]
+    ones: e2..e8 on each diagonal entry, then e_u at (i, j) for the r, p and q
+    slots and each unit e_u, mirrored at (j, i) as conj(e_u) in a Hermitian
+    matrix and as -conj(e_u) in a skew one."""
+    sign = -1 if skew else 1
+    cells = [(k, k, u) for k in range(3) for u in (range(1, 8) if skew else (0,))]
+    cells += [(i, j, u) for i, j in _OFF_DIAGONAL for u in range(8)]
+    out = []
+    for i, j, u in cells:
+        nums = [0] * 72
+        nums[24 * i + 8 * j + u] = 1
+        if i != j:
+            nums[24 * j + 8 * i + u] = sign if u == 0 else -sign
+        out.append(OctMatrix3._of(nums, 1))
+    return out
+
+
+def _hermitian_part(m: OctMatrix3) -> List[int]:
+    """The 27 canonical coordinates of m + m*, over ``m.den``: twice the real
+    diagonal, then m_ij + conj(m_ji) for the r, p and q slots."""
+    n = m.nums
+    out = [2 * n[0], 2 * n[32], 2 * n[64]]
     for i, j in _OFF_DIAGONAL:
-        for u in range(8):
-            terms.append(((i, j, 1, u), (j, i, 1 if (u == 0) != skew else -1, u)))
-    return terms
-
-
-def _hermitian_image(x: _Terms, y: _Terms, sign: int) -> Tuple[int, ...]:
-    """The 27 canonical coordinates of x y + sign * y x, checked Hermitian.
-
-    Each product runs on the nonzero entries alone, by
-    (E_ab e_u)(E_pq e_v) = [b = p] E_aq (e_u e_v) over the octonion unit table.
-    """
-    table = _unit_table()
-    acc = [0] * 72
-    for left, right, c in ((x, y, 1), (y, x, sign)):
-        for a, b, s, u in left:
-            for p, q, t, v in right:
-                if b == p:
-                    unit_sign, w = table[u][v]
-                    acc[8 * (3 * a + q) + w - 1] += c * s * t * unit_sign
-    return _hermitian_numerators([tuple(acc[k : k + 8]) for k in range(0, 72, 8)])
+        a, b = 24 * i + 8 * j, 24 * j + 8 * i
+        out.append(n[a] + n[b])
+        out.extend(map(sub, n[a + 1 : a + 8], n[b + 1 : b + 8]))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _operator_tables() -> Tuple[_Structure, Tuple[Tuple[Tuple[int, int], ...], ...]]:
+def _operator_tables() -> Tuple[List[List[list]], Tuple[tuple, ...]]:
     """The Jordan structure tensor and the tilde images of the skew basis.
 
     ``S[i][j]`` lists (k, 2c) with basis_i o basis_j = sum c * basis_k, that
     is the coordinates of B_i B_j + B_j B_i; ``S[j][i]`` is ``S[i][j]``.
     ``T[m]`` lists (27 k + j, c) with [K_m, B_j] = sum_k c * basis_k, for the
-    m-th skew basis matrix K_m of :func:`_basis_terms`.  Built once per
-    process, on first use, from the octonion unit table.
+    m-th skew basis matrix K_m of :func:`_basis`.  Each entry is one
+    :class:`OctMatrix3` product P: B_j B_i = (B_i B_j)* and -B_j K_m =
+    (K_m B_j)*, since conj(ab) = conj(b) conj(a) (no associativity), so the
+    entry is the Hermitian part P + P*.  Built once per process, on first use.
     """
-    herm, skew = _basis_terms(False), _basis_terms(True)
-    struct: _Structure = [[[]] * 27 for _ in range(27)]
+    herm, skew = _basis(False), _basis(True)
+    struct = [[[]] * 27 for _ in range(27)]
     for i in range(27):
         for j in range(i, 27):
-            image = _hermitian_image(herm[i], herm[j], 1)
+            image = _hermitian_part(herm[i] * herm[j])
             struct[i][j] = struct[j][i] = [(k, c) for k, c in enumerate(image) if c]
     tilde = []
     for k_m in skew:
-        cols = [_hermitian_image(k_m, b, -1) for b in herm]
+        cols = [_hermitian_part(k_m * b) for b in herm]
         tilde.append(tuple(
             (27 * k + j, col[k]) for j, col in enumerate(cols) for k in range(27) if col[k]
         ))
@@ -442,12 +432,10 @@ def tilde_operator(s: OctMatrix3) -> LinearOperator27:
     maps Hermitian to Hermitian; ``ValueError`` for any other s.
 
     The map is linear in s: the sum of s's coordinates on the skew basis of
-    :func:`_basis_terms` times the tabled images of that basis.
+    :func:`_basis` times the tabled images of that basis.
     """
     e = s._chunks(8)
-    if any(e[4 * k][0] for k in range(3)) or any(
-        e[3 * j + i] != tuple(-x for x in _conj(e[3 * i + j])) for i, j in _OFF_DIAGONAL
-    ):
+    if not _is_hermitian(e, -1):
         raise ValueError("matrix is not skew-Hermitian")
     acc = [0] * 729
     coeffs = e[0][1:] + e[4][1:] + e[8][1:] + _slot_blocks(e)
@@ -547,7 +535,7 @@ def parse_jordan(text: str) -> JordanMatrix:
             raise ValueError(f"slot {group} needs 8 entries, got {len(parts)}")
         return Octonion.from_coords([frac(s) for s in parts])
 
-    return JordanMatrix.from_slots(
+    return JordanMatrix(
         frac(m.group("x1")),
         frac(m.group("x2")),
         frac(m.group("x3")),

@@ -92,8 +92,17 @@ class Octonion(Scaled):
     def __mul__(self, other: Union["Octonion", Scalar]) -> "Octonion":
         if not isinstance(other, Octonion):
             return self.scale(other)
+        # the bilinear expansion over the unit table, on the nonzero
+        # numerators alone; identical to the doubling formula
+        table = _unit_table()
+        b = [(j, y) for j, y in enumerate(other.nums) if y]
         out = [0] * 8
-        mul_into(out, self.nums, other.nums)
+        for i, x in enumerate(self.nums):
+            if x:
+                row = table[i]
+                for j, y in b:
+                    sign, k = row[j]
+                    out[k - 1] += sign * x * y
         return Octonion._of(out, self.den * other.den)
 
     def _doubling_mul(self, other: "Octonion") -> "Octonion":
@@ -134,29 +143,6 @@ def _unit_table() -> List[List[Tuple[int, int]]]:
                 row.append((1 if c > 0 else -1, idx + 1))
             _TABLE.append(row)
     return _TABLE
-
-
-def mul_into(out: List, a: Sequence, b: Sequence) -> None:
-    """Add the product a * b of two coordinate 8-sequences into ``out``.
-
-    The bilinear expansion over the (doubling-construction) unit table,
-    skipping zero coordinates; identical to the doubling formula.  It runs
-    on integer numerators: those of :class:`Octonion` and of the entries of
-    :class:`flagoct.jordan.OctMatrix3`.
-    """
-    nonzero_b = [(j, cj) for j, cj in enumerate(b) if cj]
-    if not nonzero_b:
-        return
-    table = _unit_table()
-    for i, ci in enumerate(a):
-        if ci:
-            row = table[i]
-            for j, cj in nonzero_b:
-                sign, k = row[j]
-                if sign > 0:
-                    out[k - 1] += ci * cj
-                else:
-                    out[k - 1] -= ci * cj
 
 
 def multiplication_table() -> List[List[Tuple[int, int]]]:

@@ -324,8 +324,12 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
         (["expand", "y1 + y2^-1", "--ring", "RT"], PARSER | modules("parsing", "ktheory")),
         (["verify", "octonion"], PARSER | modules("octonion_checks", "octonion")),
         (["verify", "ktheory"], PARSER | modules("ktheory_checks", "ktheory")),
+        (["verify", "jordan"], PARSER | modules("jordan_checks", "jordan", "octonion")),
     ],
-    ids=["verify gkm", "verify all", "gkm-check", "expand", "verify octonion", "verify ktheory"],
+    ids=[
+        "verify gkm", "verify all", "gkm-check", "expand", "verify octonion", "verify ktheory",
+        "verify jordan",
+    ],
 )
 def test_each_command_compiles_only_the_modules_it_runs(tmp_path, argv, compiled):
     tuple_file = tmp_path / "tuple.json"

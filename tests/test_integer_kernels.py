@@ -20,6 +20,7 @@ from operator import mul
 import pytest
 
 from flagoct.cohomology import B_RING
+from flagoct import jordan
 from flagoct.jordan import (
     JordanMatrix,
     LinearOperator27,
@@ -461,6 +462,10 @@ class TestOctMatrix3:
             x = JordanMatrix.random_traceless(rng).scale(Fraction(1, rng.randint(2, 5)))
             h = x.to_matrix()
             assert is_hermitian(h) and ref_is_hermitian(grid(h))
+            g = grid(h)  # Hermitian off the diagonal, one imaginary diagonal entry
+            k = rng.randrange(3)
+            g[k][k] = g[k][k] + Octonion.unit(rng.randint(2, 8))
+            assert not is_hermitian(OctMatrix3(g)) and not ref_is_hermitian(g)
             g = random_grid(rng)
             assert is_hermitian(OctMatrix3(g)) == ref_is_hermitian(g)
             s = h.commutator(JordanMatrix.random_traceless(rng).to_matrix())
@@ -573,10 +578,11 @@ class TestLinearOperator27:
 
 # -- the sparse products against the dense references -------------------------
 # LinearOperator27.__mul__ runs through the nonzero entries of each row of its
-# right factor and OctMatrix3.__mul__ skips pairs of zero 8-blocks; the
-# references above multiply every entry.  The inputs are the shapes the jordan
-# suite feeds them (diagonal hat(x), sparse hat(e_i), the 27 basis matrices)
-# and the shapes that stress the skipping (zero rows and blocks, one entry).
+# right factor and OctMatrix3.__mul__ through the nonzero numerators of both
+# factors; the references above multiply every entry.  The inputs are the
+# shapes the jordan suite feeds them (diagonal hat(x), sparse hat(e_i), the 27
+# Hermitian and 45 skew basis matrices of the operator tables) and the shapes
+# that stress the skipping (zero rows and blocks, one entry).
 
 
 def diagonal_rows(rng):
@@ -705,19 +711,23 @@ class TestSparseProducts:
         assert len(calls) == 2
 
     def test_matrix_products_with_the_basis_matrices(self):
+        # the 27 Hermitian and 45 skew basis matrices of the operator tables,
+        # against dense grids and in every product the tables take: B_i B_j
+        # and K_m B_j
         rng = random.Random(76)
-        basis = [grid(b.to_matrix()) for b in JORDAN_BASIS]
+        matrices = jordan._basis(False) + jordan._basis(True)
+        assert matrices[:27] == [b.to_matrix() for b in JORDAN_BASIS]
+        basis = [grid(m) for m in matrices]
         for gs in (random_grid(rng), random_grid_with_zero_blocks(rng)):
             s = OctMatrix3(gs)
-            for gy in basis:
-                y = OctMatrix3(gy)
+            for y, gy in zip(matrices, basis):
                 sy, ys = ref_grid_mul(gs, gy), ref_grid_mul(gy, gs)
                 assert grid(s * y) == sy
                 assert grid(y * s) == ys
                 assert grid(s.commutator(y)) == ref_grid_sub(sy, ys)
-        for ga in basis:
-            for gb in basis:
-                assert grid(OctMatrix3(ga) * OctMatrix3(gb)) == ref_grid_mul(ga, gb)
+        for a, ga in zip(matrices, basis):
+            for b, gb in zip(matrices[:27], basis):
+                assert grid(a * b) == ref_grid_mul(ga, gb)
 
     def test_matrix_products_with_zero_blocks(self):
         rng = random.Random(77)

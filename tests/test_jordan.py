@@ -299,7 +299,8 @@ class TestOperators:
                 assert [image.get(27 * i + j, 0) for i in range(27)] == list(nums), (m, j)
 
     def test_tilde_operator_makes_no_matrix_products(self, monkeypatch):
-        # the tables are built, and tilde evaluated, without OctMatrix3.__mul__
+        # the tables are built from OctMatrix3 products, once; tilde is then
+        # evaluated from them without OctMatrix3.__mul__
         original = OctMatrix3.__mul__
         calls = []
 
@@ -309,8 +310,8 @@ class TestOperators:
 
         rng = random.Random(21)
         samples = [random_skew(rng, "rational") for _ in range(3)]
+        _operator_tables()
         monkeypatch.setattr(OctMatrix3, "__mul__", counting)
-        monkeypatch.setattr(jordan, "_operator_tables", lru_cache(maxsize=None)(_operator_tables.__wrapped__))
         for s in samples:
             tilde_operator(s)
         assert calls == []
