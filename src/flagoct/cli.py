@@ -243,6 +243,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # exit 1 would read as a verdict; unwinding has freed what the
+        # failed step allocated, so the message can be printed
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,11 +19,12 @@ depend on the evaluation context:
 The recursive-descent parser hands each production to a builder as it is
 read; :func:`parse_and_evaluate` uses an evaluation context as the builder,
 so it evaluates while it parses, on plain term dicts, and wraps the result
-once.  A word such as ``y1^-1*y2*y5`` starting a term is one token: the
-context keeps the value that the word's own tokens give, when it is one term
-of coefficient 1 over 1, by the word's text (``MAX_WORDS``).  A sum whose
-right operand is one term over 1 adds that term straight into a left operand
-the text owns.
+once.  A word such as ``y1^-1*y2*y5`` starting a term is one token.  The
+context keeps the value of each word, and of each parenthesized group of at
+least ``KEPT_GROUP_TOKENS`` tokens, by its text (``MAX_KEPT``), so a word or
+group that repeats, within a text or across the texts of one context, is
+read once.  A sum whose right operand is one term over 1 adds that term
+straight into a left operand the text owns.
 
 A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
@@ -105,14 +106,26 @@ MAX_WORK = 20_000_000
 # (4300 digits), which would otherwise end the parse in a ValueError.
 MAX_LITERAL_DIGITS = 1000
 
-# An evaluation context keeps the value of every one-term word it reads, up
-# to this many words of at most this many characters; a word past either is
-# read again at each occurrence.  An entry is the word's text (at most 49 + 100
-# bytes) and a tuple of three ints below 2**90 (at most 64 + 3 * 36 bytes) in
-# a dict slot (under 60 bytes), under 400 bytes in all, so the words of one
-# context hold at most 1024 * 400 bytes, 0.4 MB.
-MAX_WORDS = 1024
-MAX_WORD_LENGTH = 100
+# An evaluation context keeps the value of every word and of every
+# parenthesized group of at least KEPT_GROUP_TOKENS tokens inside its
+# parentheses that it reads, by its text, while it holds fewer than MAX_KEPT
+# values and their charge stays within MAX_KEPT_BYTES; past either, a text is
+# read from its tokens at each occurrence.  A value is charged at least the
+# bytes that sys.getsizeof counts for it:
+# * 800 for the headers of its text (76) and its dict (400, which holds up
+#   to 5 terms), its slot in the memo (at most 80: a 16-byte entry and 2
+#   bytes of index, with at most 6 index slots per value), its tuple (80) and
+#   its four ints besides the numerators (at most 4 * 32 and their digits);
+# * 4 per character of its text (a character takes at most 4 bytes);
+# * 1 per 7 bits of its bit bound, for the denominator's digits (an int takes
+#   at most 28 bytes and 4 per 30 bits);
+# * per term 128, and 1 per 7 bits of the largest key and of the bit bound:
+#   the term's place in the dict (at most 60: a 24-byte entry and 4 bytes of
+#   index, with at most 3 index slots per term), its key and its numerator.
+# So one context keeps at most MAX_KEPT_BYTES, 2 MB, of values.
+KEPT_GROUP_TOKENS = 3
+MAX_KEPT = 1024
+MAX_KEPT_BYTES = 2_000_000
 
 
 class ParseError(ValueError):
@@ -192,9 +205,15 @@ class _Parser:
     """Recursive descent over the tokens of one text, which end in an
     ``('end', '', len(text))`` token.  Each production hands its parts to
     ``builder`` as soon as they are read, so the builder's value of the
-    whole text is made in one pass.  ``builder.word`` gives the value it
-    keeps for a word token, or None to have the word's own tokens read and
-    their value handed to ``builder.keep``."""
+    whole text is made in one pass.
+
+    ``builder.recall(text, room)`` gives the value and the nesting depth
+    the builder keeps for a word or group of that text, or None; a value is
+    used only when its depth fits in the ``room`` left under
+    ``MAX_NESTING``, and otherwise the text is read from its tokens, which
+    raises the same error at the same place.  A value read from tokens is
+    handed to ``builder.keep(text, value, depth)`` with the depth its
+    inside reached, counted from the depth it was read at."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
@@ -205,8 +224,18 @@ class _Parser:
         if not self.tokens:
             raise ParseError("empty expression", 0)
         self.tokens.append(("end", "", len(text)))
-        self.i = 0
-        self.depth = 0
+        self.text = text
+        # the index of each kept-size group's '(' to that of its ')'
+        self.closing: Dict[int, int] = {}
+        opened = []
+        for i, (kind, _, _) in enumerate(self.tokens):
+            if kind == "(":
+                opened.append(i)
+            elif kind == ")" and opened:
+                start = opened.pop()
+                if i - start > KEPT_GROUP_TOKENS:
+                    self.closing[start] = i
+        self.i = self.depth = self.deepest = 0
         self.builder = builder
 
     def next(self) -> Tuple[str, str, int]:
@@ -220,6 +249,8 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"expression nested more than {MAX_NESTING} deep", pos)
+        if self.depth > self.deepest:
+            self.deepest = self.depth
 
     def expect(self, kind: str) -> Tuple[str, str, int]:
         tok = self.next()
@@ -255,14 +286,16 @@ class _Parser:
             value = self.parse_factor()
         else:
             self.i += 1
-            value = self.builder.word(text)
-            if value is None:
+            kept = self.builder.recall(text, MAX_NESTING - self.depth)
+            if kept:
+                value = kept[0]
+            else:
                 # read the word's own tokens, then go on after it
                 after, self.i = self.i, 0
                 self.tokens = [*_word_tokens(text, pos), ("end", "", pos + len(text))]
                 value = self.parse_term()
                 self.tokens, self.i = tokens, after
-                self.builder.keep(text, value)
+                self.builder.keep(text, value, 0)
         while True:
             kind, _, pos = tokens[self.i]
             if kind != "*":
@@ -307,10 +340,23 @@ class _Parser:
                     raise ParseError("zero denominator", at)
             return self.builder.constant(num, den, pos)
         if kind == "(":
+            at, close = self.depth, self.closing.get(self.i - 1)
+            if close:
+                key = self.text[pos : self.tokens[close][2] + 1]
+                kept = self.builder.recall(key, MAX_NESTING - at)
+                if kept:
+                    value, inner = kept
+                    self.deepest = max(self.deepest, at + inner)
+                    self.i = close + 1
+                    return value
             self.enter(pos)
+            deepest, self.deepest = self.deepest, self.depth
             value = self.parse_expr()
             self.expect(")")
-            self.depth -= 1
+            if close:
+                self.builder.keep(key, value, self.deepest - at)
+            self.deepest = max(deepest, self.deepest)
+            self.depth = at
             return value
         raise ParseError(f"unexpected token {text!r}", pos)
 
@@ -388,8 +434,9 @@ class _TermContext:
 
     def _set_leaves(self, leaves: Dict[str, Value]) -> None:
         self._variables = leaves
-        # word text -> (key, bits, work) of its one-term value
-        self._words: Dict[str, Tuple[int, int, int]] = {}
+        # word or group text -> (terms, den, bits, work, depth) of its value
+        self._kept: Dict[str, Tuple[Mapping[int, int], int, int, int, int]] = {}
+        self._kept_bytes = 0
 
     def variable(self, name: str, pos: int) -> Value:
         try:
@@ -397,25 +444,32 @@ class _TermContext:
         except KeyError:
             raise ParseError(f"unknown variable {name!r} (known: {self.known})", pos) from None
 
-    def word(self, text: str) -> Optional[Value]:
-        """The value kept for the word ``text``, or None.
+    def recall(self, text: str, room: int) -> Optional[Tuple[Value, int]]:
+        """The value kept for the word or group ``text`` and the nesting
+        depth its inside reached, when that is at most ``room``; else None.
 
-        A word's value, bits and work do not depend on where it is, so the
-        context keeps them by its text (:meth:`keep`): the entries of a
-        tuple share their monomials, and so do the texts one context reads."""
-        known = self._words.get(text)
-        # a fresh dict: a sum adds into the dicts of the text's own values
-        return known and ({known[0]: 1}, 1, known[1], known[2])
+        A value, its bits and its work depend only on the text, so the
+        context keeps them by it (:meth:`keep`): the entries of a tuple share
+        their words and groups, and so do the texts one context reads."""
+        kept = self._kept.get(text)
+        if kept is None or kept[4] > room:
+            return None
+        terms, den, bits, work, depth = kept
+        # a fresh dict, as a reading makes: a sum adds into the dicts of the
+        # text's own values, and would copy a read-only one
+        return ((terms.copy() if type(terms) is dict else terms), den, bits, work), depth
 
-    def keep(self, text: str, value: Value) -> None:
-        """Keep the value its own tokens gave the word ``text`` when it is one
-        term of coefficient 1 over 1, up to ``MAX_WORDS`` words of at most
-        ``MAX_WORD_LENGTH`` characters."""
+    def keep(self, text: str, value: Value, depth: int) -> None:
+        """Keep the value that the tokens of the word or group ``text`` gave,
+        with the depth its inside reached, within ``MAX_KEPT`` values and
+        ``MAX_KEPT_BYTES``."""
         terms, den, bits, work = value
-        if len(terms) == den == 1 and len(self._words) < MAX_WORDS and len(text) <= MAX_WORD_LENGTH:
-            ((key, c),) = terms.items()
-            if c == 1:
-                self._words[text] = key, bits, work
+        if len(self._kept) < MAX_KEPT:
+            key_bits = max(terms, default=0).bit_length()
+            size = 800 + 4 * len(text) + bits // 7 + len(terms) * (128 + (key_bits + bits) // 7)
+            if self._kept_bytes + size <= MAX_KEPT_BYTES:
+                self._kept[text] = (dict(terms) if type(terms) is dict else terms), den, bits, work, depth
+                self._kept_bytes += size
 
     def neg(self, value: Value, pos: int) -> Value:
         terms, den, bits, work = value

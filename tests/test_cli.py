@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, exit codes, file validation."""
 
 import json
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -660,3 +664,22 @@ class TestWarmProcess:
         warm = [run(capsys, *argv) for argv in requests + requests]
         assert warm == fresh + fresh
         assert len(built) == 1
+
+
+class TestOutOfMemory:
+    def test_running_out_of_memory_exits_2_with_one_error_line(self, tmp_path):
+        # HT's invariance check expands (rho1^1000)^3 under each generator
+        # image, past a 1 GB address space; a traceback would exit 1, the
+        # code of a proved non-member.  The limits bind the child alone.
+        entries = {name: "0" for name in SIGMA3_NAMES}
+        entries["1"] = "(rho1^1000)^3"
+        path = write_tuple(tmp_path, entries, ring="HT")
+
+        def limits():
+            for limit, soft in ((resource.RLIMIT_AS, 1 << 30), (resource.RLIMIT_CPU, 60)):
+                resource.setrlimit(limit, (soft, resource.getrlimit(limit)[1]))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-m", "flagoct.cli", "gkm-check", "--ring", "HT", "--file", path]
+        child = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=limits, timeout=120)
+        assert (child.returncode, child.stdout, child.stderr) == (2, "", "error: out of memory\n")

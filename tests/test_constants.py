@@ -94,14 +94,15 @@ def test_memoized_constants_equal_fresh_builds(tmp_path, capsys):
             assert fresh is not cached
             if module_name == "cli":
                 # evaluation contexts: compare what they hold, then parse each
-                # word the used context keeps in the fresh one too, and
-                # compare what both keep
+                # word and group the used context keeps in the fresh one too,
+                # in the order they were kept, and compare what both keep
                 held, built = dict(vars(cached)), dict(vars(fresh))
-                words = held.pop("_words")
-                assert built.pop("_words") == {} and held == built, (name, args)
-                for text in words:
+                kept, charged = held.pop("_kept"), held.pop("_kept_bytes")
+                assert (built.pop("_kept"), built.pop("_kept_bytes")) == ({}, 0), (name, args)
+                assert held == built, (name, args)
+                for text in kept:
                     parse_and_evaluate(text, fresh)
-                assert fresh._words == words, (name, args)
+                assert (fresh._kept, fresh._kept_bytes) == (kept, charged), (name, args)
             else:
                 assert cached == fresh, (name, args)
 

@@ -431,19 +431,44 @@ class TestQuotientKeys:
         assert mixed >= 10
 
 
+def binomial_weights(k):
+    """The weights w of the class-k edge binomials e^w - 1."""
+    weights = []
+    for b in edge_binomials(k):
+        assert b.terms[(0, 0, 0, 0)] == -1
+        [w] = [key for key in b.terms if any(key)]
+        weights.append(w)
+    assert len(weights) == 4
+    return weights
+
+
+def proportional_pairs(weights):
+    """The pairs of ``weights`` whose 2x2 minors all vanish."""
+    return [
+        (v, w)
+        for v, w in itertools.combinations(weights, 2)
+        if all(v[i] * w[j] == v[j] * w[i] for i, j in itertools.combinations(range(4), 2))
+    ]
+
+
 class TestEdgeBinomials:
+    # e^v - 1 and e^w - 1 are coprime exactly when v and w are not
+    # proportional
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_weights_are_pairwise_non_proportional(self, k):
-        # e^v - 1 and e^w - 1 are coprime exactly when v and w are not
-        # proportional, so the four binomials of a class are pairwise coprime
-        weights = []
-        for b in edge_binomials(k):
-            assert b.terms[(0, 0, 0, 0)] == -1
-            [w] = [key for key in b.terms if any(key)]
-            weights.append(w)
-        assert len(weights) == 4
-        for v, w in itertools.combinations(weights, 2):
-            assert any(v[i] * w[j] != v[j] * w[i] for i, j in itertools.combinations(range(4), 2)), (v, w)
+        # so the four binomials of a class are pairwise coprime
+        assert proportional_pairs(binomial_weights(k)) == []
+
+    def test_no_two_of_the_twelve_weights_are_proportional(self):
+        # so the binomials of different classes are coprime too, and the
+        # three edge divisors are pairwise coprime
+        weights = [w for k in (1, 2, 3) for w in binomial_weights(k)]
+        assert len(set(weights)) == 12 and proportional_pairs(weights) == []
+        # a weight of one class replaced by the negative of another class's
+        # is proportional to it, though its own class stays non-proportional
+        negated = tuple(-c for c in weights[4])
+        assert proportional_pairs(weights[:4]) == proportional_pairs([negated, *weights[1:4]]) == []
+        assert proportional_pairs([negated, *weights[1:]]) == [(negated, weights[4])]
 
 
 class TestXPolynomialBridge:

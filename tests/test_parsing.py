@@ -33,7 +33,10 @@ from flagoct import poly
 from flagoct.poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError
 from flagoct.parsing import (
     CharacterContext,
+    KEPT_GROUP_TOKENS,
     MAX_EXPONENT,
+    MAX_KEPT,
+    MAX_KEPT_BYTES,
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_POWER_DIGITS,
@@ -41,8 +44,6 @@ from flagoct.parsing import (
     MAX_PRODUCT_PAIRS,
     MAX_RESULT_DIGITS,
     MAX_TEXT_LENGTH,
-    MAX_WORD_LENGTH,
-    MAX_WORDS,
     MAX_WORK,
     ParseError,
     PolynomialContext,
@@ -125,10 +126,10 @@ class _TreeBuilder:
     def mul(self, left: Node, right: Node, pos: int) -> Node:
         return BinOp("*", left, right, pos)
 
-    def word(self, text: str) -> None:
-        return None  # a word's tree is built from its own tokens
+    def recall(self, text: str, room: int) -> None:
+        return None  # a word's or group's tree is built from its own tokens
 
-    def keep(self, text: str, value: Node) -> None:
+    def keep(self, text: str, value: Node, depth: int) -> None:
         pass
 
 
@@ -368,12 +369,12 @@ def ref_pow_terms(f, n, packing):
 
 class ConvolvingSteps:
     """`*`, `^`, `+` and `-` of an evaluation context, on the reference
-    kernels, keeping no word."""
+    kernels, keeping no word or group."""
 
-    def word(self, text):
+    def recall(self, text, room):
         return None
 
-    def keep(self, text, value):
+    def keep(self, text, value, depth):
         pass
 
     def add(self, left, right, pos):
@@ -1416,12 +1417,12 @@ class TestInverseKeys:
         assert parse_and_evaluate(f"2*{text}", context) == Character.constant(2) * expected
 
 
-# words whose tokens read to one term of coefficient 1 over 1, which a
-# context keeps
+# words of every ring, some of a value other than one term of coefficient 1
+# over 1, which a context keeps by their text
 MEMO_WORDS = {
     "RT": ["y1*y2", "y1^-1*y2^-1*y5", "y5^1000*y1^-1000", "y1*y2*y1^-1", "y1^0*y2", "y1^-0*y2^0002",
            "*".join(["y1^1000"] * 8) + "*y1^191", "*".join(["y1^-1000"] * 8) + "*y1^-192"],
-    "Hb": ["b1*b2", "b1^7*b2^1000", "b2^1000*b1^1000*b2^999"],
+    "Hb": ["b1*b2", "b1^7*b2^1000", "b2^1000*b1^1000*b2^999", "b3*b1", "b2*b3^3"],
     "HT": ["rho1*rho2^3*rho4", "rho4^2*rho3"],
     "RX": ["X1*X2", "X4^1000*X3^2"],
 }
@@ -1431,6 +1432,36 @@ def value_of(text, context):
     """The terms, denominator, bits and work that ``text`` builds in ``context``."""
     terms, *rest = _Parser(text, context).parse()
     return (dict(terms), *rest)
+
+
+def kept_value(context, text, room=MAX_NESTING):
+    """What ``context`` keeps for ``text``, as ``value_of`` gives a value, and
+    the depth kept with it; None when it keeps nothing that fits ``room``."""
+    kept = context.recall(text, room)
+    if kept is None:
+        return None
+    (terms, *rest), depth = kept
+    return (dict(terms), *rest), depth
+
+
+def groups_of(text):
+    """The parenthesized groups of ``text`` with at least KEPT_GROUP_TOKENS
+    tokens inside, innermost first, found by matching parentheses."""
+    opened, groups = [], []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")" and opened:
+            start = opened.pop()
+            if len(tokenize(text[start + 1 : i])) >= KEPT_GROUP_TOKENS:
+                groups.append(text[start : i + 1])
+    return groups
+
+
+def fresh_context(ring):
+    """A new context of ``ring``, as ``gkm-check`` and ``expand`` build it,
+    with nothing kept yet."""
+    return _context_for.__wrapped__(ring)
 
 
 def stream_texts(stream, seed, blocks, directory, tag):
@@ -1443,31 +1474,33 @@ def stream_texts(stream, seed, blocks, directory, tag):
             yield from ((request.kind, text) for text in entries.values())
 
 
-class TestWordMemo:
-    """A context keeps a word's one-term value, as its own tokens read it, by
-    the word's text."""
+def assert_charges_cover_sizes(context):
+    """The bytes charged for what ``context`` keeps are at least what
+    sys.getsizeof counts for it."""
+    size = sys.getsizeof(context._kept)
+    for text, (terms, den, bits, work, depth) in context._kept.items():
+        size += sum(map(sys.getsizeof, (text, context._kept[text], den, bits, work, depth)))
+        if type(terms) is dict:  # a read-only leaf is the context's own
+            size += sys.getsizeof(terms) + sum(map(sys.getsizeof, (*terms, *terms.values())))
+    assert size <= context._kept_bytes <= MAX_KEPT_BYTES
 
-    @staticmethod
-    def fresh_context(ring):
-        """A new context of ``ring``, with no words kept yet."""
-        if ring == "RT":
-            return CharacterContext()
-        shared = _context_for(ring)
-        return PolynomialContext(shared.ring, shared.aliases)
+
+class TestWordMemo:
+    """A context keeps a word's value, as its own tokens read it, by the
+    word's text."""
 
     @pytest.mark.parametrize("ring", sorted(MEMO_WORDS))
     def test_hits_equal_the_token_reading(self, ring):
-        context = self.fresh_context(ring)
+        context = fresh_context(ring)
         for text in MEMO_WORDS[ring]:
-            assert len(text) <= MAX_WORD_LENGTH
             # with spaces around its '*' a word is no token, so this is its
             # factors read one by one, and nothing is kept
             reading = value_of(text.replace("*", " * "), context)
-            assert context.word(text) is None
+            assert kept_value(context, text) is None
             # read from its tokens, then kept: hits at any depth
             for depth in (0, 3, 1, 0):
                 assert value_of("(" * depth + text + ")" * depth, context) == reading
-                assert context.word(text) == reading
+                assert kept_value(context, text) == (reading, 0)
 
     @pytest.mark.parametrize(
         "ring, word, at, message",
@@ -1483,39 +1516,44 @@ class TestWordMemo:
         ],
     )
     def test_a_word_whose_reading_raises_is_never_kept(self, ring, word, at, message):
-        context = self.fresh_context(ring)
-        for prefix in ("", "2 + (", "1 - ", ""):
+        context = fresh_context(ring)
+        for prefix in ("", "2 + (", "1 - ", "(1 + ", ""):
             text = prefix + word + (")" if "(" in prefix else "")
             with pytest.raises(ParseError, match=message) as err:
                 parse_and_evaluate(text, context)
             assert err.value.position == len(prefix) + word.rindex(at)
-            assert context.word(word) is None and not context._words
+            assert kept_value(context, word) is None and not context._kept
 
-    def test_an_alias_word_is_read_from_its_tokens_each_time(self, monkeypatch):
-        context = self.fresh_context("Hb")
+    def test_an_alias_word_is_read_once(self, monkeypatch):
+        context = fresh_context("Hb")
         reads = []
         keep = context.keep
-        monkeypatch.setattr(context, "keep", lambda text, value: reads.append(text) or keep(text, value))
+        monkeypatch.setattr(context, "keep", lambda text, value, depth: reads.append(text) or keep(text, value, depth))
         b1, b2 = B_RING.gens()
         assert parse_and_evaluate(" + ".join(["b3*b1"] * 50 + ["b1*b2"] * 50), context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
-        assert reads == ["b3*b1"] * 50 + ["b1*b2"]
-        assert context.word("b3*b1") is None and list(context._words) == ["b1*b2"]
+        assert reads == ["b3*b1", "b1*b2"] and list(context._kept) == reads
+        # the hit is the alias word's two-term value, as its factors read
+        # one by one give it
+        assert kept_value(context, "b3*b1") == (value_of("b3 * b1", fresh_context("Hb")), 0)
 
-    def test_a_word_of_another_coefficient_is_never_kept(self):
+    def test_a_word_of_another_coefficient_is_kept(self):
         plain = PolynomialContext(B_RING)
         aliases = {"m": parse_and_evaluate("-b1", plain), "h": parse_and_evaluate("1/2*b1", plain)}
         context = PolynomialContext(B_RING, aliases)
-        for text in ("m*b2", "b2*m^3", "h*b2", "m*h"):
+        texts = ("m*b2", "b2*m^3", "h*b2", "m*h")
+        for text in texts:
+            reading = value_of(text.replace("*", " * "), context)
             for _ in range(2):
-                assert value_of(text, context) == value_of(text.replace("*", " * "), context)
-        assert not context._words
+                assert value_of(text, context) == reading
+                assert kept_value(context, text) == (reading, 0)
+        assert list(context._kept) == list(texts)
 
     def test_a_changed_hit_does_not_change_a_later_hit(self):
         context = CharacterContext()
         reading = value_of("y1*y2^-1", context)
-        first = context.word("y1*y2^-1")
-        first[0].clear()
-        assert context.word("y1*y2^-1") == reading != first
+        (first, *_), _ = context.recall("y1*y2^-1", MAX_NESTING)
+        first.clear()
+        assert kept_value(context, "y1*y2^-1") == (reading, 0)
         # a sum adds into the dict of its first word
         assert parse_and_evaluate("y1*y2^-1 + y1*y2^-1 + y3*y4", context) == (
             Character.constant(2) * y(1) * y_inverse(2) + y(3) * y(4)
@@ -1525,22 +1563,27 @@ class TestWordMemo:
     def test_the_memo_stays_within_its_bound(self):
         context = CharacterContext()
         words = [f"y1^{i}*y2^-{j}" for i in range(1, 40) for j in range(1, 40)]
-        assert len(words) > MAX_WORDS
+        assert len(words) > MAX_KEPT
         for text in words:
             assert value_of(text, context) == value_of(text.replace("*", " * "), context)
-            assert len(context._words) <= MAX_WORDS
-        assert len(context._words) == MAX_WORDS and words[-1] not in context._words
-        long = "*".join(["y1", "y1^-1"] * 20) + "*y2"
-        assert len(long) > MAX_WORD_LENGTH
+            assert len(context._kept) <= MAX_KEPT
+        assert len(context._kept) == MAX_KEPT and words[-1] not in context._kept
+        assert_charges_cover_sizes(context)
+        # groups of 462 terms each: the bytes run out before the count does
         fresh = CharacterContext()
-        assert value_of(long, fresh) == value_of(long.replace("*", " * "), fresh) and not fresh._words
+        groups = [f"((y1 + y2 + y3 + y4 + y5 + {i})^6)" for i in range(1, 60)]
+        for text in groups:
+            assert value_of(text, fresh) == value_of(text, CharacterContext())
+            assert_charges_cover_sizes(fresh)
+        assert groups[0] in fresh._kept and groups[-1] not in fresh._kept
+        assert len(fresh._kept) < len(groups) * 2 < MAX_KEPT
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_timed_stream_word_is_a_hit(self, seed, tmp_path, monkeypatch):
         # the warm-up of the benchmark's stream keeps every word that its
         # timed texts hold
         stream = load_stream(monkeypatch)
-        contexts = {ring: self.fresh_context(ring) for ring in RINGS}
+        contexts = {ring: fresh_context(ring) for ring in RINGS}
         for ring, text in stream_texts(stream, seed + 1_000_003, 1, tmp_path, "warm"):
             parse_and_evaluate(text, contexts[ring])
         words = misses = 0
@@ -1548,9 +1591,128 @@ class TestWordMemo:
             for kind, word, _ in tokenize(text):
                 if kind == "word":
                     words += 1
-                    misses += contexts[ring].word(word) is None
+                    misses += kept_value(contexts[ring], word) is None
             parse_and_evaluate(text, contexts[ring])
         assert words > 5000 and misses == 0
+
+
+class TestGroupMemo:
+    """A context keeps the value of a group of at least KEPT_GROUP_TOKENS
+    tokens, with the nesting its inside reached, by the group's text.  A
+    context that has read a text, and each of its groups alone, reads it as
+    a fresh context does: to the same terms, denominator, bits and work, or
+    to the same ParseError message at the same position."""
+
+    @staticmethod
+    def assert_warm_reads_as_fresh(text, ring):
+        expected = steps_outcome(text, fresh_context(ring))
+        warm = fresh_context(ring)
+        for group in groups_of(text):
+            steps_outcome(group, warm)
+        # the groups are hits where they fit, and then the whole text is
+        assert steps_outcome(text, warm) == expected, text
+        assert steps_outcome(text, warm) == expected, text
+
+    @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_trees(self, ring, data):
+        self.assert_warm_reads_as_fresh(to_text(data.draw(ast_nodes(STEP_NAMES[ring], hostile=True))), ring)
+
+    @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_word_shaped_texts(self, ring, data):
+        self.assert_warm_reads_as_fresh(data.draw(word_texts(STEP_NAMES[ring])), ring)
+
+    @pytest.mark.parametrize("text", [P_MINUS_P, "(b1 + b2 + b1*b2)^3 - ((b1)) * (b3*b1 + 2)", "(-(-(b1 + b2)))"])
+    def test_edge_cases(self, text):
+        self.assert_warm_reads_as_fresh(text, "Hb")
+
+    @pytest.mark.parametrize("group, inner", [("(b1 + (b2 - b1))", 2), ("(b1 - -(b2))", 3), ("(-(-(b1)))", 5), ("(b1 - --b2)", 3)])
+    def test_a_hit_deep_inside_is_used_only_within_the_nesting_limit(self, monkeypatch, group, inner):
+        # a group that reaches ``inner`` levels below where it starts, kept
+        # at depth 1, is a hit down to depth MAX_NESTING - inner and read from
+        # its tokens below that, which raises where a fresh reading does
+        depths = (MAX_NESTING - inner - 1, MAX_NESTING - inner, MAX_NESTING - inner + 1, MAX_NESTING)
+        for depth, hit in zip(depths, (True, True, False, False)):
+            warm = fresh_context("Hb")
+            value_of(f"2*({group} + b2)", warm)
+            assert kept_value(warm, group) == (value_of(group, fresh_context("Hb")), inner)
+            recalls = []
+            recall = warm.recall
+            monkeypatch.setattr(warm, "recall", lambda text, room: recalls.append(text) or recall(text, room))
+            text = "(" * depth + group + ")" * depth
+            outcome = steps_outcome(text, warm)
+            assert outcome == steps_outcome(text, fresh_context("Hb"))
+            assert recalls.count(group) == 1 and (outcome[0] != "ParseError") == hit
+            if not hit:
+                assert f"nested more than {MAX_NESTING} deep" in outcome[1]
+
+    def test_a_kept_group_left_of_a_long_sum_is_charged_as_read(self):
+        group = "(b1 + b2 + b1*b2)"
+        terms = [f"b1^{i % 50 + 2}*b2^{i // 50}" for i in range(2000)]
+        text = " + ".join([group, *terms])
+        fresh = PolynomialContext(B_RING)
+        # the sum adds each one-term right operand into the group's own
+        # dict, one term-digit per `+`, whether the group is read or a hit
+        charge = spent_on(group, fresh) + sum(spent_on(t, fresh) for t in terms) + len(terms)
+        warm = PolynomialContext(B_RING)
+        for _ in range(3):
+            assert spent_on(text, warm) == charge == spent_on(text, PolynomialContext(B_RING))
+        assert group in warm._kept
+        # a kept read-only leaf stays one: the sum copies it and reads both
+        # operands, as `b1+b2` does
+        leaf = PolynomialContext(B_RING)
+        for _ in range(3):
+            assert spent_on("((b1)) + b2", leaf) == spent_on("b1+b2", leaf) == 2
+        assert type(leaf.recall("((b1))", MAX_NESTING)[0][0]) is not dict
+
+    def test_a_changed_hit_does_not_change_a_later_hit(self):
+        context = CharacterContext()
+        group = "(y1 + y2 + y3)"
+        reading = value_of(group, CharacterContext())
+        assert value_of(group, context) == reading
+        (first, *_), _ = context.recall(group, MAX_NESTING)
+        first.clear()
+        assert kept_value(context, group) == (reading, 1)
+        for _ in range(3):
+            # the sum adds y4 and -y1 into the dict of the group's hit
+            assert parse_and_evaluate(f"{group} + y4 - y1", context) == y(2) + y(3) + y(4)
+            assert kept_value(context, group) == (reading, 1)
+
+    def test_a_group_whose_reading_raises_is_never_kept(self):
+        context = fresh_context("RT")
+        texts = ("(y1 + 1/2)", "(y1 + (y2)^-1*(y1 + y2)^-1)", "(y1 + z)")
+        for text in texts:
+            expected = steps_outcome(f"y2 + {text}", fresh_context("RT"))
+            for _ in range(2):
+                assert steps_outcome(f"y2 + {text}", context) == expected and expected[0] == "ParseError"
+        # only the group read before the error is kept
+        assert list(context._kept) == ["(y1 + y2)"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_timed_stream_group_read_before_is_a_hit(self, seed, tmp_path, monkeypatch):
+        # after the warm-up of the benchmark's stream, a timed group is a hit
+        # exactly when the warm-up or an earlier timed text held it: the memo
+        # never runs out on the stream.  The groups first met in the timed
+        # pass carry a coefficient drawn for that request, such as
+        # (-3*(y1 + y2 + ...)*(y1*y2 + ...)), around groups that are hits
+        stream = load_stream(monkeypatch)
+        contexts = {ring: fresh_context(ring) for ring in RINGS}
+        read = {ring: set() for ring in RINGS}
+        for ring, text in stream_texts(stream, seed + 1_000_003, 1, tmp_path, "warm"):
+            parse_and_evaluate(text, contexts[ring])
+            read[ring].update(groups_of(text))
+        hits = misses = 0
+        for ring, text in stream_texts(stream, seed, 10, tmp_path, "req"):
+            for group in groups_of(text):
+                hit = kept_value(contexts[ring], group) is not None
+                assert hit == (group in read[ring]), group
+                hits, misses = hits + hit, misses + (not hit)
+            parse_and_evaluate(text, contexts[ring])
+            read[ring].update(groups_of(text))
+        assert hits > 2000 and misses * 5 < hits
 
 
 # -- the grammar through the command line --------------------------------------------
