@@ -172,11 +172,16 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     # RX elements are integer polynomials, as gkm-check requires of entries
     if args.ring == "RX" and not value.is_integral():
         raise UsageError(f"{value} must have integer coefficients in ring RX")
-    print(value)
     if isinstance(value, ktheory.Character):
-        for w, coeff in value.weights():
-            print(f"  weight {tuple(str(c) for c in w.coords)}  multiplicity {coeff}")
-    elif isinstance(value, Polynomial):
+        # the sum and the weight listing read one sorted list of the terms
+        terms = sorted(value.terms.items())
+        print(ktheory.character_text(terms))
+        for key, coeff in terms:
+            coords = weyl.Weight.from_doubled_key(key).coords
+            print(f"  weight {tuple(str(c) for c in coords)}  multiplicity {coeff}")
+        return 0
+    print(value)
+    if isinstance(value, Polynomial):
         degree = value.degree()
         if degree >= 0:
             print(f"  graded degree: {degree}" if value.is_homogeneous() else

@@ -30,7 +30,7 @@ import functools
 import random
 import struct
 from operator import index, mul
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, ResourceLimitError, divisor, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
@@ -159,10 +159,6 @@ class Character:
         """Value at the identity: the sum of all coefficients."""
         return sum(self.packed.values())
 
-    def weights(self) -> List[Tuple[Weight, int]]:
-        """(weight, multiplicity) in lexicographic order of the keys."""
-        return [(Weight.from_doubled_key(key), c) for key, c in sorted(self.terms.items())]
-
     def lex_max_key(self) -> DKey:
         if not self.packed:
             raise ValueError("zero character has no maximal weight")
@@ -195,9 +191,13 @@ class Character:
         return Character._of(pow_terms(self.packed, n, CHAR_PACKING))
 
     def __str__(self) -> str:
-        return terms_text(
-            (c, _monomial_text(key)) for key, c in sorted(self.terms.items(), reverse=True)
-        )
+        return character_text(sorted(self.terms.items()))
+
+
+def character_text(terms: Sequence[Tuple[DKey, int]]) -> str:
+    """The text of the character whose (key, coefficient) pairs are
+    ``terms``, given in lexicographic order of the keys: largest key first."""
+    return terms_text((c, _monomial_text(key)) for key, c in reversed(terms))
 
 
 def _monomial_text(key: DKey) -> str:

@@ -23,8 +23,9 @@ once.  A word such as ``y1^-1*y2*y5`` starting a term is one token.  The
 context keeps the value of each word, and of each parenthesized group of at
 least ``KEPT_GROUP_TOKENS`` tokens, by its text (``MAX_KEPT``), so a word or
 group that repeats, within a text or across the texts of one context, is
-read once.  A sum whose right operand is one term over 1 adds that term
-straight into a left operand the text owns.
+read once; the tokenizer does not read inside a group that an earlier text
+of the context read.  A sum whose right operand is one term over 1 adds
+that term straight into a left operand the text owns.
 
 A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
@@ -50,7 +51,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, log10
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .ktheory import CHAR_PACKING, Character, y
 from .poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError, Terms
@@ -141,16 +142,24 @@ class ParseError(ValueError):
 
 # Whitespace, then one of: a word, a number (decimal digits, the characters
 # int() reads; str.isdigit also takes '²', which int() refuses), an
-# identifier, an operator, or any other character, which is an error.  \w is
-# exactly str.isalnum() or '_'; an identifier must also start with a letter
-# or '_', which tokenize() checks.  Trailing whitespace is stripped first:
-# the pattern fails there after trying every shorter run of it, at every
-# start, which is quadratic in the run's length.
+# identifier, a group, an operator, or any other character, which is an
+# error.  \w is exactly str.isalnum() or '_'; an identifier must also start
+# with a letter or '_', which tokenize() checks.  Trailing whitespace is
+# stripped first: the pattern fails there after trying every shorter run of
+# it, at every start, which is quadratic in the run's length.
 # A word is two or more ASCII names, each with an optional exponent, joined
 # by '*' without whitespace; each part is matched whole, and no '^' (which
 # would raise the last factor) follows it.
 _FACTOR = r"[A-Za-z_][A-Za-z0-9_]*(?!\w)(?:\^-?[0-9]+(?!\d))?"
-_TOKEN = re.compile(rf"(\s*)(?:({_FACTOR}(?:\*{_FACTOR})+)(?!\s*\^)|(\d+)|([^\W\d]\w*)|([-+*^/()])|(\S))")
+# A group is a '(' and its ')' with at most two levels of parentheses
+# between them.  Each alternative inside starts with its own character, so a
+# failed match backs off in one step per character, and a character lies
+# inside at most three groups whose match reaches it: the pattern reads a
+# text in linear time.
+_GROUP = r"\((?:[^()]|\((?:[^()]|\([^()]*\))*\))*\)"
+_TOKEN = re.compile(
+    rf"(\s*)(?:({_FACTOR}(?:\*{_FACTOR})+)(?!\s*\^)|(\d+)|([^\W\d]\w*)|({_GROUP})|([-+*^/()])|(\S))"
+)
 
 
 def _word_tokens(word: str, pos: int) -> List[Tuple[str, str, int]]:
@@ -163,14 +172,29 @@ def _word_tokens(word: str, pos: int) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-def tokenize(text: str) -> List[Tuple[str, str, int]]:
+def tokenize(
+    text: str, holds: Optional[Callable[[str], bool]] = None, groups: Optional[Dict[int, Tuple[int, str]]] = None
+) -> List[Tuple[str, str, int]]:
     """The tokens of ``text`` as plain ``(kind, text, pos)`` tuples; the kind
-    is 'number', 'ident', 'word' or the operator character itself.  A word is
-    one token where a term starts (first, or after '(', '+' or a binary '-')
-    and split into its own tokens elsewhere, where it binds to what is before."""
+    is 'number', 'ident', 'word', 'group' or the operator character itself.
+    A word is one token where a term starts (first, or after '(', '+' or a
+    binary '-') and split into its own tokens elsewhere, where it binds to
+    what is before.  A group (see ``_GROUP``) for whose text ``holds`` is
+    true is one token, and its inside is not read; every other group is read
+    as its parentheses and the tokens between them, and ``groups`` gets the
+    index of its '(' token to that of its ')' and its text."""
     tokens: List[Tuple[str, str, int]] = []
-    append, pos = tokens.append, 0
-    for space, word, number, ident, op, other in _TOKEN.findall(text.rstrip()):
+    _tokenize_into(tokens, {} if groups is None else groups, text, 0, len(text.rstrip()), holds)
+    return tokens
+
+
+def _tokenize_into(
+    tokens: List[Tuple[str, str, int]], groups: Dict[int, Tuple[int, str]], text: str, pos: int, stop: int, holds
+) -> None:
+    """Append the tokens of ``text[pos:stop]``, which ends in no whitespace
+    (:func:`tokenize`)."""
+    append = tokens.append
+    for space, word, number, ident, group, op, other in _TOKEN.findall(text, pos, stop):
         pos += len(space)
         if op:
             append((op, op, pos))
@@ -181,9 +205,20 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
         elif ident and (ident[0].isalpha() or ident[0] == "_"):
             append(("ident", ident, pos))
             pos += len(ident)
+        elif group:
+            end = pos + len(group)
+            if holds is not None and holds(group):
+                append(("group", group, pos))
+            else:
+                opening = len(tokens)
+                append(("(", "(", pos))
+                _tokenize_into(tokens, groups, text, pos + 1, pos + len(group[:-1].rstrip()), holds)
+                groups[opening] = len(tokens), group
+                append((")", ")", end - 1))
+            pos = end
         elif word:
             last = tokens[-1][0] if tokens else "("
-            binary = last == "-" and len(tokens) > 1 and tokens[-2][0] in ("number", "ident", "word", ")")
+            binary = last == "-" and len(tokens) > 1 and tokens[-2][0] in ("number", "ident", "word", ")", "group")
             if last in ("(", "+") or binary:
                 append(("word", word, pos))
             else:
@@ -191,7 +226,11 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
             pos += len(word)
         else:
             raise ParseError(f"unexpected character {(ident or other)[0]!r}", pos)
-    return tokens
+
+
+def _shown(token: Tuple[str, str, int]) -> str:
+    """The text of a token as an error names it: a group by its '('."""
+    return "(" if token[0] == "group" else token[1]
 
 
 def _literal(digits: str, pos: int) -> int:
@@ -207,34 +246,31 @@ class _Parser:
     ``builder`` as soon as they are read, so the builder's value of the
     whole text is made in one pass.
 
-    ``builder.recall(text, room)`` gives the value and the nesting depth
-    the builder keeps for a word or group of that text, or None; a value is
-    used only when its depth fits in the ``room`` left under
-    ``MAX_NESTING``, and otherwise the text is read from its tokens, which
-    raises the same error at the same place.  A value read from tokens is
-    handed to ``builder.keep(text, value, depth)`` with the depth its
-    inside reached, counted from the depth it was read at."""
+    A group is one token when ``builder.holds(text)`` is true for its text
+    (:func:`tokenize`); ``groups`` finds the ')' and the text of the other
+    groups that the tokenizer matched, as a group that the text itself
+    repeats can be kept by the time the parser reaches it.
+    ``builder.recall(text, room)`` gives the value and the nesting depth the
+    builder keeps for a word or group of that text, or None; a value is used
+    only when its depth fits in the ``room`` left under ``MAX_NESTING``, and
+    otherwise the text is read from its own tokens (a group token's with no
+    second recall), which raises the same error at the same place.  A value
+    read from tokens, of a word or of a group of at least
+    ``KEPT_GROUP_TOKENS`` tokens inside (a group token is more), is handed
+    to ``builder.keep(text, value, depth)`` with the depth its inside
+    reached, counted from the depth it was read at."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
             raise ParseError(
                 f"expression longer than {MAX_TEXT_LENGTH} characters", MAX_TEXT_LENGTH
             )
-        self.tokens = tokenize(text)
+        self.groups: Dict[int, Tuple[int, str]] = {}
+        self.tokens = tokenize(text, builder.holds, self.groups)
         if not self.tokens:
             raise ParseError("empty expression", 0)
         self.tokens.append(("end", "", len(text)))
         self.text = text
-        # the index of each kept-size group's '(' to that of its ')'
-        self.closing: Dict[int, int] = {}
-        opened = []
-        for i, (kind, _, _) in enumerate(self.tokens):
-            if kind == "(":
-                opened.append(i)
-            elif kind == ")" and opened:
-                start = opened.pop()
-                if i - start > KEPT_GROUP_TOKENS:
-                    self.closing[start] = i
         self.i = self.depth = self.deepest = 0
         self.builder = builder
 
@@ -255,14 +291,14 @@ class _Parser:
     def expect(self, kind: str) -> Tuple[str, str, int]:
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_shown(tok)!r}", tok[2])
         return tok
 
     def parse(self):
         value = self.parse_expr()
-        kind, text, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing token {text!r}", pos)
+        tok = self.tokens[self.i]
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing token {_shown(tok)!r}", tok[2])
         return value
 
     def parse_expr(self):
@@ -326,6 +362,17 @@ class _Parser:
             value = self.builder.neg(value, tokens[start][2])
         return value
 
+    def recall(self, text: str):
+        """The value the builder keeps for the group ``text`` where its depth
+        fits at this depth, which the deepest point reached then includes;
+        else None."""
+        kept = self.builder.recall(text, MAX_NESTING - self.depth)
+        if kept is None:
+            return None
+        value, inner = kept
+        self.deepest = max(self.deepest, self.depth + inner)
+        return value
+
     def parse_atom(self):
         kind, text, pos = self.next()
         if kind == "ident":
@@ -339,22 +386,31 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", at)
             return self.builder.constant(num, den, pos)
+        if kind == "group":
+            value = self.recall(text)
+            if value is None:
+                # read the group's own tokens, then go on after it
+                tokens, groups, after = self.tokens, self.groups, self.i
+                self.tokens, self.groups, self.i = [], {}, 0
+                _tokenize_into(self.tokens, {}, self.text, pos, pos + len(text), None)
+                self.tokens.append(("end", "", pos + len(text)))
+                value = self.parse_atom()
+                self.tokens, self.groups, self.i = tokens, groups, after
+            return value
         if kind == "(":
-            at, close = self.depth, self.closing.get(self.i - 1)
-            if close:
-                key = self.text[pos : self.tokens[close][2] + 1]
-                kept = self.builder.recall(key, MAX_NESTING - at)
-                if kept:
-                    value, inner = kept
-                    self.deepest = max(self.deepest, at + inner)
+            at, start = self.depth, self.i
+            if start - 1 in self.groups:
+                close, key = self.groups[start - 1]
+                value = self.recall(key)
+                if value is not None:
                     self.i = close + 1
                     return value
             self.enter(pos)
             deepest, self.deepest = self.deepest, self.depth
             value = self.parse_expr()
-            self.expect(")")
-            if close:
-                self.builder.keep(key, value, self.deepest - at)
+            close = self.expect(")")[2]
+            if self.i - start > KEPT_GROUP_TOKENS or any(tok[0] == "group" for tok in self.tokens[start : self.i]):
+                self.builder.keep(self.text[pos : close + 1], value, self.deepest - at)
             self.deepest = max(deepest, self.deepest)
             self.depth = at
             return value
@@ -444,6 +500,10 @@ class _TermContext:
         except KeyError:
             raise ParseError(f"unknown variable {name!r} (known: {self.known})", pos) from None
 
+    def holds(self, text: str) -> bool:
+        """Whether the context keeps a value for the word or group ``text``."""
+        return text in self._kept
+
     def recall(self, text: str, room: int) -> Optional[Tuple[Value, int]]:
         """The value kept for the word or group ``text`` and the nesting
         depth its inside reached, when that is at most ``room``; else None.
@@ -462,9 +522,10 @@ class _TermContext:
     def keep(self, text: str, value: Value, depth: int) -> None:
         """Keep the value that the tokens of the word or group ``text`` gave,
         with the depth its inside reached, within ``MAX_KEPT`` values and
-        ``MAX_KEPT_BYTES``."""
+        ``MAX_KEPT_BYTES``; a text already kept (read again where its kept
+        depth did not fit) is charged once."""
         terms, den, bits, work = value
-        if len(self._kept) < MAX_KEPT:
+        if len(self._kept) < MAX_KEPT and text not in self._kept:
             key_bits = max(terms, default=0).bit_length()
             size = 800 + 4 * len(text) + bits // 7 + len(terms) * (128 + (key_bits + bits) // 7)
             if self._kept_bytes + size <= MAX_KEPT_BYTES:

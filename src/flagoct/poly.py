@@ -627,9 +627,9 @@ def map_terms(
 ) -> Terms:
     """The image of f under the ring map sending variable i to ``images[i]``.
 
-    ``source`` packs the keys of f and ``target`` those of the images.  The
-    powers of each image are built once, by repeated multiplication, and
-    shared by all terms of f.
+    ``source``, a packing without a bias, packs the keys of f and ``target``
+    those of the images.  The powers of each image are built once, by
+    repeated multiplication, and shared by all terms of f.
 
     Into a target without a bias, with no image zero, a one-term image c*m
     to the k-th power is the factor c**k at the key k*m: a term of f adds
@@ -640,35 +640,65 @@ def map_terms(
     would, with its message.  A zero image would end a term's checks early,
     and with a bias a field can leave its range at one step and come back
     at a later one, so there every step runs as before.
+
+    When, in addition, some images are their own variables, in a target that
+    packs as the source does, those variables' exponents stay where they
+    are: a term's shift and degree start from its own key and total degree,
+    and only the fields of the other variables are read, each taking its
+    part back out of both.
     """
+    if source.zero:
+        raise ValueError("map_terms reads the keys of a packing without a bias")
     one = {target.zero: 1}
-    powers = [[one, g] for g in images]
     fold = not target.zero and all(images)
-    singles = [next(iter(g.items())) if fold and len(g) == 1 else None for g in images]
-    tops = [target.degree(max(g)) if fold else 0 for g in images]
-    factors = list(zip(singles, tops, powers, images))
+    # an image that is its source variable's own key (so the target packs as
+    # the source does) leaves that variable in place
+    fixed = [fold and len(g) == 1 and g.get(m) == 1 for g, m in zip(images, source.multipliers)]
+    in_place = any(fixed)
+    # per variable read: its field's offset, the shift and the degree one
+    # power adds, the coefficient of a one-term image (None for others), and
+    # the image's powers so far
+    factors = []
+    for i, (g, m) in enumerate(zip(images, source.multipliers)):
+        if not fixed[i]:
+            key, scale = next(iter(g.items())) if fold and len(g) == 1 else (0, None)
+            top = target.degree(max(g)) if fold else 0
+            if in_place:
+                key, top = key - m, top - 1
+            factors.append((i * FIELD_BITS, key, top, scale, [one, g], g))
+    mask, low, degree_bits = (1 << FIELD_BITS) - 1, source.low, source.shift
     out: Terms = {}
-    for e, c in f.items():
-        term, shift, top = one, 0, 0
-        for k, (single, degree, cache, g) in zip(source.unpack(e), factors):
-            if k:
-                top += k * degree
-                if single is not None:
-                    shift += k * single[0]
-                    c *= single[1] ** k
-                    continue
-                while len(cache) <= k:
-                    cache.append(mul_terms(cache[-1], g, target))
-                term = cache[k] if term is one else mul_terms(term, cache[k], target)
-        if shift:
-            target.check_degree(top << target.shift)
-        for m, v in term.items():
-            m += shift
-            s = out.get(m, 0) + c * v
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+    try:
+        for e, c in f.items():
+            r = -e & low  # the fields of e
+            shift, top, term = (e, (e + low) >> degree_bits, one) if in_place else (0, 0, one)
+            for offset, step, rise, scale, cache, g in factors:
+                k = r >> offset & mask
+                if k:
+                    top += k * rise
+                    shift += k * step
+                    if scale is not None:
+                        c *= scale**k
+                        continue
+                    while len(cache) <= k:
+                        cache.append(mul_terms(cache[-1], g, target))
+                    term = cache[k] if term is one else mul_terms(term, cache[k], target)
+            if shift:
+                target.check_degree(top << target.shift)
+            for m, v in term.items():
+                m += shift
+                s = out.get(m, 0) + c * v
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    except MemoryError:
+        # the powers hold most of what was allocated, and the frames the
+        # error passes keep them alive: free them first, so that unwinding
+        # the frames above has memory and the error reaches the caller
+        for factor in factors:
+            factor[4].clear()
+        raise
     return out
 
 

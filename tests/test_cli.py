@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, exit codes, file validation."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
@@ -8,6 +11,7 @@ import resource
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -628,6 +632,45 @@ class TestPinnedGkmChecks:
         path = write_tuple(tmp_path, pin["entries"], ring=pin["ring"])
         result = run(capsys, "gkm-check", "--ring", pin["ring"], "--file", path)
         assert result == (pin["exit"], pin["stdout"], pin["stderr"])
+
+
+STREAM_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "stream.py"
+STREAM_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "stream_seed0_digest.json").read_text(encoding="utf-8")
+)
+
+
+def stream_digests(directory, monkeypatch):
+    """The SHA-256 of each membership-stream request's (exit code, stdout,
+    stderr) at seed 0, as one process answers them: the warm-up block, then
+    the 300 timed requests.  The tuple directory reads as ``<dir>``."""
+    stream = types.ModuleType("perfbench_stream")
+    monkeypatch.setitem(sys.modules, stream.__name__, stream)
+    exec(compile(STREAM_PATH.read_text(encoding="utf-8"), str(STREAM_PATH), "exec"), stream.__dict__)
+    digests = {}
+    for part, seed, blocks in (("warmup", STREAM_DIGESTS["warmup_seed"], 1), ("timed", 0, 10)):
+        digests[part] = []
+        for request in stream.generate(seed, blocks, str(directory), part):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(request.argv))
+            record = [code, *(s.getvalue().replace(str(directory), "<dir>") for s in (out, err))]
+            digests[part].append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
+    return digests
+
+
+class TestPinnedStream:
+    """``fixtures/stream_seed0_digest.json`` holds a digest of each answer of
+    the benchmark's membership stream at seed 0, warm-up included, written
+    by the code before the tokenizer read kept groups as one token: every
+    request prints the same bytes and exits with the same code."""
+
+    def test_every_answer_matches_the_pin(self, tmp_path, monkeypatch):
+        digests = stream_digests(tmp_path, monkeypatch)
+        assert (len(digests["warmup"]), len(digests["timed"])) == (30, 300)
+        for part in ("warmup", "timed"):
+            for i, (got, pinned) in enumerate(zip(digests[part], STREAM_DIGESTS[part])):
+                assert got == pinned, (part, i)
 
 
 class TestWarmProcess:

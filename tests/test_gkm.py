@@ -44,9 +44,16 @@ from flagoct.weyl import (
     SIGMA3_NAMES,
     coset_partition_of_f4_positives,
     sigma3_by_name,
+    Weight,
     sigma3_identification,
     transposition,
 )
+
+
+def weights_of(c):
+    """(weight, multiplicity) of the character ``c``, in lexicographic order
+    of the keys, as ``expand`` lists them."""
+    return [(Weight.from_doubled_key(key), m) for key, m in sorted(c.terms.items())]
 
 
 class TestGraphShape:
@@ -561,14 +568,14 @@ class TestThreeIdentificationsOfTheQuotient:
         matched = {}
         for k in (1, 2, 3):
             # each binomial e^w - 1 has the one nonzero weight w
-            weights = [w for b in edge_binomials(k) for w, _ in b.weights() if not w.is_zero()]
+            weights = [w for b in edge_binomials(k) for w, _ in weights_of(b) if not w.is_zero()]
             matched[k] = [c for c in self.CLASSES if keys(part[c]) == keys(weights)]
         assert matched == {1: ["omega5"], 2: ["omega4"], 3: ["omega5_minus_omega4"]}
 
     def chern_character_4(self, i):
         """The sum of lambda^4 over the weights of X_i, as a form of RHO_RING."""
         return sum(
-            (gkm._linear(w.rho_coordinates()) ** 4 * m for w, m in x_character(i).weights()),
+            (gkm._linear(w.rho_coordinates()) ** 4 * m for w, m in weights_of(x_character(i))),
             RHO_RING.zero(),
         )
 

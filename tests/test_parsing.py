@@ -13,6 +13,7 @@ import io
 import json
 import random
 import sys
+import time
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,6 +126,9 @@ class _TreeBuilder:
 
     def mul(self, left: Node, right: Node, pos: int) -> Node:
         return BinOp("*", left, right, pos)
+
+    def holds(self, text: str) -> bool:
+        return False
 
     def recall(self, text: str, room: int) -> None:
         return None  # a word's or group's tree is built from its own tokens
@@ -370,6 +374,9 @@ def ref_pow_terms(f, n, packing):
 class ConvolvingSteps:
     """`*`, `^`, `+` and `-` of an evaluation context, on the reference
     kernels, keeping no word or group."""
+
+    def holds(self, text):
+        return False
 
     def recall(self, text, room):
         return None
@@ -1458,6 +1465,17 @@ def groups_of(text):
     return groups
 
 
+def ungrouped(tokens):
+    """The tokens with each group token replaced by its text's own tokens."""
+    out = []
+    for kind, text, pos in tokens:
+        if kind == "group":
+            out += [(k, t, pos + at) for k, t, at in tokenize(text)]
+        else:
+            out.append((kind, text, pos))
+    return out
+
+
 def fresh_context(ring):
     """A new context of ``ring``, as ``gkm-check`` and ``expand`` build it,
     with nothing kept yet."""
@@ -1611,7 +1629,11 @@ class TestGroupMemo:
             steps_outcome(group, warm)
         # the groups are hits where they fit, and then the whole text is
         assert steps_outcome(text, warm) == expected, text
+        assert outcome(lambda t: ungrouped(tokenize(t, warm.holds)), text) == outcome(tokenize, text)
         assert steps_outcome(text, warm) == expected, text
+        if expected[0] != "ParseError":
+            # every group of kept size is kept, group tokens inside or not
+            assert set(groups_of(text)) <= set(warm._kept), text
 
     @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
     @given(data=st.data())
@@ -1648,6 +1670,106 @@ class TestGroupMemo:
             assert recalls.count(group) == 1 and (outcome[0] != "ParseError") == hit
             if not hit:
                 assert f"nested more than {MAX_NESTING} deep" in outcome[1]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "b1 + * (b1 + b2 + b1*b2) $",
+            "(b1 + b2 + b1*b2) * ) + (b1 + $)",
+            "((((b1 + b2 + b1*b2) - b1)) b2 \u00b2",
+            "(" * 200 + "(b1 + b2 + b1*b2)" + ")" * 200 + " $",
+        ],
+    )
+    def test_a_bad_character_past_a_kept_group_is_reported_first(self, text):
+        # every character outside the kept groups is read before the parse,
+        # and a kept group held none that the tokenizer refuses
+        warm = fresh_context("Hb")
+        value_of("(b1 + b2 + b1*b2)", warm)
+        head = text[: text.rindex(" ")]
+        assert ("group", "(b1 + b2 + b1*b2)", head.index("(b1 + b2")) in tokenize(head, warm.holds)
+        expected = steps_outcome(text, fresh_context("Hb"))
+        assert expected[0] == "ParseError" and "unexpected character" in expected[1]
+        assert steps_outcome(text, warm) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["b1 (b1 + b2 + b1*b2)", "(b1 (b1 + b2 + b1*b2))", "b1^(b1 + b2 + b1*b2)", "2/(b1 + b2 + b1*b2)"]
+    )
+    def test_an_error_at_a_kept_group_names_its_parenthesis(self, text):
+        warm = fresh_context("Hb")
+        value_of("(b1 + b2 + b1*b2)", warm)
+        assert "group" in {kind for kind, _, _ in tokenize(text, warm.holds)}
+        expected = steps_outcome(text, fresh_context("Hb"))
+        assert expected[0] == "ParseError" and "'('" in expected[1]
+        assert steps_outcome(text, warm) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["(y1 + y2 + y3) -y1*y2", "2 - (y1 + y2 + y3) - y4*y5^-1 + (y1 + y2 + y3)*y1*y2", "((y1 + y2 + y3))-y1*y2"]
+    )
+    def test_a_word_after_a_kept_group_reads_as_after_its_parenthesis(self, text):
+        # a '-' after a group is binary, so a word after it is one token
+        context = fresh_context("RT")
+        value_of("(y1 + y2 + y3)", context)
+        tokens = tokenize(text, context.holds)
+        assert "group" in {kind for kind, _, _ in tokens} and "word" in {kind for kind, _, _ in tokens}
+        assert ungrouped(tokens) == tokenize(text)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_group_token_stands_for_its_own_tokens(self, seed, tmp_path, monkeypatch):
+        # on the benchmark's stream, warm-up included, the tokens of every
+        # text with its kept groups as group tokens, each spliced back as
+        # its own tokens, are the tokens of the text
+        stream = load_stream(monkeypatch)
+        contexts = {ring: fresh_context(ring) for ring in RINGS}
+        texts = [*stream_texts(stream, seed + 1_000_003, 1, tmp_path, "warm"), *stream_texts(stream, seed, 10, tmp_path, "req")]
+        groups = 0
+        for ring, text in texts:
+            tokens = tokenize(text, contexts[ring].holds)
+            groups += sum(kind == "group" for kind, _, _ in tokens)
+            assert ungrouped(tokens) == tokenize(text), text
+            parse_and_evaluate(text, contexts[ring])
+        assert groups > 1000
+
+    def test_hostile_texts_read_in_linear_time(self):
+        # every '(' tries to match a group of at most three levels, and
+        # fails or ends within them, so a text of MAX_TEXT_LENGTH characters
+        # is read in about 0.1 s; a rescan of the rest at each '(' would
+        # take minutes
+        warm = fresh_context("Hb")
+        kept = "(b1 + b2 + b1*b2)"
+        value_of(f"2*({kept} - (b1 + (b2 - b1)))", warm)
+        n = MAX_TEXT_LENGTH
+        texts = [
+            "(" * n,
+            "(" * (n - 2) + "b1",
+            "(" * (n // 2) + kept + ")" * (n // 2),
+            "(((" + "b1+" * n,
+            "(((" + " " * n,
+            "(((" + " " * (n - 5) + "b1",
+            "(" + " " * (n - 4) + "b1)",
+            "(" + kept * n,
+            "(" + "(b1)" * n,
+            ("(" + "b1+" * 10) * n,
+            ("(((" + kept) * n,
+            ("(((b1 + (b2 - b1)" + kept) * n,
+        ]
+        for text in texts:
+            text = text[:n]
+            start = time.perf_counter()
+            got = steps_outcome(text, warm)
+            assert time.perf_counter() - start < 2, text[:40]
+            assert got == steps_outcome(text, fresh_context("Hb")), text[:40]
+
+    def test_a_group_that_a_text_repeats_is_read_once(self, monkeypatch):
+        # the tokenizer matched each group's ')', so a group kept earlier in
+        # the same text is a hit too, and so is a group around kept ones
+        context = fresh_context("Hb")
+        reads = []
+        keep = context.keep
+        monkeypatch.setattr(context, "keep", lambda text, value, depth: reads.append(text) or keep(text, value, depth))
+        group, outer = "(b1 + b2 + b1*b2)", "((b1 + b2 + b1*b2) - b1)"
+        text = " + ".join([group] * 50 + [outer] * 50)
+        assert value_of(text, context) == value_of(text, ConvolvingPolynomialContext(B_RING, context.aliases))
+        assert reads == ["b1*b2", group, outer]
 
     def test_a_kept_group_left_of_a_long_sum_is_charged_as_read(self):
         group = "(b1 + b2 + b1*b2)"

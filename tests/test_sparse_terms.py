@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagoct import groebner
+from flagoct import groebner, poly
 from flagoct.cohomology import B_RING
 from flagoct.gkm import (
     RHO_RING,
@@ -599,8 +599,7 @@ class TestPackedKeys:
         expected = {k: c for k, c in terms.items() if c}
         assert f.terms == expected
         assert all(CHAR_PACKING.unpack(k) in expected for k in f.packed)
-        # the lexicographic sites read tuple order, not key order
-        assert [(w.doubled_key(), c) for w, c in f.weights()] == sorted(expected.items())
+        # the printed sum reads tuple order, not key order
         assert str(f) == ref_char_str(f)
         if expected:
             assert f.lex_max_key() == max(expected)
@@ -899,3 +898,100 @@ class TestOneTermImages:
             exponents = [e for e in exponents if sum(e) <= LIMIT]
             refused += type(self.same(exponents, images, source=source, target=target)) is tuple
         assert 0 < refused < 200
+
+
+class TestFixedVariables:
+    """A map of an unbiased packing to one of the same shape leaves the
+    exponents of the variables it sends to themselves in the key and reads
+    only the others; values and refusals equal the factor-by-factor ring
+    map."""
+
+    @staticmethod
+    def identity(packing, i):
+        return {packing.multipliers[i]: 1}
+
+    def same(self, f, source, images, target):
+        got = map_outcome(map_terms, f, source, images, target)
+        assert got == map_outcome(stepwise_map_terms, f, source, images, target)
+        return got
+
+    def test_seeded_maps_moving_some_variables(self):
+        rng = random.Random(32)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            packing = Packing(n)
+            moved = set(rng.sample(range(n), rng.choice(sorted({0, 1, min(2, n), n}))))
+            images = []
+            for i in range(n):
+                if i not in moved:
+                    images.append(self.identity(packing, i))
+                elif rng.random() < 0.3:
+                    images.append({packing.pack(tuple(rng.randint(0, 3) for _ in range(n))): rng.choice((-2, 1, 3))})
+                else:
+                    size = rng.randint(2, 4)
+                    images.append({packing.pack(tuple(rng.randint(0, 2) for _ in range(n))): rng.choice((-1, 2)) for _ in range(size)})
+            big = rng.choice((4, 50, LIMIT // 2))
+            f = {}
+            for _ in range(rng.randint(1, 8)):
+                e = tuple(rng.randint(0, big) if i not in moved else rng.randint(0, 3) for i in range(n))
+                if sum(e) <= LIMIT:
+                    f[packing.pack(e)] = rng.choice((-3, 1, 5))
+            self.same(f, packing, images, packing)
+
+    def test_the_identity_map_is_the_identity(self):
+        packing = Packing(3)
+        f = {packing.pack(e): c for e, c in (((1, 2, 3), 4), ((LIMIT, 0, 0), -1), ((0, 0, 0), 7))}
+        images = [self.identity(packing, i) for i in range(3)]
+        assert self.same(f, packing, images, Packing(3)) == f
+
+    @pytest.mark.parametrize("fixed_first", (True, False))
+    def test_a_degree_overflow_raises_the_same_message(self, fixed_first):
+        # x -> x, y -> x*y + y^2: x^a y^b has degree a + 2b
+        packing = Packing(2)
+        moved = {packing.pack((1, 1)): 1, packing.pack((0, 2)): 1}
+        images = [self.identity(packing, 0), moved] if fixed_first else [moved, self.identity(packing, 1)]
+        for a, b, fits in ((LIMIT - 6, 3, True), (LIMIT - 5, 3, False), (LIMIT - 1, 1, False), (LIMIT - 2, 1, True)):
+            got = self.same({packing.pack((a, b) if fixed_first else (b, a)): 1}, packing, images, packing)
+            assert (type(got) is dict) == fits
+            if not fits:
+                assert got == (ResourceLimitError, f"a total degree past {LIMIT} does not fit 16-bit fields")
+
+    @staticmethod
+    def products(monkeypatch, f, source, images, target):
+        """The number of ``mul_terms`` calls that mapping f makes."""
+        calls = []
+        monkeypatch.setattr(poly, "mul_terms", lambda *args: calls.append(1) or mul_terms(*args))
+        map_terms(f, source, images, target)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_a_fixed_variable_costs_no_product(self, monkeypatch):
+        packing = Packing(2)
+        images = [self.identity(packing, 0), {packing.pack((0, 1)): 1, packing.pack((1, 0)): 1}]
+        assert self.products(monkeypatch, {packing.pack((50, 0)): 1}, packing, images, packing) == 0
+        assert self.products(monkeypatch, {packing.pack((50, 3)): 1}, packing, images, packing) == 2
+
+    def test_a_zero_image_takes_the_general_path(self, monkeypatch):
+        # a zero image has no top degree; each step is checked as before,
+        # and the fixed variable's powers are built too
+        packing = Packing(3)
+        images = [self.identity(packing, 0), {}, {packing.pack((1, 1, 0)): 2, packing.pack((0, 0, 1)): 1}]
+        for e in ((LIMIT - 2, 1, 1), (3, 0, 2), (LIMIT, 0, 0), (0, 2, 0)):
+            self.same({packing.pack(e): 3}, packing, images, packing)
+        assert self.products(monkeypatch, {packing.pack((50, 0, 0)): 1}, packing, images, packing) == 49
+
+    def test_a_biased_target_takes_the_general_path(self, monkeypatch):
+        # a -> u, b -> u^-1 in a target of bias 2: u's field is a - b + 2,
+        # and a^a's leaves the range before b^b brings it back
+        source, target = Packing(2), Packing(2, bias=2)
+        images = [{target.pack((1, 0)): 1}, {target.pack((-1, 0)): 1}]
+        for e, fits in (((LIMIT - 2, 0), True), ((LIMIT - 1, 0), False), ((LIMIT - 1, 1), False), ((3, 2), True), ((0, 3), False)):
+            got = self.same({source.pack(e): 1}, source, images, target)
+            assert (type(got) is dict) == fits
+            if not fits:
+                assert got == (ResourceLimitError, "a result exponent does not fit 16-bit fields")
+        assert self.products(monkeypatch, {source.pack((50, 0)): 1}, source, images, target) == 49
+
+    def test_a_biased_source_is_refused(self):
+        with pytest.raises(ValueError, match="without a bias"):
+            map_terms({CHAR_PACKING.zero: 1}, CHAR_PACKING, [{0: 1}] * CHAR_PACKING.nvars, Packing(CHAR_PACKING.nvars))
