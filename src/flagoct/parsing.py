@@ -19,13 +19,12 @@ depend on the evaluation context:
 The recursive-descent parser hands each production to a builder as it is
 read; :func:`parse_and_evaluate` uses an evaluation context as the builder,
 so it evaluates while it parses, on plain term dicts, and wraps the result
-once.  A word such as ``y1^-1*y2*y5`` starting a term is one token.  The
-context keeps the value of each word, and of each parenthesized group of at
-least ``KEPT_GROUP_TOKENS`` tokens, by its text (``MAX_KEPT``), so a word or
-group that repeats, within a text or across the texts of one context, is
-read once; the tokenizer does not read inside a group that an earlier text
-of the context read.  A sum whose right operand is one term over 1 adds
-that term straight into a left operand the text owns.
+once.  The context keeps the value of each parenthesized group of at least
+``KEPT_GROUP_TOKENS`` tokens by its text (``MAX_KEPT``), and the tokenizer
+makes a group that an earlier text of the context read one token, without
+reading inside it, so a group that a later text repeats is not read again.
+A sum whose right operand is one term over 1 adds that term straight into a
+left operand the text owns.
 
 A text has at most ``MAX_TEXT_LENGTH`` characters.  Parentheses and unary
 minus signs nest at most ``MAX_NESTING`` deep.  A numeric literal has at
@@ -107,12 +106,12 @@ MAX_WORK = 20_000_000
 # (4300 digits), which would otherwise end the parse in a ValueError.
 MAX_LITERAL_DIGITS = 1000
 
-# An evaluation context keeps the value of every word and of every
-# parenthesized group of at least KEPT_GROUP_TOKENS tokens inside its
-# parentheses that it reads, by its text, while it holds fewer than MAX_KEPT
-# values and their charge stays within MAX_KEPT_BYTES; past either, a text is
-# read from its tokens at each occurrence.  A value is charged at least the
-# bytes that sys.getsizeof counts for it:
+# An evaluation context keeps the value of every parenthesized group of at
+# least KEPT_GROUP_TOKENS tokens inside its parentheses that it reads, by its
+# text, while it holds fewer than MAX_KEPT values and their charge stays
+# within MAX_KEPT_BYTES; past either, a group is read from its tokens at each
+# occurrence.  A value is charged at least the bytes that sys.getsizeof
+# counts for it:
 # * 800 for the headers of its text (76) and its dict (400, which holds up
 #   to 5 terms), its slot in the memo (at most 80: a 16-byte entry and 2
 #   bytes of index, with at most 6 index slots per value), its tuple (80) and
@@ -140,61 +139,38 @@ class ParseError(ValueError):
 # -- tokens ------------------------------------------------------------------
 
 
-# Whitespace, then one of: a word, a number (decimal digits, the characters
-# int() reads; str.isdigit also takes '²', which int() refuses), an
-# identifier, a group, an operator, or any other character, which is an
-# error.  \w is exactly str.isalnum() or '_'; an identifier must also start
-# with a letter or '_', which tokenize() checks.  Trailing whitespace is
-# stripped first: the pattern fails there after trying every shorter run of
-# it, at every start, which is quadratic in the run's length.
-# A word is two or more ASCII names, each with an optional exponent, joined
-# by '*' without whitespace; each part is matched whole, and no '^' (which
-# would raise the last factor) follows it.
-_FACTOR = r"[A-Za-z_][A-Za-z0-9_]*(?!\w)(?:\^-?[0-9]+(?!\d))?"
+# Whitespace, then one of: a number (decimal digits, the characters int()
+# reads; str.isdigit also takes '²', which int() refuses), an identifier, a
+# group, an operator, or any other character, which is an error.  \w is
+# exactly str.isalnum() or '_'; an identifier must also start with a letter
+# or '_', which tokenize() checks.  Trailing whitespace is stripped first:
+# the pattern fails there after trying every shorter run of it, at every
+# start, which is quadratic in the run's length.
 # A group is a '(' and its ')' with at most two levels of parentheses
 # between them.  Each alternative inside starts with its own character, so a
 # failed match backs off in one step per character, and a character lies
 # inside at most three groups whose match reaches it: the pattern reads a
 # text in linear time.
 _GROUP = r"\((?:[^()]|\((?:[^()]|\([^()]*\))*\))*\)"
-_TOKEN = re.compile(
-    rf"(\s*)(?:({_FACTOR}(?:\*{_FACTOR})+)(?!\s*\^)|(\d+)|([^\W\d]\w*)|({_GROUP})|([-+*^/()])|(\S))"
-)
+_TOKEN = re.compile(rf"(\s*)(?:(\d+)|([^\W\d]\w*)|({_GROUP})|([-+*^/()])|(\S))")
 
 
-def _word_tokens(word: str, pos: int) -> List[Tuple[str, str, int]]:
-    """The tokens of the word at ``pos``: names, numbers and operators, each
-    starting where the one before it ends."""
-    tokens = []
-    for t in re.findall(r"\w+|\S", word):
-        tokens.append(("number" if t.isdigit() else t if t in "*^-" else "ident", t, pos))
-        pos += len(t)
-    return tokens
-
-
-def tokenize(
-    text: str, holds: Optional[Callable[[str], bool]] = None, groups: Optional[Dict[int, Tuple[int, str]]] = None
-) -> List[Tuple[str, str, int]]:
+def tokenize(text: str, holds: Optional[Callable[[str], bool]] = None) -> List[Tuple[str, str, int]]:
     """The tokens of ``text`` as plain ``(kind, text, pos)`` tuples; the kind
-    is 'number', 'ident', 'word', 'group' or the operator character itself.
-    A word is one token where a term starts (first, or after '(', '+' or a
-    binary '-') and split into its own tokens elsewhere, where it binds to
-    what is before.  A group (see ``_GROUP``) for whose text ``holds`` is
-    true is one token, and its inside is not read; every other group is read
-    as its parentheses and the tokens between them, and ``groups`` gets the
-    index of its '(' token to that of its ')' and its text."""
+    is 'number', 'ident', 'group' or the operator character itself.  A group
+    (see ``_GROUP``) for whose text ``holds`` is true is one token, and its
+    inside is not read; every other group is read as its parentheses and the
+    tokens between them."""
     tokens: List[Tuple[str, str, int]] = []
-    _tokenize_into(tokens, {} if groups is None else groups, text, 0, len(text.rstrip()), holds)
+    _tokenize_into(tokens, text, 0, len(text.rstrip()), holds)
     return tokens
 
 
-def _tokenize_into(
-    tokens: List[Tuple[str, str, int]], groups: Dict[int, Tuple[int, str]], text: str, pos: int, stop: int, holds
-) -> None:
+def _tokenize_into(tokens: List[Tuple[str, str, int]], text: str, pos: int, stop: int, holds) -> None:
     """Append the tokens of ``text[pos:stop]``, which ends in no whitespace
     (:func:`tokenize`)."""
     append = tokens.append
-    for space, word, number, ident, group, op, other in _TOKEN.findall(text, pos, stop):
+    for space, number, ident, group, op, other in _TOKEN.findall(text, pos, stop):
         pos += len(space)
         if op:
             append((op, op, pos))
@@ -210,20 +186,10 @@ def _tokenize_into(
             if holds is not None and holds(group):
                 append(("group", group, pos))
             else:
-                opening = len(tokens)
                 append(("(", "(", pos))
-                _tokenize_into(tokens, groups, text, pos + 1, pos + len(group[:-1].rstrip()), holds)
-                groups[opening] = len(tokens), group
+                _tokenize_into(tokens, text, pos + 1, pos + len(group[:-1].rstrip()), holds)
                 append((")", ")", end - 1))
             pos = end
-        elif word:
-            last = tokens[-1][0] if tokens else "("
-            binary = last == "-" and len(tokens) > 1 and tokens[-2][0] in ("number", "ident", "word", ")", "group")
-            if last in ("(", "+") or binary:
-                append(("word", word, pos))
-            else:
-                tokens += _word_tokens(word, pos)
-            pos += len(word)
         else:
             raise ParseError(f"unexpected character {(ident or other)[0]!r}", pos)
 
@@ -247,26 +213,21 @@ class _Parser:
     whole text is made in one pass.
 
     A group is one token when ``builder.holds(text)`` is true for its text
-    (:func:`tokenize`); ``groups`` finds the ')' and the text of the other
-    groups that the tokenizer matched, as a group that the text itself
-    repeats can be kept by the time the parser reaches it.
-    ``builder.recall(text, room)`` gives the value and the nesting depth the
-    builder keeps for a word or group of that text, or None; a value is used
+    (:func:`tokenize`), and ``builder.recall(text, room)`` gives the value
+    and the nesting depth the builder keeps for it, or None; a value is used
     only when its depth fits in the ``room`` left under ``MAX_NESTING``, and
-    otherwise the text is read from its own tokens (a group token's with no
-    second recall), which raises the same error at the same place.  A value
-    read from tokens, of a word or of a group of at least
-    ``KEPT_GROUP_TOKENS`` tokens inside (a group token is more), is handed
-    to ``builder.keep(text, value, depth)`` with the depth its inside
-    reached, counted from the depth it was read at."""
+    otherwise the group is read from its own tokens, which raises the same
+    error at the same place.  The value that the tokens of a group give,
+    when it has at least ``KEPT_GROUP_TOKENS`` tokens inside (a group token
+    is more), is handed to ``builder.keep(text, value, depth)`` with the
+    depth its inside reached, counted from the depth it was read at."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
             raise ParseError(
                 f"expression longer than {MAX_TEXT_LENGTH} characters", MAX_TEXT_LENGTH
             )
-        self.groups: Dict[int, Tuple[int, str]] = {}
-        self.tokens = tokenize(text, builder.holds, self.groups)
+        self.tokens = tokenize(text, builder.holds)
         if not self.tokens:
             raise ParseError("empty expression", 0)
         self.tokens.append(("end", "", len(text)))
@@ -317,21 +278,7 @@ class _Parser:
 
     def parse_term(self):
         tokens, mul = self.tokens, self.builder.mul
-        kind, text, pos = tokens[self.i]
-        if kind != "word":
-            value = self.parse_factor()
-        else:
-            self.i += 1
-            kept = self.builder.recall(text, MAX_NESTING - self.depth)
-            if kept:
-                value = kept[0]
-            else:
-                # read the word's own tokens, then go on after it
-                after, self.i = self.i, 0
-                self.tokens = [*_word_tokens(text, pos), ("end", "", pos + len(text))]
-                value = self.parse_term()
-                self.tokens, self.i = tokens, after
-                self.builder.keep(text, value, 0)
+        value = self.parse_factor()
         while True:
             kind, _, pos = tokens[self.i]
             if kind != "*":
@@ -362,17 +309,6 @@ class _Parser:
             value = self.builder.neg(value, tokens[start][2])
         return value
 
-    def recall(self, text: str):
-        """The value the builder keeps for the group ``text`` where its depth
-        fits at this depth, which the deepest point reached then includes;
-        else None."""
-        kept = self.builder.recall(text, MAX_NESTING - self.depth)
-        if kept is None:
-            return None
-        value, inner = kept
-        self.deepest = max(self.deepest, self.depth + inner)
-        return value
-
     def parse_atom(self):
         kind, text, pos = self.next()
         if kind == "ident":
@@ -387,24 +323,22 @@ class _Parser:
                     raise ParseError("zero denominator", at)
             return self.builder.constant(num, den, pos)
         if kind == "group":
-            value = self.recall(text)
-            if value is None:
-                # read the group's own tokens, then go on after it
-                tokens, groups, after = self.tokens, self.groups, self.i
-                self.tokens, self.groups, self.i = [], {}, 0
-                _tokenize_into(self.tokens, {}, self.text, pos, pos + len(text), None)
-                self.tokens.append(("end", "", pos + len(text)))
-                value = self.parse_atom()
-                self.tokens, self.groups, self.i = tokens, groups, after
+            kept = self.builder.recall(text, MAX_NESTING - self.depth)
+            if kept is not None:
+                # the deepest point reached includes the group's inside
+                value, inner = kept
+                self.deepest = max(self.deepest, self.depth + inner)
+                return value
+            # read the group's own tokens, then go on after it
+            tokens, after = self.tokens, self.i
+            self.tokens, self.i = [], 0
+            _tokenize_into(self.tokens, self.text, pos, pos + len(text), None)
+            self.tokens.append(("end", "", pos + len(text)))
+            value = self.parse_atom()
+            self.tokens, self.i = tokens, after
             return value
         if kind == "(":
             at, start = self.depth, self.i
-            if start - 1 in self.groups:
-                close, key = self.groups[start - 1]
-                value = self.recall(key)
-                if value is not None:
-                    self.i = close + 1
-                    return value
             self.enter(pos)
             deepest, self.deepest = self.deepest, self.depth
             value = self.parse_expr()
@@ -490,7 +424,7 @@ class _TermContext:
 
     def _set_leaves(self, leaves: Dict[str, Value]) -> None:
         self._variables = leaves
-        # word or group text -> (terms, den, bits, work, depth) of its value
+        # group text -> (terms, den, bits, work, depth) of its value
         self._kept: Dict[str, Tuple[Mapping[int, int], int, int, int, int]] = {}
         self._kept_bytes = 0
 
@@ -501,16 +435,16 @@ class _TermContext:
             raise ParseError(f"unknown variable {name!r} (known: {self.known})", pos) from None
 
     def holds(self, text: str) -> bool:
-        """Whether the context keeps a value for the word or group ``text``."""
+        """Whether the context keeps a value for the group ``text``."""
         return text in self._kept
 
     def recall(self, text: str, room: int) -> Optional[Tuple[Value, int]]:
-        """The value kept for the word or group ``text`` and the nesting
-        depth its inside reached, when that is at most ``room``; else None.
+        """The value kept for the group ``text`` and the nesting depth its
+        inside reached, when that is at most ``room``; else None.
 
         A value, its bits and its work depend only on the text, so the
-        context keeps them by it (:meth:`keep`): the entries of a tuple share
-        their words and groups, and so do the texts one context reads."""
+        context keeps them by it (:meth:`keep`): the texts that one context
+        reads, such as the entries of a tuple, share their groups."""
         kept = self._kept.get(text)
         if kept is None or kept[4] > room:
             return None
@@ -520,7 +454,7 @@ class _TermContext:
         return ((terms.copy() if type(terms) is dict else terms), den, bits, work), depth
 
     def keep(self, text: str, value: Value, depth: int) -> None:
-        """Keep the value that the tokens of the word or group ``text`` gave,
+        """Keep the value that the tokens of the group ``text`` gave,
         with the depth its inside reached, within ``MAX_KEPT`` values and
         ``MAX_KEPT_BYTES``; a text already kept (read again where its kept
         depth did not fit) is charged once."""

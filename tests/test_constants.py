@@ -94,8 +94,8 @@ def test_memoized_constants_equal_fresh_builds(tmp_path, capsys):
             assert fresh is not cached
             if module_name == "cli":
                 # evaluation contexts: compare what they hold, then parse each
-                # word and group the used context keeps in the fresh one too,
-                # in the order they were kept, and compare what both keep
+                # group the used context keeps in the fresh one too, in the
+                # order they were kept, and compare what both keep
                 held, built = dict(vars(cached)), dict(vars(fresh))
                 kept, charged = held.pop("_kept"), held.pop("_kept_bytes")
                 assert (built.pop("_kept"), built.pop("_kept_bytes")) == ({}, 0), (name, args)

@@ -55,7 +55,6 @@ from flagoct.parsing import (
     _digits,
     _over_budget,
     _power_pairs,
-    _word_tokens,
 )
 
 
@@ -131,7 +130,7 @@ class _TreeBuilder:
         return False
 
     def recall(self, text: str, room: int) -> None:
-        return None  # a word's or group's tree is built from its own tokens
+        return None  # a group's tree is built from its own tokens
 
     def keep(self, text: str, value: Node, depth: int) -> None:
         pass
@@ -223,11 +222,6 @@ def reference_tokenize(text):
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
-
-
-def unfolded(tokens):
-    """The tokens with each word token replaced by the tokens it folds."""
-    return [part for tok in tokens for part in (_word_tokens(*tok[1:]) if tok[0] == "word" else [tok])]
 
 
 class ReferencePolynomialContext:
@@ -329,11 +323,11 @@ def outcome(fn, *args):
 
 # The evaluation steps before one-term products and powers became one key
 # and one coefficient operation, before the character context kept its
-# inverted leaves, and before a word and a one-term sum were read in one
-# step: every word is read factor by factor, every product convolves its
-# term lists, every power runs square-and-multiply on them, every inverse is
-# worked out from its key, and every sum takes the general path.  The
-# bounds, bits and work of each step are those of the context.
+# inverted leaves, and before a one-term sum was read in one step: every
+# product convolves its term lists, every power runs square-and-multiply on
+# them, every inverse is worked out from its key, and every sum takes the
+# general path.  The bounds, bits and work of each step are those of the
+# context.
 
 
 def ref_mul_terms(f, g, packing):
@@ -373,7 +367,7 @@ def ref_pow_terms(f, n, packing):
 
 class ConvolvingSteps:
     """`*`, `^`, `+` and `-` of an evaluation context, on the reference
-    kernels, keeping no word or group."""
+    kernels, keeping no group."""
 
     def holds(self, text):
         return False
@@ -548,41 +542,38 @@ class TestTokenizer:
     @given(st.text(alphabet=st.one_of(st.sampled_from("b1y5 _+-*^/()\t\u00b2\u00bd\u0663\u00e9$"), st.characters()), max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_tokenizer(self, text):
-        # a word token stands for the tokens it folds
-        assert outcome(lambda t: unfolded(tokenize(t)), text) == outcome(reference_tokenize, text)
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
 
     @pytest.mark.parametrize(
-        "text, words",
+        "text",
         [
-            ("y1*y2", ["y1*y2"]),
-            ("y1^-1*y2^3*y5 + y1*b1", ["y1^-1*y2^3*y5", "y1*b1"]),
-            ("(y1*y2) - y3*y4^2", ["y1*y2", "y3*y4^2"]),
-            ("y1^2*y2*(y3*y4)*3", ["y1^2*y2", "y3*y4"]),
-            # a word is one token only where a term starts
-            ("2*y1*y2", []),
-            ("-y1*y2", []),
-            ("y1 - -y1*y2", []),
-            ("y1^2 -y1*y2", ["y1*y2"]),
-            ("(y1)*y2*y3", []),
-            ("y1^y2*y3", []),
-            ("1/y2*y3", []),
-            # and only a whole, whitespace-free, ASCII run not raised by a '^'
-            ("y1 *y2", []),
-            ("y1*y2 ^3", []),
-            ("y1*y2^3^2", []),
-            ("y1*y2*y3 ^2", ["y1*y2"]),
-            ("y1*y2^34 ^2", []),
-            ("y1*y2\u00e9", []),
-            ("y1*y2^\u0663", []),
-            ("y1*y2^2\u0663", []),
-            ("y1^-*y2", []),
-            ("y1*y2^2x", ["y1*y2^2"]),
+            # products of names with exponents, where a term starts and elsewhere
+            "y1*y2",
+            "y1^-1*y2^3*y5 + y1*b1",
+            "(y1*y2) - y3*y4^2",
+            "y1^2*y2*(y3*y4)*3",
+            "2*y1*y2",
+            "-y1*y2",
+            "y1 - -y1*y2",
+            "y1^2 -y1*y2",
+            "(y1)*y2*y3",
+            "y1^y2*y3",
+            "1/y2*y3",
+            # with whitespace, raised by a '^', or with a non-ASCII character
+            "y1 *y2",
+            "y1*y2 ^3",
+            "y1*y2^3^2",
+            "y1*y2*y3 ^2",
+            "y1*y2^34 ^2",
+            "y1*y2\u00e9",
+            "y1*y2^\u0663",
+            "y1*y2^2\u0663",
+            "y1^-*y2",
+            "y1*y2^2x",
         ],
     )
-    def test_words_fold_where_a_term_starts(self, text, words):
-        tokens = tokenize(text)
-        assert [tok[1] for tok in tokens if tok[0] == "word"] == words
-        assert unfolded(tokens) == reference_tokenize(text)
+    def test_products_of_names_match_the_reference_tokenizer(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestParser:
@@ -1384,8 +1375,7 @@ class TestWordTokens:
         ],
     )
     def test_a_word_read_from_its_tokens_keeps_its_positions(self, ring, text, at, message):
-        # the reading of a word token's own tokens reports each error where
-        # the text has it
+        # each error is reported where the text has it
         with pytest.raises(ParseError, match=message) as err:
             parse_and_evaluate(text, _context_for(ring))
         assert err.value.position == text.index(at)
@@ -1416,23 +1406,10 @@ class TestInverseKeys:
     )
     def test_inverses_equal_their_products_of_y_and_y_inverse(self, text, expected):
         context = CharacterContext()
-        # a word where a term starts is one token, kept once it is read; after
-        # '2*' or with spaces around its '*' its factors are read one by one
         assert parse_and_evaluate(text, context) == expected
         assert parse_and_evaluate(text, context) == expected
         assert parse_and_evaluate(text.replace("*", " * "), context) == expected
         assert parse_and_evaluate(f"2*{text}", context) == Character.constant(2) * expected
-
-
-# words of every ring, some of a value other than one term of coefficient 1
-# over 1, which a context keeps by their text
-MEMO_WORDS = {
-    "RT": ["y1*y2", "y1^-1*y2^-1*y5", "y5^1000*y1^-1000", "y1*y2*y1^-1", "y1^0*y2", "y1^-0*y2^0002",
-           "*".join(["y1^1000"] * 8) + "*y1^191", "*".join(["y1^-1000"] * 8) + "*y1^-192"],
-    "Hb": ["b1*b2", "b1^7*b2^1000", "b2^1000*b1^1000*b2^999", "b3*b1", "b2*b3^3"],
-    "HT": ["rho1*rho2^3*rho4", "rho4^2*rho3"],
-    "RX": ["X1*X2", "X4^1000*X3^2"],
-}
 
 
 def value_of(text, context):
@@ -1504,21 +1481,8 @@ def assert_charges_cover_sizes(context):
 
 
 class TestWordMemo:
-    """A context keeps a word's value, as its own tokens read it, by the
-    word's text."""
-
-    @pytest.mark.parametrize("ring", sorted(MEMO_WORDS))
-    def test_hits_equal_the_token_reading(self, ring):
-        context = fresh_context(ring)
-        for text in MEMO_WORDS[ring]:
-            # with spaces around its '*' a word is no token, so this is its
-            # factors read one by one, and nothing is kept
-            reading = value_of(text.replace("*", " * "), context)
-            assert kept_value(context, text) is None
-            # read from its tokens, then kept: hits at any depth
-            for depth in (0, 3, 1, 0):
-                assert value_of("(" * depth + text + ")" * depth, context) == reading
-                assert kept_value(context, text) == (reading, 0)
+    """A word, names with exponents joined by '*', is read from its tokens
+    where it stands, and a context keeps nothing for it."""
 
     @pytest.mark.parametrize(
         "ring, word, at, message",
@@ -1542,76 +1506,16 @@ class TestWordMemo:
             assert err.value.position == len(prefix) + word.rindex(at)
             assert kept_value(context, word) is None and not context._kept
 
-    def test_an_alias_word_is_read_once(self, monkeypatch):
-        context = fresh_context("Hb")
-        reads = []
-        keep = context.keep
-        monkeypatch.setattr(context, "keep", lambda text, value, depth: reads.append(text) or keep(text, value, depth))
-        b1, b2 = B_RING.gens()
-        assert parse_and_evaluate(" + ".join(["b3*b1"] * 50 + ["b1*b2"] * 50), context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
-        assert reads == ["b3*b1", "b1*b2"] and list(context._kept) == reads
-        # the hit is the alias word's two-term value, as its factors read
-        # one by one give it
-        assert kept_value(context, "b3*b1") == (value_of("b3 * b1", fresh_context("Hb")), 0)
 
-    def test_a_word_of_another_coefficient_is_kept(self):
-        plain = PolynomialContext(B_RING)
-        aliases = {"m": parse_and_evaluate("-b1", plain), "h": parse_and_evaluate("1/2*b1", plain)}
-        context = PolynomialContext(B_RING, aliases)
-        texts = ("m*b2", "b2*m^3", "h*b2", "m*h")
-        for text in texts:
-            reading = value_of(text.replace("*", " * "), context)
-            for _ in range(2):
-                assert value_of(text, context) == reading
-                assert kept_value(context, text) == (reading, 0)
-        assert list(context._kept) == list(texts)
-
-    def test_a_changed_hit_does_not_change_a_later_hit(self):
-        context = CharacterContext()
-        reading = value_of("y1*y2^-1", context)
-        (first, *_), _ = context.recall("y1*y2^-1", MAX_NESTING)
-        first.clear()
-        assert kept_value(context, "y1*y2^-1") == (reading, 0)
-        # a sum adds into the dict of its first word
-        assert parse_and_evaluate("y1*y2^-1 + y1*y2^-1 + y3*y4", context) == (
-            Character.constant(2) * y(1) * y_inverse(2) + y(3) * y(4)
-        )
-        assert parse_and_evaluate("y1*y2^-1", context) == y(1) * y_inverse(2)
-
-    def test_the_memo_stays_within_its_bound(self):
-        context = CharacterContext()
-        words = [f"y1^{i}*y2^-{j}" for i in range(1, 40) for j in range(1, 40)]
-        assert len(words) > MAX_KEPT
-        for text in words:
-            assert value_of(text, context) == value_of(text.replace("*", " * "), context)
-            assert len(context._kept) <= MAX_KEPT
-        assert len(context._kept) == MAX_KEPT and words[-1] not in context._kept
-        assert_charges_cover_sizes(context)
-        # groups of 462 terms each: the bytes run out before the count does
-        fresh = CharacterContext()
-        groups = [f"((y1 + y2 + y3 + y4 + y5 + {i})^6)" for i in range(1, 60)]
-        for text in groups:
-            assert value_of(text, fresh) == value_of(text, CharacterContext())
-            assert_charges_cover_sizes(fresh)
-        assert groups[0] in fresh._kept and groups[-1] not in fresh._kept
-        assert len(fresh._kept) < len(groups) * 2 < MAX_KEPT
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_every_timed_stream_word_is_a_hit(self, seed, tmp_path, monkeypatch):
-        # the warm-up of the benchmark's stream keeps every word that its
-        # timed texts hold
-        stream = load_stream(monkeypatch)
-        contexts = {ring: fresh_context(ring) for ring in RINGS}
-        for ring, text in stream_texts(stream, seed + 1_000_003, 1, tmp_path, "warm"):
-            parse_and_evaluate(text, contexts[ring])
-        words = misses = 0
-        for ring, text in stream_texts(stream, seed, 10, tmp_path, "req"):
-            for kind, word, _ in tokenize(text):
-                if kind == "word":
-                    words += 1
-                    misses += kept_value(contexts[ring], word) is None
-            parse_and_evaluate(text, contexts[ring])
-        assert words > 5000 and misses == 0
+# groups of every ring, some of a value other than one term of coefficient 1
+# over 1
+MEMO_GROUPS = {
+    "RT": ["(y1*y2)", "(y1^-1*y2^-1*y5)", "(y5^1000*y1^-1000)", "(y1*y2*y1^-1)", "(y1^0*y2)", "(y1^-0*y2^0002)",
+           "(" + "*".join(["y1^1000"] * 8) + "*y1^191)", "(" + "*".join(["y1^-1000"] * 8) + "*y1^-192)"],
+    "Hb": ["(b1*b2)", "(b1^7*b2^1000)", "(b2^1000*b1^1000*b2^999)", "(b3*b1)", "(b2*b3^3)"],
+    "HT": ["(rho1*rho2^3*rho4)", "(rho4^2*rho3)"],
+    "RX": ["(X1*X2)", "(X4^1000*X3^2)"],
+}
 
 
 class TestGroupMemo:
@@ -1647,9 +1551,20 @@ class TestGroupMemo:
     def test_word_shaped_texts(self, ring, data):
         self.assert_warm_reads_as_fresh(data.draw(word_texts(STEP_NAMES[ring])), ring)
 
-    @pytest.mark.parametrize("text", [P_MINUS_P, "(b1 + b2 + b1*b2)^3 - ((b1)) * (b3*b1 + 2)", "(-(-(b1 + b2)))"])
-    def test_edge_cases(self, text):
-        self.assert_warm_reads_as_fresh(text, "Hb")
+    @pytest.mark.parametrize(
+        "ring, text",
+        [
+            ("Hb", P_MINUS_P),
+            ("Hb", "(b1 + b2 + b1*b2)^3 - ((b1)) * (b3*b1 + 2)"),
+            ("Hb", "(-(-(b1 + b2)))"),
+            # a '-' after a kept group is binary, as after its ')'
+            ("RT", "(y1 + y2 + y3) -y1*y2"),
+            ("RT", "2 - (y1 + y2 + y3) - y4*y5^-1 + (y1 + y2 + y3)*y1*y2"),
+            ("RT", "((y1 + y2 + y3))-y1*y2"),
+        ],
+    )
+    def test_edge_cases(self, ring, text):
+        self.assert_warm_reads_as_fresh(text, ring)
 
     @pytest.mark.parametrize("group, inner", [("(b1 + (b2 - b1))", 2), ("(b1 - -(b2))", 3), ("(-(-(b1)))", 5), ("(b1 - --b2)", 3)])
     def test_a_hit_deep_inside_is_used_only_within_the_nesting_limit(self, monkeypatch, group, inner):
@@ -1702,17 +1617,6 @@ class TestGroupMemo:
         assert expected[0] == "ParseError" and "'('" in expected[1]
         assert steps_outcome(text, warm) == expected
 
-    @pytest.mark.parametrize(
-        "text", ["(y1 + y2 + y3) -y1*y2", "2 - (y1 + y2 + y3) - y4*y5^-1 + (y1 + y2 + y3)*y1*y2", "((y1 + y2 + y3))-y1*y2"]
-    )
-    def test_a_word_after_a_kept_group_reads_as_after_its_parenthesis(self, text):
-        # a '-' after a group is binary, so a word after it is one token
-        context = fresh_context("RT")
-        value_of("(y1 + y2 + y3)", context)
-        tokens = tokenize(text, context.holds)
-        assert "group" in {kind for kind, _, _ in tokens} and "word" in {kind for kind, _, _ in tokens}
-        assert ungrouped(tokens) == tokenize(text)
-
     @pytest.mark.parametrize("seed", range(3))
     def test_a_group_token_stands_for_its_own_tokens(self, seed, tmp_path, monkeypatch):
         # on the benchmark's stream, warm-up included, the tokens of every
@@ -1759,17 +1663,103 @@ class TestGroupMemo:
             assert time.perf_counter() - start < 2, text[:40]
             assert got == steps_outcome(text, fresh_context("Hb")), text[:40]
 
-    def test_a_group_that_a_text_repeats_is_read_once(self, monkeypatch):
-        # the tokenizer matched each group's ')', so a group kept earlier in
-        # the same text is a hit too, and so is a group around kept ones
+    @pytest.mark.parametrize("ring", sorted(MEMO_GROUPS))
+    def test_hits_equal_the_fresh_reading(self, ring):
+        context = fresh_context(ring)
+        for text in MEMO_GROUPS[ring]:
+            reading = value_of(text, fresh_context(ring))
+            assert kept_value(context, text) is None
+            # read from its tokens, then kept: hits at any depth
+            for depth in (0, 3, 1, 0):
+                assert value_of("(" * depth + text + ")" * depth, context) == reading
+                assert kept_value(context, text) == (reading, 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 1009])
+    def test_timed_stream_texts_read_warm_as_fresh(self, seed, tmp_path, monkeypatch):
+        # after the benchmark's warm-up, each timed text reads as in a
+        # context that keeps nothing, and many of its groups are hits
+        stream = load_stream(monkeypatch)
+        warm, cold = {}, {}
+        for ring in RINGS:
+            warm[ring], cold[ring] = fresh_context(ring), fresh_context(ring)
+            monkeypatch.setattr(cold[ring], "keep", lambda text, value, depth: None)
+        for ring, text in stream_texts(stream, seed + 1_000_003, 1, tmp_path, "warm"):
+            parse_and_evaluate(text, warm[ring])
+        hits = 0
+        for ring, text in stream_texts(stream, seed, 10, tmp_path, "req"):
+            hits += sum(kind == "group" for kind, _, _ in tokenize(text, warm[ring].holds))
+            assert steps_outcome(text, warm[ring]) == steps_outcome(text, cold[ring]), text
+        assert not any(context._kept for context in cold.values())
+        assert hits > 1500
+
+    def test_an_alias_group_is_kept_with_its_two_term_value(self, monkeypatch):
+        context = fresh_context("Hb")
+        reads = []
+        keep = context.keep
+        monkeypatch.setattr(context, "keep", lambda text, value, depth: reads.append(text) or keep(text, value, depth))
+        b1, b2 = B_RING.gens()
+        text = " + ".join(["(b3*b1)"] * 50 + ["(b1*b2)"] * 50)
+        assert parse_and_evaluate(text, context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
+        assert set(reads) == {"(b3*b1)", "(b1*b2)"} and list(context._kept) == ["(b3*b1)", "(b1*b2)"]
+        # the hit is the alias group's two-term value, as its factors read
+        # one by one give it
+        assert kept_value(context, "(b3*b1)") == (value_of("b3 * b1", fresh_context("Hb")), 1)
+        reads.clear()
+        assert parse_and_evaluate(text, context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
+        assert reads == []
+
+    def test_a_group_that_a_text_repeats_is_a_hit_in_later_texts(self, monkeypatch):
         context = fresh_context("Hb")
         reads = []
         keep = context.keep
         monkeypatch.setattr(context, "keep", lambda text, value, depth: reads.append(text) or keep(text, value, depth))
         group, outer = "(b1 + b2 + b1*b2)", "((b1 + b2 + b1*b2) - b1)"
         text = " + ".join([group] * 50 + [outer] * 50)
-        assert value_of(text, context) == value_of(text, ConvolvingPolynomialContext(B_RING, context.aliases))
-        assert reads == ["b1*b2", group, outer]
+        expected = value_of(text, ConvolvingPolynomialContext(B_RING, context.aliases))
+        # the first text reads each of its groups, and the context keeps
+        # each group once, in the order it first read them
+        assert value_of(text, context) == expected
+        assert set(reads) == {group, outer} and list(context._kept) == [group, outer]
+        # a later text reads none of them
+        reads.clear()
+        assert value_of(text, context) == expected and reads == []
+
+    def test_a_group_of_another_coefficient_is_kept(self, monkeypatch):
+        plain = PolynomialContext(B_RING)
+        aliases = {"m": parse_and_evaluate("-b1", plain), "h": parse_and_evaluate("1/2*b1", plain)}
+        context = PolynomialContext(B_RING, aliases)
+        names = []
+        variable = context.variable
+        monkeypatch.setattr(context, "variable", lambda name, pos: names.append(name) or variable(name, pos))
+        texts = ("(m*b2)", "(b2*m^3)", "(h*b2)", "(m*h)")
+        for text in texts:
+            reading = value_of(text, PolynomialContext(B_RING, aliases))
+            for hit in (False, True):
+                names.clear()
+                assert value_of(text, context) == reading
+                assert kept_value(context, text) == (reading, 1)
+                # a hit reads none of the group's names
+                assert bool(names) != hit
+        assert list(context._kept) == list(texts)
+
+    def test_the_memo_stays_within_its_bound(self):
+        # groups of 7 tokens inside, each kept: the count runs out first
+        context = CharacterContext()
+        kept = [f"(y1^{i}*y2^-{j})" for i in range(1, 40) for j in range(1, 40)]
+        assert len(kept) > MAX_KEPT
+        for text in kept:
+            assert value_of(text, context) == value_of(text, CharacterContext())
+            assert len(context._kept) <= MAX_KEPT
+        assert list(context._kept) == kept[:MAX_KEPT] and kept[-1] not in context._kept
+        assert_charges_cover_sizes(context)
+        # groups of 462 terms each: the bytes run out before the count does
+        fresh = CharacterContext()
+        groups = [f"((y1 + y2 + y3 + y4 + y5 + {i})^6)" for i in range(1, 60)]
+        for text in groups:
+            assert value_of(text, fresh) == value_of(text, CharacterContext())
+            assert_charges_cover_sizes(fresh)
+        assert groups[0] in fresh._kept and groups[-1] not in fresh._kept
+        assert len(fresh._kept) < len(groups) * 2 < MAX_KEPT
 
     def test_a_kept_group_left_of_a_long_sum_is_charged_as_read(self):
         group = "(b1 + b2 + b1*b2)"
