@@ -89,7 +89,17 @@ def _reject_duplicate_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]
 def _load_tuple_file(path: str, ring: str) -> Dict[str, str]:
     try:
         with open(path, "rb") as fh:
-            raw = fh.read(MAX_TUPLE_FILE_BYTES + 1)
+            # in chunks of at most 64 KiB up to one byte past the limit: one
+            # read of that many bytes would allocate a buffer of the limit's
+            # size for every file, however small
+            chunks, size = [], 0
+            while size <= MAX_TUPLE_FILE_BYTES:
+                chunk = fh.read(min(1 << 16, MAX_TUPLE_FILE_BYTES + 1 - size))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
+            raw = b"".join(chunks)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     if len(raw) > MAX_TUPLE_FILE_BYTES:

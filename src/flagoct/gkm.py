@@ -122,11 +122,18 @@ def generator_substitutions() -> Tuple[Dict[str, Polynomial], ...]:
     )
 
 
-def is_w_invariant(p: Polynomial) -> bool:
-    """Invariance under the reflection group generators (hence the group)."""
+def is_w_invariant(p: Polynomial, powers: Optional[Sequence[Dict]] = None) -> bool:
+    """Invariance under the reflection group generators (hence the group).
+
+    ``powers``, one dict per generator, shares the powers of each
+    generator's images among the calls that pass it
+    (:meth:`Polynomial.substitute`)."""
     if p.ring != RHO_RING:
         raise RingMismatchError("invariance is defined for the realized ring")
-    return all(p.substitute(s) == p for s in generator_substitutions())
+    substitutions = generator_substitutions()
+    if powers is None:
+        powers = (None,) * len(substitutions)
+    return all(p.substitute(s, shared) == p for s, shared in zip(substitutions, powers))
 
 
 # -- realized labels -------------------------------------------------------------
@@ -356,11 +363,19 @@ def check_membership(entries: Mapping[str, Any]) -> MembershipResult:
     first edge that fails is reported."""
     ring = membership_ring(entries)
     if ring == "HT":
-        for name in SIGMA3_NAMES:
-            if not is_w_invariant(entries[name]):
-                return MembershipResult(
-                    False, None, f"entry at vertex {name!r} is not W-invariant"
-                )
+        # the six entries share each generator's image powers, which are
+        # dropped when the check ends, and at once when it runs out of memory
+        powers = tuple({} for _ in generator_substitutions())
+        try:
+            for name in SIGMA3_NAMES:
+                if not is_w_invariant(entries[name], powers):
+                    return MembershipResult(
+                        False, None, f"entry at vertex {name!r} is not W-invariant"
+                    )
+        except MemoryError:
+            for shared in powers:
+                shared.clear()
+            raise
     divisors = _edge_divisors(ring)
     for edge in gkm_edges():
         if not _divides(divisors[edge.k], entries[edge.u] - entries[edge.v]):

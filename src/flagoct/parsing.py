@@ -19,10 +19,10 @@ depend on the evaluation context:
 The recursive-descent parser hands each production to a builder as it is
 read; :func:`parse_and_evaluate` uses an evaluation context as the builder,
 so it evaluates while it parses, on plain term dicts, and wraps the result
-once.  The context keeps the value of each parenthesized group of at least
-``KEPT_GROUP_TOKENS`` tokens by its text (``MAX_KEPT``), and the tokenizer
-makes a group that an earlier text of the context read one token, without
-reading inside it, so a group that a later text repeats is not read again.
+once.  The context keeps the value of each parenthesized group, of any
+size, by its text (``MAX_KEPT``), and the tokenizer makes a group that an
+earlier text of the context read one token, without reading inside it, so a
+group that a later text repeats is not read again.
 A sum whose right operand is one term over 1 adds that term straight into a
 left operand the text owns.
 
@@ -106,12 +106,11 @@ MAX_WORK = 20_000_000
 # (4300 digits), which would otherwise end the parse in a ValueError.
 MAX_LITERAL_DIGITS = 1000
 
-# An evaluation context keeps the value of every parenthesized group of at
-# least KEPT_GROUP_TOKENS tokens inside its parentheses that it reads, by its
-# text, while it holds fewer than MAX_KEPT values and their charge stays
-# within MAX_KEPT_BYTES; past either, a group is read from its tokens at each
-# occurrence.  A value is charged at least the bytes that sys.getsizeof
-# counts for it:
+# An evaluation context keeps the value of every parenthesized group that it
+# reads, by its text, while it holds fewer than MAX_KEPT values and their
+# charge stays within MAX_KEPT_BYTES; past either, a group is read from its
+# tokens at each occurrence.  A value is charged at least the bytes that
+# sys.getsizeof counts for it:
 # * 800 for the headers of its text (76) and its dict (400, which holds up
 #   to 5 terms), its slot in the memo (at most 80: a 16-byte entry and 2
 #   bytes of index, with at most 6 index slots per value), its tuple (80) and
@@ -123,7 +122,6 @@ MAX_LITERAL_DIGITS = 1000
 #   the term's place in the dict (at most 60: a 24-byte entry and 4 bytes of
 #   index, with at most 3 index slots per term), its key and its numerator.
 # So one context keeps at most MAX_KEPT_BYTES, 2 MB, of values.
-KEPT_GROUP_TOKENS = 3
 MAX_KEPT = 1024
 MAX_KEPT_BYTES = 2_000_000
 
@@ -217,10 +215,9 @@ class _Parser:
     and the nesting depth the builder keeps for it, or None; a value is used
     only when its depth fits in the ``room`` left under ``MAX_NESTING``, and
     otherwise the group is read from its own tokens, which raises the same
-    error at the same place.  The value that the tokens of a group give,
-    when it has at least ``KEPT_GROUP_TOKENS`` tokens inside (a group token
-    is more), is handed to ``builder.keep(text, value, depth)`` with the
-    depth its inside reached, counted from the depth it was read at."""
+    error at the same place.  The value that the tokens of a group give is
+    handed to ``builder.keep(text, value, depth)`` with the depth its inside
+    reached, counted from the depth it was read at."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
@@ -338,13 +335,12 @@ class _Parser:
             self.tokens, self.i = tokens, after
             return value
         if kind == "(":
-            at, start = self.depth, self.i
+            at = self.depth
             self.enter(pos)
             deepest, self.deepest = self.deepest, self.depth
             value = self.parse_expr()
             close = self.expect(")")[2]
-            if self.i - start > KEPT_GROUP_TOKENS or any(tok[0] == "group" for tok in self.tokens[start : self.i]):
-                self.builder.keep(self.text[pos : close + 1], value, self.deepest - at)
+            self.builder.keep(self.text[pos : close + 1], value, self.deepest - at)
             self.deepest = max(deepest, self.deepest)
             self.depth = at
             return value

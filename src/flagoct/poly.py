@@ -154,7 +154,7 @@ class Packing:
 class PolyRing:
     """An ordered tuple of named variables, each with a grading degree."""
 
-    __slots__ = ("names", "degrees", "packing")
+    __slots__ = ("names", "degrees", "packing", "_hash")
 
     def __init__(self, names: Tuple[str, ...], degrees: Tuple[int, ...]) -> None:
         if len(names) != len(degrees):
@@ -165,9 +165,10 @@ class PolyRing:
             raise ValueError("grading degrees must be positive")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "degrees", degrees)
-        # derived from the variable count, so not a field: equality and
-        # hashing stay those of (names, degrees)
+        # derived from the variable count and the fields, so not fields
+        # themselves: equality and hashing stay those of (names, degrees)
         object.__setattr__(self, "packing", Packing(len(names)))
+        object.__setattr__(self, "_hash", hash((names, degrees)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -176,12 +177,14 @@ class PolyRing:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # most comparisons: each ring is built once
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.names == other.names and self.degrees == other.degrees
 
     def __hash__(self) -> int:
-        return hash((self.names, self.degrees))
+        return self._hash
 
     @staticmethod
     def make(names: Sequence[str], degrees: Optional[Sequence[int]] = None) -> "PolyRing":
@@ -394,11 +397,15 @@ class Polynomial:
 
     # -- substitution / evaluation ------------------------------------------
 
-    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
+    def substitute(
+        self, images: Mapping[str, "Polynomial"], powers: Optional[Dict[int, List[Terms]]] = None
+    ) -> "Polynomial":
         """Ring map sending each variable to ``images[name]``.
 
         Every variable of the source ring must have an image; all images must
-        live in one ring.
+        live in one ring.  ``powers``, a dict that the caller passes to each
+        call with these same images, shares their powers among those calls
+        (:func:`map_terms`).
 
         The map runs over Z: with f = F/D and every image G_i/d over one
         common d, f(G/d) = sum_e F_e d^(N-|e|) G^e / (D d^N), N the top total
@@ -423,7 +430,7 @@ class Polynomial:
             g.packed if g.den == d else {m: c * (d // g.den) for m, c in g.packed.items()}
             for g in img
         ]
-        out = map_terms(scaled, packing, integral, tring.packing)
+        out = map_terms(scaled, packing, integral, tring.packing, powers)
         return Polynomial._of(tring, *lowest_terms(out, self.den * d ** max(top, 0)))
 
     # -- printing ------------------------------------------------------------
@@ -623,13 +630,21 @@ def pow_terms(f: Mapping[int, Scalar], n: int, packing: Packing) -> Terms:
 
 
 def map_terms(
-    f: Mapping[int, Scalar], source: Packing, images: Sequence[Terms], target: Packing
+    f: Mapping[int, Scalar],
+    source: Packing,
+    images: Sequence[Terms],
+    target: Packing,
+    powers: Optional[Dict[int, List[Terms]]] = None,
 ) -> Terms:
     """The image of f under the ring map sending variable i to ``images[i]``.
 
     ``source``, a packing without a bias, packs the keys of f and ``target``
     those of the images.  The powers of each image are built once, by
-    repeated multiplication, and shared by all terms of f.
+    repeated multiplication, and shared by all terms of f.  A caller that
+    maps several polynomials by the same images into the same target can
+    pass one ``powers`` dict to each call: the powers of image i are kept
+    there, at i, and each call builds only those that no earlier one did.
+    It is cleared when a call runs out of memory.
 
     Into a target without a bias, with no image zero, a one-term image c*m
     to the k-th power is the factor c**k at the key k*m: a term of f adds
@@ -649,6 +664,8 @@ def map_terms(
     """
     if source.zero:
         raise ValueError("map_terms reads the keys of a packing without a bias")
+    if powers is None:
+        powers = {}
     one = {target.zero: 1}
     fold = not target.zero and all(images)
     # an image that is its source variable's own key (so the target packs as
@@ -665,7 +682,7 @@ def map_terms(
             top = target.degree(max(g)) if fold else 0
             if in_place:
                 key, top = key - m, top - 1
-            factors.append((i * FIELD_BITS, key, top, scale, [one, g], g))
+            factors.append((i * FIELD_BITS, key, top, scale, powers.setdefault(i, [one, g]), g))
     mask, low, degree_bits = (1 << FIELD_BITS) - 1, source.low, source.shift
     out: Terms = {}
     try:
@@ -698,6 +715,7 @@ def map_terms(
         # the frames above has memory and the error reaches the caller
         for factor in factors:
             factor[4].clear()
+        powers.clear()
         raise
     return out
 

@@ -309,6 +309,7 @@ def generate_group(generators: Sequence[WeylElement]) -> FrozenSet[WeylElement]:
     return frozenset(seen)
 
 
+@lru_cache(maxsize=None)
 def spin8_reflections() -> Tuple[WeylElement, ...]:
     """The reflections in the four simple roots, which generate W_Spin(8)."""
     return tuple(WeylElement.reflection(r) for r in spin8_simple_roots())

@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -327,7 +328,9 @@ class TestGkmCheck:
         assert code == 2
         assert out == ""
         assert err == f"error: {path} is larger than {MAX_TUPLE_FILE_BYTES} bytes\n"
-        assert reads == [(MAX_TUPLE_FILE_BYTES + 1,)]
+        # in chunks of at most 64 KiB, up to one byte past the cap
+        assert sum(n for (n,) in reads) == MAX_TUPLE_FILE_BYTES + 1
+        assert max(n for (n,) in reads) <= 1 << 16
 
     @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["arrays", "objects"])
     @pytest.mark.parametrize("depth", [1200, None], ids=["1200", "cap"])
@@ -374,6 +377,115 @@ class TestGkmCheck:
         code, _, err = run(capsys, "gkm-check", "--ring", "Hb", "--file", path)
         assert code == 2
         assert "s1s2" in err
+
+
+# a read of the tuple file asks for at most this many bytes
+READ_CHUNK = 1 << 16
+
+
+def load_outcome(path, ring="Hb"):
+    """The entries that the tuple-file loader reads, or its message."""
+    try:
+        return cli._load_tuple_file(str(path), ring)
+    except cli.UsageError as exc:
+        return ("UsageError", str(exc))
+
+
+def padded_member(size, pad=b" "):
+    """A member tuple's JSON in ``size`` bytes: the object, then ``pad``."""
+    member = json.dumps({"ring": "Hb", "entries": hb_member_entries()}).encode()
+    return member + pad * ((size - len(member)) // len(pad))
+
+
+def json_message(text):
+    """The message of the JSON decoder's error on ``text``."""
+    with pytest.raises(ValueError) as err:
+        json.loads(text)
+    return str(err.value)
+
+
+class TestTupleFileRead:
+    """The tuple file is read in bounded chunks up to one byte past
+    MAX_TUPLE_FILE_BYTES, and decoded as a file opened in text mode is: the
+    loader gives the same entries or the same message as one read of that
+    many bytes did, for files and for pipes."""
+
+    def cases(self, path):
+        """(bytes on disk, expected outcome) pairs."""
+        member = padded_member(0)
+        entries = json.loads(member)["entries"]
+        # a CR LF inside a string straddles the first chunk's end; text mode
+        # reads it as one LF, a control character that JSON refuses
+        head = member[:-3] + b" " * (READ_CHUNK - len(member) + 2)
+        split = head + b"\r\n" + member[-3:]
+        # a two-byte character split by the first chunk's end decodes whole
+        accent = json.dumps({"ring": "Hb", "entries": {**entries, "1": "é"}}, ensure_ascii=False).encode()
+        accented = b" " * (READ_CHUNK - 1 - accent.index("é".encode())) + accent
+        return [
+            (b"", ("UsageError", f"{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)")),
+            (b"{", ("UsageError", f"{path} is not valid JSON: " + json_message("{"))),
+            (b"7", ("UsageError", "tuple file must be a JSON object")),
+            (padded_member(MAX_TUPLE_FILE_BYTES), entries),
+            (padded_member(MAX_TUPLE_FILE_BYTES + 1), ("UsageError", f"{path} is larger than {MAX_TUPLE_FILE_BYTES} bytes")),
+            (padded_member(3 * READ_CHUNK, b"\r\n"), entries),
+            (member.replace(b", ", b",\r\n").replace(b": ", b":\r"), entries),
+            (split, ("UsageError", f"{path} is not valid JSON: " + json_message(split.decode().replace("\r\n", "\n")))),
+            (accented, {**entries, "1": "é"}),
+            (b"\xff" + member, ("UsageError", f"{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")),
+            (
+                padded_member(READ_CHUNK) + b"\xff",
+                ("UsageError", f"{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position {READ_CHUNK}: invalid start byte"),
+            ),
+        ]
+
+    def test_files_read_as_one_read_gave_them(self, tmp_path):
+        path = tmp_path / "tuple.json"
+        sizes = set()
+        for raw, expected in self.cases(path):
+            path.write_bytes(raw)
+            sizes.add(len(raw))
+            assert load_outcome(path) == expected, raw[:80]
+        assert {0, 1, MAX_TUPLE_FILE_BYTES, MAX_TUPLE_FILE_BYTES + 1} <= sizes
+
+    def test_pipes_read_as_files(self, tmp_path):
+        path = tmp_path / "tuple.pipe"
+        for raw, expected in self.cases(path):
+            os.mkfifo(path)
+
+            def feed():
+                # in uneven pieces, so that reads end at other places than
+                # the chunks do; the loader stops reading past the cap
+                with contextlib.suppress(BrokenPipeError), open(path, "wb") as pipe:
+                    for at in range(0, len(raw), 40_000):
+                        pipe.write(raw[at : at + 40_000])
+                        pipe.flush()
+
+            writer = threading.Thread(target=feed)
+            writer.start()
+            try:
+                assert load_outcome(path) == expected, raw[:80]
+            finally:
+                writer.join(timeout=60)
+                path.unlink()
+            assert not writer.is_alive()
+
+    @pytest.mark.parametrize("size", [0, 1, 2000, READ_CHUNK - 1, READ_CHUNK, READ_CHUNK + 1])
+    def test_no_read_asks_for_more_than_a_chunk(self, tmp_path, monkeypatch, size):
+        path = tmp_path / "tuple.json"
+        path.write_bytes(padded_member(size) if size > 200 else b"{" * size)
+        reads = []
+        real_open = open
+
+        def recording_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            real_read = fh.read
+            fh.read = lambda *n: reads.append(n) or real_read(*n)
+            return fh
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        load_outcome(path)
+        # every read names its size, and none asks for more than a chunk
+        assert reads and all(len(n) == 1 and 0 < n[0] <= READ_CHUNK for n in reads)
 
 
 class TestRings:

@@ -1,8 +1,8 @@
 """Memoized constants stay as they were built.
 
 A warm process shares each memoized constant (the GKM edges, the Euler
-realization, the edge divisors, the evaluation contexts, the Weyl groups,
-the inversion sets, the invariant exponent vectors)
+realization, the edge divisors, the evaluation contexts, the Weyl groups
+and their generators, the inversion sets, the invariant exponent vectors)
 between all callers.  A caller that changed one in place would change every
 later answer.  These tests run the verify suites and a batch of
 ``gkm-check`` requests over every ring in one process, and then compare each
@@ -31,6 +31,7 @@ MEMOIZED = {
     ("ktheory", "edge_binomials"): [(1,), (2,), (3,)],
     ("ktheory", "edge_divisor_poly"): [(1,), (2,), (3,)],
     ("cli", "_context_for"): [("Hb",), ("HT",), ("RT",), ("RX",)],
+    ("weyl", "spin8_reflections"): [()],
     ("weyl", "spin8_weyl"): [()],
     ("weyl", "f4_weyl"): [()],
     ("weyl", "sigma_tilde_group"): [()],

@@ -38,7 +38,7 @@ from flagoct.ktheory import (
     x_action_permutations,
     x_character,
 )
-from flagoct.poly import RingMismatchError, exact_divide, pairwise_coprime
+from flagoct.poly import Polynomial, RingMismatchError, exact_divide, pairwise_coprime
 from flagoct.weyl import (
     ROOT_TRANSPOSITIONS,
     SIGMA3_NAMES,
@@ -156,6 +156,99 @@ class TestMembership:
         result = check_membership(entries)
         assert not result.ok
         assert "invariant" in result.reason
+
+
+def invariant_entries():
+    """Six W-invariant HT entries of degrees 12, 0, 4, 8, 8 and 4, so that
+    later entries read image powers that earlier ones built, and build
+    higher ones."""
+    c1, c2, c3 = (realized_label(k) for k in (1, 2, 3))
+    return dict(zip(SIGMA3_NAMES, [c1**3, 7 * RHO_RING.one(), c2, c1 * c3, c3**2 - c1 * c2, c2 - c1]))
+
+
+def moved_only_by(j):
+    """An entry of degree 5 that the j-th generator substitution changes and
+    the others fix: rho_(j+1) moves under that reflection alone."""
+    return realized_label(2) * RHO_RING.gens()[j] + realized_label(1)
+
+
+def unshared_outcome(entries):
+    """The result of the HT pre-check with each substitution building its
+    image powers alone: the first vertex whose entry one of the four
+    generator substitutions changes, or None."""
+    for name in SIGMA3_NAMES:
+        p = entries[name]
+        if any(p.substitute(s) != p for s in gkm.generator_substitutions()):
+            return (False, None, f"entry at vertex {name!r} is not W-invariant")
+    return None
+
+
+class TestSharedReflectionPowers:
+    """The HT check builds each generator substitution's image powers once
+    per tuple and shares them among the six entries, read in vertex order:
+    the result and the first vertex reported are those of building them per
+    entry, and an invariant tuple makes one substitution per entry and
+    generator."""
+
+    def test_a_substitution_with_shared_powers_equals_one_without(self):
+        entries = list(invariant_entries().values()) + [moved_only_by(j) ** 2 for j in range(4)]
+        for order in (entries, entries[::-1]):
+            powers = [{} for _ in gkm.generator_substitutions()]
+            for p in order:
+                for s, shared in zip(gkm.generator_substitutions(), powers):
+                    assert p.substitute(s, shared) == p.substitute(s)
+            assert all(powers)
+
+    @pytest.mark.parametrize("vertex", range(6))
+    def test_a_non_invariant_entry_is_reported_at_its_vertex(self, vertex):
+        name = SIGMA3_NAMES[vertex]
+        for j in range(4):
+            entries = {**invariant_entries(), name: moved_only_by(j)}
+            result = check_membership(entries)
+            expected = (False, None, f"entry at vertex {name!r} is not W-invariant")
+            assert (result.ok, result.failing_edge, result.reason) == expected == unshared_outcome(entries)
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (0, 5), (2, 4), (4, 5)])
+    def test_the_first_of_two_entries_failing_under_other_reflections_is_reported(self, first, second):
+        for j, k in ((0, 3), (3, 0), (1, 2), (2, 1)):
+            entries = {**invariant_entries(), SIGMA3_NAMES[first]: moved_only_by(j), SIGMA3_NAMES[second]: moved_only_by(k)}
+            result = check_membership(entries)
+            expected = (False, None, f"entry at vertex {SIGMA3_NAMES[first]!r} is not W-invariant")
+            assert (result.ok, result.failing_edge, result.reason) == expected == unshared_outcome(entries)
+
+    def test_an_invariant_tuple_makes_24_substitutions(self, monkeypatch):
+        calls = []
+        substitute = Polynomial.substitute
+
+        def counting(self, images, powers=None):
+            calls.append(id(powers))
+            return substitute(self, images, powers)
+
+        member = realized_tuple(random_membership_tuple(random.Random(5), 2))
+        monkeypatch.setattr(Polynomial, "substitute", counting)
+        assert check_membership(member).ok
+        # one per (entry, generator), each generator's powers shared by all six
+        assert len(calls) == 24 and len(set(calls)) == 4
+        assert all(calls.count(shared) == 6 for shared in calls)
+        calls.clear()
+        assert check_membership(invariant_entries()).reason.startswith("difference along")
+        assert len(calls) == 24
+
+    def test_running_out_of_memory_drops_every_shared_power(self, monkeypatch):
+        seen = []
+        is_w_invariant = gkm.is_w_invariant
+
+        def failing_at_the_third_entry(p, powers=None):
+            seen.append(powers)
+            if len(seen) == 3:
+                assert all(powers)
+                raise MemoryError
+            return is_w_invariant(p, powers)
+
+        monkeypatch.setattr(gkm, "is_w_invariant", failing_at_the_third_entry)
+        with pytest.raises(MemoryError):
+            check_membership(invariant_entries())
+        assert seen[0] is seen[1] is seen[2] and not any(seen[0])
 
 
 def constant_tuple(value):

@@ -34,7 +34,6 @@ from flagoct import poly
 from flagoct.poly import PolyRing, Polynomial, ResourceLimitError, RingMismatchError
 from flagoct.parsing import (
     CharacterContext,
-    KEPT_GROUP_TOKENS,
     MAX_EXPONENT,
     MAX_KEPT,
     MAX_KEPT_BYTES,
@@ -1429,16 +1428,14 @@ def kept_value(context, text, room=MAX_NESTING):
 
 
 def groups_of(text):
-    """The parenthesized groups of ``text`` with at least KEPT_GROUP_TOKENS
-    tokens inside, innermost first, found by matching parentheses."""
+    """The parenthesized groups of ``text``, innermost first, found by
+    matching parentheses."""
     opened, groups = [], []
     for i, ch in enumerate(text):
         if ch == "(":
             opened.append(i)
         elif ch == ")" and opened:
-            start = opened.pop()
-            if len(tokenize(text[start + 1 : i])) >= KEPT_GROUP_TOKENS:
-                groups.append(text[start : i + 1])
+            groups.append(text[opened.pop() : i + 1])
     return groups
 
 
@@ -1519,11 +1516,11 @@ MEMO_GROUPS = {
 
 
 class TestGroupMemo:
-    """A context keeps the value of a group of at least KEPT_GROUP_TOKENS
-    tokens, with the nesting its inside reached, by the group's text.  A
-    context that has read a text, and each of its groups alone, reads it as
-    a fresh context does: to the same terms, denominator, bits and work, or
-    to the same ParseError message at the same position."""
+    """A context keeps the value of every group, with the nesting its inside
+    reached, by the group's text.  A context that has read a text, and each
+    of its groups alone, reads it as a fresh context does: to the same
+    terms, denominator, bits and work, or to the same ParseError message at
+    the same position."""
 
     @staticmethod
     def assert_warm_reads_as_fresh(text, ring):
@@ -1536,7 +1533,7 @@ class TestGroupMemo:
         assert outcome(lambda t: ungrouped(tokenize(t, warm.holds)), text) == outcome(tokenize, text)
         assert steps_outcome(text, warm) == expected, text
         if expected[0] != "ParseError":
-            # every group of kept size is kept, group tokens inside or not
+            # every group is kept, group tokens inside or not
             assert set(groups_of(text)) <= set(warm._kept), text
 
     @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
@@ -1800,15 +1797,16 @@ class TestGroupMemo:
             expected = steps_outcome(f"y2 + {text}", fresh_context("RT"))
             for _ in range(2):
                 assert steps_outcome(f"y2 + {text}", context) == expected and expected[0] == "ParseError"
-        # only the group read before the error is kept
-        assert list(context._kept) == ["(y1 + y2)"]
+        # only the groups read before the error are kept
+        assert list(context._kept) == ["(y2)", "(y1 + y2)"]
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 1009])
     def test_every_timed_stream_group_read_before_is_a_hit(self, seed, tmp_path, monkeypatch):
-        # after the warm-up of the benchmark's stream, a timed group is a hit
-        # exactly when the warm-up or an earlier timed text held it: the memo
-        # never runs out on the stream.  The groups first met in the timed
-        # pass carry a coefficient drawn for that request, such as
+        # after the warm-up of the benchmark's stream, a timed group of any
+        # size is a hit exactly when the warm-up or an earlier timed text
+        # held it, and what it recalls is what a fresh context keeps for it:
+        # the memo never runs out on the stream.  The groups first met in the
+        # timed pass carry a coefficient drawn for that request, such as
         # (-3*(y1 + y2 + ...)*(y1*y2 + ...)), around groups that are hits
         stream = load_stream(monkeypatch)
         contexts = {ring: fresh_context(ring) for ring in RINGS}
@@ -1819,9 +1817,13 @@ class TestGroupMemo:
         hits = misses = 0
         for ring, text in stream_texts(stream, seed, 10, tmp_path, "req"):
             for group in groups_of(text):
-                hit = kept_value(contexts[ring], group) is not None
-                assert hit == (group in read[ring]), group
-                hits, misses = hits + hit, misses + (not hit)
+                kept = kept_value(contexts[ring], group)
+                assert (kept is not None) == (group in read[ring]), group
+                if kept is not None:
+                    fresh = fresh_context(ring)
+                    value_of(group, fresh)
+                    assert kept == kept_value(fresh, group), group
+                hits, misses = hits + (kept is not None), misses + (kept is None)
             parse_and_evaluate(text, contexts[ring])
             read[ring].update(groups_of(text))
         assert hits > 2000 and misses * 5 < hits

@@ -76,6 +76,18 @@ class TestRingBasics:
         with pytest.raises(KeyError):
             R2.var("z")
 
+    def test_rings_compare_and_hash_by_names_and_degrees(self):
+        same = PolyRing.make(("x", "y"))
+        assert same is not R2 and same == R2 and {same, R2} == {R2}
+        assert hash(same) == hash(R2) == hash((("x", "y"), (1, 1)))
+        x, y = R2.gens()
+        assert PolyRing.make(("x", "y")).var("x") + y == x + y
+        for other in (PolyRing.make(("x", "y"), (1, 2)), PolyRing.make(("y", "x")), R3):
+            assert other != R2 and not other == R2
+        assert R2 != (("x", "y"), (1, 1))
+        with pytest.raises(AttributeError):
+            R2._hash = 0
+
 
 class TestArithmetic:
     def test_binomial_square(self):
