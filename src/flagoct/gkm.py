@@ -122,18 +122,11 @@ def generator_substitutions() -> Tuple[Dict[str, Polynomial], ...]:
     )
 
 
-def is_w_invariant(p: Polynomial, powers: Optional[Sequence[Dict]] = None) -> bool:
-    """Invariance under the reflection group generators (hence the group).
-
-    ``powers``, one dict per generator, shares the powers of each
-    generator's images among the calls that pass it
-    (:meth:`Polynomial.substitute`)."""
+def is_w_invariant(p: Polynomial) -> bool:
+    """Invariance under the reflection group generators (hence the group)."""
     if p.ring != RHO_RING:
         raise RingMismatchError("invariance is defined for the realized ring")
-    substitutions = generator_substitutions()
-    if powers is None:
-        powers = (None,) * len(substitutions)
-    return all(p.substitute(s, shared) == p for s, shared in zip(substitutions, powers))
+    return all(p.substitute(s) == p for s in generator_substitutions())
 
 
 # -- realized labels -------------------------------------------------------------
@@ -363,19 +356,11 @@ def check_membership(entries: Mapping[str, Any]) -> MembershipResult:
     first edge that fails is reported."""
     ring = membership_ring(entries)
     if ring == "HT":
-        # the six entries share each generator's image powers, which are
-        # dropped when the check ends, and at once when it runs out of memory
-        powers = tuple({} for _ in generator_substitutions())
-        try:
-            for name in SIGMA3_NAMES:
-                if not is_w_invariant(entries[name], powers):
-                    return MembershipResult(
-                        False, None, f"entry at vertex {name!r} is not W-invariant"
-                    )
-        except MemoryError:
-            for shared in powers:
-                shared.clear()
-            raise
+        for name in SIGMA3_NAMES:
+            if not is_w_invariant(entries[name]):
+                return MembershipResult(
+                    False, None, f"entry at vertex {name!r} is not W-invariant"
+                )
     divisors = _edge_divisors(ring)
     for edge in gkm_edges():
         if not _divides(divisors[edge.k], entries[edge.u] - entries[edge.v]):

@@ -22,7 +22,9 @@ so it evaluates while it parses, on plain term dicts, and wraps the result
 once.  The context keeps the value of each parenthesized group, of any
 size, by its text (``MAX_KEPT``), and the tokenizer makes a group that an
 earlier text of the context read one token, without reading inside it, so a
-group that a later text repeats is not read again.
+group that a later text repeats is not read again.  A kept value is used
+only where the group's reach, the number of '(' and '-' in its text, fits
+under ``MAX_NESTING``; elsewhere the group is read from its tokens.
 A sum whose right operand is one term over 1 adds that term straight into a
 left operand the text owns.
 
@@ -212,12 +214,10 @@ class _Parser:
 
     A group is one token when ``builder.holds(text)`` is true for its text
     (:func:`tokenize`), and ``builder.recall(text, room)`` gives the value
-    and the nesting depth the builder keeps for it, or None; a value is used
-    only when its depth fits in the ``room`` left under ``MAX_NESTING``, and
-    otherwise the group is read from its own tokens, which raises the same
-    error at the same place.  The value that the tokens of a group give is
-    handed to ``builder.keep(text, value, depth)`` with the depth its inside
-    reached, counted from the depth it was read at."""
+    the builder keeps for it when the group's reach fits in the ``room``
+    left under ``MAX_NESTING``, or None; then the group is read from its own
+    tokens, which raises the same error at the same place.  The value that
+    the tokens of a group give is handed to ``builder.keep(text, value)``."""
 
     def __init__(self, text: str, builder):
         if len(text) > MAX_TEXT_LENGTH:
@@ -229,7 +229,7 @@ class _Parser:
             raise ParseError("empty expression", 0)
         self.tokens.append(("end", "", len(text)))
         self.text = text
-        self.i = self.depth = self.deepest = 0
+        self.i = self.depth = 0
         self.builder = builder
 
     def next(self) -> Tuple[str, str, int]:
@@ -243,8 +243,6 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"expression nested more than {MAX_NESTING} deep", pos)
-        if self.depth > self.deepest:
-            self.deepest = self.depth
 
     def expect(self, kind: str) -> Tuple[str, str, int]:
         tok = self.next()
@@ -320,11 +318,8 @@ class _Parser:
                     raise ParseError("zero denominator", at)
             return self.builder.constant(num, den, pos)
         if kind == "group":
-            kept = self.builder.recall(text, MAX_NESTING - self.depth)
-            if kept is not None:
-                # the deepest point reached includes the group's inside
-                value, inner = kept
-                self.deepest = max(self.deepest, self.depth + inner)
+            value = self.builder.recall(text, MAX_NESTING - self.depth)
+            if value is not None:
                 return value
             # read the group's own tokens, then go on after it
             tokens, after = self.tokens, self.i
@@ -335,14 +330,11 @@ class _Parser:
             self.tokens, self.i = tokens, after
             return value
         if kind == "(":
-            at = self.depth
             self.enter(pos)
-            deepest, self.deepest = self.deepest, self.depth
             value = self.parse_expr()
             close = self.expect(")")[2]
-            self.builder.keep(self.text[pos : close + 1], value, self.deepest - at)
-            self.deepest = max(deepest, self.deepest)
-            self.depth = at
+            self.builder.keep(self.text[pos : close + 1], value)
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {text!r}", pos)
 
@@ -420,7 +412,7 @@ class _TermContext:
 
     def _set_leaves(self, leaves: Dict[str, Value]) -> None:
         self._variables = leaves
-        # group text -> (terms, den, bits, work, depth) of its value
+        # group text -> (terms, den, bits, work, reach) of its value
         self._kept: Dict[str, Tuple[Mapping[int, int], int, int, int, int]] = {}
         self._kept_bytes = 0
 
@@ -434,9 +426,9 @@ class _TermContext:
         """Whether the context keeps a value for the group ``text``."""
         return text in self._kept
 
-    def recall(self, text: str, room: int) -> Optional[Tuple[Value, int]]:
-        """The value kept for the group ``text`` and the nesting depth its
-        inside reached, when that is at most ``room``; else None.
+    def recall(self, text: str, room: int) -> Optional[Value]:
+        """The value kept for the group ``text``, when its reach is at most
+        ``room``; else None.
 
         A value, its bits and its work depend only on the text, so the
         context keeps them by it (:meth:`keep`): the texts that one context
@@ -444,22 +436,26 @@ class _TermContext:
         kept = self._kept.get(text)
         if kept is None or kept[4] > room:
             return None
-        terms, den, bits, work, depth = kept
+        terms, den, bits, work, _ = kept
         # a fresh dict, as a reading makes: a sum adds into the dicts of the
         # text's own values, and would copy a read-only one
-        return ((terms.copy() if type(terms) is dict else terms), den, bits, work), depth
+        return (terms.copy() if type(terms) is dict else terms), den, bits, work
 
-    def keep(self, text: str, value: Value, depth: int) -> None:
-        """Keep the value that the tokens of the group ``text`` gave,
-        with the depth its inside reached, within ``MAX_KEPT`` values and
-        ``MAX_KEPT_BYTES``; a text already kept (read again where its kept
-        depth did not fit) is charged once."""
+    def keep(self, text: str, value: Value) -> None:
+        """Keep the value that the tokens of the group ``text`` gave, within
+        ``MAX_KEPT`` values and ``MAX_KEPT_BYTES``; a text already kept (read
+        again where its reach did not fit) is charged once.
+
+        With it goes the group's reach, the number of '(' and '-' in its
+        text: each level that a reading of the group nests into is entered
+        at one of them, so no reading of it goes deeper than that."""
         terms, den, bits, work = value
         if len(self._kept) < MAX_KEPT and text not in self._kept:
             key_bits = max(terms, default=0).bit_length()
             size = 800 + 4 * len(text) + bits // 7 + len(terms) * (128 + (key_bits + bits) // 7)
             if self._kept_bytes + size <= MAX_KEPT_BYTES:
-                self._kept[text] = (dict(terms) if type(terms) is dict else terms), den, bits, work, depth
+                reach = text.count("(") + text.count("-")
+                self._kept[text] = (dict(terms) if type(terms) is dict else terms), den, bits, work, reach
                 self._kept_bytes += size
 
     def neg(self, value: Value, pos: int) -> Value:

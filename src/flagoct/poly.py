@@ -397,15 +397,12 @@ class Polynomial:
 
     # -- substitution / evaluation ------------------------------------------
 
-    def substitute(
-        self, images: Mapping[str, "Polynomial"], powers: Optional[Dict[int, List[Terms]]] = None
-    ) -> "Polynomial":
+    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring map sending each variable to ``images[name]``.
 
         Every variable of the source ring must have an image; all images must
-        live in one ring.  ``powers``, a dict that the caller passes to each
-        call with these same images, shares their powers among those calls
-        (:func:`map_terms`).
+        live in one ring.  The powers of the images are built for this call
+        alone (:func:`map_terms`).
 
         The map runs over Z: with f = F/D and every image G_i/d over one
         common d, f(G/d) = sum_e F_e d^(N-|e|) G^e / (D d^N), N the top total
@@ -430,7 +427,7 @@ class Polynomial:
             g.packed if g.den == d else {m: c * (d // g.den) for m, c in g.packed.items()}
             for g in img
         ]
-        out = map_terms(scaled, packing, integral, tring.packing, powers)
+        out = map_terms(scaled, packing, integral, tring.packing)
         return Polynomial._of(tring, *lowest_terms(out, self.den * d ** max(top, 0)))
 
     # -- printing ------------------------------------------------------------
@@ -630,65 +627,49 @@ def pow_terms(f: Mapping[int, Scalar], n: int, packing: Packing) -> Terms:
 
 
 def map_terms(
-    f: Mapping[int, Scalar],
-    source: Packing,
-    images: Sequence[Terms],
-    target: Packing,
-    powers: Optional[Dict[int, List[Terms]]] = None,
+    f: Mapping[int, Scalar], source: Packing, images: Sequence[Terms], target: Packing
 ) -> Terms:
     """The image of f under the ring map sending variable i to ``images[i]``.
 
     ``source``, a packing without a bias, packs the keys of f and ``target``
     those of the images.  The powers of each image are built once, by
-    repeated multiplication, and shared by all terms of f.  A caller that
-    maps several polynomials by the same images into the same target can
-    pass one ``powers`` dict to each call: the powers of image i are kept
-    there, at i, and each call builds only those that no earlier one did.
-    It is cleared when a call runs out of memory.
+    repeated multiplication, and shared by all terms of f; they live for
+    this call only.
 
-    Into a target without a bias, with no image zero, a one-term image c*m
-    to the k-th power is the factor c**k at the key k*m: a term of f adds
-    these keys into one shift and multiplies these factors into its
-    coefficient, then shifts the product of its other powers once.  Every
-    step's total degree is at most the term's, the sum of k times the top
-    degree of each image, so one check of that sum refuses what a step
-    would, with its message.  A zero image would end a term's checks early,
-    and with a bias a field can leave its range at one step and come back
-    at a later one, so there every step runs as before.
-
-    When, in addition, some images are their own variables, in a target that
-    packs as the source does, those variables' exponents stay where they
-    are: a term's shift and degree start from its own key and total degree,
-    and only the fields of the other variables are read, each taking its
-    part back out of both.
+    Into a target that packs as the source does (as many variables, no
+    bias), with no image zero, the map folds.  A term's shift and total
+    degree start from its own key and degree, and a variable whose image is
+    its own key stays where it is.  Every other variable takes its part back
+    out of both: a one-term image c*m to the k-th power adds the key k*m and
+    multiplies the coefficient by c**k, and any other image multiplies its
+    k-th power into the product that the shift then moves once.  Every
+    step's total degree is at most the term's, so one check of that sum
+    refuses what a step would, with its message.  Everywhere else each step
+    runs through :func:`mul_terms`, which checks it: a zero image would end
+    a term's checks early, and with a bias a field can leave its range at
+    one step and come back at a later one.
     """
     if source.zero:
         raise ValueError("map_terms reads the keys of a packing without a bias")
-    if powers is None:
-        powers = {}
     one = {target.zero: 1}
-    fold = not target.zero and all(images)
-    # an image that is its source variable's own key (so the target packs as
-    # the source does) leaves that variable in place
-    fixed = [fold and len(g) == 1 and g.get(m) == 1 for g, m in zip(images, source.multipliers)]
-    in_place = any(fixed)
+    fold = target.nvars == source.nvars and not target.zero and all(images)
     # per variable read: its field's offset, the shift and the degree one
     # power adds, the coefficient of a one-term image (None for others), and
     # the image's powers so far
     factors = []
     for i, (g, m) in enumerate(zip(images, source.multipliers)):
-        if not fixed[i]:
-            key, scale = next(iter(g.items())) if fold and len(g) == 1 else (0, None)
-            top = target.degree(max(g)) if fold else 0
-            if in_place:
-                key, top = key - m, top - 1
-            factors.append((i * FIELD_BITS, key, top, scale, powers.setdefault(i, [one, g]), g))
+        if not fold:
+            factors.append((i * FIELD_BITS, 0, 0, None, [one, g], g))
+            continue
+        key, scale = next(iter(g.items())) if len(g) == 1 else (0, None)
+        if (key, scale) != (m, 1):  # else the variable is sent to itself
+            factors.append((i * FIELD_BITS, key - m, target.degree(max(g)) - 1, scale, [one, g], g))
     mask, low, degree_bits = (1 << FIELD_BITS) - 1, source.low, source.shift
     out: Terms = {}
     try:
         for e, c in f.items():
             r = -e & low  # the fields of e
-            shift, top, term = (e, (e + low) >> degree_bits, one) if in_place else (0, 0, one)
+            shift, top, term = (e, (e + low) >> degree_bits, one) if fold else (0, 0, one)
             for offset, step, rise, scale, cache, g in factors:
                 k = r >> offset & mask
                 if k:
@@ -715,7 +696,6 @@ def map_terms(
         # the frames above has memory and the error reaches the caller
         for factor in factors:
             factor[4].clear()
-        powers.clear()
         raise
     return out
 

@@ -159,9 +159,7 @@ class TestMembership:
 
 
 def invariant_entries():
-    """Six W-invariant HT entries of degrees 12, 0, 4, 8, 8 and 4, so that
-    later entries read image powers that earlier ones built, and build
-    higher ones."""
+    """Six W-invariant HT entries of degrees 12, 0, 4, 8, 8 and 4."""
     c1, c2, c3 = (realized_label(k) for k in (1, 2, 3))
     return dict(zip(SIGMA3_NAMES, [c1**3, 7 * RHO_RING.one(), c2, c1 * c3, c3**2 - c1 * c2, c2 - c1]))
 
@@ -173,9 +171,9 @@ def moved_only_by(j):
 
 
 def unshared_outcome(entries):
-    """The result of the HT pre-check with each substitution building its
-    image powers alone: the first vertex whose entry one of the four
-    generator substitutions changes, or None."""
+    """The result of the HT pre-check, entry by entry in vertex order: the
+    first vertex whose entry one of the four generator substitutions
+    changes, or None."""
     for name in SIGMA3_NAMES:
         p = entries[name]
         if any(p.substitute(s) != p for s in gkm.generator_substitutions()):
@@ -183,21 +181,11 @@ def unshared_outcome(entries):
     return None
 
 
-class TestSharedReflectionPowers:
-    """The HT check builds each generator substitution's image powers once
-    per tuple and shares them among the six entries, read in vertex order:
-    the result and the first vertex reported are those of building them per
-    entry, and an invariant tuple makes one substitution per entry and
-    generator."""
-
-    def test_a_substitution_with_shared_powers_equals_one_without(self):
-        entries = list(invariant_entries().values()) + [moved_only_by(j) ** 2 for j in range(4)]
-        for order in (entries, entries[::-1]):
-            powers = [{} for _ in gkm.generator_substitutions()]
-            for p in order:
-                for s, shared in zip(gkm.generator_substitutions(), powers):
-                    assert p.substitute(s, shared) == p.substitute(s)
-            assert all(powers)
+class TestReflectionsInVertexOrder:
+    """The HT check applies the four generator substitutions to the six
+    entries in vertex order: the first vertex reported is the first whose
+    entry one of them changes, and an invariant tuple makes one substitution
+    per entry and generator."""
 
     @pytest.mark.parametrize("vertex", range(6))
     def test_a_non_invariant_entry_is_reported_at_its_vertex(self, vertex):
@@ -220,35 +208,18 @@ class TestSharedReflectionPowers:
         calls = []
         substitute = Polynomial.substitute
 
-        def counting(self, images, powers=None):
-            calls.append(id(powers))
-            return substitute(self, images, powers)
+        def counting(self, images):
+            calls.append(self)
+            return substitute(self, images)
 
         member = realized_tuple(random_membership_tuple(random.Random(5), 2))
         monkeypatch.setattr(Polynomial, "substitute", counting)
         assert check_membership(member).ok
-        # one per (entry, generator), each generator's powers shared by all six
-        assert len(calls) == 24 and len(set(calls)) == 4
-        assert all(calls.count(shared) == 6 for shared in calls)
+        # one per (entry, generator), the entries in vertex order
+        assert calls == [member[name] for name in SIGMA3_NAMES for _ in range(4)]
         calls.clear()
         assert check_membership(invariant_entries()).reason.startswith("difference along")
         assert len(calls) == 24
-
-    def test_running_out_of_memory_drops_every_shared_power(self, monkeypatch):
-        seen = []
-        is_w_invariant = gkm.is_w_invariant
-
-        def failing_at_the_third_entry(p, powers=None):
-            seen.append(powers)
-            if len(seen) == 3:
-                assert all(powers)
-                raise MemoryError
-            return is_w_invariant(p, powers)
-
-        monkeypatch.setattr(gkm, "is_w_invariant", failing_at_the_third_entry)
-        with pytest.raises(MemoryError):
-            check_membership(invariant_entries())
-        assert seen[0] is seen[1] is seen[2] and not any(seen[0])
 
 
 def constant_tuple(value):

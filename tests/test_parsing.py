@@ -131,7 +131,7 @@ class _TreeBuilder:
     def recall(self, text: str, room: int) -> None:
         return None  # a group's tree is built from its own tokens
 
-    def keep(self, text: str, value: Node, depth: int) -> None:
+    def keep(self, text: str, value: Node) -> None:
         pass
 
 
@@ -374,7 +374,7 @@ class ConvolvingSteps:
     def recall(self, text, room):
         return None
 
-    def keep(self, text, value, depth):
+    def keep(self, text, value):
         pass
 
     def add(self, left, right, pos):
@@ -1419,12 +1419,27 @@ def value_of(text, context):
 
 def kept_value(context, text, room=MAX_NESTING):
     """What ``context`` keeps for ``text``, as ``value_of`` gives a value, and
-    the depth kept with it; None when it keeps nothing that fits ``room``."""
+    the reach kept with it; None when it keeps nothing that fits ``room``."""
     kept = context.recall(text, room)
     if kept is None:
         return None
-    (terms, *rest), depth = kept
-    return (dict(terms), *rest), depth
+    terms, *rest = kept
+    return (dict(terms), *rest), context._kept[text][4]
+
+
+def reach_of(text):
+    """The count of '(' and '-' in ``text``."""
+    return text.count("(") + text.count("-")
+
+
+class _DepthParser(_Parser):
+    """A parser that records the deepest nesting it enters."""
+
+    deepest = 0
+
+    def enter(self, pos):
+        super().enter(pos)
+        self.deepest = max(self.deepest, self.depth)
 
 
 def groups_of(text):
@@ -1470,8 +1485,8 @@ def assert_charges_cover_sizes(context):
     """The bytes charged for what ``context`` keeps are at least what
     sys.getsizeof counts for it."""
     size = sys.getsizeof(context._kept)
-    for text, (terms, den, bits, work, depth) in context._kept.items():
-        size += sum(map(sys.getsizeof, (text, context._kept[text], den, bits, work, depth)))
+    for text, (terms, den, bits, work, reach) in context._kept.items():
+        size += sum(map(sys.getsizeof, (text, context._kept[text], den, bits, work, reach)))
         if type(terms) is dict:  # a read-only leaf is the context's own
             size += sys.getsizeof(terms) + sum(map(sys.getsizeof, (*terms, *terms.values())))
     assert size <= context._kept_bytes <= MAX_KEPT_BYTES
@@ -1516,11 +1531,10 @@ MEMO_GROUPS = {
 
 
 class TestGroupMemo:
-    """A context keeps the value of every group, with the nesting its inside
-    reached, by the group's text.  A context that has read a text, and each
-    of its groups alone, reads it as a fresh context does: to the same
-    terms, denominator, bits and work, or to the same ParseError message at
-    the same position."""
+    """A context keeps the value of every group, with its reach, by the
+    group's text.  A context that has read a text, and each of its groups
+    alone, reads it as a fresh context does: to the same terms, denominator,
+    bits and work, or to the same ParseError message at the same position."""
 
     @staticmethod
     def assert_warm_reads_as_fresh(text, ring):
@@ -1563,24 +1577,37 @@ class TestGroupMemo:
     def test_edge_cases(self, ring, text):
         self.assert_warm_reads_as_fresh(text, ring)
 
+    @pytest.mark.parametrize("ring", sorted(STEP_NAMES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_reading_of_a_kept_group_nests_past_its_reach(self, ring, data):
+        context = fresh_context(ring)
+        steps_outcome(to_text(data.draw(ast_nodes(STEP_NAMES[ring], hostile=True))), context)
+        for group, (*_, reach) in context._kept.items():
+            parser = _DepthParser(group, _TreeBuilder())
+            parser.parse()
+            assert parser.deepest <= reach == reach_of(group), group
+
     @pytest.mark.parametrize("group, inner", [("(b1 + (b2 - b1))", 2), ("(b1 - -(b2))", 3), ("(-(-(b1)))", 5), ("(b1 - --b2)", 3)])
     def test_a_hit_deep_inside_is_used_only_within_the_nesting_limit(self, monkeypatch, group, inner):
         # a group that reaches ``inner`` levels below where it starts, kept
-        # at depth 1, is a hit down to depth MAX_NESTING - inner and read from
-        # its tokens below that, which raises where a fresh reading does
-        depths = (MAX_NESTING - inner - 1, MAX_NESTING - inner, MAX_NESTING - inner + 1, MAX_NESTING)
-        for depth, hit in zip(depths, (True, True, False, False)):
+        # at depth 1, is a hit down to depth MAX_NESTING - reach, and read
+        # from its tokens below that, which raises only where a fresh
+        # reading does: past depth MAX_NESTING - inner
+        reach = reach_of(group)
+        for depth in sorted({*range(MAX_NESTING - reach - 1, MAX_NESTING + 1), MAX_NESTING - inner}):
             warm = fresh_context("Hb")
             value_of(f"2*({group} + b2)", warm)
-            assert kept_value(warm, group) == (value_of(group, fresh_context("Hb")), inner)
+            assert kept_value(warm, group) == (value_of(group, fresh_context("Hb")), reach)
             recalls = []
             recall = warm.recall
-            monkeypatch.setattr(warm, "recall", lambda text, room: recalls.append(text) or recall(text, room))
+            monkeypatch.setattr(warm, "recall", lambda text, room: recalls.append((text, recall(text, room))) or recalls[-1][1])
             text = "(" * depth + group + ")" * depth
             outcome = steps_outcome(text, warm)
             assert outcome == steps_outcome(text, fresh_context("Hb"))
-            assert recalls.count(group) == 1 and (outcome[0] != "ParseError") == hit
-            if not hit:
+            assert [kept is not None for t, kept in recalls if t == group] == [depth + reach <= MAX_NESTING]
+            assert (outcome[0] != "ParseError") == (depth + inner <= MAX_NESTING)
+            if outcome[0] == "ParseError":
                 assert f"nested more than {MAX_NESTING} deep" in outcome[1]
 
     @pytest.mark.parametrize(
@@ -1639,6 +1666,13 @@ class TestGroupMemo:
         kept = "(b1 + b2 + b1*b2)"
         value_of(f"2*({kept} - (b1 + (b2 - b1)))", warm)
         n = MAX_TEXT_LENGTH
+        # a kept group of reach 12 at depth 95 is read from its tokens at
+        # each occurrence
+        far = "(b1 - b2 - b1*b2 - b2 - b1 - b2 - b1 - b2 - b1 - b2 - b1 - b2)"
+        value_of(far, warm)
+        assert kept_value(warm, far, MAX_NESTING - 95) is None and kept_value(warm, far)[1] == 12
+        repeated = " + ".join([far] * ((n - 190) // (len(far) + 3)))
+        deep = "(" * 95 + repeated.ljust(n - 190) + ")" * 95
         texts = [
             "(" * n,
             "(" * (n - 2) + "b1",
@@ -1652,7 +1686,9 @@ class TestGroupMemo:
             ("(" + "b1+" * 10) * n,
             ("(((" + kept) * n,
             ("(((b1 + (b2 - b1)" + kept) * n,
+            deep,
         ]
+        assert len(deep) == n
         for text in texts:
             text = text[:n]
             start = time.perf_counter()
@@ -1669,7 +1705,7 @@ class TestGroupMemo:
             # read from its tokens, then kept: hits at any depth
             for depth in (0, 3, 1, 0):
                 assert value_of("(" * depth + text + ")" * depth, context) == reading
-                assert kept_value(context, text) == (reading, 1)
+                assert kept_value(context, text) == (reading, reach_of(text))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 1009])
     def test_timed_stream_texts_read_warm_as_fresh(self, seed, tmp_path, monkeypatch):
@@ -1679,7 +1715,7 @@ class TestGroupMemo:
         warm, cold = {}, {}
         for ring in RINGS:
             warm[ring], cold[ring] = fresh_context(ring), fresh_context(ring)
-            monkeypatch.setattr(cold[ring], "keep", lambda text, value, depth: None)
+            monkeypatch.setattr(cold[ring], "keep", lambda text, value: None)
         for ring, text in stream_texts(stream, seed + 1_000_003, 1, tmp_path, "warm"):
             parse_and_evaluate(text, warm[ring])
         hits = 0
@@ -1693,7 +1729,7 @@ class TestGroupMemo:
         context = fresh_context("Hb")
         reads = []
         keep = context.keep
-        monkeypatch.setattr(context, "keep", lambda text, value, depth: reads.append(text) or keep(text, value, depth))
+        monkeypatch.setattr(context, "keep", lambda text, value: reads.append(text) or keep(text, value))
         b1, b2 = B_RING.gens()
         text = " + ".join(["(b3*b1)"] * 50 + ["(b1*b2)"] * 50)
         assert parse_and_evaluate(text, context) == 50 * (b1 + b2) * b1 + 50 * b1 * b2
@@ -1709,7 +1745,7 @@ class TestGroupMemo:
         context = fresh_context("Hb")
         reads = []
         keep = context.keep
-        monkeypatch.setattr(context, "keep", lambda text, value, depth: reads.append(text) or keep(text, value, depth))
+        monkeypatch.setattr(context, "keep", lambda text, value: reads.append(text) or keep(text, value))
         group, outer = "(b1 + b2 + b1*b2)", "((b1 + b2 + b1*b2) - b1)"
         text = " + ".join([group] * 50 + [outer] * 50)
         expected = value_of(text, ConvolvingPolynomialContext(B_RING, context.aliases))
@@ -1775,14 +1811,14 @@ class TestGroupMemo:
         leaf = PolynomialContext(B_RING)
         for _ in range(3):
             assert spent_on("((b1)) + b2", leaf) == spent_on("b1+b2", leaf) == 2
-        assert type(leaf.recall("((b1))", MAX_NESTING)[0][0]) is not dict
+        assert type(leaf.recall("((b1))", MAX_NESTING)[0]) is not dict
 
     def test_a_changed_hit_does_not_change_a_later_hit(self):
         context = CharacterContext()
         group = "(y1 + y2 + y3)"
         reading = value_of(group, CharacterContext())
         assert value_of(group, context) == reading
-        (first, *_), _ = context.recall(group, MAX_NESTING)
+        first, *_ = context.recall(group, MAX_NESTING)
         first.clear()
         assert kept_value(context, group) == (reading, 1)
         for _ in range(3):

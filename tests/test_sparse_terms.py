@@ -19,6 +19,7 @@ is a view built on each access, so the references read it once per loop.
 
 import functools
 import random
+import sys
 from fractions import Fraction
 from operator import add, sub
 
@@ -799,6 +800,12 @@ def stepwise_map_terms(f, source, images, target):
     return {m: c for m, c in out.items() if c}
 
 
+def padded(images, n):
+    """Images given as exponent tuples, each padded with zeros to ``n``
+    entries."""
+    return [{k + (0,) * (n - len(k)): c for k, c in g.items()} for g in images]
+
+
 def map_outcome(fn, f, source, images, target):
     """The image, or the type and text of the error."""
     try:
@@ -808,8 +815,11 @@ def map_outcome(fn, f, source, images, target):
 
 
 class TestOneTermImages:
-    """``map_terms`` folds one-term images into key shifts; values and
-    refusals equal the factor-by-factor ring map."""
+    """``map_terms`` folds one-term images into key shifts between like
+    packings and maps them step by step into any other; values and refusals
+    equal the factor-by-factor ring map either way.  Each case maps into a
+    packing of another variable count and, with its images padded, into
+    one like the source's."""
 
     S3, U2 = Packing(3), Packing(2)
 
@@ -837,22 +847,26 @@ class TestOneTermImages:
         # x -> u, y -> -u*v^2 (two one-term images), z -> u + v; total
         # degrees of LIMIT and LIMIT + 1
         images = [{(1, 0): 1}, {(1, 2): -1}, {(1, 0): 1, (0, 1): 1}]
-        got = self.same(exponents, images)
-        assert (type(got) is dict) == fits
-        if not fits:
-            assert got == (ResourceLimitError, f"a total degree past {LIMIT} does not fit 16-bit fields")
+        for target in (self.U2, self.S3):
+            got = self.same(exponents, padded(images, target.nvars), target=target)
+            assert (type(got) is dict) == fits
+            if not fits:
+                assert got == (ResourceLimitError, f"a total degree past {LIMIT} does not fit 16-bit fields")
 
     def test_multi_term_factors_before_and_after_the_shifts(self):
         images = [{(1, 0): 2, (0, 1): -1}, {(0, 1): -1}, {(0, 0): 3}]
-        for exponents in ([(1, LIMIT - 1, 0)], [(2, 40, 7), (0, 3, 1), (1, 0, 0)], [(0, 0, 5), (3, 0, 0)]):
-            assert type(self.same(exponents, images, coeff=-2)) is dict
-        # a constant image is a shift by 0 at any power
-        assert self.same([(0, 0, LIMIT)], [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): -1}]) == {0: -1}
+        for target in (self.U2, self.S3):
+            for exponents in ([(1, LIMIT - 1, 0)], [(2, 40, 7), (0, 3, 1), (1, 0, 0)], [(0, 0, 5), (3, 0, 0)]):
+                assert type(self.same(exponents, padded(images, target.nvars), target=target, coeff=-2)) is dict
+            # a constant image is a shift by 0 at any power
+            constant = padded([{(1, 0): 1}, {(0, 1): 1}, {(0, 0): -1}], target.nvars)
+            assert self.same([(0, 0, LIMIT)], constant, target=target) == {0: -1}
 
     def test_zero_images_keep_every_step(self):
         for images in ([{}, {(1, 1): 1}, {(1, 0): 1}], [{(1, 1): 1}, {}, {(2, 0): 1, (0, 1): 1}]):
-            for exponents in ([(1, LIMIT - 1, 0)], [(LIMIT - 1, 1, 0)], [(16384, 0, 1)], [(3, 2, 1)]):
-                self.same(exponents, images)
+            for target in (self.U2, self.S3):
+                for exponents in ([(1, LIMIT - 1, 0)], [(LIMIT - 1, 1, 0)], [(16384, 0, 1)], [(3, 2, 1)]):
+                    self.same(exponents, padded(images, target.nvars), target=target)
 
     @pytest.mark.parametrize(
         "exponents, fits",
@@ -897,6 +911,9 @@ class TestOneTermImages:
             ]
             exponents = [e for e in exponents if sum(e) <= LIMIT]
             refused += type(self.same(exponents, images, source=source, target=target)) is tuple
+            if target.nvars <= source.nvars:
+                like = Packing(source.nvars)
+                refused += type(self.same(exponents, padded(images, like.nvars), source=source, target=like)) is tuple
         assert 0 < refused < 200
 
 
@@ -992,6 +1009,46 @@ class TestFixedVariables:
                 assert got == (ResourceLimitError, "a result exponent does not fit 16-bit fields")
         assert self.products(monkeypatch, {source.pack((50, 0)): 1}, source, images, target) == 49
 
+    def test_a_target_of_another_variable_count_takes_the_general_path(self, monkeypatch):
+        # a -> v, b -> u: between like packings a swap of two one-term
+        # images is two key shifts, and into three variables every step runs
+        source = Packing(2)
+        f = {source.pack((50, 0)): 1}
+        for target, products in ((Packing(2), 0), (Packing(3), 49)):
+            images = [{target.pack(k): c for k, c in g.items()} for g in padded([{(0, 1): 1}, {(1, 0): 1}], target.nvars)]
+            assert self.same(f, source, images, target) == {target.pack((0, 50, 0)[: target.nvars]): 1}
+            assert self.products(monkeypatch, f, source, images, target) == products
+
     def test_a_biased_source_is_refused(self):
         with pytest.raises(ValueError, match="without a bias"):
             map_terms({CHAR_PACKING.zero: 1}, CHAR_PACKING, [{0: 1}] * CHAR_PACKING.nvars, Packing(CHAR_PACKING.nvars))
+
+
+class TestRingMapOutOfMemory:
+    """A ring map that runs out of memory while it builds its image powers
+    frees them before the ``MemoryError`` leaves it."""
+
+    @pytest.mark.parametrize("nvars", (2, 3))
+    def test_the_frame_holds_no_power_when_the_error_leaves(self, monkeypatch, nvars):
+        # x -> x + y, y -> x*y + y^2: folded into a like packing, step by
+        # step into another; x^5*y^2 builds four powers of the first image
+        # and one of the second, and its sixth product, of the two, runs out
+        source, target = Packing(2), Packing(nvars)
+        images = [{target.pack(k): 1 for k in g} for g in padded([{(1, 0): 1, (0, 1): 1}, {(1, 1): 1, (0, 2): 1}], nvars)]
+        held = []
+
+        def running_out(*args):
+            if len(held) == 5:
+                held.append([len(factor[4]) for factor in sys._getframe(1).f_locals["factors"]])
+                raise MemoryError
+            held.append(None)
+            return mul_terms(*args)
+
+        monkeypatch.setattr(poly, "mul_terms", running_out)
+        with pytest.raises(MemoryError) as err:
+            map_terms({source.pack((5, 2)): 1}, source, images, target)
+        assert held[-1] == [6, 3]
+        tb = err.value.__traceback__
+        while tb.tb_frame.f_code is not map_terms.__code__:
+            tb = tb.tb_next
+        assert [factor[4] for factor in tb.tb_frame.f_locals["factors"]] == [[], []]
