@@ -183,12 +183,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     if args.ring == "RX" and not value.is_integral():
         raise UsageError(f"{value} must have integer coefficients in ring RX")
     if isinstance(value, ktheory.Character):
-        # the sum and the weight listing read one sorted list of the terms
-        terms = sorted(value.terms.items())
-        print(ktheory.character_text(terms))
-        for key, coeff in terms:
-            coords = weyl.Weight.from_doubled_key(key).coords
-            print(f"  weight {tuple(str(c) for c in coords)}  multiplicity {coeff}")
+        print(ktheory.expand_text(value))
         return 0
     print(value)
     if isinstance(value, Polynomial):

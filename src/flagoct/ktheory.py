@@ -29,8 +29,9 @@ from __future__ import annotations
 import functools
 import random
 import struct
+from fractions import Fraction
 from operator import index, mul
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import FIELD_BITS, Packing, PolyRing, Polynomial, ResourceLimitError, divisor, reduce_terms
 from .poly import add_terms, map_terms, mul_terms, neg_terms, pow_terms, terms_text
@@ -191,29 +192,62 @@ class Character:
         return Character._of(pow_terms(self.packed, n, CHAR_PACKING))
 
     def __str__(self) -> str:
-        return character_text(sorted(self.terms.items()))
+        return _sum_text(_sorted_rows(self))
 
 
-def character_text(terms: Sequence[Tuple[DKey, int]]) -> str:
-    """The text of the character whose (key, coefficient) pairs are
-    ``terms``, given in lexicographic order of the keys: largest key first."""
-    return terms_text((c, _monomial_text(key)) for key, c in reversed(terms))
+def _key_fields(packed: Mapping[int, int]) -> Tuple[int, ...]:
+    """The biased fields of every key of ``packed``, four per key in the
+    mapping's order, read in one conversion as little-endian unsigned
+    16-bit words (as ``Packing.unpack`` reads one key's): field i of every
+    key is every fourth word from word i."""
+    low = CHAR_PACKING.low
+    data = b"".join([(-k & low).to_bytes(8, "little") for k in packed])
+    return struct.unpack(f"<{len(data) >> 1}H", data)
 
 
-def _monomial_text(key: DKey) -> str:
-    """Render a weight as a word in y1..y5 (y5-power 0 or 1, rest integral);
-    the empty word for the zero weight."""
-    if all(k % 2 == 0 for k in key):
-        exps = [k // 2 for k in key] + [0]
-    else:
-        exps = [(k - 1) // 2 for k in key] + [1]
+_Row = Tuple[int, int, int, int, int]
+
+
+def _sorted_rows(f: Character) -> List[_Row]:
+    """The four biased fields and the coefficient of every term of f, in
+    lexicographic order of the keys (the bias is the same in every field)."""
+    fields = _key_fields(f.packed)
+    return sorted(zip(fields[0::4], fields[1::4], fields[2::4], fields[3::4], f.packed.values()))
+
+
+def _sum_text(rows: Sequence[_Row]) -> str:
+    """The sum of the terms ``rows`` (from :func:`_sorted_rows`), largest key
+    first, as words in y1..y5.
+
+    A field v holds the doubled coordinate k = v - bias, and an odd k takes
+    its half from y5: the y-exponent is (k - k % 2) / 2 = (v >> 1) - bias / 2,
+    the bias being even.  Each distinct factor is formatted once, with the
+    ``*`` that joins it to the next; the last one is cut from the word."""
+    half = CHAR_PACKING.bias >> 1
     factors = []
-    for i, e in enumerate(exps, start=1):
-        if e == 1:
-            factors.append(f"y{i}")
-        elif e != 0:
-            factors.append(f"y{i}^{e}")
-    return "*".join(factors)
+    for i in range(4):
+        name, exps = f"y{i + 1}", {row[i] >> 1 for row in rows}
+        factors.append({e: "" if e == half else f"{name}*" if e == half + 1 else f"{name}^{e - half}*"
+                        for e in exps})
+    w1, w2, w3, w4 = factors
+    return terms_text(
+        (m, (w1[a >> 1] + w2[b >> 1] + w3[c >> 1] + w4[d >> 1] + ("y5*" if a & 1 else ""))[:-1])
+        for a, b, c, d, m in reversed(rows)
+    )
+
+
+def expand_text(f: Character) -> str:
+    """What ``flagoct expand`` prints for f: its sum, largest key first,
+    then one line per weight, smallest first, with its coordinates (k/2
+    for a doubled coordinate k, each distinct k formatted once) and its
+    multiplicity."""
+    rows = _sorted_rows(f)
+    bias = CHAR_PACKING.bias
+    coords = {v: f"'{Fraction(v - bias, 2)}'" for v in {v for row in rows for v in row[:4]}}
+    lines = [_sum_text(rows)]
+    lines += [f"  weight ({coords[a]}, {coords[b]}, {coords[c]}, {coords[d]})  multiplicity {m}"
+              for a, b, c, d, m in rows]
+    return "\n".join(lines)
 
 
 def y(j: int) -> Character:
@@ -355,12 +389,9 @@ def _shifted_terms(f: Character) -> Tuple[Dict[int, int], int]:
     """Shift the support into the nonnegative orthant; return the shifted
     terms, as keys of ``_SHIFTED_PACKING``, and the packed shift.
 
-    The fields of all keys are read in one conversion, as little-endian
-    unsigned 16-bit words (as ``Packing.unpack`` reads one key's): field i
-    of every key is every fourth word from word i."""
-    low, bias = CHAR_PACKING.low, CHAR_PACKING.bias
-    data = b"".join([(-k & low).to_bytes(8, "little") for k in f.packed])
-    fields = struct.unpack(f"<{len(data) >> 1}H", data)
+    The fields of all keys are read in one conversion
+    (:func:`_key_fields`)."""
+    fields, bias = _key_fields(f.packed), CHAR_PACKING.bias
     shift = CHAR_PACKING.pack([min(fields[i::4]) - bias for i in range(4)])
     # packing is linear: key(k) - key(s) is the unbiased key of k - s
     return {k - shift: c for k, c in f.packed.items()}, shift

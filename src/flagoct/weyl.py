@@ -40,11 +40,6 @@ class Weight(Scaled):
     def of(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> "Weight":
         return Weight((a, b, c, d))
 
-    @staticmethod
-    def from_doubled_key(key: Sequence[int]) -> "Weight":
-        """The weight key / 2 (inverse of :meth:`doubled_key`)."""
-        return Weight._of(key, 2)
-
     def dot(self, other: "Weight") -> Fraction:
         return Fraction(
             sum(a * b for a, b in zip(self.nums, other.nums)), self.den * other.den

@@ -53,7 +53,7 @@ from flagoct.weyl import (
 def weights_of(c):
     """(weight, multiplicity) of the character ``c``, in lexicographic order
     of the keys, as ``expand`` lists them."""
-    return [(Weight.from_doubled_key(key), m) for key, m in sorted(c.terms.items())]
+    return [(Weight.of(*(Fraction(k, 2) for k in key)), m) for key, m in sorted(c.terms.items())]
 
 
 class TestGraphShape:

@@ -1074,7 +1074,7 @@ class TestWeightAgainstFractions:
         for _ in range(60):
             parity = rng.randint(0, 1)
             key = tuple(2 * rng.randint(-4, 4) + parity for _ in range(4))
-            w = Weight.from_doubled_key(key)
+            w = Weight.of(*(Fraction(k, 2) for k in key))
             assert w.coords == tuple(Fraction(k, 2) for k in key)
             assert w.is_lattice()
             assert w.doubled_key() == key == ref_doubled_key(w.coords)

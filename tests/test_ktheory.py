@@ -53,7 +53,7 @@ X1, X2, X3, X4 = X_RING.gens()
 def weights_of(c):
     """(weight, multiplicity) of the character ``c``, in lexicographic order
     of the keys, as ``expand`` lists them."""
-    return [(Weight.from_doubled_key(key), m) for key, m in sorted(c.terms.items())]
+    return [(Weight.of(*(Fraction(k, 2) for k in key)), m) for key, m in sorted(c.terms.items())]
 
 
 def y_inverse(j):
@@ -402,7 +402,7 @@ def seeded_binomial(rng):
         odd = rng.randint(0, 1)
         key = [2 * rng.randint(-2, 2) + odd for _ in range(4)]
         if any(key):
-            return binomial(Weight.from_doubled_key(key))
+            return binomial(Weight.of(*(Fraction(k, 2) for k in key)))
 
 
 class TestQuotientKeys:

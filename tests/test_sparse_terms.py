@@ -15,6 +15,8 @@ the packing itself: key order against ``grevlex_key``, the lexicographic
 tuple order that characters print and sign by, exponents at the edge of the
 fields (refused, never wrapped), and the bias of character keys.  ``terms``
 is a view built on each access, so the references read it once per loop.
+``TestExpandListing`` checks the one-pass listing of a character that
+``expand`` prints against the per-term formatter it replaced.
 """
 
 import functools
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagoct import groebner, poly
+from flagoct import groebner, ktheory, poly
 from flagoct.cohomology import B_RING
 from flagoct.gkm import (
     RHO_RING,
@@ -38,7 +40,7 @@ from flagoct.gkm import (
     realized_label,
 )
 from flagoct.groebner import buchberger, normal_form
-from flagoct.ktheory import CHAR_PACKING, X_RING, Character, char_quotient, expand_x_polynomial, x_character
+from flagoct.ktheory import CHAR_PACKING, X_RING, Character, char_quotient, expand_text, expand_x_polynomial, x_character
 from flagoct.parsing import CharacterContext, ParseError, PolynomialContext, parse_and_evaluate
 from flagoct.poly import (
     Packing,
@@ -54,6 +56,7 @@ from flagoct.poly import (
     reduce_terms,
 )
 from flagoct.suites import run_suite
+from flagoct.weyl import Weight
 
 R3 = PolyRing.make(("a", "b", "c"), (1, 2, 1))
 P3 = R3.packing
@@ -231,6 +234,16 @@ def ref_char_str(f):
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+def ref_expand_text(f):
+    """The sum, then one line per weight in lexicographic order of the keys,
+    formatted term by term from ``Weight.coords``."""
+    lines = [ref_char_str(f)]
+    for key, coeff in sorted(f.terms.items()):
+        coords = Weight.of(*(Fraction(k, 2) for k in key)).coords
+        lines.append(f"  weight {tuple(str(c) for c in coords)}  multiplicity {coeff}")
+    return "\n".join(lines)
 
 
 def ref_expand_x_polynomial(p):
@@ -600,8 +613,9 @@ class TestPackedKeys:
         expected = {k: c for k, c in terms.items() if c}
         assert f.terms == expected
         assert all(CHAR_PACKING.unpack(k) in expected for k in f.packed)
-        # the printed sum reads tuple order, not key order
+        # the printed sum and listing read tuple order, not key order
         assert str(f) == ref_char_str(f)
+        assert expand_text(f) == ref_expand_text(f)
         if expected:
             assert f.lex_max_key() == max(expected)
 
@@ -683,6 +697,64 @@ class TestFieldBoundary:
             parse_and_evaluate("(y1^1000)^9", CharacterContext())
         assert err.value.position == 9
         assert "16-bit fields" in str(err.value)
+
+
+def sharing_character(rng):
+    """A seeded product of sums of generators and inverses: many weights
+    share each coordinate."""
+    f = Character.one()
+    for _ in range(rng.randint(1, 3)):
+        factor = Character.zero()
+        for _ in range(rng.randint(1, 4)):
+            w = Weight.of(*(Fraction(k, 2) for k in rng.choice(
+                [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, 2), (1, 1, 1, 1), (-1, -1, -1, -1)])))
+            factor += Character.monomial(w, rng.choice((-2, -1, 1, 3)))
+        f *= factor ** rng.randint(1, 3)
+    return f
+
+
+class TestExpandListing:
+    """``expand_text`` reads every key's fields in one conversion and sorts
+    them once; the sum line, the weight lines and ``str`` must equal the
+    formatter that worked one unpacked term at a time."""
+
+    @staticmethod
+    def assert_lists_as_the_reference(f):
+        text = expand_text(f)
+        assert text == ref_expand_text(f)
+        assert text.split("\n", 1)[0] == str(f) == ref_char_str(f)
+
+    def test_seeded_characters(self):
+        rng = random.Random(36)
+        for _ in range(150):
+            self.assert_lists_as_the_reference(random_character(rng, max_terms=10))
+            self.assert_lists_as_the_reference(sharing_character(rng))
+
+    def test_zero_one_term_and_extreme_characters(self):
+        lo, hi = -CHAR_BIAS, CHAR_BIAS - 2
+        cases = [
+            {}, {(0, 0, 0, 0): 1}, {(0, 0, 0, 0): -3}, {(1, 1, 1, 1): 1}, {(-1, -1, -1, -1): -1},
+            {(16000, 0, 0, 0): 1}, {(-16000, 0, 0, 0): 2}, {(lo, lo, lo, lo): 1, (hi, hi, hi, hi): -1},
+            {(lo + 1, hi + 1, -1, 1): 5, (hi, lo, 0, 2): -7, (2, 0, 0, 0): 1, (-2, 0, 0, 0): 1},
+            {(3, -1, 1, -5): 10**30, (2, 0, -2, 4): -(10**30), (-3, -3, -3, 1): 1},
+        ]
+        for terms in cases:
+            self.assert_lists_as_the_reference(Character(terms))
+        assert expand_text(Character.zero()) == "0"
+        assert expand_text(Character({(16000, 0, 0, 0): 1})) == (
+            "y1^8000\n  weight ('8000', '0', '0', '0')  multiplicity 1")
+
+    def test_each_coordinate_is_formatted_once_per_call(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(ktheory, "Fraction", lambda k, d: made.append(k) or Fraction(k, d))
+        rng = random.Random(37)
+        for _ in range(20):
+            f = sharing_character(rng)
+            distinct = {k for key in f.terms for k in key}
+            for _ in range(2):
+                made.clear()
+                assert expand_text(f) == ref_expand_text(f)
+                assert sorted(made) == sorted(distinct)
 
 
 class TestPackedKernelsAgainstReferences:
